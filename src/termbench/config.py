@@ -22,6 +22,7 @@ from pathlib import Path
 from .errors import ParseError, ValidationError
 from .ontology import Terminology
 
+# The environment variables that hold credentials; the only place their names live.
 COMPLETION_KEY_ENV = "TERMBENCH_COMPLETION_API_KEY"
 EMBEDDING_KEY_ENV = "TERMBENCH_EMBEDDING_API_KEY"
 EUTILS_KEY_ENV = "NCBI_API_KEY"

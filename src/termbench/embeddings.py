@@ -12,7 +12,6 @@ Token matrices are mean-pooled into a single vector per string.
 
 from __future__ import annotations
 
-import json
 import struct
 from pathlib import Path
 from typing import IO, Protocol, Sequence
@@ -20,6 +19,7 @@ from typing import IO, Protocol, Sequence
 import numpy as np
 
 from .errors import ConsistencyError, DomainError, ParseError, ProtocolError, TransportError
+from .jsonl import iter_rows, write_rows
 
 MAGIC = b"EMB1"
 
@@ -61,24 +61,7 @@ class FileEmbeddingStore:
 
     @classmethod
     def from_jsonl(cls, stream: IO) -> "FileEmbeddingStore":
-        data = stream.read()
-        if isinstance(data, bytes):
-            data = data.decode("utf-8")
-        vectors: dict[str, np.ndarray] = {}
-        for lineno, line in enumerate(data.splitlines(), start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"bad JSON: {exc}", lineno) from exc
-            vec = np.asarray(obj["vector"], dtype=float)
-            if vec.size != obj["dim"]:
-                raise ParseError(
-                    f"vector length {vec.size} != declared dim {obj['dim']}", lineno
-                )
-            vectors[obj["text"]] = vec
-        return cls(vectors)
+        return cls(dict(iter_rows(stream, _store_entry)))
 
     @classmethod
     def from_binary(cls, stream: IO) -> "FileEmbeddingStore":
@@ -112,13 +95,19 @@ class FileEmbeddingStore:
             return cls.from_jsonl(fh)
 
 
+def _store_entry(row: dict) -> tuple[str, np.ndarray]:
+    vec = np.asarray(row["vector"], dtype=float)
+    if vec.size != row["dim"]:
+        raise ParseError(f"vector length {vec.size} != declared dim {row['dim']}")
+    return row["text"], vec
+
+
 def write_store_jsonl(vectors: dict[str, np.ndarray], sink: IO) -> int:
-    n = 0
-    for text, vec in vectors.items():
-        obj = {"text": text, "dim": int(vec.size), "vector": [float(v) for v in vec]}
-        sink.write(json.dumps(obj, ensure_ascii=False) + "\n")
-        n += 1
-    return n
+    return write_rows(
+        ({"text": text, "dim": int(vec.size), "vector": [float(v) for v in vec]}
+         for text, vec in vectors.items()),
+        sink,
+    )
 
 
 def write_store_binary(vectors: dict[str, np.ndarray], sink: IO) -> int:

@@ -10,7 +10,6 @@ from knowledge failures.
 
 from __future__ import annotations
 
-import json
 import re
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -18,7 +17,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import IO, Sequence
 
-from .errors import DomainError, HarnessError, ParseError, TransportError
+from .errors import DomainError, HarnessError, TransportError
+from .jsonl import iter_rows, write_rows
 from .ontology import Terminology
 from .prompts import Direction, PromptInstance
 from .providers import CompletionProvider, DecodingParams
@@ -204,45 +204,36 @@ def run_eval(
 # File interfaces
 
 
+def _result_row(item: EvalItem) -> dict:
+    return {
+        "pair_id": item.pair_id,
+        "direction": item.direction.value,
+        "template_id": item.template_id,
+        "raw_output": item.raw_output,
+        "normalized_output": item.normalized_output,
+        "correct": item.correct,
+        "error": item.error,
+    }
+
+
+def _result_from_row(row: dict) -> EvalItem:
+    return EvalItem(
+        pair_id=row["pair_id"],
+        direction=Direction(row["direction"]),
+        template_id=row["template_id"],
+        raw_output=row["raw_output"],
+        normalized_output=row["normalized_output"],
+        correct=row["correct"],
+        error=row.get("error"),
+    )
+
+
 def write_results_jsonl(run: EvalRun, sink: IO) -> int:
-    for item in run.items:
-        obj = {
-            "pair_id": item.pair_id,
-            "direction": item.direction.value,
-            "template_id": item.template_id,
-            "raw_output": item.raw_output,
-            "normalized_output": item.normalized_output,
-            "correct": item.correct,
-            "error": item.error,
-        }
-        sink.write(json.dumps(obj, ensure_ascii=False) + "\n")
-    return len(run.items)
+    return write_rows(map(_result_row, run.items), sink)
 
 
 def read_results_jsonl(stream: IO) -> list[EvalItem]:
-    data = stream.read()
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    items = []
-    for lineno, line in enumerate(data.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"bad JSON: {exc}", lineno) from exc
-        items.append(
-            EvalItem(
-                pair_id=obj["pair_id"],
-                direction=Direction(obj["direction"]),
-                template_id=obj["template_id"],
-                raw_output=obj["raw_output"],
-                normalized_output=obj["normalized_output"],
-                correct=obj["correct"],
-                error=obj.get("error"),
-            )
-        )
-    return items
+    return list(iter_rows(stream, _result_from_row))
 
 
 def run_summary(run: EvalRun) -> dict:

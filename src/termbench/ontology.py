@@ -13,14 +13,13 @@ excluded; `alt_id:` lines are ignored (one canonical identifier per term).
 
 from __future__ import annotations
 
-import io
-import json
 import re
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import IO, Iterable
 
 from .errors import ParseError, ValidationError
+from .jsonl import iter_rows, write_rows
 
 
 class Terminology(Enum):
@@ -271,44 +270,31 @@ def build_index(records: Iterable[TermRecord]) -> TermIndex:
     return index
 
 
+def _record_row(r: TermRecord) -> dict:
+    return {
+        "terminology": r.terminology.value,
+        "identifier": r.identifier,
+        "label": r.label,
+        "synonyms": list(r.synonyms),
+        "namespace": r.namespace,
+    }
+
+
+def _record_from_row(row: dict) -> TermRecord:
+    return TermRecord(
+        terminology=Terminology(row["terminology"]),
+        identifier=row["identifier"],
+        label=row["label"],
+        synonyms=tuple(row.get("synonyms", ())),
+        namespace=row.get("namespace"),
+    )
+
+
 def write_records_jsonl(records: Iterable[TermRecord], sink: IO) -> int:
     """Write the canonical record file (JSON Lines, one object per record)."""
-    n = 0
-    for r in records:
-        obj = {
-            "terminology": r.terminology.value,
-            "identifier": r.identifier,
-            "label": r.label,
-            "synonyms": list(r.synonyms),
-            "namespace": r.namespace,
-        }
-        sink.write(json.dumps(obj, ensure_ascii=False) + "\n")
-        n += 1
-    return n
+    return write_rows(map(_record_row, records), sink)
 
 
 def read_records_jsonl(stream: IO) -> list[TermRecord]:
     """Load records written by write_records_jsonl."""
-    records = []
-    for lineno, line in enumerate(_decode(stream).splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"bad JSON: {exc}", lineno) from exc
-        records.append(
-            TermRecord(
-                terminology=Terminology(obj["terminology"]),
-                identifier=obj["identifier"],
-                label=obj["label"],
-                synonyms=tuple(obj.get("synonyms", ())),
-                namespace=obj.get("namespace"),
-            )
-        )
-    return records
-
-
-def records_from_path(path) -> list[TermRecord]:
-    with open(path, "rb") as fh:
-        return read_records_jsonl(io.TextIOWrapper(fh, encoding="utf-8"))
+    return list(iter_rows(stream, _record_from_row))

@@ -19,15 +19,15 @@ exactly once.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
 from fractions import Fraction
 from typing import IO, Iterable, Sequence
 
-from .errors import DomainError, ParseError
+from .errors import DomainError
 from .evaluate import EvalItem, EvalRun, Phase
+from .jsonl import iter_rows, write_rows
 from .ontology import Terminology
 from .prompts import Direction, direction_label
 from .sampling import Split
@@ -292,18 +292,15 @@ TERMINOLOGY_ORDER = (Terminology.HPO, Terminology.GO_CC, Terminology.GENE)
 DIRECTION_ORDER = (Direction.ID_TO_TERM, Direction.TERM_TO_ID)
 
 
-def _accuracy_pct(run: EvalRun) -> Fraction:
-    return Fraction(sum(i.correct for i in run.items) * 100, len(run.items))
-
-
 def table_report(
-    runs: Sequence[EvalRun],
+    run_counts: dict[tuple[Terminology, Direction, Phase], tuple[int, int]],
     outcomes: Sequence[PairOutcome],
 ) -> ReportBundle:
-    """Build the three report tables from complete run and outcome sets."""
-    run_map: dict[tuple[Terminology, Direction, Phase], EvalRun] = {}
-    for run in runs:
-        run_map[(run.terminology, run.direction, run.phase)] = run
+    """Build the three report tables from complete run and outcome sets.
+
+    `run_counts` maps each (terminology, direction, phase) run to its
+    (n_correct, n_items); a run's accuracy is n_correct * 100 / n_items.
+    """
     outcome_map: dict[tuple[Terminology, Direction], list[PairOutcome]] = {}
     for o in outcomes:
         outcome_map.setdefault((o.terminology, o.direction), []).append(o)
@@ -312,20 +309,20 @@ def table_report(
         (t, d)
         for t in TERMINOLOGY_ORDER
         for d in DIRECTION_ORDER
-        if any((t, d, phase) in run_map for phase in Phase) or (t, d) in outcome_map
+        if any((t, d, phase) in run_counts for phase in Phase) or (t, d) in outcome_map
     ]
     performance: list[PerformanceRow] = []
     categories: list[CategoryRow] = []
     derived: list[DerivedRow] = []
     for t, d in combos:
         label = direction_label(t, d)
-        base = run_map.get((t, d, Phase.BASELINE))
-        tuned = run_map.get((t, d, Phase.FINETUNED))
+        base = run_counts.get((t, d, Phase.BASELINE))
+        tuned = run_counts.get((t, d, Phase.FINETUNED))
         if base is None or tuned is None:
             missing = "baseline" if base is None else "finetuned"
             raise DomainError(f"missing {missing} run for {label}")
-        base_pct = _accuracy_pct(base)
-        tuned_pct = _accuracy_pct(tuned)
+        base_pct = Fraction(base[0] * 100, base[1])
+        tuned_pct = Fraction(tuned[0] * 100, tuned[1])
         performance.append(
             PerformanceRow(
                 mapping=label,
@@ -394,44 +391,35 @@ def write_sankey_csv(edges: Sequence[tuple[str, str, int]], sink: IO) -> None:
         writer.writerow([source, target, count])
 
 
+def _outcome_row(o: PairOutcome) -> dict:
+    return {
+        "pair_id": o.pair_id,
+        "terminology": o.terminology.value,
+        "direction": o.direction.value,
+        "split": o.split.value,
+        "baseline_correct": o.baseline_correct,
+        "finetuned_correct": o.finetuned_correct,
+        "category": o.category.value,
+    }
+
+
+def _outcome_from_row(row: dict) -> PairOutcome:
+    return PairOutcome(
+        pair_id=row["pair_id"],
+        terminology=Terminology(row["terminology"]),
+        direction=Direction(row["direction"]),
+        split=Split(row["split"]),
+        baseline_correct=row["baseline_correct"],
+        finetuned_correct=row["finetuned_correct"],
+    )
+
+
 def write_outcomes_jsonl(outcomes: Sequence[PairOutcome], sink: IO) -> int:
-    for o in outcomes:
-        obj = {
-            "pair_id": o.pair_id,
-            "terminology": o.terminology.value,
-            "direction": o.direction.value,
-            "split": o.split.value,
-            "baseline_correct": o.baseline_correct,
-            "finetuned_correct": o.finetuned_correct,
-            "category": o.category.value,
-        }
-        sink.write(json.dumps(obj, ensure_ascii=False) + "\n")
-    return len(outcomes)
+    return write_rows(map(_outcome_row, outcomes), sink)
 
 
 def read_outcomes_jsonl(stream: IO) -> list[PairOutcome]:
-    data = stream.read()
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    outcomes = []
-    for lineno, line in enumerate(data.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"bad JSON: {exc}", lineno) from exc
-        outcomes.append(
-            PairOutcome(
-                pair_id=obj["pair_id"],
-                terminology=Terminology(obj["terminology"]),
-                direction=Direction(obj["direction"]),
-                split=Split(obj["split"]),
-                baseline_correct=obj["baseline_correct"],
-                finetuned_correct=obj["finetuned_correct"],
-            )
-        )
-    return outcomes
+    return list(iter_rows(stream, _outcome_from_row))
 
 
 def metrics_to_dict(metrics: DerivedMetrics) -> dict:

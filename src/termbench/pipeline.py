@@ -40,7 +40,7 @@ from .config import (
     RunConfig,
 )
 from .embeddings import FileEmbeddingStore, HttpEmbeddingProvider, write_store_jsonl
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ParseError, ValidationError
 from .evaluate import (
     EvalRun,
     Phase,
@@ -90,12 +90,7 @@ from .prompts import (
     read_prompts_jsonl,
     write_prompts_jsonl,
 )
-from .providers import (
-    COMPLETION_API_KEY_ENV,
-    HttpCompletionProvider,
-    ReplayProvider,
-    TranscriptWriter,
-)
+from .providers import HttpCompletionProvider, ReplayProvider, TranscriptWriter
 from .ratelimit import TokenBucket
 from .sampling import (
     SampledPair,
@@ -157,6 +152,11 @@ def _tkey(t: Terminology) -> str:
 
 def _records_path(cfg: RunConfig, t: Terminology) -> Path:
     return cfg.run_dir / "ingest" / f"records_{_tkey(t)}.jsonl"
+
+
+def _run_stem(phase: Phase, t: Terminology, d: Direction) -> str:
+    """Names one eval run's files: eval/results_<stem>.jsonl, eval/summary_<stem>.json."""
+    return f"{phase.value}_{_tkey(t)}_{d.value}"
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -352,7 +352,7 @@ def _completion_provider(cfg: RunConfig, phase: Phase, out_dir: Path):
     if cfg.completion_url:
         return HttpCompletionProvider(
             url=cfg.completion_url,
-            api_key=os.environ.get(COMPLETION_API_KEY_ENV),
+            api_key=os.environ.get(COMPLETION_KEY_ENV),
             transcript=TranscriptWriter(out_dir / f"transcript_{phase.value}.jsonl"),
             rate_limiter=TokenBucket(cfg.rate_per_second),
         )
@@ -392,7 +392,7 @@ def stage_eval(cfg: RunConfig, manifest: RunManifest) -> tuple[list[Path], list[
                     extract=cfg.extract_mode,
                     vote_by_pair=cfg.all_templates,
                 )
-                stem = f"{phase.value}_{_tkey(t)}_{d.value}"
+                stem = _run_stem(phase, t, d)
                 results_path = out_dir / f"results_{stem}.jsonl"
                 with open(results_path, "w", encoding="utf-8") as fh:
                     write_results_jsonl(run, fh)
@@ -403,10 +403,13 @@ def stage_eval(cfg: RunConfig, manifest: RunManifest) -> tuple[list[Path], list[
     return [prompts_path, split_path], outputs + transcripts
 
 
-def _load_run(cfg: RunConfig, phase: Phase, t: Terminology, d: Direction) -> EvalRun:
-    stem = f"{phase.value}_{_tkey(t)}_{d.value}"
+def _load_run(cfg: RunConfig, phase: Phase, t: Terminology, d: Direction,
+              inputs: list[Path]) -> EvalRun:
+    """One eval run from its results and summary; both paths go onto `inputs`."""
+    stem = _run_stem(phase, t, d)
     results_path = _require(cfg.run_dir / "eval" / f"results_{stem}.jsonl", "eval")
     summary_path = _require(cfg.run_dir / "eval" / f"summary_{stem}.json", "eval")
+    inputs.extend([results_path, summary_path])
     with open(results_path, encoding="utf-8") as fh:
         items = read_results_jsonl(fh)
     summary = json.loads(summary_path.read_text(encoding="utf-8"))
@@ -433,10 +436,8 @@ def stage_classify(cfg: RunConfig, manifest: RunManifest) -> tuple[list[Path], l
     outputs = []
     for t in TERMINOLOGIES:
         for d in DIRECTIONS:
-            baseline = _load_run(cfg, Phase.BASELINE, t, d)
-            finetuned = _load_run(cfg, Phase.FINETUNED, t, d)
-            inputs.append(cfg.run_dir / "eval" / f"results_baseline_{_tkey(t)}_{d.value}.jsonl")
-            inputs.append(cfg.run_dir / "eval" / f"results_finetuned_{_tkey(t)}_{d.value}.jsonl")
+            baseline = _load_run(cfg, Phase.BASELINE, t, d, inputs)
+            finetuned = _load_run(cfg, Phase.FINETUNED, t, d, inputs)
             outcomes = build_outcomes(baseline, finetuned, split_by_pair)
             all_outcomes.extend(outcomes)
             metrics_payload[f"{t.value}:{d.value}"] = metrics_to_dict(derive_metrics(outcomes))
@@ -580,16 +581,20 @@ def stage_report(cfg: RunConfig, manifest: RunManifest) -> tuple[list[Path], lis
     with open(outcomes_path, encoding="utf-8") as fh:
         outcomes = read_outcomes_jsonl(fh)
 
-    runs = []
+    run_counts = {}
     inputs = [outcomes_path]
     for phase in (Phase.BASELINE, Phase.FINETUNED):
         for t in TERMINOLOGIES:
             for d in DIRECTIONS:
-                runs.append(_load_run(cfg, phase, t, d))
-                inputs.append(
-                    cfg.run_dir / "eval" / f"results_{phase.value}_{_tkey(t)}_{d.value}.jsonl"
-                )
-    bundle = table_report(runs, outcomes)
+                summary_path = _require(
+                    cfg.run_dir / "eval" / f"summary_{_run_stem(phase, t, d)}.json", "eval")
+                try:
+                    summary = json.loads(summary_path.read_text(encoding="utf-8"))
+                    run_counts[(t, d, phase)] = (summary["n_correct"], summary["n_items"])
+                except (ValueError, KeyError, TypeError) as exc:
+                    raise ParseError(f"bad eval summary {summary_path}: {exc!r}") from exc
+                inputs.append(summary_path)
+    bundle = table_report(run_counts, outcomes)
 
     outputs = []
     perf_path = out_dir / "performance_summary.csv"

@@ -19,11 +19,12 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable
 
+from .config import EUTILS_KEY_ENV
 from .errors import PermanentHttpError, ProtocolError, TransportError
+from .jsonl import iter_rows, write_rows
 from .ratelimit import TokenBucket
 
 ESEARCH_URL = "https://eutils.ncbi.nlm.nih.gov/entrez/eutils/esearch.fcgi"
-API_KEY_ENV = "NCBI_API_KEY"
 
 RETRY_BASE_SECONDS = 1.0
 RETRY_FACTOR = 2.0
@@ -76,12 +77,7 @@ class QueryCache:
         self._entries: dict[tuple[str, str], dict] = {}
         if self.path.exists():
             with open(self.path, encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    row = json.loads(line)
-                    self._entries[(row["query"], row["db"])] = row
+                self._entries.update(iter_rows(fh, lambda row: ((row["query"], row["db"]), row)))
 
     def get(self, query: str, db: str) -> dict | None:
         return self._entries.get((query, db))
@@ -92,7 +88,7 @@ class QueryCache:
             self._entries[(query, db)] = row
             self.path.parent.mkdir(parents=True, exist_ok=True)
             with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps(row, ensure_ascii=False) + "\n")
+                write_rows([row], fh)
 
 
 class PmcClient:
@@ -109,7 +105,7 @@ class PmcClient:
     ):
         self.cache = cache
         self.transport = transport
-        self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
+        self.api_key = api_key if api_key is not None else os.environ.get(EUTILS_KEY_ENV)
         if rate_limiter is None:
             rate_limiter = _shared_limiter(10.0 if self.api_key else 3.0)
         self.rate_limiter = rate_limiter

@@ -138,14 +138,20 @@ def read_popularity_csv(stream: IO) -> list[PopularityRecord]:
     for row in reader:
         if not row:
             continue
-        records.append(
-            PopularityRecord(
-                terminology=Terminology(row[0]),
-                identifier=row[1],
-                label=row[2],
-                id_count_pmc=int(row[3]),
-                term_count_pmc=int(row[4]),
-                annotation_count=int(row[5]),
+        if len(row) != len(POPULARITY_CSV_COLUMNS):
+            raise ParseError(f"expected {len(POPULARITY_CSV_COLUMNS)} columns, got {len(row)}",
+                             reader.line_num)
+        try:
+            records.append(
+                PopularityRecord(
+                    terminology=Terminology(row[0]),
+                    identifier=row[1],
+                    label=row[2],
+                    id_count_pmc=int(row[3]),
+                    term_count_pmc=int(row[4]),
+                    annotation_count=int(row[5]),
+                )
             )
-        )
+        except ValueError as exc:
+            raise ParseError(str(exc), reader.line_num) from exc
     return records

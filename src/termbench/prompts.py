@@ -12,12 +12,12 @@ the prompt wordings; change TEMPLATE_TABLE_VERSION when editing it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from typing import IO, Iterable
 
 from .errors import DomainError, ParseError
+from .jsonl import iter_rows, write_rows
 from .ontology import Terminology
 from .sampling import SampledPair, pair_id
 
@@ -141,47 +141,34 @@ def expand_all(pairs: Iterable[SampledPair], directions: Iterable[Direction]) ->
     return out
 
 
+def _prompt_row(p: PromptInstance) -> dict:
+    return {
+        "pair_id": p.pair_id,
+        "direction": p.direction.value,
+        "template_id": p.template_id,
+        "prompt_text": p.prompt_text,
+        "expected_answer": p.expected_answer,
+    }
+
+
 def write_prompts_jsonl(prompts: Iterable[PromptInstance], sink: IO) -> int:
-    n = 0
-    for p in prompts:
-        obj = {
-            "pair_id": p.pair_id,
-            "direction": p.direction.value,
-            "template_id": p.template_id,
-            "prompt_text": p.prompt_text,
-            "expected_answer": p.expected_answer,
-        }
-        sink.write(json.dumps(obj, ensure_ascii=False) + "\n")
-        n += 1
-    return n
+    return write_rows(map(_prompt_row, prompts), sink)
 
 
 def read_prompts_jsonl(stream: IO, pairs_by_id: dict[str, SampledPair]) -> list[PromptInstance]:
     """Load prompts, rebinding each row to its SampledPair."""
-    data = stream.read()
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    prompts = []
-    for lineno, line in enumerate(data.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"bad JSON: {exc}", lineno) from exc
-        pair = pairs_by_id.get(obj["pair_id"])
+    def from_row(row: dict) -> PromptInstance:
+        pair = pairs_by_id.get(row["pair_id"])
         if pair is None:
-            raise ParseError(f"unknown pair_id {obj['pair_id']!r}", lineno)
-        prompts.append(
-            PromptInstance(
-                pair=pair,
-                direction=Direction(obj["direction"]),
-                template_id=obj["template_id"],
-                prompt_text=obj["prompt_text"],
-                expected_answer=obj["expected_answer"],
-            )
+            raise ParseError(f"unknown pair_id {row['pair_id']!r}")
+        return PromptInstance(
+            pair=pair,
+            direction=Direction(row["direction"]),
+            template_id=row["template_id"],
+            prompt_text=row["prompt_text"],
+            expected_answer=row["expected_answer"],
         )
-    return prompts
+    return list(iter_rows(stream, from_row))
 
 
 # Hyperparameters recorded as provenance alongside emitted training files;
@@ -207,17 +194,12 @@ def emit_finetune_file(prompts: list[PromptInstance], sink: IO) -> int:
     """Write chat-format training rows: one user/assistant message pair each."""
     if not prompts:
         raise DomainError("refusing to emit an empty fine-tuning file")
-    n = 0
-    for p in prompts:
-        row = {
-            "messages": [
-                {"role": "user", "content": p.prompt_text},
-                {"role": "assistant", "content": p.expected_answer},
-            ]
-        }
-        sink.write(json.dumps(row, ensure_ascii=False) + "\n")
-        n += 1
-    return n
+    return write_rows(({
+        "messages": [
+            {"role": "user", "content": p.prompt_text},
+            {"role": "assistant", "content": p.expected_answer},
+        ]
+    } for p in prompts), sink)
 
 
 def finetune_manifest(

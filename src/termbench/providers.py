@@ -17,10 +17,9 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Protocol
 
-from .errors import ConsistencyError, ParseError, PermanentHttpError, ProtocolError, TransportError
+from .errors import ConsistencyError, PermanentHttpError, ProtocolError, TransportError
+from .jsonl import iter_rows, write_rows
 from .ratelimit import TokenBucket
-
-COMPLETION_API_KEY_ENV = "TERMBENCH_COMPLETION_API_KEY"
 
 RETRY_BASE_SECONDS = 1.0
 RETRY_FACTOR = 2.0
@@ -61,16 +60,9 @@ class ReplayProvider:
 
     @classmethod
     def from_transcript(cls, path: str | Path) -> "ReplayProvider":
-        responses: dict[str, str] = {}
         with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    row = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ParseError(f"bad JSON: {exc}", lineno) from exc
-                responses[row["prompt_hash"]] = row["response"]["text"]
+            responses = dict(iter_rows(
+                fh, lambda row: (row["prompt_hash"], row["response"]["text"])))
         return cls(responses)
 
     def complete(self, prompt_text: str, model_id: str, params: DecodingParams) -> str:
@@ -97,7 +89,7 @@ class TranscriptWriter:
         }
         with self._lock:
             with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps(row, ensure_ascii=False) + "\n")
+                write_rows([row], fh)
 
 
 class HttpCompletionProvider:

@@ -9,12 +9,12 @@ per_bin, seed) triple reproduces byte-identical output anywhere.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from typing import IO, Iterable
 
-from .errors import ConsistencyError, DomainError, ParseError
+from .errors import ConsistencyError, DomainError
+from .jsonl import iter_rows, write_rows
 from .ontology import TermIndex, Terminology, TermRecord
 from .popularity import RankedDistribution
 from .rng import SplitMix64, substream
@@ -155,40 +155,29 @@ def pair_id(pair: SampledPair) -> str:
     return f"{pair.terminology.value}:{pair.identifier}"
 
 
+def _split_row(p: SampledPair) -> dict:
+    return {
+        "terminology": p.terminology.value,
+        "term": p.term,
+        "identifier": p.identifier,
+        "bin_index": p.bin_index,
+        "split": p.split.value,
+    }
+
+
+def _split_from_row(row: dict) -> SampledPair:
+    return SampledPair(
+        terminology=Terminology(row["terminology"]),
+        term=row["term"],
+        identifier=row["identifier"],
+        bin_index=row["bin_index"],
+        split=Split(row["split"]),
+    )
+
+
 def write_split_jsonl(pairs: Iterable[SampledPair], sink: IO) -> int:
-    n = 0
-    for p in pairs:
-        obj = {
-            "terminology": p.terminology.value,
-            "term": p.term,
-            "identifier": p.identifier,
-            "bin_index": p.bin_index,
-            "split": p.split.value,
-        }
-        sink.write(json.dumps(obj, ensure_ascii=False) + "\n")
-        n += 1
-    return n
+    return write_rows(map(_split_row, pairs), sink)
 
 
 def read_split_jsonl(stream: IO) -> list[SampledPair]:
-    pairs = []
-    data = stream.read()
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    for lineno, line in enumerate(data.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"bad JSON: {exc}", lineno) from exc
-        pairs.append(
-            SampledPair(
-                terminology=Terminology(obj["terminology"]),
-                term=obj["term"],
-                identifier=obj["identifier"],
-                bin_index=obj["bin_index"],
-                split=Split(obj["split"]),
-            )
-        )
-    return pairs
+    return list(iter_rows(stream, _split_from_row))

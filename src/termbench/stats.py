@@ -1,11 +1,9 @@
 """Statistical machinery: Welch's t, two-way ANOVA (Type II), Games-Howell.
 
-The t and F distribution functions are computed from the regularized
-incomplete beta function, evaluated with the modified Lentz continued
-fraction to an absolute tolerance of 1e-10. The studentized range CDF is
-the textbook double integral (range of k standard normals, studentized by
-an independent chi-scaled error estimate) evaluated with adaptive
-quadrature.
+The t and F tails come from `scipy.special` (`stdtr`, `fdtrc`). The
+studentized range CDF is the textbook double integral (range of k standard
+normals, studentized by an independent chi-scaled error estimate) evaluated
+with adaptive quadrature.
 """
 
 from __future__ import annotations
@@ -16,77 +14,16 @@ from dataclasses import dataclass, field
 from typing import IO, NamedTuple, Sequence
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, special
 
 from .errors import DomainError, NumericalError, ParseError, ValidationError
-
-_BETA_EPS = 1e-15
-_BETA_MAX_ITER = 500
-
-
-def _betacf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta (modified Lentz)."""
-    tiny = 1e-300
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for m in range(1, _BETA_MAX_ITER + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _BETA_EPS:
-            return h
-    raise NumericalError(f"incomplete beta did not converge for a={a}, b={b}, x={x}")
-
-
-def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
-    """I_x(a, b) for a, b > 0 and x in [0, 1]."""
-    if a <= 0 or b <= 0:
-        raise DomainError("beta parameters must be positive")
-    if x < 0.0 or x > 1.0:
-        raise DomainError("x must lie in [0, 1]")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    ln_front = (
-        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-        + a * math.log(x) + b * math.log1p(-x)
-    )
-    front = math.exp(ln_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(a, b, x) / a
-    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
 
 
 def t_sf_two_sided(t: float, df: float) -> float:
     """Two-sided p-value for a t statistic with df degrees of freedom."""
     if df <= 0:
         raise DomainError("df must be positive")
-    if math.isinf(t):
-        return 0.0
-    return regularized_incomplete_beta(df / 2.0, 0.5, df / (df + t * t))
+    return float(2.0 * special.stdtr(df, -abs(t)))
 
 
 def f_sf(f_stat: float, df1: float, df2: float) -> float:
@@ -95,8 +32,7 @@ def f_sf(f_stat: float, df1: float, df2: float) -> float:
         raise DomainError("degrees of freedom must be positive")
     if f_stat <= 0:
         return 1.0
-    x = df2 / (df2 + df1 * f_stat)
-    return regularized_incomplete_beta(df2 / 2.0, df1 / 2.0, x)
+    return float(special.fdtrc(df1, df2, f_stat))
 
 
 class WelchResult(NamedTuple):

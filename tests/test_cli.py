@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -197,3 +200,36 @@ def test_validation_cap_flag(tmp_path):
     train = [r for r in rows if r["split"] == "train"]
     assert len(val) == 30  # 10 per terminology
     assert len(train) == 90
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda row: row.update(split="trian"), "'trian' is not a valid Split"),
+    (lambda row: row.pop("term"), "missing key 'term'"),
+], ids=["unknown-split", "missing-key"])
+def test_bad_split_row_exits_1_naming_the_line(tmp_path, capsys, edit, message):
+    run_dir = tmp_path / "run"
+    for stage in ("ingest", "popularity", "sample"):
+        assert main(["--config", str(CONFIG), "--run-dir", str(run_dir),
+                     "--stage", stage]) == 0
+    split_path = run_dir / "sample" / "split.jsonl"
+    rows = [json.loads(line) for line in split_path.read_text(encoding="utf-8").split("\n")
+            if line]
+    edit(rows[2])
+    split_path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["--config", str(CONFIG), "--run-dir", str(run_dir),
+                 "--stage", "prompts"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: line 3: {message}\n"
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs start-up time and memory on every CLI launch
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, termbench.cli; print('scipy.stats' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"

@@ -1,0 +1,152 @@
+import io
+import json
+
+import numpy as np
+import pytest
+
+from termbench.embeddings import FileEmbeddingStore, write_store_jsonl
+from termbench.errors import ParseError
+from termbench.evaluate import EvalItem, EvalRun, Phase, read_results_jsonl, write_results_jsonl
+from termbench.jsonl import iter_rows, write_rows
+from termbench.ontology import Terminology, TermRecord, read_records_jsonl, write_records_jsonl
+from termbench.outcomes import PairOutcome, read_outcomes_jsonl, write_outcomes_jsonl
+from termbench.pmc import QueryCache
+from termbench.prompts import Direction, expand_prompts, read_prompts_jsonl, write_prompts_jsonl
+from termbench.providers import DecodingParams, ReplayProvider, TranscriptWriter
+from termbench.sampling import SampledPair, Split, pair_id, read_split_jsonl, write_split_jsonl
+
+# Line and paragraph separators that json.dumps(ensure_ascii=False) leaves
+# unescaped and str.splitlines would split a row at.
+SEPARATORS = ["\u2028", "\u2029", "\u0085"]
+
+
+def _round_trip(tmp_path, write, read):
+    path = tmp_path / "rows.jsonl"
+    with open(path, "w", encoding="utf-8") as fh:
+        write(fh)
+    with open(path, encoding="utf-8") as fh:
+        return read(fh)
+
+
+def _pair(sep):
+    return SampledPair(Terminology.HPO, f"odd{sep}term", "HP:0000001", 0, Split.TRAIN)
+
+
+@pytest.mark.parametrize("sep", SEPARATORS)
+def test_records_round_trip_separator(tmp_path, sep):
+    records = [TermRecord(Terminology.HPO, "HP:0000001", f"a{sep}b", (f"c{sep}",), "ns")]
+    back = _round_trip(tmp_path, lambda fh: write_records_jsonl(records, fh), read_records_jsonl)
+    assert back == records
+
+
+@pytest.mark.parametrize("sep", SEPARATORS)
+def test_split_round_trip_separator(tmp_path, sep):
+    pairs = [_pair(sep)]
+    assert _round_trip(tmp_path, lambda fh: write_split_jsonl(pairs, fh),
+                       read_split_jsonl) == pairs
+
+
+@pytest.mark.parametrize("sep", SEPARATORS)
+def test_prompts_round_trip_separator(tmp_path, sep):
+    pair = _pair(sep)
+    prompts = expand_prompts(pair, Direction.TERM_TO_ID) + expand_prompts(
+        pair, Direction.ID_TO_TERM)
+    back = _round_trip(tmp_path, lambda fh: write_prompts_jsonl(prompts, fh),
+                       lambda fh: read_prompts_jsonl(fh, {pair_id(pair): pair}))
+    assert back == prompts
+
+
+@pytest.mark.parametrize("sep", SEPARATORS)
+def test_results_round_trip_separator(tmp_path, sep):
+    items = (EvalItem("HPO:HP:0000001", Direction.ID_TO_TERM, 1, f"x{sep}y", f"x{sep}y",
+                      False, f"error{sep}text"),)
+    run = EvalRun("m", Terminology.HPO, Direction.ID_TO_TERM, Phase.BASELINE, items, 0.0)
+    back = _round_trip(tmp_path, lambda fh: write_results_jsonl(run, fh), read_results_jsonl)
+    assert tuple(back) == items
+
+
+@pytest.mark.parametrize("sep", SEPARATORS)
+def test_outcomes_round_trip_separator(tmp_path, sep):
+    outcomes = [PairOutcome(f"HPO:{sep}", Terminology.HPO, Direction.TERM_TO_ID,
+                            Split.VALIDATION, True, False)]
+    assert _round_trip(tmp_path, lambda fh: write_outcomes_jsonl(outcomes, fh),
+                       read_outcomes_jsonl) == outcomes
+
+
+@pytest.mark.parametrize("sep", SEPARATORS)
+def test_embedding_store_round_trip_separator(tmp_path, sep):
+    vectors = {f"a{sep}b": np.array([1.0, 2.0]), "plain": np.array([3.0, 4.0])}
+    store = _round_trip(tmp_path, lambda fh: write_store_jsonl(vectors, fh),
+                        FileEmbeddingStore.from_jsonl)
+    assert store.texts() == list(vectors)
+    assert store.embed(f"a{sep}b").tolist() == [1.0, 2.0]
+
+
+@pytest.mark.parametrize("sep", SEPARATORS)
+def test_transcript_round_trip_separator(tmp_path, sep):
+    path = tmp_path / "t.jsonl"
+    prompt = f"What is{sep}this?"
+    TranscriptWriter(path).record(prompt, {"model": "m"}, f"answer{sep}text")
+    provider = ReplayProvider.from_transcript(path)
+    assert provider.complete(prompt, "m", DecodingParams()) == f"answer{sep}text"
+
+
+@pytest.mark.parametrize("sep", SEPARATORS)
+def test_pmc_cache_round_trip_separator(tmp_path, sep):
+    path = tmp_path / "cache.jsonl"
+    QueryCache(path).put(f'"a{sep}b"[All Fields]', "pmc", 7, "t1")
+    assert QueryCache(path).get(f'"a{sep}b"[All Fields]', "pmc")["count"] == 7
+
+
+# ---------------------------------------------------------------------------
+# reader and writer contract
+
+
+def test_write_rows_matches_json_dumps():
+    rows = [{"b": "é\u2028", "a": [1, 2.5, None, True]}, {}]
+    buf = io.StringIO()
+    assert write_rows(rows, buf) == 2
+    assert buf.getvalue() == "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in rows)
+
+
+def test_iter_rows_text_and_binary_skip_blank_lines():
+    text = '\ufeff{"a": 1}\n\n   \n{"a": 2}\r\n{"a": 3}'
+    assert list(iter_rows(io.StringIO(text), lambda r: r["a"])) == [1, 2, 3]
+    assert list(iter_rows(io.BytesIO(text.encode("utf-8")), lambda r: r["a"])) == [1, 2, 3]
+
+
+@pytest.mark.parametrize("text,message", [
+    ('{"a": 1}\n{"a": \n', "line 2: bad JSON"),
+    ('{"a": 1}\n\n{"b": 1}\n', "line 3: missing key 'a'"),
+    ('{"a": 1}\n{"a": "x"}\n', "line 2: invalid literal"),
+    ('[1]\n', "line 1: list indices"),
+])
+def test_iter_rows_errors_name_the_line(text, message):
+    with pytest.raises(ParseError, match=message):
+        list(iter_rows(io.StringIO(text), lambda r: int(r["a"])))
+
+
+def test_iter_rows_builder_parse_error_gets_line():
+    def build(row):
+        raise ParseError("rejected")
+    with pytest.raises(ParseError) as exc:
+        list(iter_rows(io.StringIO('\n{"a": 1}\n'), build))
+    assert exc.value.line_number == 2
+    assert str(exc.value) == "line 2: rejected"
+
+
+def test_unknown_enum_value_is_parse_error():
+    row = {"terminology": "HPO", "term": "t", "identifier": "HP:0000001",
+           "bin_index": 0, "split": "trian"}
+    with pytest.raises(ParseError, match="line 1: 'trian' is not a valid Split"):
+        read_split_jsonl(io.StringIO(json.dumps(row) + "\n"))
+
+
+def test_pmc_cache_torn_last_line_is_parse_error(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    path.write_text(
+        json.dumps({"query": "q", "db": "pmc", "count": 1, "retrieved_at": "t"})
+        + '\n{"query": "r", "db": "pm', encoding="utf-8")
+    with pytest.raises(ParseError, match="line 2: bad JSON") as exc:
+        QueryCache(path)
+    assert not isinstance(exc.value, json.JSONDecodeError)

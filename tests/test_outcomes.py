@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from termbench.errors import DomainError
-from termbench.evaluate import EvalItem, EvalRun, Phase
+from termbench.evaluate import Phase
 from termbench.ontology import Terminology
 from termbench.outcomes import (
     CategoryPercentages,
@@ -238,35 +238,18 @@ def test_outcomes_jsonl_round_trip():
 
 def _run(phase, correct_flags, terminology=Terminology.HPO,
          direction=Direction.TERM_TO_ID):
-    items = tuple(
-        EvalItem(
-            pair_id=f"{terminology.value}:X:{i:04d}",
-            direction=direction,
-            template_id=1,
-            raw_output="a",
-            normalized_output="a",
-            correct=flag,
-        )
-        for i, flag in enumerate(correct_flags)
-    )
-    return EvalRun(
-        model_id="m",
-        terminology=terminology,
-        direction=direction,
-        phase=phase,
-        items=items,
-        accuracy=sum(correct_flags) / len(correct_flags),
-    )
+    """One table_report entry: (terminology, direction, phase) -> (n_correct, n_items)."""
+    return (terminology, direction, phase), (sum(correct_flags), len(correct_flags))
 
 
 def test_table_report_delta_ft():
     # 2.4% baseline vs 9.8% fine-tuned over 500 items -> delta +7.4
     base_flags = [i < 12 for i in range(500)]
     tuned_flags = [i < 49 for i in range(500)]
-    runs = [
+    runs = dict([
         _run(Phase.BASELINE, base_flags),
         _run(Phase.FINETUNED, tuned_flags),
-    ]
+    ])
     outcomes = _outcome_set(
         {OutcomeCategory.GAINER: 1, OutcomeCategory.INCORRECT: 1},
         {OutcomeCategory.INCORRECT: 2},
@@ -280,14 +263,14 @@ def test_table_report_delta_ft():
 
 def test_table_report_zero_delta():
     flags = [i < 5 for i in range(10)]
-    runs = [_run(Phase.BASELINE, flags), _run(Phase.FINETUNED, flags)]
+    runs = dict([_run(Phase.BASELINE, flags), _run(Phase.FINETUNED, flags)])
     outcomes = _outcome_set({OutcomeCategory.CORRECT: 5}, {OutcomeCategory.CORRECT: 5})
     bundle = table_report(runs, outcomes)
     assert bundle.performance[0].delta_pct == 0.0
 
 
 def test_table_report_missing_run_names_gap():
-    runs = [_run(Phase.BASELINE, [True])]
+    runs = dict([_run(Phase.BASELINE, [True])])
     outcomes = _outcome_set({OutcomeCategory.CORRECT: 1}, {OutcomeCategory.CORRECT: 1})
     with pytest.raises(DomainError, match="finetuned"):
         table_report(runs, outcomes)
@@ -295,7 +278,7 @@ def test_table_report_missing_run_names_gap():
 
 def test_table_csv_shapes():
     flags = [True, False]
-    runs = [_run(Phase.BASELINE, flags), _run(Phase.FINETUNED, flags)]
+    runs = dict([_run(Phase.BASELINE, flags), _run(Phase.FINETUNED, flags)])
     outcomes = _outcome_set({OutcomeCategory.CORRECT: 1, OutcomeCategory.INCORRECT: 1},
                             {OutcomeCategory.INCORRECT: 1})
     bundle = table_report(runs, outcomes)

@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -139,3 +140,42 @@ def test_stage_dirs_do_not_cross_write(full_run, tmp_path):
         p: p.read_bytes() for p in (full_run / "sample").rglob("*") if p.is_file()
     }
     assert before == after
+
+
+def test_report_inputs_are_outcomes_and_eval_summaries(full_run):
+    manifest = json.loads((full_run / "manifest.json").read_text())
+    inputs = [Path(p) for p in manifest["stages"]["report"]["inputs"]]
+    summaries = sorted((full_run / "eval").glob("summary_*.json"))
+    assert len(summaries) == 12
+    assert sorted(inputs) == sorted([full_run / "classify" / "outcomes.jsonl", *summaries])
+
+
+def test_report_takes_accuracy_from_summary_counts(full_run, tmp_path):
+    # Without the results files and with a wrong `accuracy` field in every
+    # summary, report still writes the same tables: it reads n_correct/n_items.
+    run_dir = tmp_path / "run"
+    shutil.copytree(full_run, run_dir)
+    for path in (run_dir / "eval").glob("results_*.jsonl"):
+        path.unlink()
+    for path in (run_dir / "eval").glob("summary_*.json"):
+        summary = json.loads(path.read_text())
+        summary["accuracy"] = 0.123
+        path.write_text(json.dumps(summary))
+    assert main(["--config", str(CONFIG), "--run-dir", str(run_dir),
+                 "--stage", "report"]) == 0
+    for path in sorted((full_run / "report").glob("*.csv")):
+        assert (run_dir / "report" / path.name).read_bytes() == path.read_bytes()
+
+
+def test_report_bad_summary_exits_1(full_run, tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    shutil.copytree(full_run, run_dir)
+    path = run_dir / "eval" / "summary_baseline_hpo_term_to_id.json"
+    summary = json.loads(path.read_text())
+    del summary["n_correct"]
+    path.write_text(json.dumps(summary))
+    capsys.readouterr()
+    assert main(["--config", str(CONFIG), "--run-dir", str(run_dir),
+                 "--stage", "report"]) == 1
+    err = capsys.readouterr().err
+    assert "bad eval summary" in err and "n_correct" in err

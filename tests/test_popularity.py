@@ -9,6 +9,7 @@ from termbench.errors import DomainError, ParseError, ProtocolError, TransportEr
 from termbench.ontology import Terminology
 from termbench.pmc import PmcClient, QueryCache, identifier_query, term_query
 from termbench.popularity import (
+    POPULARITY_CSV_COLUMNS,
     PopularityRecord,
     laplace_log,
     load_annotation_counts,
@@ -233,3 +234,15 @@ def test_token_bucket_spaces_requests():
         bucket.acquire()
     assert len(slept) == 2
     assert all(abs(s - 0.5) < 1e-9 for s in slept)
+
+
+@pytest.mark.parametrize("row,message", [
+    ("HPO,HP:0000002,b,1,x,3", "invalid literal for int"),
+    ("HPX,HP:0000002,b,1,2,3", "'HPX' is not a valid Terminology"),
+    ("HPO,HP:0000002,b,1,2", "expected 6 columns, got 5"),
+])
+def test_popularity_csv_bad_row_names_the_line(row, message):
+    text = ",".join(POPULARITY_CSV_COLUMNS) + "\nHPO,HP:0000001,a,1,2,3\n" + row + "\n"
+    with pytest.raises(ParseError, match=f"line 3: {message}") as exc:
+        read_popularity_csv(io.StringIO(text))
+    assert exc.value.line_number == 3

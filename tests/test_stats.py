@@ -12,7 +12,6 @@ from termbench.stats import (
     games_howell,
     f_sf,
     two_way_anova,
-    regularized_incomplete_beta,
     studentized_range_cdf,
     t_sf_two_sided,
     welch_t,
@@ -20,7 +19,7 @@ from termbench.stats import (
 
 
 # ---------------------------------------------------------------------------
-# incomplete beta / t / F distribution plumbing
+# t / F distribution tails
 
 
 @pytest.mark.parametrize("a,b,x", [
@@ -28,14 +27,33 @@ from termbench.stats import (
     (500.0, 0.5, 0.999), (0.5, 800.0, 0.0001), (4.0, 4.0, 0.5),
 ])
 def test_incomplete_beta_matches_reference(a, b, x):
-    assert regularized_incomplete_beta(a, b, x) == pytest.approx(
+    # The F tail is the regularized incomplete beta:
+    # P(F(d1, d2) > f) = I_x(d2/2, d1/2) at x = d2 / (d2 + d1 f).
+    f = a * (1.0 - x) / (b * x)
+    assert f_sf(f, 2.0 * b, 2.0 * a) == pytest.approx(
         float(scipy.special.betainc(a, b, x)), abs=1e-10
     )
 
 
 def test_incomplete_beta_bounds():
-    assert regularized_incomplete_beta(2, 3, 0.0) == 0.0
-    assert regularized_incomplete_beta(2, 3, 1.0) == 1.0
+    # x = 1 and x = 0 of I_x(2, 3), reached through the F tail
+    assert f_sf(0.0, 6, 4) == 1.0
+    assert f_sf(math.inf, 6, 4) == 0.0
+
+
+@pytest.mark.parametrize("t", [0.0, 0.3, -1.0, 2.5, 40.0])
+def test_t_two_sided_closed_forms(t):
+    # df = 1 is the Cauchy distribution; df = 2 has a closed-form CDF too.
+    assert t_sf_two_sided(t, 1) == pytest.approx(
+        1.0 - (2.0 / math.pi) * math.atan(abs(t)), rel=1e-12, abs=1e-15)
+    assert t_sf_two_sided(t, 2) == pytest.approx(
+        1.0 - abs(t) / math.sqrt(2.0 + t * t), rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("f,d2", [(0.0, 5), (0.5, 3), (2.0, 10), (7.5, 41.5), (30.0, 1)])
+def test_f_sf_two_numerator_df_closed_form(f, d2):
+    assert f_sf(f, 2, d2) == pytest.approx((1.0 + 2.0 * f / d2) ** (-d2 / 2.0),
+                                           rel=1e-12, abs=1e-15)
 
 
 @pytest.mark.parametrize("t,df", [(0.0, 5), (1.0, 8), (-2.5, 3.7), (4.0, 100), (12.0, 2)])
