@@ -54,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="score on the first syntactic identifier match")
     parser.add_argument("--all-templates", action="store_true",
                         help="evaluate all five templates with majority vote")
-    parser.add_argument("--concurrency", type=int, help="completion request concurrency")
+    parser.add_argument("--concurrency", type=int, help="remote request concurrency")
     return parser
 
 

@@ -12,16 +12,21 @@ Token matrices are mean-pooled into a single vector per string.
 
 from __future__ import annotations
 
+import json
 import struct
+import time
 from pathlib import Path
-from typing import IO, Protocol, Sequence
+from typing import IO, Callable, Protocol, Sequence
 
 import numpy as np
 
 from .errors import ConsistencyError, DomainError, ParseError, ProtocolError, TransportError
 from .jsonl import iter_rows, write_rows
+from .retry import check_status, with_retries
 
 MAGIC = b"EMB1"
+# Texts per embedding request; the default client batch cap of common embedding servers.
+BATCH_SIZE = 32
 
 
 def mean_pool(token_matrix: Sequence[Sequence[float]]) -> np.ndarray:
@@ -36,6 +41,8 @@ def mean_pool(token_matrix: Sequence[Sequence[float]]) -> np.ndarray:
 
 class EmbeddingProvider(Protocol):
     def embed(self, text: str) -> np.ndarray: ...
+
+    def embed_many(self, texts: Sequence[str]) -> list[np.ndarray]: ...
 
 
 class FileEmbeddingStore:
@@ -58,6 +65,9 @@ class FileEmbeddingStore:
         if vec is None:
             raise ConsistencyError(f"no embedding stored for text {text!r}")
         return vec
+
+    def embed_many(self, texts: Sequence[str]) -> list[np.ndarray]:
+        return [self.embed(t) for t in texts]
 
     @classmethod
     def from_jsonl(cls, stream: IO) -> "FileEmbeddingStore":
@@ -125,50 +135,59 @@ def write_store_binary(vectors: dict[str, np.ndarray], sink: IO) -> int:
 class HttpEmbeddingProvider:
     """POST {"texts": [...]} -> {"vectors": [[...]]} or {"token_vectors": [[[...]]]}.
 
-    Responses are cached in memory, so repeated texts cost one request and
-    the provider stays deterministic within a run.
+    A request carries at most `BATCH_SIZE` texts and is retried like every
+    other remote call. Responses are cached in memory, so repeated texts
+    cost one request and the provider stays deterministic within a run.
     """
 
-    def __init__(self, url: str, api_key: str | None = None, transport=None):
+    def __init__(self, url: str, api_key: str | None = None, transport=None,
+                 sleep: Callable[[float], None] = time.sleep):
         self.url = url
         self.api_key = api_key
         self._transport = transport or self._requests_transport
+        self._sleep = sleep
         self._cache: dict[str, np.ndarray] = {}
 
-    def _requests_transport(self, url: str, payload: dict, headers: dict) -> dict:
+    @staticmethod
+    def _requests_transport(url: str, payload: dict, headers: dict) -> dict:
         import requests
 
         try:
             resp = requests.post(url, json=payload, headers=headers, timeout=120)
         except requests.RequestException as exc:
             raise TransportError(f"embedding request failed: {exc}") from exc
-        if resp.status_code != 200:
-            raise TransportError(f"embedding endpoint returned HTTP {resp.status_code}")
-        return resp.json()
+        check_status(resp.status_code, resp.text, "embedding endpoint")
+        try:
+            return json.loads(resp.text)
+        except ValueError as exc:
+            raise ProtocolError(f"embedding response is not JSON: {exc}") from exc
 
     def embed(self, text: str) -> np.ndarray:
         return self.embed_many([text])[0]
 
     def embed_many(self, texts: Sequence[str]) -> list[np.ndarray]:
-        missing = [t for t in texts if t not in self._cache]
-        if missing:
-            headers = {}
-            if self.api_key:
-                headers["Authorization"] = f"Bearer {self.api_key}"
-            payload = self._transport(self.url, {"texts": missing}, headers)
-            if "token_vectors" in payload:
-                vectors = [mean_pool(m) for m in payload["token_vectors"]]
-            elif "vectors" in payload:
-                vectors = [np.asarray(v, dtype=float) for v in payload["vectors"]]
-            else:
-                raise ProtocolError("embedding response lacks vectors/token_vectors")
-            if len(vectors) != len(missing):
-                raise ProtocolError(
-                    f"asked for {len(missing)} embeddings, got {len(vectors)}"
-                )
-            for t, v in zip(missing, vectors):
-                self._cache[t] = v
+        missing = list(dict.fromkeys(t for t in texts if t not in self._cache))
+        for start in range(0, len(missing), BATCH_SIZE):
+            batch = missing[start:start + BATCH_SIZE]
+            self._cache.update(zip(batch, self._request(batch)))
         return [self._cache[t] for t in texts]
+
+    def _request(self, batch: list[str]) -> list[np.ndarray]:
+        headers = {}
+        if self.api_key:
+            headers["Authorization"] = f"Bearer {self.api_key}"
+        payload = with_retries(
+            lambda: self._transport(self.url, {"texts": batch}, headers),
+            "embedding", self._sleep)
+        if "token_vectors" in payload:
+            vectors = [mean_pool(m) for m in payload["token_vectors"]]
+        elif "vectors" in payload:
+            vectors = [np.asarray(v, dtype=float) for v in payload["vectors"]]
+        else:
+            raise ProtocolError("embedding response lacks vectors/token_vectors")
+        if len(vectors) != len(batch):
+            raise ProtocolError(f"asked for {len(batch)} embeddings, got {len(vectors)}")
+        return vectors
 
     def cached_vectors(self) -> dict[str, np.ndarray]:
         return dict(self._cache)

@@ -94,11 +94,20 @@ def _strip_bom(text: str) -> str:
     return text[1:] if text.startswith("﻿") else text
 
 
-def _decode(stream: IO) -> str:
+def read_lines(stream: IO) -> list[str]:
+    """The stream's text (bytes decoded as UTF-8, BOM dropped) split into lines.
+
+    Lines end at "\n" only, each losing one trailing "\r" so CRLF files
+    parse; `str.splitlines` would also cut a label at U+0085, U+2028 or
+    U+2029.
+    """
     data = stream.read()
     if isinstance(data, bytes):
         data = data.decode("utf-8")
-    return _strip_bom(data)
+    lines = _strip_bom(data).split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return [line[:-1] if line.endswith("\r") else line for line in lines]
 
 
 def _strip_trailing_comment(value: str) -> str:
@@ -130,8 +139,7 @@ def parse_obo_document(stream: IO, terminology: Terminology) -> OboDocument:
     obsolete but lacks `id:` or `name:` is a parse error at the stanza's
     opening line.
     """
-    text = _decode(stream)
-    lines = text.splitlines()
+    lines = read_lines(stream)
 
     header: dict[str, str] = {}
     records: list[TermRecord] = []
@@ -163,8 +171,7 @@ def parse_obo_document(stream: IO, terminology: Terminology) -> OboDocument:
             )
         )
 
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\n")
+    for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
         if stripped.startswith("["):
             flush()
@@ -231,8 +238,7 @@ def parse_gene_map(stream: IO) -> list[TermRecord]:
     The first row must be exactly that header. Every following row yields a
     GENE record with identifier = symbol and label = protein name.
     """
-    text = _decode(stream)
-    lines = text.splitlines()
+    lines = read_lines(stream)
     if not lines:
         raise ParseError("empty gene map (missing header row)", 1)
     header = lines[0].split("\t")

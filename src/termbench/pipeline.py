@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -215,23 +216,32 @@ def stage_popularity(cfg: RunConfig, manifest: RunManifest) -> tuple[list[Path],
     else:
         client = PmcClient(cache=cache, rate_limiter=limiter)
 
-    all_records: list[PopularityRecord] = []
-    per_terminology: dict[Terminology, list[PopularityRecord]] = {}
+    records_by_t: dict[Terminology, list] = {}
+    annotations_by_t: dict[Terminology, dict[str, int]] = {}
     for t in TERMINOLOGIES:
         with open(_records_path(cfg, t), encoding="utf-8") as fh:
-            records = read_records_jsonl(fh)
-        annotations: dict[str, int] = {}
+            records_by_t[t] = read_records_jsonl(fh)
+        annotations_by_t[t] = {}
         ann_path = cfg.annotations.get(t)
         if ann_path is not None:
             with open(_require_input(ann_path, f"paths.annotations_{_tkey(t)}"),
                       encoding="utf-8") as fh:
-                annotations = load_annotation_counts(fh, t)
+                annotations_by_t[t] = load_annotation_counts(fh, t)
+
+    queries = [
+        query
+        for t in TERMINOLOGIES for record in records_by_t[t]
+        for query in (identifier_query(record.identifier), term_query(record.label))
+    ]
+    counts = dict(zip(queries, client.fetch_counts(queries, cfg.concurrency)))
+
+    all_records: list[PopularityRecord] = []
+    per_terminology: dict[Terminology, list[PopularityRecord]] = {}
+    for t in TERMINOLOGIES:
         rows = []
-        for record in records:
+        for record in records_by_t[t]:
             id_q = identifier_query(record.identifier)
             term_q = term_query(record.label)
-            id_count = client.fetch_count(id_q)
-            term_count = client.fetch_count(term_q)
             retrieved = max(
                 cache.get(id_q, "pmc")["retrieved_at"],
                 cache.get(term_q, "pmc")["retrieved_at"],
@@ -241,9 +251,9 @@ def stage_popularity(cfg: RunConfig, manifest: RunManifest) -> tuple[list[Path],
                     terminology=t,
                     identifier=record.identifier,
                     label=record.label,
-                    id_count_pmc=id_count,
-                    term_count_pmc=term_count,
-                    annotation_count=annotations.get(record.identifier, 0),
+                    id_count_pmc=counts[id_q],
+                    term_count_pmc=counts[term_q],
+                    annotation_count=annotations_by_t[t].get(record.identifier, 0),
                     retrieved_at=retrieved,
                 )
             )
@@ -405,21 +415,24 @@ def stage_eval(cfg: RunConfig, manifest: RunManifest) -> tuple[list[Path], list[
 
 def _load_run(cfg: RunConfig, phase: Phase, t: Terminology, d: Direction,
               inputs: list[Path]) -> EvalRun:
-    """One eval run from its results and summary; both paths go onto `inputs`."""
-    stem = _run_stem(phase, t, d)
-    results_path = _require(cfg.run_dir / "eval" / f"results_{stem}.jsonl", "eval")
-    summary_path = _require(cfg.run_dir / "eval" / f"summary_{stem}.json", "eval")
-    inputs.extend([results_path, summary_path])
+    """One eval run from its results file alone; the path goes onto `inputs`.
+
+    Outcomes use only the run's items, so the summary is not read: the model
+    id comes from the config and the accuracy is left unset (NaN).
+    """
+    results_path = _require(
+        cfg.run_dir / "eval" / f"results_{_run_stem(phase, t, d)}.jsonl", "eval")
+    inputs.append(results_path)
     with open(results_path, encoding="utf-8") as fh:
         items = read_results_jsonl(fh)
-    summary = json.loads(summary_path.read_text(encoding="utf-8"))
+    model_id = cfg.baseline_model if phase is Phase.BASELINE else cfg.finetuned_model
     return EvalRun(
-        model_id=summary["model_id"],
+        model_id=model_id,
         terminology=t,
         direction=d,
         phase=phase,
         items=tuple(items),
-        accuracy=summary["accuracy"],
+        accuracy=math.nan,
     )
 
 
@@ -486,8 +499,8 @@ def stage_lexicalize(cfg: RunConfig, manifest: RunManifest) -> tuple[list[Path],
         t_pairs = [p for p in pairs if p.terminology is t]
         if not t_pairs:
             continue
-        term_vecs = [provider.embed(p.term) for p in t_pairs]
-        id_vecs = [provider.embed(p.identifier) for p in t_pairs]
+        term_vecs = provider.embed_many([p.term for p in t_pairs])
+        id_vecs = provider.embed_many([p.identifier for p in t_pairs])
         alignment_results[t.display] = rowwise_alignment(term_vecs, id_vecs)
         for p, v in zip(t_pairs, term_vecs):
             vectors.append(v)

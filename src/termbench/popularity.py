@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import IO, Iterable
 
 from .errors import DomainError, ParseError, ValidationError
-from .ontology import Terminology
+from .ontology import Terminology, read_lines
 
 PROXIES = ("id_count_pmc", "term_count_pmc", "annotation_count")
 
@@ -80,13 +80,8 @@ def rank_frequency(records: Iterable[PopularityRecord], proxy: str) -> RankedDis
 
 def load_annotation_counts(stream: IO, terminology: Terminology) -> dict[str, int]:
     """Parse the two-column annotation TSV `identifier<TAB>count`."""
-    data = stream.read()
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    if data.startswith("﻿"):
-        data = data[1:]
     counts: dict[str, int] = {}
-    for lineno, line in enumerate(data.splitlines(), start=1):
+    for lineno, line in enumerate(read_lines(stream), start=1):
         if not line.strip():
             continue
         cols = line.split("\t")

@@ -17,13 +17,10 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Protocol
 
-from .errors import ConsistencyError, PermanentHttpError, ProtocolError, TransportError
+from .errors import ConsistencyError, ProtocolError, TransportError
 from .jsonl import iter_rows, write_rows
 from .ratelimit import TokenBucket
-
-RETRY_BASE_SECONDS = 1.0
-RETRY_FACTOR = 2.0
-MAX_ATTEMPTS = 5
+from .retry import check_status, with_retries
 
 
 @dataclass(frozen=True)
@@ -126,29 +123,18 @@ class HttpCompletionProvider:
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
-        delay = RETRY_BASE_SECONDS
-        last_error: Exception | None = None
-        for attempt in range(MAX_ATTEMPTS):
-            if attempt > 0:
-                self._sleep(delay)
-                delay *= RETRY_FACTOR
+
+        def attempt() -> str:
             if self.rate_limiter is not None:
                 self.rate_limiter.acquire()
-            try:
-                status, text = self._transport(self.url, body, headers)
-            except TransportError as exc:
-                last_error = exc
-                continue
-            if status == 429 or 500 <= status < 600:
-                last_error = TransportError(f"HTTP {status} from completion endpoint")
-                continue
-            if 400 <= status < 500:
-                raise PermanentHttpError(status, text[:200])
-            output = self._parse_output(text)
-            if self.transcript is not None:
-                self.transcript.record(prompt_text, body, output)
-            return output
-        raise TransportError(f"completion failed after {MAX_ATTEMPTS} attempts: {last_error}")
+            status, text = self._transport(self.url, body, headers)
+            check_status(status, text, "completion endpoint")
+            return self._parse_output(text)
+
+        output = with_retries(attempt, "completion", self._sleep)
+        if self.transcript is not None:
+            self.transcript.record(prompt_text, body, output)
+        return output
 
     @staticmethod
     def _parse_output(text: str) -> str:

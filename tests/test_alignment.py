@@ -1,4 +1,5 @@
 import io
+import json
 import math
 
 import numpy as np
@@ -15,13 +16,14 @@ from termbench.alignment import (
     write_pca_points_csv,
 )
 from termbench.embeddings import (
+    BATCH_SIZE,
     FileEmbeddingStore,
     HttpEmbeddingProvider,
     mean_pool,
     write_store_binary,
     write_store_jsonl,
 )
-from termbench.errors import ConsistencyError, DomainError, ProtocolError
+from termbench.errors import ConsistencyError, DomainError, PermanentHttpError, ProtocolError
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +392,66 @@ def test_http_embedding_provider_bad_payload():
     provider = HttpEmbeddingProvider("http://e", transport=lambda u, p, h: {"nope": 1})
     with pytest.raises(ProtocolError):
         provider.embed("a")
+
+
+def test_store_embed_many_matches_embed():
+    store = FileEmbeddingStore({"a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0])})
+    got = store.embed_many(["b", "a", "b"])
+    assert [v.tolist() for v in got] == [[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]]
+
+
+def test_http_embedding_provider_batches_distinct_texts():
+    batches = []
+
+    def transport(url, payload, headers):
+        batches.append(list(payload["texts"]))
+        return {"vectors": [[float(t[1:])] for t in payload["texts"]]}
+
+    provider = HttpEmbeddingProvider("http://e", transport=transport)
+    texts = [f"t{i}" for i in range(70)]
+    got = provider.embed_many(texts + texts[:5])
+    assert [len(b) for b in batches] == [BATCH_SIZE, BATCH_SIZE, 70 - 2 * BATCH_SIZE]
+    assert sum(batches, []) == texts
+    assert [float(v[0]) for v in got] == [float(i) for i in range(70)] + [0.0, 1.0, 2.0, 3.0, 4.0]
+    assert list(provider.cached_vectors()) == texts
+
+
+class FakeResponse:
+    def __init__(self, status_code, payload):
+        self.status_code = status_code
+        self.text = json.dumps(payload)
+
+
+def _patch_post(monkeypatch, responses):
+    import requests
+
+    calls = []
+
+    def post(url, json, headers, timeout):
+        calls.append(json)
+        return responses[min(len(calls), len(responses)) - 1]
+
+    monkeypatch.setattr(requests, "post", post)
+    return calls
+
+
+def test_http_embedding_provider_retries_a_503(monkeypatch):
+    calls = _patch_post(monkeypatch, [FakeResponse(503, {"error": "busy"}),
+                                      FakeResponse(200, {"vectors": [[1.0, 2.0]]})])
+    slept = []
+    provider = HttpEmbeddingProvider("http://e", sleep=slept.append)
+    assert provider.embed("a").tolist() == [1.0, 2.0]
+    assert len(calls) == 2
+    assert slept == [1.0]
+
+
+def test_http_embedding_provider_does_not_retry_a_400(monkeypatch):
+    calls = _patch_post(monkeypatch, [FakeResponse(400, {"error": "bad request"})])
+    provider = HttpEmbeddingProvider("http://e", sleep=lambda s: None)
+    with pytest.raises(PermanentHttpError) as exc:
+        provider.embed("a")
+    assert exc.value.status == 400
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

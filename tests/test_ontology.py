@@ -157,6 +157,23 @@ def test_parse_gene_map_requires_header():
         parse_gene_map(io.StringIO("TP53\ttumor protein p53\n"))
 
 
+@pytest.mark.parametrize("separator", ["\u0085", "\u2028", "\u2029"])
+def test_parse_obo_keeps_unicode_line_separators_in_labels(separator):
+    text = f"format-version: 1.2\r\n\r\n[Term]\r\nid: HP:0001337\r\nname: left{separator}right\r\n"
+    records = parse_obo(io.StringIO(text), Terminology.HPO)
+    assert records == [TermRecord(Terminology.HPO, "HP:0001337", f"left{separator}right")]
+
+
+@pytest.mark.parametrize("separator", ["\u0085", "\u2028", "\u2029"])
+def test_parse_gene_map_keeps_unicode_line_separators_in_labels(separator):
+    tsv = f"gene_symbol\tprotein_name\r\nTP53\ttumor{separator}protein p53\r\nSOD1\tsod\r\n"
+    records = parse_gene_map(io.StringIO(tsv))
+    assert records == [
+        TermRecord(Terminology.GENE, "TP53", f"tumor{separator}protein p53"),
+        TermRecord(Terminology.GENE, "SOD1", "sod"),
+    ]
+
+
 def test_build_index_lookup():
     records = [
         TermRecord(Terminology.HPO, "HP:0001337", "tremor"),

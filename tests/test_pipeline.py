@@ -5,6 +5,8 @@ from pathlib import Path
 import pytest
 
 from termbench.cli import main
+from termbench.config import load_config
+from termbench.pipeline import run_stage
 
 FIXTURE = Path(__file__).parent / "fixtures" / "mini"
 CONFIG = FIXTURE / "run.cfg"
@@ -179,3 +181,90 @@ def test_report_bad_summary_exits_1(full_run, tmp_path, capsys):
                  "--stage", "report"]) == 1
     err = capsys.readouterr().err
     assert "bad eval summary" in err and "n_correct" in err
+
+
+def _rows(path):
+    return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+
+
+class FakeResponse:
+    def __init__(self, status_code, payload):
+        self.status_code = status_code
+        self.text = json.dumps(payload)
+
+
+def _live_popularity(full_run, tmp_path, monkeypatch, concurrency):
+    """Popularity over a fresh cache, with esearch answered from the fixture cache."""
+    import requests
+
+    counts = {row["query"]: row["count"] for row in _rows(FIXTURE / "pmc_cache.jsonl")}
+    monkeypatch.setattr(requests, "get", lambda url, params, timeout: FakeResponse(
+        200, {"esearchresult": {"count": str(counts[params["term"]])}}))
+    run_dir = tmp_path / f"run_{concurrency}"
+    shutil.copytree(full_run / "ingest", run_dir / "ingest")
+    cfg = load_config(CONFIG, run_dir=run_dir)
+    cfg.pmc_cache = None
+    cfg.offline = False
+    cfg.rate_per_second = 1e6
+    cfg.concurrency = concurrency
+    run_stage(cfg, "popularity")
+    return run_dir / "popularity"
+
+
+def test_popularity_outputs_do_not_depend_on_concurrency(full_run, tmp_path, monkeypatch):
+    one = _live_popularity(full_run, tmp_path, monkeypatch, 1)
+    four = _live_popularity(full_run, tmp_path, monkeypatch, 4)
+    names = sorted(p.name for p in (full_run / "popularity").glob("*.csv"))
+    assert names == sorted(p.name for p in one.glob("*.csv"))
+    for name in names:
+        expected = (full_run / "popularity" / name).read_bytes()
+        assert (one / name).read_bytes() == expected
+        assert (four / name).read_bytes() == expected
+    # the fresh caches hold the same counts; only row order and timestamps differ
+    cached = [sorted((r["query"], r["count"]) for r in _rows(d / "pmc_cache.jsonl"))
+              for d in (one, four)]
+    assert cached[0] == cached[1]
+    assert len(cached[0]) == len({q for q, _ in cached[0]})
+
+
+def test_lexicalize_batches_http_embedding_requests(full_run, tmp_path, monkeypatch):
+    import requests
+
+    vectors = {row["text"]: row["vector"] for row in _rows(FIXTURE / "embeddings.jsonl")}
+    batches = []
+
+    def post(url, json, headers, timeout):
+        batches.append(json["texts"])
+        return FakeResponse(200, {"vectors": [vectors[t] for t in json["texts"]]})
+
+    monkeypatch.setattr(requests, "post", post)
+    run_dir = tmp_path / "run"
+    shutil.copytree(full_run / "sample", run_dir / "sample")
+    cfg = load_config(CONFIG, run_dir=run_dir)
+    cfg.embedding_store = None
+    cfg.embedding_url = "http://embeddings.test/v1/embed"
+    run_stage(cfg, "lexicalize")
+    assert 0 < len(batches) <= 6
+    assert all(len(batch) <= 32 for batch in batches)
+    for name in ("alignment.json", "pca_points.csv", "distance_summary.csv"):
+        assert ((run_dir / "lexicalize" / name).read_bytes()
+                == (full_run / "lexicalize" / name).read_bytes())
+    stored = [row["text"] for row in _rows(run_dir / "lexicalize" / "embeddings.jsonl")]
+    assert stored == sum(batches, [])
+
+
+def test_classify_reads_no_eval_summary(full_run, tmp_path):
+    run_dir = tmp_path / "run"
+    shutil.copytree(full_run, run_dir)
+    for path in (run_dir / "eval").glob("summary_*.json"):
+        summary = json.loads(path.read_text())
+        del summary["model_id"]
+        path.write_text(json.dumps(summary))
+    assert main(["--config", str(CONFIG), "--run-dir", str(run_dir),
+                 "--stage", "classify"]) == 0
+    for path in sorted((full_run / "classify").iterdir()):
+        assert (run_dir / "classify" / path.name).read_bytes() == path.read_bytes()
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    inputs = [Path(p) for p in manifest["stages"]["classify"]["inputs"]]
+    assert sorted(inputs) == sorted([run_dir / "sample" / "split.jsonl",
+                                     *(run_dir / "eval").glob("results_*.jsonl")])

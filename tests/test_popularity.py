@@ -1,10 +1,13 @@
 import io
 import json
+import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import termbench.pmc
 from termbench.errors import DomainError, ParseError, ProtocolError, TransportError, PermanentHttpError
 from termbench.ontology import Terminology
 from termbench.pmc import PmcClient, QueryCache, identifier_query, term_query
@@ -101,6 +104,18 @@ def test_load_annotation_counts_duplicate_identifier():
 
 def test_load_annotation_counts_empty():
     assert load_annotation_counts(io.StringIO(""), Terminology.HPO) == {}
+
+
+def test_load_annotation_counts_splits_lines_at_newline_only():
+    # CRLF rows parse; a U+0085 inside a row neither splits it nor shifts
+    # the line number of a later error.
+    data = "HP:0000001\t1\r\nHP:0000002\t2\r\n"
+    assert load_annotation_counts(io.StringIO(data), Terminology.HPO) == {
+        "HP:0000001": 1, "HP:0000002": 2}
+    data = "HP:0000001\t1\nHP:0000002\t2\u0085\nHP:0000003\tx\n"
+    with pytest.raises(ParseError) as exc:
+        load_annotation_counts(io.StringIO(data), Terminology.HPO)
+    assert exc.value.line_number == 3
 
 
 def test_load_annotation_counts_negative():
@@ -211,6 +226,104 @@ def test_cache_last_entry_wins(tmp_path):
         fh.write(json.dumps({"query": "q", "db": "pmc", "count": 2, "retrieved_at": "t2"}) + "\n")
     client = PmcClient(cache=QueryCache(path), transport=None)
     assert client.fetch_count("q") == 2
+
+
+class CountsByQuery:
+    """esearch transport answering from a {query: count} map, optionally slowly."""
+
+    def __init__(self, counts, delay=0.0, fail=None):
+        self.counts = counts
+        self.delay = delay
+        self.fail = fail or {}
+        self.calls = []
+        self.in_flight = 0
+        self.max_in_flight = 0
+        self._lock = threading.Lock()
+
+    def __call__(self, url, params):
+        query = params["term"]
+        with self._lock:
+            self.calls.append(query)
+            self.in_flight += 1
+            self.max_in_flight = max(self.max_in_flight, self.in_flight)
+        try:
+            if query in self.fail:
+                return self.fail[query], "failed"
+            time.sleep(self.delay)
+            return 200, _count_body(self.counts[query])
+        finally:
+            with self._lock:
+                self.in_flight -= 1
+
+
+def _counts_client(tmp_path, transport):
+    limiter = TokenBucket(1e6, clock=lambda: 0.0, sleep=lambda s: None)
+    return PmcClient(cache=QueryCache(tmp_path / "cache.jsonl"), transport=transport,
+                     api_key=None, rate_limiter=limiter, sleep=lambda s: None)
+
+
+def test_fetch_counts_overlaps_requests(tmp_path):
+    barrier = threading.Barrier(2, timeout=5)
+
+    def transport(url, params):
+        barrier.wait()  # breaks unless both requests are in flight together
+        return 200, _count_body(len(params["term"]))
+
+    client = _counts_client(tmp_path, transport)
+    assert client.fetch_counts(["a", "bb"], concurrency=2) == [1, 2]
+
+
+def test_fetch_counts_caps_requests_in_flight(tmp_path):
+    transport = CountsByQuery({f"q{i}": i for i in range(30)}, delay=0.002)
+    client = _counts_client(tmp_path, transport)
+    queries = [f"q{i}" for i in range(30)]
+    assert client.fetch_counts(queries, concurrency=3) == list(range(30))
+    assert 1 <= transport.max_in_flight <= 3
+    assert sorted(transport.calls) == sorted(queries)
+
+
+def test_fetch_counts_sends_a_duplicated_query_once(tmp_path):
+    transport = CountsByQuery({"a": 1, "b": 2})
+    client = _counts_client(tmp_path, transport)
+    assert client.fetch_counts(["a", "b", "a", "a"], concurrency=2) == [1, 2, 1, 1]
+    assert sorted(transport.calls) == ["a", "b"]
+
+
+def test_fetch_counts_stops_at_the_first_error_and_resumes(tmp_path):
+    queries = [f"q{i}" for i in range(50)]
+    counts = {q: i for i, q in enumerate(queries)}
+    failing = CountsByQuery(counts, delay=0.01, fail={"q0": 404})
+    with pytest.raises(PermanentHttpError):
+        _counts_client(tmp_path, failing).fetch_counts(queries, concurrency=4)
+    assert len(failing.calls) < 10
+    # the counts fetched before the error are cached, so a re-run fetches the rest
+    rerun = CountsByQuery(counts)
+    assert _counts_client(tmp_path, rerun).fetch_counts(queries, concurrency=4) == list(range(50))
+    fetched = [q for q in failing.calls if q != "q0"]
+    assert sorted(rerun.calls + fetched) == sorted(queries)
+
+
+def test_fetch_counts_answers_cached_queries_without_a_pool(tmp_path, monkeypatch):
+    client = _counts_client(tmp_path, CountsByQuery({"a": 1, "b": 2}))
+    client.fetch_counts(["a", "b"], concurrency=2)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was started")
+
+    monkeypatch.setattr(termbench.pmc, "ThreadPoolExecutor", no_pool)
+    cached = _counts_client(tmp_path, CountsByQuery({}))
+    assert cached.fetch_counts(["b", "a", "b"], concurrency=4) == [2, 1, 2]
+
+
+def test_fetch_counts_offline_uncached_raises_as_fetch_count(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    QueryCache(path).put("a", "pmc", 1, "t")
+    offline = PmcClient(cache=QueryCache(path), transport=None)
+    with pytest.raises(TransportError) as single:
+        offline.fetch_count("b")
+    with pytest.raises(TransportError) as many:
+        offline.fetch_counts(["a", "b", "c"], concurrency=4)
+    assert str(many.value) == str(single.value)
 
 
 def test_query_shapes():
