@@ -53,7 +53,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--extract-mode", action="store_true",
                         help="score on the first syntactic identifier match")
     parser.add_argument("--all-templates", action="store_true",
-                        help="evaluate all five templates with majority vote")
+                        help="evaluate all five templates; a pair is correct when more "
+                             "than half of them are")
     parser.add_argument("--concurrency", type=int, help="remote request concurrency")
     return parser
 

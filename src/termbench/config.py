@@ -29,10 +29,13 @@ EUTILS_KEY_ENV = "NCBI_API_KEY"
 
 
 def parse_flat_config(text: str) -> dict[str, object]:
-    """Parse the flat config grammar into {'section.key': value}."""
+    """Parse the flat config grammar into {'section.key': value}.
+
+    Lines end at "\n" only, so U+2028, U+2029 and U+0085 stay inside a value.
+    """
     values: dict[str, object] = {}
     section = ""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -134,19 +137,33 @@ class RunConfig:
         return path if path.is_absolute() else self.base_dir / path
 
 
+_KIND_NAMES = {str: "a string", int: "an integer", float: "a number", bool: "true or false"}
+
+
 def load_config(path: str | Path, run_dir: str | Path | None = None) -> RunConfig:
+    """Load a config file; a key of the wrong type or an unknown key is a ValidationError."""
     path = Path(path)
     values = parse_flat_config(path.read_text(encoding="utf-8"))
     base_dir = path.parent.resolve()
 
     cfg = RunConfig(base_dir=base_dir, run_dir=Path("."), raw=values)
+    asked: set[str] = set()
 
-    def get(key, default=None):
-        return values.get(key, default)
+    def get(key: str, kind: type, default=None):
+        """The value of `key` checked against `kind` (an int passes as a float)."""
+        asked.add(key)
+        if key not in values:
+            return default
+        value = values[key]
+        if kind is float and type(value) is int:
+            return float(value)
+        if type(value) is not kind:
+            raise ValidationError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
+        return value
 
     def get_path(key) -> Path | None:
-        value = get(key)
-        return cfg.resolve(str(value)) if value is not None else None
+        value = get(key, str)
+        return cfg.resolve(value) if value is not None else None
 
     cfg.hpo_obo = get_path("paths.hpo_obo")
     cfg.go_obo = get_path("paths.go_obo")
@@ -162,36 +179,39 @@ def load_config(path: str | Path, run_dir: str | Path | None = None) -> RunConfi
         if p is not None:
             cfg.transcripts[phase] = p
 
-    cfg.sampling_seed = int(get("seeds.sampling", 0))
-    cfg.cap_seed = int(get("seeds.validation_cap", 0))
-    cfg.synthetic_seed = int(get("seeds.synthetic", 0))
+    cfg.sampling_seed = get("seeds.sampling", int, 0)
+    cfg.cap_seed = get("seeds.validation_cap", int, 0)
+    cfg.synthetic_seed = get("seeds.synthetic", int, 0)
 
-    cfg.n_bins = int(get("sampling.n_bins", 20))
-    cfg.per_bin = int(get("sampling.per_bin", 10))
-    cfg.ranking_proxy = str(get("sampling.proxy", "id_count_pmc"))
+    cfg.n_bins = get("sampling.n_bins", int, 20)
+    cfg.per_bin = get("sampling.per_bin", int, 10)
+    cfg.ranking_proxy = get("sampling.proxy", str, "id_count_pmc")
 
-    cfg.completion_url = get("endpoints.completion_url")
-    cfg.embedding_url = get("endpoints.embedding_url")
-    cfg.baseline_model = str(get("models.baseline", "baseline"))
-    cfg.finetuned_model = str(get("models.finetuned", "finetuned"))
+    cfg.completion_url = get("endpoints.completion_url", str)
+    cfg.embedding_url = get("endpoints.embedding_url", str)
+    cfg.baseline_model = get("models.baseline", str, "baseline")
+    cfg.finetuned_model = get("models.finetuned", str, "finetuned")
 
-    cfg.concurrency = int(get("limits.concurrency", 1))
-    cfg.rate_per_second = float(get("limits.rate_per_second", 3.0))
-    cap = get("limits.validation_cap")
-    cfg.validation_cap = int(cap) if cap not in (None, 0) else None
+    cfg.concurrency = get("limits.concurrency", int, 1)
+    cfg.rate_per_second = get("limits.rate_per_second", float, 3.0)
+    cfg.validation_cap = get("limits.validation_cap", int) or None
 
-    cfg.extract_mode = bool(get("flags.extract_mode", False))
-    cfg.all_templates = bool(get("flags.all_templates", False))
-    cfg.offline = bool(get("flags.offline", False))
+    cfg.extract_mode = get("flags.extract_mode", bool, False)
+    cfg.all_templates = get("flags.all_templates", bool, False)
+    cfg.offline = get("flags.offline", bool, False)
 
-    cfg.stats_phase = str(get("stats.correctness_phase", "baseline"))
-    cfg.stats_direction = str(get("stats.direction", "term_to_id"))
+    cfg.stats_phase = get("stats.correctness_phase", str, "baseline")
+    cfg.stats_direction = get("stats.direction", str, "term_to_id")
     if cfg.stats_phase not in ("baseline", "finetuned"):
         raise ValidationError(f"stats.correctness_phase must be baseline|finetuned, got {cfg.stats_phase!r}")
     if cfg.stats_direction not in ("term_to_id", "id_to_term"):
         raise ValidationError(f"stats.direction must be term_to_id|id_to_term, got {cfg.stats_direction!r}")
 
-    run_dir_value = run_dir if run_dir is not None else get("paths.run_dir")
+    config_run_dir = get("paths.run_dir", str)
+    unknown = sorted(set(values) - asked)
+    if unknown:
+        raise ValidationError(f"unknown config key(s): {', '.join(unknown)}")
+    run_dir_value = run_dir if run_dir is not None else config_run_dir
     if run_dir_value is None:
         raise ValidationError("no run directory: pass --run-dir or set paths.run_dir")
     run_path = Path(run_dir_value)

@@ -120,18 +120,6 @@ def write_store_jsonl(vectors: dict[str, np.ndarray], sink: IO) -> int:
     )
 
 
-def write_store_binary(vectors: dict[str, np.ndarray], sink: IO) -> int:
-    sink.write(MAGIC)
-    sink.write(struct.pack("<I", len(vectors)))
-    for text, vec in vectors.items():
-        encoded = text.encode("utf-8")
-        sink.write(struct.pack("<I", len(encoded)))
-        sink.write(encoded)
-        sink.write(struct.pack("<I", vec.size))
-        sink.write(np.asarray(vec, dtype="<f4").tobytes())
-    return len(vectors)
-
-
 class HttpEmbeddingProvider:
     """POST {"texts": [...]} -> {"vectors": [[...]]} or {"token_vectors": [[[...]]]}.
 

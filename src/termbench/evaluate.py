@@ -11,7 +11,6 @@ from knowledge failures.
 from __future__ import annotations
 
 import re
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -84,7 +83,25 @@ class EvalRun:
     direction: Direction
     phase: Phase
     items: tuple[EvalItem, ...]
-    accuracy: float
+
+    @property
+    def accuracy(self) -> float:
+        """Share of pairs that `pair_correctness` counts as correct."""
+        flags = pair_correctness(self.items).values()
+        return sum(flags) / len(flags)
+
+
+def pair_correctness(items: Sequence[EvalItem]) -> dict[str, bool]:
+    """Per-pair correctness from eval items: the one template-voting rule.
+
+    A pair is correct when strictly more than half of its templates were
+    correct; a failed item counts as wrong, and a tie loses. With one
+    template per pair this is the item's flag.
+    """
+    votes: dict[str, list[bool]] = {}
+    for item in items:
+        votes.setdefault(item.pair_id, []).append(item.correct)
+    return {pid: sum(flags) * 2 > len(flags) for pid, flags in votes.items()}
 
 
 class RunFailedError(TransportError):
@@ -125,23 +142,6 @@ def _evaluate_one(
     )
 
 
-def _vote_accuracy(items: Sequence[EvalItem], expected_by_pair: dict[str, str]) -> float:
-    """Per-pair majority vote over templates; ties break to the smallest answer."""
-    by_pair: dict[str, list[EvalItem]] = {}
-    for item in items:
-        by_pair.setdefault(item.pair_id, []).append(item)
-    correct = 0
-    for pid, group in by_pair.items():
-        counts = Counter(i.normalized_output for i in group if i.error is None)
-        if not counts:
-            continue
-        top = max(counts.values())
-        winner = min(answer for answer, c in counts.items() if c == top)
-        if winner == expected_by_pair[pid]:
-            correct += 1
-    return correct / len(by_pair)
-
-
 def run_eval(
     provider: CompletionProvider,
     prompts: Sequence[PromptInstance],
@@ -150,15 +150,13 @@ def run_eval(
     concurrency_limit: int = 1,
     params: DecodingParams = DecodingParams(),
     extract: bool = False,
-    vote_by_pair: bool = False,
 ) -> EvalRun:
     """Evaluate prompts against one model and score hits@1.
 
     Provider failures count as incorrect (with the error recorded on the
     item) so denominators always equal the prompt-set size. Items are
     ordered by (pair_id, template_id) no matter how completions are
-    scheduled. With `vote_by_pair`, accuracy is computed on the per-pair
-    majority answer across templates instead of per item.
+    scheduled.
     """
     prompts = list(prompts)
     if not prompts:
@@ -180,23 +178,12 @@ def run_eval(
     if all(i.error is not None for i in items):
         raise RunFailedError(f"all {len(items)} items failed; first: {items[0].error}")
 
-    if vote_by_pair:
-        expected_by_pair = {
-            p.pair_id: normalize_answer(p.expected_answer, p.pair.terminology,
-                                        p.direction, extract=extract)
-            for p in prompts
-        }
-        accuracy = _vote_accuracy(items, expected_by_pair)
-    else:
-        accuracy = sum(i.correct for i in items) / len(items)
-
     return EvalRun(
         model_id=model_id,
         terminology=next(iter(terminologies)),
         direction=next(iter(directions)),
         phase=phase,
         items=tuple(items),
-        accuracy=accuracy,
     )
 
 

@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import IO, Iterable, Sequence
 
 from .errors import DomainError
-from .evaluate import EvalItem, EvalRun, Phase
+from .evaluate import EvalRun, pair_correctness
 from .jsonl import iter_rows, write_rows
 from .ontology import Terminology
 from .prompts import Direction, direction_label
@@ -66,22 +66,6 @@ class PairOutcome:
     @property
     def category(self) -> OutcomeCategory:
         return classify(self.baseline_correct, self.finetuned_correct)
-
-
-def pair_correctness(items: Sequence[EvalItem]) -> dict[str, bool]:
-    """Per-pair correctness from eval items.
-
-    With one template per pair this is the item's flag; with several, the
-    pair counts as correct when strictly more templates were correct than
-    not (ties lose).
-    """
-    votes: dict[str, list[bool]] = {}
-    for item in items:
-        votes.setdefault(item.pair_id, []).append(item.correct)
-    return {
-        pid: sum(flags) * 2 > len(flags)
-        for pid, flags in votes.items()
-    }
 
 
 def build_outcomes(
@@ -157,11 +141,6 @@ class CategoryPercentages:
             n=total,
         )
 
-    @classmethod
-    def from_values(cls, gainer, loser, correct, incorrect) -> "CategoryPercentages":
-        to_frac = lambda v: v if isinstance(v, Fraction) else Fraction(repr(float(v)))
-        return cls(to_frac(gainer), to_frac(loser), to_frac(correct), to_frac(incorrect))
-
     def get(self, cat: OutcomeCategory) -> Fraction:
         return getattr(self, cat.value.lower())
 
@@ -219,13 +198,6 @@ def derive_metrics(outcomes: Sequence[PairOutcome]) -> DerivedMetrics:
         CategoryPercentages.from_counts(counts[Split.TRAIN]),
         CategoryPercentages.from_counts(counts[Split.VALIDATION]),
     )
-
-
-def reconcile_accuracy(
-    metrics: DerivedMetrics, reference_accuracy_pct: float, tol: float = 0.05
-) -> bool:
-    """Whether the formula's accuracy agrees with an external reference value."""
-    return abs(metrics.accuracy_pct - reference_accuracy_pct) <= tol
 
 
 # ---------------------------------------------------------------------------
@@ -292,37 +264,29 @@ TERMINOLOGY_ORDER = (Terminology.HPO, Terminology.GO_CC, Terminology.GENE)
 DIRECTION_ORDER = (Direction.ID_TO_TERM, Direction.TERM_TO_ID)
 
 
-def table_report(
-    run_counts: dict[tuple[Terminology, Direction, Phase], tuple[int, int]],
-    outcomes: Sequence[PairOutcome],
-) -> ReportBundle:
-    """Build the three report tables from complete run and outcome sets.
+def table_report(outcomes: Sequence[PairOutcome]) -> ReportBundle:
+    """Build the three report tables from a complete outcome set.
 
-    `run_counts` maps each (terminology, direction, phase) run to its
-    (n_correct, n_items); a run's accuracy is n_correct * 100 / n_items.
+    A run's accuracy is the share of its pairs whose outcome flag is set, so
+    the performance table and the category shares rest on the same
+    per-pair correctness.
     """
     outcome_map: dict[tuple[Terminology, Direction], list[PairOutcome]] = {}
     for o in outcomes:
         outcome_map.setdefault((o.terminology, o.direction), []).append(o)
 
     combos = [
-        (t, d)
-        for t in TERMINOLOGY_ORDER
-        for d in DIRECTION_ORDER
-        if any((t, d, phase) in run_counts for phase in Phase) or (t, d) in outcome_map
+        (t, d) for t in TERMINOLOGY_ORDER for d in DIRECTION_ORDER if (t, d) in outcome_map
     ]
     performance: list[PerformanceRow] = []
     categories: list[CategoryRow] = []
     derived: list[DerivedRow] = []
     for t, d in combos:
         label = direction_label(t, d)
-        base = run_counts.get((t, d, Phase.BASELINE))
-        tuned = run_counts.get((t, d, Phase.FINETUNED))
-        if base is None or tuned is None:
-            missing = "baseline" if base is None else "finetuned"
-            raise DomainError(f"missing {missing} run for {label}")
-        base_pct = Fraction(base[0] * 100, base[1])
-        tuned_pct = Fraction(tuned[0] * 100, tuned[1])
+        combo_outcomes = outcome_map[(t, d)]
+        n = len(combo_outcomes)
+        base_pct = Fraction(sum(o.baseline_correct for o in combo_outcomes) * 100, n)
+        tuned_pct = Fraction(sum(o.finetuned_correct for o in combo_outcomes) * 100, n)
         performance.append(
             PerformanceRow(
                 mapping=label,
@@ -331,9 +295,6 @@ def table_report(
                 delta_pct=round1(tuned_pct - base_pct),
             )
         )
-        if (t, d) not in outcome_map:
-            raise DomainError(f"missing outcomes for {label}")
-        combo_outcomes = outcome_map[(t, d)]
         counts = split_counts(combo_outcomes)
         if Split.TRAIN not in counts or Split.VALIDATION not in counts:
             raise DomainError(f"missing split in outcomes for {label}")

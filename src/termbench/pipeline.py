@@ -12,14 +12,13 @@ given the config and seeds; only the manifest carries timestamps.
     classify    outcome categories, derived metrics, sankey edges
     lexicalize  embedding alignment, PCA projection, paired distances
     stats       two-way ANOVA and Games-Howell per popularity proxy
-    report      summary tables (accuracy, categories, derived metrics)
+    report      summary tables (accuracy, categories, derived metrics) from outcomes
 """
 
 from __future__ import annotations
 
 import io
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -41,7 +40,7 @@ from .config import (
     RunConfig,
 )
 from .embeddings import FileEmbeddingStore, HttpEmbeddingProvider, write_store_jsonl
-from .errors import DomainError, ParseError, ValidationError
+from .errors import DomainError, ValidationError
 from .evaluate import (
     EvalRun,
     Phase,
@@ -400,7 +399,6 @@ def stage_eval(cfg: RunConfig, manifest: RunManifest) -> tuple[list[Path], list[
                     provider, group, model_id, phase,
                     concurrency_limit=cfg.concurrency,
                     extract=cfg.extract_mode,
-                    vote_by_pair=cfg.all_templates,
                 )
                 stem = _run_stem(phase, t, d)
                 results_path = out_dir / f"results_{stem}.jsonl"
@@ -418,7 +416,7 @@ def _load_run(cfg: RunConfig, phase: Phase, t: Terminology, d: Direction,
     """One eval run from its results file alone; the path goes onto `inputs`.
 
     Outcomes use only the run's items, so the summary is not read: the model
-    id comes from the config and the accuracy is left unset (NaN).
+    id comes from the config.
     """
     results_path = _require(
         cfg.run_dir / "eval" / f"results_{_run_stem(phase, t, d)}.jsonl", "eval")
@@ -432,7 +430,6 @@ def _load_run(cfg: RunConfig, phase: Phase, t: Terminology, d: Direction,
         direction=d,
         phase=phase,
         items=tuple(items),
-        accuracy=math.nan,
     )
 
 
@@ -592,24 +589,8 @@ def stage_report(cfg: RunConfig, manifest: RunManifest) -> tuple[list[Path], lis
     outcomes_path = _require(cfg.run_dir / "classify" / "outcomes.jsonl", "classify")
     out_dir = _stage_dir(cfg, "report")
     with open(outcomes_path, encoding="utf-8") as fh:
-        outcomes = read_outcomes_jsonl(fh)
+        bundle = table_report(read_outcomes_jsonl(fh))
 
-    run_counts = {}
-    inputs = [outcomes_path]
-    for phase in (Phase.BASELINE, Phase.FINETUNED):
-        for t in TERMINOLOGIES:
-            for d in DIRECTIONS:
-                summary_path = _require(
-                    cfg.run_dir / "eval" / f"summary_{_run_stem(phase, t, d)}.json", "eval")
-                try:
-                    summary = json.loads(summary_path.read_text(encoding="utf-8"))
-                    run_counts[(t, d, phase)] = (summary["n_correct"], summary["n_items"])
-                except (ValueError, KeyError, TypeError) as exc:
-                    raise ParseError(f"bad eval summary {summary_path}: {exc!r}") from exc
-                inputs.append(summary_path)
-    bundle = table_report(run_counts, outcomes)
-
-    outputs = []
     perf_path = out_dir / "performance_summary.csv"
     with open(perf_path, "w", encoding="utf-8", newline="") as fh:
         write_performance_csv(bundle.performance, fh)
@@ -619,8 +600,7 @@ def stage_report(cfg: RunConfig, manifest: RunManifest) -> tuple[list[Path], lis
     derived_path = out_dir / "derived_metrics.csv"
     with open(derived_path, "w", encoding="utf-8", newline="") as fh:
         write_derived_csv(bundle.derived, fh)
-    outputs.extend([perf_path, cats_path, derived_path])
-    return inputs, outputs
+    return [outcomes_path], [perf_path, cats_path, derived_path]
 
 
 _STAGE_FUNCS = {

@@ -133,14 +133,6 @@ def expand_prompts(pair: SampledPair, direction: Direction) -> list[PromptInstan
     return instances
 
 
-def expand_all(pairs: Iterable[SampledPair], directions: Iterable[Direction]) -> list[PromptInstance]:
-    out: list[PromptInstance] = []
-    for direction in directions:
-        for pair in pairs:
-            out.extend(expand_prompts(pair, direction))
-    return out
-
-
 def _prompt_row(p: PromptInstance) -> dict:
     return {
         "pair_id": p.pair_id,

@@ -16,7 +16,7 @@ from typing import IO, NamedTuple, Sequence
 import numpy as np
 from scipy import integrate, special
 
-from .errors import DomainError, NumericalError, ParseError, ValidationError
+from .errors import DomainError, NumericalError
 
 
 def t_sf_two_sided(t: float, df: float) -> float:
@@ -368,24 +368,6 @@ def games_howell(groups: Sequence[tuple[str, Sequence[float]]]) -> GamesHowellRe
 
 
 OBSERVATION_CSV_COLUMNS = ["terminology", "correctness", "value"]
-
-
-def read_observations_csv(stream: IO) -> list[Observation]:
-    reader = csv.reader(stream)
-    header = next(reader, None)
-    if header != OBSERVATION_CSV_COLUMNS:
-        raise ParseError(f"unexpected observation CSV header: {header}", 1)
-    out = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 3:
-            raise ParseError(f"expected 3 columns, got {len(row)}", lineno)
-        correctness = int(row[1])
-        if correctness not in (0, 1):
-            raise ValidationError(f"line {lineno}: correctness must be 0 or 1")
-        out.append(Observation(row[0], correctness, float(row[2])))
-    return out
 
 
 def write_observations_csv(observations: Sequence[Observation], sink: IO) -> int:

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -17,10 +18,10 @@ from termbench.alignment import (
 )
 from termbench.embeddings import (
     BATCH_SIZE,
+    MAGIC,
     FileEmbeddingStore,
     HttpEmbeddingProvider,
     mean_pool,
-    write_store_binary,
     write_store_jsonl,
 )
 from termbench.errors import ConsistencyError, DomainError, PermanentHttpError, ProtocolError
@@ -336,6 +337,19 @@ def test_store_jsonl_round_trip():
     assert len(store) == 2
     assert np.allclose(store.embed("alpha"), vectors["alpha"])
     assert np.allclose(store.embed("beta"), vectors["beta"])
+
+
+def write_store_binary(vectors, sink) -> int:
+    """An EMB1 store: magic, count, then (text length, text, dim, float32 vector) each."""
+    sink.write(MAGIC)
+    sink.write(struct.pack("<I", len(vectors)))
+    for text, vec in vectors.items():
+        encoded = text.encode("utf-8")
+        sink.write(struct.pack("<I", len(encoded)))
+        sink.write(encoded)
+        sink.write(struct.pack("<I", vec.size))
+        sink.write(np.asarray(vec, dtype="<f4").tobytes())
+    return len(vectors)
 
 
 def test_store_binary_round_trip():

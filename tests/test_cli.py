@@ -52,6 +52,35 @@ def test_parse_flat_config_malformed_line():
     assert exc.value.line_number == 2
 
 
+@pytest.mark.parametrize("sep", ["\u2028", "\u2029", "\u0085"])
+def test_parse_flat_config_keeps_unicode_line_separators_in_values(sep):
+    values = parse_flat_config(f"[paths]\nrun_dir = runs/a{sep}b\n")
+    assert values == {"paths.run_dir": f"runs/a{sep}b"}
+
+
+@pytest.mark.parametrize("binding,message", [
+    ("[flags]\noffline = no", "flags.offline must be true or false, got 'no'"),
+    ("[sampling]\nn_bins = twenty", "sampling.n_bins must be an integer, got 'twenty'"),
+    ("[sampling]\nper_bim = 3", "unknown config key(s): sampling.per_bim"),
+], ids=["bool", "int", "unknown-key"])
+def test_bad_config_value_exits_1_naming_the_key(tmp_path, capsys, binding, message):
+    cfg_file = tmp_path / "c.cfg"
+    cfg_file.write_text(f"[paths]\nrun_dir = run\n{binding}\n", encoding="utf-8")
+    code = main(["--config", str(cfg_file), "--stage", "ingest"])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "run").exists()
+
+
+def test_run_dir_key_is_known_when_overridden(tmp_path):
+    cfg_file = tmp_path / "c.cfg"
+    cfg_file.write_text("[paths]\nrun_dir = run\n[limits]\nrate_per_second = 2\n",
+                        encoding="utf-8")
+    cfg = load_config(cfg_file, run_dir=tmp_path / "other")
+    assert cfg.run_dir == tmp_path / "other"
+    assert cfg.rate_per_second == 2.0
+
+
 def test_load_config_resolves_paths_and_overrides(tmp_path):
     cfg = load_config(CONFIG, run_dir=tmp_path / "run")
     assert cfg.hpo_obo == FIXTURE / "hpo.obo"

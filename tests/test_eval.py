@@ -9,6 +9,7 @@ from termbench.evaluate import (
     Phase,
     RunFailedError,
     normalize_answer,
+    pair_correctness,
     read_results_jsonl,
     run_eval,
     run_summary,
@@ -25,7 +26,7 @@ from termbench.providers import (
     prompt_hash,
     request_body,
 )
-from termbench.sampling import SampledPair, Split
+from termbench.sampling import SampledPair, Split, pair_id
 
 
 def _pair(term="tremor", identifier="HP:0001337", terminology=Terminology.HPO):
@@ -172,12 +173,24 @@ def test_run_eval_majority_vote():
     prompts = expand_prompts(pair, Direction.TERM_TO_ID)
     answers = ["HP:0001337", "HP:0001337", "HP:0001337", "HP:0000000", "HP:0000000"]
     provider = _make_replay(prompts, answers)
-    run = run_eval(provider, prompts, "m", Phase.BASELINE, vote_by_pair=True)
+    run = run_eval(provider, prompts, "m", Phase.BASELINE)
     assert run.accuracy == 1.0
     minority = _make_replay(prompts, ["HP:0000000", "HP:0000000", "HP:0000000",
                                       "HP:0001337", "HP:0001337"])
-    run2 = run_eval(minority, prompts, "m", Phase.BASELINE, vote_by_pair=True)
+    run2 = run_eval(minority, prompts, "m", Phase.BASELINE)
     assert run2.accuracy == 0.0
+
+
+def test_failed_templates_count_against_the_pair():
+    # Two templates right, one wrong and two failed: a plurality over the
+    # answers that came back would pick the right one, but 2 of 5 is no majority.
+    pair = _pair()
+    prompts = expand_prompts(pair, Direction.TERM_TO_ID)
+    provider = _make_replay(prompts[:3], ["HP:0001337", "HP:0001337", "HP:0000000"])
+    run = run_eval(provider, prompts, "m", Phase.BASELINE)
+    assert [i.error is not None for i in run.items] == [False, False, False, True, True]
+    assert pair_correctness(run.items) == {pair_id(pair): False}
+    assert run.accuracy == 0.0
 
 
 def test_accuracy_of_concatenated_runs_is_weighted_mean():

@@ -60,7 +60,7 @@ def test_prompts_round_trip_separator(tmp_path, sep):
 def test_results_round_trip_separator(tmp_path, sep):
     items = (EvalItem("HPO:HP:0000001", Direction.ID_TO_TERM, 1, f"x{sep}y", f"x{sep}y",
                       False, f"error{sep}text"),)
-    run = EvalRun("m", Terminology.HPO, Direction.ID_TO_TERM, Phase.BASELINE, items, 0.0)
+    run = EvalRun("m", Terminology.HPO, Direction.ID_TO_TERM, Phase.BASELINE, items)
     back = _round_trip(tmp_path, lambda fh: write_results_jsonl(run, fh), read_results_jsonl)
     assert tuple(back) == items
 

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from termbench.errors import DomainError
-from termbench.evaluate import Phase
 from termbench.ontology import Terminology
 from termbench.outcomes import (
     CategoryPercentages,
@@ -14,7 +13,6 @@ from termbench.outcomes import (
     derive_metrics,
     metrics_from_split_percentages,
     read_outcomes_jsonl,
-    reconcile_accuracy,
     round1,
     sankey_edges,
     split_counts,
@@ -159,29 +157,31 @@ REFERENCE_ROWS = [
 ]
 
 
+def _percentages(*values) -> CategoryPercentages:
+    """Category shares (G, L, C, I) taken exactly from their decimal form."""
+    return CategoryPercentages(*(Fraction(str(v)) for v in values))
+
+
 @pytest.mark.parametrize("row", REFERENCE_ROWS, ids=[r[0] for r in REFERENCE_ROWS])
 def test_reference_row_algebra(row):
     task, train, val, expected, reference_acc, acc_should_match = row
-    metrics = metrics_from_split_percentages(
-        CategoryPercentages.from_values(*train),
-        CategoryPercentages.from_values(*val),
-    )
+    metrics = metrics_from_split_percentages(_percentages(*train), _percentages(*val))
     mem, gen, deg = expected
     assert abs(metrics.memorized_pct - mem) <= 0.05
     assert abs(metrics.generalized_pct - gen) <= 0.05
     assert abs(metrics.degraded_pct - deg) <= 0.05
-    assert reconcile_accuracy(metrics, reference_acc) is acc_should_match
+    assert (abs(metrics.accuracy_pct - reference_acc) <= 0.05) is acc_should_match
 
 
 def test_gene_rows_formula_values_are_flagged_not_matched():
     gene_fwd = metrics_from_split_percentages(
-        CategoryPercentages.from_values(48.0, 3.5, 22.5, 26.0),
-        CategoryPercentages.from_values(13.9, 6.0, 16.7, 63.4),
+        _percentages(48.0, 3.5, 22.5, 26.0),
+        _percentages(13.9, 6.0, 16.7, 63.4),
     )
     assert gene_fwd.accuracy_pct == 67.0
     gene_rev = metrics_from_split_percentages(
-        CategoryPercentages.from_values(24.0, 1.5, 69.5, 5.0),
-        CategoryPercentages.from_values(7.0, 4.6, 69.2, 19.2),
+        _percentages(24.0, 1.5, 69.5, 5.0),
+        _percentages(7.0, 4.6, 69.2, 19.2),
     )
     assert gene_rev.accuracy_pct == 92.0
 
@@ -236,25 +236,14 @@ def test_outcomes_jsonl_round_trip():
 # table_report
 
 
-def _run(phase, correct_flags, terminology=Terminology.HPO,
-         direction=Direction.TERM_TO_ID):
-    """One table_report entry: (terminology, direction, phase) -> (n_correct, n_items)."""
-    return (terminology, direction, phase), (sum(correct_flags), len(correct_flags))
-
-
 def test_table_report_delta_ft():
-    # 2.4% baseline vs 9.8% fine-tuned over 500 items -> delta +7.4
-    base_flags = [i < 12 for i in range(500)]
-    tuned_flags = [i < 49 for i in range(500)]
-    runs = dict([
-        _run(Phase.BASELINE, base_flags),
-        _run(Phase.FINETUNED, tuned_flags),
-    ])
+    # 2.4% baseline vs 9.8% fine-tuned over 500 pairs -> delta +7.4
     outcomes = _outcome_set(
-        {OutcomeCategory.GAINER: 1, OutcomeCategory.INCORRECT: 1},
-        {OutcomeCategory.INCORRECT: 2},
+        {OutcomeCategory.CORRECT: 12, OutcomeCategory.GAINER: 37,
+         OutcomeCategory.INCORRECT: 201},
+        {OutcomeCategory.INCORRECT: 250},
     )
-    bundle = table_report(runs, outcomes)
+    bundle = table_report(outcomes)
     row = bundle.performance[0]
     assert row.baseline_pct == 2.4
     assert row.finetuned_pct == 9.8
@@ -262,26 +251,20 @@ def test_table_report_delta_ft():
 
 
 def test_table_report_zero_delta():
-    flags = [i < 5 for i in range(10)]
-    runs = dict([_run(Phase.BASELINE, flags), _run(Phase.FINETUNED, flags)])
-    outcomes = _outcome_set({OutcomeCategory.CORRECT: 5}, {OutcomeCategory.CORRECT: 5})
-    bundle = table_report(runs, outcomes)
+    # as many losers as gainers: the run accuracy does not move
+    outcomes = _outcome_set(
+        {OutcomeCategory.GAINER: 3, OutcomeCategory.LOSER: 3, OutcomeCategory.INCORRECT: 4},
+        {OutcomeCategory.CORRECT: 2},
+    )
+    bundle = table_report(outcomes)
+    assert bundle.performance[0].baseline_pct == 41.7
     assert bundle.performance[0].delta_pct == 0.0
 
 
-def test_table_report_missing_run_names_gap():
-    runs = dict([_run(Phase.BASELINE, [True])])
-    outcomes = _outcome_set({OutcomeCategory.CORRECT: 1}, {OutcomeCategory.CORRECT: 1})
-    with pytest.raises(DomainError, match="finetuned"):
-        table_report(runs, outcomes)
-
-
 def test_table_csv_shapes():
-    flags = [True, False]
-    runs = dict([_run(Phase.BASELINE, flags), _run(Phase.FINETUNED, flags)])
     outcomes = _outcome_set({OutcomeCategory.CORRECT: 1, OutcomeCategory.INCORRECT: 1},
-                            {OutcomeCategory.INCORRECT: 1})
-    bundle = table_report(runs, outcomes)
+                            {OutcomeCategory.CORRECT: 1, OutcomeCategory.INCORRECT: 1})
+    bundle = table_report(outcomes)
     perf, cats, derived = io.StringIO(), io.StringIO(), io.StringIO()
     write_performance_csv(bundle.performance, perf)
     write_categories_csv(bundle.categories, cats)

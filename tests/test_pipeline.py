@@ -1,12 +1,19 @@
+import csv
+import importlib.util
 import json
 import shutil
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import termbench.pipeline
 from termbench.cli import main
-from termbench.config import load_config
+from termbench.config import TERMINOLOGY_KEYS, load_config
+from termbench.outcomes import fmt1, read_outcomes_jsonl, round1
 from termbench.pipeline import run_stage
+from termbench.prompts import Direction, direction_label
+from termbench.providers import DecodingParams, TranscriptWriter, request_body
 
 FIXTURE = Path(__file__).parent / "fixtures" / "mini"
 CONFIG = FIXTURE / "run.cfg"
@@ -145,16 +152,15 @@ def test_stage_dirs_do_not_cross_write(full_run, tmp_path):
 
 
 def test_report_inputs_are_outcomes_and_eval_summaries(full_run):
+    # report reads the outcomes alone; no eval summary is among its inputs
     manifest = json.loads((full_run / "manifest.json").read_text())
     inputs = [Path(p) for p in manifest["stages"]["report"]["inputs"]]
-    summaries = sorted((full_run / "eval").glob("summary_*.json"))
-    assert len(summaries) == 12
-    assert sorted(inputs) == sorted([full_run / "classify" / "outcomes.jsonl", *summaries])
+    assert inputs == [full_run / "classify" / "outcomes.jsonl"]
 
 
 def test_report_takes_accuracy_from_summary_counts(full_run, tmp_path):
     # Without the results files and with a wrong `accuracy` field in every
-    # summary, report still writes the same tables: it reads n_correct/n_items.
+    # summary, report still writes the same tables: it reads no eval output.
     run_dir = tmp_path / "run"
     shutil.copytree(full_run, run_dir)
     for path in (run_dir / "eval").glob("results_*.jsonl"):
@@ -169,18 +175,101 @@ def test_report_takes_accuracy_from_summary_counts(full_run, tmp_path):
         assert (run_dir / "report" / path.name).read_bytes() == path.read_bytes()
 
 
-def test_report_bad_summary_exits_1(full_run, tmp_path, capsys):
+def test_report_needs_no_eval_dir(full_run, tmp_path):
     run_dir = tmp_path / "run"
     shutil.copytree(full_run, run_dir)
-    path = run_dir / "eval" / "summary_baseline_hpo_term_to_id.json"
-    summary = json.loads(path.read_text())
-    del summary["n_correct"]
-    path.write_text(json.dumps(summary))
+    shutil.rmtree(run_dir / "eval")
+    assert main(["--config", str(CONFIG), "--run-dir", str(run_dir),
+                 "--stage", "report"]) == 0
+    for path in sorted((full_run / "report").glob("*.csv")):
+        assert (run_dir / "report" / path.name).read_bytes() == path.read_bytes()
+
+
+def test_classify_missing_results_names_path(full_run, tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    shutil.copytree(full_run, run_dir)
+    missing = run_dir / "eval" / "results_finetuned_gene_id_to_term.jsonl"
+    missing.unlink()
     capsys.readouterr()
     assert main(["--config", str(CONFIG), "--run-dir", str(run_dir),
-                 "--stage", "report"]) == 1
+                 "--stage", "classify"]) == 1
     err = capsys.readouterr().err
-    assert "bad eval summary" in err and "n_correct" in err
+    assert str(missing) in err and "'eval'" in err
+
+
+def _write_transcript(path, prompt_rows, correct_templates):
+    """Replay rows answering `correct_templates(pair_id)` right and the rest wrong.
+
+    Of the wrong answers, template 5 says C and the others say B. Both sort
+    after every right answer, so a plurality vote that breaks ties toward the
+    smaller answer would call an [A, A, B, B, C] pair correct.
+    """
+    writer = TranscriptWriter(path)
+    for row in prompt_rows:
+        if row["template_id"] in correct_templates(row["pair_id"]):
+            answer = row["expected_answer"]
+        else:
+            answer = "~wrong c" if row["template_id"] == 5 else "~wrong b"
+        writer.record(row["prompt_text"],
+                      request_body(row["prompt_text"], "m", DecodingParams()), answer)
+
+
+def test_all_templates_summary_outcomes_and_report_agree(full_run, tmp_path):
+    run_dir = tmp_path / "run"
+    for stage in ("ingest", "popularity", "sample"):
+        shutil.copytree(full_run / stage, run_dir / stage)
+    cfg = load_config(CONFIG, run_dir=run_dir)
+    cfg.all_templates = True
+    run_stage(cfg, "prompts")
+    prompt_rows = _rows(run_dir / "prompts" / "prompts.jsonl")
+    assert {r["template_id"] for r in prompt_rows} == {1, 2, 3, 4, 5}
+    pair_ids = sorted({r["pair_id"] for r in prompt_rows})
+    tuned = set(pair_ids[::2])
+    # baseline answers per pair: [A, A, B, B, C] with A right; the fine-tuned
+    # model gets 3 of 5 right on every other pair and repeats the baseline on the rest
+    _write_transcript(tmp_path / "baseline.jsonl", prompt_rows, lambda pid: {1, 2})
+    _write_transcript(tmp_path / "finetuned.jsonl", prompt_rows,
+                      lambda pid: {1, 2, 3} if pid in tuned else {1, 2})
+    cfg.transcripts = {phase: tmp_path / f"{phase}.jsonl"
+                       for phase in ("baseline", "finetuned")}
+    for stage in ("eval", "classify", "report"):
+        run_stage(cfg, stage)
+
+    with open(run_dir / "classify" / "outcomes.jsonl", encoding="utf-8") as fh:
+        outcomes = read_outcomes_jsonl(fh)
+    with open(run_dir / "report" / "performance_summary.csv", encoding="utf-8") as fh:
+        performance = {row["mapping"]: row for row in csv.DictReader(fh)}
+    assert len(performance) == 6
+    for t, key in TERMINOLOGY_KEYS.items():
+        for d in Direction:
+            combo = [o for o in outcomes if (o.terminology, o.direction) == (t, d)]
+            assert len(combo) == 60
+            row = performance[direction_label(t, d)]
+            for phase in ("baseline", "finetuned"):
+                flags = [o.baseline_correct if phase == "baseline" else o.finetuned_correct
+                         for o in combo]
+                expected = [False] * 60 if phase == "baseline" else [
+                    o.pair_id in tuned for o in combo]
+                assert flags == expected
+                summary = json.loads(
+                    (run_dir / "eval" / f"summary_{phase}_{key}_{d.value}.json").read_text())
+                assert summary["n_items"] == 300
+                assert summary["accuracy"] == sum(flags) / len(flags)
+                assert row[f"{phase}_pct"] == fmt1(round1(Fraction(sum(flags) * 100, 60)))
+
+
+def test_bench_trace_hooks_exist():
+    # bench/tracing.py wraps pipeline helpers and provider methods by name
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for helpers in tracing.PIPELINE_HELPERS.values():
+        for helper in helpers:
+            assert hasattr(termbench.pipeline, helper), helper
+    for targets in tracing.METHODS.values():
+        for cls, attr in targets:
+            assert attr in cls.__dict__, (cls.__name__, attr)
 
 
 def _rows(path):

