@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import load_config
+from .config import check_count, load_config
 from .errors import (
     ConsistencyError,
     DomainError,
@@ -72,6 +72,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.all_templates:
             cfg.all_templates = True
         if args.concurrency is not None:
+            check_count("--concurrency", args.concurrency)
             cfg.concurrency = args.concurrency
 
         stages = STAGES if args.stage == "all" else (args.stage,)

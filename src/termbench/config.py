@@ -140,6 +140,12 @@ class RunConfig:
 _KIND_NAMES = {str: "a string", int: "an integer", float: "a number", bool: "true or false"}
 
 
+def check_count(name: str, value: int) -> None:
+    """A count (bins, pairs per bin, concurrent requests) must be at least 1."""
+    if value < 1:
+        raise ValidationError(f"{name} must be at least 1, got {value!r}")
+
+
 def load_config(path: str | Path, run_dir: str | Path | None = None) -> RunConfig:
     """Load a config file; a key of the wrong type or an unknown key is a ValidationError."""
     path = Path(path)
@@ -159,6 +165,11 @@ def load_config(path: str | Path, run_dir: str | Path | None = None) -> RunConfi
             return float(value)
         if type(value) is not kind:
             raise ValidationError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
+        return value
+
+    def get_count(key: str, default: int) -> int:
+        value = get(key, int, default)
+        check_count(key, value)
         return value
 
     def get_path(key) -> Path | None:
@@ -183,8 +194,8 @@ def load_config(path: str | Path, run_dir: str | Path | None = None) -> RunConfi
     cfg.cap_seed = get("seeds.validation_cap", int, 0)
     cfg.synthetic_seed = get("seeds.synthetic", int, 0)
 
-    cfg.n_bins = get("sampling.n_bins", int, 20)
-    cfg.per_bin = get("sampling.per_bin", int, 10)
+    cfg.n_bins = get_count("sampling.n_bins", 20)
+    cfg.per_bin = get_count("sampling.per_bin", 10)
     cfg.ranking_proxy = get("sampling.proxy", str, "id_count_pmc")
 
     cfg.completion_url = get("endpoints.completion_url", str)
@@ -192,7 +203,7 @@ def load_config(path: str | Path, run_dir: str | Path | None = None) -> RunConfi
     cfg.baseline_model = get("models.baseline", str, "baseline")
     cfg.finetuned_model = get("models.finetuned", str, "finetuned")
 
-    cfg.concurrency = get("limits.concurrency", int, 1)
+    cfg.concurrency = get_count("limits.concurrency", 1)
     cfg.rate_per_second = get("limits.rate_per_second", float, 3.0)
     cfg.validation_cap = get("limits.validation_cap", int) or None
 

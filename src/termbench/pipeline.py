@@ -17,7 +17,6 @@ given the config and seeds; only the manifest carries timestamps.
 
 from __future__ import annotations
 
-import io
 import json
 import os
 import sys
@@ -174,15 +173,13 @@ def stage_ingest(cfg: RunConfig, manifest: RunManifest) -> tuple[list[Path], lis
     gene_path = _require_input(cfg.gene_map, "paths.gene_map")
     out_dir = _stage_dir(cfg, "ingest")
 
-    with open(hpo_path, "rb") as fh:
-        hpo_doc = parse_obo_document(io.TextIOWrapper(fh, encoding="utf-8"),
-                                     Terminology.HPO)
-    with open(go_path, "rb") as fh:
-        go_doc = parse_obo_document(io.TextIOWrapper(fh, encoding="utf-8"),
-                                    Terminology.GO_CC)
+    with open(hpo_path, encoding="utf-8") as fh:
+        hpo_doc = parse_obo_document(fh, Terminology.HPO)
+    with open(go_path, encoding="utf-8") as fh:
+        go_doc = parse_obo_document(fh, Terminology.GO_CC)
     go_records = filter_namespace(go_doc.records, GO_CC_NAMESPACE)
-    with open(gene_path, "rb") as fh:
-        gene_records = parse_gene_map(io.TextIOWrapper(fh, encoding="utf-8"))
+    with open(gene_path, encoding="utf-8") as fh:
+        gene_records = parse_gene_map(fh)
 
     manifest.set_release_tag("HPO", hpo_doc.header.get("data-version"))
     manifest.set_release_tag("GO_CC", go_doc.header.get("data-version"))

@@ -3,18 +3,20 @@
 The t and F tails come from `scipy.special` (`stdtr`, `fdtrc`). The
 studentized range CDF is the textbook double integral (range of k standard
 normals, studentized by an independent chi-scaled error estimate) evaluated
-with adaptive quadrature.
+with fixed Gauss-Legendre rules, so no `scipy.integrate` (nor the optimize,
+linalg and sparse modules it loads) is imported.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import IO, NamedTuple, Sequence
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .errors import DomainError, NumericalError
 
@@ -73,36 +75,59 @@ def welch_t(sample_a: Sequence[float], sample_b: Sequence[float]) -> WelchResult
 
 # ---------------------------------------------------------------------------
 # Studentized range distribution
+#
+# P(Q <= q) is the integral of f(s) R(q s) over s = sqrt(chi2_df / df), where
+# R(w) = k * integral of phi(z) (Phi(z) - Phi(z - w))^(k-1) dz is the CDF of
+# the range of k iid standard normals. The outer integral runs over u = ln s:
+# there the integrand is smooth for every df > 0, and R(q e^u) rises over the
+# same width of u whatever q is.
+
+# (panels, nodes per panel) of the composite Gauss-Legendre rules over u and z
+_RULE = ((24, 16), (12, 16))
+# Coarser on both axes; its gap to _RULE is the error estimate.
+_CHECK_RULE = ((16, 16), (12, 12))
+_MAX_ERROR = 1e-6
+_Z_LIMIT = 10.0  # the inner integral runs over [-10, 10]
+_LOG_DENSITY_SPAN = 60.0  # the outer one keeps u where ln(density) is within this of its peak
+_PROBES = 4097  # points on which that span of u is found
+_legendre = functools.cache(np.polynomial.legendre.leggauss)  # one entry per node count in use
 
 
-def _phi(z: float) -> float:
-    return math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+def _gauss_legendre(a: float, b: float, panels: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the composite Gauss-Legendre rule on [a, b]."""
+    x, w = _legendre(nodes)
+    edges = np.linspace(a, b, panels + 1)
+    half = 0.5 * np.diff(edges)[:, None]
+    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    return (mid + half * x).ravel(), (half * w).ravel()
 
 
-def _Phi(z: float) -> float:
-    return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
+def _log_density_from_peak(u: np.ndarray, df: float) -> np.ndarray:
+    """ln of the density of u = ln s, less its peak value (reached at u = 0)."""
+    return df * u - 0.5 * df * np.expm1(2.0 * u)
 
 
-def _range_cdf(w: float, k: int) -> float:
-    """CDF of the range of k iid standard normals."""
-    if w <= 0.0:
-        return 0.0
-
-    def integrand(z: float) -> float:
-        return _phi(z) * (_Phi(z) - _Phi(z - w)) ** (k - 1)
-
-    value, abserr = integrate.quad(integrand, -10.0, 10.0, epsabs=1e-12, epsrel=1e-10,
-                                   limit=200)
-    if abserr > 1e-8:
-        raise NumericalError(f"inner range integral error {abserr:.2e} at w={w}, k={k}")
-    return min(1.0, k * value)
+def _cdf_on_rule(q: float, k: int, df: float, u_lo: float, u_hi: float, rule) -> float:
+    (u_panels, u_nodes), (z_panels, z_nodes) = rule
+    u, u_weights = _gauss_legendre(u_lo, u_hi, u_panels, u_nodes)
+    z, z_weights = _gauss_legendre(-_Z_LIMIT, _Z_LIMIT, z_panels, z_nodes)
+    # peak of ln(density) via lgamma, so large df cannot overflow:
+    # f(s) = 2 (df/2)^(df/2) / Gamma(df/2) s^(df-1) e^(-df s^2/2), and f(e^u) e^u peaks at u = 0
+    half = df / 2.0
+    ln_peak = math.log(2.0) + half * math.log(half) - math.lgamma(half) - half
+    density = np.exp(ln_peak + _log_density_from_peak(u, df))
+    phi = z_weights * np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+    w = q * np.exp(u)[:, None]
+    range_cdf = np.minimum(1.0, k * ((special.ndtr(z) - special.ndtr(z - w)) ** (k - 1) @ phi))
+    return float(u_weights @ (density * range_cdf))
 
 
 def studentized_range_cdf(q: float, k: int, df: float) -> float:
     """P(Q <= q) for the studentized range with k groups and df error dof.
 
-    Outer integral runs over the distribution of s = sqrt(chi2_df / df);
-    absolute error target 1e-5 (typically far better).
+    Fixed composite Gauss-Legendre rules on both integrals; a NumericalError
+    when a second, coarser rule differs by more than 1e-6 (typically the gap
+    is below 1e-9).
     """
     if q < 0:
         raise DomainError("q must be non-negative")
@@ -113,26 +138,19 @@ def studentized_range_cdf(q: float, k: int, df: float) -> float:
     if q == 0.0:
         return 0.0
 
-    # log-density of s, with the normalization constant via lgamma so large
-    # df cannot overflow: f(s) = 2 (df/2)^(df/2) / Gamma(df/2) s^(df-1) e^(-df s^2/2)
-    half = df / 2.0
-    ln_const = math.log(2.0) + half * math.log(half) - math.lgamma(half)
-
-    def outer(s: float) -> float:
-        if s <= 0.0:
-            return 0.0
-        ln_f = ln_const + (df - 1.0) * math.log(s) - half * s * s
-        if ln_f < -745.0:
-            return 0.0
-        return math.exp(ln_f) * _range_cdf(q * s, k)
-
+    # s in [1 - 40 sigma, 1 + 40 sigma], trimmed to the span of the density
     sigma = 1.0 / math.sqrt(2.0 * df)
-    lo = max(1e-12, 1.0 - 40.0 * sigma)
-    hi = 1.0 + 40.0 * sigma
-    value, abserr = integrate.quad(outer, lo, hi, epsabs=1e-10, epsrel=1e-9, limit=300)
-    if abserr > 1e-6:
+    probe = np.linspace(math.log(max(1e-12, 1.0 - 40.0 * sigma)), math.log1p(40.0 * sigma),
+                        _PROBES)
+    inside = np.flatnonzero(_log_density_from_peak(probe, df) >= -_LOG_DENSITY_SPAN)
+    u_lo = probe[max(inside[0] - 1, 0)]
+    u_hi = probe[min(inside[-1] + 1, _PROBES - 1)]
+
+    value = _cdf_on_rule(q, k, df, u_lo, u_hi, _RULE)
+    gap = abs(value - _cdf_on_rule(q, k, df, u_lo, u_hi, _CHECK_RULE))
+    if gap > _MAX_ERROR:
         raise NumericalError(
-            f"studentized range quadrature error {abserr:.2e} at q={q}, k={k}, df={df}"
+            f"studentized range quadrature error {gap:.2e} at q={q}, k={k}, df={df}"
         )
     return min(1.0, max(0.0, value))
 

@@ -62,7 +62,10 @@ def test_parse_flat_config_keeps_unicode_line_separators_in_values(sep):
     ("[flags]\noffline = no", "flags.offline must be true or false, got 'no'"),
     ("[sampling]\nn_bins = twenty", "sampling.n_bins must be an integer, got 'twenty'"),
     ("[sampling]\nper_bim = 3", "unknown config key(s): sampling.per_bim"),
-], ids=["bool", "int", "unknown-key"])
+    ("[sampling]\nn_bins = 0", "sampling.n_bins must be at least 1, got 0"),
+    ("[sampling]\nper_bin = -1", "sampling.per_bin must be at least 1, got -1"),
+    ("[limits]\nconcurrency = 0", "limits.concurrency must be at least 1, got 0"),
+], ids=["bool", "int", "unknown-key", "n_bins-zero", "per_bin-negative", "concurrency-zero"])
 def test_bad_config_value_exits_1_naming_the_key(tmp_path, capsys, binding, message):
     cfg_file = tmp_path / "c.cfg"
     cfg_file.write_text(f"[paths]\nrun_dir = run\n{binding}\n", encoding="utf-8")
@@ -70,6 +73,15 @@ def test_bad_config_value_exits_1_naming_the_key(tmp_path, capsys, binding, mess
     assert code == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "run").exists()
+
+
+def test_concurrency_flag_below_one_exits_1(tmp_path, capsys):
+    run_dir = tmp_path / "r"
+    code = main(["--config", str(CONFIG), "--run-dir", str(run_dir),
+                 "--stage", "ingest", "--concurrency", "0"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: --concurrency must be at least 1, got 0\n"
+    assert not run_dir.exists()
 
 
 def test_run_dir_key_is_known_when_overridden(tmp_path):
@@ -253,12 +265,13 @@ def test_bad_split_row_exits_1_naming_the_line(tmp_path, capsys, edit, message):
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs start-up time and memory on every CLI launch
+    # scipy.stats and scipy.integrate cost start-up time and memory on every CLI launch
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run(
         [sys.executable, "-c",
-         "import sys, termbench.cli; print('scipy.stats' in sys.modules)"],
+         "import sys, termbench.cli; "
+         "print('scipy.stats' in sys.modules, 'scipy.integrate' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True,
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"

@@ -1,7 +1,9 @@
 import csv
+import gc
 import importlib.util
 import json
 import shutil
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -256,6 +258,15 @@ def test_all_templates_summary_outcomes_and_report_agree(full_run, tmp_path):
                 assert summary["n_items"] == 300
                 assert summary["accuracy"] == sum(flags) / len(flags)
                 assert row[f"{phase}_pct"] == fmt1(round1(Fraction(sum(flags) * 100, 60)))
+
+
+def test_ingest_closes_its_sources(tmp_path):
+    cfg = load_config(CONFIG, run_dir=tmp_path / "run")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run_stage(cfg, "ingest")
+        gc.collect()
+    assert [w.message for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 def test_bench_trace_hooks_exist():

@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.stats
 import scipy.special
 
-from termbench.errors import DomainError, ParseError, ValidationError
+import termbench.stats
+from termbench.errors import DomainError, NumericalError, ParseError, ValidationError
 from termbench.stats import (
     OBSERVATION_CSV_COLUMNS,
     AnovaTable,
@@ -129,6 +131,75 @@ def test_welch_small_sample_guard():
 
 # ---------------------------------------------------------------------------
 # studentized range CDF
+
+
+def _phi(z: float) -> float:
+    return math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+
+
+def _Phi(z: float) -> float:
+    return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
+
+
+def _range_cdf(w: float, k: int) -> float:
+    """CDF of the range of k iid standard normals, by adaptive quadrature."""
+    if w <= 0.0:
+        return 0.0
+
+    def integrand(z: float) -> float:
+        return _phi(z) * (_Phi(z) - _Phi(z - w)) ** (k - 1)
+
+    value, abserr = scipy.integrate.quad(integrand, -10.0, 10.0, epsabs=1e-12, epsrel=1e-10,
+                                         limit=200)
+    if abserr > 1e-8:
+        raise NumericalError(f"inner range integral error {abserr:.2e} at w={w}, k={k}")
+    return min(1.0, k * value)
+
+
+def reference_studentized_range_cdf(q: float, k: int, df: float) -> float:
+    """P(Q <= q) by nested adaptive quadrature: the independent oracle.
+
+    The outer integral runs over the distribution of s = sqrt(chi2_df / df).
+    """
+    if q == 0.0:
+        return 0.0
+    # log-density of s, with the normalization constant via lgamma so large
+    # df cannot overflow: f(s) = 2 (df/2)^(df/2) / Gamma(df/2) s^(df-1) e^(-df s^2/2)
+    half = df / 2.0
+    ln_const = math.log(2.0) + half * math.log(half) - math.lgamma(half)
+
+    def outer(s: float) -> float:
+        if s <= 0.0:
+            return 0.0
+        ln_f = ln_const + (df - 1.0) * math.log(s) - half * s * s
+        if ln_f < -745.0:
+            return 0.0
+        return math.exp(ln_f) * _range_cdf(q * s, k)
+
+    sigma = 1.0 / math.sqrt(2.0 * df)
+    lo = max(1e-12, 1.0 - 40.0 * sigma)
+    hi = 1.0 + 40.0 * sigma
+    value, abserr = scipy.integrate.quad(outer, lo, hi, epsabs=1e-10, epsrel=1e-9, limit=300)
+    if abserr > 1e-6:
+        raise NumericalError(
+            f"studentized range quadrature error {abserr:.2e} at q={q}, k={k}, df={df}"
+        )
+    return min(1.0, max(0.0, value))
+
+
+@pytest.mark.parametrize("df", [1, 2, 3.7, 10, 57.3, 1e3, 1e5, 1e7])
+def test_studentized_range_matches_adaptive_quadrature(df):
+    tolerance = 1e-9 if df >= 2 else 1e-7
+    for k in (2, 3, 4, 6, 10):
+        for q in (0.05, 0.5, 1, 2, 3.3, 5, 8, 15):
+            ref = reference_studentized_range_cdf(q, k, df)
+            assert studentized_range_cdf(q, k, df) == pytest.approx(ref, abs=tolerance), (q, k)
+
+
+def test_studentized_range_raises_when_rules_disagree(monkeypatch):
+    monkeypatch.setattr(termbench.stats, "_CHECK_RULE", ((1, 2), (1, 2)))
+    with pytest.raises(NumericalError, match="studentized range quadrature error"):
+        studentized_range_cdf(3.0, 3, 10)
 
 
 def test_studentized_range_zero():
