@@ -54,12 +54,6 @@ class FileEmbeddingStore:
     def __len__(self) -> int:
         return len(self._vectors)
 
-    def __contains__(self, text: str) -> bool:
-        return text in self._vectors
-
-    def texts(self) -> list[str]:
-        return list(self._vectors)
-
     def embed(self, text: str) -> np.ndarray:
         vec = self._vectors.get(text)
         if vec is None:

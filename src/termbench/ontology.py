@@ -222,11 +222,6 @@ def parse_obo_document(stream: IO, terminology: Terminology) -> OboDocument:
     return OboDocument(header=header, records=records)
 
 
-def parse_obo(stream: IO, terminology: Terminology) -> list[TermRecord]:
-    """Parse an OBO flat file, returning live TermRecords in stanza order."""
-    return parse_obo_document(stream, terminology).records
-
-
 def filter_namespace(records: Iterable[TermRecord], namespace: str) -> list[TermRecord]:
     """Records whose namespace equals `namespace`, order preserved."""
     return [r for r in records if r.namespace == namespace]

@@ -1,8 +1,9 @@
 """Pipeline stages over a run directory.
 
 Stages run in a fixed order, each reading the previous stages' artifacts
-and writing its own under `<run>/<stage>/`. Outputs are deterministic
-given the config and seeds; only the manifest carries timestamps.
+and writing its own under `<run>/<stage>/`, all through `StageFiles`.
+Outputs are deterministic given the config and seeds; only the manifest
+carries timestamps.
 
     ingest      parse terminologies into canonical record files
     popularity  popularity proxies per identifier + rank-frequency points
@@ -74,6 +75,7 @@ from .outcomes import (
 )
 from .pmc import PmcClient, QueryCache, identifier_query, term_query
 from .popularity import (
+    PROXIES,
     PopularityRecord,
     laplace_log,
     load_annotation_counts,
@@ -123,34 +125,67 @@ class MissingArtifactError(DomainError):
     pass
 
 
-def _require(path: Path, producing_stage: str) -> Path:
-    if not path.exists():
-        raise MissingArtifactError(
-            f"missing {path}; run the {producing_stage!r} stage first"
-        )
-    return path
+def _newline(name: str) -> str | None:
+    """CSV files are opened with newline="", as the csv module requires."""
+    return "" if name.endswith(".csv") else None
 
 
-def _require_input(path: Path | None, what: str) -> Path:
-    if path is None:
-        raise ValidationError(f"config does not set {what}")
-    if not path.exists():
-        raise ValidationError(f"{what} not found: {path}")
-    return path
+class StageFiles:
+    """Every file one stage reads or writes, checked and recorded as it is opened.
 
+    `run_stage` hashes `inputs` and `outputs` into the manifest, so a file a
+    stage reaches through here cannot be missing from it. Artifact names are
+    relative to the run directory (`sample/split.jsonl`); the stage that
+    writes one is its first part.
+    """
 
-def _stage_dir(cfg: RunConfig, stage: str) -> Path:
-    d = cfg.run_dir / stage
-    d.mkdir(parents=True, exist_ok=True)
-    return d
+    def __init__(self, cfg: RunConfig, stage: str):
+        self.run_dir = cfg.run_dir
+        self.out_dir = cfg.run_dir / stage
+        self.inputs: list[Path] = []
+        self.outputs: list[Path] = []
+
+    def _input(self, path: Path) -> Path:
+        if path not in self.inputs:
+            self.inputs.append(path)
+        return path
+
+    def artifact(self, name: str) -> Path:
+        """The earlier stage's file `<run>/<name>`, which must exist."""
+        path = self.run_dir / name
+        if not path.exists():
+            producer = name.split("/")[0]
+            raise MissingArtifactError(f"missing {path}; run the {producer!r} stage first")
+        return self._input(path)
+
+    def source(self, path: Path | None, key: str) -> Path:
+        """The file that config key `key` names, which must exist."""
+        if path is None:
+            raise ValidationError(f"config does not set {key}")
+        if not path.exists():
+            raise ValidationError(f"{key} not found: {path}")
+        return self._input(path)
+
+    def read(self, name: str, reader, *args):
+        """`reader(stream, *args)` over the artifact `<run>/<name>`."""
+        with open(self.artifact(name), encoding="utf-8", newline=_newline(name)) as fh:
+            return reader(fh, *args)
+
+    def write(self, name: str, writer, *args) -> None:
+        """`writer(*args, stream)` into this stage's file `<run>/<stage>/<name>`."""
+        path = self.out_dir / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline=_newline(name)) as fh:
+            writer(*args, fh)
+        self.outputs.append(path)
 
 
 def _tkey(t: Terminology) -> str:
     return TERMINOLOGY_KEYS[t]
 
 
-def _records_path(cfg: RunConfig, t: Terminology) -> Path:
-    return cfg.run_dir / "ingest" / f"records_{_tkey(t)}.jsonl"
+def _records_name(t: Terminology) -> str:
+    return f"ingest/records_{_tkey(t)}.jsonl"
 
 
 def _run_stem(phase: Phase, t: Terminology, d: Direction) -> str:
@@ -158,20 +193,24 @@ def _run_stem(phase: Phase, t: Terminology, d: Direction) -> str:
     return f"{phase.value}_{_tkey(t)}_{d.value}"
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
+def _dump_json(payload: dict, sink) -> None:
+    sink.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _write_rank_points(dist, sink) -> None:
+    sink.write("identifier,count,rank,log10_rank,log10_count_plus1\n")
+    for (identifier, count, rank), (lx, ly) in zip(dist.entries, dist.log_log_points()):
+        sink.write(f"{identifier},{count},{rank},{lx!r},{ly!r}\n")
 
 
 # ---------------------------------------------------------------------------
 # Stages
 
 
-def stage_ingest(cfg: RunConfig, manifest: RunManifest) -> tuple[list[Path], list[Path]]:
-    hpo_path = _require_input(cfg.hpo_obo, "paths.hpo_obo")
-    go_path = _require_input(cfg.go_obo, "paths.go_obo")
-    gene_path = _require_input(cfg.gene_map, "paths.gene_map")
-    out_dir = _stage_dir(cfg, "ingest")
+def stage_ingest(cfg: RunConfig, files: StageFiles, manifest: RunManifest) -> None:
+    hpo_path = files.source(cfg.hpo_obo, "paths.hpo_obo")
+    go_path = files.source(cfg.go_obo, "paths.go_obo")
+    gene_path = files.source(cfg.gene_map, "paths.gene_map")
 
     with open(hpo_path, encoding="utf-8") as fh:
         hpo_doc = parse_obo_document(fh, Terminology.HPO)
@@ -184,27 +223,19 @@ def stage_ingest(cfg: RunConfig, manifest: RunManifest) -> tuple[list[Path], lis
     manifest.set_release_tag("HPO", hpo_doc.header.get("data-version"))
     manifest.set_release_tag("GO_CC", go_doc.header.get("data-version"))
 
-    outputs = []
     for t, records in (
         (Terminology.HPO, hpo_doc.records),
         (Terminology.GO_CC, go_records),
         (Terminology.GENE, gene_records),
     ):
         build_index(records)  # fail loudly on duplicate identifiers or labels
-        out = out_dir / f"records_{_tkey(t)}.jsonl"
-        with open(out, "w", encoding="utf-8") as fh:
-            write_records_jsonl(records, fh)
-        outputs.append(out)
-    return [hpo_path, go_path, gene_path], outputs
+        files.write(f"records_{_tkey(t)}.jsonl", write_records_jsonl, records)
 
 
-def stage_popularity(cfg: RunConfig, manifest: RunManifest) -> tuple[list[Path], list[Path]]:
-    inputs = []
-    for t in TERMINOLOGIES:
-        inputs.append(_require(_records_path(cfg, t), "ingest"))
-    out_dir = _stage_dir(cfg, "popularity")
+def stage_popularity(cfg: RunConfig, files: StageFiles, manifest: RunManifest) -> None:
+    records_by_t = {t: files.read(_records_name(t), read_records_jsonl) for t in TERMINOLOGIES}
 
-    cache_path = cfg.pmc_cache or (out_dir / "pmc_cache.jsonl")
+    cache_path = cfg.pmc_cache or (files.out_dir / "pmc_cache.jsonl")
     cache = QueryCache(cache_path)
     limiter = TokenBucket(cfg.rate_per_second)
     if cfg.offline:
@@ -212,15 +243,12 @@ def stage_popularity(cfg: RunConfig, manifest: RunManifest) -> tuple[list[Path],
     else:
         client = PmcClient(cache=cache, rate_limiter=limiter)
 
-    records_by_t: dict[Terminology, list] = {}
     annotations_by_t: dict[Terminology, dict[str, int]] = {}
     for t in TERMINOLOGIES:
-        with open(_records_path(cfg, t), encoding="utf-8") as fh:
-            records_by_t[t] = read_records_jsonl(fh)
         annotations_by_t[t] = {}
         ann_path = cfg.annotations.get(t)
         if ann_path is not None:
-            with open(_require_input(ann_path, f"paths.annotations_{_tkey(t)}"),
+            with open(files.source(ann_path, f"paths.annotations_{_tkey(t)}"),
                       encoding="utf-8") as fh:
                 annotations_by_t[t] = load_annotation_counts(fh, t)
 
@@ -256,39 +284,20 @@ def stage_popularity(cfg: RunConfig, manifest: RunManifest) -> tuple[list[Path],
         per_terminology[t] = rows
         all_records.extend(rows)
 
-    outputs = []
-    if cfg.pmc_cache is not None and cache_path.exists():
-        inputs.append(cache_path)
-    elif cache_path.exists():
-        outputs.append(cache_path)
-    table_path = out_dir / "popularity.csv"
-    with open(table_path, "w", encoding="utf-8", newline="") as fh:
-        write_popularity_csv(all_records, fh)
-    outputs.append(table_path)
-
+    # a configured cache is an input even when this run filled it; the default one is an output
+    if cache_path.exists():
+        (files.inputs if cfg.pmc_cache is not None else files.outputs).append(cache_path)
+    files.write("popularity.csv", write_popularity_csv, all_records)
     for t in TERMINOLOGIES:
-        dist = rank_frequency(per_terminology[t], cfg.ranking_proxy)
-        points = dist.log_log_points()
-        path = out_dir / f"rank_points_{_tkey(t)}.csv"
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("identifier,count,rank,log10_rank,log10_count_plus1\n")
-            for (identifier, count, rank), (lx, ly) in zip(dist.entries, points):
-                fh.write(f"{identifier},{count},{rank},{lx!r},{ly!r}\n")
-        outputs.append(path)
-    return inputs, outputs
+        files.write(f"rank_points_{_tkey(t)}.csv", _write_rank_points,
+                    rank_frequency(per_terminology[t], cfg.ranking_proxy))
 
 
-def stage_sample(cfg: RunConfig, manifest: RunManifest) -> tuple[list[Path], list[Path]]:
-    pop_path = _require(cfg.run_dir / "popularity" / "popularity.csv", "popularity")
-    inputs = [pop_path] + [_require(_records_path(cfg, t), "ingest") for t in TERMINOLOGIES]
-    out_dir = _stage_dir(cfg, "sample")
-
-    with open(pop_path, encoding="utf-8", newline="") as fh:
-        pop_records = read_popularity_csv(fh)
+def stage_sample(cfg: RunConfig, files: StageFiles, manifest: RunManifest) -> None:
+    pop_records = files.read("popularity/popularity.csv", read_popularity_csv)
     pairs: list[SampledPair] = []
     for t in TERMINOLOGIES:
-        with open(_records_path(cfg, t), encoding="utf-8") as fh:
-            records = read_records_jsonl(fh)
+        records = files.read(_records_name(t), read_records_jsonl)
         index = build_index(records)
         dist = rank_frequency([r for r in pop_records if r.terminology is t],
                               cfg.ranking_proxy)
@@ -298,17 +307,11 @@ def stage_sample(cfg: RunConfig, manifest: RunManifest) -> tuple[list[Path], lis
             make_split(records, sampled, bins,
                        validation_cap=cfg.validation_cap, cap_seed=cfg.cap_seed)
         )
-    out = out_dir / "split.jsonl"
-    with open(out, "w", encoding="utf-8") as fh:
-        write_split_jsonl(pairs, fh)
-    return inputs, [out]
+    files.write("split.jsonl", write_split_jsonl, pairs)
 
 
-def stage_prompts(cfg: RunConfig, manifest: RunManifest) -> tuple[list[Path], list[Path]]:
-    split_path = _require(cfg.run_dir / "sample" / "split.jsonl", "sample")
-    out_dir = _stage_dir(cfg, "prompts")
-    with open(split_path, encoding="utf-8") as fh:
-        pairs = read_split_jsonl(fh)
+def stage_prompts(cfg: RunConfig, files: StageFiles, manifest: RunManifest) -> None:
+    pairs = files.read("sample/split.jsonl", read_split_jsonl)
 
     eval_templates = (1, 2, 3, 4, 5) if cfg.all_templates else (1,)
     eval_prompts = []
@@ -318,11 +321,7 @@ def stage_prompts(cfg: RunConfig, manifest: RunManifest) -> tuple[list[Path], li
                 p for p in expand_prompts(pair, direction)
                 if p.template_id in eval_templates
             )
-    outputs = []
-    prompts_path = out_dir / "prompts.jsonl"
-    with open(prompts_path, "w", encoding="utf-8") as fh:
-        write_prompts_jsonl(eval_prompts, fh)
-    outputs.append(prompts_path)
+    files.write("prompts.jsonl", write_prompts_jsonl, eval_prompts)
 
     train_by_terminology: dict[Terminology, list[SampledPair]] = {}
     for pair in pairs:
@@ -336,30 +335,23 @@ def stage_prompts(cfg: RunConfig, manifest: RunManifest) -> tuple[list[Path], li
             ft_prompts = []
             for pair in train_pairs:
                 ft_prompts.extend(expand_prompts(pair, direction))
-            base = out_dir / f"finetune_{_tkey(t)}_{direction.value}"
-            data_path = base.with_suffix(".jsonl")
-            with open(data_path, "w", encoding="utf-8") as fh:
-                emit_finetune_file(ft_prompts, fh)
-            meta_path = Path(str(base) + ".manifest.json")
-            _write_json(
-                meta_path,
-                finetune_manifest(t, direction, cfg.sampling_seed,
-                                  len(train_pairs), len(ft_prompts), GENERATOR_NAME),
-            )
-            outputs.extend([data_path, meta_path])
-    return [split_path], outputs
+            base = f"finetune_{_tkey(t)}_{direction.value}"
+            files.write(f"{base}.jsonl", emit_finetune_file, ft_prompts)
+            files.write(f"{base}.manifest.json", _dump_json,
+                        finetune_manifest(t, direction, cfg.sampling_seed,
+                                          len(train_pairs), len(ft_prompts), GENERATOR_NAME))
 
 
-def _completion_provider(cfg: RunConfig, phase: Phase, out_dir: Path):
+def _completion_provider(cfg: RunConfig, phase: Phase, files: StageFiles):
     transcript_path = cfg.transcripts.get(phase.value)
     if transcript_path is not None:
-        return ReplayProvider.from_transcript(_require_input(
-            transcript_path, f"paths.transcript_{phase.value}"))
+        return ReplayProvider.from_transcript(
+            files.source(transcript_path, f"paths.transcript_{phase.value}"))
     if cfg.completion_url:
         return HttpCompletionProvider(
             url=cfg.completion_url,
             api_key=os.environ.get(COMPLETION_KEY_ENV),
-            transcript=TranscriptWriter(out_dir / f"transcript_{phase.value}.jsonl"),
+            transcript=TranscriptWriter(files.out_dir / f"transcript_{phase.value}.jsonl"),
             rate_limiter=TokenBucket(cfg.rate_per_second),
         )
     raise ValidationError(
@@ -368,25 +360,19 @@ def _completion_provider(cfg: RunConfig, phase: Phase, out_dir: Path):
     )
 
 
-def stage_eval(cfg: RunConfig, manifest: RunManifest) -> tuple[list[Path], list[Path]]:
-    prompts_path = _require(cfg.run_dir / "prompts" / "prompts.jsonl", "prompts")
-    split_path = _require(cfg.run_dir / "sample" / "split.jsonl", "sample")
-    out_dir = _stage_dir(cfg, "eval")
-
-    with open(split_path, encoding="utf-8") as fh:
-        pairs = read_split_jsonl(fh)
-    pairs_by_id = {pair_id(p): p for p in pairs}
-    with open(prompts_path, encoding="utf-8") as fh:
-        prompts = read_prompts_jsonl(fh, pairs_by_id)
+def stage_eval(cfg: RunConfig, files: StageFiles, manifest: RunManifest) -> None:
+    files.artifact("prompts/prompts.jsonl")  # named first when both are missing
+    pairs = files.read("sample/split.jsonl", read_split_jsonl)
+    prompts = files.read("prompts/prompts.jsonl", read_prompts_jsonl,
+                         {pair_id(p): p for p in pairs})
 
     grouped: dict[tuple[Terminology, Direction], list] = {}
     for p in prompts:
         grouped.setdefault((p.pair.terminology, p.direction), []).append(p)
 
-    outputs = []
     for phase, model_id in ((Phase.BASELINE, cfg.baseline_model),
                             (Phase.FINETUNED, cfg.finetuned_model)):
-        provider = _completion_provider(cfg, phase, out_dir)
+        provider = _completion_provider(cfg, phase, files)
         for t in TERMINOLOGIES:
             for d in DIRECTIONS:
                 group = grouped.get((t, d))
@@ -398,28 +384,19 @@ def stage_eval(cfg: RunConfig, manifest: RunManifest) -> tuple[list[Path], list[
                     extract=cfg.extract_mode,
                 )
                 stem = _run_stem(phase, t, d)
-                results_path = out_dir / f"results_{stem}.jsonl"
-                with open(results_path, "w", encoding="utf-8") as fh:
-                    write_results_jsonl(run, fh)
-                summary_path = out_dir / f"summary_{stem}.json"
-                _write_json(summary_path, run_summary(run))
-                outputs.extend([results_path, summary_path])
-    transcripts = sorted(out_dir.glob("transcript_*.jsonl"))
-    return [prompts_path, split_path], outputs + transcripts
+                files.write(f"results_{stem}.jsonl", write_results_jsonl, run)
+                files.write(f"summary_{stem}.json", _dump_json, run_summary(run))
+    files.outputs.extend(sorted(files.out_dir.glob("transcript_*.jsonl")))
 
 
-def _load_run(cfg: RunConfig, phase: Phase, t: Terminology, d: Direction,
-              inputs: list[Path]) -> EvalRun:
-    """One eval run from its results file alone; the path goes onto `inputs`.
+def _load_run(cfg: RunConfig, files: StageFiles, phase: Phase, t: Terminology,
+              d: Direction) -> EvalRun:
+    """One eval run from its results file alone.
 
     Outcomes use only the run's items, so the summary is not read: the model
     id comes from the config.
     """
-    results_path = _require(
-        cfg.run_dir / "eval" / f"results_{_run_stem(phase, t, d)}.jsonl", "eval")
-    inputs.append(results_path)
-    with open(results_path, encoding="utf-8") as fh:
-        items = read_results_jsonl(fh)
+    items = files.read(f"eval/results_{_run_stem(phase, t, d)}.jsonl", read_results_jsonl)
     model_id = cfg.baseline_model if phase is Phase.BASELINE else cfg.finetuned_model
     return EvalRun(
         model_id=model_id,
@@ -430,43 +407,31 @@ def _load_run(cfg: RunConfig, phase: Phase, t: Terminology, d: Direction,
     )
 
 
-def stage_classify(cfg: RunConfig, manifest: RunManifest) -> tuple[list[Path], list[Path]]:
-    split_path = _require(cfg.run_dir / "sample" / "split.jsonl", "sample")
-    with open(split_path, encoding="utf-8") as fh:
-        pairs = read_split_jsonl(fh)
-    split_by_pair = {pair_id(p): p.split for p in pairs}
+def stage_classify(cfg: RunConfig, files: StageFiles, manifest: RunManifest) -> None:
+    split_by_pair = {pair_id(p): p.split
+                     for p in files.read("sample/split.jsonl", read_split_jsonl)}
 
-    out_dir = _stage_dir(cfg, "classify")
-    inputs = [split_path]
     all_outcomes: list[PairOutcome] = []
     metrics_payload = {}
-    outputs = []
     for t in TERMINOLOGIES:
         for d in DIRECTIONS:
-            baseline = _load_run(cfg, Phase.BASELINE, t, d, inputs)
-            finetuned = _load_run(cfg, Phase.FINETUNED, t, d, inputs)
+            baseline = _load_run(cfg, files, Phase.BASELINE, t, d)
+            finetuned = _load_run(cfg, files, Phase.FINETUNED, t, d)
             outcomes = build_outcomes(baseline, finetuned, split_by_pair)
             all_outcomes.extend(outcomes)
             metrics_payload[f"{t.value}:{d.value}"] = metrics_to_dict(derive_metrics(outcomes))
             for split in (Split.TRAIN, Split.VALIDATION):
-                edges = sankey_edges([o for o in outcomes if o.split is split])
-                path = out_dir / f"sankey_{_tkey(t)}_{d.value}_{split.value}.csv"
-                with open(path, "w", encoding="utf-8", newline="") as fh:
-                    write_sankey_csv(edges, fh)
-                outputs.append(path)
+                files.write(f"sankey_{_tkey(t)}_{d.value}_{split.value}.csv", write_sankey_csv,
+                            sankey_edges([o for o in outcomes if o.split is split]))
 
-    outcomes_path = out_dir / "outcomes.jsonl"
-    with open(outcomes_path, "w", encoding="utf-8") as fh:
-        write_outcomes_jsonl(all_outcomes, fh)
-    metrics_path = out_dir / "metrics.json"
-    _write_json(metrics_path, metrics_payload)
-    return inputs, [outcomes_path, metrics_path] + outputs
+    files.write("outcomes.jsonl", write_outcomes_jsonl, all_outcomes)
+    files.write("metrics.json", _dump_json, metrics_payload)
 
 
-def _embedding_provider(cfg: RunConfig):
+def _embedding_provider(cfg: RunConfig, files: StageFiles):
     if cfg.embedding_store is not None:
         return FileEmbeddingStore.from_path(
-            _require_input(cfg.embedding_store, "paths.embedding_store")), False
+            files.source(cfg.embedding_store, "paths.embedding_store")), False
     if cfg.embedding_url:
         return HttpEmbeddingProvider(
             cfg.embedding_url, api_key=os.environ.get(EMBEDDING_KEY_ENV)), True
@@ -475,15 +440,13 @@ def _embedding_provider(cfg: RunConfig):
     )
 
 
-def stage_lexicalize(cfg: RunConfig, manifest: RunManifest) -> tuple[list[Path], list[Path]]:
-    split_path = _require(cfg.run_dir / "sample" / "split.jsonl", "sample")
-    out_dir = _stage_dir(cfg, "lexicalize")
-    with open(split_path, encoding="utf-8") as fh:
-        pairs = [p for p in read_split_jsonl(fh) if p.split is Split.TRAIN]
+def stage_lexicalize(cfg: RunConfig, files: StageFiles, manifest: RunManifest) -> None:
+    pairs = [p for p in files.read("sample/split.jsonl", read_split_jsonl)
+             if p.split is Split.TRAIN]
     if not pairs:
         raise DomainError("no training pairs in the split")
 
-    provider, is_http = _embedding_provider(cfg)
+    provider, is_http = _embedding_provider(cfg, files)
 
     vectors = []
     meta = []
@@ -507,37 +470,17 @@ def stage_lexicalize(cfg: RunConfig, manifest: RunManifest) -> tuple[list[Path],
     projection = pca_project(vectors, k=2, point_meta=meta)
     summary = paired_distance_analysis(projection, label_pairs)
 
-    outputs = []
-    alignment_path = out_dir / "alignment.json"
-    with open(alignment_path, "w", encoding="utf-8") as fh:
-        write_alignment_json(alignment_results, fh)
-    outputs.append(alignment_path)
-    pca_path = out_dir / "pca_points.csv"
-    with open(pca_path, "w", encoding="utf-8", newline="") as fh:
-        write_pca_points_csv(projection, fh)
-    outputs.append(pca_path)
-    dist_path = out_dir / "distance_summary.csv"
-    with open(dist_path, "w", encoding="utf-8", newline="") as fh:
-        write_distance_summary_csv(summary, fh)
-    outputs.append(dist_path)
+    files.write("alignment.json", write_alignment_json, alignment_results)
+    files.write("pca_points.csv", write_pca_points_csv, projection)
+    files.write("distance_summary.csv", write_distance_summary_csv, summary)
     if is_http:
-        store_path = out_dir / "embeddings.jsonl"
-        with open(store_path, "w", encoding="utf-8") as fh:
-            write_store_jsonl(provider.cached_vectors(), fh)
-        outputs.append(store_path)
-    return [split_path], outputs
+        files.write("embeddings.jsonl", write_store_jsonl, provider.cached_vectors())
 
 
-def stage_stats(cfg: RunConfig, manifest: RunManifest) -> tuple[list[Path], list[Path]]:
-    pop_path = _require(cfg.run_dir / "popularity" / "popularity.csv", "popularity")
-    outcomes_path = _require(cfg.run_dir / "classify" / "outcomes.jsonl", "classify")
-    out_dir = _stage_dir(cfg, "stats")
-
-    with open(pop_path, encoding="utf-8", newline="") as fh:
-        pop_records = read_popularity_csv(fh)
+def stage_stats(cfg: RunConfig, files: StageFiles, manifest: RunManifest) -> None:
+    pop_records = files.read("popularity/popularity.csv", read_popularity_csv)
     counts_by_pair = {f"{r.terminology.value}:{r.identifier}": r for r in pop_records}
-    with open(outcomes_path, encoding="utf-8") as fh:
-        outcomes = read_outcomes_jsonl(fh)
+    outcomes = files.read("classify/outcomes.jsonl", read_outcomes_jsonl)
 
     direction = Direction(cfg.stats_direction)
     use_baseline = cfg.stats_phase == "baseline"
@@ -547,9 +490,6 @@ def stage_stats(cfg: RunConfig, manifest: RunManifest) -> tuple[list[Path], list
     ]
     if not train_outcomes:
         raise DomainError("no training outcomes for the configured stats direction")
-
-    outputs = []
-    from .popularity import PROXIES
 
     for proxy in PROXIES:
         observations = []
@@ -565,39 +505,20 @@ def stage_stats(cfg: RunConfig, manifest: RunManifest) -> tuple[list[Path], list
                     value=laplace_log(record.proxy(proxy)),
                 )
             )
-        obs_path = out_dir / f"observations_{proxy}.csv"
-        with open(obs_path, "w", encoding="utf-8", newline="") as fh:
-            write_observations_csv(observations, fh)
-        anova_path = out_dir / f"anova_{proxy}.csv"
-        with open(anova_path, "w", encoding="utf-8", newline="") as fh:
-            write_anova_csv(two_way_anova(observations), fh)
+        files.write(f"observations_{proxy}.csv", write_observations_csv, observations)
+        files.write(f"anova_{proxy}.csv", write_anova_csv, two_way_anova(observations))
         groups: dict[str, list[float]] = {}
         for obs in observations:
             groups.setdefault(obs.terminology, []).append(obs.value)
-        gh = games_howell(sorted(groups.items()))
-        gh_path = out_dir / f"games_howell_{proxy}.csv"
-        with open(gh_path, "w", encoding="utf-8", newline="") as fh:
-            write_games_howell_csv(gh, fh)
-        outputs.extend([obs_path, anova_path, gh_path])
-    return [pop_path, outcomes_path], outputs
+        files.write(f"games_howell_{proxy}.csv", write_games_howell_csv,
+                    games_howell(sorted(groups.items())))
 
 
-def stage_report(cfg: RunConfig, manifest: RunManifest) -> tuple[list[Path], list[Path]]:
-    outcomes_path = _require(cfg.run_dir / "classify" / "outcomes.jsonl", "classify")
-    out_dir = _stage_dir(cfg, "report")
-    with open(outcomes_path, encoding="utf-8") as fh:
-        bundle = table_report(read_outcomes_jsonl(fh))
-
-    perf_path = out_dir / "performance_summary.csv"
-    with open(perf_path, "w", encoding="utf-8", newline="") as fh:
-        write_performance_csv(bundle.performance, fh)
-    cats_path = out_dir / "outcome_categories.csv"
-    with open(cats_path, "w", encoding="utf-8", newline="") as fh:
-        write_categories_csv(bundle.categories, fh)
-    derived_path = out_dir / "derived_metrics.csv"
-    with open(derived_path, "w", encoding="utf-8", newline="") as fh:
-        write_derived_csv(bundle.derived, fh)
-    return [outcomes_path], [perf_path, cats_path, derived_path]
+def stage_report(cfg: RunConfig, files: StageFiles, manifest: RunManifest) -> None:
+    bundle = table_report(files.read("classify/outcomes.jsonl", read_outcomes_jsonl))
+    files.write("performance_summary.csv", write_performance_csv, bundle.performance)
+    files.write("outcome_categories.csv", write_categories_csv, bundle.categories)
+    files.write("derived_metrics.csv", write_derived_csv, bundle.derived)
 
 
 _STAGE_FUNCS = {
@@ -641,7 +562,8 @@ def run_stage(cfg: RunConfig, stage: str, dry_run: bool = False) -> None:
             "synthetic": cfg.synthetic_seed,
         },
     )
-    inputs, outputs = _STAGE_FUNCS[stage](cfg, manifest)
-    manifest.record_stage(stage, [p for p in inputs if p.exists()], outputs)
-    print(f"[{stage}] wrote {len(outputs)} file(s) under {cfg.run_dir / stage}",
+    files = StageFiles(cfg, stage)
+    _STAGE_FUNCS[stage](cfg, files, manifest)
+    manifest.record_stage(stage, files.inputs, files.outputs)
+    print(f"[{stage}] wrote {len(files.outputs)} file(s) under {files.out_dir}",
           file=sys.stderr)

@@ -2,10 +2,11 @@
 
 Counts are fetched with `rettype=count` (no article payload), written
 through to an append-only JSONL cache keyed by (query, db), and rate
-limited with a process-wide token bucket: 3 requests/second without an
-API key, 10/second with one (service policy). `PmcClient.fetch_counts`
-keeps up to `concurrency` requests in flight, so round-trip latency does
-not hold throughput below that rate.
+limited by the token bucket the caller passes, if any (the pipeline always
+passes one, set by `limits.rate_per_second`). An E-utilities API key, when
+set, is sent with each request. `PmcClient.fetch_counts` keeps up to
+`concurrency` requests in flight, so round-trip latency does not hold
+throughput below that rate.
 
 Transport is injectable: anything callable as `transport(url, params) ->
 (status_code, body_text)`. The default wraps `requests`.
@@ -53,17 +54,6 @@ def _requests_transport(url: str, params: dict) -> tuple[int, str]:
     return resp.status_code, resp.text
 
 
-_shared_limiter_lock = threading.Lock()
-_shared_limiters: dict[float, TokenBucket] = {}
-
-
-def _shared_limiter(rate: float) -> TokenBucket:
-    with _shared_limiter_lock:
-        if rate not in _shared_limiters:
-            _shared_limiters[rate] = TokenBucket(rate)
-        return _shared_limiters[rate]
-
-
 class QueryCache:
     """Append-only JSONL cache of `{query, db, count, retrieved_at}` rows.
 
@@ -101,16 +91,12 @@ class PmcClient:
         api_key: str | None = None,
         rate_limiter: TokenBucket | None = None,
         sleep: Callable[[float], None] = time.sleep,
-        base_url: str = ESEARCH_URL,
     ):
         self.cache = cache
         self.transport = transport
         self.api_key = api_key if api_key is not None else os.environ.get(EUTILS_KEY_ENV)
-        if rate_limiter is None:
-            rate_limiter = _shared_limiter(10.0 if self.api_key else 3.0)
         self.rate_limiter = rate_limiter
         self._sleep = sleep
-        self.base_url = base_url
 
     def fetch_count(self, query: str, db: str = "pmc") -> int:
         """Hit count for `query`, served from cache when available."""
@@ -181,8 +167,9 @@ class PmcClient:
             params["api_key"] = self.api_key
 
         def attempt() -> int:
-            self.rate_limiter.acquire()
-            status, body = self.transport(self.base_url, params)
+            if self.rate_limiter is not None:
+                self.rate_limiter.acquire()
+            status, body = self.transport(ESEARCH_URL, params)
             check_status(status, body, "esearch")
             return self._parse_count(body)
 

@@ -46,9 +46,6 @@ class RankedDistribution:
 
     entries: tuple[tuple[str, int, int], ...]  # (identifier, count, rank)
 
-    def ranks(self) -> dict[str, int]:
-        return {identifier: rank for identifier, _, rank in self.entries}
-
     def log_log_points(self) -> list[tuple[float, float]]:
         """(log10 rank, log10(count+1)) points for rank-frequency plots."""
         return [(math.log10(rank), laplace_log(count)) for _, count, rank in self.entries]

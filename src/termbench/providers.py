@@ -52,9 +52,6 @@ class ReplayProvider:
     def __init__(self, responses: dict[str, str]):
         self._responses = responses
 
-    def __len__(self) -> int:
-        return len(self._responses)
-
     @classmethod
     def from_transcript(cls, path: str | Path) -> "ReplayProvider":
         with open(path, encoding="utf-8") as fh:

@@ -172,7 +172,7 @@ def test_criterion_03_sampler():
         for p in pairs:
             per_bin.setdefault(p.bin_index, []).append(p)
         assert all(len(v) == 10 for v in per_bin.values())
-        ranks = dist.ranks()
+        ranks = {identifier: rank for identifier, _, rank in dist.entries}
         for i in range(19):
             assert max(ranks[p.identifier] for p in per_bin[i]) < min(
                 ranks[p.identifier] for p in per_bin[i + 1]

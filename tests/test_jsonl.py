@@ -78,7 +78,7 @@ def test_embedding_store_round_trip_separator(tmp_path, sep):
     vectors = {f"a{sep}b": np.array([1.0, 2.0]), "plain": np.array([3.0, 4.0])}
     store = _round_trip(tmp_path, lambda fh: write_store_jsonl(vectors, fh),
                         FileEmbeddingStore.from_jsonl)
-    assert store.texts() == list(vectors)
+    assert list(store._vectors) == list(vectors)
     assert store.embed(f"a{sep}b").tolist() == [1.0, 2.0]
 
 

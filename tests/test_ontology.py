@@ -10,7 +10,6 @@ from termbench.ontology import (
     build_index,
     filter_namespace,
     parse_gene_map,
-    parse_obo,
     parse_obo_document,
     read_records_jsonl,
     write_records_jsonl,
@@ -61,14 +60,14 @@ name: part of
 
 
 def test_parse_obo_basic_stanza():
-    records = parse_obo(io.StringIO(HPO_OBO), Terminology.HPO)
+    records = parse_obo_document(io.StringIO(HPO_OBO), Terminology.HPO).records
     assert records[0] == TermRecord(Terminology.HPO, "HP:0001337", "tremor")
     assert records[1].identifier == "HP:0001251"
     assert records[1].synonyms == ("Cerebellar ataxia", "Lack of coordination")
 
 
 def test_parse_obo_excludes_obsolete():
-    records = parse_obo(io.StringIO(HPO_OBO), Terminology.HPO)
+    records = parse_obo_document(io.StringIO(HPO_OBO), Terminology.HPO).records
     assert all(r.identifier != "HP:0009999" for r in records)
     assert len(records) == 2
 
@@ -79,53 +78,53 @@ def test_parse_obo_header_tags():
 
 
 def test_parse_obo_empty_stream():
-    assert parse_obo(io.StringIO("format-version: 1.2\n"), Terminology.HPO) == []
+    assert parse_obo_document(io.StringIO("format-version: 1.2\n"), Terminology.HPO).records == []
 
 
 def test_parse_obo_missing_name_is_parse_error_with_line():
     text = "[Term]\nid: HP:0000001\n"
     with pytest.raises(ParseError) as exc:
-        parse_obo(io.StringIO(text), Terminology.HPO)
+        parse_obo_document(io.StringIO(text), Terminology.HPO).records
     assert exc.value.line_number == 1
 
 
 def test_parse_obo_bad_identifier_is_validation_error():
     text = "[Term]\nid: HP:123\nname: short id\n"
     with pytest.raises(ValidationError):
-        parse_obo(io.StringIO(text), Terminology.HPO)
+        parse_obo_document(io.StringIO(text), Terminology.HPO).records
 
 
 def test_parse_obo_strips_trailing_comments_and_bom():
     text = "﻿[Term]\nid: HP:0000001 ! the root\nname: All ! comment\n"
-    records = parse_obo(io.StringIO(text), Terminology.HPO)
+    records = parse_obo_document(io.StringIO(text), Terminology.HPO).records
     assert records == [TermRecord(Terminology.HPO, "HP:0000001", "All")]
 
 
 def test_parse_obo_ignores_typedef_and_alt_id():
     text = "[Term]\nid: GO:0005634\nname: nucleus\nalt_id: GO:9999999\nnamespace: cellular_component\n\n[Typedef]\nid: part_of\nname: part of\n"
-    records = parse_obo(io.StringIO(text), Terminology.GO_CC)
+    records = parse_obo_document(io.StringIO(text), Terminology.GO_CC).records
     assert len(records) == 1
     assert records[0].synonyms == ()
 
 
 def test_parse_obo_accepts_bytes_stream():
-    records = parse_obo(io.BytesIO(HPO_OBO.encode()), Terminology.HPO)
+    records = parse_obo_document(io.BytesIO(HPO_OBO.encode()), Terminology.HPO).records
     assert len(records) == 2
 
 
 def test_filter_namespace_picks_cellular_component():
-    records = parse_obo(io.StringIO(GO_OBO), Terminology.GO_CC)
+    records = parse_obo_document(io.StringIO(GO_OBO), Terminology.GO_CC).records
     cc = filter_namespace(records, "cellular_component")
     assert [r.identifier for r in cc] == ["GO:0005634", "GO:0005829"]
 
 
 def test_filter_namespace_absent_namespace_empty():
-    records = parse_obo(io.StringIO(GO_OBO), Terminology.GO_CC)
+    records = parse_obo_document(io.StringIO(GO_OBO), Terminology.GO_CC).records
     assert filter_namespace(records, "molecular_function") == []
 
 
 def test_filter_namespace_idempotent_and_subset():
-    records = parse_obo(io.StringIO(GO_OBO), Terminology.GO_CC)
+    records = parse_obo_document(io.StringIO(GO_OBO), Terminology.GO_CC).records
     once = filter_namespace(records, "cellular_component")
     twice = filter_namespace(once, "cellular_component")
     assert once == twice
@@ -160,7 +159,7 @@ def test_parse_gene_map_requires_header():
 @pytest.mark.parametrize("separator", ["\u0085", "\u2028", "\u2029"])
 def test_parse_obo_keeps_unicode_line_separators_in_labels(separator):
     text = f"format-version: 1.2\r\n\r\n[Term]\r\nid: HP:0001337\r\nname: left{separator}right\r\n"
-    records = parse_obo(io.StringIO(text), Terminology.HPO)
+    records = parse_obo_document(io.StringIO(text), Terminology.HPO).records
     assert records == [TermRecord(Terminology.HPO, "HP:0001337", f"left{separator}right")]
 
 
@@ -208,7 +207,7 @@ def test_build_index_empty():
 
 
 def test_records_jsonl_round_trip():
-    records = parse_obo(io.StringIO(GO_OBO), Terminology.GO_CC)
+    records = parse_obo_document(io.StringIO(GO_OBO), Terminology.GO_CC).records
     buf = io.StringIO()
     write_records_jsonl(records, buf)
     assert read_records_jsonl(io.StringIO(buf.getvalue())) == records
@@ -253,6 +252,6 @@ def test_parse_or_error_never_silent_drop(case):
     text, expected = case
     if expected is None:
         with pytest.raises(ParseError):
-            parse_obo(io.StringIO(text), Terminology.HPO)
+            parse_obo_document(io.StringIO(text), Terminology.HPO).records
     else:
-        assert len(parse_obo(io.StringIO(text), Terminology.HPO)) == expected
+        assert len(parse_obo_document(io.StringIO(text), Terminology.HPO).records) == expected

@@ -2,7 +2,10 @@ import csv
 import gc
 import importlib.util
 import json
+import os
 import shutil
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -138,6 +141,45 @@ def test_manifest_references_all_stage_outputs(full_run):
         for path, digest in info["outputs"].items():
             assert Path(path).exists()
             assert len(digest) == 64
+
+
+def test_manifest_inputs_are_every_file_each_stage_read(full_run):
+    manifest = json.loads((full_run / "manifest.json").read_text())
+    inputs = {stage: sorted(Path(p) for p in info["inputs"])
+              for stage, info in manifest["stages"].items()}
+    fixture = FIXTURE.resolve()
+    records = [full_run / "ingest" / f"records_{key}.jsonl" for key in ("hpo", "go_cc", "gene")]
+    split = full_run / "sample" / "split.jsonl"
+    expected = {
+        "ingest": [fixture / "hpo.obo", fixture / "go.obo", fixture / "gene_map.tsv"],
+        "popularity": records + [fixture / "pmc_cache.jsonl"] + [
+            fixture / f"annotations_{key}.tsv" for key in ("hpo", "go_cc", "gene")],
+        "sample": records + [full_run / "popularity" / "popularity.csv"],
+        "prompts": [split],
+        "eval": [full_run / "prompts" / "prompts.jsonl", split,
+                 fixture / "transcripts" / "baseline.jsonl",
+                 fixture / "transcripts" / "finetuned.jsonl"],
+        "classify": [split] + sorted((full_run / "eval").glob("results_*.jsonl")),
+        "lexicalize": [split, fixture / "embeddings.jsonl"],
+        "stats": [full_run / "popularity" / "popularity.csv",
+                  full_run / "classify" / "outcomes.jsonl"],
+        "report": [full_run / "classify" / "outcomes.jsonl"],
+    }
+    assert len(expected["classify"]) == 13
+    assert inputs == {stage: sorted(paths) for stage, paths in expected.items()}
+
+
+def test_single_stage_runs_match_one_all_stage_run(full_run, tmp_path):
+    run_dir = tmp_path / "run"
+    for stage in termbench.pipeline.STAGES:
+        assert main(["--config", str(CONFIG), "--run-dir", str(run_dir),
+                     "--stage", stage]) == 0
+
+    def stage_files(root):
+        return {p.relative_to(root): p.read_bytes()
+                for p in sorted(root.rglob("*")) if p.is_file() and p.name != "manifest.json"}
+
+    assert stage_files(run_dir) == stage_files(full_run)
 
 
 def test_stage_dirs_do_not_cross_write(full_run, tmp_path):
@@ -281,6 +323,34 @@ def test_bench_trace_hooks_exist():
     for targets in tracing.METHODS.values():
         for cls, attr in targets:
             assert attr in cls.__dict__, (cls.__name__, attr)
+
+
+def test_bench_trace_covers_every_pipeline_helper(tmp_path):
+    # A helper bound at import time (say, in a table of readers) escapes the
+    # wrapping, so its span never appears and its per-layer metric reads 0.
+    script = """
+import importlib.util, sys
+from termbench.config import load_config
+spec = importlib.util.spec_from_file_location("bench_tracing", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+tracer = tracing.Tracer()
+tracer.install()
+cfg = load_config(sys.argv[2], run_dir=sys.argv[3])
+for stage in tracing.STAGES:
+    tracer.run_stage(cfg, stage)
+seen = {name for _, _, name, _, _ in tracer.spans}
+print(sorted(set(tracing.PIPELINE_HELPERS) - seen))
+"""
+    tracing_path = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+    src = Path(termbench.pipeline.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-c", script, str(tracing_path), str(CONFIG), str(tmp_path / "run")],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 def _rows(path):

@@ -63,7 +63,7 @@ def test_stratify_too_few_identifiers():
 def test_stratify_partition_and_rank_order():
     dist, _ = zipf_distribution(403)
     bins = stratify(dist, 7)
-    ranks = dist.ranks()
+    ranks = {identifier: rank for identifier, _, rank in dist.entries}
     seen = []
     for a, b in zip(bins, bins[1:]):
         assert max(ranks[m] for m in a.members) < min(ranks[m] for m in b.members)
@@ -96,7 +96,7 @@ def test_sample_bins_counts_and_bin_ranges():
         per_bin.setdefault(p.bin_index, []).append(p)
     assert set(per_bin) == set(range(20))
     assert all(len(v) == 10 for v in per_bin.values())
-    ranks = dist.ranks()
+    ranks = {identifier: rank for identifier, _, rank in dist.entries}
     for i in range(19):
         assert max(ranks[p.identifier] for p in per_bin[i]) < min(
             ranks[p.identifier] for p in per_bin[i + 1]

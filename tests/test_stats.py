@@ -221,6 +221,12 @@ def test_studentized_range_normal_identity_at_k2():
     assert value == pytest.approx(ref, abs=2e-4)
 
 
+@pytest.mark.parametrize("df", [1e8, 1e10])
+def test_studentized_range_k2_limit_at_huge_df(df):
+    # |Z1 - Z2| / s with s -> 1: P(Q <= 4) -> erf(2), with a gap of O(1/df)
+    assert studentized_range_cdf(4.0, 2, df) == pytest.approx(math.erf(2.0), abs=1e-9)
+
+
 @pytest.mark.parametrize("q,k,df", [(2.0, 3, 10), (3.5, 4, 25), (1.0, 2, 5), (5.0, 5, 60)])
 def test_studentized_range_matches_reference(q, k, df):
     ref = scipy.stats.studentized_range.cdf(q, k, df)

@@ -32,6 +32,7 @@ from termbench.sampling import Split, make_split, pair_id, sample_bins, stratify
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "tests" / "fixtures" / "mini"
 FIXTURE_SEED = 20240101
 SAMPLING_SEED = 42
+SWEEP_SEEDS = (1, 2, 3)  # further sampling seeds the embedding store covers
 N_BINS = 10
 PER_BIN = 3
 TIMESTAMP = "2024-01-01T00:00:00+00:00"
@@ -122,6 +123,17 @@ def planted_counts(t: Terminology, i: int) -> tuple[int, int, int]:
     return 400 // rank, 120_000 // rank + 3, 2_500 // rank
 
 
+def draw_split(records, pop_records, seed: int):
+    """The split that the `sample` stage draws from the fixture with sampling seed `seed`."""
+    pairs = []
+    for t, recs in records.items():
+        dist = rank_frequency(pop_records[t], "id_count_pmc")
+        bins = stratify(dist, N_BINS)
+        sampled = sample_bins(bins, build_index(recs), seed, PER_BIN)
+        pairs.extend(make_split(recs, sampled, bins))
+    return pairs
+
+
 def decorate(answer: str, u: float) -> str:
     styles = ("{}", '"{}"', "{}.", "  {}  ")
     return styles[int(u * len(styles))].format(answer)
@@ -173,12 +185,7 @@ def main() -> None:
             fh.write(json.dumps(row, ensure_ascii=False) + "\n")
 
     # 3. the split (committed as the expected sampler output)
-    split_pairs = []
-    for t, recs in records.items():
-        dist = rank_frequency(pop_records[t], "id_count_pmc")
-        bins = stratify(dist, N_BINS)
-        sampled = sample_bins(bins, build_index(recs), SAMPLING_SEED, PER_BIN)
-        split_pairs.extend(make_split(recs, sampled, bins))
+    split_pairs = draw_split(records, pop_records, SAMPLING_SEED)
     (out / "expected").mkdir(exist_ok=True)
     with open(out / "expected" / "split.jsonl", "w", encoding="utf-8") as fh:
         write_split_jsonl(split_pairs, fh)
@@ -230,19 +237,23 @@ def main() -> None:
     (out / "planted_truth.json").write_text(
         json.dumps(truth, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
-    # 5. embeddings for the training pairs; only GENE identifiers align
+    # 5. embeddings for the training pairs; only GENE identifiers align. The
+    # pairs that only the sweep seeds draw come after seed 42's, so seed 42's
+    # rows do not depend on SWEEP_SEEDS.
     rng = np.random.default_rng(FIXTURE_SEED)
     vectors = {}
-    for pair in split_pairs:
-        if pair.split is not Split.TRAIN:
-            continue
-        term_vec = rng.normal(size=EMBED_DIM)
-        if pair.terminology is Terminology.GENE:
-            id_vec = term_vec + 0.05 * rng.normal(size=EMBED_DIM)
-        else:
-            id_vec = rng.normal(size=EMBED_DIM)
-        vectors[pair.term] = term_vec
-        vectors[pair.identifier] = id_vec
+    for seed in (SAMPLING_SEED, *SWEEP_SEEDS):
+        pairs = split_pairs if seed == SAMPLING_SEED else draw_split(records, pop_records, seed)
+        for pair in pairs:
+            if pair.split is not Split.TRAIN or pair.term in vectors:
+                continue
+            term_vec = rng.normal(size=EMBED_DIM)
+            if pair.terminology is Terminology.GENE:
+                id_vec = term_vec + 0.05 * rng.normal(size=EMBED_DIM)
+            else:
+                id_vec = rng.normal(size=EMBED_DIM)
+            vectors[pair.term] = term_vec
+            vectors[pair.identifier] = id_vec
     with open(out / "embeddings.jsonl", "w", encoding="utf-8") as fh:
         for text, vec in vectors.items():
             fh.write(json.dumps({"text": text, "dim": EMBED_DIM,
