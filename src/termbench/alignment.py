@@ -16,21 +16,8 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .errors import ConsistencyError, DomainError
+from .errors import DomainError
 from .stats import WelchResult, welch_t
-
-
-def cosine(a: Sequence[float], b: Sequence[float]) -> float:
-    """Cosine similarity, clamped to [-1, 1] against floating rounding."""
-    va = np.asarray(a, dtype=float)
-    vb = np.asarray(b, dtype=float)
-    if va.shape != vb.shape:
-        raise DomainError(f"dimension mismatch: {va.shape} vs {vb.shape}")
-    na = float(np.linalg.norm(va))
-    nb = float(np.linalg.norm(vb))
-    if na == 0.0 or nb == 0.0:
-        raise DomainError("cosine undefined for zero-norm vectors")
-    return float(np.clip(float(va @ vb) / (na * nb), -1.0, 1.0))
 
 
 @dataclass(frozen=True)
@@ -117,34 +104,17 @@ def rowwise_alignment(
 
 
 @dataclass(frozen=True)
-class PcaPoint:
-    label: str
-    coords: tuple[float, ...]
-    class_tag: str  # "term" | "identifier"
-    terminology: str
-
-
-@dataclass(frozen=True)
 class PcaProjection:
     components: np.ndarray        # k x dim, orthonormal rows
     explained_variance: tuple[float, ...]  # top-k eigenvalue shares of total variance
-    points: tuple[PcaPoint, ...]
-
-    @property
-    def k(self) -> int:
-        return self.components.shape[0]
+    scores: np.ndarray            # n x k, row i is vector i in the projected plane
 
 
-def pca_project(
-    vectors: list[np.ndarray],
-    k: int = 2,
-    point_meta: Sequence[tuple[str, str, str]] | None = None,
-) -> PcaProjection:
+def pca_project(vectors: list[np.ndarray], k: int = 2) -> PcaProjection:
     """Project mean-centered vectors onto the top-k principal axes.
 
     Uses the SVD of the centered matrix. Sign convention: each component's
-    largest-magnitude coordinate is positive. `point_meta` supplies
-    (label, class_tag, terminology) per vector for the plotted points.
+    largest-magnitude coordinate is positive. Row i of `scores` is vector i.
     """
     matrix = np.asarray(vectors, dtype=float)
     if matrix.ndim != 2:
@@ -152,8 +122,6 @@ def pca_project(
     n, dim = matrix.shape
     if n < k + 1:
         raise DomainError(f"need at least {k + 1} vectors for k={k}, got {n}")
-    if point_meta is not None and len(point_meta) != n:
-        raise DomainError("point_meta length does not match vectors")
 
     centered = matrix - matrix.mean(axis=0)
     _, singular, vt = np.linalg.svd(centered, full_matrices=False)
@@ -167,29 +135,14 @@ def pca_project(
         pivot = int(np.argmax(np.abs(components[i])))
         if components[i, pivot] < 0:
             components[i] = -components[i]
-    scores = centered @ components.T
 
     eigenvalues = singular**2
     total = float(eigenvalues.sum())
     shares = tuple(float(v) / total for v in eigenvalues[:k])
-
-    points = []
-    for i in range(n):
-        label, class_tag, terminology = (
-            point_meta[i] if point_meta is not None else (str(i), "", "")
-        )
-        points.append(
-            PcaPoint(
-                label=label,
-                coords=tuple(float(c) for c in scores[i]),
-                class_tag=class_tag,
-                terminology=terminology,
-            )
-        )
     return PcaProjection(
         components=components,
         explained_variance=shares,
-        points=tuple(points),
+        scores=centered @ components.T,
     )
 
 
@@ -215,67 +168,40 @@ def _box(values: np.ndarray) -> BoxStats:
                     float(values.max()))
 
 
+def _mean(parts: list[np.ndarray]) -> float:
+    """Mean over the parts laid end to end (0.0 when they hold nothing)."""
+    values = np.concatenate([np.empty(0), *parts])
+    return float(np.mean(values)) if values.size else 0.0
+
+
 def paired_distance_analysis(
-    projection: PcaProjection,
-    pairs: Sequence[tuple[str, str]],
+    blocks: dict[str, tuple[np.ndarray, np.ndarray]],
 ) -> DistanceSummary:
     """Euclidean distances in the projected plane: matched vs non-matched.
 
-    `pairs` lists (term_label, id_label). Identifier labels must be unique
-    across the projection (identifier syntaxes are disjoint); term labels
-    only need to be unique within a terminology, and are resolved through
-    the identifier's terminology. Non-matched distances pair each term
-    with every other identifier of the same terminology. Box stats of the
-    matched distances are reported per terminology.
+    `blocks` maps each terminology to (term_scores, id_scores), where row i
+    of both arrays is one pair. In each terminology's term x identifier
+    distance matrix the diagonal holds the matched distances and the
+    off-diagonal, row by row, the non-matched ones (each term against every
+    other identifier of its terminology). The means run over all
+    terminologies in `blocks` order; box stats of the matched distances are
+    reported per terminology.
     """
-    terms: dict[str, list[PcaPoint]] = {}
-    ids: dict[str, PcaPoint] = {}
-    for point in projection.points:
-        if point.class_tag == "term":
-            terms.setdefault(point.label, []).append(point)
-        elif point.class_tag == "identifier":
-            if point.label in ids:
-                raise ConsistencyError(
-                    f"identifier label {point.label!r} appears twice in the projection"
-                )
-            ids[point.label] = point
-
-    paired: list[float] = []
-    paired_by_term: dict[str, list[float]] = {}
-    nonpaired: list[float] = []
-    for term_label, id_label in pairs:
-        i = ids.get(id_label)
-        if i is None:
-            raise ConsistencyError(f"identifier label {id_label!r} missing from projection")
-        candidates = [
-            p for p in terms.get(term_label, ()) if p.terminology == i.terminology
-        ]
-        if not candidates:
-            raise ConsistencyError(
-                f"term label {term_label!r} missing from projection "
-                f"for terminology {i.terminology!r}"
-            )
-        if len(candidates) > 1:
-            raise ConsistencyError(
-                f"term label {term_label!r} is ambiguous within {i.terminology!r}"
-            )
-        t = candidates[0]
-        d = float(np.linalg.norm(np.subtract(t.coords, i.coords)))
-        paired.append(d)
-        paired_by_term.setdefault(t.terminology, []).append(d)
-        for other_label, other in ids.items():
-            if other_label == id_label or other.terminology != t.terminology:
-                continue
-            nonpaired.append(float(np.linalg.norm(np.subtract(t.coords, other.coords))))
-
-    per_terminology = {
-        terminology: _box(np.asarray(values))
-        for terminology, values in sorted(paired_by_term.items())
-    }
+    paired: list[np.ndarray] = []
+    nonpaired: list[np.ndarray] = []
+    per_terminology: dict[str, BoxStats] = {}
+    for terminology, (term_scores, id_scores) in blocks.items():
+        d = term_scores[:, None, :] - id_scores[None, :, :]
+        # sqrt(d . d) rounds exactly as np.linalg.norm does on one difference vector
+        distances = np.sqrt(np.vecdot(d, d))
+        on_diagonal = np.eye(len(distances), dtype=bool)
+        paired.append(distances[on_diagonal])
+        nonpaired.append(distances[~on_diagonal])
+        per_terminology[terminology] = _box(paired[-1])
     return DistanceSummary(
-        paired_mean=float(np.mean(paired)) if paired else 0.0,
-        nonpaired_mean=float(np.mean(nonpaired)) if nonpaired else 0.0,
-        per_terminology=per_terminology,
+        paired_mean=_mean(paired),
+        nonpaired_mean=_mean(nonpaired),
+        per_terminology=dict(sorted(per_terminology.items())),
     )
 
 
@@ -289,13 +215,15 @@ def write_alignment_json(results: dict[str, AlignmentResult], sink: IO) -> None:
     sink.write("\n")
 
 
-def write_pca_points_csv(projection: PcaProjection, sink: IO) -> int:
+def write_pca_points_csv(
+    meta: Sequence[tuple[str, str, str]], scores: np.ndarray, sink: IO
+) -> int:
+    """One row per projected vector: its (label, class, terminology) and x, y."""
     writer = csv.writer(sink, lineterminator="\n")
     writer.writerow(["label", "class", "terminology", "x", "y"])
-    for p in projection.points:
-        writer.writerow([p.label, p.class_tag, p.terminology,
-                         repr(p.coords[0]), repr(p.coords[1])])
-    return len(projection.points)
+    for (label, class_tag, terminology), (x, y) in zip(meta, scores.tolist(), strict=True):
+        writer.writerow([label, class_tag, terminology, repr(x), repr(y)])
+    return len(meta)
 
 
 def write_distance_summary_csv(summary: DistanceSummary, sink: IO) -> None:

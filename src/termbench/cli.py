@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import check_count, load_config
+from .config import check_cap, check_count, load_config
 from .errors import (
     ConsistencyError,
     DomainError,
@@ -49,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--dry-run", action="store_true",
                         help="print planned actions without writing")
     parser.add_argument("--validation-cap", type=int,
-                        help="cap the validation split at N pairs")
+                        help="cap the validation split at N pairs (0: no cap)")
     parser.add_argument("--extract-mode", action="store_true",
                         help="score on the first syntactic identifier match")
     parser.add_argument("--all-templates", action="store_true",
@@ -66,6 +66,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.seed is not None:
             cfg.sampling_seed = args.seed
         if args.validation_cap is not None:
+            check_cap("--validation-cap", args.validation_cap)
             cfg.validation_cap = args.validation_cap or None
         if args.extract_mode:
             cfg.extract_mode = True

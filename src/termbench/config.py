@@ -16,11 +16,13 @@ config, only from environment variables.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ParseError, ValidationError
 from .ontology import Terminology
+from .popularity import PROXIES
 
 # The environment variables that hold credentials; the only place their names live.
 COMPLETION_KEY_ENV = "TERMBENCH_COMPLETION_API_KEY"
@@ -146,6 +148,12 @@ def check_count(name: str, value: int) -> None:
         raise ValidationError(f"{name} must be at least 1, got {value!r}")
 
 
+def check_cap(name: str, value: int) -> None:
+    """A cap (validation pairs) must be at least 0; 0 means no cap."""
+    if value < 0:
+        raise ValidationError(f"{name} must be at least 0, got {value!r}")
+
+
 def load_config(path: str | Path, run_dir: str | Path | None = None) -> RunConfig:
     """Load a config file; a key of the wrong type or an unknown key is a ValidationError."""
     path = Path(path)
@@ -197,6 +205,8 @@ def load_config(path: str | Path, run_dir: str | Path | None = None) -> RunConfi
     cfg.n_bins = get_count("sampling.n_bins", 20)
     cfg.per_bin = get_count("sampling.per_bin", 10)
     cfg.ranking_proxy = get("sampling.proxy", str, "id_count_pmc")
+    if cfg.ranking_proxy not in PROXIES:
+        raise ValidationError(f"sampling.proxy must be {'|'.join(PROXIES)}, got {cfg.ranking_proxy!r}")
 
     cfg.completion_url = get("endpoints.completion_url", str)
     cfg.embedding_url = get("endpoints.embedding_url", str)
@@ -205,7 +215,12 @@ def load_config(path: str | Path, run_dir: str | Path | None = None) -> RunConfi
 
     cfg.concurrency = get_count("limits.concurrency", 1)
     cfg.rate_per_second = get("limits.rate_per_second", float, 3.0)
-    cfg.validation_cap = get("limits.validation_cap", int) or None
+    if not 0.0 < cfg.rate_per_second < math.inf:
+        raise ValidationError(
+            f"limits.rate_per_second must be a finite number above 0, got {cfg.rate_per_second!r}")
+    validation_cap = get("limits.validation_cap", int, 0)
+    check_cap("limits.validation_cap", validation_cap)
+    cfg.validation_cap = validation_cap or None
 
     cfg.extract_mode = get("flags.extract_mode", bool, False)
     cfg.all_templates = get("flags.all_templates", bool, False)

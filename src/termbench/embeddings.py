@@ -16,7 +16,7 @@ import json
 import struct
 import time
 from pathlib import Path
-from typing import IO, Callable, Protocol, Sequence
+from typing import IO, Callable, Sequence
 
 import numpy as np
 
@@ -37,12 +37,6 @@ def mean_pool(token_matrix: Sequence[Sequence[float]]) -> np.ndarray:
     if matrix.shape[0] == 0 or matrix.size == 0:
         raise DomainError("cannot pool an empty token matrix")
     return matrix.mean(axis=0)
-
-
-class EmbeddingProvider(Protocol):
-    def embed(self, text: str) -> np.ndarray: ...
-
-    def embed_many(self, texts: Sequence[str]) -> list[np.ndarray]: ...
 
 
 class FileEmbeddingStore:
@@ -143,9 +137,6 @@ class HttpEmbeddingProvider:
             return json.loads(resp.text)
         except ValueError as exc:
             raise ProtocolError(f"embedding response is not JSON: {exc}") from exc
-
-    def embed(self, text: str) -> np.ndarray:
-        return self.embed_many([text])[0]
 
     def embed_many(self, texts: Sequence[str]) -> list[np.ndarray]:
         missing = list(dict.fromkeys(t for t in texts if t not in self._cache))

@@ -262,27 +262,18 @@ def stage_popularity(cfg: RunConfig, files: StageFiles, manifest: RunManifest) -
     all_records: list[PopularityRecord] = []
     per_terminology: dict[Terminology, list[PopularityRecord]] = {}
     for t in TERMINOLOGIES:
-        rows = []
-        for record in records_by_t[t]:
-            id_q = identifier_query(record.identifier)
-            term_q = term_query(record.label)
-            retrieved = max(
-                cache.get(id_q, "pmc")["retrieved_at"],
-                cache.get(term_q, "pmc")["retrieved_at"],
+        per_terminology[t] = [
+            PopularityRecord(
+                terminology=t,
+                identifier=record.identifier,
+                label=record.label,
+                id_count_pmc=counts[identifier_query(record.identifier)],
+                term_count_pmc=counts[term_query(record.label)],
+                annotation_count=annotations_by_t[t].get(record.identifier, 0),
             )
-            rows.append(
-                PopularityRecord(
-                    terminology=t,
-                    identifier=record.identifier,
-                    label=record.label,
-                    id_count_pmc=counts[id_q],
-                    term_count_pmc=counts[term_q],
-                    annotation_count=annotations_by_t[t].get(record.identifier, 0),
-                    retrieved_at=retrieved,
-                )
-            )
-        per_terminology[t] = rows
-        all_records.extend(rows)
+            for record in records_by_t[t]
+        ]
+        all_records.extend(per_terminology[t])
 
     # a configured cache is an input even when this run filled it; the default one is an output
     if cache_path.exists():
@@ -450,7 +441,7 @@ def stage_lexicalize(cfg: RunConfig, files: StageFiles, manifest: RunManifest) -
 
     vectors = []
     meta = []
-    label_pairs = []
+    rows = {}  # terminology -> (first row, pairs): its terms, then its identifiers in pair order
     alignment_results = {}
     for t in TERMINOLOGIES:
         t_pairs = [p for p in pairs if p.terminology is t]
@@ -459,19 +450,20 @@ def stage_lexicalize(cfg: RunConfig, files: StageFiles, manifest: RunManifest) -
         term_vecs = provider.embed_many([p.term for p in t_pairs])
         id_vecs = provider.embed_many([p.identifier for p in t_pairs])
         alignment_results[t.display] = rowwise_alignment(term_vecs, id_vecs)
-        for p, v in zip(t_pairs, term_vecs):
-            vectors.append(v)
-            meta.append((p.term, "term", t.display))
-        for p, v in zip(t_pairs, id_vecs):
-            vectors.append(v)
-            meta.append((p.identifier, "identifier", t.display))
-        label_pairs.extend((p.term, p.identifier) for p in t_pairs)
+        rows[t.display] = (len(vectors), len(t_pairs))
+        vectors.extend(term_vecs)
+        vectors.extend(id_vecs)
+        meta.extend((p.term, "term", t.display) for p in t_pairs)
+        meta.extend((p.identifier, "identifier", t.display) for p in t_pairs)
 
-    projection = pca_project(vectors, k=2, point_meta=meta)
-    summary = paired_distance_analysis(projection, label_pairs)
+    scores = pca_project(vectors, k=2).scores
+    summary = paired_distance_analysis({
+        name: (scores[start:start + n], scores[start + n:start + 2 * n])
+        for name, (start, n) in rows.items()
+    })
 
     files.write("alignment.json", write_alignment_json, alignment_results)
-    files.write("pca_points.csv", write_pca_points_csv, projection)
+    files.write("pca_points.csv", write_pca_points_csv, meta, scores)
     files.write("distance_summary.csv", write_distance_summary_csv, summary)
     if is_http:
         files.write("embeddings.jsonl", write_store_jsonl, provider.cached_vectors())

@@ -27,7 +27,6 @@ class PopularityRecord:
     id_count_pmc: int
     term_count_pmc: int
     annotation_count: int
-    retrieved_at: str | None = None
 
     def __post_init__(self):
         for name in PROXIES:

@@ -44,6 +44,24 @@ class WelchResult(NamedTuple):
     degenerate: bool = False
 
 
+def _welch(mean_a: float, var_a: float, n_a: int,
+           mean_b: float, var_b: float, n_b: int) -> tuple[float, float, float]:
+    """(t, se, df) of Welch's test from two samples' means, variances and sizes.
+
+    se is the unequal-variance standard error and df the Satterthwaite
+    approximation. When both variances are zero, se is 0, t is 0 for equal
+    means and infinite otherwise, and df is the pooled n_a + n_b - 2.
+    """
+    diff = mean_a - mean_b
+    se2 = var_a / n_a + var_b / n_b
+    if se2 == 0.0:
+        t = 0.0 if diff == 0.0 else math.copysign(math.inf, diff)
+        return t, 0.0, float(n_a + n_b - 2)
+    se = math.sqrt(se2)
+    df = se2 * se2 / ((var_a / n_a) ** 2 / (n_a - 1) + (var_b / n_b) ** 2 / (n_b - 1))
+    return diff / se, se, df
+
+
 def welch_t(sample_a: Sequence[float], sample_b: Sequence[float]) -> WelchResult:
     """Welch's unequal-variance t-test (two-sided).
 
@@ -56,20 +74,10 @@ def welch_t(sample_a: Sequence[float], sample_b: Sequence[float]) -> WelchResult
         raise DomainError("each sample needs at least 2 observations")
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise DomainError("samples must be finite")
-    na, nb = a.size, b.size
-    mean_a, mean_b = float(np.mean(a)), float(np.mean(b))
-    var_a = float(np.var(a, ddof=1))
-    var_b = float(np.var(b, ddof=1))
-    se2 = var_a / na + var_b / nb
-    if se2 == 0.0:
-        if mean_a == mean_b:
-            return WelchResult(t=0.0, df=float(na + nb - 2), p=1.0, degenerate=True)
-        t = math.inf if mean_a > mean_b else -math.inf
-        return WelchResult(t=t, df=float(na + nb - 2), p=0.0, degenerate=True)
-    t = (mean_a - mean_b) / math.sqrt(se2)
-    df = se2 * se2 / (
-        (var_a / na) ** 2 / (na - 1) + (var_b / nb) ** 2 / (nb - 1)
-    )
+    t, se, df = _welch(float(np.mean(a)), float(np.var(a, ddof=1)), a.size,
+                       float(np.mean(b)), float(np.var(b, ddof=1)), b.size)
+    if se == 0.0:
+        return WelchResult(t=t, df=df, p=1.0 if t == 0.0 else 0.0, degenerate=True)
     return WelchResult(t=t, df=df, p=t_sf_two_sided(t, df))
 
 
@@ -193,8 +201,6 @@ class AnovaEffect:
 @dataclass
 class AnovaTable:
     effects: list[AnovaEffect]
-    factor_a: str = "terminology"
-    factor_b: str = "correctness"
     interaction_dropped: bool = False
     degenerate: bool = False
     warnings: list[str] = field(default_factory=list)
@@ -341,13 +347,6 @@ class GamesHowellRow:
 class GamesHowellResult:
     rows: tuple[GamesHowellRow, ...]
 
-    def row(self, group_i: str, group_j: str) -> GamesHowellRow:
-        wanted = {group_i, group_j}
-        for r in self.rows:
-            if {r.group_i, r.group_j} == wanted:
-                return r
-        raise KeyError(f"no pair {group_i}/{group_j}")
-
 
 def games_howell(groups: Sequence[tuple[str, Sequence[float]]]) -> GamesHowellResult:
     """Pairwise comparisons without the equal-variance assumption.
@@ -373,21 +372,11 @@ def games_howell(groups: Sequence[tuple[str, Sequence[float]]]) -> GamesHowellRe
             label_i, mean_i, var_i, n_i = stats[i]
             label_j, mean_j, var_j, n_j = stats[j]
             diff = mean_i - mean_j
-            se2 = var_i / n_i + var_j / n_j
-            if se2 == 0.0:
-                if diff == 0.0:
-                    rows.append(GamesHowellRow(label_i, label_j, 0.0, 0.0, 0.0,
-                                               float(n_i + n_j - 2), 1.0, True))
-                else:
-                    t = math.inf if diff > 0 else -math.inf
-                    rows.append(GamesHowellRow(label_i, label_j, diff, 0.0, t,
-                                               float(n_i + n_j - 2), 0.0, True))
+            t, se, df = _welch(mean_i, var_i, n_i, mean_j, var_j, n_j)
+            if se == 0.0:
+                rows.append(GamesHowellRow(label_i, label_j, diff, 0.0, t, df,
+                                           1.0 if t == 0.0 else 0.0, True))
                 continue
-            se = math.sqrt(se2)
-            t = diff / se
-            df = se2 * se2 / (
-                (var_i / n_i) ** 2 / (n_i - 1) + (var_j / n_j) ** 2 / (n_j - 1)
-            )
             q = abs(diff) * math.sqrt(2.0) / se
             p_adj = 1.0 - studentized_range_cdf(q, k, df)
             rows.append(GamesHowellRow(label_i, label_j, diff, se, t, df,

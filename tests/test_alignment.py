@@ -5,10 +5,11 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from termbench.alignment import (
-    AlignmentResult,
-    cosine,
+    BoxStats,
+    DistanceSummary,
     paired_distance_analysis,
     pca_project,
     rowwise_alignment,
@@ -55,6 +56,19 @@ def test_mean_pool_linearity():
 
 # ---------------------------------------------------------------------------
 # cosine
+
+
+def cosine(a, b) -> float:
+    """Cosine similarity, clamped to [-1, 1] against floating rounding."""
+    va = np.asarray(a, dtype=float)
+    vb = np.asarray(b, dtype=float)
+    if va.shape != vb.shape:
+        raise DomainError(f"dimension mismatch: {va.shape} vs {vb.shape}")
+    na = float(np.linalg.norm(va))
+    nb = float(np.linalg.norm(vb))
+    if na == 0.0 or nb == 0.0:
+        raise DomainError("cosine undefined for zero-norm vectors")
+    return float(np.clip(float(va @ vb) / (na * nb), -1.0, 1.0))
 
 
 def test_cosine_identity():
@@ -207,8 +221,8 @@ def test_pca_projection_centered():
     rng = np.random.default_rng(8)
     vectors = list(rng.normal(size=(40, 10)) + 5.0)
     proj = pca_project(vectors, k=2)
-    coords = np.array([p.coords for p in proj.points])
-    assert np.abs(coords.mean(axis=0)).max() < 1e-8
+    assert proj.scores.shape == (40, 2)
+    assert np.abs(proj.scores.mean(axis=0)).max() < 1e-8
 
 
 def test_pca_isotropic_cloud_balanced_components():
@@ -248,65 +262,98 @@ def test_pca_needs_k_plus_one_vectors():
 # paired distances
 
 
-def _projection_from_points(points):
-    from termbench.alignment import PcaPoint, PcaProjection
+def reference_paired_distance_analysis(points, pairs) -> DistanceSummary:
+    """Paired distances resolved through labels, one np.linalg.norm per pair.
 
-    return PcaProjection(
-        components=np.eye(2),
-        explained_variance=(0.5, 0.5),
-        points=tuple(
-            PcaPoint(label=l, coords=c, class_tag=t, terminology=term)
-            for l, c, t, term in points
-        ),
+    `points` lists (label, coords, class_tag, terminology); `pairs` lists
+    (term_label, id_label). A term label is resolved within its
+    identifier's terminology. Non-matched distances pair each term with
+    every other identifier of its terminology, in point order.
+    """
+    terms = {}
+    ids = {}
+    for label, coords, class_tag, terminology in points:
+        if class_tag == "term":
+            terms.setdefault(label, []).append((coords, terminology))
+        else:
+            assert label not in ids
+            ids[label] = (coords, terminology)
+
+    paired = []
+    paired_by_term = {}
+    nonpaired = []
+    for term_label, id_label in pairs:
+        i_coords, terminology = ids[id_label]
+        [t_coords] = [c for c, term in terms[term_label] if term == terminology]
+        d = float(np.linalg.norm(np.subtract(t_coords, i_coords)))
+        paired.append(d)
+        paired_by_term.setdefault(terminology, []).append(d)
+        for other_label, (other_coords, other_terminology) in ids.items():
+            if other_label == id_label or other_terminology != terminology:
+                continue
+            nonpaired.append(float(np.linalg.norm(np.subtract(t_coords, other_coords))))
+
+    def box(values):
+        values = np.asarray(values)
+        q1, median, q3 = np.percentile(values, [25, 50, 75])
+        return BoxStats(float(values.min()), float(q1), float(median), float(q3),
+                        float(values.max()))
+
+    return DistanceSummary(
+        paired_mean=float(np.mean(paired)) if paired else 0.0,
+        nonpaired_mean=float(np.mean(nonpaired)) if nonpaired else 0.0,
+        per_terminology={t: box(v) for t, v in sorted(paired_by_term.items())},
     )
 
 
+def _points_and_pairs(blocks):
+    """The labelled points and pairs that the stage would derive from `blocks`.
+
+    Term labels repeat across terminologies; identifier labels do not.
+    """
+    points = []
+    pairs = []
+    for terminology, (term_scores, id_scores) in blocks.items():
+        points += [(f"t{i}", tuple(c), "term", terminology)
+                   for i, c in enumerate(term_scores.tolist())]
+        points += [(f"{terminology}:{i}", tuple(c), "identifier", terminology)
+                   for i, c in enumerate(id_scores.tolist())]
+        pairs += [(f"t{i}", f"{terminology}:{i}") for i in range(len(term_scores))]
+    return points, pairs
+
+
+def _block(term_coords, id_coords):
+    return np.asarray(term_coords, dtype=float), np.asarray(id_coords, dtype=float)
+
+
 def test_paired_distance_matched_coincident():
-    proj = _projection_from_points([
-        ("t1", (0.0, 0.0), "term", "HPO"),
-        ("i1", (0.0, 0.0), "identifier", "HPO"),
-        ("t2", (5.0, 5.0), "term", "HPO"),
-        ("i2", (5.0, 5.0), "identifier", "HPO"),
-    ])
-    summary = paired_distance_analysis(proj, [("t1", "i1"), ("t2", "i2")])
+    summary = paired_distance_analysis({
+        "HPO": _block([(0.0, 0.0), (5.0, 5.0)], [(0.0, 0.0), (5.0, 5.0)]),
+    })
     assert summary.paired_mean == 0.0
     assert summary.nonpaired_mean > 0.0
 
 
 def test_paired_distance_all_coincident():
-    proj = _projection_from_points([
-        ("t1", (1.0, 1.0), "term", "HPO"),
-        ("i1", (1.0, 1.0), "identifier", "HPO"),
-        ("t2", (1.0, 1.0), "term", "HPO"),
-        ("i2", (1.0, 1.0), "identifier", "HPO"),
-    ])
-    summary = paired_distance_analysis(proj, [("t1", "i1"), ("t2", "i2")])
+    summary = paired_distance_analysis({
+        "HPO": _block([(1.0, 1.0)] * 2, [(1.0, 1.0)] * 2),
+    })
     assert summary.paired_mean == 0.0
     assert summary.nonpaired_mean == 0.0
 
 
 def test_paired_distance_two_cluster_brute_force():
     rng = np.random.default_rng(21)
-    points = []
-    pairs = []
-    coords = {}
-    for i in range(20):
-        base = rng.normal(size=2) * 10
-        t_coord = tuple(base + rng.normal(size=2) * 0.01)
-        i_coord = tuple(base + rng.normal(size=2) * 0.01)
-        points.append((f"t{i}", t_coord, "term", "GENE"))
-        points.append((f"i{i}", i_coord, "identifier", "GENE"))
-        coords[f"t{i}"] = np.array(t_coord)
-        coords[f"i{i}"] = np.array(i_coord)
-        pairs.append((f"t{i}", f"i{i}"))
-    proj = _projection_from_points(points)
-    summary = paired_distance_analysis(proj, pairs)
+    base = rng.normal(size=(20, 2)) * 10
+    t_coords = base + rng.normal(size=(20, 2)) * 0.01
+    i_coords = base + rng.normal(size=(20, 2)) * 0.01
+    summary = paired_distance_analysis({"GENE": (t_coords, i_coords)})
 
     paired_bf = np.mean([
-        np.linalg.norm(coords[f"t{i}"] - coords[f"i{i}"]) for i in range(20)
+        np.linalg.norm(t_coords[i] - i_coords[i]) for i in range(20)
     ])
     nonpaired_bf = np.mean([
-        np.linalg.norm(coords[f"t{i}"] - coords[f"i{j}"])
+        np.linalg.norm(t_coords[i] - i_coords[j])
         for i in range(20) for j in range(20) if i != j
     ])
     assert summary.paired_mean == pytest.approx(paired_bf, abs=1e-12)
@@ -316,13 +363,46 @@ def test_paired_distance_two_cluster_brute_force():
     assert box.minimum <= box.q1 <= box.median <= box.q3 <= box.maximum
 
 
-def test_paired_distance_missing_label():
-    proj = _projection_from_points([
-        ("t1", (0.0, 0.0), "term", "HPO"),
-        ("i1", (0.0, 0.0), "identifier", "HPO"),
-    ])
-    with pytest.raises(ConsistencyError):
-        paired_distance_analysis(proj, [("t1", "iX")])
+def test_paired_distance_single_pair_has_no_nonpaired_distances():
+    summary = paired_distance_analysis({"GO": _block([(0.0, 0.0)], [(3.0, 4.0)])})
+    assert summary.paired_mean == 5.0
+    assert summary.nonpaired_mean == 0.0
+    assert summary.per_terminology["GO"] == BoxStats(5.0, 5.0, 5.0, 5.0, 5.0)
+
+
+def test_paired_distance_box_stats_do_not_depend_on_other_terminologies():
+    rng = np.random.default_rng(22)
+    hpo = _block(rng.normal(size=(7, 2)), rng.normal(size=(7, 2)))
+    go = _block(rng.normal(size=(4, 2)) * 50, rng.normal(size=(4, 2)) * 50)
+    alone = paired_distance_analysis({"HPO": hpo}).per_terminology
+    both = paired_distance_analysis({"HPO": hpo, "GO": go}).per_terminology
+    assert list(both) == ["GO", "HPO"]
+    assert both["HPO"] == alone["HPO"]
+    assert both["GO"] == paired_distance_analysis({"GO": go}).per_terminology["GO"]
+
+
+@st.composite
+def _distance_blocks(draw):
+    """2-3 terminologies of 1-60 pairs; some or all coordinates repeat from a small set."""
+    names = draw(st.lists(st.sampled_from(["HPO", "GO", "GENE"]),
+                          min_size=2, max_size=3, unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e6]))
+    repeat_share = draw(st.sampled_from([0.0, 0.3, 1.0]))
+    blocks = {}
+    for name in names:
+        coords = rng.normal(size=(2, draw(st.integers(1, 60)), 2)) * scale
+        repeat = rng.random(coords.shape) < repeat_share
+        coords[repeat] = rng.choice([0.0, 1.0, -2.5], size=int(repeat.sum()))
+        blocks[name] = (coords[0], coords[1])
+    return blocks
+
+
+@given(_distance_blocks())
+@settings(max_examples=100, deadline=None)
+def test_paired_distance_matches_label_reference_exactly(blocks):
+    assert (paired_distance_analysis(blocks)
+            == reference_paired_distance_analysis(*_points_and_pairs(blocks)))
 
 
 # ---------------------------------------------------------------------------
@@ -387,8 +467,8 @@ def test_http_embedding_provider_vectors_and_cache():
         return {"vectors": [[1.0, 2.0]] * len(payload["texts"])}
 
     provider = HttpEmbeddingProvider("http://e", transport=transport)
-    v1 = provider.embed("a")
-    v2 = provider.embed("a")
+    v1 = provider.embed_many(["a"])[0]
+    v2 = provider.embed_many(["a"])[0]
     assert np.allclose(v1, [1.0, 2.0])
     assert np.allclose(v1, v2)
     assert len(calls) == 1
@@ -399,13 +479,13 @@ def test_http_embedding_provider_token_matrix_pooled():
         return {"token_vectors": [[[1.0, 0.0], [0.0, 1.0]]]}
 
     provider = HttpEmbeddingProvider("http://e", transport=transport)
-    assert np.allclose(provider.embed("a"), [0.5, 0.5])
+    assert np.allclose(provider.embed_many(["a"])[0], [0.5, 0.5])
 
 
 def test_http_embedding_provider_bad_payload():
     provider = HttpEmbeddingProvider("http://e", transport=lambda u, p, h: {"nope": 1})
     with pytest.raises(ProtocolError):
-        provider.embed("a")
+        provider.embed_many(["a"])
 
 
 def test_store_embed_many_matches_embed():
@@ -454,7 +534,7 @@ def test_http_embedding_provider_retries_a_503(monkeypatch):
                                       FakeResponse(200, {"vectors": [[1.0, 2.0]]})])
     slept = []
     provider = HttpEmbeddingProvider("http://e", sleep=slept.append)
-    assert provider.embed("a").tolist() == [1.0, 2.0]
+    assert provider.embed_many(["a"])[0].tolist() == [1.0, 2.0]
     assert len(calls) == 2
     assert slept == [1.0]
 
@@ -463,7 +543,7 @@ def test_http_embedding_provider_does_not_retry_a_400(monkeypatch):
     calls = _patch_post(monkeypatch, [FakeResponse(400, {"error": "bad request"})])
     provider = HttpEmbeddingProvider("http://e", sleep=lambda s: None)
     with pytest.raises(PermanentHttpError) as exc:
-        provider.embed("a")
+        provider.embed_many(["a"])
     assert exc.value.status == 400
     assert len(calls) == 1
 
@@ -481,42 +561,17 @@ def test_alignment_json_and_csv_writers():
     write_alignment_json({"HPO": res}, buf)
     assert '"delta_mean"' in buf.getvalue()
 
-    proj = pca_project(terms + ids, k=2,
-                       point_meta=[(f"t{i}", "term", "HPO") for i in range(10)]
-                       + [(f"i{i}", "identifier", "HPO") for i in range(10)])
+    proj = pca_project(terms + ids, k=2)
+    meta = ([(f"t{i}", "term", "HPO") for i in range(10)]
+            + [(f"i{i}", "identifier", "HPO") for i in range(10)])
     buf = io.StringIO()
-    write_pca_points_csv(proj, buf)
+    assert write_pca_points_csv(meta, proj.scores, buf) == 20
     lines = buf.getvalue().splitlines()
     assert lines[0] == "label,class,terminology,x,y"
     assert len(lines) == 21
+    assert lines[1] == f"t0,term,HPO,{float(proj.scores[0, 0])!r},{float(proj.scores[0, 1])!r}"
 
-    summary = paired_distance_analysis(proj, [(f"t{i}", f"i{i}") for i in range(10)])
+    summary = paired_distance_analysis({"HPO": (proj.scores[:10], proj.scores[10:])})
     buf = io.StringIO()
     write_distance_summary_csv(summary, buf)
     assert buf.getvalue().splitlines()[0] == "terminology,min,q1,median,q3,max"
-
-
-def test_paired_distance_resolves_cross_terminology_label_collision():
-    # the same term label exists in two terminologies; the identifier's
-    # terminology disambiguates which term point the pair refers to
-    proj = _projection_from_points([
-        ("nucleus", (0.0, 0.0), "term", "HPO"),
-        ("nucleus", (10.0, 10.0), "term", "GO"),
-        ("HP:0000001", (0.0, 1.0), "identifier", "HPO"),
-        ("GO:0000001", (10.0, 11.0), "identifier", "GO"),
-    ])
-    summary = paired_distance_analysis(
-        proj, [("nucleus", "HP:0000001"), ("nucleus", "GO:0000001")]
-    )
-    # both matched distances are 1.0; a label mix-up would give ~14.2
-    assert summary.paired_mean == pytest.approx(1.0, abs=1e-12)
-
-
-def test_paired_distance_duplicate_identifier_label_rejected():
-    proj = _projection_from_points([
-        ("t", (0.0, 0.0), "term", "HPO"),
-        ("X", (1.0, 0.0), "identifier", "HPO"),
-        ("X", (2.0, 0.0), "identifier", "GO"),
-    ])
-    with pytest.raises(ConsistencyError, match="twice"):
-        paired_distance_analysis(proj, [("t", "X")])

@@ -65,7 +65,18 @@ def test_parse_flat_config_keeps_unicode_line_separators_in_values(sep):
     ("[sampling]\nn_bins = 0", "sampling.n_bins must be at least 1, got 0"),
     ("[sampling]\nper_bin = -1", "sampling.per_bin must be at least 1, got -1"),
     ("[limits]\nconcurrency = 0", "limits.concurrency must be at least 1, got 0"),
-], ids=["bool", "int", "unknown-key", "n_bins-zero", "per_bin-negative", "concurrency-zero"])
+    ("[limits]\nrate_per_second = 0",
+     "limits.rate_per_second must be a finite number above 0, got 0.0"),
+    ("[limits]\nrate_per_second = -2.5",
+     "limits.rate_per_second must be a finite number above 0, got -2.5"),
+    ("[limits]\nrate_per_second = inf",
+     "limits.rate_per_second must be a finite number above 0, got inf"),
+    ("[sampling]\nproxy = id_count_pcm",
+     "sampling.proxy must be id_count_pmc|term_count_pmc|annotation_count, got 'id_count_pcm'"),
+    ("[limits]\nvalidation_cap = -1", "limits.validation_cap must be at least 0, got -1"),
+], ids=["bool", "int", "unknown-key", "n_bins-zero", "per_bin-negative", "concurrency-zero",
+        "rate-zero", "rate-negative", "rate-infinite", "proxy-misspelled",
+        "validation_cap-negative"])
 def test_bad_config_value_exits_1_naming_the_key(tmp_path, capsys, binding, message):
     cfg_file = tmp_path / "c.cfg"
     cfg_file.write_text(f"[paths]\nrun_dir = run\n{binding}\n", encoding="utf-8")
@@ -81,6 +92,15 @@ def test_concurrency_flag_below_one_exits_1(tmp_path, capsys):
                  "--stage", "ingest", "--concurrency", "0"])
     assert code == 1
     assert capsys.readouterr().err == "error: --concurrency must be at least 1, got 0\n"
+    assert not run_dir.exists()
+
+
+def test_validation_cap_flag_below_zero_exits_1(tmp_path, capsys):
+    run_dir = tmp_path / "r"
+    code = main(["--config", str(CONFIG), "--run-dir", str(run_dir),
+                 "--stage", "ingest", "--validation-cap", "-1"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: --validation-cap must be at least 0, got -1\n"
     assert not run_dir.exists()
 
 
@@ -241,6 +261,21 @@ def test_validation_cap_flag(tmp_path):
     train = [r for r in rows if r["split"] == "train"]
     assert len(val) == 30  # 10 per terminology
     assert len(train) == 90
+
+
+def test_validation_cap_zero_means_no_cap(tmp_path):
+    cfg_file = tmp_path / "c.cfg"
+    cfg_file.write_text("[paths]\nrun_dir = run\n[limits]\nvalidation_cap = 0\n",
+                        encoding="utf-8")
+    assert load_config(cfg_file).validation_cap is None
+    run_dir = tmp_path / "run"
+    for stage in ("ingest", "popularity"):
+        assert main(["--config", str(CONFIG), "--run-dir", str(run_dir),
+                     "--stage", stage]) == 0
+    assert main(["--config", str(CONFIG), "--run-dir", str(run_dir),
+                 "--stage", "sample", "--validation-cap", "0"]) == 0
+    rows = [json.loads(l) for l in (run_dir / "sample" / "split.jsonl").read_text().splitlines()]
+    assert len([r for r in rows if r["split"] == "validation"]) == 90  # every unsampled pair
 
 
 @pytest.mark.parametrize("edit,message", [

@@ -397,6 +397,20 @@ def test_popularity_outputs_do_not_depend_on_concurrency(full_run, tmp_path, mon
     assert len(cached[0]) == len({q for q, _ in cached[0]})
 
 
+def test_popularity_reads_a_cache_without_timestamps(full_run, tmp_path):
+    cache = tmp_path / "pmc_cache.jsonl"
+    cache.write_text("".join(
+        json.dumps({k: row[k] for k in ("query", "db", "count")}) + "\n"
+        for row in _rows(FIXTURE / "pmc_cache.jsonl")), encoding="utf-8")
+    run_dir = tmp_path / "run"
+    shutil.copytree(full_run / "ingest", run_dir / "ingest")
+    cfg = load_config(CONFIG, run_dir=run_dir)
+    cfg.pmc_cache = cache
+    run_stage(cfg, "popularity")
+    for path in (full_run / "popularity").glob("*.csv"):
+        assert (run_dir / "popularity" / path.name).read_bytes() == path.read_bytes()
+
+
 def test_lexicalize_batches_http_embedding_requests(full_run, tmp_path, monkeypatch):
     import requests
 
