@@ -113,9 +113,15 @@ class PcaProjection:
 def pca_project(vectors: list[np.ndarray], k: int = 2) -> PcaProjection:
     """Project mean-centered vectors onto the top-k principal axes.
 
-    Uses the SVD of the centered matrix. Sign convention: each component's
-    largest-magnitude coordinate is positive. Row i of `scores` is vector i.
+    Takes the top-k eigenpairs of the n x n Gram matrix C C^T of the
+    centered matrix C: each eigenvector u with eigenvalue w gives the
+    component C^T u / sqrt(w), and the total variance is trace(C C^T), so
+    the rest of the spectrum is never computed. Sign convention: each
+    component's largest-magnitude coordinate is positive. Row i of `scores`
+    is vector i.
     """
+    from scipy.linalg import eigh
+
     matrix = np.asarray(vectors, dtype=float)
     if matrix.ndim != 2:
         raise DomainError("vectors must share one dimension")
@@ -124,24 +130,24 @@ def pca_project(vectors: list[np.ndarray], k: int = 2) -> PcaProjection:
         raise DomainError(f"need at least {k + 1} vectors for k={k}, got {n}")
 
     centered = matrix - matrix.mean(axis=0)
-    _, singular, vt = np.linalg.svd(centered, full_matrices=False)
-    tol = max(n, dim) * np.finfo(float).eps * (singular[0] if singular.size else 0.0)
-    rank = int(np.sum(singular > tol))
+    gram = centered @ centered.T
+    eigenvalues, eigenvectors = eigh(gram, subset_by_index=[n - k, n - 1])
+    eigenvalues, eigenvectors = eigenvalues[::-1], eigenvectors[:, ::-1]  # largest first
+    tol = max(n, dim) * np.finfo(float).eps * max(float(eigenvalues[0]), 0.0)
+    rank = int(np.sum(eigenvalues > tol))
     if rank < k:
         raise DomainError(f"data rank {rank} is below the requested k={k}")
 
-    components = vt[:k].copy()
+    components = (centered.T @ eigenvectors / np.sqrt(eigenvalues)).T
     for i in range(k):
         pivot = int(np.argmax(np.abs(components[i])))
         if components[i, pivot] < 0:
             components[i] = -components[i]
 
-    eigenvalues = singular**2
-    total = float(eigenvalues.sum())
-    shares = tuple(float(v) / total for v in eigenvalues[:k])
+    total = float(np.trace(gram))
     return PcaProjection(
         components=components,
-        explained_variance=shares,
+        explained_variance=tuple(float(v) / total for v in eigenvalues),
         scores=centered @ components.T,
     )
 
@@ -224,6 +230,14 @@ def write_pca_points_csv(
     for (label, class_tag, terminology), (x, y) in zip(meta, scores.tolist(), strict=True):
         writer.writerow([label, class_tag, terminology, repr(x), repr(y)])
     return len(meta)
+
+
+def write_pca_variance_csv(shares: Sequence[float], sink: IO) -> None:
+    """One row per principal component (1-based): its share of the total variance."""
+    writer = csv.writer(sink, lineterminator="\n")
+    writer.writerow(["component", "explained_variance"])
+    for component, share in enumerate(shares, start=1):
+        writer.writerow([component, repr(share)])
 
 
 def write_distance_summary_csv(summary: DistanceSummary, sink: IO) -> None:

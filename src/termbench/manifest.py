@@ -15,6 +15,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import GENERATOR_NAME, __version__
+from .errors import ParseError
 from .prompts import FINETUNE_HYPERPARAMETERS
 
 MANIFEST_NAME = "manifest.json"
@@ -33,7 +34,10 @@ class RunManifest:
         self.run_dir = Path(run_dir)
         self.path = self.run_dir / MANIFEST_NAME
         if self.path.exists():
-            self.data = json.loads(self.path.read_text(encoding="utf-8"))
+            try:
+                self.data = json.loads(self.path.read_text(encoding="utf-8"))
+            except ValueError as exc:  # not UTF-8, or not JSON
+                raise ParseError(f"unreadable run manifest {self.path}: {exc}") from exc
         else:
             self.data = {
                 "tool": "termbench",
@@ -53,11 +57,18 @@ class RunManifest:
     def set_release_tag(self, terminology: str, tag: str | None) -> None:
         self.data["release_tags"][terminology] = tag
 
-    def record_stage(self, stage: str, inputs: list[Path], outputs: list[Path]) -> None:
+    def record_stage(self, stage: str, inputs: list[Path], outputs: list[Path],
+                     digests: dict[Path, str] | None = None) -> None:
+        """Record the stage's files; `digests` holds any the stage has already hashed."""
+        known = digests or {}
+
+        def hashed(paths: list[Path]) -> dict[str, str]:
+            return {str(p): known.get(p) or sha256_file(p) for p in sorted(paths)}
+
         self.data["stages"][stage] = {
             "completed_at": datetime.now(timezone.utc).isoformat(),
-            "inputs": {str(p): sha256_file(p) for p in sorted(inputs)},
-            "outputs": {str(p): sha256_file(p) for p in sorted(outputs)},
+            "inputs": hashed(inputs),
+            "outputs": hashed(outputs),
         }
         self.write()
 

@@ -24,6 +24,7 @@ import sys
 from pathlib import Path
 
 from . import GENERATOR_NAME
+from . import manifest as run_manifest
 from .alignment import (
     paired_distance_analysis,
     pca_project,
@@ -31,6 +32,7 @@ from .alignment import (
     write_alignment_json,
     write_distance_summary_csv,
     write_pca_points_csv,
+    write_pca_variance_csv,
 )
 from .config import (
     COMPLETION_KEY_ENV,
@@ -84,6 +86,7 @@ from .popularity import (
     write_popularity_csv,
 )
 from .prompts import (
+    TEMPLATE_IDS,
     Direction,
     emit_finetune_file,
     expand_prompts,
@@ -136,14 +139,18 @@ class StageFiles:
     `run_stage` hashes `inputs` and `outputs` into the manifest, so a file a
     stage reaches through here cannot be missing from it. Artifact names are
     relative to the run directory (`sample/split.jsonl`); the stage that
-    writes one is its first part.
+    writes one is its first part. `read` hashes the artifact before decoding
+    it and keeps the digest in `digests`, so the manifest does not hash it
+    again.
     """
 
     def __init__(self, cfg: RunConfig, stage: str):
+        self.stage = stage
         self.run_dir = cfg.run_dir
         self.out_dir = cfg.run_dir / stage
         self.inputs: list[Path] = []
         self.outputs: list[Path] = []
+        self.digests: dict[Path, str] = {}
 
     def _input(self, path: Path) -> Path:
         if path not in self.inputs:
@@ -167,9 +174,24 @@ class StageFiles:
         return self._input(path)
 
     def read(self, name: str, reader, *args):
-        """`reader(stream, *args)` over the artifact `<run>/<name>`."""
-        with open(self.artifact(name), encoding="utf-8", newline=_newline(name)) as fh:
-            return reader(fh, *args)
+        """`reader(stream, *args)` over the artifact `<run>/<name>`.
+
+        An artifact in `_LAST_READER` is decoded once per process: what the
+        reader returned is held, keyed by (path, sha256, reader), until the
+        last stage that reads it takes it. Every caller gets its own list.
+        """
+        path = self.artifact(name)
+        digest = self.digests[path] = run_manifest.sha256_file(path)
+        key = (path, digest, reader)
+        held_key, rows = _DECODED.pop(name, (None, None))
+        if held_key != key:
+            with open(path, encoding="utf-8", newline=_newline(name)) as fh:
+                rows = reader(fh, *args)
+        if name not in _LAST_READER:
+            return rows
+        if self.stage != _LAST_READER[name]:
+            _DECODED[name] = (key, rows)
+        return list(rows)
 
     def write(self, name: str, writer, *args) -> None:
         """`writer(*args, stream)` into this stage's file `<run>/<stage>/<name>`."""
@@ -186,6 +208,20 @@ def _tkey(t: Terminology) -> str:
 
 def _records_name(t: Terminology) -> str:
     return f"ingest/records_{_tkey(t)}.jsonl"
+
+
+# Each artifact that more than one stage reads, and the last stage that reads it.
+_LAST_READER = {
+    **{_records_name(t): "sample" for t in TERMINOLOGIES},
+    "popularity/popularity.csv": "stats",
+    "sample/split.jsonl": "lexicalize",
+    "classify/outcomes.jsonl": "report",
+}
+# artifact name -> ((path, sha256, reader), rows): what `StageFiles.read` decoded
+# from one of them, held for the stages that read it later. It lives at module
+# level because it must outlive one `run_stage` call: `--stage all` and
+# in-process callers run the stages one `run_stage` call at a time.
+_DECODED: dict[str, tuple[tuple, list]] = {}
 
 
 def _run_stem(phase: Phase, t: Terminology, d: Direction) -> str:
@@ -304,14 +340,11 @@ def stage_sample(cfg: RunConfig, files: StageFiles, manifest: RunManifest) -> No
 def stage_prompts(cfg: RunConfig, files: StageFiles, manifest: RunManifest) -> None:
     pairs = files.read("sample/split.jsonl", read_split_jsonl)
 
-    eval_templates = (1, 2, 3, 4, 5) if cfg.all_templates else (1,)
+    eval_templates = TEMPLATE_IDS if cfg.all_templates else (1,)
     eval_prompts = []
     for direction in DIRECTIONS:
         for pair in pairs:
-            eval_prompts.extend(
-                p for p in expand_prompts(pair, direction)
-                if p.template_id in eval_templates
-            )
+            eval_prompts.extend(expand_prompts(pair, direction, eval_templates))
     files.write("prompts.jsonl", write_prompts_jsonl, eval_prompts)
 
     train_by_terminology: dict[Terminology, list[SampledPair]] = {}
@@ -333,16 +366,19 @@ def stage_prompts(cfg: RunConfig, files: StageFiles, manifest: RunManifest) -> N
                                           len(train_pairs), len(ft_prompts), GENERATOR_NAME))
 
 
-def _completion_provider(cfg: RunConfig, phase: Phase, files: StageFiles):
+def _completion_provider(cfg: RunConfig, phase: Phase, files: StageFiles,
+                         writers: list[TranscriptWriter]):
+    """The phase's provider; a live one's transcript writer is appended to `writers`."""
     transcript_path = cfg.transcripts.get(phase.value)
     if transcript_path is not None:
         return ReplayProvider.from_transcript(
             files.source(transcript_path, f"paths.transcript_{phase.value}"))
     if cfg.completion_url:
+        writers.append(TranscriptWriter(files.out_dir / f"transcript_{phase.value}.jsonl"))
         return HttpCompletionProvider(
             url=cfg.completion_url,
             api_key=os.environ.get(COMPLETION_KEY_ENV),
-            transcript=TranscriptWriter(files.out_dir / f"transcript_{phase.value}.jsonl"),
+            transcript=writers[-1],
             rate_limiter=TokenBucket(cfg.rate_per_second),
         )
     raise ValidationError(
@@ -361,9 +397,10 @@ def stage_eval(cfg: RunConfig, files: StageFiles, manifest: RunManifest) -> None
     for p in prompts:
         grouped.setdefault((p.pair.terminology, p.direction), []).append(p)
 
+    writers: list[TranscriptWriter] = []
     for phase, model_id in ((Phase.BASELINE, cfg.baseline_model),
                             (Phase.FINETUNED, cfg.finetuned_model)):
-        provider = _completion_provider(cfg, phase, files)
+        provider = _completion_provider(cfg, phase, files, writers)
         for t in TERMINOLOGIES:
             for d in DIRECTIONS:
                 group = grouped.get((t, d))
@@ -377,7 +414,8 @@ def stage_eval(cfg: RunConfig, files: StageFiles, manifest: RunManifest) -> None
                 stem = _run_stem(phase, t, d)
                 files.write(f"results_{stem}.jsonl", write_results_jsonl, run)
                 files.write(f"summary_{stem}.json", _dump_json, run_summary(run))
-    files.outputs.extend(sorted(files.out_dir.glob("transcript_*.jsonl")))
+    # only transcripts this run wrote: a stale one left in eval/ is not an output
+    files.outputs.extend(w.path for w in writers if w.path.exists())
 
 
 def _load_run(cfg: RunConfig, files: StageFiles, phase: Phase, t: Terminology,
@@ -456,7 +494,8 @@ def stage_lexicalize(cfg: RunConfig, files: StageFiles, manifest: RunManifest) -
         meta.extend((p.term, "term", t.display) for p in t_pairs)
         meta.extend((p.identifier, "identifier", t.display) for p in t_pairs)
 
-    scores = pca_project(vectors, k=2).scores
+    projection = pca_project(vectors, k=2)
+    scores = projection.scores
     summary = paired_distance_analysis({
         name: (scores[start:start + n], scores[start + n:start + 2 * n])
         for name, (start, n) in rows.items()
@@ -464,6 +503,7 @@ def stage_lexicalize(cfg: RunConfig, files: StageFiles, manifest: RunManifest) -
 
     files.write("alignment.json", write_alignment_json, alignment_results)
     files.write("pca_points.csv", write_pca_points_csv, meta, scores)
+    files.write("pca_variance.csv", write_pca_variance_csv, projection.explained_variance)
     files.write("distance_summary.csv", write_distance_summary_csv, summary)
     if is_http:
         files.write("embeddings.jsonl", write_store_jsonl, provider.cached_vectors())
@@ -532,7 +572,8 @@ _STAGE_PLANS = {
     "prompts": "render prompts/prompts.jsonl and fine-tune files",
     "eval": "evaluate both phases into eval/results_*.jsonl and summaries",
     "classify": "classify outcomes into classify/outcomes.jsonl, metrics.json, sankey CSVs",
-    "lexicalize": "embedding alignment into lexicalize/alignment.json, pca_points.csv, distance_summary.csv",
+    "lexicalize": ("embedding alignment into lexicalize/alignment.json, pca_points.csv, "
+                   "pca_variance.csv, distance_summary.csv"),
     "stats": "ANOVA and Games-Howell per proxy into stats/*.csv",
     "report": "summary tables into report/*.csv",
 }
@@ -556,6 +597,6 @@ def run_stage(cfg: RunConfig, stage: str, dry_run: bool = False) -> None:
     )
     files = StageFiles(cfg, stage)
     _STAGE_FUNCS[stage](cfg, files, manifest)
-    manifest.record_stage(stage, files.inputs, files.outputs)
+    manifest.record_stage(stage, files.inputs, files.outputs, files.digests)
     print(f"[{stage}] wrote {len(files.outputs)} file(s) under {files.out_dir}",
           file=sys.stderr)

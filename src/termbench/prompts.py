@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import IO, Iterable
+from typing import IO, Iterable, Sequence
 
 from .errors import DomainError, ParseError
 from .jsonl import iter_rows, write_rows
@@ -103,8 +103,10 @@ def direction_label(terminology: Terminology, direction: Direction) -> str:
     return f"{onto} identifier -> term"
 
 
-def expand_prompts(pair: SampledPair, direction: Direction) -> list[PromptInstance]:
-    """Render the five templates for one pair and direction."""
+def expand_prompts(
+    pair: SampledPair, direction: Direction, template_ids: Sequence[int] = TEMPLATE_IDS
+) -> list[PromptInstance]:
+    """Render the templates `template_ids` (all five by default) for one pair and direction."""
     templates = TEMPLATE_TABLE[pair.terminology][direction]
     if direction is Direction.TERM_TO_ID:
         fill, expected = pair.term, pair.identifier
@@ -113,8 +115,10 @@ def expand_prompts(pair: SampledPair, direction: Direction) -> list[PromptInstan
         fill, expected = pair.identifier, pair.term
         slot = "[IDENTIFIER]"
     instances = []
-    for template_id, template in zip(TEMPLATE_IDS, templates):
-        text = template.replace(slot, fill)
+    for template_id in template_ids:
+        if template_id not in TEMPLATE_IDS:
+            raise DomainError(f"unknown template id {template_id}")
+        text = templates[template_id - 1].replace(slot, fill)
         for leftover in _PLACEHOLDERS:
             if leftover in text:
                 raise DomainError(

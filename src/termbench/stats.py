@@ -98,10 +98,11 @@ _MAX_ERROR = 1e-6
 _Z_LIMIT = 10.0  # the inner integral runs over [-10, 10]
 _LOG_DENSITY_SPAN = 60.0  # the outer one keeps u where ln(density) is within this of its peak
 _PROBES = 4097  # points on which that span of u is found
-# df / 2 above which the density peak comes from Stirling's series. Up to
-# df = 1e7 the lgamma form loses under 5e-9 to cancellation, and every df that
-# Games-Howell meets at fixture and benchmark sizes is far below that.
-_STIRLING_X = 5e6
+# df / 2 above which the density peak comes from Stirling's series. There the
+# lgamma form's terms of size df / 2 cancel: at df = 1e7 it is off by about
+# 4e-9, while the series' first omitted term, 1 / (1680 x^7), is below 1e-35.
+# Every df that Games-Howell meets at fixture and benchmark sizes is far below it.
+_STIRLING_X = 5e4
 _legendre = functools.cache(np.polynomial.legendre.leggauss)  # one entry per node count in use
 
 

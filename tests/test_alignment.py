@@ -16,6 +16,7 @@ from termbench.alignment import (
     write_alignment_json,
     write_distance_summary_csv,
     write_pca_points_csv,
+    write_pca_variance_csv,
 )
 from termbench.embeddings import (
     BATCH_SIZE,
@@ -256,6 +257,44 @@ def test_pca_reconstruction_error_non_increasing():
 def test_pca_needs_k_plus_one_vectors():
     with pytest.raises(DomainError):
         pca_project([np.ones(4), np.zeros(4)], k=2)
+
+
+def reference_pca_svd(vectors, k):
+    """The thin-SVD PCA: (components, explained-variance shares, scores, rank)."""
+    matrix = np.asarray(vectors, dtype=float)
+    n, dim = matrix.shape
+    centered = matrix - matrix.mean(axis=0)
+    _, singular, vt = np.linalg.svd(centered, full_matrices=False)
+    tol = max(n, dim) * np.finfo(float).eps * singular[0]
+    components = vt[:k].copy()
+    for i in range(k):
+        pivot = int(np.argmax(np.abs(components[i])))
+        if components[i, pivot] < 0:
+            components[i] = -components[i]
+    eigenvalues = singular**2
+    shares = eigenvalues[:k] / eigenvalues.sum()
+    return components, shares, centered @ components.T, int(np.sum(singular > tol))
+
+
+@pytest.mark.parametrize("n,dim,k", [(40, 300, 2), (120, 1024, 2), (300, 20, 2),
+                                     (500, 8, 3), (9, 9, 2)])
+def test_pca_matches_svd_reference(n, dim, k):
+    rng = np.random.default_rng(n * dim)
+    X = rng.normal(size=(n, dim)) @ np.diag(np.geomspace(5.0, 0.1, dim)) + rng.normal(size=dim)
+    proj = pca_project(list(X), k=k)
+    components, shares, scores, _ = reference_pca_svd(X, k)
+    assert np.abs(proj.components - components).max() < 1e-9
+    assert np.abs(np.array(proj.explained_variance) - shares).max() < 1e-9
+    assert np.abs(proj.scores - scores).max() < 1e-9
+
+
+@pytest.mark.parametrize("n,dim,rank", [(30, 200, 1), (200, 30, 1), (50, 6, 2), (6, 50, 2)])
+def test_pca_rank_deficient_input_raises_like_the_svd_reference(n, dim, rank):
+    rng = np.random.default_rng(n + dim)
+    X = rng.normal(size=(n, rank)) @ rng.normal(size=(rank, dim)) * 1e3 + rng.normal(size=dim)
+    assert reference_pca_svd(X, rank)[3] == rank
+    with pytest.raises(DomainError, match=f"data rank {rank} is below the requested k={rank + 1}"):
+        pca_project(list(X), k=rank + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -575,3 +614,9 @@ def test_alignment_json_and_csv_writers():
     buf = io.StringIO()
     write_distance_summary_csv(summary, buf)
     assert buf.getvalue().splitlines()[0] == "terminology,min,q1,median,q3,max"
+
+
+def test_pca_variance_csv_writer():
+    buf = io.StringIO()
+    write_pca_variance_csv((0.5, 0.1 + 0.2), buf)
+    assert buf.getvalue() == "component,explained_variance\n1,0.5\n2,0.30000000000000004\n"

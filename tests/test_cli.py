@@ -223,6 +223,21 @@ def test_stage_sequence_and_manifest(tmp_path):
             assert Path(path).exists()
 
 
+def test_corrupt_manifest_exits_1_naming_it(tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    assert main(["--config", str(CONFIG), "--run-dir", str(run_dir),
+                 "--stage", "ingest"]) == 0
+    manifest = run_dir / "manifest.json"
+    text = manifest.read_text(encoding="utf-8")
+    manifest.write_text(text[:len(text) // 2], encoding="utf-8")
+    capsys.readouterr()
+    assert main(["--config", str(CONFIG), "--run-dir", str(run_dir),
+                 "--stage", "popularity"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: unreadable run manifest {manifest}: ")
+    assert not (run_dir / "popularity").exists()
+
+
 def test_seed_override_changes_split(tmp_path):
     base = tmp_path / "a"
     other = tmp_path / "b"

@@ -10,15 +10,19 @@ import warnings
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import termbench.manifest
 import termbench.pipeline
 from termbench.cli import main
 from termbench.config import TERMINOLOGY_KEYS, load_config
+from termbench.embeddings import FileEmbeddingStore
 from termbench.outcomes import fmt1, read_outcomes_jsonl, round1
 from termbench.pipeline import run_stage
 from termbench.prompts import Direction, direction_label
-from termbench.providers import DecodingParams, TranscriptWriter, request_body
+from termbench.providers import DecodingParams, TranscriptWriter, prompt_hash, request_body
+from termbench.sampling import Split, read_split_jsonl
 
 FIXTURE = Path(__file__).parent / "fixtures" / "mini"
 CONFIG = FIXTURE / "run.cfg"
@@ -452,3 +456,186 @@ def test_classify_reads_no_eval_summary(full_run, tmp_path):
     inputs = [Path(p) for p in manifest["stages"]["classify"]["inputs"]]
     assert sorted(inputs) == sorted([run_dir / "sample" / "split.jsonl",
                                      *(run_dir / "eval").glob("results_*.jsonl")])
+
+
+# ---------------------------------------------------------------------------
+# decode once per process, hash once per stage
+
+SHARED_READERS = ("read_records_jsonl", "read_popularity_csv", "read_split_jsonl",
+                  "read_outcomes_jsonl")
+
+
+def _count_calls(monkeypatch, names):
+    """Wrap the named readers in termbench.pipeline; return {name: call count}."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _fn=getattr(termbench.pipeline, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(termbench.pipeline, name, counted)
+    return calls
+
+
+def _stage_files(root):
+    return {p.relative_to(root): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file() and p.name != "manifest.json"}
+
+
+def test_one_all_stage_run_decodes_each_shared_artifact_once(tmp_path, monkeypatch):
+    calls = _count_calls(monkeypatch, SHARED_READERS)
+    assert main(["--config", str(CONFIG), "--run-dir", str(tmp_path / "run"),
+                 "--stage", "all"]) == 0
+    # one call per records file, one per other shared artifact
+    assert calls == {"read_records_jsonl": 3, "read_popularity_csv": 1,
+                     "read_split_jsonl": 1, "read_outcomes_jsonl": 1}
+
+
+def test_nothing_is_held_after_report(tmp_path):
+    assert main(["--config", str(CONFIG), "--run-dir", str(tmp_path / "run"),
+                 "--stage", "all"]) == 0
+    assert termbench.pipeline._DECODED == {}
+
+
+def test_last_reader_table_matches_manifest_inputs(full_run):
+    manifest = json.loads((full_run / "manifest.json").read_text())
+    readers: dict[str, list[str]] = {}
+    for stage in termbench.pipeline.STAGES:
+        for path in map(Path, manifest["stages"][stage]["inputs"]):
+            if full_run in path.parents:
+                readers.setdefault(path.relative_to(full_run).as_posix(), []).append(stage)
+    shared = {name: stages[-1] for name, stages in readers.items() if len(stages) > 1}
+    assert termbench.pipeline._LAST_READER == shared
+
+
+@pytest.fixture(scope="module")
+def fresh_seed1_run(tmp_path_factory):
+    """`--stage all --seed 1` in a process of its own."""
+    run_dir = tmp_path_factory.mktemp("fresh") / "run"
+    src = Path(termbench.pipeline.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-m", "termbench.cli", "--config", str(CONFIG),
+                    "--run-dir", str(run_dir), "--stage", "all", "--seed", "1"],
+                   env=env, capture_output=True, check=True, timeout=300)
+    return run_dir
+
+
+@pytest.mark.parametrize("change", ["resample", "edit"])
+def test_a_changed_split_is_decoded_again(fresh_seed1_run, tmp_path, monkeypatch, change):
+    run_dir = tmp_path / "run"
+    argv = ["--config", str(CONFIG), "--run-dir", str(run_dir)]
+    stages = termbench.pipeline.STAGES
+    calls = _count_calls(monkeypatch, ["read_split_jsonl"])  # one reader throughout
+    for stage in stages[:stages.index("eval") + 1]:
+        assert main([*argv, "--stage", stage]) == 0  # leaves the seed-42 split held
+    assert calls == {"read_split_jsonl": 1}
+    if change == "resample":
+        assert main([*argv, "--stage", "sample", "--seed", "1"]) == 0
+    else:
+        (run_dir / "sample" / "split.jsonl").write_bytes(
+            (fresh_seed1_run / "sample" / "split.jsonl").read_bytes())
+    for stage in stages[stages.index("prompts"):]:
+        assert main([*argv, "--stage", stage, "--seed", "1"]) == 0
+    assert calls == {"read_split_jsonl": 2}
+    assert _stage_files(run_dir) == _stage_files(fresh_seed1_run)
+
+
+def test_changing_a_returned_list_does_not_change_the_next_read(full_run, tmp_path,
+                                                                 monkeypatch):
+    run_dir = tmp_path / "run"
+    shutil.copytree(full_run / "sample", run_dir / "sample")
+    cfg = load_config(CONFIG, run_dir=run_dir)
+    calls = _count_calls(monkeypatch, ["read_split_jsonl"])
+    name = "sample/split.jsonl"
+
+    def read(stage):
+        return termbench.pipeline.StageFiles(cfg, stage).read(
+            name, termbench.pipeline.read_split_jsonl)
+
+    first = read("prompts")
+    expected = list(first)
+    first.clear()
+    second = read("eval")
+    assert second == expected
+    second.reverse()
+    assert read("lexicalize") == expected
+    assert calls == {"read_split_jsonl": 1}
+    assert name not in termbench.pipeline._DECODED  # lexicalize is its last reader
+
+
+def test_each_stage_hashes_each_recorded_file_once(tmp_path, monkeypatch):
+    hashed = []
+    sha256_file = termbench.manifest.sha256_file
+
+    def counted(path):
+        hashed.append(Path(path))
+        return sha256_file(path)
+
+    monkeypatch.setattr(termbench.manifest, "sha256_file", counted)
+    run_dir = tmp_path / "run"
+    cfg = load_config(CONFIG, run_dir=run_dir)
+    for stage in termbench.pipeline.STAGES:
+        hashed.clear()
+        run_stage(cfg, stage)
+        info = json.loads((run_dir / "manifest.json").read_text())["stages"][stage]
+        assert sorted(hashed) == sorted(map(Path, [*info["inputs"], *info["outputs"]])), stage
+
+
+# ---------------------------------------------------------------------------
+# transcripts and PCA variance
+
+
+def test_replay_eval_records_no_stale_transcript(full_run, tmp_path):
+    run_dir = tmp_path / "run"
+    shutil.copytree(full_run, run_dir)
+    (run_dir / "eval" / "transcript_baseline.jsonl").write_text("{}\n", encoding="utf-8")
+    assert main(["--config", str(CONFIG), "--run-dir", str(run_dir),
+                 "--stage", "eval"]) == 0
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    outputs = [Path(p).name for p in manifest["stages"]["eval"]["outputs"]]
+    assert len(outputs) == 24  # results and summary per phase, terminology, direction
+    assert not [name for name in outputs if name.startswith("transcript_")]
+
+
+def test_live_eval_records_the_transcripts_it_wrote(full_run, tmp_path, monkeypatch):
+    import requests
+
+    cfg = load_config(CONFIG, run_dir=tmp_path / "run")
+    answers = {}
+    for phase, model in (("baseline", cfg.baseline_model), ("finetuned", cfg.finetuned_model)):
+        answers[model] = {row["prompt_hash"]: row["response"]["text"]
+                          for row in _rows(FIXTURE / "transcripts" / f"{phase}.jsonl")}
+
+    def post(url, json, headers, timeout):
+        text = answers[json["model"]][prompt_hash(json["messages"][0]["content"])]
+        return FakeResponse(200, {"choices": [{"message": {"content": text}}]})
+
+    monkeypatch.setattr(requests, "post", post)
+    for stage in ("sample", "prompts"):
+        shutil.copytree(full_run / stage, cfg.run_dir / stage)
+    cfg.transcripts = {}
+    cfg.completion_url = "http://completions.test/v1/chat/completions"
+    cfg.rate_per_second = 1e6
+    run_stage(cfg, "eval")
+    manifest = json.loads((cfg.run_dir / "manifest.json").read_text())
+    transcripts = [p for p in manifest["stages"]["eval"]["outputs"]
+                   if Path(p).name.startswith("transcript_")]
+    assert transcripts == [str(cfg.run_dir / "eval" / f"transcript_{phase}.jsonl")
+                           for phase in ("baseline", "finetuned")]
+    for path in sorted((full_run / "eval").glob("results_*.jsonl")):
+        assert (cfg.run_dir / "eval" / path.name).read_bytes() == path.read_bytes()
+
+
+def test_pca_variance_matches_svd_reference(full_run):
+    store = FileEmbeddingStore.from_path(FIXTURE / "embeddings.jsonl")
+    with open(full_run / "sample" / "split.jsonl", encoding="utf-8") as fh:
+        train = [p for p in read_split_jsonl(fh) if p.split is Split.TRAIN]
+    vectors = np.array(store.embed_many([p.term for p in train])
+                       + store.embed_many([p.identifier for p in train]))
+    singular = np.linalg.svd(vectors - vectors.mean(axis=0), compute_uv=False)
+    shares = singular**2 / np.sum(singular**2)
+    with open(full_run / "lexicalize" / "pca_variance.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["component", "explained_variance"]
+    assert [r[0] for r in rows[1:]] == ["1", "2"]
+    assert np.abs(np.array([float(r[1]) for r in rows[1:]]) - shares[:2]).max() < 1e-9

@@ -33,6 +33,22 @@ def _pair(terminology=Terminology.HPO, term="tremor", identifier="HP:0001337"):
     )
 
 
+@pytest.mark.parametrize("template_ids", [(1,), (2, 5), (1, 2, 3, 4, 5)])
+def test_expand_renders_only_the_requested_templates(template_ids):
+    for terminology in Terminology:
+        pair = _pair(terminology=terminology)
+        for direction in Direction:
+            every = expand_prompts(pair, direction)
+            assert expand_prompts(pair, direction, template_ids) == [
+                p for p in every if p.template_id in template_ids]
+
+
+@pytest.mark.parametrize("template_id", [0, 6])
+def test_expand_rejects_an_unknown_template_id(template_id):
+    with pytest.raises(DomainError, match=f"unknown template id {template_id}"):
+        expand_prompts(_pair(), Direction.TERM_TO_ID, (1, template_id))
+
+
 def test_forward_template_one_wording():
     prompts = expand_prompts(_pair(), Direction.TERM_TO_ID)
     assert prompts[0].prompt_text == "What is the HPO identifier for the HPO term tremor?"

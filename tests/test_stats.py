@@ -163,10 +163,17 @@ def reference_studentized_range_cdf(q: float, k: int, df: float) -> float:
     """
     if q == 0.0:
         return 0.0
-    # log-density of s, with the normalization constant via lgamma so large
-    # df cannot overflow: f(s) = 2 (df/2)^(df/2) / Gamma(df/2) s^(df-1) e^(-df s^2/2)
+    # log-density of s, with the normalization constant in logs so large df
+    # cannot overflow: f(s) = 2 (df/2)^(df/2) / Gamma(df/2) s^(df-1) e^(-df s^2/2).
+    # Above df/2 = 5e4, x ln x and lgamma(x) (x = df/2) cancel with a loss of
+    # about 1e-9 at df = 1e7, so Stirling's series for lgamma(x) is substituted
+    # and the x ln x terms are cancelled by hand.
     half = df / 2.0
-    ln_const = math.log(2.0) + half * math.log(half) - math.lgamma(half)
+    if half <= 5e4:
+        ln_const = math.log(2.0) + half * math.log(half) - math.lgamma(half)
+    else:
+        series = 1.0 / (12.0 * half) - 1.0 / (360.0 * half**3) + 1.0 / (1260.0 * half**5)
+        ln_const = math.log(2.0) + 0.5 * math.log(half / (2.0 * math.pi)) + half - series
 
     def outer(s: float) -> float:
         if s <= 0.0:
