@@ -63,18 +63,20 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, run_dir=args.run_dir)
+        # each applied flag is also written under its config key, so the manifest records it
         if args.seed is not None:
-            cfg.sampling_seed = args.seed
+            cfg.sampling_seed = cfg.raw["seeds.sampling"] = args.seed
         if args.validation_cap is not None:
             check_cap("--validation-cap", args.validation_cap)
+            cfg.raw["limits.validation_cap"] = args.validation_cap
             cfg.validation_cap = args.validation_cap or None
         if args.extract_mode:
-            cfg.extract_mode = True
+            cfg.extract_mode = cfg.raw["flags.extract_mode"] = True
         if args.all_templates:
-            cfg.all_templates = True
+            cfg.all_templates = cfg.raw["flags.all_templates"] = True
         if args.concurrency is not None:
             check_count("--concurrency", args.concurrency)
-            cfg.concurrency = args.concurrency
+            cfg.concurrency = cfg.raw["limits.concurrency"] = args.concurrency
 
         stages = STAGES if args.stage == "all" else (args.stage,)
         for stage in stages:

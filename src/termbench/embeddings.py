@@ -12,7 +12,6 @@ Token matrices are mean-pooled into a single vector per string.
 
 from __future__ import annotations
 
-import json
 import struct
 import time
 from pathlib import Path
@@ -20,9 +19,9 @@ from typing import IO, Callable, Sequence
 
 import numpy as np
 
-from .errors import ConsistencyError, DomainError, ParseError, ProtocolError, TransportError
+from .errors import ConsistencyError, DomainError, ParseError, ProtocolError
 from .jsonl import iter_rows, write_rows
-from .retry import check_status, with_retries
+from .remote import Transport, call_json, http_transport
 
 MAGIC = b"EMB1"
 # Texts per embedding request; the default client batch cap of common embedding servers.
@@ -112,31 +111,20 @@ class HttpEmbeddingProvider:
     """POST {"texts": [...]} -> {"vectors": [[...]]} or {"token_vectors": [[[...]]]}.
 
     A request carries at most `BATCH_SIZE` texts and is retried like every
-    other remote call. Responses are cached in memory, so repeated texts
-    cost one request and the provider stays deterministic within a run.
+    other remote call. Every vector must be finite, flat and as long as
+    the others; a reply that breaks that is a `ProtocolError`. Responses are
+    cached in memory, so repeated texts cost one request and the provider
+    stays deterministic within a run.
     """
 
-    def __init__(self, url: str, api_key: str | None = None, transport=None,
+    def __init__(self, url: str, api_key: str | None = None,
+                 transport: Transport = http_transport,
                  sleep: Callable[[float], None] = time.sleep):
         self.url = url
         self.api_key = api_key
-        self._transport = transport or self._requests_transport
+        self._transport = transport
         self._sleep = sleep
         self._cache: dict[str, np.ndarray] = {}
-
-    @staticmethod
-    def _requests_transport(url: str, payload: dict, headers: dict) -> dict:
-        import requests
-
-        try:
-            resp = requests.post(url, json=payload, headers=headers, timeout=120)
-        except requests.RequestException as exc:
-            raise TransportError(f"embedding request failed: {exc}") from exc
-        check_status(resp.status_code, resp.text, "embedding endpoint")
-        try:
-            return json.loads(resp.text)
-        except ValueError as exc:
-            raise ProtocolError(f"embedding response is not JSON: {exc}") from exc
 
     def embed_many(self, texts: Sequence[str]) -> list[np.ndarray]:
         missing = list(dict.fromkeys(t for t in texts if t not in self._cache))
@@ -149,17 +137,29 @@ class HttpEmbeddingProvider:
         headers = {}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
-        payload = with_retries(
-            lambda: self._transport(self.url, {"texts": batch}, headers),
-            "embedding", self._sleep)
-        if "token_vectors" in payload:
-            vectors = [mean_pool(m) for m in payload["token_vectors"]]
-        elif "vectors" in payload:
-            vectors = [np.asarray(v, dtype=float) for v in payload["vectors"]]
-        else:
-            raise ProtocolError("embedding response lacks vectors/token_vectors")
+        payload = call_json("embedding", "POST", self.url, transport=self._transport,
+                            limiter=None, sleep=self._sleep,
+                            json={"texts": batch}, headers=headers)
+        if not isinstance(payload, dict):
+            raise ProtocolError("embedding response is not a JSON object")
+        try:
+            if "token_vectors" in payload:
+                vectors = [mean_pool(m) for m in payload["token_vectors"]]
+            elif "vectors" in payload:
+                vectors = [np.asarray(v, dtype=float) for v in payload["vectors"]]
+            else:
+                raise ProtocolError("embedding response lacks vectors/token_vectors")
+        except (TypeError, ValueError, DomainError) as exc:
+            raise ProtocolError(f"embedding vectors are not numeric: {exc}") from exc
         if len(vectors) != len(batch):
             raise ProtocolError(f"asked for {len(batch)} embeddings, got {len(vectors)}")
+        if not all(np.isfinite(v).all() for v in vectors):
+            raise ProtocolError("embedding vectors hold a value that is not a finite number")
+        lengths = {v.size if v.ndim == 1 else -1 for v in vectors}  # -1: not a flat vector
+        if self._cache:
+            lengths.add(next(iter(self._cache.values())).size)
+        if len(lengths) != 1 or min(lengths) < 1:
+            raise ProtocolError(f"embedding vectors of unequal or no length: {sorted(lengths)}")
         return vectors
 
     def cached_vectors(self) -> dict[str, np.ndarray]:

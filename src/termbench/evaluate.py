@@ -11,7 +11,6 @@ from knowledge failures.
 from __future__ import annotations
 
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import IO, Sequence
@@ -21,6 +20,7 @@ from .jsonl import iter_rows, write_rows
 from .ontology import Terminology
 from .prompts import Direction, PromptInstance
 from .providers import CompletionProvider, DecodingParams
+from .remote import bounded_map
 
 _QUOTE_PAIRS = {('"', '"'), ("'", "'"), ("“", "”"), ("‘", "’")}
 
@@ -166,14 +166,8 @@ def run_eval(
     if len(terminologies) != 1 or len(directions) != 1:
         raise DomainError("a run covers exactly one terminology and direction")
 
-    if concurrency_limit <= 1:
-        items = [_evaluate_one(provider, p, model_id, params, extract) for p in prompts]
-    else:
-        with ThreadPoolExecutor(max_workers=concurrency_limit) as pool:
-            items = list(
-                pool.map(lambda p: _evaluate_one(provider, p, model_id, params, extract),
-                         prompts)
-            )
+    items = bounded_map(lambda p: _evaluate_one(provider, p, model_id, params, extract),
+                        prompts, concurrency_limit)
     items.sort(key=lambda i: (i.pair_id, i.template_id))
     if all(i.error is not None for i in items):
         raise RunFailedError(f"all {len(items)} items failed; first: {items[0].error}")

@@ -37,6 +37,7 @@ from .alignment import (
 from .config import (
     COMPLETION_KEY_ENV,
     EMBEDDING_KEY_ENV,
+    EUTILS_KEY_ENV,
     GO_CC_NAMESPACE,
     TERMINOLOGY_KEYS,
     RunConfig,
@@ -96,6 +97,7 @@ from .prompts import (
 )
 from .providers import HttpCompletionProvider, ReplayProvider, TranscriptWriter
 from .ratelimit import TokenBucket
+from .remote import http_transport
 from .sampling import (
     SampledPair,
     Split,
@@ -273,11 +275,9 @@ def stage_popularity(cfg: RunConfig, files: StageFiles, manifest: RunManifest) -
 
     cache_path = cfg.pmc_cache or (files.out_dir / "pmc_cache.jsonl")
     cache = QueryCache(cache_path)
-    limiter = TokenBucket(cfg.rate_per_second)
-    if cfg.offline:
-        client = PmcClient(cache=cache, transport=None, rate_limiter=limiter)
-    else:
-        client = PmcClient(cache=cache, rate_limiter=limiter)
+    client = PmcClient(cache=cache, transport=None if cfg.offline else http_transport,
+                       api_key=os.environ.get(EUTILS_KEY_ENV),
+                       rate_limiter=TokenBucket(cfg.rate_per_second))
 
     annotations_by_t: dict[Terminology, dict[str, int]] = {}
     for t in TERMINOLOGIES:

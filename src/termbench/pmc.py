@@ -8,30 +8,25 @@ set, is sent with each request. `PmcClient.fetch_counts` keeps up to
 `concurrency` requests in flight, so round-trip latency does not hold
 throughput below that rate.
 
-Transport is injectable: anything callable as `transport(url, params) ->
-(status_code, body_text)`. The default wraps `requests`.
+Requests go through `remote.call_json` with an injectable transport (the
+default is `remote.http_transport`); a client with no transport answers
+from the cache only.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .config import EUTILS_KEY_ENV
 from .errors import ProtocolError, TransportError
 from .jsonl import iter_rows, write_rows
 from .ratelimit import TokenBucket
-from .retry import check_status, with_retries
+from .remote import Transport, bounded_map, call_json, http_transport
 
 ESEARCH_URL = "https://eutils.ncbi.nlm.nih.gov/entrez/eutils/esearch.fcgi"
-
-Transport = Callable[[str, dict], tuple[int, str]]
 
 
 def identifier_query(identifier: str) -> str:
@@ -42,16 +37,6 @@ def identifier_query(identifier: str) -> str:
 def term_query(label: str) -> str:
     """Exact-phrase PMC query for a term's primary label."""
     return f'"{label}"[All Fields]'
-
-
-def _requests_transport(url: str, params: dict) -> tuple[int, str]:
-    import requests
-
-    try:
-        resp = requests.get(url, params=params, timeout=30)
-    except requests.RequestException as exc:
-        raise TransportError(f"request failed: {exc}") from exc
-    return resp.status_code, resp.text
 
 
 class QueryCache:
@@ -87,14 +72,14 @@ class PmcClient:
     def __init__(
         self,
         cache: QueryCache,
-        transport: Transport | None = _requests_transport,
+        transport: Transport | None = http_transport,
         api_key: str | None = None,
         rate_limiter: TokenBucket | None = None,
         sleep: Callable[[float], None] = time.sleep,
     ):
         self.cache = cache
         self.transport = transport
-        self.api_key = api_key if api_key is not None else os.environ.get(EUTILS_KEY_ENV)
+        self.api_key = api_key
         self.rate_limiter = rate_limiter
         self._sleep = sleep
 
@@ -120,10 +105,10 @@ class PmcClient:
 
         Cached queries (and every query when there is no transport) are
         answered in order on the calling thread. The misses go through
-        `fetch_count` on a pool of `concurrency` threads, so at most that
-        many requests are in flight. The first failure cancels the fetches
-        not yet started and is re-raised; counts already fetched stay in
-        the cache, so a re-run resumes from them.
+        `fetch_count` in `bounded_map`, so at most `concurrency` requests
+        are in flight. The first failure cancels the fetches not yet
+        started and is re-raised; counts already fetched stay in the cache,
+        so a re-run resumes from them.
         """
         counts: dict[str, int] = {}
         misses = []
@@ -132,55 +117,23 @@ class PmcClient:
                 counts[query] = self.fetch_count(query, db)
             else:
                 misses.append(query)
-        if misses:
-            counts.update(self._fetch_concurrently(misses, db, max(1, concurrency)))
+        counts.update(zip(misses, bounded_map(
+            lambda query: self.fetch_count(query, db), misses, concurrency)))
         return [counts[query] for query in queries]
-
-    def _fetch_concurrently(self, misses: list[str], db: str,
-                            concurrency: int) -> dict[str, int]:
-        # At most 2 * concurrency fetches are submitted at a time: enough to
-        # keep every worker busy, without holding one future per query (82k
-        # at release scale, about 150 MB).
-        counts: dict[str, int] = {}
-        pending: dict[Future, str] = {}
-
-        def settle_one() -> None:
-            done, _ = wait(pending, return_when=FIRST_COMPLETED)
-            for future in done:
-                counts[pending.pop(future)] = future.result()
-
-        pool = ThreadPoolExecutor(max_workers=concurrency)
-        try:
-            for query in misses:
-                if len(pending) >= 2 * concurrency:
-                    settle_one()
-                pending[pool.submit(self.fetch_count, query, db)] = query
-            while pending:
-                settle_one()
-        finally:
-            pool.shutdown(cancel_futures=True)
-        return counts
 
     def _fetch_remote(self, query: str, db: str) -> int:
         params = {"db": db, "term": query, "retmode": "json", "rettype": "count"}
         if self.api_key:
             params["api_key"] = self.api_key
-
-        def attempt() -> int:
-            if self.rate_limiter is not None:
-                self.rate_limiter.acquire()
-            status, body = self.transport(ESEARCH_URL, params)
-            check_status(status, body, "esearch")
-            return self._parse_count(body)
-
-        return with_retries(attempt, "esearch", self._sleep)
+        return self._parse_count(call_json(
+            "esearch", "GET", ESEARCH_URL, transport=self.transport,
+            limiter=self.rate_limiter, sleep=self._sleep, params=params))
 
     @staticmethod
-    def _parse_count(body: str) -> int:
+    def _parse_count(payload) -> int:
         try:
-            payload = json.loads(body)
             count = payload["esearchresult"]["count"]
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (KeyError, TypeError) as exc:
             raise ProtocolError(f"count missing from esearch response: {exc}") from exc
         try:
             value = int(count)

@@ -9,7 +9,6 @@ hash, which makes evaluations reproducible byte for byte.
 from __future__ import annotations
 
 import hashlib
-import json
 import threading
 import time
 from dataclasses import dataclass
@@ -17,10 +16,10 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Protocol
 
-from .errors import ConsistencyError, ProtocolError, TransportError
+from .errors import ConsistencyError, ParseError, ProtocolError
 from .jsonl import iter_rows, write_rows
 from .ratelimit import TokenBucket
-from .retry import check_status, with_retries
+from .remote import Transport, call_json, http_transport
 
 
 @dataclass(frozen=True)
@@ -55,15 +54,20 @@ class ReplayProvider:
     @classmethod
     def from_transcript(cls, path: str | Path) -> "ReplayProvider":
         with open(path, encoding="utf-8") as fh:
-            responses = dict(iter_rows(
-                fh, lambda row: (row["prompt_hash"], row["response"]["text"])))
-        return cls(responses)
+            return cls(dict(iter_rows(fh, _transcript_entry)))
 
     def complete(self, prompt_text: str, model_id: str, params: DecodingParams) -> str:
         key = prompt_hash(prompt_text)
         if key not in self._responses:
             raise ConsistencyError(f"no transcript entry for prompt hash {key[:12]}…")
         return self._responses[key]
+
+
+def _transcript_entry(row: dict) -> tuple[str, str]:
+    text = row["response"]["text"]
+    if not isinstance(text, str):
+        raise ParseError(f"response.text is not a string: {text!r}")
+    return row["prompt_hash"], text
 
 
 class TranscriptWriter:
@@ -95,48 +99,30 @@ class HttpCompletionProvider:
         api_key: str | None = None,
         transcript: TranscriptWriter | None = None,
         rate_limiter: TokenBucket | None = None,
-        transport: Callable[[str, dict, dict], tuple[int, str]] | None = None,
+        transport: Transport = http_transport,
         sleep: Callable[[float], None] = time.sleep,
     ):
         self.url = url
         self.api_key = api_key
         self.transcript = transcript
         self.rate_limiter = rate_limiter
-        self._transport = transport or self._requests_transport
+        self._transport = transport
         self._sleep = sleep
-
-    @staticmethod
-    def _requests_transport(url: str, body: dict, headers: dict) -> tuple[int, str]:
-        import requests
-
-        try:
-            resp = requests.post(url, json=body, headers=headers, timeout=120)
-        except requests.RequestException as exc:
-            raise TransportError(f"completion request failed: {exc}") from exc
-        return resp.status_code, resp.text
 
     def complete(self, prompt_text: str, model_id: str, params: DecodingParams) -> str:
         body = request_body(prompt_text, model_id, params)
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
-
-        def attempt() -> str:
-            if self.rate_limiter is not None:
-                self.rate_limiter.acquire()
-            status, text = self._transport(self.url, body, headers)
-            check_status(status, text, "completion endpoint")
-            return self._parse_output(text)
-
-        output = with_retries(attempt, "completion", self._sleep)
+        payload = call_json("completion", "POST", self.url, transport=self._transport,
+                            limiter=self.rate_limiter, sleep=self._sleep,
+                            json=body, headers=headers)
+        try:
+            output = payload["choices"][0]["message"]["content"]
+        except (KeyError, IndexError, TypeError) as exc:
+            raise ProtocolError(f"unexpected completion payload: {exc}") from exc
+        if not isinstance(output, str):
+            raise ProtocolError(f"completion content is not a string: {output!r}")
         if self.transcript is not None:
             self.transcript.record(prompt_text, body, output)
         return output
-
-    @staticmethod
-    def _parse_output(text: str) -> str:
-        try:
-            payload = json.loads(text)
-            return payload["choices"][0]["message"]["content"]
-        except (json.JSONDecodeError, KeyError, IndexError, TypeError) as exc:
-            raise ProtocolError(f"unexpected completion payload: {exc}") from exc

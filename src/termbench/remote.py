@@ -1,0 +1,105 @@
+"""The one remote-call layer shared by the esearch, completion and embedding clients.
+
+`call_json` is the one request path: it takes a rate-limit token, sends
+the request through a transport, retries a failed request or an HTTP 429
+or 5xx (waits start at 1 s and double; the fifth failed attempt gives up),
+fails at once on any other 4xx, and returns the decoded JSON body. A
+client only builds its request and pulls its field out of the reply.
+
+A transport is anything callable as `transport(method, url, **request) ->
+(status_code, body_text)`; `http_transport` is the one that uses
+`requests`. `bounded_map` is the one thread pool.
+"""
+
+from __future__ import annotations
+
+import json
+from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
+from typing import Callable, Iterable, TypeVar
+
+from .errors import PermanentHttpError, ProtocolError, TransportError
+from .ratelimit import TokenBucket
+
+RETRY_BASE_SECONDS = 1.0
+RETRY_FACTOR = 2.0
+MAX_ATTEMPTS = 5
+# seconds before `requests` gives up on one attempt, by HTTP method
+_TIMEOUTS = {"GET": 30, "POST": 120}
+
+T = TypeVar("T")
+R = TypeVar("R")
+
+Transport = Callable[..., tuple[int, str]]
+
+
+def http_transport(method: str, url: str, **request) -> tuple[int, str]:
+    """Send one request with `requests`; a failed connection is a `TransportError`."""
+    import requests
+
+    send = requests.get if method == "GET" else requests.post
+    try:
+        resp = send(url, **request, timeout=_TIMEOUTS[method])
+    except requests.RequestException as exc:
+        raise TransportError(f"request failed: {exc}") from exc
+    return resp.status_code, resp.text
+
+
+def call_json(endpoint: str, method: str, url: str, *, transport: Transport,
+              limiter: TokenBucket | None, sleep: Callable[[float], None], **request):
+    """Decoded JSON body of the first attempt that is not a failed request, 429 or 5xx."""
+    delay = RETRY_BASE_SECONDS
+    last_error: TransportError | None = None
+    for n in range(MAX_ATTEMPTS):
+        if n > 0:
+            sleep(delay)
+            delay *= RETRY_FACTOR
+        if limiter is not None:
+            limiter.acquire()
+        try:
+            status, text = transport(method, url, **request)
+        except TransportError as exc:
+            last_error = exc
+            continue
+        if status == 429 or 500 <= status < 600:
+            last_error = TransportError(f"HTTP {status} from {endpoint}")
+            continue
+        if 400 <= status < 500:
+            raise PermanentHttpError(status, text[:200])
+        try:
+            return json.loads(text)
+        except ValueError as exc:
+            raise ProtocolError(f"{endpoint} response is not JSON: {exc}") from exc
+    raise TransportError(f"{endpoint} failed after {MAX_ATTEMPTS} attempts: {last_error}")
+
+
+def bounded_map(fn: Callable[[T], R], items: Iterable[T], concurrency: int) -> list[R]:
+    """`[fn(item) for item in items]`, with up to `concurrency` calls running at once.
+
+    Runs inline at concurrency 1 or for fewer than two items. Otherwise at
+    most 2 * concurrency calls are submitted ahead of the results: enough
+    to keep every worker busy without holding one future per item (82k
+    pending calls hold about 150 MB). The first call to raise cancels the
+    calls not yet started, and its exception is re-raised.
+    """
+    items = list(items)
+    if concurrency <= 1 or len(items) < 2:
+        return [fn(item) for item in items]
+    results: list = [None] * len(items)
+    pending: dict[Future, int] = {}
+
+    def settle_one() -> None:
+        done, _ = wait(pending, return_when=FIRST_COMPLETED)
+        for future in done:
+            results[pending.pop(future)] = future.result()
+
+    pool = ThreadPoolExecutor(max_workers=concurrency)
+    try:
+        for index, item in enumerate(items):
+            if len(pending) >= 2 * concurrency:
+                settle_one()
+            pending[pool.submit(fn, item)] = index
+        while pending:
+            settle_one()
+    finally:
+        pool.shutdown(cancel_futures=True)
+    return results

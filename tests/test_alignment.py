@@ -501,9 +501,9 @@ def test_store_missing_text_raises():
 def test_http_embedding_provider_vectors_and_cache():
     calls = []
 
-    def transport(url, payload, headers):
-        calls.append(payload)
-        return {"vectors": [[1.0, 2.0]] * len(payload["texts"])}
+    def transport(method, url, **request):
+        calls.append(request["json"])
+        return 200, json.dumps({"vectors": [[1.0, 2.0]] * len(request["json"]["texts"])})
 
     provider = HttpEmbeddingProvider("http://e", transport=transport)
     v1 = provider.embed_many(["a"])[0]
@@ -514,17 +514,40 @@ def test_http_embedding_provider_vectors_and_cache():
 
 
 def test_http_embedding_provider_token_matrix_pooled():
-    def transport(url, payload, headers):
-        return {"token_vectors": [[[1.0, 0.0], [0.0, 1.0]]]}
+    def transport(method, url, **request):
+        return 200, json.dumps({"token_vectors": [[[1.0, 0.0], [0.0, 1.0]]]})
 
     provider = HttpEmbeddingProvider("http://e", transport=transport)
     assert np.allclose(provider.embed_many(["a"])[0], [0.5, 0.5])
 
 
 def test_http_embedding_provider_bad_payload():
-    provider = HttpEmbeddingProvider("http://e", transport=lambda u, p, h: {"nope": 1})
+    provider = HttpEmbeddingProvider("http://e",
+                                     transport=lambda m, u, **r: (200, json.dumps({"nope": 1})))
     with pytest.raises(ProtocolError):
         provider.embed_many(["a"])
+
+
+@pytest.mark.parametrize("reply", [
+    3,
+    {"vectors": None},
+    {"vectors": ["a"]},
+    {"vectors": [[1, 2], [3]]},
+], ids=["not-an-object", "null-vectors", "non-numeric", "unequal-lengths"])
+def test_http_embedding_provider_rejects_a_malformed_reply(reply):
+    provider = HttpEmbeddingProvider("http://e",
+                                     transport=lambda m, u, **r: (200, json.dumps(reply)))
+    with pytest.raises(ProtocolError):
+        provider.embed_many(["a", "b"])
+
+
+def test_http_embedding_provider_rejects_a_length_unlike_earlier_replies():
+    replies = iter([{"vectors": [[1.0, 2.0]]}, {"vectors": [[3.0]]}])
+    provider = HttpEmbeddingProvider("http://e",
+                                     transport=lambda m, u, **r: (200, json.dumps(next(replies))))
+    provider.embed_many(["a"])
+    with pytest.raises(ProtocolError):
+        provider.embed_many(["b"])
 
 
 def test_store_embed_many_matches_embed():
@@ -536,9 +559,10 @@ def test_store_embed_many_matches_embed():
 def test_http_embedding_provider_batches_distinct_texts():
     batches = []
 
-    def transport(url, payload, headers):
-        batches.append(list(payload["texts"]))
-        return {"vectors": [[float(t[1:])] for t in payload["texts"]]}
+    def transport(method, url, **request):
+        texts = request["json"]["texts"]
+        batches.append(list(texts))
+        return 200, json.dumps({"vectors": [[float(t[1:])] for t in texts]})
 
     provider = HttpEmbeddingProvider("http://e", transport=transport)
     texts = [f"t{i}" for i in range(70)]

@@ -223,6 +223,23 @@ def test_stage_sequence_and_manifest(tmp_path):
             assert Path(path).exists()
 
 
+def test_manifest_records_cli_overrides(tmp_path):
+    plain, flagged = tmp_path / "plain", tmp_path / "flagged"
+    assert main(["--config", str(CONFIG), "--run-dir", str(plain), "--stage", "ingest"]) == 0
+    assert main(["--config", str(CONFIG), "--run-dir", str(flagged), "--stage", "ingest",
+                 "--seed", "7", "--extract-mode", "--all-templates", "--concurrency", "3",
+                 "--validation-cap", "5"]) == 0
+    config = json.loads((flagged / "manifest.json").read_text())["config"]
+    assert {k: config[k] for k in ("seeds.sampling", "limits.validation_cap",
+                                   "flags.extract_mode", "flags.all_templates",
+                                   "limits.concurrency")} == {
+        "seeds.sampling": 7, "limits.validation_cap": 5, "flags.extract_mode": True,
+        "flags.all_templates": True, "limits.concurrency": 3}
+    assert json.loads((plain / "manifest.json").read_text())["config"]["limits.concurrency"] == 2
+    for path in (plain / "ingest").iterdir():
+        assert (flagged / "ingest" / path.name).read_bytes() == path.read_bytes()
+
+
 def test_corrupt_manifest_exits_1_naming_it(tmp_path, capsys):
     run_dir = tmp_path / "run"
     assert main(["--config", str(CONFIG), "--run-dir", str(run_dir),

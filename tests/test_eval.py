@@ -1,9 +1,18 @@
 import io
 import json
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from termbench.errors import ConsistencyError, DomainError, PermanentHttpError, TransportError
+from termbench.errors import (
+    ConsistencyError,
+    DomainError,
+    ParseError,
+    PermanentHttpError,
+    ProtocolError,
+    TransportError,
+)
 from termbench.evaluate import (
     EvalItem,
     Phase,
@@ -155,6 +164,45 @@ def test_run_eval_order_stable_under_concurrency():
     assert sequential.items == threaded.items
 
 
+def test_run_eval_keeps_few_submissions_outstanding(monkeypatch):
+    lock = threading.Lock()
+    counts = {"outstanding": 0, "peak": 0}
+    submit = ThreadPoolExecutor.submit
+
+    def counting_submit(self, fn, *args, **kwargs):
+        with lock:
+            counts["outstanding"] += 1
+            counts["peak"] = max(counts["peak"], counts["outstanding"])
+
+        def run():
+            try:
+                return fn(*args, **kwargs)
+            finally:  # before the future is done, so a waiter never sees a stale count
+                with lock:
+                    counts["outstanding"] -= 1
+
+        return submit(self, run)
+
+    monkeypatch.setattr(ThreadPoolExecutor, "submit", counting_submit)
+    prompts = [_prompt(_pair(term=f"t{i}", identifier=f"HP:{i:07d}")) for i in range(200)]
+    answers = {p.prompt_text: p.expected_answer for p in prompts}
+    release = threading.Event()
+
+    class BlockingProvider:
+        def complete(self, prompt_text, model_id, params):
+            release.wait(timeout=10)
+            return answers[prompt_text]
+
+    timer = threading.Timer(0.2, release.set)
+    timer.start()
+    try:
+        run = run_eval(BlockingProvider(), prompts, "m", Phase.BASELINE, concurrency_limit=2)
+    finally:
+        timer.join()
+    assert len(run.items) == 200 and run.accuracy == 1.0
+    assert 2 <= counts["peak"] <= 4
+
+
 def test_run_eval_rejects_mixed_sets():
     p1 = _prompt(_pair())
     p2 = _prompt(_pair(terminology=Terminology.GENE, term="tumor protein p53",
@@ -266,6 +314,17 @@ def test_replay_from_transcript_file(tmp_path):
     assert provider.complete(prompts[0].prompt_text, "m", DecodingParams()) == "HP:0001337"
 
 
+def test_replay_rejects_a_transcript_text_that_is_not_a_string(tmp_path):
+    path = tmp_path / "t.jsonl"
+    rows = [{"prompt_hash": "a", "response": {"text": "HP:0001337"}},
+            {"prompt_hash": "b", "response": {"text": None}}]
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    with pytest.raises(ParseError) as exc:
+        ReplayProvider.from_transcript(path)
+    assert exc.value.line_number == 2
+    assert "response.text is not a string" in str(exc.value)
+
+
 def test_replay_missing_hash_raises():
     with pytest.raises(ConsistencyError):
         ReplayProvider({}).complete("anything", "m", DecodingParams())
@@ -277,9 +336,9 @@ class ScriptedHttp:
         self.calls = 0
         self.bodies = []
 
-    def __call__(self, url, body, headers):
+    def __call__(self, method, url, json, headers):
         self.calls += 1
-        self.bodies.append(body)
+        self.bodies.append(json)
         step = self.script.pop(0) if len(self.script) > 1 else self.script[0]
         return step
 
@@ -331,3 +390,21 @@ def test_http_provider_exhausts_retries(tmp_path):
     with pytest.raises(TransportError):
         provider.complete("p", "m", DecodingParams())
     assert transport.calls == 5
+
+
+def test_http_provider_fails_an_item_whose_content_is_not_a_string(tmp_path):
+    null = json.dumps({"choices": [{"message": {"content": None}}]})
+    transport = ScriptedHttp([(200, null), (200, _chat_body("HP:0000001"))])
+    provider = HttpCompletionProvider("http://example",
+                                      transcript=TranscriptWriter(tmp_path / "t.jsonl"),
+                                      transport=transport, sleep=lambda s: None)
+    prompts = [_prompt(_pair(term=f"t{i}", identifier=f"HP:{i:07d}")) for i in range(2)]
+    run = run_eval(provider, prompts, "m", Phase.BASELINE)
+    assert [i.error is not None for i in run.items] == [True, False]
+    assert "completion content is not a string" in run.items[0].error
+    assert run.items[1].correct
+    rows = (tmp_path / "t.jsonl").read_text().splitlines()
+    assert [json.loads(r)["response"]["text"] for r in rows] == ["HP:0000001"]
+    with pytest.raises(ProtocolError):
+        HttpCompletionProvider("http://example", transport=ScriptedHttp([(200, null)]),
+                               sleep=lambda s: None).complete("p", "m", DecodingParams())

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-import termbench.pmc
+import termbench.remote
 from termbench.errors import DomainError, ParseError, ProtocolError, TransportError, PermanentHttpError
 from termbench.ontology import Terminology
 from termbench.pmc import PmcClient, QueryCache, identifier_query, term_query
@@ -143,7 +143,7 @@ class MockTransport:
         self.script = list(script)
         self.calls = 0
 
-    def __call__(self, url, params):
+    def __call__(self, method, url, params):
         self.calls += 1
         step = self.script.pop(0) if len(self.script) > 1 else self.script[0]
         if isinstance(step, Exception):
@@ -240,7 +240,7 @@ class CountsByQuery:
         self.max_in_flight = 0
         self._lock = threading.Lock()
 
-    def __call__(self, url, params):
+    def __call__(self, method, url, params):
         query = params["term"]
         with self._lock:
             self.calls.append(query)
@@ -265,7 +265,7 @@ def _counts_client(tmp_path, transport):
 def test_fetch_counts_overlaps_requests(tmp_path):
     barrier = threading.Barrier(2, timeout=5)
 
-    def transport(url, params):
+    def transport(method, url, params):
         barrier.wait()  # breaks unless both requests are in flight together
         return 200, _count_body(len(params["term"]))
 
@@ -310,7 +310,7 @@ def test_fetch_counts_answers_cached_queries_without_a_pool(tmp_path, monkeypatc
     def no_pool(*args, **kwargs):
         raise AssertionError("a thread pool was started")
 
-    monkeypatch.setattr(termbench.pmc, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(termbench.remote, "ThreadPoolExecutor", no_pool)
     cached = _counts_client(tmp_path, CountsByQuery({}))
     assert cached.fetch_counts(["b", "a", "b"], concurrency=4) == [2, 1, 2]
 
