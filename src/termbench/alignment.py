@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import IO, Sequence
 
 import numpy as np
@@ -35,21 +35,6 @@ class AlignmentResult:
     # the per-term means used for the test.
     nonrow_pooled_mean: float = float("nan")
     nonrow_pooled_sd: float = float("nan")
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "rowwise_mean": self.rowwise_mean,
-            "rowwise_sd": self.rowwise_sd,
-            "nonrow_mean": self.nonrow_mean,
-            "nonrow_sd": self.nonrow_sd,
-            "delta_mean": self.delta_mean,
-            "t_stat": self.t_stat,
-            "df": self.df,
-            "p_value": self.p_value,
-            "nonrow_pooled_mean": self.nonrow_pooled_mean,
-            "nonrow_pooled_sd": self.nonrow_pooled_sd,
-        }
 
 
 def _unit_rows(vectors: list[np.ndarray], what: str) -> np.ndarray:
@@ -216,7 +201,7 @@ def paired_distance_analysis(
 
 
 def write_alignment_json(results: dict[str, AlignmentResult], sink: IO) -> None:
-    payload = {name: r.to_dict() for name, r in results.items()}
+    payload = {name: asdict(r) for name, r in results.items()}
     json.dump(payload, sink, indent=2, sort_keys=True)
     sink.write("\n")
 

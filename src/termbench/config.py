@@ -34,10 +34,11 @@ def parse_flat_config(text: str) -> dict[str, object]:
     """Parse the flat config grammar into {'section.key': value}.
 
     Lines end at "\n" only, so U+2028, U+2029 and U+0085 stay inside a value.
+    A leading byte-order mark is ignored.
     """
     values: dict[str, object] = {}
     section = ""
-    for lineno, raw in enumerate(text.split("\n"), start=1):
+    for lineno, raw in enumerate(text.removeprefix("\ufeff").split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

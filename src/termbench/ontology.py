@@ -14,9 +14,9 @@ excluded; `alt_id:` lines are ignored (one canonical identifier per term).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import IO, Iterable
+from typing import IO, Iterable, Iterator
 
 from .errors import ParseError, ValidationError
 from .jsonl import iter_rows, write_rows
@@ -32,12 +32,8 @@ class Terminology(Enum):
         """Short name used in prompts, reports and statistics tables."""
         return "GO" if self is Terminology.GO_CC else self.value
 
-    @property
-    def identifier_pattern(self) -> re.Pattern:
-        return _ID_PATTERNS[self]
-
     def valid_identifier(self, identifier: str) -> bool:
-        return bool(self.identifier_pattern.fullmatch(identifier))
+        return bool(_ID_PATTERNS[self].fullmatch(identifier))
 
 
 _ID_PATTERNS = {
@@ -72,26 +68,11 @@ class TermRecord:
 
 
 @dataclass
-class TermIndex:
-    """Bidirectional lookup over one terminology's records."""
-
-    by_identifier: dict[str, TermRecord] = field(default_factory=dict)
-    by_label: dict[str, str] = field(default_factory=dict)
-
-    def __len__(self) -> int:
-        return len(self.by_identifier)
-
-
-@dataclass
 class OboDocument:
     """Parsed OBO file: header tag/value pairs plus the live term records."""
 
     header: dict[str, str]
     records: list[TermRecord]
-
-
-def _strip_bom(text: str) -> str:
-    return text[1:] if text.startswith("﻿") else text
 
 
 def read_lines(stream: IO) -> list[str]:
@@ -104,31 +85,35 @@ def read_lines(stream: IO) -> list[str]:
     data = stream.read()
     if isinstance(data, bytes):
         data = data.decode("utf-8")
-    lines = _strip_bom(data).split("\n")
+    lines = data.removeprefix("\ufeff").split("\n")
     if lines[-1] == "":
         lines.pop()
     return [line[:-1] if line.endswith("\r") else line for line in lines]
 
 
+def two_column_rows(lines: list[str], start: int = 1) -> Iterator[tuple[int, str, str]]:
+    """(line number, first cell, second cell) for each non-blank TSV line.
+
+    `start` is the number of the first line. Both cells are stripped; a line
+    that does not split into exactly two tab-separated columns is a
+    ParseError naming it.
+    """
+    for lineno, line in enumerate(lines, start=start):
+        if not line.strip():
+            continue
+        cols = line.split("\t")
+        if len(cols) != 2:
+            raise ParseError(f"expected 2 tab-separated columns, got {len(cols)}", lineno)
+        yield lineno, cols[0].strip(), cols[1].strip()
+
+
+# A tag value ends at its first `!` that no backslash escapes.
+_VALUE_RE = re.compile(r"(?:[^!\\]|\\.?)*")
+_SYNONYM_RE = re.compile(r'\s*"((?:[^"\\]|\\.)*)"')
+
+
 def _strip_trailing_comment(value: str) -> str:
-    # OBO trailing comments start at an unescaped `!`.
-    out = []
-    escaped = False
-    for ch in value:
-        if escaped:
-            out.append(ch)
-            escaped = False
-        elif ch == "\\":
-            out.append(ch)
-            escaped = True
-        elif ch == "!":
-            break
-        else:
-            out.append(ch)
-    return "".join(out).strip()
-
-
-_SYNONYM_RE = re.compile(r'synonym:\s*"((?:[^"\\]|\\.)*)"')
+    return _VALUE_RE.match(value).group().strip()
 
 
 def parse_obo_document(stream: IO, terminology: Terminology) -> OboDocument:
@@ -139,87 +124,47 @@ def parse_obo_document(stream: IO, terminology: Terminology) -> OboDocument:
     obsolete but lacks `id:` or `name:` is a parse error at the stanza's
     opening line.
     """
-    lines = read_lines(stream)
-
     header: dict[str, str] = {}
-    records: list[TermRecord] = []
-
-    stanza: dict | None = None
-    stanza_line = 0
-    in_term = False
-    in_header = True
-
-    def flush():
-        if stanza is None:
-            return
-        if stanza["obsolete"]:
-            return
-        if stanza["id"] is None or stanza["name"] is None:
-            missing = "id:" if stanza["id"] is None else "name:"
-            raise ParseError(f"[Term] stanza missing {missing}", stanza_line)
-        synonyms: list[str] = []
-        for s in stanza["synonyms"]:
-            if s and s != stanza["name"] and s not in synonyms:
-                synonyms.append(s)
-        records.append(
-            TermRecord(
-                terminology=terminology,
-                identifier=stanza["id"],
-                label=stanza["name"],
-                synonyms=tuple(synonyms),
-                namespace=stanza["namespace"],
-            )
-        )
-
-    for lineno, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if stripped.startswith("["):
-            flush()
-            stanza = None
-            in_header = False
-            if stripped == "[Term]":
-                in_term = True
-                stanza = {
-                    "id": None,
-                    "name": None,
-                    "namespace": None,
-                    "synonyms": [],
-                    "obsolete": False,
-                }
-                stanza_line = lineno
-            else:
-                in_term = False
-            continue
-        if not stripped:
-            continue
-        if in_header:
-            if ":" in stripped:
-                tag, value = stripped.split(":", 1)
+    stanzas: list[tuple[int, dict[str, list[str]]]] = []
+    tags = None  # the open stanza's {tag: [raw values]}; None in the header
+    for lineno, line in enumerate(read_lines(stream), start=1):
+        line = line.strip()
+        if line.startswith("["):
+            tags = {}
+            if line == "[Term]":
+                stanzas.append((lineno, tags))
+        elif ":" in line:
+            tag, value = line.split(":", 1)
+            if tags is None:
                 header[tag.strip()] = _strip_trailing_comment(value)
-            continue
-        if not in_term or stanza is None:
-            continue
-        if stripped.startswith("synonym:"):
-            m = _SYNONYM_RE.match(stripped)
-            if m:
-                stanza["synonyms"].append(m.group(1).replace('\\"', '"').strip())
-            continue
-        if ":" not in stripped:
-            continue
-        tag, value = stripped.split(":", 1)
-        tag = tag.strip()
-        value = _strip_trailing_comment(value)
-        if tag == "id":
-            stanza["id"] = value
-        elif tag == "name":
-            stanza["name"] = value
-        elif tag == "namespace":
-            stanza["namespace"] = value
-        elif tag == "is_obsolete" and value == "true":
-            stanza["obsolete"] = True
-    flush()
+            elif tag == "synonym" or tag.strip() != "synonym":  # `synonym :` holds none
+                tags.setdefault(tag.strip(), []).append(value)
+    records = (_term_record(terminology, lineno, tags) for lineno, tags in stanzas)
+    return OboDocument(header=header, records=[r for r in records if r is not None])
 
-    return OboDocument(header=header, records=records)
+
+def _term_record(terminology: Terminology, lineno: int,
+                 tags: dict[str, list[str]]) -> TermRecord | None:
+    """The record of one `[Term]` stanza's tag values; None when it is obsolete.
+
+    The last `id`, `name` and `namespace` win; one `is_obsolete: true`
+    makes the term obsolete.
+    """
+    if "true" in map(_strip_trailing_comment, tags.get("is_obsolete", ())):
+        return None
+    identifier, label, namespace = (
+        _strip_trailing_comment(tags[tag][-1]) if tag in tags else None
+        for tag in ("id", "name", "namespace"))
+    for tag, value in (("id:", identifier), ("name:", label)):
+        if value is None:
+            raise ParseError(f"[Term] stanza missing {tag}", lineno)
+    synonyms: list[str] = []
+    for value in tags.get("synonym", ()):
+        match = _SYNONYM_RE.match(value)
+        synonym = match and match.group(1).replace('\\"', '"').strip()
+        if synonym and synonym != label and synonym not in synonyms:
+            synonyms.append(synonym)
+    return TermRecord(terminology, identifier, label, tuple(synonyms), namespace)
 
 
 def filter_namespace(records: Iterable[TermRecord], namespace: str) -> list[TermRecord]:
@@ -236,38 +181,31 @@ def parse_gene_map(stream: IO) -> list[TermRecord]:
     lines = read_lines(stream)
     if not lines:
         raise ParseError("empty gene map (missing header row)", 1)
-    header = lines[0].split("\t")
-    if header != ["gene_symbol", "protein_name"]:
+    if lines[0] != "gene_symbol\tprotein_name":
         raise ParseError(
             f"expected header 'gene_symbol\\tprotein_name', got {lines[0]!r}", 1
         )
-    records: list[TermRecord] = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        cols = line.split("\t")
-        if len(cols) != 2:
-            raise ParseError(f"expected 2 tab-separated columns, got {len(cols)}", lineno)
-        symbol, protein = cols[0].strip(), cols[1].strip()
-        records.append(TermRecord(Terminology.GENE, symbol, protein))
-    return records
+    return [TermRecord(Terminology.GENE, symbol, protein)
+            for _, symbol, protein in two_column_rows(lines[1:], start=2)]
 
 
-def build_index(records: Iterable[TermRecord]) -> TermIndex:
-    """Index records by identifier and by lowercased label.
+def build_index(records: Iterable[TermRecord]) -> dict[str, TermRecord]:
+    """Records by identifier.
 
-    Duplicates on either key are construction errors; silently keeping the
-    first occurrence would hide upstream data problems.
+    A duplicate identifier, or a label repeated up to case, is a
+    construction error; silently keeping the first occurrence would hide
+    upstream data problems.
     """
-    index = TermIndex()
+    index: dict[str, TermRecord] = {}
+    labels: set[str] = set()
     for record in records:
-        if record.identifier in index.by_identifier:
+        if record.identifier in index:
             raise ValidationError(f"duplicate identifier {record.identifier!r}")
         key = record.label.lower()
-        if key in index.by_label:
+        if key in labels:
             raise ValidationError(f"duplicate label {record.label!r}")
-        index.by_identifier[record.identifier] = record
-        index.by_label[key] = record.identifier
+        index[record.identifier] = record
+        labels.add(key)
     return index
 
 

@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import IO, Iterable, Sequence
 
 from .errors import DomainError
-from .evaluate import EvalRun, pair_correctness
+from .evaluate import EvalItem, pair_correctness
 from .jsonl import iter_rows, write_rows
 from .ontology import Terminology
 from .prompts import Direction, direction_label
@@ -69,17 +69,15 @@ class PairOutcome:
 
 
 def build_outcomes(
-    baseline_run: EvalRun,
-    finetuned_run: EvalRun,
+    baseline_items: Sequence[EvalItem],
+    finetuned_items: Sequence[EvalItem],
+    terminology: Terminology,
+    direction: Direction,
     split_by_pair: dict[str, Split],
 ) -> list[PairOutcome]:
-    """Join two runs of the same prompt set into per-pair outcomes."""
-    if (baseline_run.terminology, baseline_run.direction) != (
-        finetuned_run.terminology, finetuned_run.direction,
-    ):
-        raise DomainError("baseline and fine-tuned runs cover different prompt sets")
-    base = pair_correctness(baseline_run.items)
-    tuned = pair_correctness(finetuned_run.items)
+    """Join both phases' items for one (terminology, direction) into per-pair outcomes."""
+    base = pair_correctness(baseline_items)
+    tuned = pair_correctness(finetuned_items)
     if set(base) != set(tuned):
         raise DomainError("baseline and fine-tuned runs scored different pairs")
     outcomes = []
@@ -89,8 +87,8 @@ def build_outcomes(
         outcomes.append(
             PairOutcome(
                 pair_id=pid,
-                terminology=baseline_run.terminology,
-                direction=baseline_run.direction,
+                terminology=terminology,
+                direction=direction,
                 split=split_by_pair[pid],
                 baseline_correct=base[pid],
                 finetuned_correct=tuned[pid],
@@ -103,12 +101,9 @@ def build_outcomes(
 # Percentages and derived metrics (exact rational arithmetic)
 
 
-def round1(value: Fraction | float) -> float:
+def round1(value: Fraction) -> float:
     """Round half-up to one decimal, once, at the end of a computation."""
-    if isinstance(value, Fraction):
-        dec = Decimal(value.numerator) / Decimal(value.denominator)
-    else:
-        dec = Decimal(repr(value))
+    dec = Decimal(value.numerator) / Decimal(value.denominator)
     return float(dec.quantize(Decimal("0.1"), rounding=ROUND_HALF_UP))
 
 
@@ -382,12 +377,3 @@ def write_outcomes_jsonl(outcomes: Sequence[PairOutcome], sink: IO) -> int:
 def read_outcomes_jsonl(stream: IO) -> list[PairOutcome]:
     return list(iter_rows(stream, _outcome_from_row))
 
-
-def metrics_to_dict(metrics: DerivedMetrics) -> dict:
-    return {
-        "memorized_pct": metrics.memorized_pct,
-        "generalized_pct": metrics.generalized_pct,
-        "degraded_pct": metrics.degraded_pct,
-        "degraded_pooled_pct": metrics.degraded_pooled_pct,
-        "accuracy_pct": metrics.accuracy_pct,
-    }

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import GENERATOR_NAME
@@ -45,7 +46,6 @@ from .config import (
 from .embeddings import FileEmbeddingStore, HttpEmbeddingProvider, write_store_jsonl
 from .errors import DomainError, ValidationError
 from .evaluate import (
-    EvalRun,
     Phase,
     read_results_jsonl,
     run_eval,
@@ -66,7 +66,6 @@ from .outcomes import (
     PairOutcome,
     build_outcomes,
     derive_metrics,
-    metrics_to_dict,
     read_outcomes_jsonl,
     sankey_edges,
     table_report,
@@ -418,24 +417,6 @@ def stage_eval(cfg: RunConfig, files: StageFiles, manifest: RunManifest) -> None
     files.outputs.extend(w.path for w in writers if w.path.exists())
 
 
-def _load_run(cfg: RunConfig, files: StageFiles, phase: Phase, t: Terminology,
-              d: Direction) -> EvalRun:
-    """One eval run from its results file alone.
-
-    Outcomes use only the run's items, so the summary is not read: the model
-    id comes from the config.
-    """
-    items = files.read(f"eval/results_{_run_stem(phase, t, d)}.jsonl", read_results_jsonl)
-    model_id = cfg.baseline_model if phase is Phase.BASELINE else cfg.finetuned_model
-    return EvalRun(
-        model_id=model_id,
-        terminology=t,
-        direction=d,
-        phase=phase,
-        items=tuple(items),
-    )
-
-
 def stage_classify(cfg: RunConfig, files: StageFiles, manifest: RunManifest) -> None:
     split_by_pair = {pair_id(p): p.split
                      for p in files.read("sample/split.jsonl", read_split_jsonl)}
@@ -444,11 +425,12 @@ def stage_classify(cfg: RunConfig, files: StageFiles, manifest: RunManifest) -> 
     metrics_payload = {}
     for t in TERMINOLOGIES:
         for d in DIRECTIONS:
-            baseline = _load_run(cfg, files, Phase.BASELINE, t, d)
-            finetuned = _load_run(cfg, files, Phase.FINETUNED, t, d)
-            outcomes = build_outcomes(baseline, finetuned, split_by_pair)
+            baseline, finetuned = (
+                files.read(f"eval/results_{_run_stem(phase, t, d)}.jsonl", read_results_jsonl)
+                for phase in (Phase.BASELINE, Phase.FINETUNED))
+            outcomes = build_outcomes(baseline, finetuned, t, d, split_by_pair)
             all_outcomes.extend(outcomes)
-            metrics_payload[f"{t.value}:{d.value}"] = metrics_to_dict(derive_metrics(outcomes))
+            metrics_payload[f"{t.value}:{d.value}"] = asdict(derive_metrics(outcomes))
             for split in (Split.TRAIN, Split.VALIDATION):
                 files.write(f"sankey_{_tkey(t)}_{d.value}_{split.value}.csv", write_sankey_csv,
                             sankey_edges([o for o in outcomes if o.split is split]))

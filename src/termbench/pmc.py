@@ -135,10 +135,10 @@ class PmcClient:
             count = payload["esearchresult"]["count"]
         except (KeyError, TypeError) as exc:
             raise ProtocolError(f"count missing from esearch response: {exc}") from exc
-        try:
-            value = int(count)
-        except (TypeError, ValueError) as exc:
-            raise ProtocolError(f"non-numeric count {count!r}") from exc
-        if value < 0:
-            raise ProtocolError(f"negative count {value}")
-        return value
+        if isinstance(count, str) and count.isascii() and count.isdigit():
+            count = int(count)
+        elif not isinstance(count, int) or isinstance(count, bool):
+            raise ProtocolError(f"non-numeric count {count!r}")
+        if count < 0:
+            raise ProtocolError(f"negative count {count}")
+        return count

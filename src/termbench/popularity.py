@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import IO, Iterable
 
 from .errors import DomainError, ParseError, ValidationError
-from .ontology import Terminology, read_lines
+from .ontology import Terminology, read_lines, two_column_rows
 
 PROXIES = ("id_count_pmc", "term_count_pmc", "annotation_count")
 
@@ -77,13 +77,7 @@ def rank_frequency(records: Iterable[PopularityRecord], proxy: str) -> RankedDis
 def load_annotation_counts(stream: IO, terminology: Terminology) -> dict[str, int]:
     """Parse the two-column annotation TSV `identifier<TAB>count`."""
     counts: dict[str, int] = {}
-    for lineno, line in enumerate(read_lines(stream), start=1):
-        if not line.strip():
-            continue
-        cols = line.split("\t")
-        if len(cols) != 2:
-            raise ParseError(f"expected 2 tab-separated columns, got {len(cols)}", lineno)
-        identifier, raw_count = cols[0].strip(), cols[1].strip()
+    for lineno, identifier, raw_count in two_column_rows(read_lines(stream)):
         if not terminology.valid_identifier(identifier):
             raise ValidationError(
                 f"line {lineno}: identifier {identifier!r} does not match the "

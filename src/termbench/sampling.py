@@ -15,7 +15,7 @@ from typing import IO, Iterable
 
 from .errors import ConsistencyError, DomainError
 from .jsonl import iter_rows, write_rows
-from .ontology import TermIndex, Terminology, TermRecord
+from .ontology import Terminology, TermRecord
 from .popularity import RankedDistribution
 from .rng import SplitMix64, substream
 
@@ -64,7 +64,7 @@ def stratify(dist: RankedDistribution, n_bins: int = 20) -> list[FrequencyBin]:
 
 def sample_bins(
     bins: list[FrequencyBin],
-    index: TermIndex,
+    index: dict[str, TermRecord],
     seed: int,
     per_bin: int = 10,
 ) -> list[SampledPair]:
@@ -84,7 +84,7 @@ def sample_bins(
         rng: SplitMix64 = substream(seed, fbin.index)
         rng.shuffle_prefix(pool, per_bin)
         for identifier in sorted(pool[:per_bin]):
-            record = index.by_identifier.get(identifier)
+            record = index.get(identifier)
             if record is None:
                 raise ConsistencyError(f"sampled identifier {identifier!r} not indexed")
             pairs.append(

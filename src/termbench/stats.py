@@ -341,7 +341,6 @@ class GamesHowellRow:
     t: float
     df: float
     p_adj: float
-    degenerate: bool = False
 
 
 @dataclass(frozen=True)
@@ -376,7 +375,7 @@ def games_howell(groups: Sequence[tuple[str, Sequence[float]]]) -> GamesHowellRe
             t, se, df = _welch(mean_i, var_i, n_i, mean_j, var_j, n_j)
             if se == 0.0:
                 rows.append(GamesHowellRow(label_i, label_j, diff, 0.0, t, df,
-                                           1.0 if t == 0.0 else 0.0, True))
+                                           1.0 if t == 0.0 else 0.0))
                 continue
             q = abs(diff) * math.sqrt(2.0) / se
             p_adj = 1.0 - studentized_range_cdf(q, k, df)

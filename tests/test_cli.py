@@ -58,6 +58,21 @@ def test_parse_flat_config_keeps_unicode_line_separators_in_values(sep):
     assert values == {"paths.run_dir": f"runs/a{sep}b"}
 
 
+def test_parse_flat_config_ignores_a_leading_byte_order_mark():
+    values = parse_flat_config("\ufeff[paths]\nrun_dir = runs/a\n")
+    assert values == {"paths.run_dir": "runs/a"}
+
+
+def test_config_saved_with_a_byte_order_mark_runs(tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text("\ufeff" + CONFIG.read_text(encoding="utf-8"), encoding="utf-8")
+    for name in ("hpo.obo", "go.obo", "gene_map.tsv"):
+        (tmp_path / name).write_bytes((FIXTURE / name).read_bytes())
+    assert main(["--config", str(config), "--run-dir", str(tmp_path / "run"),
+                 "--stage", "ingest"]) == 0
+    assert (tmp_path / "run" / "ingest" / "records_hpo.jsonl").exists()
+
+
 @pytest.mark.parametrize("binding,message", [
     ("[flags]\noffline = no", "flags.offline must be true or false, got 'no'"),
     ("[sampling]\nn_bins = twenty", "sampling.n_bins must be an integer, got 'twenty'"),

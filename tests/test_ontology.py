@@ -1,16 +1,19 @@
 import io
+import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from termbench.errors import ParseError, ValidationError
 from termbench.ontology import (
+    OboDocument,
     TermRecord,
     Terminology,
     build_index,
     filter_namespace,
     parse_gene_map,
     parse_obo_document,
+    read_lines,
     read_records_jsonl,
     write_records_jsonl,
 )
@@ -180,8 +183,7 @@ def test_build_index_lookup():
     ]
     index = build_index(records)
     assert len(index) == 2
-    assert index.by_identifier["HP:0001337"].label == "tremor"
-    assert index.by_label["ataxia"] == "HP:0001251"
+    assert index["HP:0001337"].label == "tremor"
 
 
 def test_build_index_duplicate_identifier_fails():
@@ -255,3 +257,184 @@ def test_parse_or_error_never_silent_drop(case):
             parse_obo_document(io.StringIO(text), Terminology.HPO).records
     else:
         assert len(parse_obo_document(io.StringIO(text), Terminology.HPO).records) == expected
+
+
+# ---------------------------------------------------------------------------
+# Differential test: the stanza parser against the flag-driven one it replaced
+
+
+def _reference_strip_trailing_comment(value: str) -> str:
+    # OBO trailing comments start at an unescaped `!`.
+    out = []
+    escaped = False
+    for ch in value:
+        if escaped:
+            out.append(ch)
+            escaped = False
+        elif ch == "\\":
+            out.append(ch)
+            escaped = True
+        elif ch == "!":
+            break
+        else:
+            out.append(ch)
+    return "".join(out).strip()
+
+
+_REFERENCE_SYNONYM_RE = re.compile(r'synonym:\s*"((?:[^"\\]|\\.)*)"')
+
+
+def reference_parse_obo_document(stream, terminology: Terminology) -> OboDocument:
+    """The line-by-line parser with in_header/in_term flags and a flush closure."""
+    lines = read_lines(stream)
+
+    header: dict[str, str] = {}
+    records: list[TermRecord] = []
+
+    stanza: dict | None = None
+    stanza_line = 0
+    in_term = False
+    in_header = True
+
+    def flush():
+        if stanza is None:
+            return
+        if stanza["obsolete"]:
+            return
+        if stanza["id"] is None or stanza["name"] is None:
+            missing = "id:" if stanza["id"] is None else "name:"
+            raise ParseError(f"[Term] stanza missing {missing}", stanza_line)
+        synonyms: list[str] = []
+        for s in stanza["synonyms"]:
+            if s and s != stanza["name"] and s not in synonyms:
+                synonyms.append(s)
+        records.append(
+            TermRecord(
+                terminology=terminology,
+                identifier=stanza["id"],
+                label=stanza["name"],
+                synonyms=tuple(synonyms),
+                namespace=stanza["namespace"],
+            )
+        )
+
+    for lineno, line in enumerate(lines, start=1):
+        stripped = line.strip()
+        if stripped.startswith("["):
+            flush()
+            stanza = None
+            in_header = False
+            if stripped == "[Term]":
+                in_term = True
+                stanza = {
+                    "id": None,
+                    "name": None,
+                    "namespace": None,
+                    "synonyms": [],
+                    "obsolete": False,
+                }
+                stanza_line = lineno
+            else:
+                in_term = False
+            continue
+        if not stripped:
+            continue
+        if in_header:
+            if ":" in stripped:
+                tag, value = stripped.split(":", 1)
+                header[tag.strip()] = _reference_strip_trailing_comment(value)
+            continue
+        if not in_term or stanza is None:
+            continue
+        if stripped.startswith("synonym:"):
+            m = _REFERENCE_SYNONYM_RE.match(stripped)
+            if m:
+                stanza["synonyms"].append(m.group(1).replace('\\"', '"').strip())
+            continue
+        if ":" not in stripped:
+            continue
+        tag, value = stripped.split(":", 1)
+        tag = tag.strip()
+        value = _reference_strip_trailing_comment(value)
+        if tag == "id":
+            stanza["id"] = value
+        elif tag == "name":
+            stanza["name"] = value
+        elif tag == "namespace":
+            stanza["namespace"] = value
+        elif tag == "is_obsolete" and value == "true":
+            stanza["obsolete"] = True
+    flush()
+
+    return OboDocument(header=header, records=records)
+
+
+def _outcome(parse, text: str):
+    """(header, records) from a parse, or (error type, message) when it raises."""
+    try:
+        doc = parse(io.StringIO(text), Terminology.HPO)
+    except (ParseError, ValidationError) as exc:
+        return type(exc), str(exc)
+    return doc.header, doc.records
+
+
+# Text that exercises comments and escapes: `!`, `\!`, `\\`, `\"` and a trailing `\`.
+_value_text = st.text(alphabet='ab !\\":\t', max_size=10)
+_tag_gap = st.sampled_from(["", "", "", " ", "\t"])  # whitespace before a tag's colon
+
+
+@st.composite
+def _tag_line(draw, tags=("id", "name", "namespace", "is_obsolete", "synonym", "alt_id",
+                          "def", "format-version", "data-version")):
+    tag = draw(st.sampled_from(tags))
+    if tag == "id":
+        value = draw(st.sampled_from(
+            ["HP:0000001", "HP:0000002", "HP:0000003 ! root", "HP:12", "", "HP:0000004\\!"]))
+    elif tag == "is_obsolete":
+        value = draw(st.sampled_from(["true", "false", "true ! retired", "TRUE", " true"]))
+    elif tag == "synonym":
+        quoted = draw(st.one_of(st.sampled_from(["tremor", "b a"]), _value_text))
+        quoted = quoted.replace('"', '\\"')
+        value = draw(st.sampled_from([
+            f'"{quoted}" EXACT []', f'"{quoted}"', f'  "{quoted}" BROAD [] ! c',
+            f'"{quoted}', quoted, '""',
+        ]))
+    else:
+        value = draw(_value_text)
+    return f"{tag}{draw(_tag_gap)}: {value}"
+
+
+_stanza_line = _tag_line(("id", "name", "namespace", "is_obsolete",
+                          "synonym", "synonym", "synonym", "alt_id"))
+_stanza_openers = st.sampled_from(["[Term]", "[Term]", "[Term]", " [Term] ", "[Typedef]",
+                                   "[", "[Term] ! c", "[Instance]"])
+_other_lines = st.sampled_from(["", "  ", "just words", "! a comment line"])
+
+
+@st.composite
+def _obo_documents(draw):
+    lines = draw(st.lists(st.one_of(_tag_line(), _other_lines), max_size=4))
+    for _ in range(draw(st.integers(0, 5))):
+        lines.append(draw(_stanza_openers))
+        # most stanzas carry an id and a name, so most documents parse
+        if draw(st.integers(0, 9)):
+            lines.append(f"id: HP:000000{draw(st.integers(1, 5))}")
+        if draw(st.integers(0, 9)):
+            lines.append(f"name: {draw(st.sampled_from(['tremor', 'ataxia', 'a !b']))}")
+        lines.extend(draw(st.lists(st.one_of(_stanza_line, _other_lines), max_size=6)))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    return bom + end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_obo_documents())
+def test_parse_obo_matches_reference_parser(text):
+    assert _outcome(parse_obo_document, text) == _outcome(reference_parse_obo_document, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_value_text, _value_text)
+def test_parse_obo_strips_comments_like_reference_parser(value, other):
+    text = f"remark: {value}\\{other}\n[Term]\nid: HP:0000001\nname: x{value}\n"
+    assert _outcome(parse_obo_document, text) == _outcome(reference_parse_obo_document, text)

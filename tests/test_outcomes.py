@@ -4,11 +4,13 @@ from fractions import Fraction
 import pytest
 
 from termbench.errors import DomainError
+from termbench.evaluate import EvalItem
 from termbench.ontology import Terminology
 from termbench.outcomes import (
     CategoryPercentages,
     OutcomeCategory,
     PairOutcome,
+    build_outcomes,
     classify,
     derive_metrics,
     metrics_from_split_percentages,
@@ -48,6 +50,37 @@ def _outcome(base, tuned, split=Split.TRAIN, pid="HPO:HP:0000001",
         baseline_correct=base,
         finetuned_correct=tuned,
     )
+
+
+def _items(*flags):
+    """Template-1 eval items: one per (pair id, correct) flag."""
+    return [EvalItem(pid, Direction.TERM_TO_ID, 1, "x", "x", correct) for pid, correct in flags]
+
+
+def test_build_outcomes_joins_both_phases_per_pair():
+    outcomes = build_outcomes(
+        _items(("HPO:HP:0000002", True), ("HPO:HP:0000001", False)),
+        _items(("HPO:HP:0000001", True), ("HPO:HP:0000002", True)),
+        Terminology.HPO, Direction.TERM_TO_ID,
+        {"HPO:HP:0000001": Split.TRAIN, "HPO:HP:0000002": Split.VALIDATION},
+    )
+    assert outcomes == [
+        _outcome(False, True, Split.TRAIN, "HPO:HP:0000001"),
+        _outcome(True, True, Split.VALIDATION, "HPO:HP:0000002"),
+    ]
+
+
+def test_build_outcomes_rejects_phases_that_scored_different_pairs():
+    with pytest.raises(DomainError, match="scored different pairs"):
+        build_outcomes(_items(("HPO:HP:0000001", True)), _items(("HPO:HP:0000002", True)),
+                       Terminology.HPO, Direction.TERM_TO_ID,
+                       {"HPO:HP:0000001": Split.TRAIN, "HPO:HP:0000002": Split.TRAIN})
+
+
+def test_build_outcomes_rejects_a_pair_without_a_split():
+    with pytest.raises(DomainError, match="no split assignment"):
+        build_outcomes(_items(("HPO:HP:0000001", True)), _items(("HPO:HP:0000001", False)),
+                       Terminology.HPO, Direction.TERM_TO_ID, {})
 
 
 def _outcome_set(train_counts, val_counts):

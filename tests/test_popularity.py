@@ -202,6 +202,23 @@ def test_fetch_count_protocol_error(tmp_path):
         client.fetch_count(identifier_query("HP:0001337"))
 
 
+@pytest.mark.parametrize("count", [3.7, 12.0, True, False, " 12 ", "١٢", "+12", "1e3", "",
+                                   None, [12], "-3", -3])
+def test_fetch_count_rejects_a_count_that_is_not_a_natural_number(tmp_path, count):
+    body = json.dumps({"esearchresult": {"count": count}})
+    client, _ = _client(tmp_path, [(200, body)])
+    with pytest.raises(ProtocolError):
+        client.fetch_count(identifier_query("HP:0001337"))
+    assert client.cache.get(identifier_query("HP:0001337"), "pmc") is None
+
+
+@pytest.mark.parametrize("count,expected", [("12", 12), (12, 12), ("0", 0), (0, 0), ("007", 7)])
+def test_fetch_count_accepts_an_int_or_ascii_digits(tmp_path, count, expected):
+    body = json.dumps({"esearchresult": {"count": count}})
+    client, _ = _client(tmp_path, [(200, body)])
+    assert client.fetch_count(identifier_query("HP:0001337")) == expected
+
+
 def test_cache_write_through_one_network_call(tmp_path):
     client, transport = _client(tmp_path, [(200, _count_body(55))])
     q = identifier_query("HP:0001337")
