@@ -156,7 +156,13 @@ def check_cap(name: str, value: int) -> None:
 
 
 def load_config(path: str | Path, run_dir: str | Path | None = None) -> RunConfig:
-    """Load a config file; a key of the wrong type or an unknown key is a ValidationError."""
+    """Load a config file; a key of the wrong type or an unknown key is a ValidationError.
+
+    `run_dir` (the `--run-dir` flag) overrides `paths.run_dir`. A relative
+    `run_dir` is taken from the working directory, a relative
+    `paths.run_dir` from the config file's directory, like every path the
+    file names.
+    """
     path = Path(path)
     values = parse_flat_config(path.read_text(encoding="utf-8"))
     base_dir = path.parent.resolve()
@@ -238,9 +244,10 @@ def load_config(path: str | Path, run_dir: str | Path | None = None) -> RunConfi
     unknown = sorted(set(values) - asked)
     if unknown:
         raise ValidationError(f"unknown config key(s): {', '.join(unknown)}")
-    run_dir_value = run_dir if run_dir is not None else config_run_dir
-    if run_dir_value is None:
+    if run_dir is not None:
+        cfg.run_dir = Path(run_dir).absolute()
+    elif config_run_dir is not None:
+        cfg.run_dir = cfg.resolve(config_run_dir)
+    else:
         raise ValidationError("no run directory: pass --run-dir or set paths.run_dir")
-    run_path = Path(run_dir_value)
-    cfg.run_dir = run_path if run_path.is_absolute() else (base_dir / run_path)
     return cfg

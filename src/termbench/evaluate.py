@@ -18,11 +18,12 @@ from typing import IO, Sequence
 from .errors import DomainError, HarnessError, TransportError
 from .jsonl import iter_rows, write_rows
 from .ontology import Terminology
-from .prompts import Direction, PromptInstance
+from .prompts import Direction, PromptInstance, direction_member
 from .providers import CompletionProvider, DecodingParams
 from .remote import bounded_map
 
 _QUOTE_PAIRS = {('"', '"'), ("'", "'"), ("“", "”"), ("‘", "’")}
+_WHITESPACE_RUN = re.compile(r"\s+")
 
 _EXTRACT_PATTERNS = {
     Terminology.HPO: re.compile(r"HP:\d{7}", re.IGNORECASE),
@@ -45,7 +46,7 @@ def normalize_answer(
         text = text[1:-1].strip()
     if text and text[-1] in ".,;":
         text = text[:-1].rstrip()
-    text = re.sub(r"\s+", " ", text)
+    text = _WHITESPACE_RUN.sub(" ", text)
     if direction is Direction.ID_TO_TERM:
         return text.lower()
     if extract:
@@ -108,21 +109,26 @@ class RunFailedError(TransportError):
     """Every item in a run failed; nothing was scored."""
 
 
+def expected_answers(prompts: Sequence[PromptInstance], extract: bool = False) -> list[str]:
+    """Each prompt's expected answer, normalized as its model answer will be."""
+    return [normalize_answer(p.expected_answer, p.pair.terminology, p.direction, extract)
+            for p in prompts]
+
+
 def _evaluate_one(
     provider: CompletionProvider,
     prompt: PromptInstance,
+    expected: str,
     model_id: str,
     params: DecodingParams,
     extract: bool,
 ) -> EvalItem:
-    terminology = prompt.pair.terminology
-    expected = normalize_answer(prompt.expected_answer, terminology, prompt.direction,
-                                extract=extract)
+    pid = prompt.pair_id
     try:
         raw = provider.complete(prompt.prompt_text, model_id, params)
     except HarnessError as exc:
         return EvalItem(
-            pair_id=prompt.pair_id,
+            pair_id=pid,
             direction=prompt.direction,
             template_id=prompt.template_id,
             raw_output="",
@@ -130,9 +136,9 @@ def _evaluate_one(
             correct=False,
             error=str(exc),
         )
-    normalized = normalize_answer(raw, terminology, prompt.direction, extract=extract)
+    normalized = normalize_answer(raw, prompt.pair.terminology, prompt.direction, extract)
     return EvalItem(
-        pair_id=prompt.pair_id,
+        pair_id=pid,
         direction=prompt.direction,
         template_id=prompt.template_id,
         raw_output=raw,
@@ -150,32 +156,41 @@ def run_eval(
     concurrency_limit: int = 1,
     params: DecodingParams = DecodingParams(),
     extract: bool = False,
+    expected: Sequence[str] | None = None,
 ) -> EvalRun:
     """Evaluate prompts against one model and score hits@1.
 
     Provider failures count as incorrect (with the error recorded on the
     item) so denominators always equal the prompt-set size. Items are
     ordered by (pair_id, template_id) no matter how completions are
-    scheduled.
+    scheduled. `expected` is `expected_answers(prompts, extract)`, which
+    a caller scoring the same prompts more than once computes once;
+    without it, it is computed here.
     """
     prompts = list(prompts)
     if not prompts:
         raise DomainError("no prompts to evaluate")
-    terminologies = {p.pair.terminology for p in prompts}
-    directions = {p.direction for p in prompts}
-    if len(terminologies) != 1 or len(directions) != 1:
+    terminology = prompts[0].pair.terminology
+    direction = prompts[0].direction
+    if any(p.pair.terminology is not terminology or p.direction is not direction
+           for p in prompts):
         raise DomainError("a run covers exactly one terminology and direction")
+    if expected is None:
+        expected = expected_answers(prompts, extract)
+    elif len(expected) != len(prompts):
+        raise DomainError(f"{len(expected)} expected answers for {len(prompts)} prompts")
 
-    items = bounded_map(lambda p: _evaluate_one(provider, p, model_id, params, extract),
-                        prompts, concurrency_limit)
+    items = bounded_map(
+        lambda job: _evaluate_one(provider, *job, model_id, params, extract),
+        zip(prompts, expected), concurrency_limit)
     items.sort(key=lambda i: (i.pair_id, i.template_id))
     if all(i.error is not None for i in items):
         raise RunFailedError(f"all {len(items)} items failed; first: {items[0].error}")
 
     return EvalRun(
         model_id=model_id,
-        terminology=next(iter(terminologies)),
-        direction=next(iter(directions)),
+        terminology=terminology,
+        direction=direction,
         phase=phase,
         items=tuple(items),
     )
@@ -200,7 +215,7 @@ def _result_row(item: EvalItem) -> dict:
 def _result_from_row(row: dict) -> EvalItem:
     return EvalItem(
         pair_id=row["pair_id"],
-        direction=Direction(row["direction"]),
+        direction=direction_member(row["direction"]),
         template_id=row["template_id"],
         raw_output=row["raw_output"],
         normalized_output=row["normalized_output"],

@@ -4,18 +4,39 @@ Rows are separated by "\\n" only. `json.dumps(..., ensure_ascii=False)`
 writes U+2028, U+2029 and U+0085 verbatim inside strings, and
 `str.splitlines` would split a row at any of them, so nothing here uses it.
 Both text and binary streams are read line by line, never whole.
+
+Both codecs call the C scanner and encoder that `json.loads` and
+`json.dumps` reach, skipping the set-up those functions repeat per call.
+The output bytes, the rows and every error message are those of
+`json.loads(line)` and `json.dumps(row, ensure_ascii=False)`.
 """
 
 from __future__ import annotations
 
 import json
+from enum import Enum
 from typing import IO, Callable, Iterable, Iterator, TypeVar
 
 from .errors import ParseError
 
 T = TypeVar("T")
+E = TypeVar("E", bound=Enum)
+
+# The whitespace `json.loads` skips around a document; `str.strip()` would
+# also drop "\x0c", U+0085 and U+2028, which `json.loads` rejects.
+_JSON_WS = " \t\n\r"
+_SCAN = json.JSONDecoder().scan_once
 
 _ENCODER = json.JSONEncoder(ensure_ascii=False)
+# `JSONEncoder.encode` makes these for every call; `_ENCODE` is the C encoder
+# it would make, with the same settings, built once. The encoder adds each
+# container to `_MARKERS` to detect cycles and removes it on the way out,
+# but not when it raises, so a failed row clears them.
+_MARKERS: dict = {}
+_ENCODE = json.encoder.c_make_encoder(
+    _MARKERS, _ENCODER.default, json.encoder.encode_basestring, _ENCODER.indent,
+    _ENCODER.key_separator, _ENCODER.item_separator, _ENCODER.sort_keys,
+    _ENCODER.skipkeys, _ENCODER.allow_nan)
 
 
 def iter_rows(stream: IO, build: Callable[[dict], T]) -> Iterator[T]:
@@ -23,16 +44,25 @@ def iter_rows(stream: IO, build: Callable[[dict], T]) -> Iterator[T]:
 
     A line that is not JSON, or whose row `build` rejects with KeyError,
     ValueError, TypeError or ParseError, raises ParseError naming the line.
+    A line the scanner does not take whole goes to `json.loads`, which
+    skips it when blank or raises its own error for it.
     """
     for lineno, line in enumerate(stream, start=1):
         if isinstance(line, bytes):
             line = line.decode("utf-8")
         if lineno == 1:
             line = line.lstrip("\ufeff")
-        if not line.strip():
-            continue
+        text = line.strip(_JSON_WS)
         try:
-            item = build(json.loads(line))
+            try:
+                row, end = _SCAN(text, 0)
+            except (StopIteration, json.JSONDecodeError):
+                end = -1
+            if end != len(text):
+                if not line.strip():
+                    continue
+                row = json.loads(line)
+            item = build(row)
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad JSON: {exc}", lineno) from exc
         except KeyError as exc:
@@ -46,6 +76,27 @@ def write_rows(rows: Iterable[dict], sink: IO) -> int:
     """Write one `json.dumps(row, ensure_ascii=False)` line per row; return the count."""
     n = 0
     for row in rows:
-        sink.write(_ENCODER.encode(row) + "\n")
+        try:
+            (text,) = _ENCODE(row, 0)
+        except BaseException:
+            _MARKERS.clear()
+            raise
+        sink.write(text + "\n")
         n += 1
     return n
+
+
+def enum_lookup(enum: type[E]) -> Callable[[object], E]:
+    """`enum(value)` for a row builder, through a value -> member dict built once.
+
+    A value that is not a member's value, or that cannot be hashed, goes to
+    `enum(value)`, which raises its usual error ("'x' is not a valid ...").
+    """
+    members = {member.value: member for member in enum}
+
+    def lookup(value: object) -> E:
+        try:
+            return members[value]
+        except (KeyError, TypeError):
+            return enum(value)
+    return lookup

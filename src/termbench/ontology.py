@@ -19,7 +19,7 @@ from enum import Enum
 from typing import IO, Iterable, Iterator
 
 from .errors import ParseError, ValidationError
-from .jsonl import iter_rows, write_rows
+from .jsonl import enum_lookup, iter_rows, write_rows
 
 
 class Terminology(Enum):
@@ -35,6 +35,8 @@ class Terminology(Enum):
     def valid_identifier(self, identifier: str) -> bool:
         return bool(_ID_PATTERNS[self].fullmatch(identifier))
 
+
+terminology_member = enum_lookup(Terminology)
 
 _ID_PATTERNS = {
     Terminology.HPO: re.compile(r"HP:\d{7}"),
@@ -221,7 +223,7 @@ def _record_row(r: TermRecord) -> dict:
 
 def _record_from_row(row: dict) -> TermRecord:
     return TermRecord(
-        terminology=Terminology(row["terminology"]),
+        terminology=terminology_member(row["terminology"]),
         identifier=row["identifier"],
         label=row["label"],
         synonyms=tuple(row.get("synonyms", ())),

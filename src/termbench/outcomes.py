@@ -19,6 +19,7 @@ exactly once.
 from __future__ import annotations
 
 import csv
+from collections import Counter
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
@@ -28,9 +29,9 @@ from typing import IO, Iterable, Sequence
 from .errors import DomainError
 from .evaluate import EvalItem, pair_correctness
 from .jsonl import iter_rows, write_rows
-from .ontology import Terminology
-from .prompts import Direction, direction_label
-from .sampling import Split
+from .ontology import Terminology, terminology_member
+from .prompts import Direction, direction_label, direction_member
+from .sampling import Split, split_member
 
 
 class OutcomeCategory(Enum):
@@ -150,10 +151,15 @@ class DerivedMetrics:
 
 
 def split_counts(outcomes: Iterable[PairOutcome]) -> dict[Split, dict[OutcomeCategory, int]]:
+    """Outcomes per category within each split.
+
+    Each (baseline, fine-tuned) flag pair is one category, so the flags are
+    tallied and each distinct pair is classified once.
+    """
+    tally = Counter((o.split, o.baseline_correct, o.finetuned_correct) for o in outcomes)
     counts: dict[Split, dict[OutcomeCategory, int]] = {}
-    for o in outcomes:
-        counts.setdefault(o.split, {}).setdefault(o.category, 0)
-        counts[o.split][o.category] += 1
+    for (split, base, tuned), n in tally.items():
+        counts.setdefault(split, {})[classify(base, tuned)] = n
     return counts
 
 
@@ -211,9 +217,8 @@ _EDGE_ORDER = (
 
 def sankey_edges(outcomes: Sequence[PairOutcome]) -> list[tuple[str, str, int]]:
     """Flow edges from baseline state to outcome category, zero edges omitted."""
-    counts: dict[OutcomeCategory, int] = {}
-    for o in outcomes:
-        counts[o.category] = counts.get(o.category, 0) + 1
+    tally = Counter((o.baseline_correct, o.finetuned_correct) for o in outcomes)
+    counts = {classify(base, tuned): n for (base, tuned), n in tally.items()}
     return [
         (source, category.value, counts[category])
         for source, category in _EDGE_ORDER
@@ -362,9 +367,9 @@ def _outcome_row(o: PairOutcome) -> dict:
 def _outcome_from_row(row: dict) -> PairOutcome:
     return PairOutcome(
         pair_id=row["pair_id"],
-        terminology=Terminology(row["terminology"]),
-        direction=Direction(row["direction"]),
-        split=Split(row["split"]),
+        terminology=terminology_member(row["terminology"]),
+        direction=direction_member(row["direction"]),
+        split=split_member(row["split"]),
         baseline_correct=row["baseline_correct"],
         finetuned_correct=row["finetuned_correct"],
     )

@@ -47,6 +47,7 @@ from .embeddings import FileEmbeddingStore, HttpEmbeddingProvider, write_store_j
 from .errors import DomainError, ValidationError
 from .evaluate import (
     Phase,
+    expected_answers,
     read_results_jsonl,
     run_eval,
     run_summary,
@@ -395,24 +396,24 @@ def stage_eval(cfg: RunConfig, files: StageFiles, manifest: RunManifest) -> None
     grouped: dict[tuple[Terminology, Direction], list] = {}
     for p in prompts:
         grouped.setdefault((p.pair.terminology, p.direction), []).append(p)
+    # (terminology, direction, prompts, normalized expected answers): both phases score these
+    groups = [(t, d, grouped[(t, d)], expected_answers(grouped[(t, d)], cfg.extract_mode))
+              for t in TERMINOLOGIES for d in DIRECTIONS if grouped.get((t, d))]
 
     writers: list[TranscriptWriter] = []
     for phase, model_id in ((Phase.BASELINE, cfg.baseline_model),
                             (Phase.FINETUNED, cfg.finetuned_model)):
         provider = _completion_provider(cfg, phase, files, writers)
-        for t in TERMINOLOGIES:
-            for d in DIRECTIONS:
-                group = grouped.get((t, d))
-                if not group:
-                    continue
-                run = run_eval(
-                    provider, group, model_id, phase,
-                    concurrency_limit=cfg.concurrency,
-                    extract=cfg.extract_mode,
-                )
-                stem = _run_stem(phase, t, d)
-                files.write(f"results_{stem}.jsonl", write_results_jsonl, run)
-                files.write(f"summary_{stem}.json", _dump_json, run_summary(run))
+        for t, d, group, expected in groups:
+            run = run_eval(
+                provider, group, model_id, phase,
+                concurrency_limit=cfg.concurrency,
+                extract=cfg.extract_mode,
+                expected=expected,
+            )
+            stem = _run_stem(phase, t, d)
+            files.write(f"results_{stem}.jsonl", write_results_jsonl, run)
+            files.write(f"summary_{stem}.json", _dump_json, run_summary(run))
     # only transcripts this run wrote: a stale one left in eval/ is not an output
     files.outputs.extend(w.path for w in writers if w.path.exists())
 

@@ -39,28 +39,50 @@ def term_query(label: str) -> str:
     return f'"{label}"[All Fields]'
 
 
+def count_value(count) -> int:
+    """An esearch hit count: a non-bool int >= 0, or a string of ASCII digits.
+
+    Anything else raises ValueError; `int()` would take `true` as 1 and
+    `2.9` as 2.
+    """
+    if isinstance(count, str) and count.isascii() and count.isdigit():
+        return int(count)
+    if not isinstance(count, int) or isinstance(count, bool):
+        raise ValueError(f"non-numeric count {count!r}")
+    if count < 0:
+        raise ValueError(f"negative count {count}")
+    return count
+
+
+def _cache_entry(row: dict) -> tuple[tuple[str, str], int]:
+    return (row["query"], row["db"]), count_value(row["count"])
+
+
 class QueryCache:
     """Append-only JSONL cache of `{query, db, count, retrieved_at}` rows.
 
-    The last row for a (query, db) key wins. Writes are serialized through
-    a lock so concurrent fetches never interleave partial lines.
+    The last row for a (query, db) key wins; only its count is kept. A row
+    whose count breaks the rule of live replies (`count_value`) is a
+    ParseError naming its line. Writes are serialized through a lock so
+    concurrent fetches never interleave partial lines.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._lock = threading.Lock()
-        self._entries: dict[tuple[str, str], dict] = {}
+        self._counts: dict[tuple[str, str], int] = {}
         if self.path.exists():
             with open(self.path, encoding="utf-8") as fh:
-                self._entries.update(iter_rows(fh, lambda row: ((row["query"], row["db"]), row)))
+                self._counts.update(iter_rows(fh, _cache_entry))
 
-    def get(self, query: str, db: str) -> dict | None:
-        return self._entries.get((query, db))
+    def get(self, query: str, db: str) -> int | None:
+        """The cached count for (query, db), or None."""
+        return self._counts.get((query, db))
 
     def put(self, query: str, db: str, count: int, retrieved_at: str) -> None:
         row = {"query": query, "db": db, "count": count, "retrieved_at": retrieved_at}
         with self._lock:
-            self._entries[(query, db)] = row
+            self._counts[(query, db)] = count
             self.path.parent.mkdir(parents=True, exist_ok=True)
             with open(self.path, "a", encoding="utf-8") as fh:
                 write_rows([row], fh)
@@ -89,7 +111,7 @@ class PmcClient:
             raise ValueError("empty query")
         cached = self.cache.get(query, db)
         if cached is not None:
-            return int(cached["count"])
+            return cached
         if self.transport is None:
             raise TransportError(
                 f"no transport configured and query not cached: {query!r} (db={db})"
@@ -135,10 +157,7 @@ class PmcClient:
             count = payload["esearchresult"]["count"]
         except (KeyError, TypeError) as exc:
             raise ProtocolError(f"count missing from esearch response: {exc}") from exc
-        if isinstance(count, str) and count.isascii() and count.isdigit():
-            count = int(count)
-        elif not isinstance(count, int) or isinstance(count, bool):
-            raise ProtocolError(f"non-numeric count {count!r}")
-        if count < 0:
-            raise ProtocolError(f"negative count {count}")
-        return count
+        try:
+            return count_value(count)
+        except ValueError as exc:
+            raise ProtocolError(str(exc)) from exc

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import IO, Iterable
 
 from .errors import DomainError, ParseError, ValidationError
-from .ontology import Terminology, read_lines, two_column_rows
+from .ontology import Terminology, read_lines, terminology_member, two_column_rows
 
 PROXIES = ("id_count_pmc", "term_count_pmc", "annotation_count")
 
@@ -129,7 +129,7 @@ def read_popularity_csv(stream: IO) -> list[PopularityRecord]:
         try:
             records.append(
                 PopularityRecord(
-                    terminology=Terminology(row[0]),
+                    terminology=terminology_member(row[0]),
                     identifier=row[1],
                     label=row[2],
                     id_count_pmc=int(row[3]),

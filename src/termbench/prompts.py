@@ -17,7 +17,7 @@ from enum import Enum
 from typing import IO, Iterable, Sequence
 
 from .errors import DomainError, ParseError
-from .jsonl import iter_rows, write_rows
+from .jsonl import enum_lookup, iter_rows, write_rows
 from .ontology import Terminology
 from .sampling import SampledPair, pair_id
 
@@ -29,6 +29,9 @@ TEMPLATE_IDS = (1, 2, 3, 4, 5)
 class Direction(Enum):
     TERM_TO_ID = "term_to_id"
     ID_TO_TERM = "id_to_term"
+
+
+direction_member = enum_lookup(Direction)
 
 
 def _ontology_templates(onto: str) -> dict[Direction, tuple[str, ...]]:
@@ -159,7 +162,7 @@ def read_prompts_jsonl(stream: IO, pairs_by_id: dict[str, SampledPair]) -> list[
             raise ParseError(f"unknown pair_id {row['pair_id']!r}")
         return PromptInstance(
             pair=pair,
-            direction=Direction(row["direction"]),
+            direction=direction_member(row["direction"]),
             template_id=row["template_id"],
             prompt_text=row["prompt_text"],
             expected_answer=row["expected_answer"],

@@ -14,8 +14,8 @@ from enum import Enum
 from typing import IO, Iterable
 
 from .errors import ConsistencyError, DomainError
-from .jsonl import iter_rows, write_rows
-from .ontology import Terminology, TermRecord
+from .jsonl import enum_lookup, iter_rows, write_rows
+from .ontology import Terminology, TermRecord, terminology_member
 from .popularity import RankedDistribution
 from .rng import SplitMix64, substream
 
@@ -23,6 +23,9 @@ from .rng import SplitMix64, substream
 class Split(Enum):
     TRAIN = "train"
     VALIDATION = "validation"
+
+
+split_member = enum_lookup(Split)
 
 
 @dataclass(frozen=True)
@@ -167,11 +170,11 @@ def _split_row(p: SampledPair) -> dict:
 
 def _split_from_row(row: dict) -> SampledPair:
     return SampledPair(
-        terminology=Terminology(row["terminology"]),
+        terminology=terminology_member(row["terminology"]),
         term=row["term"],
         identifier=row["identifier"],
         bin_index=row["bin_index"],
-        split=Split(row["split"]),
+        split=split_member(row["split"]),
     )
 
 

@@ -128,6 +128,19 @@ def test_run_dir_key_is_known_when_overridden(tmp_path):
     assert cfg.rate_per_second == 2.0
 
 
+def test_relative_run_dir_flag_is_taken_from_the_working_directory(tmp_path, monkeypatch):
+    conf_dir, work = tmp_path / "conf", tmp_path / "work"
+    conf_dir.mkdir()
+    work.mkdir()
+    cfg_file = conf_dir / "c.cfg"
+    cfg_file.write_text("[paths]\nrun_dir = from_key\nhpo_obo = hpo.obo\n", encoding="utf-8")
+    monkeypatch.chdir(work)
+    flagged = load_config(Path("..") / "conf" / "c.cfg", run_dir="out/x")
+    assert flagged.run_dir == work / "out" / "x"
+    assert flagged.hpo_obo == conf_dir / "hpo.obo"
+    assert load_config(cfg_file).run_dir == conf_dir / "from_key"
+
+
 def test_load_config_resolves_paths_and_overrides(tmp_path):
     cfg = load_config(CONFIG, run_dir=tmp_path / "run")
     assert cfg.hpo_obo == FIXTURE / "hpo.obo"
@@ -215,6 +228,30 @@ offline = true
                  "--stage", "popularity"])
     assert code == 2
     assert "not cached" in capsys.readouterr().err
+
+
+def test_bad_cached_count_exits_1_naming_the_line(tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    cfg_file = tmp_path / "c.cfg"
+    cfg_file.write_text(
+        f"""[paths]
+hpo_obo = {FIXTURE / 'hpo.obo'}
+go_obo = {FIXTURE / 'go.obo'}
+gene_map = {FIXTURE / 'gene_map.tsv'}
+pmc_cache = cache.jsonl
+
+[flags]
+offline = true
+"""
+    )
+    (tmp_path / "cache.jsonl").write_text(
+        '{"query": "q", "db": "pmc", "count": 1}\n{"query": "r", "db": "pmc", "count": 2.9}\n')
+    assert main(["--config", str(cfg_file), "--run-dir", str(run_dir),
+                 "--stage", "ingest"]) == 0
+    code = main(["--config", str(cfg_file), "--run-dir", str(run_dir),
+                 "--stage", "popularity"])
+    assert code == 1
+    assert "line 2: non-numeric count 2.9" in capsys.readouterr().err
 
 
 def test_stage_sequence_and_manifest(tmp_path):

@@ -1,9 +1,11 @@
 import io
 import json
+import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from termbench.errors import (
     ConsistencyError,
@@ -17,6 +19,7 @@ from termbench.evaluate import (
     EvalItem,
     Phase,
     RunFailedError,
+    expected_answers,
     normalize_answer,
     pair_correctness,
     read_results_jsonl,
@@ -101,6 +104,50 @@ def test_normalize_empty_string():
 
 def test_normalize_single_trailing_punctuation_only():
     assert normalize_answer("HP:0001337;;", Terminology.HPO, Direction.TERM_TO_ID) == "HP:0001337;"
+
+
+_REFERENCE_EXTRACT = {
+    Terminology.HPO: re.compile(r"HP:\d{7}", re.IGNORECASE),
+    Terminology.GO_CC: re.compile(r"GO:\d{7}", re.IGNORECASE),
+    Terminology.GENE: re.compile(r"(?<![A-Za-z0-9-])[A-Z][A-Z0-9-]*(?![A-Za-z0-9-])"),
+}
+
+
+def reference_normalize(raw, terminology, direction, extract=False):
+    """normalize_answer as first written, collapsing whitespace through `re.sub`."""
+    text = raw.strip()
+    if len(text) >= 2 and (text[0], text[-1]) in {('"', '"'), ("'", "'"), ("“", "”"),
+                                                   ("‘", "’")}:
+        text = text[1:-1].strip()
+    if text and text[-1] in ".,;":
+        text = text[:-1].rstrip()
+    text = re.sub(r"\s+", " ", text)
+    if direction is Direction.ID_TO_TERM:
+        return text.lower()
+    if extract:
+        match = _REFERENCE_EXTRACT[terminology].search(text)
+        if match:
+            text = match.group(0)
+    return text.upper()
+
+
+# Every character `str.strip` or `\s` treats as whitespace, and the quote and
+# punctuation characters normalize_answer trims.
+_UNICODE_WHITESPACE = [chr(c) for c in range(0x110000) if chr(c).isspace()]
+_ANSWER_PARTS = st.sampled_from(
+    _UNICODE_WHITESPACE + ['"', "'", "“", "”", "‘", "’", ".", ",", ";", "-", "a", "Z", "ß",
+                           "İ", "HP:0001337", "go:0005634", "TP53", "tumor protein"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(parts=st.lists(_ANSWER_PARTS | st.text(max_size=3), max_size=12),
+       terminology=st.sampled_from(list(Terminology)),
+       direction=st.sampled_from(list(Direction)), extract=st.booleans())
+def test_normalize_answer_matches_the_re_sub_reference(parts, terminology, direction,
+                                                       extract):
+    raw = "".join(parts)
+    assert (normalize_answer(raw, terminology, direction, extract)
+            == reference_normalize(raw, terminology, direction, extract))
 
 
 def test_score_item_exact():
@@ -201,6 +248,19 @@ def test_run_eval_keeps_few_submissions_outstanding(monkeypatch):
         timer.join()
     assert len(run.items) == 200 and run.accuracy == 1.0
     assert 2 <= counts["peak"] <= 4
+
+
+def test_run_eval_scores_against_expected_answers_given_once():
+    pairs = [_pair(term=f"T {i}", identifier=f"HP:{i:07d}") for i in range(4)]
+    prompts = [_prompt(p, Direction.ID_TO_TERM) for p in pairs]
+    provider = _make_replay(prompts, ["t 0", "T  1.", "t 9", '"t 3"'])
+    expected = expected_answers(prompts)
+    assert expected == ["t 0", "t 1", "t 2", "t 3"]
+    given = run_eval(provider, prompts, "m", Phase.BASELINE, expected=expected)
+    assert given.items == run_eval(provider, prompts, "m", Phase.BASELINE).items
+    assert [i.correct for i in given.items] == [True, True, False, True]
+    with pytest.raises(DomainError, match="3 expected answers for 4 prompts"):
+        run_eval(provider, prompts, "m", Phase.BASELINE, expected=expected[:3])
 
 
 def test_run_eval_rejects_mixed_sets():

@@ -1,8 +1,10 @@
 import io
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from termbench.embeddings import FileEmbeddingStore, write_store_jsonl
 from termbench.errors import ParseError
@@ -95,7 +97,7 @@ def test_transcript_round_trip_separator(tmp_path, sep):
 def test_pmc_cache_round_trip_separator(tmp_path, sep):
     path = tmp_path / "cache.jsonl"
     QueryCache(path).put(f'"a{sep}b"[All Fields]', "pmc", 7, "t1")
-    assert QueryCache(path).get(f'"a{sep}b"[All Fields]', "pmc")["count"] == 7
+    assert QueryCache(path).get(f'"a{sep}b"[All Fields]', "pmc") == 7
 
 
 # ---------------------------------------------------------------------------
@@ -150,3 +152,126 @@ def test_pmc_cache_torn_last_line_is_parse_error(tmp_path):
     with pytest.raises(ParseError, match="line 2: bad JSON") as exc:
         QueryCache(path)
     assert not isinstance(exc.value, json.JSONDecodeError)
+
+
+@pytest.mark.parametrize("reader,row,field,enum_name", [
+    (read_records_jsonl, {"terminology": "HPO", "identifier": "HP:0000001", "label": "a",
+                          "synonyms": [], "namespace": None}, "terminology", "Terminology"),
+    (read_split_jsonl, {"terminology": "HPO", "term": "t", "identifier": "HP:0000001",
+                        "bin_index": 0, "split": "train"}, "terminology", "Terminology"),
+    (read_split_jsonl, {"terminology": "HPO", "term": "t", "identifier": "HP:0000001",
+                        "bin_index": 0, "split": "train"}, "split", "Split"),
+    (lambda fh: read_prompts_jsonl(fh, {"HPO:HP:0000001": _pair("")}),
+     {"pair_id": "HPO:HP:0000001", "direction": "term_to_id", "template_id": 1,
+      "prompt_text": "p", "expected_answer": "HP:0000001"}, "direction", "Direction"),
+    (read_results_jsonl, {"pair_id": "HPO:HP:0000001", "direction": "term_to_id",
+                          "template_id": 1, "raw_output": "", "normalized_output": "",
+                          "correct": False, "error": None}, "direction", "Direction"),
+    *((read_outcomes_jsonl, {"pair_id": "HPO:HP:0000001", "terminology": "HPO",
+                             "direction": "term_to_id", "split": "train",
+                             "baseline_correct": True, "finetuned_correct": False,
+                             "category": "Loser"}, field, enum_name)
+      for field, enum_name in (("terminology", "Terminology"), ("direction", "Direction"),
+                               ("split", "Split"))),
+])
+@pytest.mark.parametrize("value", ["bogus", ["x"]], ids=["unknown", "unhashable"])
+def test_row_readers_name_a_bad_enum_value(reader, row, field, enum_name, value):
+    text = json.dumps(row) + "\n" + json.dumps(dict(row, **{field: value})) + "\n"
+    with pytest.raises(ParseError) as exc:
+        reader(io.StringIO(text))
+    assert str(exc.value) == f"line 2: {value!r} is not a valid {enum_name}"
+
+
+# ---------------------------------------------------------------------------
+# codecs against json.loads / json.dumps
+
+
+def reference_iter_rows(stream, build):
+    """iter_rows as first written: `json.loads` on every non-blank line."""
+    for lineno, line in enumerate(stream, start=1):
+        if isinstance(line, bytes):
+            line = line.decode("utf-8")
+        if lineno == 1:
+            line = line.lstrip("\ufeff")
+        if not line.strip():
+            continue
+        try:
+            item = build(json.loads(line))
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"bad JSON: {exc}", lineno) from exc
+        except KeyError as exc:
+            raise ParseError(f"missing key {exc}", lineno) from exc
+        except (ValueError, TypeError, ParseError) as exc:
+            raise ParseError(str(exc), lineno) from exc
+        yield item
+
+
+def _decoded(read, stream):
+    """The rows `read` yields (as a repr, so NaN compares equal), or its error."""
+    try:
+        return "rows", repr(list(read(stream, lambda row: row)))
+    except (ParseError, UnicodeDecodeError) as exc:
+        return type(exc), str(exc), getattr(exc, "line_number", None)
+
+
+_SPECIAL_FLOATS = st.sampled_from([-0.0, 0.0, 1e308, -1e308, 5e-324, math.inf, -math.inf,
+                                   math.nan])
+_SCALARS = (st.none() | st.booleans() | st.integers(min_value=-2**300, max_value=2**300)
+            | st.floats() | _SPECIAL_FLOATS | st.text(max_size=6)
+            | st.sampled_from(["\u2028", "\u2029", "\x85", "\ufeff", "\ud800", '"\\', "é"]))
+_VALUES = st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=3)
+                       | st.dictionaries(st.text(max_size=4), inner, max_size=3), max_leaves=10)
+_ROWS = st.dictionaries(st.text(max_size=5), _VALUES, max_size=4)
+
+# Lines json.loads rejects, or that only the blank-line rule skips, or that
+# hold what the scanner and json.loads might read differently.
+_ODD_LINES = st.sampled_from([
+    "", "   ", "\t", "\r", "\x0b", "\x0c", "\x85", "\u2028", "\u2029", "\ufeff",
+    '\ufeff{"a": 1}', '\x0c{"a": 1}', '{"a": 1}\x0c', ' {"a": 1}\t', '{"a": 1} x',
+    '{"a": 1}{}', '{"a": 1}\u2028', '{"a": NaN}', "[Infinity, -Infinity, NaN]", "-Infinity",
+    '"\\ud800"', '{"s": "\\udc00x\\ud83d"}', '{"a": ', "nul", "1 2", '{"a": "b\tc"}',
+    "{'a': 1}", '{"a": 1,}', "[1] ]", "\\", "1e999", "-", "0123",
+])
+_LINES = (st.builds(lambda row, ascii: json.dumps(row, ensure_ascii=ascii), _ROWS, st.booleans())
+          | _ODD_LINES
+          | st.text(st.characters(exclude_categories=("Cs",)), max_size=6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(lines=st.lists(_LINES, max_size=6), sep=st.sampled_from(["\n", "\r\n"]),
+       bom=st.booleans(), final=st.booleans())
+def test_iter_rows_matches_the_json_loads_reference(lines, sep, bom, final):
+    text = ("\ufeff" if bom else "") + sep.join(lines) + (sep if final else "")
+    expected = _decoded(reference_iter_rows, io.StringIO(text))
+    assert _decoded(iter_rows, io.StringIO(text)) == expected
+    # a raw lone surrogate cannot be UTF-8; both readers then fail to decode the line
+    data = text.encode("utf-8", "surrogatepass")
+    assert (_decoded(iter_rows, io.BytesIO(data))
+            == _decoded(reference_iter_rows, io.BytesIO(data)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.lists(_ROWS | st.dictionaries(st.text(max_size=3), _SPECIAL_FLOATS, max_size=3),
+                     max_size=4))
+def test_write_rows_matches_json_dumps_on_generated_rows(rows):
+    buf = io.StringIO()
+    assert write_rows(rows, buf) == len(rows)
+    assert buf.getvalue() == "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in rows)
+
+
+def test_write_rows_encodes_a_container_again_after_a_failed_row():
+    inner = [object()]
+    row = {"a": inner}
+    with pytest.raises(TypeError) as exc:
+        write_rows([row], io.StringIO())
+    with pytest.raises(TypeError) as reference:
+        json.dumps(row, ensure_ascii=False)
+    assert str(exc.value) == str(reference.value)
+    inner[0] = 1
+    buf = io.StringIO()
+    write_rows([row], buf)
+    assert buf.getvalue() == '{"a": [1]}\n'
+    circular = {}
+    circular["self"] = circular
+    with pytest.raises(ValueError, match="Circular reference detected"):
+        write_rows([circular], io.StringIO())

@@ -245,6 +245,34 @@ def test_cache_last_entry_wins(tmp_path):
     assert client.fetch_count("q") == 2
 
 
+def _cache_with_count(path, count):
+    with open(path, "w") as fh:
+        fh.write(json.dumps({"query": "q", "db": "pmc", "count": 1, "retrieved_at": "t1"}) + "\n")
+        fh.write(json.dumps({"query": "r", "db": "pmc", "count": count,
+                             "retrieved_at": "t2"}) + "\n")
+
+
+@pytest.mark.parametrize("count,message", [
+    (True, "non-numeric count True"), (2.9, "non-numeric count 2.9"),
+    ("x", "non-numeric count 'x'"), (" 12 ", "non-numeric count ' 12 '"),
+    ("١٢", "non-numeric count '١٢'"), (None, "non-numeric count None"),
+    (-3, "negative count -3"),
+])
+def test_cache_rejects_a_cached_count_as_a_live_one(tmp_path, count, message):
+    path = tmp_path / "cache.jsonl"
+    _cache_with_count(path, count)
+    with pytest.raises(ParseError) as exc:
+        QueryCache(path)
+    assert str(exc.value) == f"line 2: {message}"
+
+
+@pytest.mark.parametrize("count,expected", [("007", 7), (12, 12), (0, 0)])
+def test_cache_serves_an_int_or_ascii_digits(tmp_path, count, expected):
+    path = tmp_path / "cache.jsonl"
+    _cache_with_count(path, count)
+    assert PmcClient(cache=QueryCache(path), transport=None).fetch_count("r") == expected
+
+
 class CountsByQuery:
     """esearch transport answering from a {query: count} map, optionally slowly."""
 
