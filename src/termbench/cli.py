@@ -3,9 +3,12 @@
     termbench --config run.cfg --run-dir runs/demo --stage sample
     termbench --config run.cfg --run-dir runs/demo --stage all
 
-Exit codes: 0 success, 1 domain/validation error, 2 I/O or transport
-error. Credentials come from the environment only (completion key,
-embedding key, E-utilities key); the config file never holds secrets.
+The CLI parses its arguments, loads the config with the override flags
+(`load_config` checks them by their keys' rules) and runs the stages.
+Exit codes: 0 success; otherwise the failing error's `exit_code` (1 for a
+domain or validation error, 2 for a transport error, see `errors`), and 2
+for an `OSError`. Credentials come from the environment only (completion
+key, embedding key, E-utilities key); the config file never holds secrets.
 """
 
 from __future__ import annotations
@@ -13,27 +16,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import check_cap, check_count, load_config
-from .errors import (
-    ConsistencyError,
-    DomainError,
-    HarnessError,
-    NumericalError,
-    ParseError,
-    PermanentHttpError,
-    ProtocolError,
-    TransportError,
-    ValidationError,
-)
+from .config import load_config
+from .errors import HarnessError
 from .pipeline import STAGES, run_stage
-
-EXIT_OK = 0
-EXIT_DOMAIN = 1
-EXIT_TRANSPORT = 2
-
-_DOMAIN_ERRORS = (ParseError, ValidationError, DomainError, ConsistencyError)
-_TRANSPORT_ERRORS = (TransportError, PermanentHttpError, ProtocolError, NumericalError,
-                     OSError)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -45,14 +30,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--run-dir", help="run directory (overrides paths.run_dir)")
     parser.add_argument("--stage", required=True,
                         help=f"stage to run: {', '.join(STAGES)}, or 'all'")
+    # an override flag left out is None, so it overrides nothing
     parser.add_argument("--seed", type=int, help="override the sampling seed")
     parser.add_argument("--dry-run", action="store_true",
                         help="print planned actions without writing")
     parser.add_argument("--validation-cap", type=int,
                         help="cap the validation split at N pairs (0: no cap)")
-    parser.add_argument("--extract-mode", action="store_true",
+    parser.add_argument("--extract-mode", action="store_true", default=None,
                         help="score on the first syntactic identifier match")
-    parser.add_argument("--all-templates", action="store_true",
+    parser.add_argument("--all-templates", action="store_true", default=None,
                         help="evaluate all five templates; a pair is correct when more "
                              "than half of them are")
     parser.add_argument("--concurrency", type=int, help="remote request concurrency")
@@ -61,36 +47,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    overrides = (
+        ("seeds.sampling", "--seed", args.seed),
+        ("limits.validation_cap", "--validation-cap", args.validation_cap),
+        ("flags.extract_mode", "--extract-mode", args.extract_mode),
+        ("flags.all_templates", "--all-templates", args.all_templates),
+        ("limits.concurrency", "--concurrency", args.concurrency),
+    )
+    flags = {key: (flag, value) for key, flag, value in overrides if value is not None}
     try:
-        cfg = load_config(args.config, run_dir=args.run_dir)
-        # each applied flag is also written under its config key, so the manifest records it
-        if args.seed is not None:
-            cfg.sampling_seed = cfg.raw["seeds.sampling"] = args.seed
-        if args.validation_cap is not None:
-            check_cap("--validation-cap", args.validation_cap)
-            cfg.raw["limits.validation_cap"] = args.validation_cap
-            cfg.validation_cap = args.validation_cap or None
-        if args.extract_mode:
-            cfg.extract_mode = cfg.raw["flags.extract_mode"] = True
-        if args.all_templates:
-            cfg.all_templates = cfg.raw["flags.all_templates"] = True
-        if args.concurrency is not None:
-            check_count("--concurrency", args.concurrency)
-            cfg.concurrency = cfg.raw["limits.concurrency"] = args.concurrency
-
-        stages = STAGES if args.stage == "all" else (args.stage,)
-        for stage in stages:
+        cfg = load_config(args.config, run_dir=args.run_dir, flags=flags)
+        for stage in STAGES if args.stage == "all" else (args.stage,):
             run_stage(cfg, stage, dry_run=args.dry_run)
-    except _DOMAIN_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except _TRANSPORT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TRANSPORT
     except HarnessError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    return EXIT_OK
+        return exc.exit_code
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    return 0
 
 
 if __name__ == "__main__":

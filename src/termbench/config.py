@@ -143,20 +143,15 @@ class RunConfig:
 _KIND_NAMES = {str: "a string", int: "an integer", float: "a number", bool: "true or false"}
 
 
-def check_count(name: str, value: int) -> None:
-    """A count (bins, pairs per bin, concurrent requests) must be at least 1."""
-    if value < 1:
-        raise ValidationError(f"{name} must be at least 1, got {value!r}")
-
-
-def check_cap(name: str, value: int) -> None:
-    """A cap (validation pairs) must be at least 0; 0 means no cap."""
-    if value < 0:
-        raise ValidationError(f"{name} must be at least 0, got {value!r}")
-
-
-def load_config(path: str | Path, run_dir: str | Path | None = None) -> RunConfig:
+def load_config(path: str | Path, run_dir: str | Path | None = None,
+                flags: dict[str, tuple[str, object]] | None = None) -> RunConfig:
     """Load a config file; a key of the wrong type or an unknown key is a ValidationError.
+
+    `flags` maps a config key to the (flag name, value) that overrides it.
+    The file's values are checked first, alone, so a bad value fails even
+    when a flag overrides it; then the merged values are checked by the same
+    rules, and a message about a flag's value names the flag. The merged
+    values are `cfg.raw`, so the manifest records each override.
 
     `run_dir` (the `--run-dir` flag) overrides `paths.run_dir`. A relative
     `run_dir` is taken from the working directory, a relative
@@ -165,10 +160,31 @@ def load_config(path: str | Path, run_dir: str | Path | None = None) -> RunConfi
     """
     path = Path(path)
     values = parse_flat_config(path.read_text(encoding="utf-8"))
-    base_dir = path.parent.resolve()
+    cfg = _checked_config(values, path.parent.resolve(), {})
+    if flags:
+        cfg = _checked_config(values | {key: value for key, (_, value) in flags.items()},
+                              cfg.base_dir, {key: flag for key, (flag, _) in flags.items()})
+    if run_dir is not None:
+        cfg.run_dir = Path(run_dir).absolute()
+    elif "paths.run_dir" in values:
+        cfg.run_dir = cfg.resolve(values["paths.run_dir"])
+    else:
+        raise ValidationError("no run directory: pass --run-dir or set paths.run_dir")
+    return cfg
 
+
+def _checked_config(values: dict[str, object], base_dir: Path,
+                    flag_names: dict[str, str]) -> RunConfig:
+    """A RunConfig from `values`, each checked by its key's rule (run_dir left unset).
+
+    A message names the key, or the flag in `flag_names` that set it.
+    """
     cfg = RunConfig(base_dir=base_dir, run_dir=Path("."), raw=values)
     asked: set[str] = set()
+
+    def bad(key: str, rule: str, value: object) -> ValidationError:
+        """The error for a value that breaks `rule`, naming its flag if a flag set it."""
+        return ValidationError(f"{flag_names.get(key, key)} must be {rule}, got {value!r}")
 
     def get(key: str, kind: type, default=None):
         """The value of `key` checked against `kind` (an int passes as a float)."""
@@ -179,12 +195,21 @@ def load_config(path: str | Path, run_dir: str | Path | None = None) -> RunConfi
         if kind is float and type(value) is int:
             return float(value)
         if type(value) is not kind:
-            raise ValidationError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
+            raise bad(key, _KIND_NAMES[kind], value)
         return value
 
-    def get_count(key: str, default: int) -> int:
+    def get_at_least(key: str, low: int, default: int) -> int:
+        """An integer of at least `low`: 1 for a count, 0 for a cap (0 means no cap)."""
         value = get(key, int, default)
-        check_count(key, value)
+        if value < low:
+            raise bad(key, f"at least {low}", value)
+        return value
+
+    def get_seed(key: str) -> int:
+        """A seed is an unsigned 64-bit integer, the state splitmix64 takes."""
+        value = get(key, int, 0)
+        if not 0 <= value < 2**64:
+            raise bad(key, "an unsigned 64-bit integer", value)
         return value
 
     def get_path(key) -> Path | None:
@@ -205,29 +230,26 @@ def load_config(path: str | Path, run_dir: str | Path | None = None) -> RunConfi
         if p is not None:
             cfg.transcripts[phase] = p
 
-    cfg.sampling_seed = get("seeds.sampling", int, 0)
-    cfg.cap_seed = get("seeds.validation_cap", int, 0)
-    cfg.synthetic_seed = get("seeds.synthetic", int, 0)
+    cfg.sampling_seed = get_seed("seeds.sampling")
+    cfg.cap_seed = get_seed("seeds.validation_cap")
+    cfg.synthetic_seed = get_seed("seeds.synthetic")
 
-    cfg.n_bins = get_count("sampling.n_bins", 20)
-    cfg.per_bin = get_count("sampling.per_bin", 10)
+    cfg.n_bins = get_at_least("sampling.n_bins", 1, 20)
+    cfg.per_bin = get_at_least("sampling.per_bin", 1, 10)
     cfg.ranking_proxy = get("sampling.proxy", str, "id_count_pmc")
     if cfg.ranking_proxy not in PROXIES:
-        raise ValidationError(f"sampling.proxy must be {'|'.join(PROXIES)}, got {cfg.ranking_proxy!r}")
+        raise bad("sampling.proxy", "|".join(PROXIES), cfg.ranking_proxy)
 
     cfg.completion_url = get("endpoints.completion_url", str)
     cfg.embedding_url = get("endpoints.embedding_url", str)
     cfg.baseline_model = get("models.baseline", str, "baseline")
     cfg.finetuned_model = get("models.finetuned", str, "finetuned")
 
-    cfg.concurrency = get_count("limits.concurrency", 1)
+    cfg.concurrency = get_at_least("limits.concurrency", 1, 1)
     cfg.rate_per_second = get("limits.rate_per_second", float, 3.0)
     if not 0.0 < cfg.rate_per_second < math.inf:
-        raise ValidationError(
-            f"limits.rate_per_second must be a finite number above 0, got {cfg.rate_per_second!r}")
-    validation_cap = get("limits.validation_cap", int, 0)
-    check_cap("limits.validation_cap", validation_cap)
-    cfg.validation_cap = validation_cap or None
+        raise bad("limits.rate_per_second", "a finite number above 0", cfg.rate_per_second)
+    cfg.validation_cap = get_at_least("limits.validation_cap", 0, 0) or None
 
     cfg.extract_mode = get("flags.extract_mode", bool, False)
     cfg.all_templates = get("flags.all_templates", bool, False)
@@ -236,18 +258,12 @@ def load_config(path: str | Path, run_dir: str | Path | None = None) -> RunConfi
     cfg.stats_phase = get("stats.correctness_phase", str, "baseline")
     cfg.stats_direction = get("stats.direction", str, "term_to_id")
     if cfg.stats_phase not in ("baseline", "finetuned"):
-        raise ValidationError(f"stats.correctness_phase must be baseline|finetuned, got {cfg.stats_phase!r}")
+        raise bad("stats.correctness_phase", "baseline|finetuned", cfg.stats_phase)
     if cfg.stats_direction not in ("term_to_id", "id_to_term"):
-        raise ValidationError(f"stats.direction must be term_to_id|id_to_term, got {cfg.stats_direction!r}")
+        raise bad("stats.direction", "term_to_id|id_to_term", cfg.stats_direction)
 
-    config_run_dir = get("paths.run_dir", str)
+    get("paths.run_dir", str)
     unknown = sorted(set(values) - asked)
     if unknown:
         raise ValidationError(f"unknown config key(s): {', '.join(unknown)}")
-    if run_dir is not None:
-        cfg.run_dir = Path(run_dir).absolute()
-    elif config_run_dir is not None:
-        cfg.run_dir = cfg.resolve(config_run_dir)
-    else:
-        raise ValidationError("no run directory: pass --run-dir or set paths.run_dir")
     return cfg

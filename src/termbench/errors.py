@@ -1,7 +1,8 @@
 """Exception types shared across the harness.
 
-The CLI maps these onto exit codes: domain/validation problems exit 1,
-I/O and transport problems exit 2.
+Each class carries the exit status the CLI returns for it (`exit_code`):
+domain and validation problems exit 1, transport and numerical problems
+exit 2. The CLI reads it and decides nothing else; an `OSError` exits 2.
 """
 
 from __future__ import annotations
@@ -9,6 +10,8 @@ from __future__ import annotations
 
 class HarnessError(Exception):
     """Base class for all harness errors."""
+
+    exit_code = 1
 
 
 class ParseError(HarnessError):
@@ -36,13 +39,19 @@ class ConsistencyError(HarnessError):
 class ProtocolError(HarnessError):
     """Remote service answered with an unparseable or contract-violating payload."""
 
+    exit_code = 2
+
 
 class TransportError(HarnessError):
     """Transient network failure that survived the retry budget."""
 
+    exit_code = 2
+
 
 class PermanentHttpError(HarnessError):
     """Non-retryable HTTP status (4xx other than 429)."""
+
+    exit_code = 2
 
     def __init__(self, status: int, message: str = ""):
         self.status = status
@@ -51,3 +60,5 @@ class PermanentHttpError(HarnessError):
 
 class NumericalError(HarnessError):
     """Numerical routine failed to converge to its stated tolerance."""
+
+    exit_code = 2

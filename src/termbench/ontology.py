@@ -23,6 +23,8 @@ from .jsonl import enum_lookup, iter_rows, write_rows
 
 
 class Terminology(Enum):
+    """Declared in the order stages and report tables take them."""
+
     HPO = "HPO"
     GO_CC = "GO_CC"
     GENE = "GENE"

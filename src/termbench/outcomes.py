@@ -35,18 +35,12 @@ from .sampling import Split, split_member
 
 
 class OutcomeCategory(Enum):
+    """Declared in report-table order."""
+
     GAINER = "Gainer"
     LOSER = "Loser"
     CORRECT = "Correct"
     INCORRECT = "Incorrect"
-
-
-CATEGORY_ORDER = (
-    OutcomeCategory.GAINER,
-    OutcomeCategory.LOSER,
-    OutcomeCategory.CORRECT,
-    OutcomeCategory.INCORRECT,
-)
 
 
 def classify(baseline_correct: bool, finetuned_correct: bool) -> OutcomeCategory:
@@ -260,7 +254,6 @@ class ReportBundle:
     derived: list[DerivedRow]
 
 
-TERMINOLOGY_ORDER = (Terminology.HPO, Terminology.GO_CC, Terminology.GENE)
 DIRECTION_ORDER = (Direction.ID_TO_TERM, Direction.TERM_TO_ID)
 
 
@@ -276,7 +269,7 @@ def table_report(outcomes: Sequence[PairOutcome]) -> ReportBundle:
         outcome_map.setdefault((o.terminology, o.direction), []).append(o)
 
     combos = [
-        (t, d) for t in TERMINOLOGY_ORDER for d in DIRECTION_ORDER if (t, d) in outcome_map
+        (t, d) for t in Terminology for d in DIRECTION_ORDER if (t, d) in outcome_map
     ]
     performance: list[PerformanceRow] = []
     categories: list[CategoryRow] = []
@@ -300,7 +293,7 @@ def table_report(outcomes: Sequence[PairOutcome]) -> ReportBundle:
             raise DomainError(f"missing split in outcomes for {label}")
         train = CategoryPercentages.from_counts(counts[Split.TRAIN])
         val = CategoryPercentages.from_counts(counts[Split.VALIDATION])
-        for cat in CATEGORY_ORDER:
+        for cat in OutcomeCategory:
             categories.append(
                 CategoryRow(
                     terminology=t.display,

@@ -122,7 +122,7 @@ STAGES = (
     "classify", "lexicalize", "stats", "report",
 )
 
-TERMINOLOGIES = (Terminology.HPO, Terminology.GO_CC, Terminology.GENE)
+TERMINOLOGIES = tuple(Terminology)
 DIRECTIONS = (Direction.TERM_TO_ID, Direction.ID_TO_TERM)
 
 
@@ -494,7 +494,7 @@ def stage_lexicalize(cfg: RunConfig, files: StageFiles, manifest: RunManifest) -
 
 def stage_stats(cfg: RunConfig, files: StageFiles, manifest: RunManifest) -> None:
     pop_records = files.read("popularity/popularity.csv", read_popularity_csv)
-    counts_by_pair = {f"{r.terminology.value}:{r.identifier}": r for r in pop_records}
+    counts_by_pair = {pair_id(r): r for r in pop_records}
     outcomes = files.read("classify/outcomes.jsonl", read_outcomes_jsonl)
 
     direction = Direction(cfg.stats_direction)

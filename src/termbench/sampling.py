@@ -16,7 +16,7 @@ from typing import IO, Iterable
 from .errors import ConsistencyError, DomainError
 from .jsonl import enum_lookup, iter_rows, write_rows
 from .ontology import Terminology, TermRecord, terminology_member
-from .popularity import RankedDistribution
+from .popularity import PopularityRecord, RankedDistribution
 from .rng import SplitMix64, substream
 
 
@@ -153,7 +153,7 @@ def make_split(
     return list(sampled) + validation
 
 
-def pair_id(pair: SampledPair) -> str:
+def pair_id(pair: SampledPair | PopularityRecord) -> str:
     """Stable pair key used to join prompts, results and outcomes."""
     return f"{pair.terminology.value}:{pair.identifier}"
 

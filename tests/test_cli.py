@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -6,9 +7,11 @@ from pathlib import Path
 
 import pytest
 
+from termbench import errors
 from termbench.cli import main
 from termbench.config import load_config, parse_flat_config
 from termbench.errors import ParseError, ValidationError
+from termbench.evaluate import RunFailedError
 
 FIXTURE = Path(__file__).parent / "fixtures" / "mini"
 CONFIG = FIXTURE / "run.cfg"
@@ -89,9 +92,16 @@ def test_config_saved_with_a_byte_order_mark_runs(tmp_path):
     ("[sampling]\nproxy = id_count_pcm",
      "sampling.proxy must be id_count_pmc|term_count_pmc|annotation_count, got 'id_count_pcm'"),
     ("[limits]\nvalidation_cap = -1", "limits.validation_cap must be at least 0, got -1"),
+    ("[seeds]\nsampling = -1", "seeds.sampling must be an unsigned 64-bit integer, got -1"),
+    ("[seeds]\nsampling = 18446744073709551621",
+     "seeds.sampling must be an unsigned 64-bit integer, got 18446744073709551621"),
+    ("[seeds]\nvalidation_cap = 18446744073709551616",
+     "seeds.validation_cap must be an unsigned 64-bit integer, got 18446744073709551616"),
+    ("[seeds]\nsynthetic = -3", "seeds.synthetic must be an unsigned 64-bit integer, got -3"),
 ], ids=["bool", "int", "unknown-key", "n_bins-zero", "per_bin-negative", "concurrency-zero",
         "rate-zero", "rate-negative", "rate-infinite", "proxy-misspelled",
-        "validation_cap-negative"])
+        "validation_cap-negative", "sampling-seed-negative", "sampling-seed-above-u64",
+        "cap-seed-2**64", "synthetic-seed-negative"])
 def test_bad_config_value_exits_1_naming_the_key(tmp_path, capsys, binding, message):
     cfg_file = tmp_path / "c.cfg"
     cfg_file.write_text(f"[paths]\nrun_dir = run\n{binding}\n", encoding="utf-8")
@@ -117,6 +127,26 @@ def test_validation_cap_flag_below_zero_exits_1(tmp_path, capsys):
     assert code == 1
     assert capsys.readouterr().err == "error: --validation-cap must be at least 0, got -1\n"
     assert not run_dir.exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+def test_seed_flag_outside_64_bits_exits_1(tmp_path, capsys, seed):
+    run_dir = tmp_path / "r"
+    code = main(["--config", str(CONFIG), "--run-dir", str(run_dir),
+                 "--stage", "ingest", "--seed", seed])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: --seed must be an unsigned 64-bit integer, got {seed}\n")
+    assert not run_dir.exists()
+
+
+def test_bad_file_value_fails_even_when_a_flag_overrides_it(tmp_path, capsys):
+    cfg_file = tmp_path / "c.cfg"
+    cfg_file.write_text("[paths]\nrun_dir = run\n[limits]\nconcurrency = 0\n", encoding="utf-8")
+    code = main(["--config", str(cfg_file), "--stage", "ingest", "--concurrency", "2"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: limits.concurrency must be at least 1, got 0\n"
+    assert not (tmp_path / "run").exists()
 
 
 def test_run_dir_key_is_known_when_overridden(tmp_path):
@@ -394,3 +424,81 @@ def test_cli_import_leaves_scipy_stats_unloaded():
         env=env, capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == "False False"
+
+
+# the exit status README documents for each error class: 1 domain or
+# validation error, 2 I/O or transport error
+EXIT_CODES = {
+    errors.ParseError: 1,
+    errors.ValidationError: 1,
+    errors.DomainError: 1,
+    errors.ConsistencyError: 1,
+    errors.ProtocolError: 2,
+    errors.TransportError: 2,
+    errors.PermanentHttpError: 2,
+    errors.NumericalError: 2,
+    RunFailedError: 2,
+    OSError: 2,
+}
+
+
+def test_exit_code_table_lists_every_harness_error():
+    declared = {cls for _, cls in inspect.getmembers(errors, inspect.isclass)
+                if issubclass(cls, errors.HarnessError) and cls is not errors.HarnessError}
+    assert declared <= set(EXIT_CODES)
+
+
+@pytest.mark.parametrize("error", list(EXIT_CODES), ids=lambda cls: cls.__name__)
+def test_each_error_class_exits_with_its_documented_status(tmp_path, monkeypatch, capsys,
+                                                           error):
+    def fail(cfg, stage, dry_run=False):
+        raise error(404) if error is errors.PermanentHttpError else error("boom")
+
+    monkeypatch.setattr("termbench.cli.run_stage", fail)
+    code = main(["--config", str(CONFIG), "--run-dir", str(tmp_path / "r"), "--stage", "all"])
+    assert code == EXIT_CODES[error]
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def _fixture_copy(dest: Path, key: str, value: str) -> Path:
+    """The mini fixture's files under `dest`, with `key = value` set in its config."""
+    dest.mkdir()
+    for path in FIXTURE.iterdir():
+        (dest / path.name).symlink_to(path)
+    text = CONFIG.read_text(encoding="utf-8")
+    section, name = key.split(".")
+    old = parse_flat_config(text).get(key)
+    if old is None:
+        text += f"\n[{section}]\n{name} = {value}\n"
+    else:
+        assert text.count(f"\n{name} = {old}\n") == 1
+        text = text.replace(f"\n{name} = {old}\n", f"\n{name} = {value}\n")
+    (dest / "run.cfg").unlink()
+    (dest / "run.cfg").write_text(text, encoding="utf-8")
+    return dest / "run.cfg"
+
+
+@pytest.mark.parametrize("flag,key,value", [
+    (["--seed", "1"], "seeds.sampling", "1"),
+    (["--validation-cap", "5"], "limits.validation_cap", "5"),
+    (["--extract-mode"], "flags.extract_mode", "true"),
+    (["--all-templates"], "flags.all_templates", "true"),
+    (["--concurrency", "3"], "limits.concurrency", "3"),
+], ids=["seed", "validation-cap", "extract-mode", "all-templates", "concurrency"])
+def test_flag_runs_like_the_key_it_overrides(tmp_path, flag, key, value):
+    flagged, keyed = tmp_path / "flagged", tmp_path / "keyed"
+    assert main(["--config", str(CONFIG), "--run-dir", str(flagged), "--stage", "all",
+                 *flag]) == 0
+    keyed_config = _fixture_copy(tmp_path / "fixture", key, value)
+    assert main(["--config", str(keyed_config), "--run-dir", str(keyed), "--stage", "all"]) == 0
+
+    outputs = sorted(p.relative_to(flagged) for p in flagged.rglob("*")
+                     if p.is_file() and p.name != "manifest.json")
+    assert outputs == sorted(p.relative_to(keyed) for p in keyed.rglob("*")
+                             if p.is_file() and p.name != "manifest.json")
+    for rel in outputs:
+        assert (flagged / rel).read_bytes() == (keyed / rel).read_bytes(), rel
+    a, b = (json.loads((d / "manifest.json").read_text()) for d in (flagged, keyed))
+    assert a["config"] == b["config"]
+    assert a["seeds"] == b["seeds"]
+    assert a["config"][key] == parse_flat_config(f"{key} = {value}")[key]
