@@ -9,15 +9,15 @@ pairs in the projected plane.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import asdict, dataclass
 from typing import IO, Sequence
 
 import numpy as np
 
 from .errors import DomainError
+from .jsonl import write_document
 from .stats import WelchResult, welch_t
+from .tables import write_table
 
 
 @dataclass(frozen=True)
@@ -201,35 +201,27 @@ def paired_distance_analysis(
 
 
 def write_alignment_json(results: dict[str, AlignmentResult], sink: IO) -> None:
-    payload = {name: asdict(r) for name, r in results.items()}
-    json.dump(payload, sink, indent=2, sort_keys=True)
-    sink.write("\n")
+    write_document({name: asdict(r) for name, r in results.items()}, sink)
 
 
 def write_pca_points_csv(
     meta: Sequence[tuple[str, str, str]], scores: np.ndarray, sink: IO
 ) -> int:
     """One row per projected vector: its (label, class, terminology) and x, y."""
-    writer = csv.writer(sink, lineterminator="\n")
-    writer.writerow(["label", "class", "terminology", "x", "y"])
-    for (label, class_tag, terminology), (x, y) in zip(meta, scores.tolist(), strict=True):
-        writer.writerow([label, class_tag, terminology, repr(x), repr(y)])
+    write_table(["label", "class", "terminology", "x", "y"],
+                ((*m, x, y) for m, (x, y) in zip(meta, scores.tolist(), strict=True)), sink)
     return len(meta)
 
 
 def write_pca_variance_csv(shares: Sequence[float], sink: IO) -> None:
     """One row per principal component (1-based): its share of the total variance."""
-    writer = csv.writer(sink, lineterminator="\n")
-    writer.writerow(["component", "explained_variance"])
-    for component, share in enumerate(shares, start=1):
-        writer.writerow([component, repr(share)])
+    write_table(["component", "explained_variance"], enumerate(shares, start=1), sink)
 
 
 def write_distance_summary_csv(summary: DistanceSummary, sink: IO) -> None:
-    writer = csv.writer(sink, lineterminator="\n")
-    writer.writerow(["terminology", "min", "q1", "median", "q3", "max"])
-    for terminology, box in summary.per_terminology.items():
-        writer.writerow([terminology, repr(box.minimum), repr(box.q1),
-                         repr(box.median), repr(box.q3), repr(box.maximum)])
-    writer.writerow(["__overall__", "paired_mean", repr(summary.paired_mean),
-                     "nonpaired_mean", repr(summary.nonpaired_mean), ""])
+    write_table(["terminology", "min", "q1", "median", "q3", "max"], [
+        *((terminology, box.minimum, box.q1, box.median, box.q3, box.maximum)
+          for terminology, box in summary.per_terminology.items()),
+        ("__overall__", "paired_mean", summary.paired_mean,
+         "nonpaired_mean", summary.nonpaired_mean, None),
+    ], sink)

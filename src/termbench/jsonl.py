@@ -1,11 +1,17 @@
-"""JSON Lines rows: the one reader and the one writer for every artifact.
+"""JSON: the one row reader, the one row writer and the one document writer.
+
+Every JSONL artifact, cache and transcript is read by `iter_rows` and
+written by `write_rows`; every JSON document (eval summaries, metrics,
+fine-tune manifests, alignment results, the run manifest) is written by
+`write_document`, indented by two, with sorted keys and, unlike a row,
+with every non-ASCII character escaped.
 
 Rows are separated by "\\n" only. `json.dumps(..., ensure_ascii=False)`
 writes U+2028, U+2029 and U+0085 verbatim inside strings, and
 `str.splitlines` would split a row at any of them, so nothing here uses it.
 Both text and binary streams are read line by line, never whole.
 
-Both codecs call the C scanner and encoder that `json.loads` and
+Both row codecs call the C scanner and encoder that `json.loads` and
 `json.dumps` reach, skipping the set-up those functions repeat per call.
 The output bytes, the rows and every error message are those of
 `json.loads(line)` and `json.dumps(row, ensure_ascii=False)`.
@@ -84,6 +90,11 @@ def write_rows(rows: Iterable[dict], sink: IO) -> int:
         sink.write(text + "\n")
         n += 1
     return n
+
+
+def write_document(payload: dict, sink: IO) -> None:
+    """Write `json.dumps(payload, indent=2, sort_keys=True)` and a final "\\n"."""
+    sink.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def enum_lookup(enum: type[E]) -> Callable[[object], E]:

@@ -16,6 +16,7 @@ from pathlib import Path
 
 from . import GENERATOR_NAME, __version__
 from .errors import ParseError
+from .jsonl import write_document
 from .prompts import FINETUNE_HYPERPARAMETERS
 
 MANIFEST_NAME = "manifest.json"
@@ -75,6 +76,6 @@ class RunManifest:
     def write(self) -> None:
         self.run_dir.mkdir(parents=True, exist_ok=True)
         tmp = self.path.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(self.data, indent=2, sort_keys=True) + "\n",
-                       encoding="utf-8")
+        with open(tmp, "w", encoding="utf-8") as fh:
+            write_document(self.data, fh)
         os.replace(tmp, self.path)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, TypeVar
 
 from .errors import ParseError, ValidationError
 from .jsonl import enum_lookup, iter_rows, write_rows
@@ -193,14 +193,17 @@ def parse_gene_map(stream: IO) -> list[TermRecord]:
             for _, symbol, protein in two_column_rows(lines[1:], start=2)]
 
 
-def build_index(records: Iterable[TermRecord]) -> dict[str, TermRecord]:
+R = TypeVar("R")  # a TermRecord, or any record with an identifier and a label
+
+
+def build_index(records: Iterable[R]) -> dict[str, R]:
     """Records by identifier.
 
     A duplicate identifier, or a label repeated up to case, is a
     construction error; silently keeping the first occurrence would hide
     upstream data problems.
     """
-    index: dict[str, TermRecord] = {}
+    index: dict[str, R] = {}
     labels: set[str] = set()
     for record in records:
         if record.identifier in index:

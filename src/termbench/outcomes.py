@@ -18,7 +18,6 @@ exactly once.
 
 from __future__ import annotations
 
-import csv
 from collections import Counter
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
@@ -32,6 +31,7 @@ from .jsonl import iter_rows, write_rows
 from .ontology import Terminology, terminology_member
 from .prompts import Direction, direction_label, direction_member
 from .sampling import Split, split_member
+from .tables import write_table
 
 
 class OutcomeCategory(Enum):
@@ -97,13 +97,13 @@ def build_outcomes(
 
 
 def round1(value: Fraction) -> float:
-    """Round half-up to one decimal, once, at the end of a computation."""
+    """Round half-up to one decimal, once, at the end of a computation.
+
+    The report tables write the result as `repr` does, which for these
+    percentages shows exactly that one decimal (12.3, 100.0, -0.0).
+    """
     dec = Decimal(value.numerator) / Decimal(value.denominator)
     return float(dec.quantize(Decimal("0.1"), rounding=ROUND_HALF_UP))
-
-
-def fmt1(value: float) -> str:
-    return f"{value:.1f}"
 
 
 @dataclass(frozen=True)
@@ -308,41 +308,26 @@ def table_report(outcomes: Sequence[PairOutcome]) -> ReportBundle:
 
 
 def write_performance_csv(rows: Sequence[PerformanceRow], sink: IO) -> None:
-    writer = csv.writer(sink, lineterminator="\n")
-    writer.writerow(["mapping", "baseline_pct", "finetuned_pct", "delta_ft_pct"])
-    for r in rows:
-        writer.writerow([r.mapping, fmt1(r.baseline_pct), fmt1(r.finetuned_pct),
-                         fmt1(r.delta_pct)])
+    write_table(["mapping", "baseline_pct", "finetuned_pct", "delta_ft_pct"],
+                ((r.mapping, r.baseline_pct, r.finetuned_pct, r.delta_pct) for r in rows), sink)
 
 
 def write_categories_csv(rows: Sequence[CategoryRow], sink: IO) -> None:
-    writer = csv.writer(sink, lineterminator="\n")
-    writer.writerow(["terminology", "direction", "category",
-                     "validation_pct", "trained_pct"])
-    for r in rows:
-        writer.writerow([r.terminology, r.direction, r.category,
-                         fmt1(r.validation_pct), fmt1(r.trained_pct)])
+    write_table(["terminology", "direction", "category", "validation_pct", "trained_pct"],
+                ((r.terminology, r.direction, r.category, r.validation_pct, r.trained_pct)
+                 for r in rows), sink)
 
 
 def write_derived_csv(rows: Sequence[DerivedRow], sink: IO) -> None:
-    writer = csv.writer(sink, lineterminator="\n")
-    writer.writerow(["task", "memorized_pct", "generalized_pct", "degraded_pct",
-                     "degraded_pooled_pct", "accuracy_pct"])
-    for r in rows:
-        m = r.metrics
-        writer.writerow([
-            r.task, fmt1(m.memorized_pct), fmt1(m.generalized_pct),
-            fmt1(m.degraded_pct),
-            "" if m.degraded_pooled_pct is None else fmt1(m.degraded_pooled_pct),
-            fmt1(m.accuracy_pct),
-        ])
+    write_table(["task", "memorized_pct", "generalized_pct", "degraded_pct",
+                 "degraded_pooled_pct", "accuracy_pct"],
+                ((r.task, r.metrics.memorized_pct, r.metrics.generalized_pct,
+                  r.metrics.degraded_pct, r.metrics.degraded_pooled_pct,
+                  r.metrics.accuracy_pct) for r in rows), sink)
 
 
 def write_sankey_csv(edges: Sequence[tuple[str, str, int]], sink: IO) -> None:
-    writer = csv.writer(sink, lineterminator="\n")
-    writer.writerow(["source", "target", "count"])
-    for source, target, count in edges:
-        writer.writerow([source, target, count])
+    write_table(["source", "target", "count"], edges, sink)
 
 
 def _outcome_row(o: PairOutcome) -> dict:

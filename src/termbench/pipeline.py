@@ -18,7 +18,7 @@ carries timestamps.
 
 from __future__ import annotations
 
-import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -53,6 +53,7 @@ from .evaluate import (
     run_summary,
     write_results_jsonl,
 )
+from .jsonl import write_document
 from .manifest import RunManifest
 from .ontology import (
     Terminology,
@@ -116,6 +117,7 @@ from .stats import (
     write_games_howell_csv,
     write_observations_csv,
 )
+from .tables import write_table
 
 STAGES = (
     "ingest", "popularity", "sample", "prompts", "eval",
@@ -208,13 +210,8 @@ def _tkey(t: Terminology) -> str:
     return TERMINOLOGY_KEYS[t]
 
 
-def _records_name(t: Terminology) -> str:
-    return f"ingest/records_{_tkey(t)}.jsonl"
-
-
 # Each artifact that more than one stage reads, and the last stage that reads it.
 _LAST_READER = {
-    **{_records_name(t): "sample" for t in TERMINOLOGIES},
     "popularity/popularity.csv": "stats",
     "sample/split.jsonl": "lexicalize",
     "classify/outcomes.jsonl": "report",
@@ -231,14 +228,10 @@ def _run_stem(phase: Phase, t: Terminology, d: Direction) -> str:
     return f"{phase.value}_{_tkey(t)}_{d.value}"
 
 
-def _dump_json(payload: dict, sink) -> None:
-    sink.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
 def _write_rank_points(dist, sink) -> None:
-    sink.write("identifier,count,rank,log10_rank,log10_count_plus1\n")
-    for (identifier, count, rank), (lx, ly) in zip(dist.entries, dist.log_log_points()):
-        sink.write(f"{identifier},{count},{rank},{lx!r},{ly!r}\n")
+    write_table(["identifier", "count", "rank", "log10_rank", "log10_count_plus1"],
+                ((identifier, count, rank, math.log10(rank), laplace_log(count))
+                 for identifier, count, rank in dist.entries), sink)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +264,8 @@ def stage_ingest(cfg: RunConfig, files: StageFiles, manifest: RunManifest) -> No
 
 
 def stage_popularity(cfg: RunConfig, files: StageFiles, manifest: RunManifest) -> None:
-    records_by_t = {t: files.read(_records_name(t), read_records_jsonl) for t in TERMINOLOGIES}
+    records_by_t = {t: files.read(f"ingest/records_{_tkey(t)}.jsonl", read_records_jsonl)
+                    for t in TERMINOLOGIES}
 
     cache_path = cfg.pmc_cache or (files.out_dir / "pmc_cache.jsonl")
     cache = QueryCache(cache_path)
@@ -324,11 +318,9 @@ def stage_sample(cfg: RunConfig, files: StageFiles, manifest: RunManifest) -> No
     pop_records = files.read("popularity/popularity.csv", read_popularity_csv)
     pairs: list[SampledPair] = []
     for t in TERMINOLOGIES:
-        records = files.read(_records_name(t), read_records_jsonl)
+        records = [r for r in pop_records if r.terminology is t]
         index = build_index(records)
-        dist = rank_frequency([r for r in pop_records if r.terminology is t],
-                              cfg.ranking_proxy)
-        bins = stratify(dist, cfg.n_bins)
+        bins = stratify(rank_frequency(records, cfg.ranking_proxy), cfg.n_bins)
         sampled = sample_bins(bins, index, cfg.sampling_seed, cfg.per_bin)
         pairs.extend(
             make_split(records, sampled, bins,
@@ -361,7 +353,7 @@ def stage_prompts(cfg: RunConfig, files: StageFiles, manifest: RunManifest) -> N
                 ft_prompts.extend(expand_prompts(pair, direction))
             base = f"finetune_{_tkey(t)}_{direction.value}"
             files.write(f"{base}.jsonl", emit_finetune_file, ft_prompts)
-            files.write(f"{base}.manifest.json", _dump_json,
+            files.write(f"{base}.manifest.json", write_document,
                         finetune_manifest(t, direction, cfg.sampling_seed,
                                           len(train_pairs), len(ft_prompts), GENERATOR_NAME))
 
@@ -413,7 +405,7 @@ def stage_eval(cfg: RunConfig, files: StageFiles, manifest: RunManifest) -> None
             )
             stem = _run_stem(phase, t, d)
             files.write(f"results_{stem}.jsonl", write_results_jsonl, run)
-            files.write(f"summary_{stem}.json", _dump_json, run_summary(run))
+            files.write(f"summary_{stem}.json", write_document, run_summary(run))
     # only transcripts this run wrote: a stale one left in eval/ is not an output
     files.outputs.extend(w.path for w in writers if w.path.exists())
 
@@ -437,7 +429,7 @@ def stage_classify(cfg: RunConfig, files: StageFiles, manifest: RunManifest) -> 
                             sankey_edges([o for o in outcomes if o.split is split]))
 
     files.write("outcomes.jsonl", write_outcomes_jsonl, all_outcomes)
-    files.write("metrics.json", _dump_json, metrics_payload)
+    files.write("metrics.json", write_document, metrics_payload)
 
 
 def _embedding_provider(cfg: RunConfig, files: StageFiles):

@@ -15,6 +15,7 @@ from typing import IO, Iterable
 
 from .errors import DomainError, ParseError, ValidationError
 from .ontology import Terminology, read_lines, terminology_member, two_column_rows
+from .tables import write_table
 
 PROXIES = ("id_count_pmc", "term_count_pmc", "annotation_count")
 
@@ -101,17 +102,11 @@ POPULARITY_CSV_COLUMNS = [
 ]
 
 
-def write_popularity_csv(records: Iterable[PopularityRecord], sink: IO) -> int:
-    writer = csv.writer(sink, lineterminator="\n")
-    writer.writerow(POPULARITY_CSV_COLUMNS)
-    n = 0
-    for r in records:
-        writer.writerow([
-            r.terminology.value, r.identifier, r.label,
-            r.id_count_pmc, r.term_count_pmc, r.annotation_count,
-        ])
-        n += 1
-    return n
+def write_popularity_csv(records: Iterable[PopularityRecord], sink: IO) -> None:
+    write_table(POPULARITY_CSV_COLUMNS, (
+        (r.terminology.value, r.identifier, r.label,
+         r.id_count_pmc, r.term_count_pmc, r.annotation_count)
+        for r in records), sink)
 
 
 def read_popularity_csv(stream: IO) -> list[PopularityRecord]:

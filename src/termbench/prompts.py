@@ -80,9 +80,6 @@ TEMPLATE_TABLE: dict[Terminology, dict[Direction, tuple[str, ...]]] = {
     Terminology.GENE: _GENE_TEMPLATES,
 }
 
-_PLACEHOLDERS = ("[ONTOLOGY]", "[TERM]", "[IDENTIFIER]")
-
-
 @dataclass(frozen=True)
 class PromptInstance:
     pair: SampledPair
@@ -121,19 +118,12 @@ def expand_prompts(
     for template_id in template_ids:
         if template_id not in TEMPLATE_IDS:
             raise DomainError(f"unknown template id {template_id}")
-        text = templates[template_id - 1].replace(slot, fill)
-        for leftover in _PLACEHOLDERS:
-            if leftover in text:
-                raise DomainError(
-                    f"placeholder {leftover} survived rendering template "
-                    f"{template_id} for {pair.identifier!r}"
-                )
         instances.append(
             PromptInstance(
                 pair=pair,
                 direction=direction,
                 template_id=template_id,
-                prompt_text=text,
+                prompt_text=templates[template_id - 1].replace(slot, fill),
                 expected_answer=expected,
             )
         )

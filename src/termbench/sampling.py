@@ -67,7 +67,7 @@ def stratify(dist: RankedDistribution, n_bins: int = 20) -> list[FrequencyBin]:
 
 def sample_bins(
     bins: list[FrequencyBin],
-    index: dict[str, TermRecord],
+    index: dict[str, TermRecord | PopularityRecord],
     seed: int,
     per_bin: int = 10,
 ) -> list[SampledPair]:
@@ -103,7 +103,7 @@ def sample_bins(
 
 
 def make_split(
-    all_records: list[TermRecord],
+    all_records: list[TermRecord | PopularityRecord],
     sampled: list[SampledPair],
     bins: list[FrequencyBin],
     validation_cap: int | None = None,

@@ -9,7 +9,6 @@ linalg and sparse modules it loads) is imported.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass, field
@@ -19,6 +18,7 @@ import numpy as np
 from scipy import special
 
 from .errors import DomainError, NumericalError
+from .tables import write_table
 
 
 def t_sf_two_sided(t: float, df: float) -> float:
@@ -392,31 +392,21 @@ OBSERVATION_CSV_COLUMNS = ["terminology", "correctness", "value"]
 
 
 def write_observations_csv(observations: Sequence[Observation], sink: IO) -> int:
-    writer = csv.writer(sink, lineterminator="\n")
-    writer.writerow(OBSERVATION_CSV_COLUMNS)
-    for o in observations:
-        writer.writerow([o.terminology, o.correctness, repr(o.value)])
+    write_table(OBSERVATION_CSV_COLUMNS,
+                ((o.terminology, o.correctness, o.value) for o in observations), sink)
     return len(observations)
 
 
 def write_anova_csv(table: AnovaTable, sink: IO) -> None:
-    writer = csv.writer(sink, lineterminator="\n")
-    writer.writerow(["effect", "ss", "df", "ms", "F", "p"])
-    for e in table.effects:
-        writer.writerow([
-            e.name, repr(e.ss), repr(e.df), repr(e.ms),
-            "" if math.isnan(e.f) else repr(e.f),
-            "" if math.isnan(e.p) else repr(e.p),
-        ])
-    for w in table.warnings:
-        writer.writerow(["warning", w, "", "", "", ""])
+    # an F or p that is not defined is NaN, which csv would write as "nan"
+    write_table(["effect", "ss", "df", "ms", "F", "p"], [
+        *((e.name, e.ss, e.df, e.ms, None if math.isnan(e.f) else e.f,
+           None if math.isnan(e.p) else e.p) for e in table.effects),
+        *(("warning", w, None, None, None, None) for w in table.warnings),
+    ], sink)
 
 
 def write_games_howell_csv(result: GamesHowellResult, sink: IO) -> None:
-    writer = csv.writer(sink, lineterminator="\n")
-    writer.writerow(["group_i", "group_j", "mean_diff", "se", "t", "df", "p_adj"])
-    for r in result.rows:
-        writer.writerow([
-            r.group_i, r.group_j, repr(r.mean_diff), repr(r.se),
-            repr(r.t), repr(r.df), repr(r.p_adj),
-        ])
+    write_table(["group_i", "group_j", "mean_diff", "se", "t", "df", "p_adj"],
+                ((r.group_i, r.group_j, r.mean_diff, r.se, r.t, r.df, r.p_adj)
+                 for r in result.rows), sink)

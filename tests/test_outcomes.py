@@ -226,6 +226,13 @@ def test_round1_half_up():
     assert round1(Fraction(1, 3) * 100) == 33.3
 
 
+def test_round1_is_written_with_its_one_decimal():
+    # the report tables write a percentage as csv does, str(float)
+    for k in range(-20000, 20001):
+        value = round1(Fraction(k, 100))
+        assert str(value) == f"{value:.1f}", k
+
+
 # ---------------------------------------------------------------------------
 # Sankey edges
 

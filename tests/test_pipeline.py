@@ -18,7 +18,7 @@ import termbench.pipeline
 from termbench.cli import main
 from termbench.config import TERMINOLOGY_KEYS, load_config
 from termbench.embeddings import FileEmbeddingStore
-from termbench.outcomes import fmt1, read_outcomes_jsonl, round1
+from termbench.outcomes import read_outcomes_jsonl, round1
 from termbench.pipeline import run_stage
 from termbench.prompts import Direction, direction_label
 from termbench.providers import DecodingParams, TranscriptWriter, prompt_hash, request_body
@@ -158,7 +158,7 @@ def test_manifest_inputs_are_every_file_each_stage_read(full_run):
         "ingest": [fixture / "hpo.obo", fixture / "go.obo", fixture / "gene_map.tsv"],
         "popularity": records + [fixture / "pmc_cache.jsonl"] + [
             fixture / f"annotations_{key}.tsv" for key in ("hpo", "go_cc", "gene")],
-        "sample": records + [full_run / "popularity" / "popularity.csv"],
+        "sample": [full_run / "popularity" / "popularity.csv"],
         "prompts": [split],
         "eval": [full_run / "prompts" / "prompts.jsonl", split,
                  fixture / "transcripts" / "baseline.jsonl",
@@ -303,7 +303,7 @@ def test_all_templates_summary_outcomes_and_report_agree(full_run, tmp_path):
                     (run_dir / "eval" / f"summary_{phase}_{key}_{d.value}.json").read_text())
                 assert summary["n_items"] == 300
                 assert summary["accuracy"] == sum(flags) / len(flags)
-                assert row[f"{phase}_pct"] == fmt1(round1(Fraction(sum(flags) * 100, 60)))
+                assert row[f"{phase}_pct"] == f"{round1(Fraction(sum(flags) * 100, 60)):.1f}"
 
 
 def test_ingest_closes_its_sources(tmp_path):

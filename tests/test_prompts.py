@@ -1,12 +1,15 @@
 import io
 import json
+import re
 
 import pytest
 
 from termbench.errors import DomainError
-from termbench.ontology import Terminology
+from termbench.ontology import Terminology, TermRecord
 from termbench.prompts import (
     FINETUNE_HYPERPARAMETERS,
+    TEMPLATE_IDS,
+    TEMPLATE_TABLE,
     Direction,
     direction_label,
     emit_finetune_file,
@@ -78,6 +81,30 @@ def test_no_residual_placeholders():
     for p in expand_all(pairs, list(Direction)):
         for placeholder in ("[ONTOLOGY]", "[TERM]", "[IDENTIFIER]"):
             assert placeholder not in p.prompt_text
+
+
+def test_every_template_holds_its_direction_slot_once_and_no_other_placeholder():
+    slots = {Direction.TERM_TO_ID: "[TERM]", Direction.ID_TO_TERM: "[IDENTIFIER]"}
+    assert set(TEMPLATE_TABLE) == set(Terminology)
+    for by_direction in TEMPLATE_TABLE.values():
+        assert set(by_direction) == set(Direction)
+        for direction, templates in by_direction.items():
+            assert len(templates) == len(TEMPLATE_IDS)
+            for template in templates:
+                assert re.findall(r"\[[A-Z_]+\]", template) == [slots[direction]]
+
+
+@pytest.mark.parametrize("label", ["Abnormal [ONTOLOGY] finding", "[TERM] of [IDENTIFIER]"])
+def test_a_label_holding_a_placeholder_renders_verbatim_and_round_trips(label):
+    record = TermRecord(Terminology.HPO, "HP:0000001", label)  # ingest accepts the label
+    pair = _pair(term=record.label, identifier=record.identifier)
+    prompts = expand_all([pair], list(Direction))
+    assert prompts[0].prompt_text == f"What is the HPO identifier for the HPO term {label}?"
+    assert prompts[5].prompt_text == "What is the HPO term for the HPO identifier HP:0000001?"
+    assert prompts[5].expected_answer == label
+    buf = io.StringIO()
+    write_prompts_jsonl(prompts, buf)
+    assert read_prompts_jsonl(io.StringIO(buf.getvalue()), {pair_id(pair): pair}) == prompts
 
 
 def test_gene_wording_uses_hgnc_and_protein_name():
