@@ -208,9 +208,9 @@ def write_pca_points_csv(
     meta: Sequence[tuple[str, str, str]], scores: np.ndarray, sink: IO
 ) -> int:
     """One row per projected vector: its (label, class, terminology) and x, y."""
-    write_table(["label", "class", "terminology", "x", "y"],
-                ((*m, x, y) for m, (x, y) in zip(meta, scores.tolist(), strict=True)), sink)
-    return len(meta)
+    return write_table(["label", "class", "terminology", "x", "y"],
+                       ((*m, x, y) for m, (x, y) in zip(meta, scores.tolist(), strict=True)),
+                       sink)
 
 
 def write_pca_variance_csv(shares: Sequence[float], sink: IO) -> None:

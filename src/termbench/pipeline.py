@@ -18,7 +18,6 @@ carries timestamps.
 
 from __future__ import annotations
 
-import math
 import os
 import sys
 from dataclasses import asdict
@@ -229,9 +228,9 @@ def _run_stem(phase: Phase, t: Terminology, d: Direction) -> str:
 
 
 def _write_rank_points(dist, sink) -> None:
+    points = zip(dist.entries, dist.log_log_points())
     write_table(["identifier", "count", "rank", "log10_rank", "log10_count_plus1"],
-                ((identifier, count, rank, math.log10(rank), laplace_log(count))
-                 for identifier, count, rank in dist.entries), sink)
+                ((*entry, lx, ly) for entry, (lx, ly) in points), sink)
 
 
 # ---------------------------------------------------------------------------
@@ -273,14 +272,11 @@ def stage_popularity(cfg: RunConfig, files: StageFiles, manifest: RunManifest) -
                        api_key=os.environ.get(EUTILS_KEY_ENV),
                        rate_limiter=TokenBucket(cfg.rate_per_second))
 
-    annotations_by_t: dict[Terminology, dict[str, int]] = {}
-    for t in TERMINOLOGIES:
-        annotations_by_t[t] = {}
-        ann_path = cfg.annotations.get(t)
-        if ann_path is not None:
-            with open(files.source(ann_path, f"paths.annotations_{_tkey(t)}"),
-                      encoding="utf-8") as fh:
-                annotations_by_t[t] = load_annotation_counts(fh, t)
+    annotations_by_t: dict[Terminology, dict[str, int]] = {t: {} for t in TERMINOLOGIES}
+    for t, ann_path in cfg.annotations.items():
+        with open(files.source(ann_path, f"paths.annotations_{_tkey(t)}"),
+                  encoding="utf-8") as fh:
+            annotations_by_t[t] = load_annotation_counts(fh, t)
 
     queries = [
         query

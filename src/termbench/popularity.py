@@ -8,14 +8,13 @@ and annotation counts from curated resources. Counts are Laplace-smoothed
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import IO, Iterable
 
 from .errors import DomainError, ParseError, ValidationError
 from .ontology import Terminology, read_lines, terminology_member, two_column_rows
-from .tables import write_table
+from .tables import read_table, write_table
 
 PROXIES = ("id_count_pmc", "term_count_pmc", "annotation_count")
 
@@ -102,36 +101,19 @@ POPULARITY_CSV_COLUMNS = [
 ]
 
 
-def write_popularity_csv(records: Iterable[PopularityRecord], sink: IO) -> None:
-    write_table(POPULARITY_CSV_COLUMNS, (
+def write_popularity_csv(records: Iterable[PopularityRecord], sink: IO) -> int:
+    return write_table(POPULARITY_CSV_COLUMNS, (
         (r.terminology.value, r.identifier, r.label,
          r.id_count_pmc, r.term_count_pmc, r.annotation_count)
         for r in records), sink)
 
 
 def read_popularity_csv(stream: IO) -> list[PopularityRecord]:
-    reader = csv.reader(stream)
-    header = next(reader, None)
-    if header != POPULARITY_CSV_COLUMNS:
-        raise ParseError(f"unexpected popularity CSV header: {header}", 1)
     records = []
-    for row in reader:
-        if not row:
-            continue
-        if len(row) != len(POPULARITY_CSV_COLUMNS):
-            raise ParseError(f"expected {len(POPULARITY_CSV_COLUMNS)} columns, got {len(row)}",
-                             reader.line_num)
+    for lineno, (t, identifier, label, *counts) in read_table(POPULARITY_CSV_COLUMNS, stream):
         try:
-            records.append(
-                PopularityRecord(
-                    terminology=terminology_member(row[0]),
-                    identifier=row[1],
-                    label=row[2],
-                    id_count_pmc=int(row[3]),
-                    term_count_pmc=int(row[4]),
-                    annotation_count=int(row[5]),
-                )
-            )
+            records.append(PopularityRecord(terminology_member(t), identifier, label,
+                                            *map(int, counts)))
         except ValueError as exc:
-            raise ParseError(str(exc), reader.line_num) from exc
+            raise ParseError(str(exc), lineno) from exc
     return records

@@ -392,9 +392,8 @@ OBSERVATION_CSV_COLUMNS = ["terminology", "correctness", "value"]
 
 
 def write_observations_csv(observations: Sequence[Observation], sink: IO) -> int:
-    write_table(OBSERVATION_CSV_COLUMNS,
-                ((o.terminology, o.correctness, o.value) for o in observations), sink)
-    return len(observations)
+    return write_table(OBSERVATION_CSV_COLUMNS,
+                       ((o.terminology, o.correctness, o.value) for o in observations), sink)
 
 
 def write_anova_csv(table: AnovaTable, sink: IO) -> None:

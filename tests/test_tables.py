@@ -1,17 +1,22 @@
 import ast
 import io
+import re
 from pathlib import Path
 
+import pytest
+
 import termbench
+from termbench.errors import ParseError
 from termbench.outcomes import DerivedMetrics, DerivedRow, write_derived_csv
-from termbench.tables import write_table
+from termbench.tables import read_table, write_table
 
 SOURCES = sorted(Path(termbench.__file__).resolve().parent.glob("*.py"))
 
 
 def test_write_table_cells():
     buf = io.StringIO()
-    write_table(["a", "b", "c"], [(1, 0.1 + 0.2, None), ("x,y", 'say "hi"', 100.0)], buf)
+    rows = [(1, 0.1 + 0.2, None), ("x,y", 'say "hi"', 100.0)]
+    assert write_table(["a", "b", "c"], rows, buf) == 2
     assert buf.getvalue() == 'a,b,c\n1,0.30000000000000004,\n"x,y","say ""hi""",100.0\n'
 
 
@@ -27,6 +32,19 @@ def test_write_table_writes_each_row_as_it_comes():
     write_table(["n"], rows(), buf)
     assert seen == ["n\n", "n\n0\n", "n\n0\n1\n"]
     assert buf.getvalue() == "n\n0\n1\n2\n"
+
+
+def test_read_table_yields_line_numbers_and_skips_blank_rows():
+    text = 'a,b\n1,"x\ny"\n\n2,\n'
+    assert list(read_table(["a", "b"], io.StringIO(text, newline=""))) == [
+        (3, ["1", "x\ny"]), (5, ["2", ""])]
+
+
+@pytest.mark.parametrize("text,found", [("a,c\n1,2\n", "['a', 'c']"), ("", "None")])
+def test_read_table_rejects_a_bad_header(text, found):
+    with pytest.raises(ParseError, match=re.escape(f"unexpected CSV header: {found}")) as exc:
+        list(read_table(["a", "b"], io.StringIO(text)))
+    assert exc.value.line_number == 1
 
 
 def test_an_absent_pooled_degradation_is_an_empty_cell():
@@ -47,13 +65,15 @@ def _calls(path: Path, module: str, names: set[str]) -> list[str]:
 
 
 def test_one_writer_per_file_format():
-    # every CSV table goes through tables.write_table, every JSON text
-    # (rows and documents) through jsonl; json.loads may be called anywhere
+    # every CSV table is written by tables.write_table and read by
+    # tables.read_table, every JSON text (rows and documents) is written
+    # through jsonl; json.loads may be called anywhere
     by_name = {p.name: p for p in SOURCES}
     assert len(_calls(by_name["tables.py"], "csv", {"writer"})) == 1
+    assert len(_calls(by_name["tables.py"], "csv", {"reader"})) == 1
     assert len(_calls(by_name["jsonl.py"], "json", {"dumps"})) == 1
-    csv_writers = [c for p in SOURCES if p.name != "tables.py"
-                   for c in _calls(p, "csv", {"writer", "DictWriter"})]
+    csv_codecs = [c for p in SOURCES if p.name != "tables.py"
+                  for c in _calls(p, "csv", {"writer", "DictWriter", "reader", "DictReader"})]
     json_writers = [c for p in SOURCES if p.name != "jsonl.py"
                     for c in _calls(p, "json", {"dump", "dumps"})]
-    assert (csv_writers, json_writers) == ([], [])
+    assert (csv_codecs, json_writers) == ([], [])
