@@ -115,17 +115,20 @@ def expected_answers(prompts: Sequence[PromptInstance], extract: bool = False) -
             for p in prompts]
 
 
+# every completion is requested with the default decoding settings
+DECODING = DecodingParams()
+
+
 def _evaluate_one(
     provider: CompletionProvider,
     prompt: PromptInstance,
     expected: str,
     model_id: str,
-    params: DecodingParams,
     extract: bool,
 ) -> EvalItem:
     pid = prompt.pair_id
     try:
-        raw = provider.complete(prompt.prompt_text, model_id, params)
+        raw = provider.complete(prompt.prompt_text, model_id, DECODING)
     except HarnessError as exc:
         return EvalItem(
             pair_id=pid,
@@ -154,7 +157,6 @@ def run_eval(
     model_id: str,
     phase: Phase,
     concurrency_limit: int = 1,
-    params: DecodingParams = DecodingParams(),
     extract: bool = False,
     expected: Sequence[str] | None = None,
 ) -> EvalRun:
@@ -181,7 +183,7 @@ def run_eval(
         raise DomainError(f"{len(expected)} expected answers for {len(prompts)} prompts")
 
     items = bounded_map(
-        lambda job: _evaluate_one(provider, *job, model_id, params, extract),
+        lambda job: _evaluate_one(provider, *job, model_id, extract),
         zip(prompts, expected), concurrency_limit)
     items.sort(key=lambda i: (i.pair_id, i.template_id))
     if all(i.error is not None for i in items):

@@ -2,8 +2,8 @@
 
 The manifest is the only place timestamps live; stage outputs themselves
 are deterministic. It is rewritten atomically (temp file + rename) after
-each stage completes, recording SHA-256 digests of that stage's inputs
-and outputs.
+each stage completes, storing the SHA-256 digests that the stage took of
+its inputs and outputs (`pipeline.StageFiles`).
 """
 
 from __future__ import annotations
@@ -25,7 +25,9 @@ MANIFEST_NAME = "manifest.json"
 def sha256_file(path: str | Path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
+        # small reads: a stage hashes its files while its own data are live, so a
+        # large read buffer adds to the process's peak memory
+        for chunk in iter(lambda: fh.read(1 << 16), b""):
             digest.update(chunk)
     return digest.hexdigest()
 
@@ -58,18 +60,13 @@ class RunManifest:
     def set_release_tag(self, terminology: str, tag: str | None) -> None:
         self.data["release_tags"][terminology] = tag
 
-    def record_stage(self, stage: str, inputs: list[Path], outputs: list[Path],
-                     digests: dict[Path, str] | None = None) -> None:
-        """Record the stage's files; `digests` holds any the stage has already hashed."""
-        known = digests or {}
-
-        def hashed(paths: list[Path]) -> dict[str, str]:
-            return {str(p): known.get(p) or sha256_file(p) for p in sorted(paths)}
-
+    def record_stage(self, stage: str, inputs: dict[Path, str],
+                     outputs: dict[Path, str]) -> None:
+        """Record the stage's files, each with the SHA-256 the stage took of it."""
         self.data["stages"][stage] = {
             "completed_at": datetime.now(timezone.utc).isoformat(),
-            "inputs": hashed(inputs),
-            "outputs": hashed(outputs),
+            "inputs": {str(p): digest for p, digest in sorted(inputs.items())},
+            "outputs": {str(p): digest for p, digest in sorted(outputs.items())},
         }
         self.write()
 

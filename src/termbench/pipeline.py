@@ -1,9 +1,10 @@
 """Pipeline stages over a run directory.
 
-Stages run in a fixed order, each reading the previous stages' artifacts
-and writing its own under `<run>/<stage>/`, all through `StageFiles`.
-Outputs are deterministic given the config and seeds; only the manifest
-carries timestamps.
+Stages run in the order of `_STAGE_TABLE`, each reading the previous
+stages' artifacts and writing its own under `<run>/<stage>/`, all through
+`StageFiles`, which hashes each file once as it records it; the manifest
+stores those digests. Outputs are deterministic given the config and
+seeds; only the manifest carries timestamps.
 
     ingest      parse terminologies into canonical record files
     popularity  popularity proxies per identifier + rank-frequency points
@@ -118,11 +119,6 @@ from .stats import (
 )
 from .tables import write_table
 
-STAGES = (
-    "ingest", "popularity", "sample", "prompts", "eval",
-    "classify", "lexicalize", "stats", "report",
-)
-
 TERMINOLOGIES = tuple(Terminology)
 DIRECTIONS = (Direction.TERM_TO_ID, Direction.ID_TO_TERM)
 
@@ -137,28 +133,27 @@ def _newline(name: str) -> str | None:
 
 
 class StageFiles:
-    """Every file one stage reads or writes, checked and recorded as it is opened.
+    """Every file one stage reads or writes, checked and hashed as it is recorded.
 
-    `run_stage` hashes `inputs` and `outputs` into the manifest, so a file a
-    stage reaches through here cannot be missing from it. Artifact names are
-    relative to the run directory (`sample/split.jsonl`); the stage that
-    writes one is its first part. `read` hashes the artifact before decoding
-    it and keeps the digest in `digests`, so the manifest does not hash it
-    again.
+    `inputs` and `outputs` map each file the stage reached through here to
+    its SHA-256, and `run_stage` stores them in the manifest as they are, so
+    a file cannot be missing from it and none is hashed twice. Artifact names
+    are relative to the run directory (`sample/split.jsonl`); the stage that
+    writes one is its first part.
     """
 
     def __init__(self, cfg: RunConfig, stage: str):
         self.stage = stage
         self.run_dir = cfg.run_dir
         self.out_dir = cfg.run_dir / stage
-        self.inputs: list[Path] = []
-        self.outputs: list[Path] = []
-        self.digests: dict[Path, str] = {}
+        self.inputs: dict[Path, str] = {}
+        self.outputs: dict[Path, str] = {}
 
-    def _input(self, path: Path) -> Path:
-        if path not in self.inputs:
-            self.inputs.append(path)
-        return path
+    def record(self, path: Path, output: bool = False) -> None:
+        """Record `path`, with its SHA-256, as an input (or an output) of the stage."""
+        recorded = self.outputs if output else self.inputs
+        if path not in recorded:
+            recorded[path] = run_manifest.sha256_file(path)
 
     def artifact(self, name: str) -> Path:
         """The earlier stage's file `<run>/<name>`, which must exist."""
@@ -166,7 +161,8 @@ class StageFiles:
         if not path.exists():
             producer = name.split("/")[0]
             raise MissingArtifactError(f"missing {path}; run the {producer!r} stage first")
-        return self._input(path)
+        self.record(path)
+        return path
 
     def source(self, path: Path | None, key: str) -> Path:
         """The file that config key `key` names, which must exist."""
@@ -174,7 +170,8 @@ class StageFiles:
             raise ValidationError(f"config does not set {key}")
         if not path.exists():
             raise ValidationError(f"{key} not found: {path}")
-        return self._input(path)
+        self.record(path)
+        return path
 
     def read(self, name: str, reader, *args):
         """`reader(stream, *args)` over the artifact `<run>/<name>`.
@@ -184,8 +181,7 @@ class StageFiles:
         last stage that reads it takes it. Every caller gets its own list.
         """
         path = self.artifact(name)
-        digest = self.digests[path] = run_manifest.sha256_file(path)
-        key = (path, digest, reader)
+        key = (path, self.inputs[path], reader)
         held_key, rows = _DECODED.pop(name, (None, None))
         if held_key != key:
             with open(path, encoding="utf-8", newline=_newline(name)) as fh:
@@ -202,7 +198,7 @@ class StageFiles:
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w", encoding="utf-8", newline=_newline(name)) as fh:
             writer(*args, fh)
-        self.outputs.append(path)
+        self.record(path, output=True)
 
 
 def _tkey(t: Terminology) -> str:
@@ -301,13 +297,13 @@ def stage_popularity(cfg: RunConfig, files: StageFiles, manifest: RunManifest) -
         ]
         all_records.extend(per_terminology[t])
 
-    # a configured cache is an input even when this run filled it; the default one is an output
-    if cache_path.exists():
-        (files.inputs if cfg.pmc_cache is not None else files.outputs).append(cache_path)
     files.write("popularity.csv", write_popularity_csv, all_records)
     for t in TERMINOLOGIES:
         files.write(f"rank_points_{_tkey(t)}.csv", _write_rank_points,
                     rank_frequency(per_terminology[t], cfg.ranking_proxy))
+    # a configured cache is an input even when this run filled it; the default one is an output
+    if cache_path.exists():
+        files.record(cache_path, output=cfg.pmc_cache is None)
 
 
 def stage_sample(cfg: RunConfig, files: StageFiles, manifest: RunManifest) -> None:
@@ -318,10 +314,7 @@ def stage_sample(cfg: RunConfig, files: StageFiles, manifest: RunManifest) -> No
         index = build_index(records)
         bins = stratify(rank_frequency(records, cfg.ranking_proxy), cfg.n_bins)
         sampled = sample_bins(bins, index, cfg.sampling_seed, cfg.per_bin)
-        pairs.extend(
-            make_split(records, sampled, bins,
-                       validation_cap=cfg.validation_cap, cap_seed=cfg.cap_seed)
-        )
+        pairs.extend(make_split(index, sampled, bins, cfg.validation_cap, cfg.cap_seed))
     files.write("split.jsonl", write_split_jsonl, pairs)
 
 
@@ -403,7 +396,9 @@ def stage_eval(cfg: RunConfig, files: StageFiles, manifest: RunManifest) -> None
             files.write(f"results_{stem}.jsonl", write_results_jsonl, run)
             files.write(f"summary_{stem}.json", write_document, run_summary(run))
     # only transcripts this run wrote: a stale one left in eval/ is not an output
-    files.outputs.extend(w.path for w in writers if w.path.exists())
+    for w in writers:
+        if w.path.exists():
+            files.record(w.path, output=True)
 
 
 def stage_classify(cfg: RunConfig, files: StageFiles, manifest: RunManifest) -> None:
@@ -524,38 +519,31 @@ def stage_report(cfg: RunConfig, files: StageFiles, manifest: RunManifest) -> No
     files.write("derived_metrics.csv", write_derived_csv, bundle.derived)
 
 
-_STAGE_FUNCS = {
-    "ingest": stage_ingest,
-    "popularity": stage_popularity,
-    "sample": stage_sample,
-    "prompts": stage_prompts,
-    "eval": stage_eval,
-    "classify": stage_classify,
-    "lexicalize": stage_lexicalize,
-    "stats": stage_stats,
-    "report": stage_report,
+# stage name -> (function, what a dry run says it would do), in run order
+_STAGE_TABLE = {
+    "ingest": (stage_ingest, "parse terminology sources into ingest/records_*.jsonl"),
+    "popularity": (stage_popularity, "resolve popularity proxies into "
+                   "popularity/popularity.csv and rank_points_*.csv"),
+    "sample": (stage_sample, "stratify and draw the split into sample/split.jsonl"),
+    "prompts": (stage_prompts, "render prompts/prompts.jsonl and fine-tune files"),
+    "eval": (stage_eval, "evaluate both phases into eval/results_*.jsonl and summaries"),
+    "classify": (stage_classify, "classify outcomes into classify/outcomes.jsonl, "
+                 "metrics.json, sankey CSVs"),
+    "lexicalize": (stage_lexicalize, "embedding alignment into lexicalize/alignment.json, "
+                   "pca_points.csv, pca_variance.csv, distance_summary.csv"),
+    "stats": (stage_stats, "ANOVA and Games-Howell per proxy into stats/*.csv"),
+    "report": (stage_report, "summary tables into report/*.csv"),
 }
-
-_STAGE_PLANS = {
-    "ingest": "parse terminology sources into ingest/records_*.jsonl",
-    "popularity": "resolve popularity proxies into popularity/popularity.csv and rank_points_*.csv",
-    "sample": "stratify and draw the split into sample/split.jsonl",
-    "prompts": "render prompts/prompts.jsonl and fine-tune files",
-    "eval": "evaluate both phases into eval/results_*.jsonl and summaries",
-    "classify": "classify outcomes into classify/outcomes.jsonl, metrics.json, sankey CSVs",
-    "lexicalize": ("embedding alignment into lexicalize/alignment.json, pca_points.csv, "
-                   "pca_variance.csv, distance_summary.csv"),
-    "stats": "ANOVA and Games-Howell per proxy into stats/*.csv",
-    "report": "summary tables into report/*.csv",
-}
+STAGES = tuple(_STAGE_TABLE)
 
 
 def run_stage(cfg: RunConfig, stage: str, dry_run: bool = False) -> None:
     """Execute one stage; raises on any failure (callers map to exit codes)."""
-    if stage not in _STAGE_FUNCS:
+    if stage not in _STAGE_TABLE:
         raise ValidationError(f"unknown stage {stage!r}; expected one of {', '.join(STAGES)}")
+    stage_func, plan = _STAGE_TABLE[stage]
     if dry_run:
-        print(f"[dry-run] {stage}: would {_STAGE_PLANS[stage]} under {cfg.run_dir}")
+        print(f"[dry-run] {stage}: would {plan} under {cfg.run_dir}")
         return
     manifest = RunManifest(cfg.run_dir)
     manifest.set_config(
@@ -567,7 +555,7 @@ def run_stage(cfg: RunConfig, stage: str, dry_run: bool = False) -> None:
         },
     )
     files = StageFiles(cfg, stage)
-    _STAGE_FUNCS[stage](cfg, files, manifest)
-    manifest.record_stage(stage, files.inputs, files.outputs, files.digests)
+    stage_func(cfg, files, manifest)
+    manifest.record_stage(stage, files.inputs, files.outputs)
     print(f"[{stage}] wrote {len(files.outputs)} file(s) under {files.out_dir}",
           file=sys.stderr)

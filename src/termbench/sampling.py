@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import IO, Iterable
 
-from .errors import ConsistencyError, DomainError
+from .errors import DomainError
 from .jsonl import enum_lookup, iter_rows, write_rows
 from .ontology import Terminology, TermRecord, terminology_member
 from .popularity import PopularityRecord, RankedDistribution
@@ -87,9 +87,7 @@ def sample_bins(
         rng: SplitMix64 = substream(seed, fbin.index)
         rng.shuffle_prefix(pool, per_bin)
         for identifier in sorted(pool[:per_bin]):
-            record = index.get(identifier)
-            if record is None:
-                raise ConsistencyError(f"sampled identifier {identifier!r} not indexed")
+            record = index[identifier]
             pairs.append(
                 SampledPair(
                     terminology=record.terminology,
@@ -103,45 +101,32 @@ def sample_bins(
 
 
 def make_split(
-    all_records: list[TermRecord | PopularityRecord],
+    index: dict[str, TermRecord | PopularityRecord],
     sampled: list[SampledPair],
     bins: list[FrequencyBin],
     validation_cap: int | None = None,
     cap_seed: int | None = None,
 ) -> list[SampledPair]:
-    """Mark sampled pairs Train and every remaining record Validation.
+    """Mark sampled pairs Train and every other bin member Validation.
 
+    `index` holds the records the bins were built from, by identifier.
     Validation pairs carry their identifier's bin index for stratified
-    reporting. `validation_cap` subsamples validation deterministically
-    under `cap_seed` for desk-scale runs.
+    reporting, ordered by (bin index, identifier). `validation_cap`
+    subsamples validation deterministically under `cap_seed` for
+    desk-scale runs.
     """
-    bin_of = {m: b.index for b in bins for m in b.members}
-    by_identifier = {r.identifier: r for r in all_records}
-    for pair in sampled:
-        if pair.identifier not in by_identifier:
-            raise ConsistencyError(
-                f"sampled identifier {pair.identifier!r} absent from record set"
-            )
     sampled_ids = {p.identifier for p in sampled}
-
-    validation: list[SampledPair] = []
-    for record in all_records:
-        if record.identifier in sampled_ids:
-            continue
-        if record.identifier not in bin_of:
-            raise ConsistencyError(
-                f"record {record.identifier!r} missing from the stratification"
-            )
-        validation.append(
-            SampledPair(
-                terminology=record.terminology,
-                term=record.label,
-                identifier=record.identifier,
-                bin_index=bin_of[record.identifier],
-                split=Split.VALIDATION,
-            )
+    validation = [
+        SampledPair(
+            terminology=index[identifier].terminology,
+            term=index[identifier].label,
+            identifier=identifier,
+            bin_index=fbin.index,
+            split=Split.VALIDATION,
         )
-    validation.sort(key=lambda p: (p.bin_index, p.identifier))
+        for fbin in bins for identifier in sorted(fbin.members)
+        if identifier not in sampled_ids
+    ]
 
     if validation_cap is not None and len(validation) > validation_cap:
         if cap_seed is None:

@@ -206,12 +206,6 @@ class AnovaTable:
     degenerate: bool = False
     warnings: list[str] = field(default_factory=list)
 
-    def effect(self, name: str) -> AnovaEffect:
-        for e in self.effects:
-            if e.name == name:
-                return e
-        raise KeyError(name)
-
 
 def _design_columns(levels: list, values: list) -> np.ndarray:
     """Full-rank dummy coding: one indicator per non-reference level."""
@@ -343,12 +337,7 @@ class GamesHowellRow:
     p_adj: float
 
 
-@dataclass(frozen=True)
-class GamesHowellResult:
-    rows: tuple[GamesHowellRow, ...]
-
-
-def games_howell(groups: Sequence[tuple[str, Sequence[float]]]) -> GamesHowellResult:
+def games_howell(groups: Sequence[tuple[str, Sequence[float]]]) -> tuple[GamesHowellRow, ...]:
     """Pairwise comparisons without the equal-variance assumption.
 
     Per pair: Welch standard error and Satterthwaite df; the statistic
@@ -381,7 +370,7 @@ def games_howell(groups: Sequence[tuple[str, Sequence[float]]]) -> GamesHowellRe
             p_adj = 1.0 - studentized_range_cdf(q, k, df)
             rows.append(GamesHowellRow(label_i, label_j, diff, se, t, df,
                                        min(1.0, max(0.0, p_adj))))
-    return GamesHowellResult(rows=tuple(rows))
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +394,7 @@ def write_anova_csv(table: AnovaTable, sink: IO) -> None:
     ], sink)
 
 
-def write_games_howell_csv(result: GamesHowellResult, sink: IO) -> None:
+def write_games_howell_csv(rows: Sequence[GamesHowellRow], sink: IO) -> None:
     write_table(["group_i", "group_j", "mean_diff", "se", "t", "df", "p_adj"],
                 ((r.group_i, r.group_j, r.mean_diff, r.se, r.t, r.df, r.p_adj)
-                 for r in result.rows), sink)
+                 for r in rows), sink)

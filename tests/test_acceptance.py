@@ -306,12 +306,12 @@ def test_criterion_08_statistics():
     rng = np.random.default_rng(17)
     a = list(rng.normal(0, 1, 40))
     b = list(rng.normal(0.4, 2, 25))
-    gh = games_howell([("a", a), ("b", b)]).rows[0]
+    gh = games_howell([("a", a), ("b", b)])[0]
     w = welch_t(a, b)
     assert abs(gh.p_adj - w.p) < 1e-6
 
     identical = [(g, [1.0, 2.0, 3.0, 4.0]) for g in ("a", "b", "c")]
-    for row in games_howell(identical).rows:
+    for row in games_howell(identical):
         assert abs(row.p_adj - 1.0) < 1e-9
 
     # balanced design: Type II SS within 5% of the closed-form balanced SS
@@ -336,8 +336,9 @@ def test_criterion_08_statistics():
         * (np.mean([o.value for o in obs if o.correctness == lv]) - gm) ** 2
         for lv in b_effects
     )
-    assert abs(table.effect("A").ss - ss_a) / ss_a < 0.05
-    assert abs(table.effect("B").ss - ss_b) / ss_b < 0.05
+    effects = {e.name: e for e in table.effects}
+    assert abs(effects["A"].ss - ss_a) / ss_a < 0.05
+    assert abs(effects["B"].ss - ss_b) / ss_b < 0.05
 
     # one terminology with an entirely empty correctness cell
     empty = []

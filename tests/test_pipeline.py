@@ -1,5 +1,6 @@
 import csv
 import gc
+import hashlib
 import importlib.util
 import json
 import os
@@ -367,13 +368,18 @@ class FakeResponse:
         self.text = json.dumps(payload)
 
 
-def _live_popularity(full_run, tmp_path, monkeypatch, concurrency):
-    """Popularity over a fresh cache, with esearch answered from the fixture cache."""
+def _fake_esearch(monkeypatch):
+    """Answer esearch requests from the fixture cache."""
     import requests
 
     counts = {row["query"]: row["count"] for row in _rows(FIXTURE / "pmc_cache.jsonl")}
     monkeypatch.setattr(requests, "get", lambda url, params, timeout: FakeResponse(
         200, {"esearchresult": {"count": str(counts[params["term"]])}}))
+
+
+def _live_popularity(full_run, tmp_path, monkeypatch, concurrency):
+    """Popularity over a fresh cache, with esearch answered from the fixture cache."""
+    _fake_esearch(monkeypatch)
     run_dir = tmp_path / f"run_{concurrency}"
     shutil.copytree(full_run / "ingest", run_dir / "ingest")
     cfg = load_config(CONFIG, run_dir=run_dir)
@@ -597,10 +603,11 @@ def test_replay_eval_records_no_stale_transcript(full_run, tmp_path):
     assert not [name for name in outputs if name.startswith("transcript_")]
 
 
-def test_live_eval_records_the_transcripts_it_wrote(full_run, tmp_path, monkeypatch):
+def _live_eval(full_run, run_dir, monkeypatch):
+    """Eval against a completion endpoint answering from the fixture transcripts."""
     import requests
 
-    cfg = load_config(CONFIG, run_dir=tmp_path / "run")
+    cfg = load_config(CONFIG, run_dir=run_dir)
     answers = {}
     for phase, model in (("baseline", cfg.baseline_model), ("finetuned", cfg.finetuned_model)):
         answers[model] = {row["prompt_hash"]: row["response"]["text"]
@@ -617,6 +624,11 @@ def test_live_eval_records_the_transcripts_it_wrote(full_run, tmp_path, monkeypa
     cfg.completion_url = "http://completions.test/v1/chat/completions"
     cfg.rate_per_second = 1e6
     run_stage(cfg, "eval")
+    return cfg
+
+
+def test_live_eval_records_the_transcripts_it_wrote(full_run, tmp_path, monkeypatch):
+    cfg = _live_eval(full_run, tmp_path / "run", monkeypatch)
     manifest = json.loads((cfg.run_dir / "manifest.json").read_text())
     transcripts = [p for p in manifest["stages"]["eval"]["outputs"]
                    if Path(p).name.startswith("transcript_")]
@@ -624,6 +636,39 @@ def test_live_eval_records_the_transcripts_it_wrote(full_run, tmp_path, monkeypa
                            for phase in ("baseline", "finetuned")]
     for path in sorted((full_run / "eval").glob("results_*.jsonl")):
         assert (cfg.run_dir / "eval" / path.name).read_bytes() == path.read_bytes()
+
+
+def _assert_manifest_digests_match_files(run_dir):
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    for stage, info in manifest["stages"].items():
+        for kind in ("inputs", "outputs"):
+            for path, digest in info[kind].items():
+                assert hashlib.sha256(Path(path).read_bytes()).hexdigest() == digest, (
+                    stage, kind, path)
+    return manifest
+
+
+def test_manifest_digests_are_those_of_the_final_files(full_run, tmp_path, monkeypatch):
+    _assert_manifest_digests_match_files(full_run)
+
+    # a configured cache that the live run fills is an input, hashed once it is filled
+    _fake_esearch(monkeypatch)
+    run_dir = tmp_path / "popularity_run"
+    shutil.copytree(full_run / "ingest", run_dir / "ingest")
+    cfg = load_config(CONFIG, run_dir=run_dir)
+    cfg.pmc_cache = tmp_path / "pmc_cache.jsonl"
+    cfg.offline = False
+    cfg.rate_per_second = 1e6
+    run_stage(cfg, "popularity")
+    assert len(_rows(cfg.pmc_cache)) == len(_rows(FIXTURE / "pmc_cache.jsonl"))
+    manifest = _assert_manifest_digests_match_files(run_dir)
+    assert str(cfg.pmc_cache) in manifest["stages"]["popularity"]["inputs"]
+
+    run_dir = tmp_path / "eval_run"
+    _live_eval(full_run, run_dir, monkeypatch)
+    manifest = _assert_manifest_digests_match_files(run_dir)
+    assert str(run_dir / "eval" / "transcript_baseline.jsonl") in manifest["stages"]["eval"][
+        "outputs"]
 
 
 def test_pca_variance_matches_svd_reference(full_run):

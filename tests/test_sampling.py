@@ -3,7 +3,7 @@ import io
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from termbench.errors import ConsistencyError, DomainError
+from termbench.errors import DomainError
 from termbench.ontology import TermRecord, Terminology, build_index
 from termbench.popularity import PopularityRecord, rank_frequency
 from termbench.rng import SplitMix64, substream
@@ -150,8 +150,9 @@ def test_make_split_counts():
     dist, pop_records = zipf_distribution(1839)
     bins = stratify(dist, 20)
     records = _records_for(pop_records)
-    sampled = sample_bins(bins, build_index(records), seed=5, per_bin=10)
-    split = make_split(records, sampled, bins)
+    index = build_index(records)
+    sampled = sample_bins(bins, index, seed=5, per_bin=10)
+    split = make_split(index, sampled, bins)
     train = [p for p in split if p.split is Split.TRAIN]
     val = [p for p in split if p.split is Split.VALIDATION]
     assert len(train) == 200
@@ -165,9 +166,9 @@ def test_make_split_counts():
 def test_make_split_validation_carries_bin_index():
     dist, pop_records = zipf_distribution(100)
     bins = stratify(dist, 10)
-    records = _records_for(pop_records)
-    sampled = sample_bins(bins, build_index(records), seed=5, per_bin=3)
-    split = make_split(records, sampled, bins)
+    index = build_index(_records_for(pop_records))
+    sampled = sample_bins(bins, index, seed=5, per_bin=3)
+    split = make_split(index, sampled, bins)
     bin_of = {m: b.index for b in bins for m in b.members}
     for p in split:
         assert p.bin_index == bin_of[p.identifier]
@@ -176,8 +177,7 @@ def test_make_split_validation_carries_bin_index():
 def test_make_split_no_sampled_all_validation():
     dist, pop_records = zipf_distribution(60)
     bins = stratify(dist, 6)
-    records = _records_for(pop_records)
-    split = make_split(records, [], bins)
+    split = make_split(build_index(_records_for(pop_records)), [], bins)
     assert all(p.split is Split.VALIDATION for p in split)
     assert len(split) == 60
 
@@ -185,31 +185,22 @@ def test_make_split_no_sampled_all_validation():
 def test_make_split_validation_cap_deterministic():
     dist, pop_records = zipf_distribution(500)
     bins = stratify(dist, 10)
-    records = _records_for(pop_records)
-    sampled = sample_bins(bins, build_index(records), seed=5, per_bin=10)
-    a = make_split(records, sampled, bins, validation_cap=100, cap_seed=7)
-    b = make_split(records, sampled, bins, validation_cap=100, cap_seed=7)
+    index = build_index(_records_for(pop_records))
+    sampled = sample_bins(bins, index, seed=5, per_bin=10)
+    a = make_split(index, sampled, bins, validation_cap=100, cap_seed=7)
+    b = make_split(index, sampled, bins, validation_cap=100, cap_seed=7)
     assert a == b
     val = [p for p in a if p.split is Split.VALIDATION]
     assert len(val) == 100
     assert len([p for p in a if p.split is Split.TRAIN]) == 100
 
 
-def test_make_split_unknown_sampled_identifier():
-    dist, pop_records = zipf_distribution(60)
-    bins = stratify(dist, 6)
-    records = _records_for(pop_records)
-    sampled = sample_bins(bins, build_index(records), seed=5, per_bin=3)
-    with pytest.raises(ConsistencyError):
-        make_split(records[:-10], sampled, bins)
-
-
 def test_split_jsonl_round_trip():
     dist, pop_records = zipf_distribution(60)
     bins = stratify(dist, 6)
-    records = _records_for(pop_records)
-    sampled = sample_bins(bins, build_index(records), seed=5, per_bin=3)
-    split = make_split(records, sampled, bins)
+    index = build_index(_records_for(pop_records))
+    sampled = sample_bins(bins, index, seed=5, per_bin=3)
+    split = make_split(index, sampled, bins)
     buf = io.StringIO()
     write_split_jsonl(split, buf)
     assert read_split_jsonl(io.StringIO(buf.getvalue())) == split

@@ -129,8 +129,8 @@ def draw_split(records, pop_records, seed: int):
     for t, recs in records.items():
         dist = rank_frequency(pop_records[t], "id_count_pmc")
         bins = stratify(dist, N_BINS)
-        sampled = sample_bins(bins, build_index(recs), seed, PER_BIN)
-        pairs.extend(make_split(recs, sampled, bins))
+        index = build_index(recs)
+        pairs.extend(make_split(index, sample_bins(bins, index, seed, PER_BIN), bins))
     return pairs
 
 
