@@ -183,16 +183,20 @@ def metrics_from_split_percentages(
     )
 
 
+def split_percentages(outcomes: Sequence[PairOutcome], where: str = ""
+                      ) -> tuple[CategoryPercentages, CategoryPercentages]:
+    """Train and validation category percentages; `where` says whose split is missing."""
+    counts = split_counts(outcomes)
+    missing = [s.value for s in (Split.TRAIN, Split.VALIDATION) if s not in counts]
+    if missing:
+        raise DomainError(f"missing split(s){where}: {', '.join(missing)}")
+    return (CategoryPercentages.from_counts(counts[Split.TRAIN]),
+            CategoryPercentages.from_counts(counts[Split.VALIDATION]))
+
+
 def derive_metrics(outcomes: Sequence[PairOutcome]) -> DerivedMetrics:
     """Derived metrics for one (terminology, direction) outcome set."""
-    counts = split_counts(outcomes)
-    if Split.TRAIN not in counts or Split.VALIDATION not in counts:
-        missing = [s.value for s in (Split.TRAIN, Split.VALIDATION) if s not in counts]
-        raise DomainError(f"missing split(s): {', '.join(missing)}")
-    return metrics_from_split_percentages(
-        CategoryPercentages.from_counts(counts[Split.TRAIN]),
-        CategoryPercentages.from_counts(counts[Split.VALIDATION]),
-    )
+    return metrics_from_split_percentages(*split_percentages(outcomes))
 
 
 # ---------------------------------------------------------------------------
@@ -288,11 +292,7 @@ def table_report(outcomes: Sequence[PairOutcome]) -> ReportBundle:
                 delta_pct=round1(tuned_pct - base_pct),
             )
         )
-        counts = split_counts(combo_outcomes)
-        if Split.TRAIN not in counts or Split.VALIDATION not in counts:
-            raise DomainError(f"missing split in outcomes for {label}")
-        train = CategoryPercentages.from_counts(counts[Split.TRAIN])
-        val = CategoryPercentages.from_counts(counts[Split.VALIDATION])
+        train, val = split_percentages(combo_outcomes, f" in outcomes for {label}")
         for cat in OutcomeCategory:
             categories.append(
                 CategoryRow(

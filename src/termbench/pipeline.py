@@ -1,10 +1,12 @@
 """Pipeline stages over a run directory.
 
-Stages run in the order of `_STAGE_TABLE`, each reading the previous
-stages' artifacts and writing its own under `<run>/<stage>/`, all through
-`StageFiles`, which hashes each file once as it records it; the manifest
-stores those digests. Outputs are deterministic given the config and
-seeds; only the manifest carries timestamps.
+`_STAGE_TABLE` declares, in run order, each stage's function, the earlier
+stages' artifacts it reads and the files it may write under
+`<run>/<stage>/`. A stage reaches its files only through `StageFiles`, which
+refuses an undeclared name and hashes each file once as it records it; the
+manifest stores those digests. `run_stage` checks every declared input
+before the stage writes anything. Outputs are deterministic given the
+config and seeds; only the manifest carries timestamps.
 
     ingest      parse terminologies into canonical record files
     popularity  popularity proxies per identifier + rank-frequency points
@@ -123,10 +125,6 @@ TERMINOLOGIES = tuple(Terminology)
 DIRECTIONS = (Direction.TERM_TO_ID, Direction.ID_TO_TERM)
 
 
-class MissingArtifactError(DomainError):
-    pass
-
-
 def _newline(name: str) -> str | None:
     """CSV files are opened with newline="", as the csv module requires."""
     return "" if name.endswith(".csv") else None
@@ -137,15 +135,18 @@ class StageFiles:
 
     `inputs` and `outputs` map each file the stage reached through here to
     its SHA-256, and `run_stage` stores them in the manifest as they are, so
-    a file cannot be missing from it and none is hashed twice. Artifact names
-    are relative to the run directory (`sample/split.jsonl`); the stage that
-    writes one is its first part.
+    a file cannot be missing from it and none is hashed twice. `reads` and
+    `writes` are the stage's declarations in `_STAGE_TABLE`: artifact names
+    relative to the run directory (`sample/split.jsonl`, the stage that
+    writes one being its first part), and names under `<run>/<stage>/`.
+    Any other name is a KeyError, a fault in the code and never in the input.
     """
 
     def __init__(self, cfg: RunConfig, stage: str):
         self.stage = stage
         self.run_dir = cfg.run_dir
         self.out_dir = cfg.run_dir / stage
+        _, self.reads, self.writes = _STAGE_TABLE[stage]
         self.inputs: dict[Path, str] = {}
         self.outputs: dict[Path, str] = {}
 
@@ -156,11 +157,13 @@ class StageFiles:
             recorded[path] = run_manifest.sha256_file(path)
 
     def artifact(self, name: str) -> Path:
-        """The earlier stage's file `<run>/<name>`, which must exist."""
+        """The earlier stage's file `<run>/<name>`, which must be declared and exist."""
+        if name not in self.reads:
+            raise KeyError(f"stage {self.stage!r} does not declare the input {name!r}")
         path = self.run_dir / name
         if not path.exists():
             producer = name.split("/")[0]
-            raise MissingArtifactError(f"missing {path}; run the {producer!r} stage first")
+            raise DomainError(f"missing {path}; run the {producer!r} stage first")
         self.record(path)
         return path
 
@@ -193,7 +196,9 @@ class StageFiles:
         return list(rows)
 
     def write(self, name: str, writer, *args) -> None:
-        """`writer(*args, stream)` into this stage's file `<run>/<stage>/<name>`."""
+        """`writer(*args, stream)` into this stage's declared file `<run>/<stage>/<name>`."""
+        if name not in self.writes:
+            raise KeyError(f"stage {self.stage!r} does not declare the output {name!r}")
         path = self.out_dir / name
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w", encoding="utf-8", newline=_newline(name)) as fh:
@@ -203,19 +208,6 @@ class StageFiles:
 
 def _tkey(t: Terminology) -> str:
     return TERMINOLOGY_KEYS[t]
-
-
-# Each artifact that more than one stage reads, and the last stage that reads it.
-_LAST_READER = {
-    "popularity/popularity.csv": "stats",
-    "sample/split.jsonl": "lexicalize",
-    "classify/outcomes.jsonl": "report",
-}
-# artifact name -> ((path, sha256, reader), rows): what `StageFiles.read` decoded
-# from one of them, held for the stages that read it later. It lives at module
-# level because it must outlive one `run_stage` call: `--stage all` and
-# in-process callers run the stages one `run_stage` call at a time.
-_DECODED: dict[str, tuple[tuple, list]] = {}
 
 
 def _run_stem(phase: Phase, t: Terminology, d: Direction) -> str:
@@ -369,7 +361,6 @@ def _completion_provider(cfg: RunConfig, phase: Phase, files: StageFiles,
 
 
 def stage_eval(cfg: RunConfig, files: StageFiles, manifest: RunManifest) -> None:
-    files.artifact("prompts/prompts.jsonl")  # named first when both are missing
     pairs = files.read("sample/split.jsonl", read_split_jsonl)
     prompts = files.read("prompts/prompts.jsonl", read_prompts_jsonl,
                          {pair_id(p): p for p in pairs})
@@ -519,31 +510,54 @@ def stage_report(cfg: RunConfig, files: StageFiles, manifest: RunManifest) -> No
     files.write("derived_metrics.csv", write_derived_csv, bundle.derived)
 
 
-# stage name -> (function, what a dry run says it would do), in run order
+_MAPPINGS = [f"{_tkey(t)}_{d.value}" for t in TERMINOLOGIES for d in DIRECTIONS]
+_RUN_STEMS = [_run_stem(phase, t, d)
+              for t in TERMINOLOGIES for d in DIRECTIONS for phase in Phase]
+_SPLIT = "sample/split.jsonl"
+# stage name -> (function, artifacts it reads, files it may write), in run order. Reads
+# are checked in this order; config-named sources, the PMC cache and live transcripts
+# are recorded as the stage reaches them.
 _STAGE_TABLE = {
-    "ingest": (stage_ingest, "parse terminology sources into ingest/records_*.jsonl"),
-    "popularity": (stage_popularity, "resolve popularity proxies into "
-                   "popularity/popularity.csv and rank_points_*.csv"),
-    "sample": (stage_sample, "stratify and draw the split into sample/split.jsonl"),
-    "prompts": (stage_prompts, "render prompts/prompts.jsonl and fine-tune files"),
-    "eval": (stage_eval, "evaluate both phases into eval/results_*.jsonl and summaries"),
-    "classify": (stage_classify, "classify outcomes into classify/outcomes.jsonl, "
-                 "metrics.json, sankey CSVs"),
-    "lexicalize": (stage_lexicalize, "embedding alignment into lexicalize/alignment.json, "
-                   "pca_points.csv, pca_variance.csv, distance_summary.csv"),
-    "stats": (stage_stats, "ANOVA and Games-Howell per proxy into stats/*.csv"),
-    "report": (stage_report, "summary tables into report/*.csv"),
+    "ingest": (stage_ingest, [], [f"records_{_tkey(t)}.jsonl" for t in TERMINOLOGIES]),
+    "popularity": (stage_popularity, [f"ingest/records_{_tkey(t)}.jsonl" for t in TERMINOLOGIES],
+                   ["popularity.csv", *(f"rank_points_{_tkey(t)}.csv" for t in TERMINOLOGIES)]),
+    "sample": (stage_sample, ["popularity/popularity.csv"], ["split.jsonl"]),
+    # fine-tune files only for a terminology with training pairs
+    "prompts": (stage_prompts, [_SPLIT], ["prompts.jsonl", *(
+        f"finetune_{td}{ext}" for td in _MAPPINGS for ext in (".jsonl", ".manifest.json"))]),
+    "eval": (stage_eval, ["prompts/prompts.jsonl", _SPLIT], [
+        f"{kind}_{stem}{ext}" for stem in _RUN_STEMS
+        for kind, ext in (("results", ".jsonl"), ("summary", ".json"))]),
+    "classify": (stage_classify, [_SPLIT, *(f"eval/results_{stem}.jsonl" for stem in _RUN_STEMS)],
+                 [*(f"sankey_{td}_{split.value}.csv" for td in _MAPPINGS for split in Split),
+                  "outcomes.jsonl", "metrics.json"]),
+    # embeddings.jsonl only for an HTTP embedding source
+    "lexicalize": (stage_lexicalize, [_SPLIT], ["alignment.json", "pca_points.csv",
+                   "pca_variance.csv", "distance_summary.csv", "embeddings.jsonl"]),
+    "stats": (stage_stats, ["popularity/popularity.csv", "classify/outcomes.jsonl"], [
+        f"{kind}_{proxy}.csv"
+        for proxy in PROXIES for kind in ("observations", "anova", "games_howell")]),
+    "report": (stage_report, ["classify/outcomes.jsonl"],
+               ["performance_summary.csv", "outcome_categories.csv", "derived_metrics.csv"]),
 }
 STAGES = tuple(_STAGE_TABLE)
+# Each artifact that more than one stage reads, and the last stage that reads it.
+_LAST_READER = {name: stage for stage, (_, reads, _) in _STAGE_TABLE.items() for name in reads
+                if sum(name in other for _, other, _ in _STAGE_TABLE.values()) > 1}
+# artifact name -> ((path, sha256, reader), rows): what `StageFiles.read` decoded
+# from one of them, held for the stages that read it later. It lives at module
+# level because it must outlive one `run_stage` call: `--stage all` and
+# in-process callers run the stages one `run_stage` call at a time.
+_DECODED: dict[str, tuple[tuple, list]] = {}
 
 
 def run_stage(cfg: RunConfig, stage: str, dry_run: bool = False) -> None:
     """Execute one stage; raises on any failure (callers map to exit codes)."""
     if stage not in _STAGE_TABLE:
         raise ValidationError(f"unknown stage {stage!r}; expected one of {', '.join(STAGES)}")
-    stage_func, plan = _STAGE_TABLE[stage]
+    stage_func, reads, writes = _STAGE_TABLE[stage]
     if dry_run:
-        print(f"[dry-run] {stage}: would {plan} under {cfg.run_dir}")
+        print(f"[dry-run] {stage}: would write {', '.join(writes)} under {cfg.run_dir / stage}")
         return
     manifest = RunManifest(cfg.run_dir)
     manifest.set_config(
@@ -555,6 +569,8 @@ def run_stage(cfg: RunConfig, stage: str, dry_run: bool = False) -> None:
         },
     )
     files = StageFiles(cfg, stage)
+    for name in reads:  # every input, before the stage writes anything
+        files.artifact(name)
     stage_func(cfg, files, manifest)
     manifest.record_stage(stage, files.inputs, files.outputs)
     print(f"[{stage}] wrote {len(files.outputs)} file(s) under {files.out_dir}",

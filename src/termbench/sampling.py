@@ -105,7 +105,7 @@ def make_split(
     sampled: list[SampledPair],
     bins: list[FrequencyBin],
     validation_cap: int | None = None,
-    cap_seed: int | None = None,
+    cap_seed: int = 0,
 ) -> list[SampledPair]:
     """Mark sampled pairs Train and every other bin member Validation.
 
@@ -129,8 +129,6 @@ def make_split(
     ]
 
     if validation_cap is not None and len(validation) > validation_cap:
-        if cap_seed is None:
-            raise DomainError("validation_cap requires a cap seed")
         pool = list(validation)
         substream(cap_seed, 0).shuffle_prefix(pool, validation_cap)
         validation = sorted(pool[:validation_cap], key=lambda p: (p.bin_index, p.identifier))

@@ -202,8 +202,6 @@ class AnovaEffect:
 @dataclass
 class AnovaTable:
     effects: list[AnovaEffect]
-    interaction_dropped: bool = False
-    degenerate: bool = False
     warnings: list[str] = field(default_factory=list)
 
 
@@ -314,12 +312,7 @@ def two_way_anova(observations: Sequence[Observation]) -> AnovaTable:
     )
     if degenerate:
         warnings.append("all observations identical: every SS is zero")
-    return AnovaTable(
-        effects=effects,
-        interaction_dropped=interaction_dropped,
-        degenerate=degenerate,
-        warnings=warnings,
-    )
+    return AnovaTable(effects=effects, warnings=warnings)
 
 
 # ---------------------------------------------------------------------------

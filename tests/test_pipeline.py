@@ -246,6 +246,52 @@ def test_classify_missing_results_names_path(full_run, tmp_path, capsys):
     assert str(missing) in err and "'eval'" in err
 
 
+def test_a_missing_input_stops_the_stage_before_it_writes(full_run, tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    shutil.copytree(full_run, run_dir, ignore=shutil.ignore_patterns("classify"))
+    missing = run_dir / "eval" / "results_finetuned_gene_id_to_term.jsonl"
+    missing.unlink()
+    capsys.readouterr()
+    assert main(["--config", str(CONFIG), "--run-dir", str(run_dir),
+                 "--stage", "classify"]) == 1
+    err = capsys.readouterr().err
+    assert str(missing) in err and "'eval'" in err
+    assert not (run_dir / "classify").exists()
+
+
+def test_a_stage_refuses_a_name_it_does_not_declare(full_run, tmp_path):
+    run_dir = tmp_path / "run"
+    shutil.copytree(full_run / "sample", run_dir / "sample")
+    files = termbench.pipeline.StageFiles(load_config(CONFIG, run_dir=run_dir), "report")
+    with pytest.raises(KeyError, match="'report'.*'sample/split.jsonl'"):
+        files.read("sample/split.jsonl", read_split_jsonl)
+    with pytest.raises(KeyError, match="'report'.*'x.csv'"):
+        files.write("x.csv", termbench.pipeline.write_table, ["a"], [])
+    assert files.inputs == files.outputs == {}
+    assert not (run_dir / "report").exists()
+
+
+def test_dry_run_lists_the_files_each_stage_writes(full_run, tmp_path, capsys):
+    # a declaration that a stage no longer follows shows up here
+    run_dir = tmp_path / "run"
+    capsys.readouterr()
+    assert main(["--config", str(CONFIG), "--run-dir", str(run_dir),
+                 "--stage", "all", "--dry-run"]) == 0
+    planned = {}
+    for line in capsys.readouterr().out.splitlines():
+        head, _, rest = line.partition(": would write ")
+        names, _, out_dir = rest.rpartition(" under ")
+        stage = head.removeprefix("[dry-run] ")
+        assert Path(out_dir) == run_dir / stage
+        planned[stage] = set(names.split(", "))
+    assert not run_dir.exists()
+    planned["lexicalize"].remove("embeddings.jsonl")  # written for an HTTP source only
+    manifest = json.loads((full_run / "manifest.json").read_text())
+    written = {stage: {Path(p).relative_to(full_run / stage).as_posix() for p in info["outputs"]}
+               for stage, info in manifest["stages"].items()}
+    assert planned == written
+
+
 def _write_transcript(path, prompt_rows, correct_templates):
     """Replay rows answering `correct_templates(pair_id)` right and the rest wrong.
 

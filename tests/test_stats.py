@@ -344,7 +344,7 @@ def test_anova_all_identical_degenerate():
     obs = [Observation("HPO", b, 3.25) for b in (0, 1) for _ in range(5)]
     obs += [Observation("GO", b, 3.25) for b in (0, 1) for _ in range(5)]
     table = two_way_anova(obs)
-    assert table.degenerate
+    assert any("all observations identical" in w for w in table.warnings)
     for name in ("A", "B", "A×B"):
         e = effect(table, name)
         assert e.ss == pytest.approx(0.0, abs=1e-10)
@@ -365,7 +365,6 @@ def test_anova_empty_cell_drops_interaction_with_warning():
         for _ in range(n):
             obs.append(Observation("GENE", b, rng.normal(2, 1)))
     table = two_way_anova(obs)
-    assert table.interaction_dropped
     assert any("empty cells" in w for w in table.warnings)
     assert all(e.name != "A×B" for e in table.effects)
     assert effect(table, "A").p < 1e-6
