@@ -183,8 +183,9 @@ def metrics_from_split_percentages(
     )
 
 
-def split_percentages(outcomes: Sequence[PairOutcome], where: str = ""
-                      ) -> tuple[CategoryPercentages, CategoryPercentages]:
+def split_percentages(
+    outcomes: Sequence[PairOutcome], where: str = ""
+) -> tuple[CategoryPercentages, CategoryPercentages]:
     """Train and validation category percentages; `where` says whose split is missing."""
     counts = split_counts(outcomes)
     missing = [s.value for s in (Split.TRAIN, Split.VALIDATION) if s not in counts]
