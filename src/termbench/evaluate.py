@@ -66,7 +66,7 @@ class Phase(Enum):
     FINETUNED = "finetuned"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EvalItem:
     pair_id: str
     direction: Direction

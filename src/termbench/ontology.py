@@ -47,7 +47,7 @@ _ID_PATTERNS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TermRecord:
     """One term/identifier pair from a terminology."""
 

@@ -49,7 +49,7 @@ def classify(baseline_correct: bool, finetuned_correct: bool) -> OutcomeCategory
     return OutcomeCategory.LOSER if baseline_correct else OutcomeCategory.INCORRECT
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PairOutcome:
     pair_id: str
     terminology: Terminology

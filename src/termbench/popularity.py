@@ -19,7 +19,7 @@ from .tables import read_table, write_table
 PROXIES = ("id_count_pmc", "term_count_pmc", "annotation_count")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PopularityRecord:
     terminology: Terminology
     identifier: str

@@ -80,7 +80,7 @@ TEMPLATE_TABLE: dict[Terminology, dict[Direction, tuple[str, ...]]] = {
     Terminology.GENE: _GENE_TEMPLATES,
 }
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PromptInstance:
     pair: SampledPair
     direction: Direction

@@ -48,7 +48,7 @@ def call_json(endpoint: str, method: str, url: str, *, transport: Transport,
               limiter: TokenBucket | None, sleep: Callable[[float], None], **request):
     """Decoded JSON body of the first attempt that is not a failed request, 429 or 5xx."""
     delay = RETRY_BASE_SECONDS
-    last_error: TransportError | None = None
+    last_error = ""  # the message only: the exception's traceback holds this frame
     for n in range(MAX_ATTEMPTS):
         if n > 0:
             sleep(delay)
@@ -58,10 +58,10 @@ def call_json(endpoint: str, method: str, url: str, *, transport: Transport,
         try:
             status, text = transport(method, url, **request)
         except TransportError as exc:
-            last_error = exc
+            last_error = str(exc)
             continue
         if status == 429 or 500 <= status < 600:
-            last_error = TransportError(f"HTTP {status} from {endpoint}")
+            last_error = f"HTTP {status} from {endpoint}"
             continue
         if 400 <= status < 500:
             raise PermanentHttpError(status, text[:200])

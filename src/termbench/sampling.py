@@ -36,7 +36,7 @@ class FrequencyBin:
     members: tuple[str, ...]  # rank order
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SampledPair:
     terminology: Terminology
     term: str

@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import re
@@ -450,6 +451,24 @@ def test_http_provider_exhausts_retries(tmp_path):
     with pytest.raises(TransportError):
         provider.complete("p", "m", DecodingParams())
     assert transport.calls == 5
+
+
+def test_http_provider_failures_leave_no_reference_cycle():
+    def down(method, url, **request):
+        raise TransportError("connection refused")
+
+    provider = HttpCompletionProvider("http://example", transport=down, sleep=lambda s: None)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(100):
+            try:
+                provider.complete("p", "m", DecodingParams())
+            except TransportError:
+                pass
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_http_provider_fails_an_item_whose_content_is_not_a_string(tmp_path):

@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import warnings
+from dataclasses import FrozenInstanceError, fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,11 +20,15 @@ import termbench.pipeline
 from termbench.cli import main
 from termbench.config import TERMINOLOGY_KEYS, load_config
 from termbench.embeddings import FileEmbeddingStore
-from termbench.outcomes import read_outcomes_jsonl, round1
+from termbench.errors import ValidationError
+from termbench.evaluate import EvalItem, EvalRun
+from termbench.ontology import TermRecord, Terminology
+from termbench.outcomes import PairOutcome, read_outcomes_jsonl, round1
 from termbench.pipeline import run_stage
-from termbench.prompts import Direction, direction_label
+from termbench.popularity import PopularityRecord
+from termbench.prompts import Direction, PromptInstance, direction_label
 from termbench.providers import DecodingParams, TranscriptWriter, prompt_hash, request_body
-from termbench.sampling import Split, read_split_jsonl
+from termbench.sampling import SampledPair, Split, read_split_jsonl
 
 FIXTURE = Path(__file__).parent / "fixtures" / "mini"
 CONFIG = FIXTURE / "run.cfg"
@@ -353,13 +358,83 @@ def test_all_templates_summary_outcomes_and_report_agree(full_run, tmp_path):
                 assert row[f"{phase}_pct"] == f"{round1(Fraction(sum(flags) * 100, 60)):.1f}"
 
 
-def test_ingest_closes_its_sources(tmp_path):
-    cfg = load_config(CONFIG, run_dir=tmp_path / "run")
+def test_every_stage_closes_its_files(tmp_path):
+    # a stage runs with the collector paused, so a handle dropped inside a
+    # reference cycle would only warn at a later collection
+    gc.collect()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        run_stage(cfg, "ingest")
+        assert main(["--config", str(CONFIG), "--run-dir", str(tmp_path / "run"),
+                     "--stage", "all"]) == 0
         gc.collect()
     assert [w.message for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+def test_run_stage_pauses_the_collector_and_restores_the_callers_setting(tmp_path, monkeypatch):
+    cfg = load_config(CONFIG, run_dir=tmp_path / "run")
+    stage_func, reads, writes = termbench.pipeline._STAGE_TABLE["ingest"]
+    seen = []
+
+    def spy(*args):
+        seen.append(gc.isenabled())
+        stage_func(*args)
+
+    monkeypatch.setitem(termbench.pipeline._STAGE_TABLE, "ingest", (spy, reads, writes))
+    assert gc.isenabled()
+    run_stage(cfg, "ingest")
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        run_stage(cfg, "ingest")
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+    assert seen == [False, False]
+
+
+def test_a_stage_that_raises_leaves_the_collector_on(full_run, tmp_path):
+    run_dir = tmp_path / "run"
+    shutil.copytree(full_run / "sample", run_dir / "sample")
+    cfg = load_config(CONFIG, run_dir=run_dir)
+    cfg.embedding_store = None
+    cfg.embedding_url = None
+    with pytest.raises(ValidationError, match="no embedding source"):
+        run_stage(cfg, "lexicalize")
+    assert gc.isenabled()
+
+
+PAIR = SampledPair(Terminology.HPO, "Tremor", "HP:0001337", 0, Split.TRAIN)
+ROWS = (
+    TermRecord(Terminology.HPO, "HP:0001337", "Tremor"),
+    PopularityRecord(Terminology.HPO, "HP:0001337", "Tremor", 3, 2, 1),
+    PAIR,
+    PromptInstance(PAIR, Direction.TERM_TO_ID, 1, "Tremor?", "HP:0001337"),
+    EvalItem("p1", Direction.TERM_TO_ID, 1, "HP:0001337", "HP:0001337", True),
+    PairOutcome("p1", Terminology.HPO, Direction.TERM_TO_ID, Split.TRAIN, False, True),
+)
+
+
+@pytest.mark.parametrize("row", ROWS, ids=lambda row: type(row).__name__)
+def test_row_classes_are_slotted_and_frozen(row):
+    assert not hasattr(row, "__dict__")
+    with pytest.raises(FrozenInstanceError):
+        setattr(row, fields(row)[0].name, None)
+
+
+def test_no_row_is_part_of_a_reference_cycle(tmp_path):
+    row_classes = tuple(type(row) for row in ROWS) + (EvalRun,)
+    gc.collect()
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert main(["--config", str(CONFIG), "--run-dir", str(tmp_path / "run"),
+                     "--stage", "all"]) == 0
+        gc.collect()
+        cyclic = sorted({type(o).__name__ for o in gc.garbage if isinstance(o, row_classes)})
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    assert cyclic == []
 
 
 def test_bench_trace_hooks_exist():

@@ -45,6 +45,16 @@ def test_call_json_retries_failures_and_429_5xx_on_a_doubling_schedule():
     assert transport.requests[0] == ("GET", "http://x", {"params": {"q": 1}})
 
 
+@pytest.mark.parametrize("step, last", [
+    (TransportError("down"), "down"),
+    ((503, ""), "HTTP 503 from svc"),
+])
+def test_call_json_names_the_last_failure_when_it_gives_up(step, last):
+    with pytest.raises(TransportError) as info:
+        _call(Script(step))
+    assert str(info.value) == f"svc failed after 5 attempts: {last}"
+
+
 def test_call_json_rejects_a_body_that_is_not_json():
     transport = Script((200, "<html>"))
     with pytest.raises(ProtocolError, match="svc response is not JSON"):
