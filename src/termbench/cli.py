@@ -14,11 +14,22 @@ key, embedding key, E-utilities key); the config file never holds secrets.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
-from .config import load_config
-from .errors import HarnessError
-from .pipeline import STAGES, run_stage
+from .config import BLAS_THREADS_ENV, load_config
+
+# One BLAS thread, so that `lexicalize`'s bytes do not depend on the thread
+# count the environment asks for. The libraries read the setting as they load,
+# so it is made here, before `.pipeline` first imports numpy: the `termbench`
+# script imports this module before it calls `main`. A process that loaded
+# numpy before importing this module keeps the setting it loaded with, and the
+# manifest records that one.
+if "numpy" not in sys.modules:
+    os.environ.update(dict.fromkeys(BLAS_THREADS_ENV, "1"))
+
+from .errors import HarnessError  # noqa: E402
+from .pipeline import STAGES, run_stage  # noqa: E402
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -28,6 +28,11 @@ from .popularity import PROXIES
 COMPLETION_KEY_ENV = "TERMBENCH_COMPLETION_API_KEY"
 EMBEDDING_KEY_ENV = "TERMBENCH_EMBEDDING_API_KEY"
 EUTILS_KEY_ENV = "NCBI_API_KEY"
+# The thread counts of the BLAS libraries under numpy and scipy (OpenBLAS, an
+# OpenMP build, MKL), which each library reads once, as it loads. The CLI sets
+# each to 1 and the manifest records them: `lexicalize`'s PCA (the Gram
+# product and `eigh`) rounds differently on more than one thread.
+BLAS_THREADS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def parse_flat_config(text: str) -> dict[str, object]:

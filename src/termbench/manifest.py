@@ -49,13 +49,16 @@ class RunManifest:
                 "finetune_hyperparameters": dict(FINETUNE_HYPERPARAMETERS),
                 "config": {},
                 "seeds": {},
+                "blas_threads": {},
                 "release_tags": {},
                 "stages": {},
             }
 
-    def set_config(self, raw_config: dict, seeds: dict) -> None:
+    def set_config(self, raw_config: dict, seeds: dict, blas_threads: dict) -> None:
+        """Record the config, the seeds and the BLAS thread settings (None: unset)."""
         self.data["config"] = {k: raw_config[k] for k in sorted(raw_config)}
         self.data["seeds"] = dict(seeds)
+        self.data["blas_threads"] = dict(blas_threads)
 
     def set_release_tag(self, terminology: str, tag: str | None) -> None:
         self.data["release_tags"][terminology] = tag

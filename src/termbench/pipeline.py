@@ -48,6 +48,7 @@ from .alignment import (
     write_pca_variance_csv,
 )
 from .config import (
+    BLAS_THREADS_ENV,
     COMPLETION_KEY_ENV,
     EMBEDDING_KEY_ENV,
     EUTILS_KEY_ENV,
@@ -577,6 +578,7 @@ def run_stage(cfg: RunConfig, stage: str, dry_run: bool = False) -> None:
             "validation_cap": cfg.cap_seed,
             "synthetic": cfg.synthetic_seed,
         },
+        {name: os.environ.get(name) for name in BLAS_THREADS_ENV},
     )
     files = StageFiles(cfg, stage)
     for name in reads:  # every input, before the stage writes anything

@@ -5,6 +5,11 @@ studentized range CDF is the textbook double integral (range of k standard
 normals, studentized by an independent chi-scaled error estimate) evaluated
 with fixed Gauss-Legendre rules, so no `scipy.integrate` (nor the optimize,
 linalg and sparse modules it loads) is imported.
+
+`scipy.special` is imported inside the functions that call it, on their
+first call. Importing it takes about 0.3 s, more than the rest of the CLI's
+imports together, and only the `lexicalize` and `stats` stages reach this
+module's scipy calls; the CLI imports this module for every stage.
 """
 
 from __future__ import annotations
@@ -15,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import IO, NamedTuple, Sequence
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError, NumericalError
 from .tables import write_table
@@ -25,6 +29,8 @@ def t_sf_two_sided(t: float, df: float) -> float:
     """Two-sided p-value for a t statistic with df degrees of freedom."""
     if df <= 0:
         raise DomainError("df must be positive")
+    from scipy import special
+
     return float(2.0 * special.stdtr(df, -abs(t)))
 
 
@@ -34,6 +40,8 @@ def f_sf(f_stat: float, df1: float, df2: float) -> float:
         raise DomainError("degrees of freedom must be positive")
     if f_stat <= 0:
         return 1.0
+    from scipy import special
+
     return float(special.fdtrc(df1, df2, f_stat))
 
 
@@ -133,6 +141,8 @@ def _ln_density_peak(x: float) -> float:
 
 
 def _cdf_on_rule(q: float, k: int, df: float, u_lo: float, u_hi: float, rule) -> float:
+    from scipy import special
+
     (u_panels, u_nodes), (z_panels, z_nodes) = rule
     u, u_weights = _gauss_legendre(u_lo, u_hi, u_panels, u_nodes)
     z, z_weights = _gauss_legendre(-_Z_LIMIT, _Z_LIMIT, z_panels, z_nodes)

@@ -413,17 +413,61 @@ def test_bad_split_row_exits_1_naming_the_line(tmp_path, capsys, edit, message):
     assert err == f"error: line 3: {message}\n"
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+# defines loaded(*packages): whether a module of any of them is imported
+LOADED = ("def loaded(*names): return any(m.partition('.')[0] in names for m in sys.modules)\n")
+
+
 def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats and scipy.integrate cost start-up time and memory on every CLI launch
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
+    # scipy and requests cost start-up time and memory on every CLI launch;
+    # only the stages that call them load them
+    env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run(
         [sys.executable, "-c",
-         "import sys, termbench.cli; "
-         "print('scipy.stats' in sys.modules, 'scipy.integrate' in sys.modules)"],
+         "import sys, termbench.cli\n" + LOADED +
+         "print('scipy.stats' in sys.modules, 'scipy.integrate' in sys.modules, "
+         "loaded('scipy'), loaded('requests'))"],
         env=env, capture_output=True, text=True, check=True,
     )
-    assert out.stdout.strip() == "False False"
+    assert out.stdout.strip() == "False False False False"
+
+
+def test_stages_that_call_no_scipy_never_load_it(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    launch = ("import sys\nfrom termbench.cli import main\n" + LOADED +
+              "code = main(sys.argv[1:])\nprint(code, loaded('scipy'))\n")
+    stages = [["--stage", stage] for stage in
+              ("ingest", "popularity", "sample", "prompts", "eval", "classify", "report")]
+    for args in [["--stage", "all", "--dry-run"], *stages]:
+        out = subprocess.run(
+            [sys.executable, "-c", launch, "--config", str(CONFIG),
+             "--run-dir", str(tmp_path / "run"), *args],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.splitlines()[-1] == "0 False", args
+    assert (tmp_path / "run" / "report" / "performance_summary.csv").exists()
+
+
+def test_lexicalize_output_does_not_depend_on_the_blas_thread_count(tmp_path):
+    runs = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        runs[threads] = tmp_path / f"threads{threads}"
+        subprocess.run(
+            [sys.executable, "-m", "termbench.cli", "--config", str(CONFIG),
+             "--run-dir", str(runs[threads]), "--stage", "all"],
+            env=env, capture_output=True, check=True,
+        )
+        manifest = json.loads((runs[threads] / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["blas_threads"] == {
+            "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    names = sorted(p.name for p in (runs["1"] / "lexicalize").iterdir())
+    assert names == sorted(p.name for p in (runs["2"] / "lexicalize").iterdir())
+    assert "pca_points.csv" in names
+    for name in names:
+        assert ((runs["1"] / "lexicalize" / name).read_bytes()
+                == (runs["2"] / "lexicalize" / name).read_bytes()), name
 
 
 # the exit status README documents for each error class: 1 domain or
