@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConsistencyError, DomainError, ParseError, ProtocolError
 from .jsonl import iter_rows, write_rows
-from .remote import Transport, call_json, http_transport
+from .remote import Transport, call_json
 
 MAGIC = b"EMB1"
 # Texts per embedding request; the default client batch cap of common embedding servers.
@@ -110,15 +110,15 @@ def write_store_jsonl(vectors: dict[str, np.ndarray], sink: IO) -> int:
 class HttpEmbeddingProvider:
     """POST {"texts": [...]} -> {"vectors": [[...]]} or {"token_vectors": [[[...]]]}.
 
-    A request carries at most `BATCH_SIZE` texts and is retried like every
-    other remote call. Every vector must be finite, flat and as long as
-    the others; a reply that breaks that is a `ProtocolError`. Responses are
-    cached in memory, so repeated texts cost one request and the provider
-    stays deterministic within a run.
+    A request goes through the transport the caller hands it, carries at
+    most `BATCH_SIZE` texts and is retried like every other remote call.
+    Every vector must be finite, flat and as long as the others; a reply
+    that breaks that is a `ProtocolError`. Responses are cached in memory,
+    so repeated texts cost one request and the provider stays deterministic
+    within a run.
     """
 
-    def __init__(self, url: str, api_key: str | None = None,
-                 transport: Transport = http_transport,
+    def __init__(self, url: str, transport: Transport, api_key: str | None = None,
                  sleep: Callable[[float], None] = time.sleep):
         self.url = url
         self.api_key = api_key

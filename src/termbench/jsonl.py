@@ -1,7 +1,8 @@
 """JSON: the one row reader, the one row writer and the one document writer.
 
 Every JSONL artifact, cache and transcript is read by `iter_rows` and
-written by `write_rows`; every JSON document (eval summaries, metrics,
+written by `write_rows`; the PMC cache and live transcripts grow a row at a
+time through a `RowAppender`. Every JSON document (eval summaries, metrics,
 fine-tune manifests, alignment results, the run manifest) is written by
 `write_document`, indented by two, with sorted keys and, unlike a row,
 with every non-ASCII character escaped.
@@ -20,7 +21,9 @@ The output bytes, the rows and every error message are those of
 from __future__ import annotations
 
 import json
+import threading
 from enum import Enum
+from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, TypeVar
 
 from .errors import ParseError
@@ -90,6 +93,42 @@ def write_rows(rows: Iterable[dict], sink: IO) -> int:
         sink.write(text + "\n")
         n += 1
     return n
+
+
+class RowAppender:
+    """Appends rows to a JSONL file through one handle, shared by threads.
+
+    The handle is opened (and the parent directory made) at the first row,
+    so nothing is created for a file that gets no row. Each row is flushed
+    as it is written, so a killed process keeps every row appended before it
+    died. `close`, or leaving a `with` block, closes the handle; the owner
+    closes it before anything hashes the file.
+    """
+
+    def __init__(self, path: str | Path):
+        self.path = Path(path)
+        self._lock = threading.Lock()
+        self._fh: IO | None = None
+
+    def append(self, row: dict) -> None:
+        with self._lock:
+            if self._fh is None:
+                self.path.parent.mkdir(parents=True, exist_ok=True)
+                self._fh = open(self.path, "a", encoding="utf-8")
+            write_rows([row], self._fh)
+            self._fh.flush()
+
+    def close(self) -> None:
+        with self._lock:
+            if self._fh is not None:
+                self._fh.close()
+                self._fh = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
 def write_document(payload: dict, sink: IO) -> None:

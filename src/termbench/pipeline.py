@@ -18,6 +18,11 @@ config and seeds; only the manifest carries timestamps.
     stats       two-way ANOVA and Games-Howell per popularity proxy
     report      summary tables (accuracy, categories, derived metrics) from outcomes
 
+The live stages (`popularity`, `eval`, `lexicalize`) each send their
+requests through one `remote.HttpTransport` and close it when they end or
+raise. They close the PMC cache and the transcripts they append to before
+recording them, so each digest is that of the file's final bytes.
+
 `run_stage` runs the stage function with Python's cyclic garbage collector
 paused. The rows a stage builds (records, pairs, prompts, eval items,
 outcomes) and the tables around them form no reference cycles, so
@@ -111,7 +116,7 @@ from .prompts import (
 )
 from .providers import HttpCompletionProvider, ReplayProvider, TranscriptWriter
 from .ratelimit import TokenBucket
-from .remote import http_transport
+from .remote import HttpTransport
 from .sampling import (
     SampledPair,
     Split,
@@ -266,11 +271,6 @@ def stage_popularity(cfg: RunConfig, files: StageFiles, manifest: RunManifest) -
                     for t in TERMINOLOGIES}
 
     cache_path = cfg.pmc_cache or (files.out_dir / "pmc_cache.jsonl")
-    cache = QueryCache(cache_path)
-    client = PmcClient(cache=cache, transport=None if cfg.offline else http_transport,
-                       api_key=os.environ.get(EUTILS_KEY_ENV),
-                       rate_limiter=TokenBucket(cfg.rate_per_second))
-
     annotations_by_t: dict[Terminology, dict[str, int]] = {t: {} for t in TERMINOLOGIES}
     for t, ann_path in cfg.annotations.items():
         with open(files.source(ann_path, f"paths.annotations_{_tkey(t)}"),
@@ -282,7 +282,12 @@ def stage_popularity(cfg: RunConfig, files: StageFiles, manifest: RunManifest) -
         for t in TERMINOLOGIES for record in records_by_t[t]
         for query in (identifier_query(record.identifier), term_query(record.label))
     ]
-    counts = dict(zip(queries, client.fetch_counts(queries, cfg.concurrency)))
+    # the cache is closed, with every row it got, before anything hashes it
+    with HttpTransport(cfg.concurrency) as transport, QueryCache(cache_path) as cache:
+        client = PmcClient(cache=cache, transport=None if cfg.offline else transport,
+                           api_key=os.environ.get(EUTILS_KEY_ENV),
+                           rate_limiter=TokenBucket(cfg.rate_per_second))
+        counts = dict(zip(queries, client.fetch_counts(queries, cfg.concurrency)))
 
     all_records: list[PopularityRecord] = []
     per_terminology: dict[Terminology, list[PopularityRecord]] = {}
@@ -351,7 +356,7 @@ def stage_prompts(cfg: RunConfig, files: StageFiles, manifest: RunManifest) -> N
 
 
 def _completion_provider(cfg: RunConfig, phase: Phase, files: StageFiles,
-                         writers: list[TranscriptWriter]):
+                         transport: HttpTransport, writers: list[TranscriptWriter]):
     """The phase's provider; a live one's transcript writer is appended to `writers`."""
     transcript_path = cfg.transcripts.get(phase.value)
     if transcript_path is not None:
@@ -361,6 +366,7 @@ def _completion_provider(cfg: RunConfig, phase: Phase, files: StageFiles,
         writers.append(TranscriptWriter(files.out_dir / f"transcript_{phase.value}.jsonl"))
         return HttpCompletionProvider(
             url=cfg.completion_url,
+            transport=transport,
             api_key=os.environ.get(COMPLETION_KEY_ENV),
             transcript=writers[-1],
             rate_limiter=TokenBucket(cfg.rate_per_second),
@@ -384,19 +390,24 @@ def stage_eval(cfg: RunConfig, files: StageFiles, manifest: RunManifest) -> None
               for t in TERMINOLOGIES for d in DIRECTIONS if grouped.get((t, d))]
 
     writers: list[TranscriptWriter] = []
-    for phase, model_id in ((Phase.BASELINE, cfg.baseline_model),
-                            (Phase.FINETUNED, cfg.finetuned_model)):
-        provider = _completion_provider(cfg, phase, files, writers)
-        for t, d, group, expected in groups:
-            run = run_eval(
-                provider, group, model_id, phase,
-                concurrency_limit=cfg.concurrency,
-                extract=cfg.extract_mode,
-                expected=expected,
-            )
-            stem = _run_stem(phase, t, d)
-            files.write(f"results_{stem}.jsonl", write_results_jsonl, run)
-            files.write(f"summary_{stem}.json", write_document, run_summary(run))
+    with HttpTransport(cfg.concurrency) as transport:
+        try:
+            for phase, model_id in ((Phase.BASELINE, cfg.baseline_model),
+                                    (Phase.FINETUNED, cfg.finetuned_model)):
+                provider = _completion_provider(cfg, phase, files, transport, writers)
+                for t, d, group, expected in groups:
+                    run = run_eval(
+                        provider, group, model_id, phase,
+                        concurrency_limit=cfg.concurrency,
+                        extract=cfg.extract_mode,
+                        expected=expected,
+                    )
+                    stem = _run_stem(phase, t, d)
+                    files.write(f"results_{stem}.jsonl", write_results_jsonl, run)
+                    files.write(f"summary_{stem}.json", write_document, run_summary(run))
+        finally:
+            for w in writers:
+                w.close()
     # only transcripts this run wrote: a stale one left in eval/ is not an output
     for w in writers:
         if w.path.exists():
@@ -425,13 +436,13 @@ def stage_classify(cfg: RunConfig, files: StageFiles, manifest: RunManifest) -> 
     files.write("metrics.json", write_document, metrics_payload)
 
 
-def _embedding_provider(cfg: RunConfig, files: StageFiles):
+def _embedding_provider(cfg: RunConfig, files: StageFiles, transport: HttpTransport):
     if cfg.embedding_store is not None:
         return FileEmbeddingStore.from_path(
             files.source(cfg.embedding_store, "paths.embedding_store")), False
     if cfg.embedding_url:
         return HttpEmbeddingProvider(
-            cfg.embedding_url, api_key=os.environ.get(EMBEDDING_KEY_ENV)), True
+            cfg.embedding_url, transport, api_key=os.environ.get(EMBEDDING_KEY_ENV)), True
     raise ValidationError(
         "no embedding source: set paths.embedding_store or endpoints.embedding_url"
     )
@@ -443,24 +454,26 @@ def stage_lexicalize(cfg: RunConfig, files: StageFiles, manifest: RunManifest) -
     if not pairs:
         raise DomainError("no training pairs in the split")
 
-    provider, is_http = _embedding_provider(cfg, files)
+    with HttpTransport(cfg.concurrency) as transport:
+        provider, is_http = _embedding_provider(cfg, files, transport)
 
-    vectors = []
-    meta = []
-    rows = {}  # terminology -> (first row, pairs): its terms, then its identifiers in pair order
-    alignment_results = {}
-    for t in TERMINOLOGIES:
-        t_pairs = [p for p in pairs if p.terminology is t]
-        if not t_pairs:
-            continue
-        term_vecs = provider.embed_many([p.term for p in t_pairs])
-        id_vecs = provider.embed_many([p.identifier for p in t_pairs])
-        alignment_results[t.display] = rowwise_alignment(term_vecs, id_vecs)
-        rows[t.display] = (len(vectors), len(t_pairs))
-        vectors.extend(term_vecs)
-        vectors.extend(id_vecs)
-        meta.extend((p.term, "term", t.display) for p in t_pairs)
-        meta.extend((p.identifier, "identifier", t.display) for p in t_pairs)
+        vectors = []
+        meta = []
+        # terminology -> (first row, pairs): its terms, then its identifiers in pair order
+        rows = {}
+        alignment_results = {}
+        for t in TERMINOLOGIES:
+            t_pairs = [p for p in pairs if p.terminology is t]
+            if not t_pairs:
+                continue
+            term_vecs = provider.embed_many([p.term for p in t_pairs])
+            id_vecs = provider.embed_many([p.identifier for p in t_pairs])
+            alignment_results[t.display] = rowwise_alignment(term_vecs, id_vecs)
+            rows[t.display] = (len(vectors), len(t_pairs))
+            vectors.extend(term_vecs)
+            vectors.extend(id_vecs)
+            meta.extend((p.term, "term", t.display) for p in t_pairs)
+            meta.extend((p.identifier, "identifier", t.display) for p in t_pairs)
 
     projection = pca_project(vectors, k=2)
     scores = projection.scores

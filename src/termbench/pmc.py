@@ -8,23 +8,24 @@ set, is sent with each request. `PmcClient.fetch_counts` keeps up to
 `concurrency` requests in flight, so round-trip latency does not hold
 throughput below that rate.
 
-Requests go through `remote.call_json` with an injectable transport (the
-default is `remote.http_transport`); a client with no transport answers
-from the cache only.
+Requests go through `remote.call_json` and the transport the client is
+handed: the popularity stage hands it the stage's `remote.HttpTransport`,
+or none when `flags.offline` is set, and a client with no transport
+answers from the cache only. New counts are appended to the cache file
+through one handle, which the stage closes before it hashes the file.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Sequence
 
 from .errors import ProtocolError, TransportError
-from .jsonl import iter_rows, write_rows
+from .jsonl import RowAppender, iter_rows
 from .ratelimit import TokenBucket
-from .remote import Transport, bounded_map, call_json, http_transport
+from .remote import Transport, bounded_map, call_json
 
 ESEARCH_URL = "https://eutils.ncbi.nlm.nih.gov/entrez/eutils/esearch.fcgi"
 
@@ -58,18 +59,18 @@ def _cache_entry(row: dict) -> tuple[tuple[str, str], int]:
     return (row["query"], row["db"]), count_value(row["count"])
 
 
-class QueryCache:
+class QueryCache(RowAppender):
     """Append-only JSONL cache of `{query, db, count, retrieved_at}` rows.
 
     The last row for a (query, db) key wins; only its count is kept. A row
     whose count breaks the rule of live replies (`count_value`) is a
-    ParseError naming its line. Writes are serialized through a lock so
-    concurrent fetches never interleave partial lines.
+    ParseError naming its line. `put` appends through the `RowAppender`
+    handle, so concurrent fetches never interleave partial lines; close the
+    cache (or use it in a `with` block) once it has been written to.
     """
 
     def __init__(self, path: str | Path):
-        self.path = Path(path)
-        self._lock = threading.Lock()
+        super().__init__(path)
         self._counts: dict[tuple[str, str], int] = {}
         if self.path.exists():
             with open(self.path, encoding="utf-8") as fh:
@@ -80,12 +81,8 @@ class QueryCache:
         return self._counts.get((query, db))
 
     def put(self, query: str, db: str, count: int, retrieved_at: str) -> None:
-        row = {"query": query, "db": db, "count": count, "retrieved_at": retrieved_at}
-        with self._lock:
-            self._counts[(query, db)] = count
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with open(self.path, "a", encoding="utf-8") as fh:
-                write_rows([row], fh)
+        self._counts[(query, db)] = count
+        self.append({"query": query, "db": db, "count": count, "retrieved_at": retrieved_at})
 
 
 class PmcClient:
@@ -94,7 +91,7 @@ class PmcClient:
     def __init__(
         self,
         cache: QueryCache,
-        transport: Transport | None = http_transport,
+        transport: Transport | None,
         api_key: str | None = None,
         rate_limiter: TokenBucket | None = None,
         sleep: Callable[[float], None] = time.sleep,

@@ -1,15 +1,16 @@
 """Completion providers: recorded-transcript replay and chat-completions HTTP.
 
 Every request/response is a transcript row `{prompt_hash, request,
-response, timestamp}` (JSON Lines). The HTTP provider appends rows as it
-goes; the replay provider serves responses from such a file by prompt
-hash, which makes evaluations reproducible byte for byte.
+response, timestamp}` (JSON Lines). The HTTP provider sends through the
+transport its stage hands it and appends rows as it goes, through one
+`TranscriptWriter` handle that the stage closes before hashing the file;
+the replay provider serves responses from such a file by prompt hash,
+which makes evaluations reproducible byte for byte.
 """
 
 from __future__ import annotations
 
 import hashlib
-import threading
 import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -17,9 +18,9 @@ from pathlib import Path
 from typing import Callable, Protocol
 
 from .errors import ConsistencyError, ParseError, ProtocolError
-from .jsonl import iter_rows, write_rows
+from .jsonl import RowAppender, iter_rows
 from .ratelimit import TokenBucket
-from .remote import Transport, call_json, http_transport
+from .remote import Transport, call_json
 
 
 @dataclass(frozen=True)
@@ -70,24 +71,16 @@ def _transcript_entry(row: dict) -> tuple[str, str]:
     return row["prompt_hash"], text
 
 
-class TranscriptWriter:
-    """Append-only transcript sink, safe under concurrent completions."""
-
-    def __init__(self, path: str | Path):
-        self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._lock = threading.Lock()
+class TranscriptWriter(RowAppender):
+    """Append-only transcript sink, safe under concurrent completions; close it when done."""
 
     def record(self, prompt_text: str, request: dict, response_text: str) -> None:
-        row = {
+        self.append({
             "prompt_hash": prompt_hash(prompt_text),
             "request": request,
             "response": {"text": response_text},
             "timestamp": datetime.now(timezone.utc).isoformat(),
-        }
-        with self._lock:
-            with open(self.path, "a", encoding="utf-8") as fh:
-                write_rows([row], fh)
+        })
 
 
 class HttpCompletionProvider:
@@ -96,10 +89,10 @@ class HttpCompletionProvider:
     def __init__(
         self,
         url: str,
+        transport: Transport,
         api_key: str | None = None,
         transcript: TranscriptWriter | None = None,
         rate_limiter: TokenBucket | None = None,
-        transport: Transport = http_transport,
         sleep: Callable[[float], None] = time.sleep,
     ):
         self.url = url

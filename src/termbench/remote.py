@@ -7,13 +7,18 @@ fails at once on any other 4xx, and returns the decoded JSON body. A
 client only builds its request and pulls its field out of the reply.
 
 A transport is anything callable as `transport(method, url, **request) ->
-(status_code, body_text)`; `http_transport` is the one that uses
-`requests`. `bounded_map` is the one thread pool.
+(status_code, body_text)`. `HttpTransport` is the one that uses `requests`:
+each live stage (`popularity`, `eval`, `lexicalize`) creates one, hands it
+to its clients and closes it when the stage ends or raises, so the stage's
+requests share one keep-alive connection pool, sized to its concurrency.
+`requests` is imported at the first request, so a stage that sends none
+never loads it. `bounded_map` is the one thread pool.
 """
 
 from __future__ import annotations
 
 import json
+import threading
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from typing import Callable, Iterable, TypeVar
 
@@ -32,16 +37,74 @@ R = TypeVar("R")
 Transport = Callable[..., tuple[int, str]]
 
 
-def http_transport(method: str, url: str, **request) -> tuple[int, str]:
-    """Send one request with `requests`; a failed connection is a `TransportError`."""
-    import requests
+class HttpTransport:
+    """One stage's `requests` session, shared by its `bounded_map` workers.
 
-    send = requests.get if method == "GET" else requests.post
-    try:
-        resp = send(url, **request, timeout=_TIMEOUTS[method])
-    except requests.RequestException as exc:
-        raise TransportError(f"request failed: {exc}") from exc
-    return resp.status_code, resp.text
+    The session is made at the first request, with a pool that keeps up to
+    `pool_size` connections per host alive. It reads nothing from the
+    environment itself (`trust_env = False`): the proxies, CA bundle and
+    netrc credentials that `requests.request` would look up on every call
+    are looked up once per endpoint URL, at its first request, and passed
+    with each request to it, so each request is sent as `requests.request`
+    would send it. It keeps no cookies between requests, as the throwaway
+    session of `requests.request` would not; a redirect to another host
+    keeps the first host's proxies. A failed connection is a
+    `TransportError`. Close it, or use it in a `with` block.
+    """
+
+    def __init__(self, pool_size: int):
+        self._pool_size = max(1, pool_size)
+        self._lock = threading.Lock()
+        self._session = None
+        # endpoint URL -> proxies, stream, verify, cert and auth for its requests
+        self._settings: dict[str, dict] = {}
+
+    def __call__(self, method: str, url: str, **request) -> tuple[int, str]:
+        import requests
+
+        settings = self._settings.get(url) or self._resolve(url)
+        try:
+            resp = self._session.request(method, url, **request, **settings,
+                                         timeout=_TIMEOUTS[method])
+        except requests.RequestException as exc:
+            raise TransportError(f"request failed: {exc}") from exc
+        return resp.status_code, resp.text
+
+    def _resolve(self, url: str) -> dict:
+        """Make the session if need be, and read `url`'s settings from the environment."""
+        from http.cookiejar import DefaultCookiePolicy
+
+        import requests
+
+        with self._lock:
+            if self._session is None:
+                session = requests.Session()
+                session.trust_env = False
+                session.cookies.set_policy(DefaultCookiePolicy(allowed_domains=()))
+                adapter = requests.adapters.HTTPAdapter(pool_maxsize=self._pool_size)
+                session.mount("https://", adapter)
+                session.mount("http://", adapter)
+                self._session = session
+            if url not in self._settings:
+                # a default session trusts the environment, as `requests.request` does
+                with requests.Session() as probe:
+                    settings = probe.merge_environment_settings(url, {}, None, None, None)
+                settings["auth"] = requests.utils.get_netrc_auth(url)
+                self._settings[url] = settings
+            return self._settings[url]
+
+    def close(self) -> None:
+        with self._lock:
+            if self._session is not None:
+                self._session.close()
+                self._session = None
+            self._settings.clear()
+
+    def __enter__(self) -> "HttpTransport":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
 def call_json(endpoint: str, method: str, url: str, *, transport: Transport,

@@ -27,6 +27,7 @@ from termbench.embeddings import (
     write_store_jsonl,
 )
 from termbench.errors import ConsistencyError, DomainError, PermanentHttpError, ProtocolError
+from termbench.remote import HttpTransport
 
 
 # ---------------------------------------------------------------------------
@@ -573,40 +574,36 @@ def test_http_embedding_provider_batches_distinct_texts():
     assert list(provider.cached_vectors()) == texts
 
 
-class FakeResponse:
-    def __init__(self, status_code, payload):
-        self.status_code = status_code
-        self.text = json.dumps(payload)
-
-
-def _patch_post(monkeypatch, responses):
-    import requests
-
+def _patch_post(fake_http, responses):
+    """Answer embedding POSTs with the (status, payload) replies in turn; the last repeats."""
     calls = []
 
-    def post(url, json, headers, timeout):
-        calls.append(json)
-        return responses[min(len(calls), len(responses)) - 1]
+    def post(request, timeout, **kwargs):
+        assert (request.method, timeout) == ("POST", 120)
+        calls.append(json.loads(request.body))
+        status, payload = responses[min(len(calls), len(responses)) - 1]
+        return status, json.dumps(payload)
 
-    monkeypatch.setattr(requests, "post", post)
+    fake_http(post)
     return calls
 
 
-def test_http_embedding_provider_retries_a_503(monkeypatch):
-    calls = _patch_post(monkeypatch, [FakeResponse(503, {"error": "busy"}),
-                                      FakeResponse(200, {"vectors": [[1.0, 2.0]]})])
+def test_http_embedding_provider_retries_a_503(fake_http):
+    calls = _patch_post(fake_http, [(503, {"error": "busy"}), (200, {"vectors": [[1.0, 2.0]]})])
     slept = []
-    provider = HttpEmbeddingProvider("http://e", sleep=slept.append)
-    assert provider.embed_many(["a"])[0].tolist() == [1.0, 2.0]
+    with HttpTransport(1) as transport:
+        provider = HttpEmbeddingProvider("http://e", transport, sleep=slept.append)
+        assert provider.embed_many(["a"])[0].tolist() == [1.0, 2.0]
     assert len(calls) == 2
     assert slept == [1.0]
 
 
-def test_http_embedding_provider_does_not_retry_a_400(monkeypatch):
-    calls = _patch_post(monkeypatch, [FakeResponse(400, {"error": "bad request"})])
-    provider = HttpEmbeddingProvider("http://e", sleep=lambda s: None)
-    with pytest.raises(PermanentHttpError) as exc:
-        provider.embed_many(["a"])
+def test_http_embedding_provider_does_not_retry_a_400(fake_http):
+    calls = _patch_post(fake_http, [(400, {"error": "bad request"})])
+    with HttpTransport(1) as transport:
+        provider = HttpEmbeddingProvider("http://e", transport, sleep=lambda s: None)
+        with pytest.raises(PermanentHttpError) as exc:
+            provider.embed_many(["a"])
     assert exc.value.status == 400
     assert len(calls) == 1
 

@@ -12,6 +12,7 @@ from termbench.cli import main
 from termbench.config import load_config, parse_flat_config
 from termbench.errors import ParseError, ValidationError
 from termbench.evaluate import RunFailedError
+from termbench.pipeline import STAGES
 
 FIXTURE = Path(__file__).parent / "fixtures" / "mini"
 CONFIG = FIXTURE / "run.cfg"
@@ -433,18 +434,20 @@ def test_cli_import_leaves_scipy_stats_unloaded():
 
 
 def test_stages_that_call_no_scipy_never_load_it(tmp_path):
+    # only lexicalize and stats load scipy; and a replay launch sends no
+    # request, so none of them, popularity, eval and lexicalize included, loads requests
     env = dict(os.environ, PYTHONPATH=str(SRC))
     launch = ("import sys\nfrom termbench.cli import main\n" + LOADED +
-              "code = main(sys.argv[1:])\nprint(code, loaded('scipy'))\n")
-    stages = [["--stage", stage] for stage in
-              ("ingest", "popularity", "sample", "prompts", "eval", "classify", "report")]
+              "code = main(sys.argv[1:])\nprint(code, loaded('scipy'), loaded('requests'))\n")
+    stages = [["--stage", stage] for stage in STAGES]
     for args in [["--stage", "all", "--dry-run"], *stages]:
         out = subprocess.run(
             [sys.executable, "-c", launch, "--config", str(CONFIG),
              "--run-dir", str(tmp_path / "run"), *args],
             env=env, capture_output=True, text=True, check=True,
         )
-        assert out.stdout.splitlines()[-1] == "0 False", args
+        scipy = args[1] in ("lexicalize", "stats")
+        assert out.stdout.splitlines()[-1] == f"0 {scipy} False", args
     assert (tmp_path / "run" / "report" / "performance_summary.csv").exists()
 
 

@@ -367,10 +367,10 @@ def test_run_summary_fields():
 
 def test_replay_from_transcript_file(tmp_path):
     prompts = [_prompt(_pair())]
-    writer = TranscriptWriter(tmp_path / "t.jsonl")
-    writer.record(prompts[0].prompt_text,
-                  request_body(prompts[0].prompt_text, "m", DecodingParams()),
-                  "HP:0001337")
+    with TranscriptWriter(tmp_path / "t.jsonl") as writer:
+        writer.record(prompts[0].prompt_text,
+                      request_body(prompts[0].prompt_text, "m", DecodingParams()),
+                      "HP:0001337")
     provider = ReplayProvider.from_transcript(tmp_path / "t.jsonl")
     assert provider.complete(prompts[0].prompt_text, "m", DecodingParams()) == "HP:0001337"
 
@@ -410,17 +410,18 @@ def _chat_body(text):
 
 def test_http_provider_parses_and_records(tmp_path):
     transport = ScriptedHttp([(200, _chat_body("HP:0001337"))])
-    provider = HttpCompletionProvider(
-        "http://example/v1/chat", api_key="k",
-        transcript=TranscriptWriter(tmp_path / "t.jsonl"),
-        transport=transport, sleep=lambda s: None,
-    )
-    out = provider.complete("prompt text", "model-a", DecodingParams())
+    with TranscriptWriter(tmp_path / "t.jsonl") as transcript:
+        provider = HttpCompletionProvider(
+            "http://example/v1/chat", api_key="k", transcript=transcript,
+            transport=transport, sleep=lambda s: None,
+        )
+        out = provider.complete("prompt text", "model-a", DecodingParams())
+        # each row is flushed as it is recorded
+        row = json.loads((tmp_path / "t.jsonl").read_text().splitlines()[0])
     assert out == "HP:0001337"
     assert transport.bodies[0]["model"] == "model-a"
     assert transport.bodies[0]["temperature"] == 0.0
     assert transport.bodies[0]["max_tokens"] == 32
-    row = json.loads((tmp_path / "t.jsonl").read_text().splitlines()[0])
     assert row["prompt_hash"] == prompt_hash("prompt text")
     assert row["response"]["text"] == "HP:0001337"
     # the recorded transcript replays to the same output
@@ -474,11 +475,11 @@ def test_http_provider_failures_leave_no_reference_cycle():
 def test_http_provider_fails_an_item_whose_content_is_not_a_string(tmp_path):
     null = json.dumps({"choices": [{"message": {"content": None}}]})
     transport = ScriptedHttp([(200, null), (200, _chat_body("HP:0000001"))])
-    provider = HttpCompletionProvider("http://example",
-                                      transcript=TranscriptWriter(tmp_path / "t.jsonl"),
-                                      transport=transport, sleep=lambda s: None)
     prompts = [_prompt(_pair(term=f"t{i}", identifier=f"HP:{i:07d}")) for i in range(2)]
-    run = run_eval(provider, prompts, "m", Phase.BASELINE)
+    with TranscriptWriter(tmp_path / "t.jsonl") as transcript:
+        provider = HttpCompletionProvider("http://example", transcript=transcript,
+                                          transport=transport, sleep=lambda s: None)
+        run = run_eval(provider, prompts, "m", Phase.BASELINE)
     assert [i.error is not None for i in run.items] == [True, False]
     assert "completion content is not a string" in run.items[0].error
     assert run.items[1].correct

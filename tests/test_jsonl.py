@@ -1,6 +1,8 @@
 import io
 import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from termbench.embeddings import FileEmbeddingStore, write_store_jsonl
 from termbench.errors import ParseError
 from termbench.evaluate import EvalItem, EvalRun, Phase, read_results_jsonl, write_results_jsonl
-from termbench.jsonl import iter_rows, write_rows
+from termbench.jsonl import RowAppender, iter_rows, write_rows
 from termbench.ontology import Terminology, TermRecord, read_records_jsonl, write_records_jsonl
 from termbench.outcomes import PairOutcome, read_outcomes_jsonl, write_outcomes_jsonl
 from termbench.pmc import QueryCache
@@ -88,7 +90,8 @@ def test_embedding_store_round_trip_separator(tmp_path, sep):
 def test_transcript_round_trip_separator(tmp_path, sep):
     path = tmp_path / "t.jsonl"
     prompt = f"What is{sep}this?"
-    TranscriptWriter(path).record(prompt, {"model": "m"}, f"answer{sep}text")
+    with TranscriptWriter(path) as writer:
+        writer.record(prompt, {"model": "m"}, f"answer{sep}text")
     provider = ReplayProvider.from_transcript(path)
     assert provider.complete(prompt, "m", DecodingParams()) == f"answer{sep}text"
 
@@ -96,8 +99,35 @@ def test_transcript_round_trip_separator(tmp_path, sep):
 @pytest.mark.parametrize("sep", SEPARATORS)
 def test_pmc_cache_round_trip_separator(tmp_path, sep):
     path = tmp_path / "cache.jsonl"
-    QueryCache(path).put(f'"a{sep}b"[All Fields]', "pmc", 7, "t1")
+    with QueryCache(path) as cache:
+        cache.put(f'"a{sep}b"[All Fields]', "pmc", 7, "t1")
     assert QueryCache(path).get(f'"a{sep}b"[All Fields]', "pmc") == 7
+
+
+def test_row_appender_keeps_every_row_under_contending_threads(tmp_path):
+    path = tmp_path / "rows.jsonl"
+
+    def append_rows(appender, thread):
+        for i in range(200):
+            appender.append({"thread": thread, "i": i, "pad": "x" * 500})
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with RowAppender(path) as appender:
+            threads = [threading.Thread(target=append_rows, args=(appender, t)) for t in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            flushed = path.read_text(encoding="utf-8")  # each row is flushed as it is written
+    finally:
+        sys.setswitchinterval(switch)
+    rows = [json.loads(line) for line in flushed.split("\n") if line]
+    assert sorted((r["thread"], r["i"]) for r in rows) == [(t, i) for t in range(8)
+                                                         for i in range(200)]
+    assert path.read_text(encoding="utf-8") == flushed
 
 
 # ---------------------------------------------------------------------------

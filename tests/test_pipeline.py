@@ -7,10 +7,13 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 import warnings
+from contextlib import contextmanager
 from dataclasses import FrozenInstanceError, fields
 from fractions import Fraction
 from pathlib import Path
+from urllib.parse import parse_qs, urlsplit
 
 import numpy as np
 import pytest
@@ -20,8 +23,8 @@ import termbench.pipeline
 from termbench.cli import main
 from termbench.config import TERMINOLOGY_KEYS, load_config
 from termbench.embeddings import FileEmbeddingStore
-from termbench.errors import ValidationError
-from termbench.evaluate import EvalItem, EvalRun
+from termbench.errors import PermanentHttpError, ValidationError
+from termbench.evaluate import EvalItem, EvalRun, RunFailedError
 from termbench.ontology import TermRecord, Terminology
 from termbench.outcomes import PairOutcome, read_outcomes_jsonl, round1
 from termbench.pipeline import run_stage
@@ -304,14 +307,14 @@ def _write_transcript(path, prompt_rows, correct_templates):
     after every right answer, so a plurality vote that breaks ties toward the
     smaller answer would call an [A, A, B, B, C] pair correct.
     """
-    writer = TranscriptWriter(path)
-    for row in prompt_rows:
-        if row["template_id"] in correct_templates(row["pair_id"]):
-            answer = row["expected_answer"]
-        else:
-            answer = "~wrong c" if row["template_id"] == 5 else "~wrong b"
-        writer.record(row["prompt_text"],
-                      request_body(row["prompt_text"], "m", DecodingParams()), answer)
+    with TranscriptWriter(path) as writer:
+        for row in prompt_rows:
+            if row["template_id"] in correct_templates(row["pair_id"]):
+                answer = row["expected_answer"]
+            else:
+                answer = "~wrong c" if row["template_id"] == 5 else "~wrong b"
+            writer.record(row["prompt_text"],
+                          request_body(row["prompt_text"], "m", DecodingParams()), answer)
 
 
 def test_all_templates_summary_outcomes_and_report_agree(full_run, tmp_path):
@@ -483,24 +486,23 @@ def _rows(path):
     return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
 
 
-class FakeResponse:
-    def __init__(self, status_code, payload):
-        self.status_code = status_code
-        self.text = json.dumps(payload)
+def _esearch_term(request):
+    return parse_qs(urlsplit(request.url).query)["term"][0]
 
 
-def _fake_esearch(monkeypatch):
+def _count_reply(count):
+    return 200, json.dumps({"esearchresult": {"count": str(count)}})
+
+
+def _fake_esearch(fake_http):
     """Answer esearch requests from the fixture cache."""
-    import requests
-
     counts = {row["query"]: row["count"] for row in _rows(FIXTURE / "pmc_cache.jsonl")}
-    monkeypatch.setattr(requests, "get", lambda url, params, timeout: FakeResponse(
-        200, {"esearchresult": {"count": str(counts[params["term"]])}}))
+    fake_http(lambda request, **kwargs: _count_reply(counts[_esearch_term(request)]))
 
 
-def _live_popularity(full_run, tmp_path, monkeypatch, concurrency):
+def _live_popularity(full_run, tmp_path, fake_http, concurrency):
     """Popularity over a fresh cache, with esearch answered from the fixture cache."""
-    _fake_esearch(monkeypatch)
+    _fake_esearch(fake_http)
     run_dir = tmp_path / f"run_{concurrency}"
     shutil.copytree(full_run / "ingest", run_dir / "ingest")
     cfg = load_config(CONFIG, run_dir=run_dir)
@@ -512,9 +514,9 @@ def _live_popularity(full_run, tmp_path, monkeypatch, concurrency):
     return run_dir / "popularity"
 
 
-def test_popularity_outputs_do_not_depend_on_concurrency(full_run, tmp_path, monkeypatch):
-    one = _live_popularity(full_run, tmp_path, monkeypatch, 1)
-    four = _live_popularity(full_run, tmp_path, monkeypatch, 4)
+def test_popularity_outputs_do_not_depend_on_concurrency(full_run, tmp_path, fake_http):
+    one = _live_popularity(full_run, tmp_path, fake_http, 1)
+    four = _live_popularity(full_run, tmp_path, fake_http, 4)
     names = sorted(p.name for p in (full_run / "popularity").glob("*.csv"))
     assert names == sorted(p.name for p in one.glob("*.csv"))
     for name in names:
@@ -542,17 +544,16 @@ def test_popularity_reads_a_cache_without_timestamps(full_run, tmp_path):
         assert (run_dir / "popularity" / path.name).read_bytes() == path.read_bytes()
 
 
-def test_lexicalize_batches_http_embedding_requests(full_run, tmp_path, monkeypatch):
-    import requests
-
+def test_lexicalize_batches_http_embedding_requests(full_run, tmp_path, fake_http):
     vectors = {row["text"]: row["vector"] for row in _rows(FIXTURE / "embeddings.jsonl")}
     batches = []
 
-    def post(url, json, headers, timeout):
-        batches.append(json["texts"])
-        return FakeResponse(200, {"vectors": [vectors[t] for t in json["texts"]]})
+    def post(request, timeout, **kwargs):
+        texts = json.loads(request.body)["texts"]
+        batches.append(texts)
+        return 200, json.dumps({"vectors": [vectors[t] for t in texts]})
 
-    monkeypatch.setattr(requests, "post", post)
+    fake_http(post)
     run_dir = tmp_path / "run"
     shutil.copytree(full_run / "sample", run_dir / "sample")
     cfg = load_config(CONFIG, run_dir=run_dir)
@@ -724,32 +725,44 @@ def test_replay_eval_records_no_stale_transcript(full_run, tmp_path):
     assert not [name for name in outputs if name.startswith("transcript_")]
 
 
-def _live_eval(full_run, run_dir, monkeypatch):
-    """Eval against a completion endpoint answering from the fixture transcripts."""
-    import requests
-
-    cfg = load_config(CONFIG, run_dir=run_dir)
+def _fake_completions(fake_http, cfg, refuse=()):
+    """Answer completions from the fixture transcripts; a model in `refuse` gets HTTP 401."""
     answers = {}
     for phase, model in (("baseline", cfg.baseline_model), ("finetuned", cfg.finetuned_model)):
         answers[model] = {row["prompt_hash"]: row["response"]["text"]
                           for row in _rows(FIXTURE / "transcripts" / f"{phase}.jsonl")}
 
-    def post(url, json, headers, timeout):
-        text = answers[json["model"]][prompt_hash(json["messages"][0]["content"])]
-        return FakeResponse(200, {"choices": [{"message": {"content": text}}]})
+    def post(request, timeout, **kwargs):
+        body = json.loads(request.body)
+        if body["model"] in refuse:
+            return 401, json.dumps({"error": "unauthorized"})
+        text = answers[body["model"]][prompt_hash(body["messages"][0]["content"])]
+        return 200, json.dumps({"choices": [{"message": {"content": text}}]})
 
-    monkeypatch.setattr(requests, "post", post)
+    fake_http(post)
+
+
+def _live_eval_config(full_run, run_dir):
+    """A config for a live eval over the full run's split and prompts."""
+    cfg = load_config(CONFIG, run_dir=run_dir)
     for stage in ("sample", "prompts"):
         shutil.copytree(full_run / stage, cfg.run_dir / stage)
     cfg.transcripts = {}
     cfg.completion_url = "http://completions.test/v1/chat/completions"
     cfg.rate_per_second = 1e6
+    return cfg
+
+
+def _live_eval(full_run, run_dir, fake_http):
+    """Eval against a completion endpoint answering from the fixture transcripts."""
+    cfg = _live_eval_config(full_run, run_dir)
+    _fake_completions(fake_http, cfg)
     run_stage(cfg, "eval")
     return cfg
 
 
-def test_live_eval_records_the_transcripts_it_wrote(full_run, tmp_path, monkeypatch):
-    cfg = _live_eval(full_run, tmp_path / "run", monkeypatch)
+def test_live_eval_records_the_transcripts_it_wrote(full_run, tmp_path, fake_http):
+    cfg = _live_eval(full_run, tmp_path / "run", fake_http)
     manifest = json.loads((cfg.run_dir / "manifest.json").read_text())
     transcripts = [p for p in manifest["stages"]["eval"]["outputs"]
                    if Path(p).name.startswith("transcript_")]
@@ -769,11 +782,11 @@ def _assert_manifest_digests_match_files(run_dir):
     return manifest
 
 
-def test_manifest_digests_are_those_of_the_final_files(full_run, tmp_path, monkeypatch):
+def test_manifest_digests_are_those_of_the_final_files(full_run, tmp_path, fake_http):
     _assert_manifest_digests_match_files(full_run)
 
     # a configured cache that the live run fills is an input, hashed once it is filled
-    _fake_esearch(monkeypatch)
+    _fake_esearch(fake_http)
     run_dir = tmp_path / "popularity_run"
     shutil.copytree(full_run / "ingest", run_dir / "ingest")
     cfg = load_config(CONFIG, run_dir=run_dir)
@@ -786,10 +799,110 @@ def test_manifest_digests_are_those_of_the_final_files(full_run, tmp_path, monke
     assert str(cfg.pmc_cache) in manifest["stages"]["popularity"]["inputs"]
 
     run_dir = tmp_path / "eval_run"
-    _live_eval(full_run, run_dir, monkeypatch)
+    _live_eval(full_run, run_dir, fake_http)
     manifest = _assert_manifest_digests_match_files(run_dir)
     assert str(run_dir / "eval" / "transcript_baseline.jsonl") in manifest["stages"]["eval"][
         "outputs"]
+
+
+@contextmanager
+def _leaves_nothing_open(monkeypatch):
+    """Fail unless the block closes every file and every `requests` session it opens."""
+    import requests
+
+    made, closed = [], []
+    init, close = requests.Session.__init__, requests.Session.close
+
+    def tracked_init(session, *args, **kwargs):
+        made.append(session)
+        init(session, *args, **kwargs)
+
+    def tracked_close(session):
+        closed.append(session)
+        close(session)
+
+    monkeypatch.setattr(requests.Session, "__init__", tracked_init)
+    monkeypatch.setattr(requests.Session, "close", tracked_close)
+    gc.collect()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        yield
+        gc.collect()  # a file dropped unclosed warns as it is collected
+    assert [w.message for w in caught if issubclass(w.category, ResourceWarning)] == []
+    assert made, "the block made no session"
+    assert [s for s in made if not any(s is c for c in closed)] == []
+
+
+@pytest.mark.parametrize("refuse", [("mock-base-1", "mock-base-1-ft"), ("mock-base-1-ft",)],
+                         ids=["every-request", "finetuned-requests"])
+def test_a_live_eval_that_fails_closes_what_it_opened(full_run, tmp_path, fake_http,
+                                                      monkeypatch, refuse):
+    run_dir = tmp_path / "run"
+    cfg = _live_eval_config(full_run, run_dir)
+    _fake_completions(fake_http, cfg, refuse)
+    with _leaves_nothing_open(monkeypatch):
+        with pytest.raises(RunFailedError):
+            run_stage(cfg, "eval")
+    transcripts = {phase: run_dir / "eval" / f"transcript_{phase}.jsonl"
+                   for phase in ("baseline", "finetuned")}
+    assert not transcripts["finetuned"].exists()  # no request succeeded
+    if cfg.baseline_model in refuse:
+        assert not transcripts["baseline"].exists()
+    else:
+        assert len(_rows(transcripts["baseline"])) == 360  # every baseline prompt, flushed
+
+    # a re-run that succeeds records each transcript's final bytes
+    _fake_completions(fake_http, cfg)
+    run_stage(cfg, "eval")
+    manifest = _assert_manifest_digests_match_files(run_dir)
+    outputs = manifest["stages"]["eval"]["outputs"]
+    assert [str(path) in outputs for path in transcripts.values()] == [True, True]
+
+
+def test_a_popularity_stage_that_fails_part_way_keeps_its_rows(full_run, tmp_path, fake_http,
+                                                               monkeypatch):
+    counts = {row["query"]: row["count"] for row in _rows(FIXTURE / "pmc_cache.jsonl")}
+    answered = []
+    lock = threading.Lock()
+
+    def esearch(request, **kwargs):
+        term = _esearch_term(request)
+        with lock:
+            if len(answered) >= 100:
+                return 401, json.dumps({"error": "key revoked"})
+            answered.append(term)
+        return _count_reply(counts[term])
+
+    fake_http(esearch)
+    run_dir = tmp_path / "run"
+    shutil.copytree(full_run / "ingest", run_dir / "ingest")
+    cfg = load_config(CONFIG, run_dir=run_dir)
+    cfg.pmc_cache = None
+    cfg.offline = False
+    cfg.rate_per_second = 1e6
+    with _leaves_nothing_open(monkeypatch):
+        with pytest.raises(PermanentHttpError):
+            run_stage(cfg, "popularity")
+    cache = run_dir / "popularity" / "pmc_cache.jsonl"
+    assert sorted(row["query"] for row in _rows(cache)) == sorted(answered)
+    assert len(answered) == 100
+
+    # a re-run fetches only the rest, and records the cache's final bytes
+    refetched = []
+
+    def rest(request, **kwargs):
+        term = _esearch_term(request)
+        refetched.append(term)
+        return _count_reply(counts[term])
+
+    fake_http(rest)
+    run_stage(cfg, "popularity")
+    assert sorted(answered + refetched) == sorted(counts)
+    assert sorted(row["query"] for row in _rows(cache)) == sorted(counts)
+    manifest = _assert_manifest_digests_match_files(run_dir)
+    assert str(cache) in manifest["stages"]["popularity"]["outputs"]
+    for path in (full_run / "popularity").glob("*.csv"):
+        assert (run_dir / "popularity" / path.name).read_bytes() == path.read_bytes()
 
 
 def test_pca_variance_matches_svd_reference(full_run):

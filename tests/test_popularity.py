@@ -2,6 +2,7 @@ import io
 import json
 import threading
 import time
+from contextlib import ExitStack
 
 import numpy as np
 import pytest
@@ -155,83 +156,90 @@ def _count_body(count):
     return json.dumps({"esearchresult": {"count": str(count)}})
 
 
-def _client(tmp_path, script):
+@pytest.fixture
+def open_cache(tmp_path):
+    """`open_cache()` is a `QueryCache` on the test's cache file, closed when the test ends."""
+    with ExitStack() as stack:
+        yield lambda: stack.enter_context(QueryCache(tmp_path / "cache.jsonl"))
+
+
+def _client(open_cache, script):
     transport = MockTransport(script)
-    cache = QueryCache(tmp_path / "cache.jsonl")
+    cache = open_cache()
     limiter = TokenBucket(1000.0, clock=lambda: 0.0, sleep=lambda s: None)
     client = PmcClient(cache=cache, transport=transport, api_key=None,
                        rate_limiter=limiter, sleep=lambda s: None)
     return client, transport
 
 
-def test_fetch_count_parses_count(tmp_path):
-    client, transport = _client(tmp_path, [(200, _count_body(1234))])
+def test_fetch_count_parses_count(open_cache):
+    client, transport = _client(open_cache, [(200, _count_body(1234))])
     assert client.fetch_count(identifier_query("HP:0001337")) == 1234
     assert transport.calls == 1
 
 
-def test_fetch_count_retries_on_429(tmp_path):
+def test_fetch_count_retries_on_429(open_cache):
     client, transport = _client(
-        tmp_path, [(429, ""), (429, ""), (200, _count_body(7))]
+        open_cache, [(429, ""), (429, ""), (200, _count_body(7))]
     )
     assert client.fetch_count(identifier_query("HP:0001337")) == 7
     assert transport.calls == 3
 
 
-def test_fetch_count_zero_hits(tmp_path):
-    client, _ = _client(tmp_path, [(200, _count_body(0))])
+def test_fetch_count_zero_hits(open_cache):
+    client, _ = _client(open_cache, [(200, _count_body(0))])
     assert client.fetch_count(term_query("no such term")) == 0
 
 
-def test_fetch_count_permanent_4xx(tmp_path):
-    client, _ = _client(tmp_path, [(404, "not found")])
+def test_fetch_count_permanent_4xx(open_cache):
+    client, _ = _client(open_cache, [(404, "not found")])
     with pytest.raises(PermanentHttpError):
         client.fetch_count(identifier_query("HP:0001337"))
 
 
-def test_fetch_count_exhausts_retries(tmp_path):
-    client, transport = _client(tmp_path, [(500, "boom")])
+def test_fetch_count_exhausts_retries(open_cache):
+    client, transport = _client(open_cache, [(500, "boom")])
     with pytest.raises(TransportError):
         client.fetch_count(identifier_query("HP:0001337"))
     assert transport.calls == 5
 
 
-def test_fetch_count_protocol_error(tmp_path):
-    client, _ = _client(tmp_path, [(200, json.dumps({"esearchresult": {"count": "many"}}))])
+def test_fetch_count_protocol_error(open_cache):
+    client, _ = _client(open_cache, [(200, json.dumps({"esearchresult": {"count": "many"}}))])
     with pytest.raises(ProtocolError):
         client.fetch_count(identifier_query("HP:0001337"))
 
 
 @pytest.mark.parametrize("count", [3.7, 12.0, True, False, " 12 ", "١٢", "+12", "1e3", "",
                                    None, [12], "-3", -3])
-def test_fetch_count_rejects_a_count_that_is_not_a_natural_number(tmp_path, count):
+def test_fetch_count_rejects_a_count_that_is_not_a_natural_number(open_cache, count):
     body = json.dumps({"esearchresult": {"count": count}})
-    client, _ = _client(tmp_path, [(200, body)])
+    client, _ = _client(open_cache, [(200, body)])
     with pytest.raises(ProtocolError):
         client.fetch_count(identifier_query("HP:0001337"))
     assert client.cache.get(identifier_query("HP:0001337"), "pmc") is None
 
 
 @pytest.mark.parametrize("count,expected", [("12", 12), (12, 12), ("0", 0), (0, 0), ("007", 7)])
-def test_fetch_count_accepts_an_int_or_ascii_digits(tmp_path, count, expected):
+def test_fetch_count_accepts_an_int_or_ascii_digits(open_cache, count, expected):
     body = json.dumps({"esearchresult": {"count": count}})
-    client, _ = _client(tmp_path, [(200, body)])
+    client, _ = _client(open_cache, [(200, body)])
     assert client.fetch_count(identifier_query("HP:0001337")) == expected
 
 
-def test_cache_write_through_one_network_call(tmp_path):
-    client, transport = _client(tmp_path, [(200, _count_body(55))])
+def test_cache_write_through_one_network_call(open_cache):
+    client, transport = _client(open_cache, [(200, _count_body(55))])
     q = identifier_query("HP:0001337")
     assert client.fetch_count(q) == 55
     assert client.fetch_count(q) == 55
     assert transport.calls == 1
     # a fresh client over the same cache file needs no transport at all
-    offline = PmcClient(cache=QueryCache(tmp_path / "cache.jsonl"), transport=None)
+    offline = PmcClient(cache=open_cache(), transport=None)
     assert offline.fetch_count(q) == 55
 
 
-def test_offline_without_cache_entry_fails(tmp_path):
-    offline = PmcClient(cache=QueryCache(tmp_path / "cache.jsonl"), transport=None)
+def test_offline_without_cache_entry_fails(open_cache):
+    offline = PmcClient(cache=open_cache(), transport=None)
     with pytest.raises(TransportError):
         offline.fetch_count(identifier_query("HP:0001337"))
 
@@ -301,68 +309,69 @@ class CountsByQuery:
                 self.in_flight -= 1
 
 
-def _counts_client(tmp_path, transport):
+def _counts_client(open_cache, transport):
     limiter = TokenBucket(1e6, clock=lambda: 0.0, sleep=lambda s: None)
-    return PmcClient(cache=QueryCache(tmp_path / "cache.jsonl"), transport=transport,
+    return PmcClient(cache=open_cache(), transport=transport,
                      api_key=None, rate_limiter=limiter, sleep=lambda s: None)
 
 
-def test_fetch_counts_overlaps_requests(tmp_path):
+def test_fetch_counts_overlaps_requests(open_cache):
     barrier = threading.Barrier(2, timeout=5)
 
     def transport(method, url, params):
         barrier.wait()  # breaks unless both requests are in flight together
         return 200, _count_body(len(params["term"]))
 
-    client = _counts_client(tmp_path, transport)
+    client = _counts_client(open_cache, transport)
     assert client.fetch_counts(["a", "bb"], concurrency=2) == [1, 2]
 
 
-def test_fetch_counts_caps_requests_in_flight(tmp_path):
+def test_fetch_counts_caps_requests_in_flight(open_cache):
     transport = CountsByQuery({f"q{i}": i for i in range(30)}, delay=0.002)
-    client = _counts_client(tmp_path, transport)
+    client = _counts_client(open_cache, transport)
     queries = [f"q{i}" for i in range(30)]
     assert client.fetch_counts(queries, concurrency=3) == list(range(30))
     assert 1 <= transport.max_in_flight <= 3
     assert sorted(transport.calls) == sorted(queries)
 
 
-def test_fetch_counts_sends_a_duplicated_query_once(tmp_path):
+def test_fetch_counts_sends_a_duplicated_query_once(open_cache):
     transport = CountsByQuery({"a": 1, "b": 2})
-    client = _counts_client(tmp_path, transport)
+    client = _counts_client(open_cache, transport)
     assert client.fetch_counts(["a", "b", "a", "a"], concurrency=2) == [1, 2, 1, 1]
     assert sorted(transport.calls) == ["a", "b"]
 
 
-def test_fetch_counts_stops_at_the_first_error_and_resumes(tmp_path):
+def test_fetch_counts_stops_at_the_first_error_and_resumes(open_cache):
     queries = [f"q{i}" for i in range(50)]
     counts = {q: i for i, q in enumerate(queries)}
     failing = CountsByQuery(counts, delay=0.01, fail={"q0": 404})
     with pytest.raises(PermanentHttpError):
-        _counts_client(tmp_path, failing).fetch_counts(queries, concurrency=4)
+        _counts_client(open_cache, failing).fetch_counts(queries, concurrency=4)
     assert len(failing.calls) < 10
     # the counts fetched before the error are cached, so a re-run fetches the rest
     rerun = CountsByQuery(counts)
-    assert _counts_client(tmp_path, rerun).fetch_counts(queries, concurrency=4) == list(range(50))
+    assert _counts_client(open_cache, rerun).fetch_counts(queries, concurrency=4) == list(range(50))
     fetched = [q for q in failing.calls if q != "q0"]
     assert sorted(rerun.calls + fetched) == sorted(queries)
 
 
-def test_fetch_counts_answers_cached_queries_without_a_pool(tmp_path, monkeypatch):
-    client = _counts_client(tmp_path, CountsByQuery({"a": 1, "b": 2}))
+def test_fetch_counts_answers_cached_queries_without_a_pool(open_cache, monkeypatch):
+    client = _counts_client(open_cache, CountsByQuery({"a": 1, "b": 2}))
     client.fetch_counts(["a", "b"], concurrency=2)
 
     def no_pool(*args, **kwargs):
         raise AssertionError("a thread pool was started")
 
     monkeypatch.setattr(termbench.remote, "ThreadPoolExecutor", no_pool)
-    cached = _counts_client(tmp_path, CountsByQuery({}))
+    cached = _counts_client(open_cache, CountsByQuery({}))
     assert cached.fetch_counts(["b", "a", "b"], concurrency=4) == [2, 1, 2]
 
 
 def test_fetch_counts_offline_uncached_raises_as_fetch_count(tmp_path):
     path = tmp_path / "cache.jsonl"
-    QueryCache(path).put("a", "pmc", 1, "t")
+    with QueryCache(path) as cache:
+        cache.put("a", "pmc", 1, "t")
     offline = PmcClient(cache=QueryCache(path), transport=None)
     with pytest.raises(TransportError) as single:
         offline.fetch_count("b")
