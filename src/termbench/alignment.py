@@ -104,19 +104,27 @@ def pca_project(vectors: list[np.ndarray], k: int = 2) -> PcaProjection:
     the rest of the spectrum is never computed. Sign convention: each
     component's largest-magnitude coordinate is positive. Row i of `scores`
     is vector i.
+
+    `vectors` is never written to. It is copied once, and that copy is
+    centered in place; the Gram matrix is factored in place, after its
+    trace is taken. So besides the input, the projection holds one n x dim
+    and one n x n array.
     """
     from scipy.linalg import eigh
 
-    matrix = np.asarray(vectors, dtype=float)
-    if matrix.ndim != 2:
+    centered = np.array(vectors, dtype=float)  # always a copy, even of a float array
+    if centered.ndim != 2:
         raise DomainError("vectors must share one dimension")
-    n, dim = matrix.shape
+    n, dim = centered.shape
     if n < k + 1:
         raise DomainError(f"need at least {k + 1} vectors for k={k}, got {n}")
 
-    centered = matrix - matrix.mean(axis=0)
+    centered -= centered.mean(axis=0)
     gram = centered @ centered.T
-    eigenvalues, eigenvectors = eigh(gram, subset_by_index=[n - k, n - 1])
+    total = float(np.trace(gram))
+    # C C^T comes out exactly symmetric, so its transpose is the same matrix in
+    # Fortran order, which LAPACK overwrites without a copy
+    eigenvalues, eigenvectors = eigh(gram.T, overwrite_a=True, subset_by_index=[n - k, n - 1])
     eigenvalues, eigenvectors = eigenvalues[::-1], eigenvectors[:, ::-1]  # largest first
     tol = max(n, dim) * np.finfo(float).eps * max(float(eigenvalues[0]), 0.0)
     rank = int(np.sum(eigenvalues > tol))
@@ -129,7 +137,6 @@ def pca_project(vectors: list[np.ndarray], k: int = 2) -> PcaProjection:
         if components[i, pivot] < 0:
             components[i] = -components[i]
 
-    total = float(np.trace(gram))
     return PcaProjection(
         components=components,
         explained_variance=tuple(float(v) / total for v in eigenvalues),

@@ -1,9 +1,10 @@
 """Run manifest: provenance for every stage of a run directory.
 
-The manifest is the only place timestamps live; stage outputs themselves
-are deterministic. It is rewritten atomically (temp file + rename) after
-each stage completes, storing the SHA-256 digests that the stage took of
-its inputs and outputs (`pipeline.StageFiles`).
+The manifest is the only place timestamps and timings live; stage outputs
+themselves are deterministic. It is rewritten atomically (temp file +
+rename) after each stage completes, storing the SHA-256 digests that the
+stage took of its inputs and outputs (`pipeline.StageFiles`), its wall time
+and the process's memory high-water mark after it.
 """
 
 from __future__ import annotations
@@ -55,22 +56,38 @@ class RunManifest:
             }
 
     def set_config(self, raw_config: dict, seeds: dict, blas_threads: dict) -> None:
-        """Record the config, the seeds and the BLAS thread settings (None: unset)."""
+        """Record the config, the seeds and the BLAS thread settings (None: unset).
+
+        Once the sample stage has recorded the seeds that drew the split,
+        they stand in for the config's, whatever seeds a later stage's
+        config names.
+        """
         self.data["config"] = {k: raw_config[k] for k in sorted(raw_config)}
-        self.data["seeds"] = dict(seeds)
+        self.data["seeds"] = {**seeds, **self.data["stages"].get("sample", {}).get("seeds", {})}
         self.data["blas_threads"] = dict(blas_threads)
 
     def set_release_tag(self, terminology: str, tag: str | None) -> None:
         self.data["release_tags"][terminology] = tag
 
-    def record_stage(self, stage: str, inputs: dict[Path, str],
-                     outputs: dict[Path, str]) -> None:
-        """Record the stage's files, each with the SHA-256 the stage took of it."""
-        self.data["stages"][stage] = {
+    def record_stage(self, stage: str, inputs: dict[Path, str], outputs: dict[Path, str],
+                     metrics: dict[str, float], seeds: dict[str, int] | None = None) -> None:
+        """Record the stage's files, each with the SHA-256 the stage took of it.
+
+        `metrics` are the stage's wall time and the process's memory high-water
+        mark after it; `seeds`, when given, are the seeds that drew the
+        stage's outputs, and replace the run's (`set_config` merged in an
+        earlier sample stage's).
+        """
+        entry = {
             "completed_at": datetime.now(timezone.utc).isoformat(),
             "inputs": {str(p): digest for p, digest in sorted(inputs.items())},
             "outputs": {str(p): digest for p, digest in sorted(outputs.items())},
+            "metrics": metrics,
         }
+        if seeds is not None:
+            entry["seeds"] = seeds
+            self.data["seeds"].update(seeds)
+        self.data["stages"][stage] = entry
         self.write()
 
     def write(self) -> None:

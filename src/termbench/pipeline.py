@@ -37,7 +37,9 @@ from __future__ import annotations
 
 import gc
 import os
+import resource
 import sys
+import time
 from dataclasses import asdict
 from pathlib import Path
 
@@ -314,7 +316,7 @@ def stage_popularity(cfg: RunConfig, files: StageFiles, manifest: RunManifest) -
         files.record(cache_path, output=cfg.pmc_cache is None)
 
 
-def stage_sample(cfg: RunConfig, files: StageFiles, manifest: RunManifest) -> None:
+def stage_sample(cfg: RunConfig, files: StageFiles, manifest: RunManifest) -> dict:
     pop_records = files.read("popularity/popularity.csv", read_popularity_csv)
     pairs: list[SampledPair] = []
     for t in TERMINOLOGIES:
@@ -324,10 +326,23 @@ def stage_sample(cfg: RunConfig, files: StageFiles, manifest: RunManifest) -> No
         sampled = sample_bins(bins, index, cfg.sampling_seed, cfg.per_bin)
         pairs.extend(make_split(index, sampled, bins, cfg.validation_cap, cfg.cap_seed))
     files.write("split.jsonl", write_split_jsonl, pairs)
+    return {"sampling": cfg.sampling_seed, "validation_cap": cfg.cap_seed}
+
+
+def _split_seed(cfg: RunConfig, files: StageFiles, manifest: RunManifest) -> int:
+    """The sampling seed that drew the split this stage read: the one the sample
+    stage recorded with it, or the config's for a split that no recorded sample
+    stage wrote (one copied into the run directory)."""
+    split = files.run_dir / _SPLIT
+    sample = manifest.data["stages"].get("sample", {})
+    if "seeds" in sample and sample["outputs"].get(str(split)) == files.inputs[split]:
+        return sample["seeds"]["sampling"]
+    return cfg.sampling_seed
 
 
 def stage_prompts(cfg: RunConfig, files: StageFiles, manifest: RunManifest) -> None:
     pairs = files.read("sample/split.jsonl", read_split_jsonl)
+    seed = _split_seed(cfg, files, manifest)
 
     eval_templates = TEMPLATE_IDS if cfg.all_templates else (1,)
     eval_prompts = []
@@ -351,7 +366,7 @@ def stage_prompts(cfg: RunConfig, files: StageFiles, manifest: RunManifest) -> N
             base = f"finetune_{_tkey(t)}_{direction.value}"
             files.write(f"{base}.jsonl", emit_finetune_file, ft_prompts)
             files.write(f"{base}.manifest.json", write_document,
-                        finetune_manifest(t, direction, cfg.sampling_seed,
+                        finetune_manifest(t, direction, seed,
                                           len(train_pairs), len(ft_prompts), GENERATOR_NAME))
 
 
@@ -405,6 +420,9 @@ def stage_eval(cfg: RunConfig, files: StageFiles, manifest: RunManifest) -> None
                     stem = _run_stem(phase, t, d)
                     files.write(f"results_{stem}.jsonl", write_results_jsonl, run)
                     files.write(f"summary_{stem}.json", write_document, run_summary(run))
+                # drop the provider, with its transcript, and the last run, so the
+                # next phase's transcript loads with no other one in memory
+                provider = run = None
         finally:
             for w in writers:
                 w.close()
@@ -540,7 +558,8 @@ _RUN_STEMS = [_run_stem(phase, t, d)
 _SPLIT = "sample/split.jsonl"
 # stage name -> (function, artifacts it reads, files it may write), in run order. Reads
 # are checked in this order; config-named sources, the PMC cache and live transcripts
-# are recorded as the stage reaches them.
+# are recorded as the stage reaches them. A function returns None, or (sample) the
+# seeds that drew its outputs, which the manifest records with its entry.
 _STAGE_TABLE = {
     "ingest": (stage_ingest, [], [f"records_{_tkey(t)}.jsonl" for t in TERMINOLOGIES]),
     "popularity": (stage_popularity, [f"ingest/records_{_tkey(t)}.jsonl" for t in TERMINOLOGIES],
@@ -600,11 +619,17 @@ def run_stage(cfg: RunConfig, stage: str, dry_run: bool = False) -> None:
     # them and the cyclic collector would only rescan live rows.
     was_enabled = gc.isenabled()
     gc.disable()
+    start = time.perf_counter()
     try:
-        stage_func(cfg, files, manifest)
+        seeds = stage_func(cfg, files, manifest)
     finally:
         if was_enabled:
             gc.enable()
-    manifest.record_stage(stage, files.inputs, files.outputs)
+    metrics = {
+        "wall_s": time.perf_counter() - start,
+        # ru_maxrss is in KiB on Linux
+        "rss_high_water_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+    }
+    manifest.record_stage(stage, files.inputs, files.outputs, metrics, seeds)
     print(f"[{stage}] wrote {len(files.outputs)} file(s) under {files.out_dir}",
           file=sys.stderr)

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -287,6 +288,34 @@ def test_pca_matches_svd_reference(n, dim, k):
     assert np.abs(proj.components - components).max() < 1e-9
     assert np.abs(np.array(proj.explained_variance) - shares).max() < 1e-9
     assert np.abs(proj.scores - scores).max() < 1e-9
+
+
+def test_pca_never_writes_to_its_input():
+    X = np.random.default_rng(21).normal(size=(80, 16)) + 3.0
+    vectors = list(X.copy())  # rows are views into one array, as writable as any
+    matrix = X.copy()
+    from_list = pca_project(vectors, k=2)
+    from_matrix = pca_project(matrix, k=2)
+    assert np.array_equal(np.array(vectors), X)
+    assert np.array_equal(matrix, X)
+    assert np.array_equal(from_list.components, from_matrix.components)
+    assert from_list.explained_variance == from_matrix.explained_variance
+    assert np.array_equal(from_list.scores, from_matrix.scores)
+
+
+def test_pca_holds_one_copy_of_the_vectors_and_one_gram_matrix():
+    n, dim = 400, 300
+    vectors = list(np.random.default_rng(n * dim).normal(size=(n, dim)))
+    pca_project(vectors[:10], k=2)  # imports scipy.linalg outside the traced call
+    tracemalloc.start()
+    try:
+        pca_project(vectors, k=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the centered copy and C C^T are (n*dim + n*n) doubles; a second copy of
+    # either would pass the bound
+    assert peak < 1.25 * (n * dim + n * n) * 8
 
 
 @pytest.mark.parametrize("n,dim,rank", [(30, 200, 1), (200, 30, 1), (50, 6, 2), (6, 50, 2)])

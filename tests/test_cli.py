@@ -306,6 +306,29 @@ def test_stage_sequence_and_manifest(tmp_path):
             assert Path(path).exists()
 
 
+def test_prompts_records_the_seed_that_drew_the_split(tmp_path):
+    run_dir = tmp_path / "run"
+    for stage, flags in (("ingest", []), ("popularity", []), ("sample", ["--seed", "1"]),
+                         ("prompts", [])):
+        assert main(["--config", str(CONFIG), "--run-dir", str(run_dir),
+                     "--stage", stage, *flags]) == 0
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    assert manifest["stages"]["sample"]["seeds"] == {"sampling": 1, "validation_cap": 7}
+    assert manifest["seeds"]["sampling"] == 1
+    metas = sorted((run_dir / "prompts").glob("finetune_*.manifest.json"))
+    assert len(metas) == 6
+    assert [json.loads(p.read_text())["seed"] for p in metas] == [1] * 6
+
+
+def test_resampling_replaces_the_run_seeds(tmp_path):
+    run_dir = tmp_path / "run"
+    for stage, flags in (("ingest", []), ("popularity", []), ("sample", []),
+                         ("sample", ["--seed", "1"])):
+        assert main(["--config", str(CONFIG), "--run-dir", str(run_dir),
+                     "--stage", stage, *flags]) == 0
+    assert json.loads((run_dir / "manifest.json").read_text())["seeds"]["sampling"] == 1
+
+
 def test_manifest_records_cli_overrides(tmp_path):
     plain, flagged = tmp_path / "plain", tmp_path / "flagged"
     assert main(["--config", str(CONFIG), "--run-dir", str(plain), "--stage", "ingest"]) == 0

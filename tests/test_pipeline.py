@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import warnings
+import weakref
 from contextlib import contextmanager
 from dataclasses import FrozenInstanceError, fields
 from fractions import Fraction
@@ -30,7 +31,13 @@ from termbench.outcomes import PairOutcome, read_outcomes_jsonl, round1
 from termbench.pipeline import run_stage
 from termbench.popularity import PopularityRecord
 from termbench.prompts import Direction, PromptInstance, direction_label
-from termbench.providers import DecodingParams, TranscriptWriter, prompt_hash, request_body
+from termbench.providers import (
+    DecodingParams,
+    ReplayProvider,
+    TranscriptWriter,
+    prompt_hash,
+    request_body,
+)
 from termbench.sampling import SampledPair, Split, read_split_jsonl
 
 FIXTURE = Path(__file__).parent / "fixtures" / "mini"
@@ -648,6 +655,19 @@ def fresh_seed1_run(tmp_path_factory):
     return run_dir
 
 
+def test_manifest_records_each_stage_wall_time_and_memory_high_water_mark(fresh_seed1_run):
+    manifest = json.loads((fresh_seed1_run / "manifest.json").read_text())
+    marks = []
+    for stage in termbench.pipeline.STAGES:
+        metrics = manifest["stages"][stage]["metrics"]
+        assert set(metrics) == {"wall_s", "rss_high_water_mb"}, stage
+        assert metrics["wall_s"] > 0, stage
+        marks.append(metrics["rss_high_water_mb"])
+    # one process ran all nine stages, and its high-water mark never falls
+    assert marks[0] > 0
+    assert marks == sorted(marks)
+
+
 @pytest.mark.parametrize("change", ["resample", "edit"])
 def test_a_changed_split_is_decoded_again(fresh_seed1_run, tmp_path, monkeypatch, change):
     run_dir = tmp_path / "run"
@@ -711,6 +731,27 @@ def test_each_stage_hashes_each_recorded_file_once(tmp_path, monkeypatch):
 
 # ---------------------------------------------------------------------------
 # transcripts and PCA variance
+
+
+def test_eval_frees_a_phase_transcript_before_the_next_one_loads(full_run, tmp_path,
+                                                                  monkeypatch):
+    run_dir = tmp_path / "run"
+    shutil.copytree(full_run, run_dir)
+    providers = []
+    live_at_load = []
+    load = ReplayProvider.from_transcript.__func__
+
+    def tracked(cls, path):
+        live_at_load.append([ref() is not None for ref in providers])
+        provider = load(cls, path)
+        providers.append(weakref.ref(provider))
+        return provider
+
+    monkeypatch.setattr(ReplayProvider, "from_transcript", classmethod(tracked))
+    run_stage(load_config(CONFIG, run_dir=run_dir), "eval")
+    assert live_at_load == [[], [False]]
+    for path in sorted((full_run / "eval").glob("results_*.jsonl")):
+        assert (run_dir / "eval" / path.name).read_bytes() == path.read_bytes()
 
 
 def test_replay_eval_records_no_stale_transcript(full_run, tmp_path):
