@@ -1,7 +1,7 @@
 """Embedding acquisition: file-backed store, HTTP endpoint, token pooling.
 
 Hosting the embedding model is out of scope; vectors arrive either from a
-store file or from an HTTP service. Two store layouts round-trip:
+store file or from an HTTP service, which grows a JSONL one. Two layouts:
 
   JSONL   one object per line: {"text": ..., "dim": D, "vector": [...]}
   binary  magic "EMB1", u32le record count, then per record:
@@ -20,7 +20,7 @@ from typing import IO, Callable, Sequence
 import numpy as np
 
 from .errors import ConsistencyError, DomainError, ParseError, ProtocolError
-from .jsonl import iter_rows, write_rows
+from .jsonl import KeyedStore
 from .remote import Transport, call_json
 
 MAGIC = b"EMB1"
@@ -41,11 +41,8 @@ def mean_pool(token_matrix: Sequence[Sequence[float]]) -> np.ndarray:
 class FileEmbeddingStore:
     """Deterministic text -> vector lookup backed by a store file."""
 
-    def __init__(self, vectors: dict[str, np.ndarray]):
-        self._vectors = vectors
-
-    def __len__(self) -> int:
-        return len(self._vectors)
+    def __init__(self, vectors):
+        self._vectors = vectors  # {text: vector}, or an `EmbeddingCache`
 
     def embed(self, text: str) -> np.ndarray:
         vec = self._vectors.get(text)
@@ -57,81 +54,79 @@ class FileEmbeddingStore:
         return [self.embed(t) for t in texts]
 
     @classmethod
-    def from_jsonl(cls, stream: IO) -> "FileEmbeddingStore":
-        return cls(dict(iter_rows(stream, _store_entry)))
-
-    @classmethod
     def from_binary(cls, stream: IO) -> "FileEmbeddingStore":
         data = stream.read()
         if data[:4] != MAGIC:
             raise ParseError("bad magic bytes; not an EMB1 store")
-        (count,) = struct.unpack_from("<I", data, 4)
-        offset = 8
         vectors: dict[str, np.ndarray] = {}
-        for _ in range(count):
-            (text_len,) = struct.unpack_from("<I", data, offset)
-            offset += 4
-            text = data[offset:offset + text_len].decode("utf-8")
-            offset += text_len
-            (dim,) = struct.unpack_from("<I", data, offset)
-            offset += 4
-            vec = np.frombuffer(data, dtype="<f4", count=dim, offset=offset).astype(float)
-            offset += 4 * dim
-            vectors[text] = vec
+        try:
+            (count,) = struct.unpack_from("<I", data, 4)
+            offset = 8
+            for _ in range(count):
+                (text_len,) = struct.unpack_from("<I", data, offset)
+                offset += 4
+                text = data[offset:offset + text_len].decode("utf-8")
+                offset += text_len
+                (dim,) = struct.unpack_from("<I", data, offset)
+                offset += 4
+                vec = np.frombuffer(data, dtype="<f4", count=dim, offset=offset).astype(float)
+                offset += 4 * dim
+                vectors[text] = vec
+        except (struct.error, ValueError) as exc:  # a cut file, or a count above its records
+            raise ParseError(f"truncated EMB1 store: {exc}") from exc
         return cls(vectors)
 
     @classmethod
     def from_path(cls, path: str | Path) -> "FileEmbeddingStore":
-        path = Path(path)
         with open(path, "rb") as fh:
-            head = fh.read(4)
-        if head == MAGIC:
-            with open(path, "rb") as fh:
+            if fh.read(4) == MAGIC:
+                fh.seek(0)
                 return cls.from_binary(fh)
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_jsonl(fh)
+        return cls(EmbeddingCache(path))
 
 
-def _store_entry(row: dict) -> tuple[str, np.ndarray]:
-    vec = np.asarray(row["vector"], dtype=float)
-    if vec.size != row["dim"]:
-        raise ParseError(f"vector length {vec.size} != declared dim {row['dim']}")
-    return row["text"], vec
+class EmbeddingCache(KeyedStore):
+    """A JSONL embedding store: a `KeyedStore` of `{text, dim, vector}` rows."""
 
+    @staticmethod
+    def entry(row: dict) -> tuple[str, np.ndarray]:
+        vec = np.asarray(row["vector"], dtype=float)
+        if vec.size != row["dim"]:
+            raise ParseError(f"vector length {vec.size} != declared dim {row['dim']}")
+        return row["text"], vec
 
-def write_store_jsonl(vectors: dict[str, np.ndarray], sink: IO) -> int:
-    return write_rows(
-        ({"text": text, "dim": int(vec.size), "vector": [float(v) for v in vec]}
-         for text, vec in vectors.items()),
-        sink,
-    )
+    def put(self, text: str, vec: np.ndarray) -> None:
+        super().put({"text": text, "dim": int(vec.size), "vector": [float(v) for v in vec]})
+
+    def dim(self) -> int | None:
+        return next((vec.size for vec in self._values.values()), None)
 
 
 class HttpEmbeddingProvider:
     """POST {"texts": [...]} -> {"vectors": [[...]]} or {"token_vectors": [[[...]]]}.
 
-    A request goes through the transport the caller hands it, carries at
-    most `BATCH_SIZE` texts and is retried like every other remote call.
-    Every vector must be finite, flat and as long as the others; a reply
-    that breaks that is a `ProtocolError`. Responses are cached in memory,
-    so repeated texts cost one request and the provider stays deterministic
-    within a run.
+    Only the distinct texts its cache lacks are sent, each vector being put
+    in the cache as it arrives. A request goes through the transport the
+    caller hands it, carries at most `BATCH_SIZE` texts and is retried like
+    every other remote call. Every vector must be finite, flat and as long
+    as the cached ones; a reply that breaks that is a `ProtocolError`.
     """
 
-    def __init__(self, url: str, transport: Transport, api_key: str | None = None,
-                 sleep: Callable[[float], None] = time.sleep):
+    def __init__(self, url: str, transport: Transport, cache: EmbeddingCache,
+                 api_key: str | None = None, sleep: Callable[[float], None] = time.sleep):
         self.url = url
         self.api_key = api_key
+        self.cache = cache
         self._transport = transport
         self._sleep = sleep
-        self._cache: dict[str, np.ndarray] = {}
 
     def embed_many(self, texts: Sequence[str]) -> list[np.ndarray]:
-        missing = list(dict.fromkeys(t for t in texts if t not in self._cache))
+        missing = [t for t in dict.fromkeys(texts) if self.cache.get(t) is None]
         for start in range(0, len(missing), BATCH_SIZE):
             batch = missing[start:start + BATCH_SIZE]
-            self._cache.update(zip(batch, self._request(batch)))
-        return [self._cache[t] for t in texts]
+            for text, vec in zip(batch, self._request(batch)):
+                self.cache.put(text, vec)
+        return [self.cache.get(t) for t in texts]
 
     def _request(self, batch: list[str]) -> list[np.ndarray]:
         headers = {}
@@ -156,11 +151,8 @@ class HttpEmbeddingProvider:
         if not all(np.isfinite(v).all() for v in vectors):
             raise ProtocolError("embedding vectors hold a value that is not a finite number")
         lengths = {v.size if v.ndim == 1 else -1 for v in vectors}  # -1: not a flat vector
-        if self._cache:
-            lengths.add(next(iter(self._cache.values())).size)
+        if self.cache.dim() is not None:
+            lengths.add(self.cache.dim())
         if len(lengths) != 1 or min(lengths) < 1:
             raise ProtocolError(f"embedding vectors of unequal or no length: {sorted(lengths)}")
         return vectors
-
-    def cached_vectors(self) -> dict[str, np.ndarray]:
-        return dict(self._cache)

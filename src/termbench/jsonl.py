@@ -1,11 +1,12 @@
 """JSON: the one row reader, the one row writer and the one document writer.
 
 Every JSONL artifact, cache and transcript is read by `iter_rows` and
-written by `write_rows`; the PMC cache and live transcripts grow a row at a
-time through a `RowAppender`. Every JSON document (eval summaries, metrics,
-fine-tune manifests, alignment results, the run manifest) is written by
-`write_document`, indented by two, with sorted keys and, unlike a row,
-with every non-ASCII character escaped.
+written by `write_rows`; the PMC cache, the transcripts and the JSONL
+embedding store are `KeyedStore`s, loaded whole and grown a row at a time.
+Every JSON document (eval summaries, metrics, fine-tune manifests,
+alignment results, the run manifest) is written by `write_document`,
+indented by two, with sorted keys and, unlike a row, with every non-ASCII
+character escaped.
 
 Rows are separated by "\\n" only. `json.dumps(..., ensure_ascii=False)`
 writes U+2028, U+2029 and U+0085 verbatim inside strings, and
@@ -21,6 +22,7 @@ The output bytes, the rows and every error message are those of
 from __future__ import annotations
 
 import json
+import os
 import threading
 from enum import Enum
 from pathlib import Path
@@ -95,28 +97,43 @@ def write_rows(rows: Iterable[dict], sink: IO) -> int:
     return n
 
 
-class RowAppender:
-    """Appends rows to a JSONL file through one handle, shared by threads.
+class KeyedStore:
+    """An append-only JSONL file, loaded through `iter_rows` as `{key: value}`.
 
-    The handle is opened (and the parent directory made) at the first row,
-    so nothing is created for a file that gets no row. Each row is flushed
-    as it is written, so a killed process keeps every row appended before it
-    died. `close`, or leaving a `with` block, closes the handle; the owner
-    closes it before anything hashes the file.
+    A subclass's `entry(row)` gives a row's (key, value); the last row for a
+    key wins, and a row `entry` rejects, or a torn last row, is a ParseError
+    naming its line. `put` appends a row through one handle shared by
+    threads, opened at the first row (a last row that lacks its "\\n" then
+    gets one), and flushes it, so a killed process keeps every row put
+    before it died. Close the store, or use it in a `with` block, before
+    anything hashes the file.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._lock = threading.Lock()
         self._fh: IO | None = None
+        self._values: dict = {}
+        if self.path.exists():
+            with open(self.path, encoding="utf-8") as fh:
+                self._values.update(iter_rows(fh, self.entry))
 
-    def append(self, row: dict) -> None:
+    def get(self, key):
+        return self._values.get(key)
+
+    def put(self, row: dict) -> None:
+        key, value = self.entry(row)
         with self._lock:
             if self._fh is None:
                 self.path.parent.mkdir(parents=True, exist_ok=True)
                 self._fh = open(self.path, "a", encoding="utf-8")
+                if self._fh.tell():
+                    with open(self.path, "rb") as fh:
+                        fh.seek(-1, os.SEEK_END)
+                        self._fh.write("" if fh.read(1) == b"\n" else "\n")
             write_rows([row], self._fh)
             self._fh.flush()
+            self._values[key] = value
 
     def close(self) -> None:
         with self._lock:

@@ -42,6 +42,9 @@ class RunManifest:
                 self.data = json.loads(self.path.read_text(encoding="utf-8"))
             except ValueError as exc:  # not UTF-8, or not JSON
                 raise ParseError(f"unreadable run manifest {self.path}: {exc}") from exc
+            if not (isinstance(self.data, dict) and all(
+                    isinstance(self.data.get(key), dict) for key in ("stages", "release_tags"))):
+                raise ParseError(f"unreadable run manifest {self.path}: not a run manifest")
         else:
             self.data = {
                 "tool": "termbench",

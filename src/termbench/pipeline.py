@@ -20,8 +20,8 @@ config and seeds; only the manifest carries timestamps.
 
 The live stages (`popularity`, `eval`, `lexicalize`) each send their
 requests through one `remote.HttpTransport` and close it when they end or
-raise. They close the PMC cache and the transcripts they append to before
-recording them, so each digest is that of the file's final bytes.
+raise. They send only what their stores lack, and close each store before
+recording it, so each digest is that of the file's final bytes.
 
 `run_stage` runs the stage function with Python's cyclic garbage collector
 paused. The rows a stage builds (records, pairs, prompts, eval items,
@@ -40,6 +40,7 @@ import os
 import resource
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
 
@@ -63,7 +64,7 @@ from .config import (
     TERMINOLOGY_KEYS,
     RunConfig,
 )
-from .embeddings import FileEmbeddingStore, HttpEmbeddingProvider, write_store_jsonl
+from .embeddings import EmbeddingCache, FileEmbeddingStore, HttpEmbeddingProvider
 from .errors import DomainError, ValidationError
 from .evaluate import (
     Phase,
@@ -370,20 +371,34 @@ def stage_prompts(cfg: RunConfig, files: StageFiles, manifest: RunManifest) -> N
                                           len(train_pairs), len(ft_prompts), GENERATOR_NAME))
 
 
+@contextmanager
+def _stores(files: StageFiles):
+    """A list for the stores a stage opens: closed as the block exits, recorded if it ends."""
+    stores = []
+    try:
+        yield stores
+    finally:
+        for store in stores:
+            store.close()
+    for store in stores:
+        if store.path.exists():
+            files.record(store.path, output=True)
+
+
 def _completion_provider(cfg: RunConfig, phase: Phase, files: StageFiles,
-                         transport: HttpTransport, writers: list[TranscriptWriter]):
-    """The phase's provider; a live one's transcript writer is appended to `writers`."""
+                         transport: HttpTransport, stores: list):
+    """The phase's provider; a live one's transcript is appended to `stores`."""
     transcript_path = cfg.transcripts.get(phase.value)
     if transcript_path is not None:
         return ReplayProvider.from_transcript(
             files.source(transcript_path, f"paths.transcript_{phase.value}"))
     if cfg.completion_url:
-        writers.append(TranscriptWriter(files.out_dir / f"transcript_{phase.value}.jsonl"))
+        stores.append(TranscriptWriter(files.out_dir / f"transcript_{phase.value}.jsonl"))
         return HttpCompletionProvider(
             url=cfg.completion_url,
             transport=transport,
+            transcript=stores[-1],
             api_key=os.environ.get(COMPLETION_KEY_ENV),
-            transcript=writers[-1],
             rate_limiter=TokenBucket(cfg.rate_per_second),
         )
     raise ValidationError(
@@ -404,12 +419,11 @@ def stage_eval(cfg: RunConfig, files: StageFiles, manifest: RunManifest) -> None
     groups = [(t, d, grouped[(t, d)], expected_answers(grouped[(t, d)], cfg.extract_mode))
               for t in TERMINOLOGIES for d in DIRECTIONS if grouped.get((t, d))]
 
-    writers: list[TranscriptWriter] = []
     with HttpTransport(cfg.concurrency) as transport:
-        try:
-            for phase, model_id in ((Phase.BASELINE, cfg.baseline_model),
-                                    (Phase.FINETUNED, cfg.finetuned_model)):
-                provider = _completion_provider(cfg, phase, files, transport, writers)
+        for phase, model_id in ((Phase.BASELINE, cfg.baseline_model),
+                                (Phase.FINETUNED, cfg.finetuned_model)):
+            with _stores(files) as stores:
+                provider = _completion_provider(cfg, phase, files, transport, stores)
                 for t, d, group, expected in groups:
                     run = run_eval(
                         provider, group, model_id, phase,
@@ -420,16 +434,9 @@ def stage_eval(cfg: RunConfig, files: StageFiles, manifest: RunManifest) -> None
                     stem = _run_stem(phase, t, d)
                     files.write(f"results_{stem}.jsonl", write_results_jsonl, run)
                     files.write(f"summary_{stem}.json", write_document, run_summary(run))
-                # drop the provider, with its transcript, and the last run, so the
-                # next phase's transcript loads with no other one in memory
-                provider = run = None
-        finally:
-            for w in writers:
-                w.close()
-    # only transcripts this run wrote: a stale one left in eval/ is not an output
-    for w in writers:
-        if w.path.exists():
-            files.record(w.path, output=True)
+            # drop the provider, with its transcript, and the last run, so the
+            # next phase's transcript loads with no other one in memory
+            provider = run = stores = None
 
 
 def stage_classify(cfg: RunConfig, files: StageFiles, manifest: RunManifest) -> None:
@@ -454,13 +461,15 @@ def stage_classify(cfg: RunConfig, files: StageFiles, manifest: RunManifest) -> 
     files.write("metrics.json", write_document, metrics_payload)
 
 
-def _embedding_provider(cfg: RunConfig, files: StageFiles, transport: HttpTransport):
+def _embedding_provider(cfg: RunConfig, files: StageFiles, transport: HttpTransport,
+                        stores: list):
     if cfg.embedding_store is not None:
         return FileEmbeddingStore.from_path(
-            files.source(cfg.embedding_store, "paths.embedding_store")), False
+            files.source(cfg.embedding_store, "paths.embedding_store"))
     if cfg.embedding_url:
-        return HttpEmbeddingProvider(
-            cfg.embedding_url, transport, api_key=os.environ.get(EMBEDDING_KEY_ENV)), True
+        stores.append(EmbeddingCache(files.out_dir / "embeddings.jsonl"))
+        return HttpEmbeddingProvider(cfg.embedding_url, transport, stores[-1],
+                                     api_key=os.environ.get(EMBEDDING_KEY_ENV))
     raise ValidationError(
         "no embedding source: set paths.embedding_store or endpoints.embedding_url"
     )
@@ -472,8 +481,8 @@ def stage_lexicalize(cfg: RunConfig, files: StageFiles, manifest: RunManifest) -
     if not pairs:
         raise DomainError("no training pairs in the split")
 
-    with HttpTransport(cfg.concurrency) as transport:
-        provider, is_http = _embedding_provider(cfg, files, transport)
+    with HttpTransport(cfg.concurrency) as transport, _stores(files) as stores:
+        provider = _embedding_provider(cfg, files, transport, stores)
 
         vectors = []
         meta = []
@@ -504,8 +513,6 @@ def stage_lexicalize(cfg: RunConfig, files: StageFiles, manifest: RunManifest) -
     files.write("pca_points.csv", write_pca_points_csv, meta, scores)
     files.write("pca_variance.csv", write_pca_variance_csv, projection.explained_variance)
     files.write("distance_summary.csv", write_distance_summary_csv, summary)
-    if is_http:
-        files.write("embeddings.jsonl", write_store_jsonl, provider.cached_vectors())
 
 
 def stage_stats(cfg: RunConfig, files: StageFiles, manifest: RunManifest) -> None:
@@ -557,7 +564,7 @@ _RUN_STEMS = [_run_stem(phase, t, d)
               for t in TERMINOLOGIES for d in DIRECTIONS for phase in Phase]
 _SPLIT = "sample/split.jsonl"
 # stage name -> (function, artifacts it reads, files it may write), in run order. Reads
-# are checked in this order; config-named sources, the PMC cache and live transcripts
+# are checked in this order; config-named sources and the stores of the live stages
 # are recorded as the stage reaches them. A function returns None, or (sample) the
 # seeds that drew its outputs, which the manifest records with its entry.
 _STAGE_TABLE = {

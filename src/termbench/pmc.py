@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .errors import ProtocolError, TransportError
-from .jsonl import RowAppender, iter_rows
+from .jsonl import KeyedStore
 from .ratelimit import TokenBucket
 from .remote import Transport, bounded_map, call_json
 
@@ -55,34 +55,27 @@ def count_value(count) -> int:
     return count
 
 
-def _cache_entry(row: dict) -> tuple[tuple[str, str], int]:
-    return (row["query"], row["db"]), count_value(row["count"])
-
-
-class QueryCache(RowAppender):
-    """Append-only JSONL cache of `{query, db, count, retrieved_at}` rows.
+class QueryCache(KeyedStore):
+    """The PMC count cache: a `KeyedStore` of `{query, db, count, retrieved_at}` rows.
 
     The last row for a (query, db) key wins; only its count is kept. A row
     whose count breaks the rule of live replies (`count_value`) is a
-    ParseError naming its line. `put` appends through the `RowAppender`
-    handle, so concurrent fetches never interleave partial lines; close the
-    cache (or use it in a `with` block) once it has been written to.
+    ParseError naming its line.
     """
 
     def __init__(self, path: str | Path):
         super().__init__(path)
-        self._counts: dict[tuple[str, str], int] = {}
-        if self.path.exists():
-            with open(self.path, encoding="utf-8") as fh:
-                self._counts.update(iter_rows(fh, _cache_entry))
+
+    @staticmethod
+    def entry(row: dict) -> tuple[tuple[str, str], int]:
+        return (row["query"], row["db"]), count_value(row["count"])
 
     def get(self, query: str, db: str) -> int | None:
         """The cached count for (query, db), or None."""
-        return self._counts.get((query, db))
+        return super().get((query, db))
 
     def put(self, query: str, db: str, count: int, retrieved_at: str) -> None:
-        self._counts[(query, db)] = count
-        self.append({"query": query, "db": db, "count": count, "retrieved_at": retrieved_at})
+        super().put({"query": query, "db": db, "count": count, "retrieved_at": retrieved_at})
 
 
 class PmcClient:

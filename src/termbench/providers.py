@@ -1,11 +1,11 @@
 """Completion providers: recorded-transcript replay and chat-completions HTTP.
 
-Every request/response is a transcript row `{prompt_hash, request,
-response, timestamp}` (JSON Lines). The HTTP provider sends through the
-transport its stage hands it and appends rows as it goes, through one
-`TranscriptWriter` handle that the stage closes before hashing the file;
-the replay provider serves responses from such a file by prompt hash,
-which makes evaluations reproducible byte for byte.
+Every request/response is a transcript row `{prompt_hash, request, response,
+timestamp}` (JSON Lines), keyed on the model, decoding settings and prompt.
+The HTTP provider sends only what its transcript lacks, through the
+transport its stage hands it, and records each reply there through one
+handle that the stage closes before hashing the file; the replay provider
+serves responses from such a file alone, so evaluations replay byte for byte.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Callable, Protocol
 
 from .errors import ConsistencyError, ParseError, ProtocolError
-from .jsonl import RowAppender, iter_rows
+from .jsonl import KeyedStore
 from .ratelimit import TokenBucket
 from .remote import Transport, call_json
 
@@ -47,35 +47,51 @@ def request_body(prompt_text: str, model_id: str, params: DecodingParams) -> dic
 
 
 class ReplayProvider:
-    """Serve completions from a recorded transcript, keyed by prompt hash."""
+    """Serve completions from a recorded transcript (or a dict of its keys) alone."""
 
-    def __init__(self, responses: dict[str, str]):
+    def __init__(self, responses):
         self._responses = responses
 
     @classmethod
     def from_transcript(cls, path: str | Path) -> "ReplayProvider":
-        with open(path, encoding="utf-8") as fh:
-            return cls(dict(iter_rows(fh, _transcript_entry)))
+        return cls(TranscriptWriter(path))
 
     def complete(self, prompt_text: str, model_id: str, params: DecodingParams) -> str:
-        key = prompt_hash(prompt_text)
-        if key not in self._responses:
-            raise ConsistencyError(f"no transcript entry for prompt hash {key[:12]}…")
-        return self._responses[key]
+        text = recorded(self._responses, prompt_text, model_id, params)
+        if text is None:
+            raise ConsistencyError(f"no transcript entry for {model_id!r} and {prompt_text!r}")
+        return text
 
 
-def _transcript_entry(row: dict) -> tuple[str, str]:
-    text = row["response"]["text"]
-    if not isinstance(text, str):
-        raise ParseError(f"response.text is not a string: {text!r}")
-    return row["prompt_hash"], text
+def request_key(model_id, temperature, max_tokens, prompt_text: str) -> bytes:
+    """The SHA-256 digest of a request's model, decoding settings and prompt."""
+    settings = f"{model_id!r} {temperature!r} {max_tokens!r} {prompt_text}"
+    return hashlib.sha256(settings.encode("utf-8")).digest()
 
 
-class TranscriptWriter(RowAppender):
-    """Append-only transcript sink, safe under concurrent completions; close it when done."""
+def recorded(responses, prompt_text: str, model_id: str, params: DecodingParams) -> str | None:
+    """The text recorded for this request, else for its prompt by a row with no request."""
+    text = responses.get(request_key(model_id, params.temperature, params.max_tokens,
+                                     prompt_text))
+    return responses.get(prompt_hash(prompt_text)) if text is None else text
+
+
+class TranscriptWriter(KeyedStore):
+    """A transcript: `{prompt_hash, request, response, timestamp}` rows, by `request_key`."""
+
+    @staticmethod
+    def entry(row: dict) -> tuple[str | bytes, str]:
+        text = row["response"]["text"]
+        if not isinstance(text, str):
+            raise ParseError(f"response.text is not a string: {text!r}")
+        request = row.get("request")
+        if request is None:
+            return row["prompt_hash"], text
+        return request_key(request["model"], request["temperature"], request["max_tokens"],
+                           request["messages"][0]["content"]), text
 
     def record(self, prompt_text: str, request: dict, response_text: str) -> None:
-        self.append({
+        self.put({
             "prompt_hash": prompt_hash(prompt_text),
             "request": request,
             "response": {"text": response_text},
@@ -84,14 +100,14 @@ class TranscriptWriter(RowAppender):
 
 
 class HttpCompletionProvider:
-    """Chat-completions POST client with retry, rate limit and transcript."""
+    """Chat-completions POST client with retry and rate limit, for what its transcript lacks."""
 
     def __init__(
         self,
         url: str,
         transport: Transport,
+        transcript: TranscriptWriter,
         api_key: str | None = None,
-        transcript: TranscriptWriter | None = None,
         rate_limiter: TokenBucket | None = None,
         sleep: Callable[[float], None] = time.sleep,
     ):
@@ -103,6 +119,9 @@ class HttpCompletionProvider:
         self._sleep = sleep
 
     def complete(self, prompt_text: str, model_id: str, params: DecodingParams) -> str:
+        text = recorded(self.transcript, prompt_text, model_id, params)
+        if text is not None:
+            return text
         body = request_body(prompt_text, model_id, params)
         headers = {"Content-Type": "application/json"}
         if self.api_key:
@@ -116,6 +135,5 @@ class HttpCompletionProvider:
             raise ProtocolError(f"unexpected completion payload: {exc}") from exc
         if not isinstance(output, str):
             raise ProtocolError(f"completion content is not a string: {output!r}")
-        if self.transcript is not None:
-            self.transcript.record(prompt_text, body, output)
+        self.transcript.record(prompt_text, body, output)
         return output

@@ -23,11 +23,17 @@ from termbench.embeddings import (
     BATCH_SIZE,
     MAGIC,
     FileEmbeddingStore,
+    EmbeddingCache,
     HttpEmbeddingProvider,
     mean_pool,
-    write_store_jsonl,
 )
-from termbench.errors import ConsistencyError, DomainError, PermanentHttpError, ProtocolError
+from termbench.errors import (
+    ConsistencyError,
+    DomainError,
+    ParseError,
+    PermanentHttpError,
+    ProtocolError,
+)
 from termbench.remote import HttpTransport
 
 
@@ -478,12 +484,23 @@ def test_paired_distance_matches_label_reference_exactly(blocks):
 # embedding stores
 
 
-def test_store_jsonl_round_trip():
+@pytest.fixture
+def cache(tmp_path):
+    """An `EmbeddingCache` on the test's `embeddings.jsonl`, closed when the test ends."""
+    with EmbeddingCache(tmp_path / "embeddings.jsonl") as cache:
+        yield cache
+
+
+def write_store_jsonl(vectors, path) -> None:
+    with EmbeddingCache(path) as cache:
+        for text, vec in vectors.items():
+            cache.put(text, vec)
+
+
+def test_store_jsonl_round_trip(tmp_path):
     vectors = {"alpha": np.array([1.0, 2.0, 3.0]), "beta": np.array([-0.5, 0.25, 8.0])}
-    buf = io.StringIO()
-    write_store_jsonl(vectors, buf)
-    store = FileEmbeddingStore.from_jsonl(io.StringIO(buf.getvalue()))
-    assert len(store) == 2
+    write_store_jsonl(vectors, tmp_path / "store.jsonl")
+    store = FileEmbeddingStore.from_path(tmp_path / "store.jsonl")
     assert np.allclose(store.embed("alpha"), vectors["alpha"])
     assert np.allclose(store.embed("beta"), vectors["beta"])
 
@@ -513,13 +530,29 @@ def test_store_binary_round_trip():
 def test_store_from_path_sniffs_format(tmp_path):
     vectors = {"x": np.array([1.0, 0.0])}
     jp = tmp_path / "store.jsonl"
-    with open(jp, "w") as fh:
-        write_store_jsonl(vectors, fh)
+    write_store_jsonl(vectors, jp)
     bp = tmp_path / "store.bin"
     with open(bp, "wb") as fh:
         write_store_binary(vectors, fh)
     assert np.allclose(FileEmbeddingStore.from_path(jp).embed("x"), [1.0, 0.0])
     assert np.allclose(FileEmbeddingStore.from_path(bp).embed("x"), [1.0, 0.0])
+
+
+def _binary_store(vectors) -> bytes:
+    buf = io.BytesIO()
+    write_store_binary(vectors, buf)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("cut", [
+    lambda data: data[:-10],  # the last vector cut short
+    lambda data: data[:6],  # the record count cut short
+    lambda data: data[:4] + struct.pack("<I", 3) + data[8:],  # a count above the records
+], ids=["last-bytes", "header", "count"])
+def test_truncated_binary_store_is_a_parse_error(cut):
+    data = cut(_binary_store({"a": np.array([1.0, 2.0]), "b": np.array([3.0, 4.0])}))
+    with pytest.raises(ParseError, match="truncated EMB1 store"):
+        FileEmbeddingStore.from_binary(io.BytesIO(data))
 
 
 def test_store_missing_text_raises():
@@ -528,14 +561,14 @@ def test_store_missing_text_raises():
         store.embed("nope")
 
 
-def test_http_embedding_provider_vectors_and_cache():
+def test_http_embedding_provider_vectors_and_cache(cache):
     calls = []
 
     def transport(method, url, **request):
         calls.append(request["json"])
         return 200, json.dumps({"vectors": [[1.0, 2.0]] * len(request["json"]["texts"])})
 
-    provider = HttpEmbeddingProvider("http://e", transport=transport)
+    provider = HttpEmbeddingProvider("http://e", transport, cache)
     v1 = provider.embed_many(["a"])[0]
     v2 = provider.embed_many(["a"])[0]
     assert np.allclose(v1, [1.0, 2.0])
@@ -543,17 +576,17 @@ def test_http_embedding_provider_vectors_and_cache():
     assert len(calls) == 1
 
 
-def test_http_embedding_provider_token_matrix_pooled():
+def test_http_embedding_provider_token_matrix_pooled(cache):
     def transport(method, url, **request):
         return 200, json.dumps({"token_vectors": [[[1.0, 0.0], [0.0, 1.0]]]})
 
-    provider = HttpEmbeddingProvider("http://e", transport=transport)
+    provider = HttpEmbeddingProvider("http://e", transport, cache)
     assert np.allclose(provider.embed_many(["a"])[0], [0.5, 0.5])
 
 
-def test_http_embedding_provider_bad_payload():
-    provider = HttpEmbeddingProvider("http://e",
-                                     transport=lambda m, u, **r: (200, json.dumps({"nope": 1})))
+def test_http_embedding_provider_bad_payload(cache):
+    provider = HttpEmbeddingProvider(
+        "http://e", lambda m, u, **r: (200, json.dumps({"nope": 1})), cache)
     with pytest.raises(ProtocolError):
         provider.embed_many(["a"])
 
@@ -564,20 +597,50 @@ def test_http_embedding_provider_bad_payload():
     {"vectors": ["a"]},
     {"vectors": [[1, 2], [3]]},
 ], ids=["not-an-object", "null-vectors", "non-numeric", "unequal-lengths"])
-def test_http_embedding_provider_rejects_a_malformed_reply(reply):
-    provider = HttpEmbeddingProvider("http://e",
-                                     transport=lambda m, u, **r: (200, json.dumps(reply)))
+def test_http_embedding_provider_rejects_a_malformed_reply(cache, reply):
+    provider = HttpEmbeddingProvider("http://e", lambda m, u, **r: (200, json.dumps(reply)),
+                                     cache)
     with pytest.raises(ProtocolError):
         provider.embed_many(["a", "b"])
+    assert not cache.path.exists()  # nothing from a rejected reply is kept
 
 
-def test_http_embedding_provider_rejects_a_length_unlike_earlier_replies():
+def test_http_embedding_provider_rejects_a_length_unlike_earlier_replies(cache):
     replies = iter([{"vectors": [[1.0, 2.0]]}, {"vectors": [[3.0]]}])
-    provider = HttpEmbeddingProvider("http://e",
-                                     transport=lambda m, u, **r: (200, json.dumps(next(replies))))
+    provider = HttpEmbeddingProvider(
+        "http://e", lambda m, u, **r: (200, json.dumps(next(replies))), cache)
     provider.embed_many(["a"])
     with pytest.raises(ProtocolError):
         provider.embed_many(["b"])
+
+
+def test_http_embedding_provider_rejects_a_length_unlike_its_stored_vectors(tmp_path):
+    write_store_jsonl({"a": np.array([1.0, 2.0])}, tmp_path / "embeddings.jsonl")
+    with EmbeddingCache(tmp_path / "embeddings.jsonl") as cache:
+        provider = HttpEmbeddingProvider(
+            "http://e", lambda m, u, **r: (200, json.dumps({"vectors": [[3.0]]})), cache)
+        with pytest.raises(ProtocolError, match="unequal"):
+            provider.embed_many(["a", "b"])
+
+
+def test_http_embedding_provider_sends_only_what_its_store_lacks(tmp_path):
+    texts = []
+
+    def transport(method, url, **request):
+        texts.extend(request["json"]["texts"])
+        return 200, json.dumps({"vectors": [[float(len(t)), 1.0]
+                                            for t in request["json"]["texts"]]})
+
+    path = tmp_path / "embeddings.jsonl"
+    with EmbeddingCache(path) as cache:
+        first = HttpEmbeddingProvider("http://e", transport, cache).embed_many(["a", "bb"])
+    stored = path.read_bytes()
+    with EmbeddingCache(path) as cache:
+        again = HttpEmbeddingProvider("http://e", transport, cache).embed_many(
+            ["bb", "ccc", "a"])
+    assert texts == ["a", "bb", "ccc"]
+    assert [v.tolist() for v in again] == [first[1].tolist(), [3.0, 1.0], first[0].tolist()]
+    assert path.read_bytes().startswith(stored)
 
 
 def test_store_embed_many_matches_embed():
@@ -586,7 +649,7 @@ def test_store_embed_many_matches_embed():
     assert [v.tolist() for v in got] == [[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]]
 
 
-def test_http_embedding_provider_batches_distinct_texts():
+def test_http_embedding_provider_batches_distinct_texts(cache):
     batches = []
 
     def transport(method, url, **request):
@@ -594,13 +657,15 @@ def test_http_embedding_provider_batches_distinct_texts():
         batches.append(list(texts))
         return 200, json.dumps({"vectors": [[float(t[1:])] for t in texts]})
 
-    provider = HttpEmbeddingProvider("http://e", transport=transport)
+    provider = HttpEmbeddingProvider("http://e", transport, cache)
     texts = [f"t{i}" for i in range(70)]
     got = provider.embed_many(texts + texts[:5])
     assert [len(b) for b in batches] == [BATCH_SIZE, BATCH_SIZE, 70 - 2 * BATCH_SIZE]
     assert sum(batches, []) == texts
     assert [float(v[0]) for v in got] == [float(i) for i in range(70)] + [0.0, 1.0, 2.0, 3.0, 4.0]
-    assert list(provider.cached_vectors()) == texts
+    # each vector is stored as it arrives, in the order the texts were sent
+    rows = [json.loads(line) for line in cache.path.read_text(encoding="utf-8").splitlines()]
+    assert [row["text"] for row in rows] == texts
 
 
 def _patch_post(fake_http, responses):
@@ -617,20 +682,20 @@ def _patch_post(fake_http, responses):
     return calls
 
 
-def test_http_embedding_provider_retries_a_503(fake_http):
+def test_http_embedding_provider_retries_a_503(fake_http, cache):
     calls = _patch_post(fake_http, [(503, {"error": "busy"}), (200, {"vectors": [[1.0, 2.0]]})])
     slept = []
     with HttpTransport(1) as transport:
-        provider = HttpEmbeddingProvider("http://e", transport, sleep=slept.append)
+        provider = HttpEmbeddingProvider("http://e", transport, cache, sleep=slept.append)
         assert provider.embed_many(["a"])[0].tolist() == [1.0, 2.0]
     assert len(calls) == 2
     assert slept == [1.0]
 
 
-def test_http_embedding_provider_does_not_retry_a_400(fake_http):
+def test_http_embedding_provider_does_not_retry_a_400(fake_http, cache):
     calls = _patch_post(fake_http, [(400, {"error": "bad request"})])
     with HttpTransport(1) as transport:
-        provider = HttpEmbeddingProvider("http://e", transport, sleep=lambda s: None)
+        provider = HttpEmbeddingProvider("http://e", transport, cache, sleep=lambda s: None)
         with pytest.raises(PermanentHttpError) as exc:
             provider.embed_many(["a"])
     assert exc.value.status == 400

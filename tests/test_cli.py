@@ -1,6 +1,7 @@
 import inspect
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 from termbench import errors
 from termbench.cli import main
 from termbench.config import load_config, parse_flat_config
+from termbench.embeddings import MAGIC
 from termbench.errors import ParseError, ValidationError
 from termbench.evaluate import RunFailedError
 from termbench.pipeline import STAGES
@@ -359,6 +361,42 @@ def test_corrupt_manifest_exits_1_naming_it(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: unreadable run manifest {manifest}: ")
     assert not (run_dir / "popularity").exists()
+
+
+@pytest.mark.parametrize("payload", ["{}", "[]", '{"stages": [], "release_tags": {}}'],
+                         ids=["empty-object", "array", "stages-not-an-object"])
+def test_manifest_of_the_wrong_shape_exits_1_naming_it(tmp_path, capsys, payload):
+    run_dir = tmp_path / "run"
+    assert main(["--config", str(CONFIG), "--run-dir", str(run_dir),
+                 "--stage", "ingest"]) == 0
+    manifest = run_dir / "manifest.json"
+    manifest.write_text(payload, encoding="utf-8")
+    capsys.readouterr()
+    assert main(["--config", str(CONFIG), "--run-dir", str(run_dir),
+                 "--stage", "popularity"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: unreadable run manifest {manifest}: ")
+    assert "Traceback" not in err
+    assert not (run_dir / "popularity").exists()
+
+
+def test_truncated_binary_embedding_store_exits_1(tmp_path, capsys):
+    store = tmp_path / "store.emb"
+    with open(store, "wb") as fh:
+        fh.write(MAGIC + struct.pack("<I", 2))
+        for text in ("a", "b"):
+            fh.write(struct.pack("<I", 1) + text.encode() + struct.pack("<I", 4) + bytes(16))
+    store.write_bytes(store.read_bytes()[:-10])
+    config = _fixture_copy(tmp_path / "fixture", "paths.embedding_store", str(store))
+    run_dir = tmp_path / "run"
+    for stage in ("ingest", "popularity", "sample"):
+        assert main(["--config", str(config), "--run-dir", str(run_dir), "--stage", stage]) == 0
+    capsys.readouterr()
+    assert main(["--config", str(config), "--run-dir", str(run_dir),
+                 "--stage", "lexicalize"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: truncated EMB1 store: ")
+    assert "Traceback" not in err
 
 
 def test_seed_override_changes_split(tmp_path):

@@ -391,6 +391,43 @@ def test_replay_missing_hash_raises():
         ReplayProvider({}).complete("anything", "m", DecodingParams())
 
 
+def _record(path, rows):
+    """A transcript of (prompt, model, params, text) rows; params None writes no request."""
+    with TranscriptWriter(path) as transcript:
+        for prompt, model, params, text in rows:
+            transcript.record(prompt, None if params is None
+                              else request_body(prompt, model, params), text)
+
+
+@pytest.mark.parametrize("model,params", [
+    ("model-b", DecodingParams()),
+    ("model-a", DecodingParams(temperature=0.7)),
+    ("model-a", DecodingParams(max_tokens=64)),
+], ids=["model", "temperature", "max-tokens"])
+def test_replay_answers_only_the_model_and_settings_it_recorded(tmp_path, model, params):
+    _record(tmp_path / "t.jsonl", [("p", "model-a", DecodingParams(), "A")])
+    replay = ReplayProvider.from_transcript(tmp_path / "t.jsonl")
+    assert replay.complete("p", "model-a", DecodingParams()) == "A"
+    with pytest.raises(ConsistencyError, match=repr(model)):
+        replay.complete("p", model, params)
+
+
+def test_replay_keeps_rows_for_two_models_of_one_prompt_apart(tmp_path):
+    _record(tmp_path / "t.jsonl", [("p", "model-a", DecodingParams(), "A"),
+                                   ("p", "model-b", DecodingParams(), "B")])
+    replay = ReplayProvider.from_transcript(tmp_path / "t.jsonl")
+    assert [replay.complete("p", m, DecodingParams()) for m in ("model-a", "model-b")] == [
+        "A", "B"]
+
+
+def test_a_row_without_a_request_answers_its_prompt_for_any_model(tmp_path):
+    _record(tmp_path / "t.jsonl", [("p", None, None, "any"),
+                                   ("p", "model-a", DecodingParams(), "A")])
+    replay = ReplayProvider.from_transcript(tmp_path / "t.jsonl")
+    assert replay.complete("p", "model-a", DecodingParams()) == "A"
+    assert replay.complete("p", "model-b", DecodingParams(temperature=1.0)) == "any"
+
+
 class ScriptedHttp:
     def __init__(self, script):
         self.script = list(script)
@@ -429,36 +466,63 @@ def test_http_provider_parses_and_records(tmp_path):
     assert replay.complete("prompt text", "model-a", DecodingParams()) == out
 
 
-def test_http_provider_retries_then_succeeds(tmp_path):
+@pytest.fixture
+def transcript(tmp_path):
+    """A `TranscriptWriter` on the test's `t.jsonl`, closed when the test ends."""
+    with TranscriptWriter(tmp_path / "t.jsonl") as transcript:
+        yield transcript
+
+
+def test_http_provider_sends_only_what_its_transcript_lacks(tmp_path):
+    path = tmp_path / "t.jsonl"
+    _record(path, [("p", "model-a", DecodingParams(), "A"), ("q", None, None, "Q")])
+    before = path.read_bytes()
+    transport = ScriptedHttp([(200, _chat_body("B"))])
+    with TranscriptWriter(path) as transcript:
+        provider = HttpCompletionProvider("http://example", transport, transcript,
+                                          sleep=lambda s: None)
+        assert provider.complete("p", "model-a", DecodingParams()) == "A"
+        assert provider.complete("q", "model-b", DecodingParams()) == "Q"
+        assert transport.calls == 0
+        # a row for model A does not answer model B: that request is sent, and recorded
+        assert provider.complete("p", "model-b", DecodingParams()) == "B"
+        assert provider.complete("p", "model-b", DecodingParams()) == "B"
+    assert [body["model"] for body in transport.bodies] == ["model-b"]
+    assert path.read_bytes().startswith(before)
+    replay = ReplayProvider.from_transcript(path)
+    assert replay.complete("p", "model-b", DecodingParams()) == "B"
+
+
+def test_http_provider_retries_then_succeeds(transcript):
     transport = ScriptedHttp([(429, ""), (503, ""), (200, _chat_body("x"))])
-    provider = HttpCompletionProvider("http://example", transport=transport,
+    provider = HttpCompletionProvider("http://example", transport, transcript,
                                       sleep=lambda s: None)
     assert provider.complete("p", "m", DecodingParams()) == "x"
     assert transport.calls == 3
 
 
-def test_http_provider_permanent_error(tmp_path):
+def test_http_provider_permanent_error(transcript):
     transport = ScriptedHttp([(401, "no auth")])
-    provider = HttpCompletionProvider("http://example", transport=transport,
+    provider = HttpCompletionProvider("http://example", transport, transcript,
                                       sleep=lambda s: None)
     with pytest.raises(PermanentHttpError):
         provider.complete("p", "m", DecodingParams())
 
 
-def test_http_provider_exhausts_retries(tmp_path):
+def test_http_provider_exhausts_retries(transcript):
     transport = ScriptedHttp([(500, "boom")])
-    provider = HttpCompletionProvider("http://example", transport=transport,
+    provider = HttpCompletionProvider("http://example", transport, transcript,
                                       sleep=lambda s: None)
     with pytest.raises(TransportError):
         provider.complete("p", "m", DecodingParams())
     assert transport.calls == 5
 
 
-def test_http_provider_failures_leave_no_reference_cycle():
+def test_http_provider_failures_leave_no_reference_cycle(transcript):
     def down(method, url, **request):
         raise TransportError("connection refused")
 
-    provider = HttpCompletionProvider("http://example", transport=down, sleep=lambda s: None)
+    provider = HttpCompletionProvider("http://example", down, transcript, sleep=lambda s: None)
     gc.collect()
     gc.disable()
     try:
@@ -486,5 +550,5 @@ def test_http_provider_fails_an_item_whose_content_is_not_a_string(tmp_path):
     rows = (tmp_path / "t.jsonl").read_text().splitlines()
     assert [json.loads(r)["response"]["text"] for r in rows] == ["HP:0000001"]
     with pytest.raises(ProtocolError):
-        HttpCompletionProvider("http://example", transport=ScriptedHttp([(200, null)]),
+        HttpCompletionProvider("http://example", ScriptedHttp([(200, null)]), transcript,
                                sleep=lambda s: None).complete("p", "m", DecodingParams())

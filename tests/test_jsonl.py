@@ -2,21 +2,29 @@ import io
 import json
 import math
 import sys
+import tempfile
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from termbench.embeddings import FileEmbeddingStore, write_store_jsonl
+from termbench.embeddings import EmbeddingCache, FileEmbeddingStore
 from termbench.errors import ParseError
 from termbench.evaluate import EvalItem, EvalRun, Phase, read_results_jsonl, write_results_jsonl
-from termbench.jsonl import RowAppender, iter_rows, write_rows
+from termbench.jsonl import KeyedStore, iter_rows, write_rows
 from termbench.ontology import Terminology, TermRecord, read_records_jsonl, write_records_jsonl
 from termbench.outcomes import PairOutcome, read_outcomes_jsonl, write_outcomes_jsonl
 from termbench.pmc import QueryCache
 from termbench.prompts import Direction, expand_prompts, read_prompts_jsonl, write_prompts_jsonl
-from termbench.providers import DecodingParams, ReplayProvider, TranscriptWriter
+from termbench.providers import (
+    DecodingParams,
+    ReplayProvider,
+    TranscriptWriter,
+    recorded,
+    request_body,
+)
 from termbench.sampling import SampledPair, Split, pair_id, read_split_jsonl, write_split_jsonl
 
 # Line and paragraph separators that json.dumps(ensure_ascii=False) leaves
@@ -79,10 +87,13 @@ def test_outcomes_round_trip_separator(tmp_path, sep):
 
 @pytest.mark.parametrize("sep", SEPARATORS)
 def test_embedding_store_round_trip_separator(tmp_path, sep):
-    vectors = {f"a{sep}b": np.array([1.0, 2.0]), "plain": np.array([3.0, 4.0])}
-    store = _round_trip(tmp_path, lambda fh: write_store_jsonl(vectors, fh),
-                        FileEmbeddingStore.from_jsonl)
-    assert list(store._vectors) == list(vectors)
+    path = tmp_path / "store.jsonl"
+    with EmbeddingCache(path) as cache:
+        cache.put(f"a{sep}b", np.array([1.0, 2.0]))
+        cache.put("plain", np.array([3.0, 4.0]))
+    assert [json.loads(line)["text"] for line in path.read_text("utf-8").split("\n")
+            if line] == [f"a{sep}b", "plain"]
+    store = FileEmbeddingStore.from_path(path)
     assert store.embed(f"a{sep}b").tolist() == [1.0, 2.0]
 
 
@@ -91,7 +102,7 @@ def test_transcript_round_trip_separator(tmp_path, sep):
     path = tmp_path / "t.jsonl"
     prompt = f"What is{sep}this?"
     with TranscriptWriter(path) as writer:
-        writer.record(prompt, {"model": "m"}, f"answer{sep}text")
+        writer.record(prompt, request_body(prompt, "m", DecodingParams()), f"answer{sep}text")
     provider = ReplayProvider.from_transcript(path)
     assert provider.complete(prompt, "m", DecodingParams()) == f"answer{sep}text"
 
@@ -104,18 +115,24 @@ def test_pmc_cache_round_trip_separator(tmp_path, sep):
     assert QueryCache(path).get(f'"a{sep}b"[All Fields]', "pmc") == 7
 
 
-def test_row_appender_keeps_every_row_under_contending_threads(tmp_path):
+class RowStore(KeyedStore):
+    @staticmethod
+    def entry(row):
+        return (row["thread"], row["i"]), row["pad"]
+
+
+def test_keyed_store_keeps_every_row_under_contending_threads(tmp_path):
     path = tmp_path / "rows.jsonl"
 
-    def append_rows(appender, thread):
+    def append_rows(store, thread):
         for i in range(200):
-            appender.append({"thread": thread, "i": i, "pad": "x" * 500})
+            store.put({"thread": thread, "i": i, "pad": "x" * 500})
 
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with RowAppender(path) as appender:
-            threads = [threading.Thread(target=append_rows, args=(appender, t)) for t in range(8)]
+        with RowStore(path) as store:
+            threads = [threading.Thread(target=append_rows, args=(store, t)) for t in range(8)]
             for thread in threads:
                 thread.start()
             for thread in threads:
@@ -128,6 +145,98 @@ def test_row_appender_keeps_every_row_under_contending_threads(tmp_path):
     assert sorted((r["thread"], r["i"]) for r in rows) == [(t, i) for t in range(8)
                                                          for i in range(200)]
     assert path.read_text(encoding="utf-8") == flushed
+    assert RowStore(path).get((7, 199)) == "x" * 500
+
+
+def test_keyed_store_last_row_for_a_key_wins_and_nothing_is_made_without_a_row(tmp_path):
+    path = tmp_path / "sub" / "rows.jsonl"
+    with RowStore(path) as store:
+        assert store.get((0, 0)) is None
+    assert not path.parent.exists()
+    with RowStore(path) as store:
+        store.put({"thread": 0, "i": 0, "pad": "old"})
+        store.put({"thread": 0, "i": 0, "pad": "new"})
+        assert store.get((0, 0)) == "new"
+    assert RowStore(path).get((0, 0)) == "new"
+
+
+def test_pmc_cache_whose_last_row_lacks_its_newline_gets_the_next_row_on_its_own_line(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    path.write_text(json.dumps({"query": "q", "db": "pmc", "count": 1}), encoding="utf-8")
+    with QueryCache(path) as cache:
+        assert cache.get("q", "pmc") == 1
+        cache.put("r", "pmc", 2, "t")
+    assert [json.loads(line)["query"] for line in path.read_text("utf-8").split("\n")
+            if line] == ["q", "r"]
+    again = QueryCache(path)
+    assert (again.get("q", "pmc"), again.get("r", "pmc")) == (1, 2)
+
+
+# ---------------------------------------------------------------------------
+# the three keyed stores: put, close, reopen
+
+_TEXTS = st.text(st.characters(exclude_categories=("Cs",)) | st.sampled_from(SEPARATORS),
+                 max_size=8)
+_FLOATS = (st.floats(allow_nan=False, allow_infinity=False)
+           | st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308]))
+
+
+def _check_round_trip(open_store, put, get, items, cut):
+    """After a store gets all but the last of `items` and is closed, and gets the last
+    item once reopened, a third opening answers every key as its last `put` did.
+
+    With `cut` set, the file's final "\n" is cut before the second opening.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "store.jsonl"
+        with open_store(path) as store:
+            for key, value in items[:-1]:
+                put(store, key, value)
+        if cut and path.exists():
+            path.write_bytes(path.read_bytes().removesuffix(b"\n"))
+        with open_store(path) as store:
+            put(store, *items[-1])
+        reopened = open_store(path)
+        for key, value in dict(items).items():
+            assert get(reopened, key) == value
+
+
+@settings(max_examples=60, deadline=None)
+@given(items=st.lists(st.tuples(st.tuples(_TEXTS, st.sampled_from(["pmc", ""])),
+                                st.integers(0, 2**70)), min_size=1, max_size=5),
+       cut=st.booleans())
+def test_pmc_cache_round_trips(items, cut):
+    _check_round_trip(QueryCache, lambda cache, key, count: cache.put(*key, count, "t"),
+                      lambda cache, key: cache.get(*key), items, cut)
+
+
+@settings(max_examples=60, deadline=None)
+@given(items=st.lists(st.tuples(st.tuples(_TEXTS, st.sampled_from(["m", "m-ft", ""]), _FLOATS,
+                                          st.integers(0, 2**40)), _TEXTS),
+                      min_size=1, max_size=5),
+       cut=st.booleans())
+def test_transcript_round_trips(items, cut):
+    def record(transcript, key, text):
+        prompt, model, temperature, max_tokens = key
+        transcript.record(prompt, request_body(prompt, model,
+                                               DecodingParams(temperature, max_tokens)), text)
+
+    def replay(transcript, key):
+        prompt, model, temperature, max_tokens = key
+        return recorded(transcript, prompt, model, DecodingParams(temperature, max_tokens))
+
+    _check_round_trip(TranscriptWriter, record, replay, items, cut)
+
+
+@settings(max_examples=60, deadline=None)
+@given(items=st.lists(st.tuples(_TEXTS, st.lists(_FLOATS, min_size=1, max_size=4)),
+                      min_size=1, max_size=5),
+       cut=st.booleans())
+def test_embedding_cache_round_trips(items, cut):
+    # vectors compare as bytes, so -0.0 must come back as -0.0
+    items = [(text, np.array(vector).tobytes()) for text, vector in items]
+    _check_round_trip(EmbeddingCache, lambda cache, text, raw: cache.put(text, np.frombuffer(raw)),
+                      lambda cache, text: cache.get(text).tobytes(), items, cut)
 
 
 # ---------------------------------------------------------------------------

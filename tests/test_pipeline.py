@@ -307,8 +307,8 @@ def test_dry_run_lists_the_files_each_stage_writes(full_run, tmp_path, capsys):
     assert planned == written
 
 
-def _write_transcript(path, prompt_rows, correct_templates):
-    """Replay rows answering `correct_templates(pair_id)` right and the rest wrong.
+def _write_transcript(path, model, prompt_rows, correct_templates):
+    """Replay rows for `model` answering `correct_templates(pair_id)` right and the rest wrong.
 
     Of the wrong answers, template 5 says C and the others say B. Both sort
     after every right answer, so a plurality vote that breaks ties toward the
@@ -321,7 +321,7 @@ def _write_transcript(path, prompt_rows, correct_templates):
             else:
                 answer = "~wrong c" if row["template_id"] == 5 else "~wrong b"
             writer.record(row["prompt_text"],
-                          request_body(row["prompt_text"], "m", DecodingParams()), answer)
+                          request_body(row["prompt_text"], model, DecodingParams()), answer)
 
 
 def test_all_templates_summary_outcomes_and_report_agree(full_run, tmp_path):
@@ -337,8 +337,9 @@ def test_all_templates_summary_outcomes_and_report_agree(full_run, tmp_path):
     tuned = set(pair_ids[::2])
     # baseline answers per pair: [A, A, B, B, C] with A right; the fine-tuned
     # model gets 3 of 5 right on every other pair and repeats the baseline on the rest
-    _write_transcript(tmp_path / "baseline.jsonl", prompt_rows, lambda pid: {1, 2})
-    _write_transcript(tmp_path / "finetuned.jsonl", prompt_rows,
+    _write_transcript(tmp_path / "baseline.jsonl", cfg.baseline_model, prompt_rows,
+                      lambda pid: {1, 2})
+    _write_transcript(tmp_path / "finetuned.jsonl", cfg.finetuned_model, prompt_rows,
                       lambda pid: {1, 2, 3} if pid in tuned else {1, 2})
     cfg.transcripts = {phase: tmp_path / f"{phase}.jsonl"
                        for phase in ("baseline", "finetuned")}
@@ -944,6 +945,145 @@ def test_a_popularity_stage_that_fails_part_way_keeps_its_rows(full_run, tmp_pat
     assert str(cache) in manifest["stages"]["popularity"]["outputs"]
     for path in (full_run / "popularity").glob("*.csv"):
         assert (run_dir / "popularity" / path.name).read_bytes() == path.read_bytes()
+
+
+def _fake_endpoints(fake_http, cfg, sent, crash_after=None, refuse=()):
+    """Answer esearch, completion and embedding requests from the fixture's files.
+
+    Each answered request is appended to `sent` as (endpoint, what it asked
+    for). With `crash_after` set, every completion request after that many
+    answered ones raises a RuntimeError, as a crashing process would stop.
+    A baseline completion request for a prompt in `refuse` gets HTTP 401.
+    """
+    counts = {row["query"]: row["count"] for row in _rows(FIXTURE / "pmc_cache.jsonl")}
+    vectors = {row["text"]: row["vector"] for row in _rows(FIXTURE / "embeddings.jsonl")}
+    answers = {}
+    for phase, model in (("baseline", cfg.baseline_model), ("finetuned", cfg.finetuned_model)):
+        answers[model] = {row["prompt_hash"]: row["response"]["text"]
+                          for row in _rows(FIXTURE / "transcripts" / f"{phase}.jsonl")}
+    lock = threading.Lock()
+
+    def answer(request, **kwargs):
+        host = urlsplit(request.url).hostname
+        if host == "eutils.ncbi.nlm.nih.gov":
+            term = _esearch_term(request)
+            with lock:
+                sent.append(("esearch", term))
+            return _count_reply(counts[term])
+        body = json.loads(request.body)
+        if host == "embeddings.test":
+            with lock:
+                sent.extend(("embedding", text) for text in body["texts"])
+            return 200, json.dumps({"vectors": [vectors[t] for t in body["texts"]]})
+        prompt = body["messages"][0]["content"]
+        if body["model"] == cfg.baseline_model and prompt in refuse:
+            return 401, json.dumps({"error": "refused"})
+        with lock:
+            if crash_after is not None and sum(e == "completion" for e, _ in sent) >= crash_after:
+                raise RuntimeError("the process died")
+            sent.append(("completion", (body["model"], prompt)))
+        text = answers[body["model"]][prompt_hash(prompt)]
+        return 200, json.dumps({"choices": [{"message": {"content": text}}]})
+
+    fake_http(answer)
+
+
+def _live_config(run_dir):
+    """The fixture's config with every remote source live and every store in the run directory."""
+    cfg = load_config(CONFIG, run_dir=run_dir)
+    cfg.pmc_cache = None
+    cfg.offline = False
+    cfg.transcripts = {}
+    cfg.completion_url = "http://completions.test/v1/chat/completions"
+    cfg.embedding_store = None
+    cfg.embedding_url = "http://embeddings.test/v1/embed"
+    cfg.rate_per_second = 1e6
+    return cfg
+
+
+LIVE_STORES = ("popularity/pmc_cache.jsonl", "eval/transcript_baseline.jsonl",
+               "eval/transcript_finetuned.jsonl", "lexicalize/embeddings.jsonl")
+
+
+def _outputs(run_dir):
+    return {p.relative_to(run_dir).as_posix(): p.read_bytes() for p in sorted(run_dir.rglob("*"))
+            if p.is_file() and p.name != "manifest.json"}
+
+
+def test_a_live_rerun_sends_only_what_its_stores_lack(full_run, tmp_path, fake_http):
+    run_dir = tmp_path / "run"
+    cfg = _live_config(run_dir)
+    sent = []
+    _fake_endpoints(fake_http, cfg, sent)
+    for stage in termbench.pipeline.STAGES:
+        run_stage(cfg, stage)
+    assert {endpoint for endpoint, _ in sent} == {"esearch", "completion", "embedding"}
+    assert len(sent) == len(set(sent))
+    outputs = _outputs(run_dir)
+    assert set(LIVE_STORES) <= set(outputs)
+    for name in ("classify", "report"):
+        for path in (full_run / name).iterdir():
+            assert outputs[f"{name}/{path.name}"] == path.read_bytes()
+
+    sent.clear()
+    for stage in ("popularity", "eval", "lexicalize"):
+        run_stage(cfg, stage)
+    assert sent == []
+    assert _outputs(run_dir) == outputs  # every store keeps its bytes
+    manifest = _assert_manifest_digests_match_files(run_dir)
+    recorded = {Path(p).relative_to(run_dir).as_posix()
+                for info in manifest["stages"].values() for p in info["outputs"]}
+    assert set(LIVE_STORES) <= recorded
+
+
+@pytest.mark.parametrize("crash_after", [100, 500], ids=["in-baseline", "in-finetuned"])
+def test_an_eval_that_dies_part_way_resumes_from_its_transcripts(full_run, tmp_path, fake_http,
+                                                                 crash_after):
+    run_dir = tmp_path / "run"
+    cfg = _live_eval_config(full_run, run_dir)
+    sent = []
+    _fake_endpoints(fake_http, cfg, sent, crash_after=crash_after)
+    with pytest.raises(RuntimeError, match="the process died"):
+        run_stage(cfg, "eval")
+    first = list(sent)
+    assert len(first) == crash_after
+    transcripts = [run_dir / "eval" / f"transcript_{phase}.jsonl"
+                   for phase in ("baseline", "finetuned")]
+    assert sum(len(_rows(p)) for p in transcripts if p.exists()) == crash_after  # all kept
+
+    sent.clear()
+    _fake_endpoints(fake_http, cfg, sent)
+    for stage in ("eval", "classify", "report"):
+        run_stage(cfg, stage)
+    prompts = [row["prompt_text"] for row in _rows(run_dir / "prompts" / "prompts.jsonl")]
+    expected = [("completion", (model, prompt))
+                for model in (cfg.baseline_model, cfg.finetuned_model) for prompt in prompts]
+    assert sorted(first + sent) == sorted(expected)  # each prompt sent once, over both runs
+    for name in ("eval", "classify", "report"):
+        for path in (full_run / name).iterdir():
+            assert (run_dir / name / path.name).read_bytes() == path.read_bytes(), path
+
+
+def test_a_failed_completion_is_not_recorded_and_a_rerun_sends_it_again(full_run, tmp_path,
+                                                                        fake_http):
+    run_dir = tmp_path / "run"
+    cfg = _live_eval_config(full_run, run_dir)
+    prompts = [row["prompt_text"] for row in _rows(run_dir / "prompts" / "prompts.jsonl")]
+    refused = set(prompts[::7])
+    sent = []
+    _fake_endpoints(fake_http, cfg, sent, refuse=refused)
+    run_stage(cfg, "eval")
+    assert len(_rows(run_dir / "eval" / "transcript_baseline.jsonl")) == len(prompts) - len(
+        refused)
+    assert any(row["error"] for row in _rows(
+        run_dir / "eval" / "results_baseline_hpo_term_to_id.jsonl"))
+
+    sent.clear()
+    _fake_endpoints(fake_http, cfg, sent)
+    run_stage(cfg, "eval")
+    assert sorted(sent) == sorted(("completion", (cfg.baseline_model, p)) for p in refused)
+    for path in sorted((full_run / "eval").iterdir()):
+        assert (run_dir / "eval" / path.name).read_bytes() == path.read_bytes()
 
 
 def test_pca_variance_matches_svd_reference(full_run):
