@@ -113,7 +113,6 @@ class RunConfig:
     # seeds
     sampling_seed: int = 0
     cap_seed: int = 0
-    synthetic_seed: int = 0
 
     # sampling
     n_bins: int = 20
@@ -237,7 +236,6 @@ def _checked_config(values: dict[str, object], base_dir: Path,
 
     cfg.sampling_seed = get_seed("seeds.sampling")
     cfg.cap_seed = get_seed("seeds.validation_cap")
-    cfg.synthetic_seed = get_seed("seeds.synthetic")
 
     cfg.n_bins = get_at_least("sampling.n_bins", 1, 20)
     cfg.per_bin = get_at_least("sampling.per_bin", 1, 10)

@@ -102,7 +102,7 @@ class KeyedStore:
 
     A subclass's `entry(row)` gives a row's (key, value); the last row for a
     key wins, and a row `entry` rejects, or a torn last row, is a ParseError
-    naming its line. `put` appends a row through one handle shared by
+    naming the file and the line. `put` appends a row through one handle shared by
     threads, opened at the first row (a last row that lacks its "\\n" then
     gets one), and flushes it, so a killed process keeps every row put
     before it died. Close the store, or use it in a `with` block, before
@@ -115,8 +115,12 @@ class KeyedStore:
         self._fh: IO | None = None
         self._values: dict = {}
         if self.path.exists():
-            with open(self.path, encoding="utf-8") as fh:
-                self._values.update(iter_rows(fh, self.entry))
+            try:
+                with open(self.path, encoding="utf-8") as fh:
+                    self._values.update(iter_rows(fh, self.entry))
+            except ParseError as exc:  # a stage may hold three stores: name the file
+                exc.args = (f"{self.path}: {exc}",)
+                raise
 
     def get(self, key):
         return self._values.get(key)

@@ -3,8 +3,9 @@
 The manifest is the only place timestamps and timings live; stage outputs
 themselves are deterministic. It is rewritten atomically (temp file +
 rename) after each stage completes, storing the SHA-256 digests that the
-stage took of its inputs and outputs (`pipeline.StageFiles`), its wall time
-and the process's memory high-water mark after it.
+stage took of its inputs and outputs (`pipeline.StageFiles`), keyed by
+their names under the run directory (the absolute path for a file outside
+it), its wall time and the process's memory high-water mark after it.
 """
 
 from __future__ import annotations
@@ -69,27 +70,24 @@ class RunManifest:
         self.data["seeds"] = {**seeds, **self.data["stages"].get("sample", {}).get("seeds", {})}
         self.data["blas_threads"] = dict(blas_threads)
 
-    def set_release_tag(self, terminology: str, tag: str | None) -> None:
-        self.data["release_tags"][terminology] = tag
-
-    def record_stage(self, stage: str, inputs: dict[Path, str], outputs: dict[Path, str],
-                     metrics: dict[str, float], seeds: dict[str, int] | None = None) -> None:
-        """Record the stage's files, each with the SHA-256 the stage took of it.
+    def record_stage(self, stage: str, inputs: dict[str, str], outputs: dict[str, str],
+                     metrics: dict[str, float], facts: dict[str, dict] | None = None) -> None:
+        """Record the stage's files by name, each with the SHA-256 the stage took of it.
 
         `metrics` are the stage's wall time and the process's memory high-water
-        mark after it; `seeds`, when given, are the seeds that drew the
-        stage's outputs, and replace the run's (`set_config` merged in an
-        earlier sample stage's).
+        mark after it. Each of `facts` (`seeds` from sample, `release_tags`
+        from ingest) is kept in the entry and merged into the run's field of
+        the same name, so the sample stage's seeds replace the run's.
         """
         entry = {
             "completed_at": datetime.now(timezone.utc).isoformat(),
-            "inputs": {str(p): digest for p, digest in sorted(inputs.items())},
-            "outputs": {str(p): digest for p, digest in sorted(outputs.items())},
+            "inputs": inputs,
+            "outputs": outputs,
             "metrics": metrics,
+            **(facts or {}),
         }
-        if seeds is not None:
-            entry["seeds"] = seeds
-            self.data["seeds"].update(seeds)
+        for key, value in (facts or {}).items():
+            self.data[key].update(value)
         self.data["stages"][stage] = entry
         self.write()
 

@@ -2,11 +2,12 @@
 
 `_STAGE_TABLE` declares, in run order, each stage's function, the earlier
 stages' artifacts it reads and the files it may write under
-`<run>/<stage>/`. A stage reaches its files only through `StageFiles`, which
-refuses an undeclared name and hashes each file once as it records it; the
-manifest stores those digests. `run_stage` checks every declared input
-before the stage writes anything. Outputs are deterministic given the
-config and seeds; only the manifest carries timestamps.
+`<run>/<stage>/`. A stage is called as `stage(cfg, files)` and reaches its
+run only through `files`, a `StageFiles`, which refuses an undeclared name,
+opens the stores and hashes each file once as it records it. `run_stage`
+checks every declared input before the stage writes anything, and alone
+writes the manifest. Outputs are deterministic given the config and seeds;
+only the manifest carries timestamps.
 
     ingest      parse terminologies into canonical record files
     popularity  popularity proxies per identifier + rank-frequency points
@@ -20,8 +21,8 @@ config and seeds; only the manifest carries timestamps.
 
 The live stages (`popularity`, `eval`, `lexicalize`) each send their
 requests through one `remote.HttpTransport` and close it when they end or
-raise. They send only what their stores lack, and close each store before
-recording it, so each digest is that of the file's final bytes.
+raise. They send only what their stores lack. `StageFiles.store` records
+each store once it is closed, so each digest is that of its final bytes.
 
 `run_stage` runs the stage function with Python's cyclic garbage collector
 paused. The rows a stage builds (records, pairs, prompts, eval items,
@@ -75,7 +76,6 @@ from .evaluate import (
     write_results_jsonl,
 )
 from .jsonl import write_document
-from .manifest import RunManifest
 from .ontology import (
     Terminology,
     build_index,
@@ -150,15 +150,16 @@ def _newline(name: str) -> str | None:
 
 
 class StageFiles:
-    """Every file one stage reads or writes, checked and hashed as it is recorded.
+    """A stage's one way into its run: every file it reads, writes or appends.
 
     `inputs` and `outputs` map each file the stage reached through here to
-    its SHA-256, and `run_stage` stores them in the manifest as they are, so
-    a file cannot be missing from it and none is hashed twice. `reads` and
-    `writes` are the stage's declarations in `_STAGE_TABLE`: artifact names
-    relative to the run directory (`sample/split.jsonl`, the stage that
-    writes one being its first part), and names under `<run>/<stage>/`.
-    Any other name is a KeyError, a fault in the code and never in the input.
+    its SHA-256, taken once, and `run_stage` stores them in `manifest` as
+    they are: a file under the run directory by its name there, any other
+    by its path. `reads` and `writes` are the stage's declarations in
+    `_STAGE_TABLE`: artifact names relative to the run directory
+    (`sample/split.jsonl`, the stage that writes one being its first part),
+    and names under `<run>/<stage>/`. Any other name is a KeyError, a fault
+    in the code and never in the input.
     """
 
     def __init__(self, cfg: RunConfig, stage: str):
@@ -166,14 +167,21 @@ class StageFiles:
         self.run_dir = cfg.run_dir
         self.out_dir = cfg.run_dir / stage
         _, self.reads, self.writes = _STAGE_TABLE[stage]
-        self.inputs: dict[Path, str] = {}
-        self.outputs: dict[Path, str] = {}
+        self.manifest = run_manifest.RunManifest(cfg.run_dir)
+        self.inputs: dict[str, str] = {}
+        self.outputs: dict[str, str] = {}
 
-    def record(self, path: Path, output: bool = False) -> None:
-        """Record `path`, with its SHA-256, as an input (or an output) of the stage."""
+    def _record(self, path: Path, output: bool = False) -> None:
+        name = (path.relative_to(self.run_dir).as_posix() if path.is_relative_to(self.run_dir)
+                else str(path))
         recorded = self.outputs if output else self.inputs
-        if path not in recorded:
-            recorded[path] = run_manifest.sha256_file(path)
+        if name not in recorded:
+            recorded[name] = run_manifest.sha256_file(path)
+
+    def _output(self, name: str) -> Path:
+        if name not in self.writes:
+            raise KeyError(f"stage {self.stage!r} does not declare the output {name!r}")
+        return self.out_dir / name
 
     def artifact(self, name: str) -> Path:
         """The earlier stage's file `<run>/<name>`, which must be declared and exist."""
@@ -181,9 +189,8 @@ class StageFiles:
             raise KeyError(f"stage {self.stage!r} does not declare the input {name!r}")
         path = self.run_dir / name
         if not path.exists():
-            producer = name.split("/")[0]
-            raise DomainError(f"missing {path}; run the {producer!r} stage first")
-        self.record(path)
+            raise DomainError(f"missing {path}; run the {name.split('/')[0]!r} stage first")
+        self._record(path)
         return path
 
     def source(self, path: Path | None, key: str) -> Path:
@@ -192,18 +199,18 @@ class StageFiles:
             raise ValidationError(f"config does not set {key}")
         if not path.exists():
             raise ValidationError(f"{key} not found: {path}")
-        self.record(path)
+        self._record(path)
         return path
 
     def read(self, name: str, reader, *args):
         """`reader(stream, *args)` over the artifact `<run>/<name>`.
 
         An artifact in `_LAST_READER` is decoded once per process: what the
-        reader returned is held, keyed by (path, sha256, reader), until the
-        last stage that reads it takes it. Every caller gets its own list.
+        reader returned is held, keyed by (sha256, reader), until the last
+        stage that reads it takes it. Every caller gets its own list.
         """
         path = self.artifact(name)
-        key = (path, self.inputs[path], reader)
+        key = (self.inputs[name], reader)
         held_key, rows = _DECODED.pop(name, (None, None))
         if held_key != key:
             with open(path, encoding="utf-8", newline=_newline(name)) as fh:
@@ -216,13 +223,26 @@ class StageFiles:
 
     def write(self, name: str, writer, *args) -> None:
         """`writer(*args, stream)` into this stage's declared file `<run>/<stage>/<name>`."""
-        if name not in self.writes:
-            raise KeyError(f"stage {self.stage!r} does not declare the output {name!r}")
-        path = self.out_dir / name
+        path = self._output(name)
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w", encoding="utf-8", newline=_newline(name)) as fh:
             writer(*args, fh)
-        self.record(path, output=True)
+        self._record(path, output=True)
+
+    @contextmanager
+    def store(self, store_type, name: str, path: Path | None = None):
+        """The `jsonl.KeyedStore` `store_type` over the declared `name`, or over the
+        config-named `path` in its place. It is closed as the block exits and,
+        if the block ends, recorded: an output under `<run>/<stage>/`, else an input.
+        """
+        declared = self._output(name)
+        store = store_type(path or declared)
+        try:
+            yield store
+        finally:
+            store.close()
+        if store.path.exists():
+            self._record(store.path, output=store.path.is_relative_to(self.out_dir))
 
 
 def _tkey(t: Terminology) -> str:
@@ -244,7 +264,7 @@ def _write_rank_points(dist, sink) -> None:
 # Stages
 
 
-def stage_ingest(cfg: RunConfig, files: StageFiles, manifest: RunManifest) -> None:
+def stage_ingest(cfg: RunConfig, files: StageFiles) -> dict:
     hpo_path = files.source(cfg.hpo_obo, "paths.hpo_obo")
     go_path = files.source(cfg.go_obo, "paths.go_obo")
     gene_path = files.source(cfg.gene_map, "paths.gene_map")
@@ -257,9 +277,6 @@ def stage_ingest(cfg: RunConfig, files: StageFiles, manifest: RunManifest) -> No
     with open(gene_path, encoding="utf-8") as fh:
         gene_records = parse_gene_map(fh)
 
-    manifest.set_release_tag("HPO", hpo_doc.header.get("data-version"))
-    manifest.set_release_tag("GO_CC", go_doc.header.get("data-version"))
-
     for t, records in (
         (Terminology.HPO, hpo_doc.records),
         (Terminology.GO_CC, go_records),
@@ -267,13 +284,14 @@ def stage_ingest(cfg: RunConfig, files: StageFiles, manifest: RunManifest) -> No
     ):
         build_index(records)  # fail loudly on duplicate identifiers or labels
         files.write(f"records_{_tkey(t)}.jsonl", write_records_jsonl, records)
+    return {"release_tags": {"HPO": hpo_doc.header.get("data-version"),
+                             "GO_CC": go_doc.header.get("data-version")}}
 
 
-def stage_popularity(cfg: RunConfig, files: StageFiles, manifest: RunManifest) -> None:
+def stage_popularity(cfg: RunConfig, files: StageFiles) -> None:
     records_by_t = {t: files.read(f"ingest/records_{_tkey(t)}.jsonl", read_records_jsonl)
                     for t in TERMINOLOGIES}
 
-    cache_path = cfg.pmc_cache or (files.out_dir / "pmc_cache.jsonl")
     annotations_by_t: dict[Terminology, dict[str, int]] = {t: {} for t in TERMINOLOGIES}
     for t, ann_path in cfg.annotations.items():
         with open(files.source(ann_path, f"paths.annotations_{_tkey(t)}"),
@@ -285,8 +303,8 @@ def stage_popularity(cfg: RunConfig, files: StageFiles, manifest: RunManifest) -
         for t in TERMINOLOGIES for record in records_by_t[t]
         for query in (identifier_query(record.identifier), term_query(record.label))
     ]
-    # the cache is closed, with every row it got, before anything hashes it
-    with HttpTransport(cfg.concurrency) as transport, QueryCache(cache_path) as cache:
+    with (HttpTransport(cfg.concurrency) as transport,
+          files.store(QueryCache, "pmc_cache.jsonl", cfg.pmc_cache) as cache):
         client = PmcClient(cache=cache, transport=None if cfg.offline else transport,
                            api_key=os.environ.get(EUTILS_KEY_ENV),
                            rate_limiter=TokenBucket(cfg.rate_per_second))
@@ -312,12 +330,9 @@ def stage_popularity(cfg: RunConfig, files: StageFiles, manifest: RunManifest) -
     for t in TERMINOLOGIES:
         files.write(f"rank_points_{_tkey(t)}.csv", _write_rank_points,
                     rank_frequency(per_terminology[t], cfg.ranking_proxy))
-    # a configured cache is an input even when this run filled it; the default one is an output
-    if cache_path.exists():
-        files.record(cache_path, output=cfg.pmc_cache is None)
 
 
-def stage_sample(cfg: RunConfig, files: StageFiles, manifest: RunManifest) -> dict:
+def stage_sample(cfg: RunConfig, files: StageFiles) -> dict:
     pop_records = files.read("popularity/popularity.csv", read_popularity_csv)
     pairs: list[SampledPair] = []
     for t in TERMINOLOGIES:
@@ -327,23 +342,22 @@ def stage_sample(cfg: RunConfig, files: StageFiles, manifest: RunManifest) -> di
         sampled = sample_bins(bins, index, cfg.sampling_seed, cfg.per_bin)
         pairs.extend(make_split(index, sampled, bins, cfg.validation_cap, cfg.cap_seed))
     files.write("split.jsonl", write_split_jsonl, pairs)
-    return {"sampling": cfg.sampling_seed, "validation_cap": cfg.cap_seed}
+    return {"seeds": {"sampling": cfg.sampling_seed, "validation_cap": cfg.cap_seed}}
 
 
-def _split_seed(cfg: RunConfig, files: StageFiles, manifest: RunManifest) -> int:
+def _split_seed(cfg: RunConfig, files: StageFiles) -> int:
     """The sampling seed that drew the split this stage read: the one the sample
     stage recorded with it, or the config's for a split that no recorded sample
     stage wrote (one copied into the run directory)."""
-    split = files.run_dir / _SPLIT
-    sample = manifest.data["stages"].get("sample", {})
-    if "seeds" in sample and sample["outputs"].get(str(split)) == files.inputs[split]:
+    sample = files.manifest.data["stages"].get("sample", {})
+    if "seeds" in sample and sample["outputs"].get(_SPLIT) == files.inputs[_SPLIT]:
         return sample["seeds"]["sampling"]
     return cfg.sampling_seed
 
 
-def stage_prompts(cfg: RunConfig, files: StageFiles, manifest: RunManifest) -> None:
+def stage_prompts(cfg: RunConfig, files: StageFiles) -> None:
     pairs = files.read("sample/split.jsonl", read_split_jsonl)
-    seed = _split_seed(cfg, files, manifest)
+    seed = _split_seed(cfg, files)
 
     eval_templates = TEMPLATE_IDS if cfg.all_templates else (1,)
     eval_prompts = []
@@ -372,42 +386,30 @@ def stage_prompts(cfg: RunConfig, files: StageFiles, manifest: RunManifest) -> N
 
 
 @contextmanager
-def _stores(files: StageFiles):
-    """A list for the stores a stage opens: closed as the block exits, recorded if it ends."""
-    stores = []
-    try:
-        yield stores
-    finally:
-        for store in stores:
-            store.close()
-    for store in stores:
-        if store.path.exists():
-            files.record(store.path, output=True)
-
-
 def _completion_provider(cfg: RunConfig, phase: Phase, files: StageFiles,
-                         transport: HttpTransport, stores: list):
-    """The phase's provider; a live one's transcript is appended to `stores`."""
+                         transport: HttpTransport):
+    """The phase's provider, for the block; a live one's transcript is a store."""
     transcript_path = cfg.transcripts.get(phase.value)
     if transcript_path is not None:
-        return ReplayProvider.from_transcript(
+        yield ReplayProvider.from_transcript(
             files.source(transcript_path, f"paths.transcript_{phase.value}"))
-    if cfg.completion_url:
-        stores.append(TranscriptWriter(files.out_dir / f"transcript_{phase.value}.jsonl"))
-        return HttpCompletionProvider(
-            url=cfg.completion_url,
-            transport=transport,
-            transcript=stores[-1],
-            api_key=os.environ.get(COMPLETION_KEY_ENV),
-            rate_limiter=TokenBucket(cfg.rate_per_second),
+    elif cfg.completion_url:
+        with files.store(TranscriptWriter, f"transcript_{phase.value}.jsonl") as transcript:
+            yield HttpCompletionProvider(
+                url=cfg.completion_url,
+                transport=transport,
+                transcript=transcript,
+                api_key=os.environ.get(COMPLETION_KEY_ENV),
+                rate_limiter=TokenBucket(cfg.rate_per_second),
+            )
+    else:
+        raise ValidationError(
+            f"no completion source for phase {phase.value}: set "
+            f"paths.transcript_{phase.value} or endpoints.completion_url"
         )
-    raise ValidationError(
-        f"no completion source for phase {phase.value}: set "
-        f"paths.transcript_{phase.value} or endpoints.completion_url"
-    )
 
 
-def stage_eval(cfg: RunConfig, files: StageFiles, manifest: RunManifest) -> None:
+def stage_eval(cfg: RunConfig, files: StageFiles) -> None:
     pairs = files.read("sample/split.jsonl", read_split_jsonl)
     prompts = files.read("prompts/prompts.jsonl", read_prompts_jsonl,
                          {pair_id(p): p for p in pairs})
@@ -422,8 +424,7 @@ def stage_eval(cfg: RunConfig, files: StageFiles, manifest: RunManifest) -> None
     with HttpTransport(cfg.concurrency) as transport:
         for phase, model_id in ((Phase.BASELINE, cfg.baseline_model),
                                 (Phase.FINETUNED, cfg.finetuned_model)):
-            with _stores(files) as stores:
-                provider = _completion_provider(cfg, phase, files, transport, stores)
+            with _completion_provider(cfg, phase, files, transport) as provider:
                 for t, d, group, expected in groups:
                     run = run_eval(
                         provider, group, model_id, phase,
@@ -436,10 +437,10 @@ def stage_eval(cfg: RunConfig, files: StageFiles, manifest: RunManifest) -> None
                     files.write(f"summary_{stem}.json", write_document, run_summary(run))
             # drop the provider, with its transcript, and the last run, so the
             # next phase's transcript loads with no other one in memory
-            provider = run = stores = None
+            provider = run = None
 
 
-def stage_classify(cfg: RunConfig, files: StageFiles, manifest: RunManifest) -> None:
+def stage_classify(cfg: RunConfig, files: StageFiles) -> None:
     split_by_pair = {pair_id(p): p.split
                      for p in files.read("sample/split.jsonl", read_split_jsonl)}
 
@@ -461,29 +462,29 @@ def stage_classify(cfg: RunConfig, files: StageFiles, manifest: RunManifest) -> 
     files.write("metrics.json", write_document, metrics_payload)
 
 
-def _embedding_provider(cfg: RunConfig, files: StageFiles, transport: HttpTransport,
-                        stores: list):
+@contextmanager
+def _embedding_provider(cfg: RunConfig, files: StageFiles, transport: HttpTransport):
+    """The embedding source, for the block; an HTTP one's cache is a store."""
     if cfg.embedding_store is not None:
-        return FileEmbeddingStore.from_path(
+        yield FileEmbeddingStore.from_path(
             files.source(cfg.embedding_store, "paths.embedding_store"))
-    if cfg.embedding_url:
-        stores.append(EmbeddingCache(files.out_dir / "embeddings.jsonl"))
-        return HttpEmbeddingProvider(cfg.embedding_url, transport, stores[-1],
-                                     api_key=os.environ.get(EMBEDDING_KEY_ENV))
-    raise ValidationError(
-        "no embedding source: set paths.embedding_store or endpoints.embedding_url"
-    )
+    elif cfg.embedding_url:
+        with files.store(EmbeddingCache, "embeddings.jsonl") as cache:
+            yield HttpEmbeddingProvider(cfg.embedding_url, transport, cache,
+                                        api_key=os.environ.get(EMBEDDING_KEY_ENV))
+    else:
+        raise ValidationError(
+            "no embedding source: set paths.embedding_store or endpoints.embedding_url")
 
 
-def stage_lexicalize(cfg: RunConfig, files: StageFiles, manifest: RunManifest) -> None:
+def stage_lexicalize(cfg: RunConfig, files: StageFiles) -> None:
     pairs = [p for p in files.read("sample/split.jsonl", read_split_jsonl)
              if p.split is Split.TRAIN]
     if not pairs:
         raise DomainError("no training pairs in the split")
 
-    with HttpTransport(cfg.concurrency) as transport, _stores(files) as stores:
-        provider = _embedding_provider(cfg, files, transport, stores)
-
+    with (HttpTransport(cfg.concurrency) as transport,
+          _embedding_provider(cfg, files, transport) as provider):
         vectors = []
         meta = []
         # terminology -> (first row, pairs): its terms, then its identifiers in pair order
@@ -515,7 +516,7 @@ def stage_lexicalize(cfg: RunConfig, files: StageFiles, manifest: RunManifest) -
     files.write("distance_summary.csv", write_distance_summary_csv, summary)
 
 
-def stage_stats(cfg: RunConfig, files: StageFiles, manifest: RunManifest) -> None:
+def stage_stats(cfg: RunConfig, files: StageFiles) -> None:
     pop_records = files.read("popularity/popularity.csv", read_popularity_csv)
     counts_by_pair = {pair_id(r): r for r in pop_records}
     outcomes = files.read("classify/outcomes.jsonl", read_outcomes_jsonl)
@@ -552,7 +553,7 @@ def stage_stats(cfg: RunConfig, files: StageFiles, manifest: RunManifest) -> Non
                     games_howell(sorted(groups.items())))
 
 
-def stage_report(cfg: RunConfig, files: StageFiles, manifest: RunManifest) -> None:
+def stage_report(cfg: RunConfig, files: StageFiles) -> None:
     bundle = table_report(files.read("classify/outcomes.jsonl", read_outcomes_jsonl))
     files.write("performance_summary.csv", write_performance_csv, bundle.performance)
     files.write("outcome_categories.csv", write_categories_csv, bundle.categories)
@@ -564,24 +565,26 @@ _RUN_STEMS = [_run_stem(phase, t, d)
               for t in TERMINOLOGIES for d in DIRECTIONS for phase in Phase]
 _SPLIT = "sample/split.jsonl"
 # stage name -> (function, artifacts it reads, files it may write), in run order. Reads
-# are checked in this order; config-named sources and the stores of the live stages
-# are recorded as the stage reaches them. A function returns None, or (sample) the
-# seeds that drew its outputs, which the manifest records with its entry.
+# are checked in this order; config-named sources are recorded as the stage reaches
+# them. A store (pmc_cache, transcript_<phase>, embeddings) is written only for a live
+# source that the config names no file for, and fine-tune files only for a terminology
+# with training pairs. A function takes (cfg, files) and returns None, or the facts its
+# manifest entry records: `ingest`'s release tags, the seeds that drew `sample`'s split.
 _STAGE_TABLE = {
     "ingest": (stage_ingest, [], [f"records_{_tkey(t)}.jsonl" for t in TERMINOLOGIES]),
     "popularity": (stage_popularity, [f"ingest/records_{_tkey(t)}.jsonl" for t in TERMINOLOGIES],
-                   ["popularity.csv", *(f"rank_points_{_tkey(t)}.csv" for t in TERMINOLOGIES)]),
+                   ["popularity.csv", *(f"rank_points_{_tkey(t)}.csv" for t in TERMINOLOGIES),
+                    "pmc_cache.jsonl"]),
     "sample": (stage_sample, ["popularity/popularity.csv"], ["split.jsonl"]),
-    # fine-tune files only for a terminology with training pairs
     "prompts": (stage_prompts, [_SPLIT], ["prompts.jsonl", *(
         f"finetune_{td}{ext}" for td in _MAPPINGS for ext in (".jsonl", ".manifest.json"))]),
-    "eval": (stage_eval, ["prompts/prompts.jsonl", _SPLIT], [
+    "eval": (stage_eval, ["prompts/prompts.jsonl", _SPLIT], [*(
         f"{kind}_{stem}{ext}" for stem in _RUN_STEMS
-        for kind, ext in (("results", ".jsonl"), ("summary", ".json"))]),
+        for kind, ext in (("results", ".jsonl"), ("summary", ".json"))),
+        *(f"transcript_{phase.value}.jsonl" for phase in Phase)]),
     "classify": (stage_classify, [_SPLIT, *(f"eval/results_{stem}.jsonl" for stem in _RUN_STEMS)],
                  [*(f"sankey_{td}_{split.value}.csv" for td in _MAPPINGS for split in Split),
                   "outcomes.jsonl", "metrics.json"]),
-    # embeddings.jsonl only for an HTTP embedding source
     "lexicalize": (stage_lexicalize, [_SPLIT], ["alignment.json", "pca_points.csv",
                    "pca_variance.csv", "distance_summary.csv", "embeddings.jsonl"]),
     "stats": (stage_stats, ["popularity/popularity.csv", "classify/outcomes.jsonl"], [
@@ -594,7 +597,7 @@ STAGES = tuple(_STAGE_TABLE)
 # Each artifact that more than one stage reads, and the last stage that reads it.
 _LAST_READER = {name: stage for stage, (_, reads, _) in _STAGE_TABLE.items() for name in reads
                 if sum(name in other for _, other, _ in _STAGE_TABLE.values()) > 1}
-# artifact name -> ((path, sha256, reader), rows): what `StageFiles.read` decoded
+# artifact name -> ((sha256, reader), rows): what `StageFiles.read` decoded
 # from one of them, held for the stages that read it later. It lives at module
 # level because it must outlive one `run_stage` call: `--stage all` and
 # in-process callers run the stages one `run_stage` call at a time.
@@ -609,17 +612,12 @@ def run_stage(cfg: RunConfig, stage: str, dry_run: bool = False) -> None:
     if dry_run:
         print(f"[dry-run] {stage}: would write {', '.join(writes)} under {cfg.run_dir / stage}")
         return
-    manifest = RunManifest(cfg.run_dir)
-    manifest.set_config(
+    files = StageFiles(cfg, stage)
+    files.manifest.set_config(
         cfg.raw,
-        {
-            "sampling": cfg.sampling_seed,
-            "validation_cap": cfg.cap_seed,
-            "synthetic": cfg.synthetic_seed,
-        },
+        {"sampling": cfg.sampling_seed, "validation_cap": cfg.cap_seed},
         {name: os.environ.get(name) for name in BLAS_THREADS_ENV},
     )
-    files = StageFiles(cfg, stage)
     for name in reads:  # every input, before the stage writes anything
         files.artifact(name)
     # A stage's data hold no reference cycles, so reference counting frees
@@ -628,7 +626,7 @@ def run_stage(cfg: RunConfig, stage: str, dry_run: bool = False) -> None:
     gc.disable()
     start = time.perf_counter()
     try:
-        seeds = stage_func(cfg, files, manifest)
+        facts = stage_func(cfg, files)
     finally:
         if was_enabled:
             gc.enable()
@@ -637,6 +635,6 @@ def run_stage(cfg: RunConfig, stage: str, dry_run: bool = False) -> None:
         # ru_maxrss is in KiB on Linux
         "rss_high_water_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
-    manifest.record_stage(stage, files.inputs, files.outputs, metrics, seeds)
+    files.manifest.record_stage(stage, files.inputs, files.outputs, metrics, facts)
     print(f"[{stage}] wrote {len(files.outputs)} file(s) under {files.out_dir}",
           file=sys.stderr)

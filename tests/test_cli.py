@@ -100,11 +100,10 @@ def test_config_saved_with_a_byte_order_mark_runs(tmp_path):
      "seeds.sampling must be an unsigned 64-bit integer, got 18446744073709551621"),
     ("[seeds]\nvalidation_cap = 18446744073709551616",
      "seeds.validation_cap must be an unsigned 64-bit integer, got 18446744073709551616"),
-    ("[seeds]\nsynthetic = -3", "seeds.synthetic must be an unsigned 64-bit integer, got -3"),
 ], ids=["bool", "int", "unknown-key", "n_bins-zero", "per_bin-negative", "concurrency-zero",
         "rate-zero", "rate-negative", "rate-infinite", "proxy-misspelled",
         "validation_cap-negative", "sampling-seed-negative", "sampling-seed-above-u64",
-        "cap-seed-2**64", "synthetic-seed-negative"])
+        "cap-seed-2**64"])
 def test_bad_config_value_exits_1_naming_the_key(tmp_path, capsys, binding, message):
     cfg_file = tmp_path / "c.cfg"
     cfg_file.write_text(f"[paths]\nrun_dir = run\n{binding}\n", encoding="utf-8")
@@ -298,14 +297,12 @@ def test_stage_sequence_and_manifest(tmp_path):
     assert manifest["release_tags"]["HPO"] == "fixtures/mini-2024"
     assert manifest["finetune_hyperparameters"]["lora_rank"] == 64
     assert set(manifest["stages"]) == {"ingest", "popularity", "sample"}
-    split_digest = manifest["stages"]["sample"]["outputs"][
-        str(run_dir / "sample" / "split.jsonl")
-    ]
+    split_digest = manifest["stages"]["sample"]["outputs"]["sample/split.jsonl"]
     assert len(split_digest) == 64
     # every recorded output exists
     for stage_info in manifest["stages"].values():
-        for path in stage_info["outputs"]:
-            assert Path(path).exists()
+        for name in stage_info["outputs"]:
+            assert (run_dir / name).exists()
 
 
 def test_prompts_records_the_seed_that_drew_the_split(tmp_path):

@@ -1,7 +1,9 @@
+import ast
 import csv
 import gc
 import hashlib
 import importlib.util
+import inspect
 import json
 import os
 import shutil
@@ -158,35 +160,35 @@ def test_manifest_references_all_stage_outputs(full_run):
     }
     for stage, info in manifest["stages"].items():
         assert info["outputs"], f"stage {stage} recorded no outputs"
-        for path, digest in info["outputs"].items():
-            assert Path(path).exists()
+        for name, digest in info["outputs"].items():
+            assert (full_run / name).exists()
             assert len(digest) == 64
 
 
 def test_manifest_inputs_are_every_file_each_stage_read(full_run):
     manifest = json.loads((full_run / "manifest.json").read_text())
-    inputs = {stage: sorted(Path(p) for p in info["inputs"])
-              for stage, info in manifest["stages"].items()}
+    inputs = {stage: sorted(info["inputs"]) for stage, info in manifest["stages"].items()}
     fixture = FIXTURE.resolve()
-    records = [full_run / "ingest" / f"records_{key}.jsonl" for key in ("hpo", "go_cc", "gene")]
-    split = full_run / "sample" / "split.jsonl"
+    # a run artifact by its name under the run directory, a config-named source by its path
+    records = [f"ingest/records_{key}.jsonl" for key in ("hpo", "go_cc", "gene")]
+    split = "sample/split.jsonl"
     expected = {
         "ingest": [fixture / "hpo.obo", fixture / "go.obo", fixture / "gene_map.tsv"],
         "popularity": records + [fixture / "pmc_cache.jsonl"] + [
             fixture / f"annotations_{key}.tsv" for key in ("hpo", "go_cc", "gene")],
-        "sample": [full_run / "popularity" / "popularity.csv"],
+        "sample": ["popularity/popularity.csv"],
         "prompts": [split],
-        "eval": [full_run / "prompts" / "prompts.jsonl", split,
+        "eval": ["prompts/prompts.jsonl", split,
                  fixture / "transcripts" / "baseline.jsonl",
                  fixture / "transcripts" / "finetuned.jsonl"],
-        "classify": [split] + sorted((full_run / "eval").glob("results_*.jsonl")),
+        "classify": [split] + [p.relative_to(full_run).as_posix()
+                               for p in (full_run / "eval").glob("results_*.jsonl")],
         "lexicalize": [split, fixture / "embeddings.jsonl"],
-        "stats": [full_run / "popularity" / "popularity.csv",
-                  full_run / "classify" / "outcomes.jsonl"],
-        "report": [full_run / "classify" / "outcomes.jsonl"],
+        "stats": ["popularity/popularity.csv", "classify/outcomes.jsonl"],
+        "report": ["classify/outcomes.jsonl"],
     }
     assert len(expected["classify"]) == 13
-    assert inputs == {stage: sorted(paths) for stage, paths in expected.items()}
+    assert inputs == {stage: sorted(map(str, paths)) for stage, paths in expected.items()}
 
 
 def test_single_stage_runs_match_one_all_stage_run(full_run, tmp_path):
@@ -218,8 +220,7 @@ def test_stage_dirs_do_not_cross_write(full_run, tmp_path):
 def test_report_inputs_are_outcomes_and_eval_summaries(full_run):
     # report reads the outcomes alone; no eval summary is among its inputs
     manifest = json.loads((full_run / "manifest.json").read_text())
-    inputs = [Path(p) for p in manifest["stages"]["report"]["inputs"]]
-    assert inputs == [full_run / "classify" / "outcomes.jsonl"]
+    assert list(manifest["stages"]["report"]["inputs"]) == ["classify/outcomes.jsonl"]
 
 
 def test_report_takes_accuracy_from_summary_counts(full_run, tmp_path):
@@ -286,6 +287,38 @@ def test_a_stage_refuses_a_name_it_does_not_declare(full_run, tmp_path):
     assert not (run_dir / "report").exists()
 
 
+def test_a_stage_reaches_its_run_only_through_stage_files():
+    for stage, (stage_func, _, _) in termbench.pipeline._STAGE_TABLE.items():
+        assert list(inspect.signature(stage_func).parameters) == ["cfg", "files"], stage
+    # each store class is named in pipeline.py only as the first argument of a
+    # `.store(...)` call, so `StageFiles.store` opens, closes and records every store
+    stores = {"QueryCache", "TranscriptWriter", "EmbeddingCache"}
+    tree = ast.parse(Path(termbench.pipeline.__file__).read_text(encoding="utf-8"))
+    named = [node for node in ast.walk(tree) if isinstance(node, ast.Name) and node.id in stores]
+    opened = [node.args[0] for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "store" and node.args]
+    assert {node.id for node in named} == stores
+    assert [f"line {node.lineno} {node.id}" for node in named
+            if not any(node is arg for arg in opened)] == []
+
+
+def test_a_copied_run_directory_keeps_its_names(full_run, tmp_path):
+    run_dir = tmp_path / "moved" / "run"
+    shutil.copytree(full_run, run_dir)
+    assert main(["--config", str(CONFIG), "--run-dir", str(run_dir),
+                 "--stage", "report"]) == 0
+    original, copied = (json.loads((d / "manifest.json").read_text())["stages"]
+                        for d in (full_run, run_dir))
+    assert copied["report"]["inputs"] == original["report"]["inputs"]
+    assert list(copied["report"]["inputs"]) == ["classify/outcomes.jsonl"]
+    assert copied["report"]["outputs"] == original["report"]["outputs"]
+    for info in copied.values():
+        for name in [*info["inputs"], *info["outputs"]]:
+            assert not any(Path(name).is_relative_to(d) for d in (full_run, run_dir)), name
+            assert (run_dir / name).exists(), name
+
+
 def test_dry_run_lists_the_files_each_stage_writes(full_run, tmp_path, capsys):
     # a declaration that a stage no longer follows shows up here
     run_dir = tmp_path / "run"
@@ -300,9 +333,13 @@ def test_dry_run_lists_the_files_each_stage_writes(full_run, tmp_path, capsys):
         assert Path(out_dir) == run_dir / stage
         planned[stage] = set(names.split(", "))
     assert not run_dir.exists()
+    # the stores of the live stages, which the fixture's config points elsewhere
+    planned["popularity"].remove("pmc_cache.jsonl")  # written without paths.pmc_cache only
+    for phase in ("baseline", "finetuned"):  # written for a completion endpoint only
+        planned["eval"].remove(f"transcript_{phase}.jsonl")
     planned["lexicalize"].remove("embeddings.jsonl")  # written for an HTTP source only
     manifest = json.loads((full_run / "manifest.json").read_text())
-    written = {stage: {Path(p).relative_to(full_run / stage).as_posix() for p in info["outputs"]}
+    written = {stage: {Path(p).relative_to(stage).as_posix() for p in info["outputs"]}
                for stage, info in manifest["stages"].items()}
     assert planned == written
 
@@ -589,9 +626,9 @@ def test_classify_reads_no_eval_summary(full_run, tmp_path):
     for path in sorted((full_run / "classify").iterdir()):
         assert (run_dir / "classify" / path.name).read_bytes() == path.read_bytes()
     manifest = json.loads((run_dir / "manifest.json").read_text())
-    inputs = [Path(p) for p in manifest["stages"]["classify"]["inputs"]]
-    assert sorted(inputs) == sorted([run_dir / "sample" / "split.jsonl",
-                                     *(run_dir / "eval").glob("results_*.jsonl")])
+    inputs = manifest["stages"]["classify"]["inputs"]
+    assert sorted(inputs) == sorted(["sample/split.jsonl", *(
+        p.relative_to(run_dir).as_posix() for p in (run_dir / "eval").glob("results_*.jsonl"))])
 
 
 # ---------------------------------------------------------------------------
@@ -636,9 +673,9 @@ def test_last_reader_table_matches_manifest_inputs(full_run):
     manifest = json.loads((full_run / "manifest.json").read_text())
     readers: dict[str, list[str]] = {}
     for stage in termbench.pipeline.STAGES:
-        for path in map(Path, manifest["stages"][stage]["inputs"]):
-            if full_run in path.parents:
-                readers.setdefault(path.relative_to(full_run).as_posix(), []).append(stage)
+        for name in manifest["stages"][stage]["inputs"]:
+            if not Path(name).is_absolute():  # a run artifact, not a config-named source
+                readers.setdefault(name, []).append(stage)
     shared = {name: stages[-1] for name, stages in readers.items() if len(stages) > 1}
     assert termbench.pipeline._LAST_READER == shared
 
@@ -727,7 +764,8 @@ def test_each_stage_hashes_each_recorded_file_once(tmp_path, monkeypatch):
         hashed.clear()
         run_stage(cfg, stage)
         info = json.loads((run_dir / "manifest.json").read_text())["stages"][stage]
-        assert sorted(hashed) == sorted(map(Path, [*info["inputs"], *info["outputs"]])), stage
+        assert sorted(hashed) == sorted(run_dir / name
+                                        for name in [*info["inputs"], *info["outputs"]]), stage
 
 
 # ---------------------------------------------------------------------------
@@ -808,19 +846,37 @@ def test_live_eval_records_the_transcripts_it_wrote(full_run, tmp_path, fake_htt
     manifest = json.loads((cfg.run_dir / "manifest.json").read_text())
     transcripts = [p for p in manifest["stages"]["eval"]["outputs"]
                    if Path(p).name.startswith("transcript_")]
-    assert transcripts == [str(cfg.run_dir / "eval" / f"transcript_{phase}.jsonl")
-                           for phase in ("baseline", "finetuned")]
+    assert transcripts == [f"eval/transcript_{phase}.jsonl" for phase in ("baseline", "finetuned")]
     for path in sorted((full_run / "eval").glob("results_*.jsonl")):
         assert (cfg.run_dir / "eval" / path.name).read_bytes() == path.read_bytes()
+
+
+def test_a_store_that_fails_to_load_names_its_file_and_line(full_run, tmp_path, fake_http,
+                                                            capsys):
+    run_dir = tmp_path / "run"
+    _live_eval(full_run, run_dir, fake_http)
+    transcript = run_dir / "eval" / "transcript_baseline.jsonl"
+    data = transcript.read_bytes()
+    transcript.write_bytes(data[:-20])  # the last row torn, as by a killed process
+    last = len(data.splitlines())
+    live = tmp_path / "live.cfg"
+    live.write_text("[endpoints]\ncompletion_url = http://completions.test/v1/chat/completions\n"
+                    "[models]\nbaseline = mock-base-1\nfinetuned = mock-base-1-ft\n",
+                    encoding="utf-8")
+    capsys.readouterr()
+    assert main(["--config", str(live), "--run-dir", str(run_dir), "--stage", "eval"]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: {transcript}: line {last}: bad JSON: ")
 
 
 def _assert_manifest_digests_match_files(run_dir):
     manifest = json.loads((run_dir / "manifest.json").read_text())
     for stage, info in manifest["stages"].items():
         for kind in ("inputs", "outputs"):
-            for path, digest in info[kind].items():
-                assert hashlib.sha256(Path(path).read_bytes()).hexdigest() == digest, (
-                    stage, kind, path)
+            for name, digest in info[kind].items():
+                # `run_dir / name` is `name` itself for an absolute path
+                assert hashlib.sha256((run_dir / name).read_bytes()).hexdigest() == digest, (
+                    stage, kind, name)
     return manifest
 
 
@@ -843,8 +899,7 @@ def test_manifest_digests_are_those_of_the_final_files(full_run, tmp_path, fake_
     run_dir = tmp_path / "eval_run"
     _live_eval(full_run, run_dir, fake_http)
     manifest = _assert_manifest_digests_match_files(run_dir)
-    assert str(run_dir / "eval" / "transcript_baseline.jsonl") in manifest["stages"]["eval"][
-        "outputs"]
+    assert "eval/transcript_baseline.jsonl" in manifest["stages"]["eval"]["outputs"]
 
 
 @contextmanager
@@ -898,7 +953,8 @@ def test_a_live_eval_that_fails_closes_what_it_opened(full_run, tmp_path, fake_h
     run_stage(cfg, "eval")
     manifest = _assert_manifest_digests_match_files(run_dir)
     outputs = manifest["stages"]["eval"]["outputs"]
-    assert [str(path) in outputs for path in transcripts.values()] == [True, True]
+    assert [path.relative_to(run_dir).as_posix() in outputs
+            for path in transcripts.values()] == [True, True]
 
 
 def test_a_popularity_stage_that_fails_part_way_keeps_its_rows(full_run, tmp_path, fake_http,
@@ -942,7 +998,7 @@ def test_a_popularity_stage_that_fails_part_way_keeps_its_rows(full_run, tmp_pat
     assert sorted(answered + refetched) == sorted(counts)
     assert sorted(row["query"] for row in _rows(cache)) == sorted(counts)
     manifest = _assert_manifest_digests_match_files(run_dir)
-    assert str(cache) in manifest["stages"]["popularity"]["outputs"]
+    assert "popularity/pmc_cache.jsonl" in manifest["stages"]["popularity"]["outputs"]
     for path in (full_run / "popularity").glob("*.csv"):
         assert (run_dir / "popularity" / path.name).read_bytes() == path.read_bytes()
 
@@ -1031,8 +1087,7 @@ def test_a_live_rerun_sends_only_what_its_stores_lack(full_run, tmp_path, fake_h
     assert sent == []
     assert _outputs(run_dir) == outputs  # every store keeps its bytes
     manifest = _assert_manifest_digests_match_files(run_dir)
-    recorded = {Path(p).relative_to(run_dir).as_posix()
-                for info in manifest["stages"].values() for p in info["outputs"]}
+    recorded = {name for info in manifest["stages"].values() for name in info["outputs"]}
     assert set(LIVE_STORES) <= recorded
 
 

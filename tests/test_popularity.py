@@ -271,7 +271,7 @@ def test_cache_rejects_a_cached_count_as_a_live_one(tmp_path, count, message):
     _cache_with_count(path, count)
     with pytest.raises(ParseError) as exc:
         QueryCache(path)
-    assert str(exc.value) == f"line 2: {message}"
+    assert str(exc.value) == f"{path}: line 2: {message}"
 
 
 @pytest.mark.parametrize("count,expected", [("007", 7), (12, 12), (0, 0)])

@@ -277,7 +277,6 @@ transcript_finetuned = transcripts/finetuned.jsonl
 [seeds]
 sampling = {SAMPLING_SEED}
 validation_cap = 7
-synthetic = {FIXTURE_SEED}
 
 [sampling]
 n_bins = {N_BINS}
