@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ParseError, ValidationError
@@ -35,13 +35,14 @@ EUTILS_KEY_ENV = "NCBI_API_KEY"
 BLAS_THREADS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def parse_flat_config(text: str) -> dict[str, object]:
-    """Parse the flat config grammar into {'section.key': value}.
+def parse_flat_config(text: str) -> tuple[dict[str, object], dict[str, int]]:
+    """Parse the flat config grammar into {'section.key': value} and {'section.key': line}.
 
     Lines end at "\n" only, so U+2028, U+2029 and U+0085 stay inside a value.
     A leading byte-order mark is ignored.
     """
     values: dict[str, object] = {}
+    lines: dict[str, int] = {}
     section = ""
     for lineno, raw in enumerate(text.removeprefix("\ufeff").split("\n"), start=1):
         line = raw.strip()
@@ -64,7 +65,8 @@ def parse_flat_config(text: str) -> dict[str, object]:
         if full_key in values:
             raise ParseError(f"duplicate key {full_key!r}", lineno)
         values[full_key] = _parse_value(raw_value.strip(), lineno)
-    return values
+        lines[full_key] = lineno
+    return values, lines
 
 
 def _parse_value(raw: str, lineno: int) -> object:
@@ -97,51 +99,48 @@ GO_CC_NAMESPACE = "cellular_component"
 
 @dataclass
 class RunConfig:
-    base_dir: Path
+    """A checked config, built by `load_config` from the file's values and flags alone."""
+
     run_dir: Path
-    raw: dict[str, object] = field(default_factory=dict)
+    raw: dict[str, object]
 
     # paths
-    hpo_obo: Path | None = None
-    go_obo: Path | None = None
-    gene_map: Path | None = None
-    annotations: dict[Terminology, Path] = field(default_factory=dict)
-    pmc_cache: Path | None = None
-    embedding_store: Path | None = None
-    transcripts: dict[str, Path] = field(default_factory=dict)  # phase -> path
+    hpo_obo: Path | None
+    go_obo: Path | None
+    gene_map: Path | None
+    annotations: dict[Terminology, Path]
+    pmc_cache: Path | None
+    embedding_store: Path | None
+    transcripts: dict[str, Path]  # phase -> path
 
     # seeds
-    sampling_seed: int = 0
-    cap_seed: int = 0
+    sampling_seed: int
+    cap_seed: int
 
     # sampling
-    n_bins: int = 20
-    per_bin: int = 10
-    ranking_proxy: str = "id_count_pmc"
+    n_bins: int
+    per_bin: int
+    ranking_proxy: str
 
     # endpoints / models
-    completion_url: str | None = None
-    embedding_url: str | None = None
-    baseline_model: str = "baseline"
-    finetuned_model: str = "finetuned"
+    completion_url: str | None
+    embedding_url: str | None
+    baseline_model: str
+    finetuned_model: str
 
     # limits
-    concurrency: int = 1
-    rate_per_second: float = 3.0
-    validation_cap: int | None = None
+    concurrency: int
+    rate_per_second: float
+    validation_cap: int | None
 
     # flags
-    extract_mode: bool = False
-    all_templates: bool = False
-    offline: bool = False
+    extract_mode: bool
+    all_templates: bool
+    offline: bool
 
     # stats
-    stats_phase: str = "baseline"
-    stats_direction: str = "term_to_id"
-
-    def resolve(self, value: str) -> Path:
-        path = Path(value)
-        return path if path.is_absolute() else self.base_dir / path
+    stats_phase: str
+    stats_direction: str
 
 
 _KIND_NAMES = {str: "a string", int: "an integer", float: "a number", bool: "true or false"}
@@ -153,9 +152,11 @@ def load_config(path: str | Path, run_dir: str | Path | None = None,
 
     `flags` maps a config key to the (flag name, value) that overrides it.
     The file's values are checked first, alone, so a bad value fails even
-    when a flag overrides it; then the merged values are checked by the same
-    rules, and a message about a flag's value names the flag. The merged
-    values are `cfg.raw`, so the manifest records each override.
+    when a flag overrides it, and a message about a file value names its
+    line; then the merged values are checked by the same rules, and a
+    message about a flag's value names the flag. The merged values are
+    `cfg.raw`, so the manifest records each override. A file that is not
+    UTF-8 is a ParseError naming the line of its first bad byte.
 
     `run_dir` (the `--run-dir` flag) overrides `paths.run_dir`. A relative
     `run_dir` is taken from the working directory, a relative
@@ -163,32 +164,41 @@ def load_config(path: str | Path, run_dir: str | Path | None = None,
     file names.
     """
     path = Path(path)
-    values = parse_flat_config(path.read_text(encoding="utf-8"))
-    cfg = _checked_config(values, path.parent.resolve(), {})
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"invalid UTF-8 byte {data[exc.start]:#04x} ({exc.reason})",
+                         data.count(b"\n", 0, exc.start) + 1) from exc
+    values, lines = parse_flat_config(text)
+    base_dir = path.parent.resolve()
+    names = {key: f"{key} (line {n})" for key, n in lines.items()}
+    cfg = _checked_config(values, base_dir, names)
     if flags:
         cfg = _checked_config(values | {key: value for key, (_, value) in flags.items()},
-                              cfg.base_dir, {key: flag for key, (flag, _) in flags.items()})
+                              base_dir, names | {key: flag for key, (flag, _) in flags.items()})
     if run_dir is not None:
         cfg.run_dir = Path(run_dir).absolute()
-    elif "paths.run_dir" in values:
-        cfg.run_dir = cfg.resolve(values["paths.run_dir"])
-    else:
+    elif cfg.run_dir is None:
         raise ValidationError("no run directory: pass --run-dir or set paths.run_dir")
     return cfg
 
 
 def _checked_config(values: dict[str, object], base_dir: Path,
-                    flag_names: dict[str, str]) -> RunConfig:
-    """A RunConfig from `values`, each checked by its key's rule (run_dir left unset).
+                    names: dict[str, str]) -> RunConfig:
+    """A RunConfig from `values`, each checked by its key's rule.
 
-    A message names the key, or the flag in `flag_names` that set it.
+    A message names a key as `names` does (by its line, or by the flag that
+    set it), else by the key alone. Its `run_dir` is `paths.run_dir`, or None.
     """
-    cfg = RunConfig(base_dir=base_dir, run_dir=Path("."), raw=values)
     asked: set[str] = set()
 
+    def name(key: str) -> str:
+        return names.get(key, key)
+
     def bad(key: str, rule: str, value: object) -> ValidationError:
-        """The error for a value that breaks `rule`, naming its flag if a flag set it."""
-        return ValidationError(f"{flag_names.get(key, key)} must be {rule}, got {value!r}")
+        """The error for a value that breaks `rule`."""
+        return ValidationError(f"{name(key)} must be {rule}, got {value!r}")
 
     def get(key: str, kind: type, default=None):
         """The value of `key` checked against `kind` (an int passes as a float)."""
@@ -218,55 +228,62 @@ def _checked_config(values: dict[str, object], base_dir: Path,
 
     def get_path(key) -> Path | None:
         value = get(key, str)
-        return cfg.resolve(value) if value is not None else None
+        return None if value is None else base_dir / value  # an absolute value stays as is
 
-    cfg.hpo_obo = get_path("paths.hpo_obo")
-    cfg.go_obo = get_path("paths.go_obo")
-    cfg.gene_map = get_path("paths.gene_map")
-    for terminology, key in TERMINOLOGY_KEYS.items():
-        p = get_path(f"paths.annotations_{key}")
-        if p is not None:
-            cfg.annotations[terminology] = p
-    cfg.pmc_cache = get_path("paths.pmc_cache")
-    cfg.embedding_store = get_path("paths.embedding_store")
-    for phase in ("baseline", "finetuned"):
-        p = get_path(f"paths.transcript_{phase}")
-        if p is not None:
-            cfg.transcripts[phase] = p
+    def get_rate(key: str) -> float:
+        value = get(key, float, 3.0)
+        if not 0.0 < value < math.inf:
+            raise bad(key, "a finite number above 0", value)
+        return value
 
-    cfg.sampling_seed = get_seed("seeds.sampling")
-    cfg.cap_seed = get_seed("seeds.validation_cap")
+    def get_choice(key: str, choices, default: str) -> str:
+        value = get(key, str, default)
+        if value not in choices:
+            raise bad(key, "|".join(choices), value)
+        return value
 
-    cfg.n_bins = get_at_least("sampling.n_bins", 1, 20)
-    cfg.per_bin = get_at_least("sampling.per_bin", 1, 10)
-    cfg.ranking_proxy = get("sampling.proxy", str, "id_count_pmc")
-    if cfg.ranking_proxy not in PROXIES:
-        raise bad("sampling.proxy", "|".join(PROXIES), cfg.ranking_proxy)
-
-    cfg.completion_url = get("endpoints.completion_url", str)
-    cfg.embedding_url = get("endpoints.embedding_url", str)
-    cfg.baseline_model = get("models.baseline", str, "baseline")
-    cfg.finetuned_model = get("models.finetuned", str, "finetuned")
-
-    cfg.concurrency = get_at_least("limits.concurrency", 1, 1)
-    cfg.rate_per_second = get("limits.rate_per_second", float, 3.0)
-    if not 0.0 < cfg.rate_per_second < math.inf:
-        raise bad("limits.rate_per_second", "a finite number above 0", cfg.rate_per_second)
-    cfg.validation_cap = get_at_least("limits.validation_cap", 0, 0) or None
-
-    cfg.extract_mode = get("flags.extract_mode", bool, False)
-    cfg.all_templates = get("flags.all_templates", bool, False)
-    cfg.offline = get("flags.offline", bool, False)
-
-    cfg.stats_phase = get("stats.correctness_phase", str, "baseline")
-    cfg.stats_direction = get("stats.direction", str, "term_to_id")
-    if cfg.stats_phase not in ("baseline", "finetuned"):
-        raise bad("stats.correctness_phase", "baseline|finetuned", cfg.stats_phase)
-    if cfg.stats_direction not in ("term_to_id", "id_to_term"):
-        raise bad("stats.direction", "term_to_id|id_to_term", cfg.stats_direction)
-
-    get("paths.run_dir", str)
+    cfg = RunConfig(
+        hpo_obo=get_path("paths.hpo_obo"),
+        go_obo=get_path("paths.go_obo"),
+        gene_map=get_path("paths.gene_map"),
+        annotations={t: p for t, key in TERMINOLOGY_KEYS.items()
+                     if (p := get_path(f"paths.annotations_{key}")) is not None},
+        pmc_cache=get_path("paths.pmc_cache"),
+        embedding_store=get_path("paths.embedding_store"),
+        transcripts={phase: p for phase in ("baseline", "finetuned")
+                     if (p := get_path(f"paths.transcript_{phase}")) is not None},
+        sampling_seed=get_seed("seeds.sampling"),
+        cap_seed=get_seed("seeds.validation_cap"),
+        n_bins=get_at_least("sampling.n_bins", 1, 20),
+        per_bin=get_at_least("sampling.per_bin", 1, 10),
+        ranking_proxy=get_choice("sampling.proxy", PROXIES, "id_count_pmc"),
+        completion_url=get("endpoints.completion_url", str),
+        embedding_url=get("endpoints.embedding_url", str),
+        baseline_model=get("models.baseline", str, "baseline"),
+        finetuned_model=get("models.finetuned", str, "finetuned"),
+        concurrency=get_at_least("limits.concurrency", 1, 1),
+        rate_per_second=get_rate("limits.rate_per_second"),
+        validation_cap=get_at_least("limits.validation_cap", 0, 0) or None,
+        extract_mode=get("flags.extract_mode", bool, False),
+        all_templates=get("flags.all_templates", bool, False),
+        offline=get("flags.offline", bool, False),
+        stats_phase=get_choice("stats.correctness_phase", ("baseline", "finetuned"), "baseline"),
+        stats_direction=get_choice("stats.direction", ("term_to_id", "id_to_term"),
+                                   "term_to_id"),
+        run_dir=get_path("paths.run_dir"),
+        raw=values,
+    )
     unknown = sorted(set(values) - asked)
     if unknown:
-        raise ValidationError(f"unknown config key(s): {', '.join(unknown)}")
+        raise ValidationError(f"unknown config key(s): {', '.join(map(name, unknown))}")
+    # an endpoint that a config-named file stands in for everywhere would never be asked
+    if cfg.completion_url is not None and len(cfg.transcripts) == 2:
+        raise ValidationError(
+            f"{name('endpoints.completion_url')} is never used: "
+            f"{name('paths.transcript_baseline')} and {name('paths.transcript_finetuned')} "
+            "replay both phases")
+    if cfg.embedding_url is not None and cfg.embedding_store is not None:
+        raise ValidationError(
+            f"{name('endpoints.embedding_url')} is never used: "
+            f"{name('paths.embedding_store')} stands in for it")
     return cfg

@@ -154,20 +154,19 @@ def _evaluate_one(
 def run_eval(
     provider: CompletionProvider,
     prompts: Sequence[PromptInstance],
+    expected: Sequence[str],
     model_id: str,
     phase: Phase,
     concurrency_limit: int = 1,
     extract: bool = False,
-    expected: Sequence[str] | None = None,
 ) -> EvalRun:
     """Evaluate prompts against one model and score hits@1.
 
     Provider failures count as incorrect (with the error recorded on the
     item) so denominators always equal the prompt-set size. Items are
     ordered by (pair_id, template_id) no matter how completions are
-    scheduled. `expected` is `expected_answers(prompts, extract)`, which
-    a caller scoring the same prompts more than once computes once;
-    without it, it is computed here.
+    scheduled. `expected` is `expected_answers(prompts, extract)`, which a
+    caller scoring the same prompts more than once computes once.
     """
     prompts = list(prompts)
     if not prompts:
@@ -177,9 +176,7 @@ def run_eval(
     if any(p.pair.terminology is not terminology or p.direction is not direction
            for p in prompts):
         raise DomainError("a run covers exactly one terminology and direction")
-    if expected is None:
-        expected = expected_answers(prompts, extract)
-    elif len(expected) != len(prompts):
+    if len(expected) != len(prompts):
         raise DomainError(f"{len(expected)} expected answers for {len(prompts)} prompts")
 
     items = bounded_map(

@@ -11,7 +11,7 @@ character escaped.
 Rows are separated by "\\n" only. `json.dumps(..., ensure_ascii=False)`
 writes U+2028, U+2029 and U+0085 verbatim inside strings, and
 `str.splitlines` would split a row at any of them, so nothing here uses it.
-Both text and binary streams are read line by line, never whole.
+A stream is read line by line, never whole.
 
 Both row codecs call the C scanner and encoder that `json.loads` and
 `json.dumps` reach, skipping the set-up those functions repeat per call.
@@ -51,7 +51,7 @@ _ENCODE = json.encoder.c_make_encoder(
 
 
 def iter_rows(stream: IO, build: Callable[[dict], T]) -> Iterator[T]:
-    """Yield `build(row)` for every non-blank line of a JSONL stream.
+    """Yield `build(row)` for every non-blank line of a JSONL text stream.
 
     A line that is not JSON, or whose row `build` rejects with KeyError,
     ValueError, TypeError or ParseError, raises ParseError naming the line.
@@ -59,8 +59,6 @@ def iter_rows(stream: IO, build: Callable[[dict], T]) -> Iterator[T]:
     skips it when blank or raises its own error for it.
     """
     for lineno, line in enumerate(stream, start=1):
-        if isinstance(line, bytes):
-            line = line.decode("utf-8")
         if lineno == 1:
             line = line.lstrip("\ufeff")
         text = line.strip(_JSON_WS)
@@ -105,8 +103,7 @@ class KeyedStore:
     naming the file and the line. `put` appends a row through one handle shared by
     threads, opened at the first row (a last row that lacks its "\\n" then
     gets one), and flushes it, so a killed process keeps every row put
-    before it died. Close the store, or use it in a `with` block, before
-    anything hashes the file.
+    before it died. Close the store before anything hashes the file.
     """
 
     def __init__(self, path: str | Path):
@@ -144,12 +141,6 @@ class KeyedStore:
             if self._fh is not None:
                 self._fh.close()
                 self._fh = None
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
 
 def write_document(payload: dict, sink: IO) -> None:

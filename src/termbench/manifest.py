@@ -6,6 +6,8 @@ rename) after each stage completes, storing the SHA-256 digests that the
 stage took of its inputs and outputs (`pipeline.StageFiles`), keyed by
 their names under the run directory (the absolute path for a file outside
 it), its wall time and the process's memory high-water mark after it.
+Every output lies under the run directory, so a manifest that names one by
+its absolute path was written before these names, and is refused.
 """
 
 from __future__ import annotations
@@ -46,6 +48,11 @@ class RunManifest:
             if not (isinstance(self.data, dict) and all(
                     isinstance(self.data.get(key), dict) for key in ("stages", "release_tags"))):
                 raise ParseError(f"unreadable run manifest {self.path}: not a run manifest")
+            if any(Path(name).is_absolute() for entry in self.data["stages"].values()
+                   for name in entry.get("outputs", ())):
+                raise ParseError(
+                    f"run manifest {self.path} names stage outputs by absolute path, as an "
+                    "older version wrote them; remove it and re-run from the 'ingest' stage")
         else:
             self.data = {
                 "tool": "termbench",

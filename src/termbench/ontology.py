@@ -80,16 +80,13 @@ class OboDocument:
 
 
 def read_lines(stream: IO) -> list[str]:
-    """The stream's text (bytes decoded as UTF-8, BOM dropped) split into lines.
+    """The text stream's content, its byte-order mark dropped, split into lines.
 
     Lines end at "\n" only, each losing one trailing "\r" so CRLF files
     parse; `str.splitlines` would also cut a label at U+0085, U+2028 or
     U+2029.
     """
-    data = stream.read()
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    lines = data.removeprefix("\ufeff").split("\n")
+    lines = stream.read().removeprefix("\ufeff").split("\n")
     if lines[-1] == "":
         lines.pop()
     return [line[:-1] if line.endswith("\r") else line for line in lines]

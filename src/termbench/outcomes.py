@@ -229,45 +229,16 @@ def sankey_edges(outcomes: Sequence[PairOutcome]) -> list[tuple[str, str, int]]:
 # Report tables
 
 
-@dataclass(frozen=True)
-class PerformanceRow:
-    mapping: str
-    baseline_pct: float
-    finetuned_pct: float
-    delta_pct: float
-
-
-@dataclass(frozen=True)
-class CategoryRow:
-    terminology: str
-    direction: str
-    category: str
-    validation_pct: float
-    trained_pct: float
-
-
-@dataclass(frozen=True)
-class DerivedRow:
-    task: str
-    metrics: DerivedMetrics
-
-
-@dataclass
-class ReportBundle:
-    performance: list[PerformanceRow]
-    categories: list[CategoryRow]
-    derived: list[DerivedRow]
-
-
 DIRECTION_ORDER = (Direction.ID_TO_TERM, Direction.TERM_TO_ID)
 
 
-def table_report(outcomes: Sequence[PairOutcome]) -> ReportBundle:
-    """Build the three report tables from a complete outcome set.
+def table_report(outcomes: Sequence[PairOutcome]) -> tuple[list[tuple], list[tuple], list[tuple]]:
+    """The performance, category and derived-metric tables of a complete outcome set.
 
-    A run's accuracy is the share of its pairs whose outcome flag is set, so
-    the performance table and the category shares rest on the same
-    per-pair correctness.
+    Each table is a list of rows in its writer's column order. A run's
+    accuracy is the share of its pairs whose outcome flag is set, so the
+    performance table and the category shares rest on the same per-pair
+    correctness.
     """
     outcome_map: dict[tuple[Terminology, Direction], list[PairOutcome]] = {}
     for o in outcomes:
@@ -276,9 +247,9 @@ def table_report(outcomes: Sequence[PairOutcome]) -> ReportBundle:
     combos = [
         (t, d) for t in Terminology for d in DIRECTION_ORDER if (t, d) in outcome_map
     ]
-    performance: list[PerformanceRow] = []
-    categories: list[CategoryRow] = []
-    derived: list[DerivedRow] = []
+    performance: list[tuple] = []
+    categories: list[tuple] = []
+    derived: list[tuple] = []
     for t, d in combos:
         label = direction_label(t, d)
         combo_outcomes = outcome_map[(t, d)]
@@ -286,45 +257,29 @@ def table_report(outcomes: Sequence[PairOutcome]) -> ReportBundle:
         base_pct = Fraction(sum(o.baseline_correct for o in combo_outcomes) * 100, n)
         tuned_pct = Fraction(sum(o.finetuned_correct for o in combo_outcomes) * 100, n)
         performance.append(
-            PerformanceRow(
-                mapping=label,
-                baseline_pct=round1(base_pct),
-                finetuned_pct=round1(tuned_pct),
-                delta_pct=round1(tuned_pct - base_pct),
-            )
-        )
+            (label, round1(base_pct), round1(tuned_pct), round1(tuned_pct - base_pct)))
         train, val = split_percentages(combo_outcomes, f" in outcomes for {label}")
         for cat in OutcomeCategory:
             categories.append(
-                CategoryRow(
-                    terminology=t.display,
-                    direction=label,
-                    category=cat.value,
-                    validation_pct=round1(val.get(cat)),
-                    trained_pct=round1(train.get(cat)),
-                )
-            )
-        derived.append(DerivedRow(task=label, metrics=metrics_from_split_percentages(train, val)))
-    return ReportBundle(performance=performance, categories=categories, derived=derived)
+                (t.display, label, cat.value, round1(val.get(cat)), round1(train.get(cat))))
+        m = metrics_from_split_percentages(train, val)
+        derived.append((label, m.memorized_pct, m.generalized_pct, m.degraded_pct,
+                        m.degraded_pooled_pct, m.accuracy_pct))
+    return performance, categories, derived
 
 
-def write_performance_csv(rows: Sequence[PerformanceRow], sink: IO) -> None:
-    write_table(["mapping", "baseline_pct", "finetuned_pct", "delta_ft_pct"],
-                ((r.mapping, r.baseline_pct, r.finetuned_pct, r.delta_pct) for r in rows), sink)
+def write_performance_csv(rows: Iterable[tuple], sink: IO) -> None:
+    write_table(["mapping", "baseline_pct", "finetuned_pct", "delta_ft_pct"], rows, sink)
 
 
-def write_categories_csv(rows: Sequence[CategoryRow], sink: IO) -> None:
+def write_categories_csv(rows: Iterable[tuple], sink: IO) -> None:
     write_table(["terminology", "direction", "category", "validation_pct", "trained_pct"],
-                ((r.terminology, r.direction, r.category, r.validation_pct, r.trained_pct)
-                 for r in rows), sink)
+                rows, sink)
 
 
-def write_derived_csv(rows: Sequence[DerivedRow], sink: IO) -> None:
+def write_derived_csv(rows: Iterable[tuple], sink: IO) -> None:
     write_table(["task", "memorized_pct", "generalized_pct", "degraded_pct",
-                 "degraded_pooled_pct", "accuracy_pct"],
-                ((r.task, r.metrics.memorized_pct, r.metrics.generalized_pct,
-                  r.metrics.degraded_pct, r.metrics.degraded_pooled_pct,
-                  r.metrics.accuracy_pct) for r in rows), sink)
+                 "degraded_pooled_pct", "accuracy_pct"], rows, sink)
 
 
 def write_sankey_csv(edges: Sequence[tuple[str, str, int]], sink: IO) -> None:

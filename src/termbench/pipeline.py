@@ -2,7 +2,8 @@
 
 `_STAGE_TABLE` declares, in run order, each stage's function, the earlier
 stages' artifacts it reads and the files it may write under
-`<run>/<stage>/`. A stage is called as `stage(cfg, files)` and reaches its
+`<run>/<stage>/`; `_store_files` names the stores it opens under a given
+config. A stage is called as `stage(cfg, files)` and reaches its
 run only through `files`, a `StageFiles`, which refuses an undeclared name,
 opens the stores and hashes each file once as it records it. `run_stage`
 checks every declared input before the stage writes anything, and alone
@@ -158,8 +159,9 @@ class StageFiles:
     by its path. `reads` and `writes` are the stage's declarations in
     `_STAGE_TABLE`: artifact names relative to the run directory
     (`sample/split.jsonl`, the stage that writes one being its first part),
-    and names under `<run>/<stage>/`. Any other name is a KeyError, a fault
-    in the code and never in the input.
+    and names under `<run>/<stage>/`; `stores` are the stores the stage
+    opens under this config (`_store_files`). Any other name is a KeyError,
+    a fault in the code and never in the input.
     """
 
     def __init__(self, cfg: RunConfig, stage: str):
@@ -167,6 +169,7 @@ class StageFiles:
         self.run_dir = cfg.run_dir
         self.out_dir = cfg.run_dir / stage
         _, self.reads, self.writes = _STAGE_TABLE[stage]
+        self.stores = _store_files(cfg, stage)
         self.manifest = run_manifest.RunManifest(cfg.run_dir)
         self.inputs: dict[str, str] = {}
         self.outputs: dict[str, str] = {}
@@ -177,11 +180,6 @@ class StageFiles:
         recorded = self.outputs if output else self.inputs
         if name not in recorded:
             recorded[name] = run_manifest.sha256_file(path)
-
-    def _output(self, name: str) -> Path:
-        if name not in self.writes:
-            raise KeyError(f"stage {self.stage!r} does not declare the output {name!r}")
-        return self.out_dir / name
 
     def artifact(self, name: str) -> Path:
         """The earlier stage's file `<run>/<name>`, which must be declared and exist."""
@@ -223,26 +221,49 @@ class StageFiles:
 
     def write(self, name: str, writer, *args) -> None:
         """`writer(*args, stream)` into this stage's declared file `<run>/<stage>/<name>`."""
-        path = self._output(name)
+        if name not in self.writes:
+            raise KeyError(f"stage {self.stage!r} does not declare the output {name!r}")
+        path = self.out_dir / name
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w", encoding="utf-8", newline=_newline(name)) as fh:
             writer(*args, fh)
         self._record(path, output=True)
 
     @contextmanager
-    def store(self, store_type, name: str, path: Path | None = None):
-        """The `jsonl.KeyedStore` `store_type` over the declared `name`, or over the
-        config-named `path` in its place. It is closed as the block exits and,
-        if the block ends, recorded: an output under `<run>/<stage>/`, else an input.
+    def store(self, store_type, name: str):
+        """The `jsonl.KeyedStore` `store_type` over the file of the store `name`.
+
+        It is closed as the block exits and, if the block ends, recorded: an
+        output under `<run>/<stage>/`, else an input.
         """
-        declared = self._output(name)
-        store = store_type(path or declared)
+        store = store_type(self.stores[name])
         try:
             yield store
         finally:
             store.close()
         if store.path.exists():
             self._record(store.path, output=store.path.is_relative_to(self.out_dir))
+
+
+def _store_files(cfg: RunConfig, stage: str) -> dict[str, Path]:
+    """Each store `stage` opens under `cfg`, by its name, and the file it grows.
+
+    `popularity` grows the PMC cache that `paths.pmc_cache` names, else
+    its own. `eval` keeps the transcript of each phase that no config-named
+    transcript replays, and `lexicalize` the cache of an embedding source
+    that no config-named store stands in for, under `<run>/<stage>/`, when
+    the config names the endpoint.
+    """
+    out_dir = cfg.run_dir / stage
+    if stage == "popularity":
+        return {"pmc_cache.jsonl": cfg.pmc_cache or out_dir / "pmc_cache.jsonl"}
+    names = []
+    if stage == "eval" and cfg.completion_url:
+        names = [f"transcript_{phase.value}.jsonl" for phase in Phase
+                 if phase.value not in cfg.transcripts]
+    elif stage == "lexicalize" and cfg.embedding_url and cfg.embedding_store is None:
+        names = ["embeddings.jsonl"]
+    return {name: out_dir / name for name in names}
 
 
 def _tkey(t: Terminology) -> str:
@@ -304,7 +325,7 @@ def stage_popularity(cfg: RunConfig, files: StageFiles) -> None:
         for query in (identifier_query(record.identifier), term_query(record.label))
     ]
     with (HttpTransport(cfg.concurrency) as transport,
-          files.store(QueryCache, "pmc_cache.jsonl", cfg.pmc_cache) as cache):
+          files.store(QueryCache, "pmc_cache.jsonl") as cache):
         client = PmcClient(cache=cache, transport=None if cfg.offline else transport,
                            api_key=os.environ.get(EUTILS_KEY_ENV),
                            rate_limiter=TokenBucket(cfg.rate_per_second))
@@ -390,11 +411,12 @@ def _completion_provider(cfg: RunConfig, phase: Phase, files: StageFiles,
                          transport: HttpTransport):
     """The phase's provider, for the block; a live one's transcript is a store."""
     transcript_path = cfg.transcripts.get(phase.value)
+    name = f"transcript_{phase.value}.jsonl"
     if transcript_path is not None:
         yield ReplayProvider.from_transcript(
             files.source(transcript_path, f"paths.transcript_{phase.value}"))
-    elif cfg.completion_url:
-        with files.store(TranscriptWriter, f"transcript_{phase.value}.jsonl") as transcript:
+    elif name in files.stores:
+        with files.store(TranscriptWriter, name) as transcript:
             yield HttpCompletionProvider(
                 url=cfg.completion_url,
                 transport=transport,
@@ -427,10 +449,9 @@ def stage_eval(cfg: RunConfig, files: StageFiles) -> None:
             with _completion_provider(cfg, phase, files, transport) as provider:
                 for t, d, group, expected in groups:
                     run = run_eval(
-                        provider, group, model_id, phase,
+                        provider, group, expected, model_id, phase,
                         concurrency_limit=cfg.concurrency,
                         extract=cfg.extract_mode,
-                        expected=expected,
                     )
                     stem = _run_stem(phase, t, d)
                     files.write(f"results_{stem}.jsonl", write_results_jsonl, run)
@@ -468,7 +489,7 @@ def _embedding_provider(cfg: RunConfig, files: StageFiles, transport: HttpTransp
     if cfg.embedding_store is not None:
         yield FileEmbeddingStore.from_path(
             files.source(cfg.embedding_store, "paths.embedding_store"))
-    elif cfg.embedding_url:
+    elif "embeddings.jsonl" in files.stores:
         with files.store(EmbeddingCache, "embeddings.jsonl") as cache:
             yield HttpEmbeddingProvider(cfg.embedding_url, transport, cache,
                                         api_key=os.environ.get(EMBEDDING_KEY_ENV))
@@ -554,10 +575,11 @@ def stage_stats(cfg: RunConfig, files: StageFiles) -> None:
 
 
 def stage_report(cfg: RunConfig, files: StageFiles) -> None:
-    bundle = table_report(files.read("classify/outcomes.jsonl", read_outcomes_jsonl))
-    files.write("performance_summary.csv", write_performance_csv, bundle.performance)
-    files.write("outcome_categories.csv", write_categories_csv, bundle.categories)
-    files.write("derived_metrics.csv", write_derived_csv, bundle.derived)
+    performance, categories, derived = table_report(
+        files.read("classify/outcomes.jsonl", read_outcomes_jsonl))
+    files.write("performance_summary.csv", write_performance_csv, performance)
+    files.write("outcome_categories.csv", write_categories_csv, categories)
+    files.write("derived_metrics.csv", write_derived_csv, derived)
 
 
 _MAPPINGS = [f"{_tkey(t)}_{d.value}" for t in TERMINOLOGIES for d in DIRECTIONS]
@@ -566,27 +588,25 @@ _RUN_STEMS = [_run_stem(phase, t, d)
 _SPLIT = "sample/split.jsonl"
 # stage name -> (function, artifacts it reads, files it may write), in run order. Reads
 # are checked in this order; config-named sources are recorded as the stage reaches
-# them. A store (pmc_cache, transcript_<phase>, embeddings) is written only for a live
-# source that the config names no file for, and fine-tune files only for a terminology
-# with training pairs. A function takes (cfg, files) and returns None, or the facts its
-# manifest entry records: `ingest`'s release tags, the seeds that drew `sample`'s split.
+# them. Fine-tune files are written only for a terminology with training pairs, and
+# the stores a stage opens (`_store_files`) are declared by the config, not here. A
+# function takes (cfg, files) and returns None, or the facts its manifest entry
+# records: `ingest`'s release tags, the seeds that drew `sample`'s split.
 _STAGE_TABLE = {
     "ingest": (stage_ingest, [], [f"records_{_tkey(t)}.jsonl" for t in TERMINOLOGIES]),
     "popularity": (stage_popularity, [f"ingest/records_{_tkey(t)}.jsonl" for t in TERMINOLOGIES],
-                   ["popularity.csv", *(f"rank_points_{_tkey(t)}.csv" for t in TERMINOLOGIES),
-                    "pmc_cache.jsonl"]),
+                   ["popularity.csv", *(f"rank_points_{_tkey(t)}.csv" for t in TERMINOLOGIES)]),
     "sample": (stage_sample, ["popularity/popularity.csv"], ["split.jsonl"]),
     "prompts": (stage_prompts, [_SPLIT], ["prompts.jsonl", *(
         f"finetune_{td}{ext}" for td in _MAPPINGS for ext in (".jsonl", ".manifest.json"))]),
-    "eval": (stage_eval, ["prompts/prompts.jsonl", _SPLIT], [*(
+    "eval": (stage_eval, ["prompts/prompts.jsonl", _SPLIT], [
         f"{kind}_{stem}{ext}" for stem in _RUN_STEMS
-        for kind, ext in (("results", ".jsonl"), ("summary", ".json"))),
-        *(f"transcript_{phase.value}.jsonl" for phase in Phase)]),
+        for kind, ext in (("results", ".jsonl"), ("summary", ".json"))]),
     "classify": (stage_classify, [_SPLIT, *(f"eval/results_{stem}.jsonl" for stem in _RUN_STEMS)],
                  [*(f"sankey_{td}_{split.value}.csv" for td in _MAPPINGS for split in Split),
                   "outcomes.jsonl", "metrics.json"]),
     "lexicalize": (stage_lexicalize, [_SPLIT], ["alignment.json", "pca_points.csv",
-                   "pca_variance.csv", "distance_summary.csv", "embeddings.jsonl"]),
+                   "pca_variance.csv", "distance_summary.csv"]),
     "stats": (stage_stats, ["popularity/popularity.csv", "classify/outcomes.jsonl"], [
         f"{kind}_{proxy}.csv"
         for proxy in PROXIES for kind in ("observations", "anova", "games_howell")]),
@@ -610,7 +630,10 @@ def run_stage(cfg: RunConfig, stage: str, dry_run: bool = False) -> None:
         raise ValidationError(f"unknown stage {stage!r}; expected one of {', '.join(STAGES)}")
     stage_func, reads, writes = _STAGE_TABLE[stage]
     if dry_run:
-        print(f"[dry-run] {stage}: would write {', '.join(writes)} under {cfg.run_dir / stage}")
+        out_dir = cfg.run_dir / stage
+        stores = [name for name, path in _store_files(cfg, stage).items()
+                  if path.is_relative_to(out_dir)]
+        print(f"[dry-run] {stage}: would write {', '.join([*writes, *stores])} under {out_dir}")
         return
     files = StageFiles(cfg, stage)
     files.manifest.set_config(

@@ -45,7 +45,7 @@ class SampledPair:
     split: Split
 
 
-def stratify(dist: RankedDistribution, n_bins: int = 20) -> list[FrequencyBin]:
+def stratify(dist: RankedDistribution, n_bins: int) -> list[FrequencyBin]:
     """Partition the ranked identifiers into n_bins contiguous rank slices.
 
     The first (N mod n_bins) bins take the extra member, so sizes differ by
@@ -69,7 +69,7 @@ def sample_bins(
     bins: list[FrequencyBin],
     index: dict[str, TermRecord | PopularityRecord],
     seed: int,
-    per_bin: int = 10,
+    per_bin: int,
 ) -> list[SampledPair]:
     """Draw per_bin identifiers from each bin without replacement.
 

@@ -11,6 +11,7 @@ as the csv module requires.
 from __future__ import annotations
 
 import csv
+from types import SimpleNamespace
 from typing import IO, Iterable, Iterator, Sequence
 
 from .errors import ParseError
@@ -18,7 +19,11 @@ from .errors import ParseError
 
 def write_table(header: Sequence[str], rows: Iterable[Sequence], sink: IO) -> int:
     """Write `header`, then each of `rows` as it comes; return the row count."""
-    writer = csv.writer(sink, lineterminator="\n")
+    # The writer quotes a field holding a character of its line terminator, so
+    # it ends rows at "\r\n" and a field holding a lone "\r", at which the
+    # reader would end the row, is quoted too; each row is written ending at "\n".
+    writer = csv.writer(SimpleNamespace(write=lambda line: sink.write(line[:-2] + "\n")),
+                        lineterminator="\r\n")
     writer.writerow(header)
     n = 0
     for n, row in enumerate(rows, start=1):

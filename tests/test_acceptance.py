@@ -18,7 +18,7 @@ import numpy as np
 
 from termbench.alignment import pca_project, rowwise_alignment
 from termbench.cli import main as cli_main
-from termbench.evaluate import Phase, run_eval, write_results_jsonl
+from termbench.evaluate import Phase, expected_answers, run_eval, write_results_jsonl
 from termbench.ontology import TermRecord, Terminology, build_index
 from termbench.outcomes import (
     CategoryPercentages,
@@ -228,7 +228,7 @@ def test_criterion_05_eval_determinism():
     )
     blobs = []
     for _ in range(2):
-        run = run_eval(provider, prompts, "m", Phase.BASELINE)
+        run = run_eval(provider, prompts, expected_answers(prompts), "m", Phase.BASELINE)
         assert run.accuracy == 0.75
         buf = io.StringIO()
         write_results_jsonl(run, buf)

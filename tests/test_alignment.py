@@ -3,6 +3,7 @@ import json
 import math
 import struct
 import tracemalloc
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -487,12 +488,12 @@ def test_paired_distance_matches_label_reference_exactly(blocks):
 @pytest.fixture
 def cache(tmp_path):
     """An `EmbeddingCache` on the test's `embeddings.jsonl`, closed when the test ends."""
-    with EmbeddingCache(tmp_path / "embeddings.jsonl") as cache:
+    with closing(EmbeddingCache(tmp_path / "embeddings.jsonl")) as cache:
         yield cache
 
 
 def write_store_jsonl(vectors, path) -> None:
-    with EmbeddingCache(path) as cache:
+    with closing(EmbeddingCache(path)) as cache:
         for text, vec in vectors.items():
             cache.put(text, vec)
 
@@ -616,7 +617,7 @@ def test_http_embedding_provider_rejects_a_length_unlike_earlier_replies(cache):
 
 def test_http_embedding_provider_rejects_a_length_unlike_its_stored_vectors(tmp_path):
     write_store_jsonl({"a": np.array([1.0, 2.0])}, tmp_path / "embeddings.jsonl")
-    with EmbeddingCache(tmp_path / "embeddings.jsonl") as cache:
+    with closing(EmbeddingCache(tmp_path / "embeddings.jsonl")) as cache:
         provider = HttpEmbeddingProvider(
             "http://e", lambda m, u, **r: (200, json.dumps({"vectors": [[3.0]]})), cache)
         with pytest.raises(ProtocolError, match="unequal"):
@@ -632,10 +633,10 @@ def test_http_embedding_provider_sends_only_what_its_store_lacks(tmp_path):
                                             for t in request["json"]["texts"]]})
 
     path = tmp_path / "embeddings.jsonl"
-    with EmbeddingCache(path) as cache:
+    with closing(EmbeddingCache(path)) as cache:
         first = HttpEmbeddingProvider("http://e", transport, cache).embed_many(["a", "bb"])
     stored = path.read_bytes()
-    with EmbeddingCache(path) as cache:
+    with closing(EmbeddingCache(path)) as cache:
         again = HttpEmbeddingProvider("http://e", transport, cache).embed_many(
             ["bb", "ccc", "a"])
     assert texts == ["a", "bb", "ccc"]

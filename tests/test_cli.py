@@ -38,13 +38,15 @@ rate_per_second = 2.5
 offline = true
 extract_mode = false
 """
-    values = parse_flat_config(text)
+    values, lines = parse_flat_config(text)
     assert values["paths.run_dir"] == "runs/demo"
     assert values["paths.quoted"] == "a b # c"
     assert values["limits.concurrency"] == 4
     assert values["limits.rate_per_second"] == 2.5
     assert values["flags.offline"] is True
     assert values["flags.extract_mode"] is False
+    assert lines == {"paths.run_dir": 3, "paths.quoted": 4, "limits.concurrency": 7,
+                     "limits.rate_per_second": 8, "flags.offline": 11, "flags.extract_mode": 12}
 
 
 def test_parse_flat_config_duplicate_key():
@@ -60,12 +62,12 @@ def test_parse_flat_config_malformed_line():
 
 @pytest.mark.parametrize("sep", ["\u2028", "\u2029", "\u0085"])
 def test_parse_flat_config_keeps_unicode_line_separators_in_values(sep):
-    values = parse_flat_config(f"[paths]\nrun_dir = runs/a{sep}b\n")
+    values, _ = parse_flat_config(f"[paths]\nrun_dir = runs/a{sep}b\n")
     assert values == {"paths.run_dir": f"runs/a{sep}b"}
 
 
 def test_parse_flat_config_ignores_a_leading_byte_order_mark():
-    values = parse_flat_config("\ufeff[paths]\nrun_dir = runs/a\n")
+    values, _ = parse_flat_config("\ufeff[paths]\nrun_dir = runs/a\n")
     assert values == {"paths.run_dir": "runs/a"}
 
 
@@ -80,26 +82,29 @@ def test_config_saved_with_a_byte_order_mark_runs(tmp_path):
 
 
 @pytest.mark.parametrize("binding,message", [
-    ("[flags]\noffline = no", "flags.offline must be true or false, got 'no'"),
-    ("[sampling]\nn_bins = twenty", "sampling.n_bins must be an integer, got 'twenty'"),
-    ("[sampling]\nper_bim = 3", "unknown config key(s): sampling.per_bim"),
-    ("[sampling]\nn_bins = 0", "sampling.n_bins must be at least 1, got 0"),
-    ("[sampling]\nper_bin = -1", "sampling.per_bin must be at least 1, got -1"),
-    ("[limits]\nconcurrency = 0", "limits.concurrency must be at least 1, got 0"),
+    ("[flags]\noffline = no", "flags.offline (line 4) must be true or false, got 'no'"),
+    ("[sampling]\nn_bins = twenty", "sampling.n_bins (line 4) must be an integer, got 'twenty'"),
+    ("[sampling]\nper_bim = 3", "unknown config key(s): sampling.per_bim (line 4)"),
+    ("[sampling]\nn_bins = 0", "sampling.n_bins (line 4) must be at least 1, got 0"),
+    ("[sampling]\nper_bin = -1", "sampling.per_bin (line 4) must be at least 1, got -1"),
+    ("[limits]\nconcurrency = 0", "limits.concurrency (line 4) must be at least 1, got 0"),
     ("[limits]\nrate_per_second = 0",
-     "limits.rate_per_second must be a finite number above 0, got 0.0"),
+     "limits.rate_per_second (line 4) must be a finite number above 0, got 0.0"),
     ("[limits]\nrate_per_second = -2.5",
-     "limits.rate_per_second must be a finite number above 0, got -2.5"),
+     "limits.rate_per_second (line 4) must be a finite number above 0, got -2.5"),
     ("[limits]\nrate_per_second = inf",
-     "limits.rate_per_second must be a finite number above 0, got inf"),
+     "limits.rate_per_second (line 4) must be a finite number above 0, got inf"),
     ("[sampling]\nproxy = id_count_pcm",
-     "sampling.proxy must be id_count_pmc|term_count_pmc|annotation_count, got 'id_count_pcm'"),
-    ("[limits]\nvalidation_cap = -1", "limits.validation_cap must be at least 0, got -1"),
-    ("[seeds]\nsampling = -1", "seeds.sampling must be an unsigned 64-bit integer, got -1"),
+     "sampling.proxy (line 4) must be id_count_pmc|term_count_pmc|annotation_count, "
+     "got 'id_count_pcm'"),
+    ("[limits]\nvalidation_cap = -1", "limits.validation_cap (line 4) must be at least 0, got -1"),
+    ("[seeds]\nsampling = -1",
+     "seeds.sampling (line 4) must be an unsigned 64-bit integer, got -1"),
     ("[seeds]\nsampling = 18446744073709551621",
-     "seeds.sampling must be an unsigned 64-bit integer, got 18446744073709551621"),
+     "seeds.sampling (line 4) must be an unsigned 64-bit integer, got 18446744073709551621"),
     ("[seeds]\nvalidation_cap = 18446744073709551616",
-     "seeds.validation_cap must be an unsigned 64-bit integer, got 18446744073709551616"),
+     "seeds.validation_cap (line 4) must be an unsigned 64-bit integer, "
+     "got 18446744073709551616"),
 ], ids=["bool", "int", "unknown-key", "n_bins-zero", "per_bin-negative", "concurrency-zero",
         "rate-zero", "rate-negative", "rate-infinite", "proxy-misspelled",
         "validation_cap-negative", "sampling-seed-negative", "sampling-seed-above-u64",
@@ -111,6 +116,56 @@ def test_bad_config_value_exits_1_naming_the_key(tmp_path, capsys, binding, mess
     assert code == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "run").exists()
+
+
+def test_unknown_keys_are_named_with_their_lines(tmp_path, capsys):
+    cfg_file = tmp_path / "c.cfg"
+    cfg_file.write_text("[paths]\nrun_dir = run\n[limits]\nconcurency = 2\n\n[flag]\n"
+                        "offline = true\n", encoding="utf-8")
+    assert main(["--config", str(cfg_file), "--stage", "ingest"]) == 1
+    assert capsys.readouterr().err == (
+        "error: unknown config key(s): flag.offline (line 7), limits.concurency (line 4)\n")
+
+
+@pytest.mark.parametrize("data,line", [
+    (b"[paths]\nrun_dir = run\nhpo_obo = hp\xff.obo\n", 3),
+    (b"\xff[paths]\nrun_dir = run\n", 1),
+], ids=["in-a-value", "first-byte"])
+def test_a_config_that_is_not_utf8_exits_1_naming_the_line(tmp_path, capsys, data, line):
+    cfg_file = tmp_path / "c.cfg"
+    cfg_file.write_bytes(data)
+    assert main(["--config", str(cfg_file), "--stage", "ingest"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: line {line}: invalid UTF-8 byte 0xff (invalid start byte)\n")
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("bindings,message", [
+    ("[paths]\nrun_dir = run\ntranscript_baseline = b.jsonl\ntranscript_finetuned = f.jsonl\n"
+     "[endpoints]\ncompletion_url = http://completions.test\n",
+     "endpoints.completion_url (line 6) is never used: paths.transcript_baseline (line 3) "
+     "and paths.transcript_finetuned (line 4) replay both phases"),
+    ("[endpoints]\nembedding_url = http://embeddings.test\n[paths]\nrun_dir = run\n"
+     "embedding_store = e.jsonl\n",
+     "endpoints.embedding_url (line 2) is never used: paths.embedding_store (line 5) "
+     "stands in for it"),
+], ids=["completion", "embedding"])
+def test_an_endpoint_that_a_file_replaces_exits_1(tmp_path, capsys, bindings, message):
+    cfg_file = tmp_path / "c.cfg"
+    cfg_file.write_text(bindings, encoding="utf-8")
+    assert main(["--config", str(cfg_file), "--stage", "ingest"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "run").exists()
+
+
+def test_a_completion_endpoint_may_serve_the_phase_no_transcript_replays(tmp_path):
+    cfg_file = tmp_path / "c.cfg"
+    cfg_file.write_text("[paths]\nrun_dir = run\ntranscript_finetuned = f.jsonl\n"
+                        "[endpoints]\ncompletion_url = http://completions.test\n",
+                        encoding="utf-8")
+    cfg = load_config(cfg_file)
+    assert cfg.completion_url == "http://completions.test"
+    assert cfg.transcripts == {"finetuned": tmp_path / "f.jsonl"}
 
 
 def test_concurrency_flag_below_one_exits_1(tmp_path, capsys):
@@ -147,7 +202,8 @@ def test_bad_file_value_fails_even_when_a_flag_overrides_it(tmp_path, capsys):
     cfg_file.write_text("[paths]\nrun_dir = run\n[limits]\nconcurrency = 0\n", encoding="utf-8")
     code = main(["--config", str(cfg_file), "--stage", "ingest", "--concurrency", "2"])
     assert code == 1
-    assert capsys.readouterr().err == "error: limits.concurrency must be at least 1, got 0\n"
+    assert capsys.readouterr().err == (
+        "error: limits.concurrency (line 4) must be at least 1, got 0\n")
     assert not (tmp_path / "run").exists()
 
 
@@ -377,6 +433,26 @@ def test_manifest_of_the_wrong_shape_exits_1_naming_it(tmp_path, capsys, payload
     assert not (run_dir / "popularity").exists()
 
 
+def test_a_manifest_that_names_outputs_by_absolute_path_exits_1(tmp_path, capsys):
+    # as an older version wrote it: every file under the run directory by its absolute path
+    run_dir = tmp_path / "run"
+    for stage in ("ingest", "popularity", "sample"):
+        assert main(["--config", str(CONFIG), "--run-dir", str(run_dir), "--stage", stage]) == 0
+    manifest = run_dir / "manifest.json"
+    data = json.loads(manifest.read_text(encoding="utf-8"))
+    for info in data["stages"].values():
+        for kind in ("inputs", "outputs"):
+            info[kind] = {str(run_dir / name): digest for name, digest in info[kind].items()}
+    manifest.write_text(json.dumps(data), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["--config", str(CONFIG), "--run-dir", str(run_dir),
+                 "--stage", "prompts"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: run manifest {manifest} names stage outputs by absolute path")
+    assert err.endswith("re-run from the 'ingest' stage\n")
+    assert not (run_dir / "prompts").exists()
+
+
 def test_truncated_binary_embedding_store_exits_1(tmp_path, capsys):
     store = tmp_path / "store.emb"
     with open(store, "wb") as fh:
@@ -572,7 +648,7 @@ def _fixture_copy(dest: Path, key: str, value: str) -> Path:
         (dest / path.name).symlink_to(path)
     text = CONFIG.read_text(encoding="utf-8")
     section, name = key.split(".")
-    old = parse_flat_config(text).get(key)
+    old = parse_flat_config(text)[0].get(key)
     if old is None:
         text += f"\n[{section}]\n{name} = {value}\n"
     else:
@@ -606,4 +682,4 @@ def test_flag_runs_like_the_key_it_overrides(tmp_path, flag, key, value):
     a, b = (json.loads((d / "manifest.json").read_text()) for d in (flagged, keyed))
     assert a["config"] == b["config"]
     assert a["seeds"] == b["seeds"]
-    assert a["config"][key] == parse_flat_config(f"{key} = {value}")[key]
+    assert a["config"][key] == parse_flat_config(f"{key} = {value}")[0][key]

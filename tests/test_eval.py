@@ -4,6 +4,7 @@ import json
 import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -161,6 +162,12 @@ def test_score_item_exact():
 # replay provider + run_eval
 
 
+def _run_eval(provider, prompts, model_id, phase, **kwargs):
+    """`run_eval` scored against `expected_answers` of the prompts."""
+    expected = expected_answers(prompts, kwargs.get("extract", False))
+    return run_eval(provider, prompts, expected, model_id, phase, **kwargs)
+
+
 def _make_replay(prompts, answers):
     return ReplayProvider({prompt_hash(p.prompt_text): a for p, a in zip(prompts, answers)})
 
@@ -169,7 +176,7 @@ def test_run_eval_all_correct():
     pairs = [_pair(term=f"t{i}", identifier=f"HP:{i:07d}") for i in range(4)]
     prompts = [_prompt(p) for p in pairs]
     provider = _make_replay(prompts, [p.expected_answer for p in prompts])
-    run = run_eval(provider, prompts, "m", Phase.BASELINE)
+    run = _run_eval(provider, prompts, "m", Phase.BASELINE)
     assert run.accuracy == 1.0
     assert all(i.correct for i in run.items)
 
@@ -180,7 +187,7 @@ def test_run_eval_three_of_four():
     answers = [p.expected_answer for p in prompts]
     answers[2] = "HP:9999999"
     provider = _make_replay(prompts, answers)
-    run = run_eval(provider, prompts, "m", Phase.BASELINE)
+    run = _run_eval(provider, prompts, "m", Phase.BASELINE)
     assert run.accuracy == 0.75
 
 
@@ -188,7 +195,7 @@ def test_run_eval_provider_failure_counts_incorrect():
     pairs = [_pair(term=f"t{i}", identifier=f"HP:{i:07d}") for i in range(4)]
     prompts = [_prompt(p) for p in pairs]
     provider = _make_replay(prompts[:3], [p.expected_answer for p in prompts[:3]])
-    run = run_eval(provider, prompts, "m", Phase.BASELINE)
+    run = _run_eval(provider, prompts, "m", Phase.BASELINE)
     failed = [i for i in run.items if i.error is not None]
     assert len(failed) == 1
     assert not failed[0].correct
@@ -199,16 +206,16 @@ def test_run_eval_all_failed_raises():
     prompts = [_prompt(_pair())]
     provider = ReplayProvider({})
     with pytest.raises(RunFailedError):
-        run_eval(provider, prompts, "m", Phase.BASELINE)
+        _run_eval(provider, prompts, "m", Phase.BASELINE)
 
 
 def test_run_eval_order_stable_under_concurrency():
     pairs = [_pair(term=f"t{i}", identifier=f"HP:{i:07d}") for i in range(40)]
     prompts = [_prompt(p) for p in pairs]
     provider = _make_replay(prompts, [p.expected_answer for p in prompts])
-    sequential = run_eval(provider, prompts, "m", Phase.BASELINE, concurrency_limit=1)
-    threaded = run_eval(provider, list(reversed(prompts)), "m", Phase.BASELINE,
-                        concurrency_limit=8)
+    sequential = _run_eval(provider, prompts, "m", Phase.BASELINE, concurrency_limit=1)
+    threaded = _run_eval(provider, list(reversed(prompts)), "m", Phase.BASELINE,
+                         concurrency_limit=8)
     assert sequential.items == threaded.items
 
 
@@ -244,7 +251,7 @@ def test_run_eval_keeps_few_submissions_outstanding(monkeypatch):
     timer = threading.Timer(0.2, release.set)
     timer.start()
     try:
-        run = run_eval(BlockingProvider(), prompts, "m", Phase.BASELINE, concurrency_limit=2)
+        run = _run_eval(BlockingProvider(), prompts, "m", Phase.BASELINE, concurrency_limit=2)
     finally:
         timer.join()
     assert len(run.items) == 200 and run.accuracy == 1.0
@@ -257,11 +264,10 @@ def test_run_eval_scores_against_expected_answers_given_once():
     provider = _make_replay(prompts, ["t 0", "T  1.", "t 9", '"t 3"'])
     expected = expected_answers(prompts)
     assert expected == ["t 0", "t 1", "t 2", "t 3"]
-    given = run_eval(provider, prompts, "m", Phase.BASELINE, expected=expected)
-    assert given.items == run_eval(provider, prompts, "m", Phase.BASELINE).items
+    given = run_eval(provider, prompts, expected, "m", Phase.BASELINE)
     assert [i.correct for i in given.items] == [True, True, False, True]
     with pytest.raises(DomainError, match="3 expected answers for 4 prompts"):
-        run_eval(provider, prompts, "m", Phase.BASELINE, expected=expected[:3])
+        run_eval(provider, prompts, expected[:3], "m", Phase.BASELINE)
 
 
 def test_run_eval_rejects_mixed_sets():
@@ -269,12 +275,12 @@ def test_run_eval_rejects_mixed_sets():
     p2 = _prompt(_pair(terminology=Terminology.GENE, term="tumor protein p53",
                        identifier="TP53"))
     with pytest.raises(DomainError):
-        run_eval(ReplayProvider({}), [p1, p2], "m", Phase.BASELINE)
+        _run_eval(ReplayProvider({}), [p1, p2], "m", Phase.BASELINE)
 
 
 def test_run_eval_empty_prompts():
     with pytest.raises(DomainError):
-        run_eval(ReplayProvider({}), [], "m", Phase.BASELINE)
+        _run_eval(ReplayProvider({}), [], "m", Phase.BASELINE)
 
 
 def test_run_eval_majority_vote():
@@ -282,11 +288,11 @@ def test_run_eval_majority_vote():
     prompts = expand_prompts(pair, Direction.TERM_TO_ID)
     answers = ["HP:0001337", "HP:0001337", "HP:0001337", "HP:0000000", "HP:0000000"]
     provider = _make_replay(prompts, answers)
-    run = run_eval(provider, prompts, "m", Phase.BASELINE)
+    run = _run_eval(provider, prompts, "m", Phase.BASELINE)
     assert run.accuracy == 1.0
     minority = _make_replay(prompts, ["HP:0000000", "HP:0000000", "HP:0000000",
                                       "HP:0001337", "HP:0001337"])
-    run2 = run_eval(minority, prompts, "m", Phase.BASELINE)
+    run2 = _run_eval(minority, prompts, "m", Phase.BASELINE)
     assert run2.accuracy == 0.0
 
 
@@ -296,7 +302,7 @@ def test_failed_templates_count_against_the_pair():
     pair = _pair()
     prompts = expand_prompts(pair, Direction.TERM_TO_ID)
     provider = _make_replay(prompts[:3], ["HP:0001337", "HP:0001337", "HP:0000000"])
-    run = run_eval(provider, prompts, "m", Phase.BASELINE)
+    run = _run_eval(provider, prompts, "m", Phase.BASELINE)
     assert [i.error is not None for i in run.items] == [False, False, False, True, True]
     assert pair_correctness(run.items) == {pair_id(pair): False}
     assert run.accuracy == 0.0
@@ -312,9 +318,9 @@ def test_accuracy_of_concatenated_runs_is_weighted_mean():
     answers_b = [p.expected_answer for p in prompts_b]
     answers_b[0] = answers_b[1] = "HP:9999999"
     provider = _make_replay(prompts_a + prompts_b, answers_a + answers_b)
-    run_a = run_eval(provider, prompts_a, "m", Phase.BASELINE)
-    run_b = run_eval(provider, prompts_b, "m", Phase.BASELINE)
-    run_ab = run_eval(provider, prompts_a + prompts_b, "m", Phase.BASELINE)
+    run_a = _run_eval(provider, prompts_a, "m", Phase.BASELINE)
+    run_b = _run_eval(provider, prompts_b, "m", Phase.BASELINE)
+    run_ab = _run_eval(provider, prompts_a + prompts_b, "m", Phase.BASELINE)
     expected = (run_a.accuracy * 4 + run_b.accuracy * 6) / 10
     assert run_ab.accuracy == pytest.approx(expected)
 
@@ -323,7 +329,7 @@ def test_results_jsonl_round_trip():
     pairs = [_pair(term=f"t{i}", identifier=f"HP:{i:07d}") for i in range(4)]
     prompts = [_prompt(p) for p in pairs]
     provider = _make_replay(prompts, [p.expected_answer for p in prompts])
-    run = run_eval(provider, prompts, "m", Phase.BASELINE)
+    run = _run_eval(provider, prompts, "m", Phase.BASELINE)
     buf = io.StringIO()
     write_results_jsonl(run, buf)
     assert tuple(read_results_jsonl(io.StringIO(buf.getvalue()))) == run.items
@@ -337,7 +343,7 @@ def test_replay_determinism_byte_for_byte():
     provider = _make_replay(prompts, answers)
     blobs = []
     for _ in range(2):
-        run = run_eval(provider, prompts, "m", Phase.BASELINE)
+        run = _run_eval(provider, prompts, "m", Phase.BASELINE)
         buf = io.StringIO()
         write_results_jsonl(run, buf)
         blobs.append((buf.getvalue().encode(), run.accuracy))
@@ -347,7 +353,7 @@ def test_replay_determinism_byte_for_byte():
 def test_run_summary_fields():
     prompts = [_prompt(_pair())]
     provider = _make_replay(prompts, [prompts[0].expected_answer])
-    run = run_eval(provider, prompts, "model-x", Phase.FINETUNED)
+    run = _run_eval(provider, prompts, "model-x", Phase.FINETUNED)
     summary = run_summary(run)
     assert summary == {
         "model_id": "model-x",
@@ -367,7 +373,7 @@ def test_run_summary_fields():
 
 def test_replay_from_transcript_file(tmp_path):
     prompts = [_prompt(_pair())]
-    with TranscriptWriter(tmp_path / "t.jsonl") as writer:
+    with closing(TranscriptWriter(tmp_path / "t.jsonl")) as writer:
         writer.record(prompts[0].prompt_text,
                       request_body(prompts[0].prompt_text, "m", DecodingParams()),
                       "HP:0001337")
@@ -393,7 +399,7 @@ def test_replay_missing_hash_raises():
 
 def _record(path, rows):
     """A transcript of (prompt, model, params, text) rows; params None writes no request."""
-    with TranscriptWriter(path) as transcript:
+    with closing(TranscriptWriter(path)) as transcript:
         for prompt, model, params, text in rows:
             transcript.record(prompt, None if params is None
                               else request_body(prompt, model, params), text)
@@ -447,7 +453,7 @@ def _chat_body(text):
 
 def test_http_provider_parses_and_records(tmp_path):
     transport = ScriptedHttp([(200, _chat_body("HP:0001337"))])
-    with TranscriptWriter(tmp_path / "t.jsonl") as transcript:
+    with closing(TranscriptWriter(tmp_path / "t.jsonl")) as transcript:
         provider = HttpCompletionProvider(
             "http://example/v1/chat", api_key="k", transcript=transcript,
             transport=transport, sleep=lambda s: None,
@@ -469,7 +475,7 @@ def test_http_provider_parses_and_records(tmp_path):
 @pytest.fixture
 def transcript(tmp_path):
     """A `TranscriptWriter` on the test's `t.jsonl`, closed when the test ends."""
-    with TranscriptWriter(tmp_path / "t.jsonl") as transcript:
+    with closing(TranscriptWriter(tmp_path / "t.jsonl")) as transcript:
         yield transcript
 
 
@@ -478,7 +484,7 @@ def test_http_provider_sends_only_what_its_transcript_lacks(tmp_path):
     _record(path, [("p", "model-a", DecodingParams(), "A"), ("q", None, None, "Q")])
     before = path.read_bytes()
     transport = ScriptedHttp([(200, _chat_body("B"))])
-    with TranscriptWriter(path) as transcript:
+    with closing(TranscriptWriter(path)) as transcript:
         provider = HttpCompletionProvider("http://example", transport, transcript,
                                           sleep=lambda s: None)
         assert provider.complete("p", "model-a", DecodingParams()) == "A"
@@ -540,10 +546,10 @@ def test_http_provider_fails_an_item_whose_content_is_not_a_string(tmp_path):
     null = json.dumps({"choices": [{"message": {"content": None}}]})
     transport = ScriptedHttp([(200, null), (200, _chat_body("HP:0000001"))])
     prompts = [_prompt(_pair(term=f"t{i}", identifier=f"HP:{i:07d}")) for i in range(2)]
-    with TranscriptWriter(tmp_path / "t.jsonl") as transcript:
+    with closing(TranscriptWriter(tmp_path / "t.jsonl")) as transcript:
         provider = HttpCompletionProvider("http://example", transcript=transcript,
                                           transport=transport, sleep=lambda s: None)
-        run = run_eval(provider, prompts, "m", Phase.BASELINE)
+        run = _run_eval(provider, prompts, "m", Phase.BASELINE)
     assert [i.error is not None for i in run.items] == [True, False]
     assert "completion content is not a string" in run.items[0].error
     assert run.items[1].correct

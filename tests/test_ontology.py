@@ -110,11 +110,6 @@ def test_parse_obo_ignores_typedef_and_alt_id():
     assert records[0].synonyms == ()
 
 
-def test_parse_obo_accepts_bytes_stream():
-    records = parse_obo_document(io.BytesIO(HPO_OBO.encode()), Terminology.HPO).records
-    assert len(records) == 2
-
-
 def test_filter_namespace_picks_cellular_component():
     records = parse_obo_document(io.StringIO(GO_OBO), Terminology.GO_CC).records
     cc = filter_namespace(records, "cellular_component")

@@ -283,11 +283,8 @@ def test_table_report_delta_ft():
          OutcomeCategory.INCORRECT: 201},
         {OutcomeCategory.INCORRECT: 250},
     )
-    bundle = table_report(outcomes)
-    row = bundle.performance[0]
-    assert row.baseline_pct == 2.4
-    assert row.finetuned_pct == 9.8
-    assert row.delta_pct == 7.4
+    performance, _, _ = table_report(outcomes)
+    assert performance[0] == ("HPO term -> identifier", 2.4, 9.8, 7.4)
 
 
 def test_table_report_zero_delta():
@@ -296,19 +293,20 @@ def test_table_report_zero_delta():
         {OutcomeCategory.GAINER: 3, OutcomeCategory.LOSER: 3, OutcomeCategory.INCORRECT: 4},
         {OutcomeCategory.CORRECT: 2},
     )
-    bundle = table_report(outcomes)
-    assert bundle.performance[0].baseline_pct == 41.7
-    assert bundle.performance[0].delta_pct == 0.0
+    performance, _, _ = table_report(outcomes)
+    _, baseline_pct, _, delta_pct = performance[0]
+    assert baseline_pct == 41.7
+    assert delta_pct == 0.0
 
 
 def test_table_csv_shapes():
     outcomes = _outcome_set({OutcomeCategory.CORRECT: 1, OutcomeCategory.INCORRECT: 1},
                             {OutcomeCategory.CORRECT: 1, OutcomeCategory.INCORRECT: 1})
-    bundle = table_report(outcomes)
+    performance, categories, derived_rows = table_report(outcomes)
     perf, cats, derived = io.StringIO(), io.StringIO(), io.StringIO()
-    write_performance_csv(bundle.performance, perf)
-    write_categories_csv(bundle.categories, cats)
-    write_derived_csv(bundle.derived, derived)
+    write_performance_csv(performance, perf)
+    write_categories_csv(categories, cats)
+    write_derived_csv(derived_rows, derived)
     assert perf.getvalue().splitlines()[0] == "mapping,baseline_pct,finetuned_pct,delta_ft_pct"
     assert perf.getvalue().splitlines()[1] == "HPO term -> identifier,50.0,50.0,0.0"
     assert cats.getvalue().splitlines()[0] == (

@@ -12,7 +12,7 @@ import sys
 import threading
 import warnings
 import weakref
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import FrozenInstanceError, fields
 from fractions import Fraction
 from pathlib import Path
@@ -319,29 +319,30 @@ def test_a_copied_run_directory_keeps_its_names(full_run, tmp_path):
             assert (run_dir / name).exists(), name
 
 
-def test_dry_run_lists_the_files_each_stage_writes(full_run, tmp_path, capsys):
-    # a declaration that a stage no longer follows shows up here
-    run_dir = tmp_path / "run"
-    capsys.readouterr()
-    assert main(["--config", str(CONFIG), "--run-dir", str(run_dir),
-                 "--stage", "all", "--dry-run"]) == 0
-    planned = {}
-    for line in capsys.readouterr().out.splitlines():
+def _planned(out: str, run_dir: Path) -> set[str]:
+    """The run-relative names of the files `--dry-run` output says the stages would write."""
+    planned = set()
+    for line in out.splitlines():
         head, _, rest = line.partition(": would write ")
         names, _, out_dir = rest.rpartition(" under ")
         stage = head.removeprefix("[dry-run] ")
         assert Path(out_dir) == run_dir / stage
-        planned[stage] = set(names.split(", "))
+        planned |= {f"{stage}/{name}" for name in names.split(", ")}
+    return planned
+
+
+def test_dry_run_lists_the_files_each_stage_writes(full_run, tmp_path, capsys):
+    # a declaration that a stage no longer follows shows up here; the fixture's
+    # config names the PMC cache, the transcripts and the embedding store, so
+    # no stage writes a store under the run directory
+    run_dir = tmp_path / "run"
+    capsys.readouterr()
+    assert main(["--config", str(CONFIG), "--run-dir", str(run_dir),
+                 "--stage", "all", "--dry-run"]) == 0
+    planned = _planned(capsys.readouterr().out, run_dir)
     assert not run_dir.exists()
-    # the stores of the live stages, which the fixture's config points elsewhere
-    planned["popularity"].remove("pmc_cache.jsonl")  # written without paths.pmc_cache only
-    for phase in ("baseline", "finetuned"):  # written for a completion endpoint only
-        planned["eval"].remove(f"transcript_{phase}.jsonl")
-    planned["lexicalize"].remove("embeddings.jsonl")  # written for an HTTP source only
     manifest = json.loads((full_run / "manifest.json").read_text())
-    written = {stage: {Path(p).relative_to(stage).as_posix() for p in info["outputs"]}
-               for stage, info in manifest["stages"].items()}
-    assert planned == written
+    assert planned == {name for info in manifest["stages"].values() for name in info["outputs"]}
 
 
 def _write_transcript(path, model, prompt_rows, correct_templates):
@@ -351,7 +352,7 @@ def _write_transcript(path, model, prompt_rows, correct_templates):
     after every right answer, so a plurality vote that breaks ties toward the
     smaller answer would call an [A, A, B, B, C] pair correct.
     """
-    with TranscriptWriter(path) as writer:
+    with closing(TranscriptWriter(path)) as writer:
         for row in prompt_rows:
             if row["template_id"] in correct_templates(row["pair_id"]):
                 answer = row["expected_answer"]
@@ -1066,9 +1067,13 @@ def _outputs(run_dir):
             if p.is_file() and p.name != "manifest.json"}
 
 
-def test_a_live_rerun_sends_only_what_its_stores_lack(full_run, tmp_path, fake_http):
+def test_a_live_rerun_sends_only_what_its_stores_lack(full_run, tmp_path, fake_http, capsys):
     run_dir = tmp_path / "run"
     cfg = _live_config(run_dir)
+    for stage in termbench.pipeline.STAGES:
+        run_stage(cfg, stage, dry_run=True)
+    planned = _planned(capsys.readouterr().out, run_dir)
+    assert set(LIVE_STORES) <= planned
     sent = []
     _fake_endpoints(fake_http, cfg, sent)
     for stage in termbench.pipeline.STAGES:
@@ -1088,7 +1093,7 @@ def test_a_live_rerun_sends_only_what_its_stores_lack(full_run, tmp_path, fake_h
     assert _outputs(run_dir) == outputs  # every store keeps its bytes
     manifest = _assert_manifest_digests_match_files(run_dir)
     recorded = {name for info in manifest["stages"].values() for name in info["outputs"]}
-    assert set(LIVE_STORES) <= recorded
+    assert recorded == planned
 
 
 @pytest.mark.parametrize("crash_after", [100, 500], ids=["in-baseline", "in-finetuned"])

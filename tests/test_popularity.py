@@ -2,7 +2,7 @@ import io
 import json
 import threading
 import time
-from contextlib import ExitStack
+from contextlib import ExitStack, closing
 
 import numpy as np
 import pytest
@@ -160,7 +160,7 @@ def _count_body(count):
 def open_cache(tmp_path):
     """`open_cache()` is a `QueryCache` on the test's cache file, closed when the test ends."""
     with ExitStack() as stack:
-        yield lambda: stack.enter_context(QueryCache(tmp_path / "cache.jsonl"))
+        yield lambda: stack.enter_context(closing(QueryCache(tmp_path / "cache.jsonl")))
 
 
 def _client(open_cache, script):
@@ -370,7 +370,7 @@ def test_fetch_counts_answers_cached_queries_without_a_pool(open_cache, monkeypa
 
 def test_fetch_counts_offline_uncached_raises_as_fetch_count(tmp_path):
     path = tmp_path / "cache.jsonl"
-    with QueryCache(path) as cache:
+    with closing(QueryCache(path)) as cache:
         cache.put("a", "pmc", 1, "t")
     offline = PmcClient(cache=QueryCache(path), transport=None)
     with pytest.raises(TransportError) as single:

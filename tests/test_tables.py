@@ -7,7 +7,7 @@ import pytest
 
 import termbench
 from termbench.errors import ParseError
-from termbench.outcomes import DerivedMetrics, DerivedRow, write_derived_csv
+from termbench.outcomes import write_derived_csv
 from termbench.tables import read_table, write_table
 
 SOURCES = sorted(Path(termbench.__file__).resolve().parent.glob("*.py"))
@@ -15,9 +15,10 @@ SOURCES = sorted(Path(termbench.__file__).resolve().parent.glob("*.py"))
 
 def test_write_table_cells():
     buf = io.StringIO()
-    rows = [(1, 0.1 + 0.2, None), ("x,y", 'say "hi"', 100.0)]
-    assert write_table(["a", "b", "c"], rows, buf) == 2
-    assert buf.getvalue() == 'a,b,c\n1,0.30000000000000004,\n"x,y","say ""hi""",100.0\n'
+    rows = [(1, 0.1 + 0.2, None), ("x,y", 'say "hi"', 100.0), ("a\rb", "c\nd", "")]
+    assert write_table(["a", "b", "c"], rows, buf) == 3
+    assert buf.getvalue() == ('a,b,c\n1,0.30000000000000004,\n"x,y","say ""hi""",100.0\n'
+                              '"a\rb","c\nd",\n')
 
 
 def test_write_table_writes_each_row_as_it_comes():
@@ -49,7 +50,7 @@ def test_read_table_rejects_a_bad_header(text, found):
 
 def test_an_absent_pooled_degradation_is_an_empty_cell():
     buf = io.StringIO()
-    write_derived_csv([DerivedRow("t", DerivedMetrics(1.5, 2.0, 0.0, 100.0))], buf)
+    write_derived_csv([("t", 1.5, 2.0, 0.0, None, 100.0)], buf)
     assert buf.getvalue().splitlines()[1] == "t,1.5,2.0,0.0,,100.0"
 
 
