@@ -11,6 +11,7 @@ from knowledge failures.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import IO, Sequence
@@ -109,7 +110,7 @@ class RunFailedError(TransportError):
     """Every item in a run failed; nothing was scored."""
 
 
-def expected_answers(prompts: Sequence[PromptInstance], extract: bool = False) -> list[str]:
+def expected_answers(prompts: Sequence[PromptInstance], extract: bool) -> list[str]:
     """Each prompt's expected answer, normalized as its model answer will be."""
     return [normalize_answer(p.expected_answer, p.pair.terminology, p.direction, extract)
             for p in prompts]
@@ -126,7 +127,11 @@ def _evaluate_one(
     model_id: str,
     extract: bool,
 ) -> EvalItem:
-    pid = prompt.pair_id
+    # Equal strings are one object, so a run's items stay small while they are
+    # held for the next stage: one pair id per pair across templates,
+    # directions and phases, and a normalized answer equal to the expected
+    # answer or to the raw output is that object.
+    pid = sys.intern(prompt.pair_id)
     try:
         raw = provider.complete(prompt.prompt_text, model_id, DECODING)
     except HarnessError as exc:
@@ -140,6 +145,10 @@ def _evaluate_one(
             error=str(exc),
         )
     normalized = normalize_answer(raw, prompt.pair.terminology, prompt.direction, extract)
+    if normalized == expected:
+        normalized = expected
+    elif normalized == raw:
+        normalized = raw
     return EvalItem(
         pair_id=pid,
         direction=prompt.direction,
@@ -157,8 +166,8 @@ def run_eval(
     expected: Sequence[str],
     model_id: str,
     phase: Phase,
-    concurrency_limit: int = 1,
-    extract: bool = False,
+    concurrency_limit: int,
+    extract: bool,
 ) -> EvalRun:
     """Evaluate prompts against one model and score hits@1.
 

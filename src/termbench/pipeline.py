@@ -20,6 +20,14 @@ only the manifest carries timestamps.
     stats       two-way ANOVA and Games-Howell per popularity proxy
     report      summary tables (accuracy, categories, derived metrics) from outcomes
 
+Within one process, a stage hands the rows of a file it wrote or read to
+the stage right after it in `STAGES`, when that stage reads the file too:
+`StageFiles.write` takes the rows the file's reader would return, and
+`StageFiles.read` returns them in place of decoding the file while its
+SHA-256 is the one recorded with them. `_HELD` keeps them between
+`run_stage` calls; before a stage starts, `run_stage` drops every held file
+that the stage does not read, and a stage that raises leaves nothing held.
+
 The live stages (`popularity`, `eval`, `lexicalize`) each send their
 requests through one `remote.HttpTransport` and close it when they end or
 raise. They send only what their stores lack. `StageFiles.store` records
@@ -159,7 +167,8 @@ class StageFiles:
     by its path. `reads` and `writes` are the stage's declarations in
     `_STAGE_TABLE`: artifact names relative to the run directory
     (`sample/split.jsonl`, the stage that writes one being its first part),
-    and names under `<run>/<stage>/`; `stores` are the stores the stage
+    and names under `<run>/<stage>/`; `next_reads` are the artifacts that
+    the next stage in `STAGES` reads; `stores` are the stores the stage
     opens under this config (`_store_files`). Any other name is a KeyError,
     a fault in the code and never in the input.
     """
@@ -169,6 +178,7 @@ class StageFiles:
         self.run_dir = cfg.run_dir
         self.out_dir = cfg.run_dir / stage
         _, self.reads, self.writes = _STAGE_TABLE[stage]
+        self.next_reads = _NEXT_READS[stage]
         self.stores = _store_files(cfg, stage)
         self.manifest = run_manifest.RunManifest(cfg.run_dir)
         self.inputs: dict[str, str] = {}
@@ -203,24 +213,30 @@ class StageFiles:
     def read(self, name: str, reader, *args):
         """`reader(stream, *args)` over the artifact `<run>/<name>`.
 
-        An artifact in `_LAST_READER` is decoded once per process: what the
-        reader returned is held, keyed by (sha256, reader), until the last
-        stage that reads it takes it. Every caller gets its own list.
+        The file is hashed as always. When `_HELD` has rows under that
+        digest, which the stage before this one wrote or read, they are
+        returned in place of decoding the file again; otherwise the reader
+        decodes it. The rows are held on only if the next stage in `STAGES`
+        reads this artifact too, and every caller gets its own list.
         """
         path = self.artifact(name)
-        key = (self.inputs[name], reader)
-        held_key, rows = _DECODED.pop(name, (None, None))
-        if held_key != key:
+        digest = self.inputs[name]
+        held_digest, rows = _HELD.pop(name, (None, None))
+        if held_digest != digest:
             with open(path, encoding="utf-8", newline=_newline(name)) as fh:
                 rows = reader(fh, *args)
-        if name not in _LAST_READER:
+        if name not in self.next_reads:
             return rows
-        if self.stage != _LAST_READER[name]:
-            _DECODED[name] = (key, rows)
+        _HELD[name] = (digest, rows)
         return list(rows)
 
-    def write(self, name: str, writer, *args) -> None:
-        """`writer(*args, stream)` into this stage's declared file `<run>/<stage>/<name>`."""
+    def write(self, name: str, writer, *args, rows=None) -> None:
+        """`writer(*args, stream)` into this stage's declared file `<run>/<stage>/<name>`.
+
+        `rows` are what the file's reader would return. When the next stage
+        in `STAGES` reads this file, a list of them is held in `_HELD` under
+        the file's digest, for `read` to hand over.
+        """
         if name not in self.writes:
             raise KeyError(f"stage {self.stage!r} does not declare the output {name!r}")
         path = self.out_dir / name
@@ -228,6 +244,9 @@ class StageFiles:
         with open(path, "w", encoding="utf-8", newline=_newline(name)) as fh:
             writer(*args, fh)
         self._record(path, output=True)
+        artifact = f"{self.stage}/{name}"
+        if rows is not None and artifact in self.next_reads:
+            _HELD[artifact] = (self.outputs[artifact], list(rows))
 
     @contextmanager
     def store(self, store_type, name: str):
@@ -304,7 +323,7 @@ def stage_ingest(cfg: RunConfig, files: StageFiles) -> dict:
         (Terminology.GENE, gene_records),
     ):
         build_index(records)  # fail loudly on duplicate identifiers or labels
-        files.write(f"records_{_tkey(t)}.jsonl", write_records_jsonl, records)
+        files.write(f"records_{_tkey(t)}.jsonl", write_records_jsonl, records, rows=records)
     return {"release_tags": {"HPO": hpo_doc.header.get("data-version"),
                              "GO_CC": go_doc.header.get("data-version")}}
 
@@ -347,7 +366,7 @@ def stage_popularity(cfg: RunConfig, files: StageFiles) -> None:
         ]
         all_records.extend(per_terminology[t])
 
-    files.write("popularity.csv", write_popularity_csv, all_records)
+    files.write("popularity.csv", write_popularity_csv, all_records, rows=all_records)
     for t in TERMINOLOGIES:
         files.write(f"rank_points_{_tkey(t)}.csv", _write_rank_points,
                     rank_frequency(per_terminology[t], cfg.ranking_proxy))
@@ -362,7 +381,7 @@ def stage_sample(cfg: RunConfig, files: StageFiles) -> dict:
         bins = stratify(rank_frequency(records, cfg.ranking_proxy), cfg.n_bins)
         sampled = sample_bins(bins, index, cfg.sampling_seed, cfg.per_bin)
         pairs.extend(make_split(index, sampled, bins, cfg.validation_cap, cfg.cap_seed))
-    files.write("split.jsonl", write_split_jsonl, pairs)
+    files.write("split.jsonl", write_split_jsonl, pairs, rows=pairs)
     return {"seeds": {"sampling": cfg.sampling_seed, "validation_cap": cfg.cap_seed}}
 
 
@@ -385,7 +404,7 @@ def stage_prompts(cfg: RunConfig, files: StageFiles) -> None:
     for direction in DIRECTIONS:
         for pair in pairs:
             eval_prompts.extend(expand_prompts(pair, direction, eval_templates))
-    files.write("prompts.jsonl", write_prompts_jsonl, eval_prompts)
+    files.write("prompts.jsonl", write_prompts_jsonl, eval_prompts, rows=eval_prompts)
 
     train_by_terminology: dict[Terminology, list[SampledPair]] = {}
     for pair in pairs:
@@ -454,7 +473,7 @@ def stage_eval(cfg: RunConfig, files: StageFiles) -> None:
                         extract=cfg.extract_mode,
                     )
                     stem = _run_stem(phase, t, d)
-                    files.write(f"results_{stem}.jsonl", write_results_jsonl, run)
+                    files.write(f"results_{stem}.jsonl", write_results_jsonl, run, rows=run.items)
                     files.write(f"summary_{stem}.json", write_document, run_summary(run))
             # drop the provider, with its transcript, and the last run, so the
             # next phase's transcript loads with no other one in memory
@@ -614,14 +633,14 @@ _STAGE_TABLE = {
                ["performance_summary.csv", "outcome_categories.csv", "derived_metrics.csv"]),
 }
 STAGES = tuple(_STAGE_TABLE)
-# Each artifact that more than one stage reads, and the last stage that reads it.
-_LAST_READER = {name: stage for stage, (_, reads, _) in _STAGE_TABLE.items() for name in reads
-                if sum(name in other for _, other, _ in _STAGE_TABLE.values()) > 1}
-# artifact name -> ((sha256, reader), rows): what `StageFiles.read` decoded
-# from one of them, held for the stages that read it later. It lives at module
-# level because it must outlive one `run_stage` call: `--stage all` and
+# stage name -> the artifacts that the stage after it reads: the ones whose rows it hands on
+_NEXT_READS = {stage: frozenset(_STAGE_TABLE[after][1] if after else ())
+               for stage, after in zip(STAGES, [*STAGES[1:], None])}
+# artifact name -> (sha256, rows): the rows a stage wrote to the artifact, or read
+# from it, held for the stage after it, which reads the file too. It lives at
+# module level because it must outlive one `run_stage` call: `--stage all` and
 # in-process callers run the stages one `run_stage` call at a time.
-_DECODED: dict[str, tuple[tuple, list]] = {}
+_HELD: dict[str, tuple[str, list]] = {}
 
 
 def run_stage(cfg: RunConfig, stage: str, dry_run: bool = False) -> None:
@@ -635,21 +654,28 @@ def run_stage(cfg: RunConfig, stage: str, dry_run: bool = False) -> None:
                   if path.is_relative_to(out_dir)]
         print(f"[dry-run] {stage}: would write {', '.join([*writes, *stores])} under {out_dir}")
         return
-    files = StageFiles(cfg, stage)
-    files.manifest.set_config(
-        cfg.raw,
-        {"sampling": cfg.sampling_seed, "validation_cap": cfg.cap_seed},
-        {name: os.environ.get(name) for name in BLAS_THREADS_ENV},
-    )
-    for name in reads:  # every input, before the stage writes anything
-        files.artifact(name)
+    # Rows are held only through an unbroken run of stages that read them, so a
+    # stage starts with no rows held but those of its own inputs.
+    for name in _HELD.keys() - set(reads):
+        del _HELD[name]
     # A stage's data hold no reference cycles, so reference counting frees
     # them and the cyclic collector would only rescan live rows.
     was_enabled = gc.isenabled()
-    gc.disable()
-    start = time.perf_counter()
     try:
+        files = StageFiles(cfg, stage)
+        files.manifest.set_config(
+            cfg.raw,
+            {"sampling": cfg.sampling_seed, "validation_cap": cfg.cap_seed},
+            {name: os.environ.get(name) for name in BLAS_THREADS_ENV},
+        )
+        for name in reads:  # every input, before the stage writes anything
+            files.artifact(name)
+        gc.disable()
+        start = time.perf_counter()
         facts = stage_func(cfg, files)
+    except BaseException:
+        _HELD.clear()  # nothing is handed on past a stage that failed
+        raise
     finally:
         if was_enabled:
             gc.enable()

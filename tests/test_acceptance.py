@@ -228,7 +228,8 @@ def test_criterion_05_eval_determinism():
     )
     blobs = []
     for _ in range(2):
-        run = run_eval(provider, prompts, expected_answers(prompts), "m", Phase.BASELINE)
+        run = run_eval(provider, prompts, expected_answers(prompts, False), "m",
+                       Phase.BASELINE, 1, False)
         assert run.accuracy == 0.75
         buf = io.StringIO()
         write_results_jsonl(run, buf)

@@ -162,10 +162,10 @@ def test_score_item_exact():
 # replay provider + run_eval
 
 
-def _run_eval(provider, prompts, model_id, phase, **kwargs):
+def _run_eval(provider, prompts, model_id, phase, concurrency_limit=1, extract=False):
     """`run_eval` scored against `expected_answers` of the prompts."""
-    expected = expected_answers(prompts, kwargs.get("extract", False))
-    return run_eval(provider, prompts, expected, model_id, phase, **kwargs)
+    expected = expected_answers(prompts, extract)
+    return run_eval(provider, prompts, expected, model_id, phase, concurrency_limit, extract)
 
 
 def _make_replay(prompts, answers):
@@ -262,12 +262,27 @@ def test_run_eval_scores_against_expected_answers_given_once():
     pairs = [_pair(term=f"T {i}", identifier=f"HP:{i:07d}") for i in range(4)]
     prompts = [_prompt(p, Direction.ID_TO_TERM) for p in pairs]
     provider = _make_replay(prompts, ["t 0", "T  1.", "t 9", '"t 3"'])
-    expected = expected_answers(prompts)
+    expected = expected_answers(prompts, False)
     assert expected == ["t 0", "t 1", "t 2", "t 3"]
-    given = run_eval(provider, prompts, expected, "m", Phase.BASELINE)
+    given = run_eval(provider, prompts, expected, "m", Phase.BASELINE, 1, False)
     assert [i.correct for i in given.items] == [True, True, False, True]
     with pytest.raises(DomainError, match="3 expected answers for 4 prompts"):
-        run_eval(provider, prompts, expected[:3], "m", Phase.BASELINE)
+        run_eval(provider, prompts, expected[:3], "m", Phase.BASELINE, 1, False)
+
+
+def test_run_eval_items_share_equal_strings():
+    # the next stage holds every item, so equal strings are one object
+    pairs = [_pair(term=f"T {i}", identifier=f"HP:{i:07d}") for i in range(3)]
+    prompts = [_prompt(p, Direction.ID_TO_TERM) for p in pairs]
+    provider = _make_replay(prompts, ["T  0.", "t 1", "other"])
+    expected = expected_answers(prompts, False)
+    baseline, finetuned = (run_eval(provider, prompts, expected, "m", phase, 1, False).items
+                           for phase in Phase)
+    assert all(b.pair_id is f.pair_id for b, f in zip(baseline, finetuned))
+    assert [item.normalized_output for item in baseline] == ["t 0", "t 1", "other"]
+    assert baseline[0].normalized_output is expected[0]
+    assert baseline[1].normalized_output is expected[1]
+    assert baseline[2].normalized_output is baseline[2].raw_output
 
 
 def test_run_eval_rejects_mixed_sets():

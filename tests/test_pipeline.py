@@ -4,6 +4,7 @@ import gc
 import hashlib
 import importlib.util
 import inspect
+import io
 import json
 import os
 import shutil
@@ -500,32 +501,58 @@ def test_bench_trace_hooks_exist():
             assert attr in cls.__dict__, (cls.__name__, attr)
 
 
-def test_bench_trace_covers_every_pipeline_helper(tmp_path):
-    # A helper bound at import time (say, in a table of readers) escapes the
-    # wrapping, so its span never appears and its per-layer metric reads 0.
-    script = """
-import importlib.util, sys
-from termbench.config import load_config
+TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+# bench/tracing.py installed over one CLI launch: `<tracing.py> <spans out> <CLI argv...>`
+# runs the CLI and writes the names of the spans it recorded
+TRACED_CLI = """
+import importlib.util, json, sys
 spec = importlib.util.spec_from_file_location("bench_tracing", sys.argv[1])
 tracing = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(tracing)
 tracer = tracing.Tracer()
 tracer.install()
-cfg = load_config(sys.argv[2], run_dir=sys.argv[3])
-for stage in tracing.STAGES:
-    tracer.run_stage(cfg, stage)
-seen = {name for _, _, name, _, _ in tracer.spans}
-print(sorted(set(tracing.PIPELINE_HELPERS) - seen))
+from termbench.cli import main
+code = main(sys.argv[3:])
+with open(sys.argv[2], "w", encoding="utf-8") as fh:
+    json.dump(sorted({name for _, _, name, _, _ in tracer.spans}), fh)
+sys.exit(code)
 """
-    tracing_path = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+
+
+def _traced_cli(spans, *argv):
+    """Launch the CLI with the bench tracer installed; return the span names it saw."""
     src = Path(termbench.pipeline.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    result = subprocess.run(
-        [sys.executable, "-c", script, str(tracing_path), str(CONFIG), str(tmp_path / "run")],
-        env=env, capture_output=True, text=True, timeout=300)
+    result = subprocess.run([sys.executable, "-c", TRACED_CLI, str(TRACING), str(spans), *argv],
+                            env=env, capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    return set(json.loads(spans.read_text(encoding="utf-8")))
+
+
+@pytest.fixture(scope="module")
+def per_stage_seed1_run(tmp_path_factory):
+    """Each stage at seed 1, traced, in a CLI launch of its own: (run dir, span names seen)."""
+    root = tmp_path_factory.mktemp("per_stage")
+    seen = set()
+    for stage in termbench.pipeline.STAGES:
+        seen |= _traced_cli(root / f"spans_{stage}.json", "--config", str(CONFIG),
+                            "--run-dir", str(root / "run"), "--stage", stage, "--seed", "1")
+    return root / "run", seen
+
+
+def test_bench_trace_covers_every_pipeline_helper(tmp_path, per_stage_seed1_run):
+    # A helper bound at import time (say, in a table of readers) escapes the
+    # wrapping, so its span never appears and its per-layer metric reads 0.
+    # One process hands the rows of records, split, prompts and results over
+    # and calls none of their readers; a launch of one stage decodes every input.
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    seen = _traced_cli(tmp_path / "spans.json", "--config", str(CONFIG),
+                       "--run-dir", str(tmp_path / "run"), "--stage", "all")
+    _, per_stage = per_stage_seed1_run
+    assert sorted(set(tracing.PIPELINE_HELPERS) - seen - per_stage) == []
 
 
 def _rows(path):
@@ -633,10 +660,11 @@ def test_classify_reads_no_eval_summary(full_run, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# decode once per process, hash once per stage
+# rows handed from writer to reader, hashes once per stage
 
-SHARED_READERS = ("read_records_jsonl", "read_popularity_csv", "read_split_jsonl",
-                  "read_outcomes_jsonl")
+HANDED_READERS = ("read_records_jsonl", "read_split_jsonl", "read_prompts_jsonl",
+                  "read_results_jsonl")
+SPLIT = "sample/split.jsonl"
 
 
 def _count_calls(monkeypatch, names):
@@ -656,29 +684,61 @@ def _stage_files(root):
 
 
 def test_one_all_stage_run_decodes_each_shared_artifact_once(tmp_path, monkeypatch):
-    calls = _count_calls(monkeypatch, SHARED_READERS)
+    calls = _count_calls(monkeypatch, [*HANDED_READERS, "read_popularity_csv",
+                                       "read_outcomes_jsonl"])
     assert main(["--config", str(CONFIG), "--run-dir", str(tmp_path / "run"),
                  "--stage", "all"]) == 0
-    # one call per records file, one per other shared artifact
-    assert calls == {"read_records_jsonl": 3, "read_popularity_csv": 1,
-                     "read_split_jsonl": 1, "read_outcomes_jsonl": 1}
+    # each reader of these follows the stage that wrote or read the rows
+    assert calls == {**dict.fromkeys(HANDED_READERS, 0),
+                     "read_popularity_csv": 1, "read_outcomes_jsonl": 1}
 
 
-def test_nothing_is_held_after_report(tmp_path):
-    assert main(["--config", str(CONFIG), "--run-dir", str(tmp_path / "run"),
+def test_nothing_is_held_after_report(full_run, tmp_path, monkeypatch):
+    assert main(["--config", str(CONFIG), "--run-dir", str(tmp_path / "all"),
                  "--stage", "all"]) == 0
-    assert termbench.pipeline._DECODED == {}
+    assert termbench.pipeline._HELD == {}
+    # nor after a stage that raises
+    run_dir = tmp_path / "run"
+    shutil.copytree(full_run, run_dir)
+    cfg = load_config(CONFIG, run_dir=run_dir)
+    run_stage(cfg, "eval")
+    assert SPLIT in termbench.pipeline._HELD
+
+    def fail(*args):
+        raise RuntimeError("classify failed")
+
+    monkeypatch.setattr(termbench.pipeline, "build_outcomes", fail)
+    with pytest.raises(RuntimeError, match="classify failed"):
+        run_stage(cfg, "classify")
+    assert termbench.pipeline._HELD == {}
 
 
-def test_last_reader_table_matches_manifest_inputs(full_run):
-    manifest = json.loads((full_run / "manifest.json").read_text())
-    readers: dict[str, list[str]] = {}
+def test_rows_are_held_only_for_the_next_stage_that_reads_them(tmp_path):
+    # After each stage of a run, exactly the run artifacts that the stage read
+    # or wrote and the next stage reads are held, under the manifest's digest.
+    run_dir = tmp_path / "run"
+    cfg = load_config(CONFIG, run_dir=run_dir)
+    held = {}
     for stage in termbench.pipeline.STAGES:
-        for name in manifest["stages"][stage]["inputs"]:
-            if not Path(name).is_absolute():  # a run artifact, not a config-named source
-                readers.setdefault(name, []).append(stage)
-    shared = {name: stages[-1] for name, stages in readers.items() if len(stages) > 1}
-    assert termbench.pipeline._LAST_READER == shared
+        run_stage(cfg, stage)
+        held[stage] = {name: digest for name, (digest, _) in termbench.pipeline._HELD.items()}
+    stages = json.loads((run_dir / "manifest.json").read_text())["stages"]
+    for stage, after in zip(termbench.pipeline.STAGES, [*termbench.pipeline.STAGES[1:], None]):
+        reached = {**stages[stage]["inputs"], **stages[stage]["outputs"]}
+        next_inputs = stages[after]["inputs"] if after else {}
+        assert held[stage] == {name: digest for name, digest in reached.items()
+                               if name in next_inputs}, stage
+    # the chains a run holds rows through
+    assert sorted(held["eval"]) == sorted(
+        [SPLIT, *(f"eval/results_{stem}.jsonl" for stem in termbench.pipeline._RUN_STEMS)])
+    assert list(held["stats"]) == ["classify/outcomes.jsonl"]
+    assert list(held["popularity"]) == ["popularity/popularity.csv"]
+    assert held["lexicalize"] == held["report"] == {}
+    # a stage out of order takes only the held rows of its own inputs
+    run_stage(cfg, "prompts")
+    assert list(termbench.pipeline._HELD) == [SPLIT, "prompts/prompts.jsonl"]
+    run_stage(cfg, "lexicalize")
+    assert termbench.pipeline._HELD == {}
 
 
 @pytest.fixture(scope="module")
@@ -707,6 +767,12 @@ def test_manifest_records_each_stage_wall_time_and_memory_high_water_mark(fresh_
     assert marks == sorted(marks)
 
 
+def test_per_stage_launches_match_one_process_run(per_stage_seed1_run, fresh_seed1_run):
+    # each launch decodes every input; the one process hands rows over
+    run_dir, _ = per_stage_seed1_run
+    assert _stage_files(run_dir) == _stage_files(fresh_seed1_run)
+
+
 @pytest.mark.parametrize("change", ["resample", "edit"])
 def test_a_changed_split_is_decoded_again(fresh_seed1_run, tmp_path, monkeypatch, change):
     run_dir = tmp_path / "run"
@@ -715,15 +781,17 @@ def test_a_changed_split_is_decoded_again(fresh_seed1_run, tmp_path, monkeypatch
     calls = _count_calls(monkeypatch, ["read_split_jsonl"])  # one reader throughout
     for stage in stages[:stages.index("eval") + 1]:
         assert main([*argv, "--stage", stage]) == 0  # leaves the seed-42 split held
-    assert calls == {"read_split_jsonl": 1}
+    held_digest, _ = termbench.pipeline._HELD[SPLIT]
     if change == "resample":
         assert main([*argv, "--stage", "sample", "--seed", "1"]) == 0
     else:
         (run_dir / "sample" / "split.jsonl").write_bytes(
             (fresh_seed1_run / "sample" / "split.jsonl").read_bytes())
+    assert hashlib.sha256((run_dir / SPLIT).read_bytes()).hexdigest() != held_digest
     for stage in stages[stages.index("prompts"):]:
         assert main([*argv, "--stage", stage, "--seed", "1"]) == 0
-    assert calls == {"read_split_jsonl": 2}
+    # the sample stage hands its new rows on; a split edited on disk is decoded
+    assert calls == {"read_split_jsonl": 0 if change == "resample" else 1}
     assert _stage_files(run_dir) == _stage_files(fresh_seed1_run)
 
 
@@ -733,21 +801,25 @@ def test_changing_a_returned_list_does_not_change_the_next_read(full_run, tmp_pa
     shutil.copytree(full_run / "sample", run_dir / "sample")
     cfg = load_config(CONFIG, run_dir=run_dir)
     calls = _count_calls(monkeypatch, ["read_split_jsonl"])
-    name = "sample/split.jsonl"
+    pairs = read_split_jsonl(io.StringIO((run_dir / SPLIT).read_text(encoding="utf-8")))
+    expected = list(pairs)
+    termbench.pipeline.StageFiles(cfg, "sample").write(
+        "split.jsonl", termbench.pipeline.write_split_jsonl, pairs, rows=pairs)
+    pairs.clear()  # the writer's list
 
     def read(stage):
         return termbench.pipeline.StageFiles(cfg, stage).read(
-            name, termbench.pipeline.read_split_jsonl)
+            SPLIT, termbench.pipeline.read_split_jsonl)
 
     first = read("prompts")
-    expected = list(first)
+    assert first == expected
     first.clear()
     second = read("eval")
     assert second == expected
     second.reverse()
     assert read("lexicalize") == expected
-    assert calls == {"read_split_jsonl": 1}
-    assert name not in termbench.pipeline._DECODED  # lexicalize is its last reader
+    assert calls == {"read_split_jsonl": 0}
+    assert SPLIT not in termbench.pipeline._HELD  # the stage after lexicalize does not read it
 
 
 def test_each_stage_hashes_each_recorded_file_once(tmp_path, monkeypatch):
