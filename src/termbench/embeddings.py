@@ -1,7 +1,9 @@
 """Embedding acquisition: file-backed store, HTTP endpoint, token pooling.
 
 Hosting the embedding model is out of scope; vectors arrive either from a
-store file or from an HTTP service, which grows a JSONL one. Two layouts:
+store file or from an HTTP service, reached through a `remote.Endpoint`
+that carries the API key and no rate limit, which grows a JSONL store.
+Two layouts:
 
   JSONL   one object per line: {"text": ..., "dim": D, "vector": [...]}
   binary  magic "EMB1", u32le record count, then per record:
@@ -13,15 +15,14 @@ Token matrices are mean-pooled into a single vector per string.
 from __future__ import annotations
 
 import struct
-import time
 from pathlib import Path
-from typing import IO, Callable, Sequence
+from typing import IO, Sequence
 
 import numpy as np
 
 from .errors import ConsistencyError, DomainError, ParseError, ProtocolError
 from .jsonl import KeyedStore
-from .remote import Transport, call_json
+from .remote import Endpoint
 
 MAGIC = b"EMB1"
 # Texts per embedding request; the default client batch cap of common embedding servers.
@@ -106,19 +107,15 @@ class HttpEmbeddingProvider:
     """POST {"texts": [...]} -> {"vectors": [[...]]} or {"token_vectors": [[[...]]]}.
 
     Only the distinct texts its cache lacks are sent, each vector being put
-    in the cache as it arrives. A request goes through the transport the
+    in the cache as it arrives. A request goes through the endpoint the
     caller hands it, carries at most `BATCH_SIZE` texts and is retried like
     every other remote call. Every vector must be finite, flat and as long
     as the cached ones; a reply that breaks that is a `ProtocolError`.
     """
 
-    def __init__(self, url: str, transport: Transport, cache: EmbeddingCache,
-                 api_key: str | None = None, sleep: Callable[[float], None] = time.sleep):
-        self.url = url
-        self.api_key = api_key
+    def __init__(self, endpoint: Endpoint, cache: EmbeddingCache):
+        self.endpoint = endpoint
         self.cache = cache
-        self._transport = transport
-        self._sleep = sleep
 
     def embed_many(self, texts: Sequence[str]) -> list[np.ndarray]:
         missing = [t for t in dict.fromkeys(texts) if self.cache.get(t) is None]
@@ -129,12 +126,7 @@ class HttpEmbeddingProvider:
         return [self.cache.get(t) for t in texts]
 
     def _request(self, batch: list[str]) -> list[np.ndarray]:
-        headers = {}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        payload = call_json("embedding", "POST", self.url, transport=self._transport,
-                            limiter=None, sleep=self._sleep,
-                            json={"texts": batch}, headers=headers)
+        payload = self.endpoint.call("POST", json={"texts": batch})
         if not isinstance(payload, dict):
             raise ProtocolError("embedding response is not a JSON object")
         try:

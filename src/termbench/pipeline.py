@@ -28,10 +28,13 @@ SHA-256 is the one recorded with them. `_HELD` keeps them between
 `run_stage` calls; before a stage starts, `run_stage` drops every held file
 that the stage does not read, and a stage that raises leaves nothing held.
 
-The live stages (`popularity`, `eval`, `lexicalize`) each send their
-requests through one `remote.HttpTransport` and close it when they end or
-raise. They send only what their stores lack. `StageFiles.store` records
-each store once it is closed, so each digest is that of its final bytes.
+A stage reaches a remote service only through `StageFiles.endpoint`, built
+from `StageFiles.ENDPOINTS` (esearch and completions are rate-limited at
+`limits.rate_per_second`; embeddings are not) over the one
+`remote.HttpTransport` the stage opens at its first endpoint, which
+`run_stage` closes when the stage returns or raises. The live stages send
+only what their stores lack. `StageFiles.store` records each store once it
+is closed, so each digest is that of its final bytes.
 
 `run_stage` runs the stage function with Python's cyclic garbage collector
 paused. The rows a stage builds (records, pairs, prompts, eval items,
@@ -50,7 +53,7 @@ import os
 import resource
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import asdict
 from pathlib import Path
 
@@ -107,7 +110,7 @@ from .outcomes import (
     write_performance_csv,
     write_sankey_csv,
 )
-from .pmc import PmcClient, QueryCache, identifier_query, term_query
+from .pmc import ESEARCH_URL, PmcClient, QueryCache, identifier_query, term_query
 from .popularity import (
     PROXIES,
     PopularityRecord,
@@ -128,7 +131,7 @@ from .prompts import (
 )
 from .providers import HttpCompletionProvider, ReplayProvider, TranscriptWriter
 from .ratelimit import TokenBucket
-from .remote import HttpTransport
+from .remote import Endpoint, HttpTransport
 from .sampling import (
     SampledPair,
     Split,
@@ -170,10 +173,21 @@ class StageFiles:
     and names under `<run>/<stage>/`; `next_reads` are the artifacts that
     the next stage in `STAGES` reads; `stores` are the stores the stage
     opens under this config (`_store_files`). Any other name is a KeyError,
-    a fault in the code and never in the input.
+    a fault in the code and never in the input. `endpoint` reaches the
+    remote services, and `close` closes the transport they share.
     """
 
+    # service -> (its URL under a config, the variable holding its key, the request field,
+    # entry and form its key is sent as when set, whether it is rate-limited)
+    BEARER = ("headers", "Authorization", "Bearer {}")
+    ENDPOINTS = {
+        "esearch": (lambda cfg: ESEARCH_URL, EUTILS_KEY_ENV, ("params", "api_key", "{}"), True),
+        "completion": (lambda cfg: cfg.completion_url, COMPLETION_KEY_ENV, BEARER, True),
+        "embedding": (lambda cfg: cfg.embedding_url, EMBEDDING_KEY_ENV, BEARER, False),
+    }
+
     def __init__(self, cfg: RunConfig, stage: str):
+        self.cfg = cfg
         self.stage = stage
         self.run_dir = cfg.run_dir
         self.out_dir = cfg.run_dir / stage
@@ -183,6 +197,7 @@ class StageFiles:
         self.manifest = run_manifest.RunManifest(cfg.run_dir)
         self.inputs: dict[str, str] = {}
         self.outputs: dict[str, str] = {}
+        self._transport: HttpTransport | None = None
 
     def _record(self, path: Path, output: bool = False) -> None:
         name = (path.relative_to(self.run_dir).as_posix() if path.is_relative_to(self.run_dir)
@@ -262,6 +277,25 @@ class StageFiles:
             store.close()
         if store.path.exists():
             self._record(store.path, output=store.path.is_relative_to(self.out_dir))
+
+    def endpoint(self, name: str) -> Endpoint:
+        """A new `remote.Endpoint` for the service `name`, with a new token bucket if limited.
+
+        The first call opens the `HttpTransport`, pooling `concurrency`
+        connections, that every endpoint of the stage sends through.
+        """
+        url, key_env, (field, entry, form), limited = self.ENDPOINTS[name]
+        if self._transport is None:
+            self._transport = HttpTransport(self.cfg.concurrency)
+        key = os.environ.get(key_env)
+        return Endpoint(name, url(self.cfg), self._transport,
+                        TokenBucket(self.cfg.rate_per_second) if limited else None,
+                        {field: {entry: form.format(key)}} if key else None)
+
+    def close(self) -> None:
+        """Close the transport, if an endpoint opened one."""
+        if self._transport is not None:
+            self._transport.close()
 
 
 def _store_files(cfg: RunConfig, stage: str) -> dict[str, Path]:
@@ -343,11 +377,8 @@ def stage_popularity(cfg: RunConfig, files: StageFiles) -> None:
         for t in TERMINOLOGIES for record in records_by_t[t]
         for query in (identifier_query(record.identifier), term_query(record.label))
     ]
-    with (HttpTransport(cfg.concurrency) as transport,
-          files.store(QueryCache, "pmc_cache.jsonl") as cache):
-        client = PmcClient(cache=cache, transport=None if cfg.offline else transport,
-                           api_key=os.environ.get(EUTILS_KEY_ENV),
-                           rate_limiter=TokenBucket(cfg.rate_per_second))
+    with files.store(QueryCache, "pmc_cache.jsonl") as cache:
+        client = PmcClient(cache, None if cfg.offline else files.endpoint("esearch"))
         counts = dict(zip(queries, client.fetch_counts(queries, cfg.concurrency)))
 
     all_records: list[PopularityRecord] = []
@@ -426,8 +457,7 @@ def stage_prompts(cfg: RunConfig, files: StageFiles) -> None:
 
 
 @contextmanager
-def _completion_provider(cfg: RunConfig, phase: Phase, files: StageFiles,
-                         transport: HttpTransport):
+def _completion_provider(cfg: RunConfig, phase: Phase, files: StageFiles):
     """The phase's provider, for the block; a live one's transcript is a store."""
     transcript_path = cfg.transcripts.get(phase.value)
     name = f"transcript_{phase.value}.jsonl"
@@ -436,13 +466,7 @@ def _completion_provider(cfg: RunConfig, phase: Phase, files: StageFiles,
             files.source(transcript_path, f"paths.transcript_{phase.value}"))
     elif name in files.stores:
         with files.store(TranscriptWriter, name) as transcript:
-            yield HttpCompletionProvider(
-                url=cfg.completion_url,
-                transport=transport,
-                transcript=transcript,
-                api_key=os.environ.get(COMPLETION_KEY_ENV),
-                rate_limiter=TokenBucket(cfg.rate_per_second),
-            )
+            yield HttpCompletionProvider(files.endpoint("completion"), transcript)
     else:
         raise ValidationError(
             f"no completion source for phase {phase.value}: set "
@@ -452,8 +476,7 @@ def _completion_provider(cfg: RunConfig, phase: Phase, files: StageFiles,
 
 def stage_eval(cfg: RunConfig, files: StageFiles) -> None:
     pairs = files.read("sample/split.jsonl", read_split_jsonl)
-    prompts = files.read("prompts/prompts.jsonl", read_prompts_jsonl,
-                         {pair_id(p): p for p in pairs})
+    prompts = files.read("prompts/prompts.jsonl", read_prompts_jsonl, pairs)
 
     grouped: dict[tuple[Terminology, Direction], list] = {}
     for p in prompts:
@@ -462,22 +485,21 @@ def stage_eval(cfg: RunConfig, files: StageFiles) -> None:
     groups = [(t, d, grouped[(t, d)], expected_answers(grouped[(t, d)], cfg.extract_mode))
               for t in TERMINOLOGIES for d in DIRECTIONS if grouped.get((t, d))]
 
-    with HttpTransport(cfg.concurrency) as transport:
-        for phase, model_id in ((Phase.BASELINE, cfg.baseline_model),
-                                (Phase.FINETUNED, cfg.finetuned_model)):
-            with _completion_provider(cfg, phase, files, transport) as provider:
-                for t, d, group, expected in groups:
-                    run = run_eval(
-                        provider, group, expected, model_id, phase,
-                        concurrency_limit=cfg.concurrency,
-                        extract=cfg.extract_mode,
-                    )
-                    stem = _run_stem(phase, t, d)
-                    files.write(f"results_{stem}.jsonl", write_results_jsonl, run, rows=run.items)
-                    files.write(f"summary_{stem}.json", write_document, run_summary(run))
-            # drop the provider, with its transcript, and the last run, so the
-            # next phase's transcript loads with no other one in memory
-            provider = run = None
+    for phase, model_id in ((Phase.BASELINE, cfg.baseline_model),
+                            (Phase.FINETUNED, cfg.finetuned_model)):
+        with _completion_provider(cfg, phase, files) as provider:
+            for t, d, group, expected in groups:
+                run = run_eval(
+                    provider, group, expected, model_id, phase,
+                    concurrency_limit=cfg.concurrency,
+                    extract=cfg.extract_mode,
+                )
+                stem = _run_stem(phase, t, d)
+                files.write(f"results_{stem}.jsonl", write_results_jsonl, run, rows=run.items)
+                files.write(f"summary_{stem}.json", write_document, run_summary(run))
+        # drop the provider, with its transcript, and the last run, so the
+        # next phase's transcript loads with no other one in memory
+        provider = run = None
 
 
 def stage_classify(cfg: RunConfig, files: StageFiles) -> None:
@@ -503,15 +525,14 @@ def stage_classify(cfg: RunConfig, files: StageFiles) -> None:
 
 
 @contextmanager
-def _embedding_provider(cfg: RunConfig, files: StageFiles, transport: HttpTransport):
+def _embedding_provider(cfg: RunConfig, files: StageFiles):
     """The embedding source, for the block; an HTTP one's cache is a store."""
     if cfg.embedding_store is not None:
         yield FileEmbeddingStore.from_path(
             files.source(cfg.embedding_store, "paths.embedding_store"))
     elif "embeddings.jsonl" in files.stores:
         with files.store(EmbeddingCache, "embeddings.jsonl") as cache:
-            yield HttpEmbeddingProvider(cfg.embedding_url, transport, cache,
-                                        api_key=os.environ.get(EMBEDDING_KEY_ENV))
+            yield HttpEmbeddingProvider(files.endpoint("embedding"), cache)
     else:
         raise ValidationError(
             "no embedding source: set paths.embedding_store or endpoints.embedding_url")
@@ -523,8 +544,7 @@ def stage_lexicalize(cfg: RunConfig, files: StageFiles) -> None:
     if not pairs:
         raise DomainError("no training pairs in the split")
 
-    with (HttpTransport(cfg.concurrency) as transport,
-          _embedding_provider(cfg, files, transport) as provider):
+    with _embedding_provider(cfg, files) as provider:
         vectors = []
         meta = []
         # terminology -> (first row, pairs): its terms, then its identifiers in pair order
@@ -672,7 +692,8 @@ def run_stage(cfg: RunConfig, stage: str, dry_run: bool = False) -> None:
             files.artifact(name)
         gc.disable()
         start = time.perf_counter()
-        facts = stage_func(cfg, files)
+        with closing(files):  # the transport, if the stage reached an endpoint
+            facts = stage_func(cfg, files)
     except BaseException:
         _HELD.clear()  # nothing is handed on past a stage that failed
         raise

@@ -1,31 +1,28 @@
 """PubMed Central hit counts via the NCBI E-utilities esearch endpoint.
 
-Counts are fetched with `rettype=count` (no article payload), written
-through to an append-only JSONL cache keyed by (query, db), and rate
-limited by the token bucket the caller passes, if any (the pipeline always
-passes one, set by `limits.rate_per_second`). An E-utilities API key, when
-set, is sent with each request. `PmcClient.fetch_counts` keeps up to
-`concurrency` requests in flight, so round-trip latency does not hold
-throughput below that rate.
+Counts are fetched with `rettype=count` (no article payload) and written
+through to an append-only JSONL cache keyed by (query, db).
+`PmcClient.fetch_counts` keeps up to `concurrency` requests in flight, so
+round-trip latency does not hold throughput below the rate limit.
 
-Requests go through `remote.call_json` and the transport the client is
-handed: the popularity stage hands it the stage's `remote.HttpTransport`,
-or none when `flags.offline` is set, and a client with no transport
-answers from the cache only. New counts are appended to the cache file
-through one handle, which the stage closes before it hashes the file.
+Requests go through the `remote.Endpoint` the client is handed: the
+popularity stage hands it the stage's esearch endpoint (which carries the
+E-utilities API key, when one is set, and the token bucket of
+`limits.rate_per_second`), or none when `flags.offline` is set, and a
+client with no endpoint answers from the cache only. New counts are
+appended to the cache file through one handle, which the stage closes
+before it hashes the file.
 """
 
 from __future__ import annotations
 
-import time
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import ProtocolError, TransportError
 from .jsonl import KeyedStore
-from .ratelimit import TokenBucket
-from .remote import Transport, bounded_map, call_json
+from .remote import Endpoint, bounded_map
 
 ESEARCH_URL = "https://eutils.ncbi.nlm.nih.gov/entrez/eutils/esearch.fcgi"
 
@@ -79,21 +76,11 @@ class QueryCache(KeyedStore):
 
 
 class PmcClient:
-    """Count-only esearch client with retry, rate limiting and caching."""
+    """Count-only esearch client over a cache, and an endpoint for what it lacks (or None)."""
 
-    def __init__(
-        self,
-        cache: QueryCache,
-        transport: Transport | None,
-        api_key: str | None = None,
-        rate_limiter: TokenBucket | None = None,
-        sleep: Callable[[float], None] = time.sleep,
-    ):
+    def __init__(self, cache: QueryCache, endpoint: Endpoint | None):
         self.cache = cache
-        self.transport = transport
-        self.api_key = api_key
-        self.rate_limiter = rate_limiter
-        self._sleep = sleep
+        self.endpoint = endpoint
 
     def fetch_count(self, query: str, db: str = "pmc") -> int:
         """Hit count for `query`, served from cache when available."""
@@ -102,7 +89,7 @@ class PmcClient:
         cached = self.cache.get(query, db)
         if cached is not None:
             return cached
-        if self.transport is None:
+        if self.endpoint is None:
             raise TransportError(
                 f"no transport configured and query not cached: {query!r} (db={db})"
             )
@@ -115,7 +102,7 @@ class PmcClient:
                      db: str = "pmc") -> list[int]:
         """Hit counts for `queries`, in order; each distinct query is fetched once.
 
-        Cached queries (and every query when there is no transport) are
+        Cached queries (and every query when there is no endpoint) are
         answered in order on the calling thread. The misses go through
         `fetch_count` in `bounded_map`, so at most `concurrency` requests
         are in flight. The first failure cancels the fetches not yet
@@ -125,7 +112,7 @@ class PmcClient:
         counts: dict[str, int] = {}
         misses = []
         for query in dict.fromkeys(queries):
-            if self.transport is None or self.cache.get(query, db) is not None:
+            if self.endpoint is None or self.cache.get(query, db) is not None:
                 counts[query] = self.fetch_count(query, db)
             else:
                 misses.append(query)
@@ -135,11 +122,7 @@ class PmcClient:
 
     def _fetch_remote(self, query: str, db: str) -> int:
         params = {"db": db, "term": query, "retmode": "json", "rettype": "count"}
-        if self.api_key:
-            params["api_key"] = self.api_key
-        return self._parse_count(call_json(
-            "esearch", "GET", ESEARCH_URL, transport=self.transport,
-            limiter=self.rate_limiter, sleep=self._sleep, params=params))
+        return self._parse_count(self.endpoint.call("GET", params=params))
 
     @staticmethod
     def _parse_count(payload) -> int:

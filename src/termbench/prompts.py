@@ -144,8 +144,10 @@ def write_prompts_jsonl(prompts: Iterable[PromptInstance], sink: IO) -> int:
     return write_rows(map(_prompt_row, prompts), sink)
 
 
-def read_prompts_jsonl(stream: IO, pairs_by_id: dict[str, SampledPair]) -> list[PromptInstance]:
-    """Load prompts, rebinding each row to its SampledPair."""
+def read_prompts_jsonl(stream: IO, pairs: Iterable[SampledPair]) -> list[PromptInstance]:
+    """Load prompts, rebinding each row to its pair among `pairs`."""
+    pairs_by_id = {pair_id(p): p for p in pairs}
+
     def from_row(row: dict) -> PromptInstance:
         pair = pairs_by_id.get(row["pair_id"])
         if pair is None:

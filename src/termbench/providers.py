@@ -3,24 +3,23 @@
 Every request/response is a transcript row `{prompt_hash, request, response,
 timestamp}` (JSON Lines), keyed on the model, decoding settings and prompt.
 The HTTP provider sends only what its transcript lacks, through the
-transport its stage hands it, and records each reply there through one
-handle that the stage closes before hashing the file; the replay provider
-serves responses from such a file alone, so evaluations replay byte for byte.
+`remote.Endpoint` its stage hands it (which carries the API key and the
+rate limit), and records each reply there through one handle that the
+stage closes before hashing the file; the replay provider serves
+responses from such a file alone, so evaluations replay byte for byte.
 """
 
 from __future__ import annotations
 
 import hashlib
-import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Protocol
+from typing import Protocol
 
 from .errors import ConsistencyError, ParseError, ProtocolError
 from .jsonl import KeyedStore
-from .ratelimit import TokenBucket
-from .remote import Transport, call_json
+from .remote import Endpoint
 
 
 @dataclass(frozen=True)
@@ -100,35 +99,19 @@ class TranscriptWriter(KeyedStore):
 
 
 class HttpCompletionProvider:
-    """Chat-completions POST client with retry and rate limit, for what its transcript lacks."""
+    """Chat-completions POST client over its endpoint, for what its transcript lacks."""
 
-    def __init__(
-        self,
-        url: str,
-        transport: Transport,
-        transcript: TranscriptWriter,
-        api_key: str | None = None,
-        rate_limiter: TokenBucket | None = None,
-        sleep: Callable[[float], None] = time.sleep,
-    ):
-        self.url = url
-        self.api_key = api_key
+    def __init__(self, endpoint: Endpoint, transcript: TranscriptWriter):
+        self.endpoint = endpoint
         self.transcript = transcript
-        self.rate_limiter = rate_limiter
-        self._transport = transport
-        self._sleep = sleep
 
     def complete(self, prompt_text: str, model_id: str, params: DecodingParams) -> str:
         text = recorded(self.transcript, prompt_text, model_id, params)
         if text is not None:
             return text
         body = request_body(prompt_text, model_id, params)
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        payload = call_json("completion", "POST", self.url, transport=self._transport,
-                            limiter=self.rate_limiter, sleep=self._sleep,
-                            json=body, headers=headers)
+        payload = self.endpoint.call("POST", json=body,
+                                     headers={"Content-Type": "application/json"})
         try:
             output = payload["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:

@@ -1,24 +1,29 @@
 """The one remote-call layer shared by the esearch, completion and embedding clients.
 
-`call_json` is the one request path: it takes a rate-limit token, sends
-the request through a transport, retries a failed request or an HTTP 429
-or 5xx (waits start at 1 s and double; the fifth failed attempt gives up),
-fails at once on any other 4xx, and returns the decoded JSON body. A
-client only builds its request and pulls its field out of the reply.
+An `Endpoint` is one remote service as a stage reaches it: its name, URL,
+transport, token bucket (or none), the credential merged into each of its
+requests and the `sleep` its retries wait with. `Endpoint.call` is the one
+request path: it takes a rate-limit token, sends the request, retries a
+failed request or an HTTP 429 or 5xx (waits start at 1 s and double; the
+fifth failed attempt gives up), fails at once on any other 4xx, and
+returns the decoded JSON body. A client holds its store and an endpoint,
+and only builds its request and pulls its field out of the reply.
 
 A transport is anything callable as `transport(method, url, **request) ->
 (status_code, body_text)`. `HttpTransport` is the one that uses `requests`:
-each live stage (`popularity`, `eval`, `lexicalize`) creates one, hands it
-to its clients and closes it when the stage ends or raises, so the stage's
-requests share one keep-alive connection pool, sized to its concurrency.
-`requests` is imported at the first request, so a stage that sends none
-never loads it. `bounded_map` is the one thread pool.
+`pipeline.StageFiles.endpoint` opens one per live stage (`popularity`,
+`eval`, `lexicalize`) at the stage's first endpoint and closes it when the
+stage ends or raises, so the stage's requests share one keep-alive
+connection pool, sized to its concurrency. `requests` is imported at the
+first request, so a stage that sends none never loads it. `bounded_map` is
+the one thread pool.
 """
 
 from __future__ import annotations
 
 import json
 import threading
+import time
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from typing import Callable, Iterable, TypeVar
 
@@ -49,7 +54,7 @@ class HttpTransport:
     would send it. It keeps no cookies between requests, as the throwaway
     session of `requests.request` would not; a redirect to another host
     keeps the first host's proxies. A failed connection is a
-    `TransportError`. Close it, or use it in a `with` block.
+    `TransportError`. Close it when done.
     """
 
     def __init__(self, pool_size: int):
@@ -100,39 +105,51 @@ class HttpTransport:
                 self._session = None
             self._settings.clear()
 
-    def __enter__(self) -> "HttpTransport":
-        return self
 
-    def __exit__(self, *exc) -> None:
-        self.close()
+class Endpoint:
+    """One remote service, reached through `call`.
 
+    `credential` maps request fields to the entries `call` merges into each
+    request's own, after them: `{"headers": {"Authorization": "Bearer <key>"}}`.
+    """
 
-def call_json(endpoint: str, method: str, url: str, *, transport: Transport,
-              limiter: TokenBucket | None, sleep: Callable[[float], None], **request):
-    """Decoded JSON body of the first attempt that is not a failed request, 429 or 5xx."""
-    delay = RETRY_BASE_SECONDS
-    last_error = ""  # the message only: the exception's traceback holds this frame
-    for n in range(MAX_ATTEMPTS):
-        if n > 0:
-            sleep(delay)
-            delay *= RETRY_FACTOR
-        if limiter is not None:
-            limiter.acquire()
-        try:
-            status, text = transport(method, url, **request)
-        except TransportError as exc:
-            last_error = str(exc)
-            continue
-        if status == 429 or 500 <= status < 600:
-            last_error = f"HTTP {status} from {endpoint}"
-            continue
-        if 400 <= status < 500:
-            raise PermanentHttpError(status, text[:200])
-        try:
-            return json.loads(text)
-        except ValueError as exc:
-            raise ProtocolError(f"{endpoint} response is not JSON: {exc}") from exc
-    raise TransportError(f"{endpoint} failed after {MAX_ATTEMPTS} attempts: {last_error}")
+    def __init__(self, name: str, url: str, transport: Transport,
+                 limiter: TokenBucket | None = None, credential: dict | None = None,
+                 sleep: Callable[[float], None] = time.sleep):
+        self.name = name
+        self.url = url
+        self.transport = transport
+        self.limiter = limiter
+        self.credential = credential or {}
+        self._sleep = sleep
+
+    def call(self, method: str, **request):
+        """Decoded JSON body of the first attempt that is not a failed request, 429 or 5xx."""
+        for field, entries in self.credential.items():
+            request[field] = {**request.get(field, {}), **entries}
+        delay = RETRY_BASE_SECONDS
+        last_error = ""  # the message only: the exception's traceback holds this frame
+        for n in range(MAX_ATTEMPTS):
+            if n > 0:
+                self._sleep(delay)
+                delay *= RETRY_FACTOR
+            if self.limiter is not None:
+                self.limiter.acquire()
+            try:
+                status, text = self.transport(method, self.url, **request)
+            except TransportError as exc:
+                last_error = str(exc)
+                continue
+            if status == 429 or 500 <= status < 600:
+                last_error = f"HTTP {status} from {self.name}"
+                continue
+            if 400 <= status < 500:
+                raise PermanentHttpError(status, text[:200])
+            try:
+                return json.loads(text)
+            except ValueError as exc:
+                raise ProtocolError(f"{self.name} response is not JSON: {exc}") from exc
+        raise TransportError(f"{self.name} failed after {MAX_ATTEMPTS} attempts: {last_error}")
 
 
 def bounded_map(fn: Callable[[T], R], items: Iterable[T], concurrency: int) -> list[R]:

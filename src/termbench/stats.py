@@ -49,7 +49,6 @@ class WelchResult(NamedTuple):
     t: float
     df: float
     p: float
-    degenerate: bool = False
 
 
 def _welch(mean_a: float, var_a: float, n_a: int,
@@ -74,7 +73,7 @@ def welch_t(sample_a: Sequence[float], sample_b: Sequence[float]) -> WelchResult
     """Welch's unequal-variance t-test (two-sided).
 
     Degenerate zero-variance inputs do not raise: equal means give t=0 at
-    the pooled df, unequal means give an infinite t with p=0, both flagged.
+    the pooled df, unequal means give an infinite t with p=0.
     """
     a = np.asarray(sample_a, dtype=float)
     b = np.asarray(sample_b, dtype=float)
@@ -85,7 +84,7 @@ def welch_t(sample_a: Sequence[float], sample_b: Sequence[float]) -> WelchResult
     t, se, df = _welch(float(np.mean(a)), float(np.var(a, ddof=1)), a.size,
                        float(np.mean(b)), float(np.var(b, ddof=1)), b.size)
     if se == 0.0:
-        return WelchResult(t=t, df=df, p=1.0 if t == 0.0 else 0.0, degenerate=True)
+        return WelchResult(t=t, df=df, p=1.0 if t == 0.0 else 0.0)
     return WelchResult(t=t, df=df, p=t_sf_two_sided(t, df))
 
 

@@ -35,7 +35,7 @@ from termbench.errors import (
     PermanentHttpError,
     ProtocolError,
 )
-from termbench.remote import HttpTransport
+from termbench.remote import Endpoint, HttpTransport
 
 
 # ---------------------------------------------------------------------------
@@ -492,6 +492,12 @@ def cache(tmp_path):
         yield cache
 
 
+def _http_embedder(transport, cache):
+    """An `HttpEmbeddingProvider` whose endpoint retries without waiting."""
+    return HttpEmbeddingProvider(
+        Endpoint("embedding", "http://e", transport, sleep=lambda s: None), cache)
+
+
 def write_store_jsonl(vectors, path) -> None:
     with closing(EmbeddingCache(path)) as cache:
         for text, vec in vectors.items():
@@ -569,7 +575,7 @@ def test_http_embedding_provider_vectors_and_cache(cache):
         calls.append(request["json"])
         return 200, json.dumps({"vectors": [[1.0, 2.0]] * len(request["json"]["texts"])})
 
-    provider = HttpEmbeddingProvider("http://e", transport, cache)
+    provider = _http_embedder(transport, cache)
     v1 = provider.embed_many(["a"])[0]
     v2 = provider.embed_many(["a"])[0]
     assert np.allclose(v1, [1.0, 2.0])
@@ -581,13 +587,12 @@ def test_http_embedding_provider_token_matrix_pooled(cache):
     def transport(method, url, **request):
         return 200, json.dumps({"token_vectors": [[[1.0, 0.0], [0.0, 1.0]]]})
 
-    provider = HttpEmbeddingProvider("http://e", transport, cache)
+    provider = _http_embedder(transport, cache)
     assert np.allclose(provider.embed_many(["a"])[0], [0.5, 0.5])
 
 
 def test_http_embedding_provider_bad_payload(cache):
-    provider = HttpEmbeddingProvider(
-        "http://e", lambda m, u, **r: (200, json.dumps({"nope": 1})), cache)
+    provider = _http_embedder(lambda m, u, **r: (200, json.dumps({"nope": 1})), cache)
     with pytest.raises(ProtocolError):
         provider.embed_many(["a"])
 
@@ -599,8 +604,7 @@ def test_http_embedding_provider_bad_payload(cache):
     {"vectors": [[1, 2], [3]]},
 ], ids=["not-an-object", "null-vectors", "non-numeric", "unequal-lengths"])
 def test_http_embedding_provider_rejects_a_malformed_reply(cache, reply):
-    provider = HttpEmbeddingProvider("http://e", lambda m, u, **r: (200, json.dumps(reply)),
-                                     cache)
+    provider = _http_embedder(lambda m, u, **r: (200, json.dumps(reply)), cache)
     with pytest.raises(ProtocolError):
         provider.embed_many(["a", "b"])
     assert not cache.path.exists()  # nothing from a rejected reply is kept
@@ -608,8 +612,7 @@ def test_http_embedding_provider_rejects_a_malformed_reply(cache, reply):
 
 def test_http_embedding_provider_rejects_a_length_unlike_earlier_replies(cache):
     replies = iter([{"vectors": [[1.0, 2.0]]}, {"vectors": [[3.0]]}])
-    provider = HttpEmbeddingProvider(
-        "http://e", lambda m, u, **r: (200, json.dumps(next(replies))), cache)
+    provider = _http_embedder(lambda m, u, **r: (200, json.dumps(next(replies))), cache)
     provider.embed_many(["a"])
     with pytest.raises(ProtocolError):
         provider.embed_many(["b"])
@@ -618,8 +621,8 @@ def test_http_embedding_provider_rejects_a_length_unlike_earlier_replies(cache):
 def test_http_embedding_provider_rejects_a_length_unlike_its_stored_vectors(tmp_path):
     write_store_jsonl({"a": np.array([1.0, 2.0])}, tmp_path / "embeddings.jsonl")
     with closing(EmbeddingCache(tmp_path / "embeddings.jsonl")) as cache:
-        provider = HttpEmbeddingProvider(
-            "http://e", lambda m, u, **r: (200, json.dumps({"vectors": [[3.0]]})), cache)
+        provider = _http_embedder(
+            lambda m, u, **r: (200, json.dumps({"vectors": [[3.0]]})), cache)
         with pytest.raises(ProtocolError, match="unequal"):
             provider.embed_many(["a", "b"])
 
@@ -634,10 +637,10 @@ def test_http_embedding_provider_sends_only_what_its_store_lacks(tmp_path):
 
     path = tmp_path / "embeddings.jsonl"
     with closing(EmbeddingCache(path)) as cache:
-        first = HttpEmbeddingProvider("http://e", transport, cache).embed_many(["a", "bb"])
+        first = _http_embedder(transport, cache).embed_many(["a", "bb"])
     stored = path.read_bytes()
     with closing(EmbeddingCache(path)) as cache:
-        again = HttpEmbeddingProvider("http://e", transport, cache).embed_many(
+        again = _http_embedder(transport, cache).embed_many(
             ["bb", "ccc", "a"])
     assert texts == ["a", "bb", "ccc"]
     assert [v.tolist() for v in again] == [first[1].tolist(), [3.0, 1.0], first[0].tolist()]
@@ -658,7 +661,7 @@ def test_http_embedding_provider_batches_distinct_texts(cache):
         batches.append(list(texts))
         return 200, json.dumps({"vectors": [[float(t[1:])] for t in texts]})
 
-    provider = HttpEmbeddingProvider("http://e", transport, cache)
+    provider = _http_embedder(transport, cache)
     texts = [f"t{i}" for i in range(70)]
     got = provider.embed_many(texts + texts[:5])
     assert [len(b) for b in batches] == [BATCH_SIZE, BATCH_SIZE, 70 - 2 * BATCH_SIZE]
@@ -686,8 +689,9 @@ def _patch_post(fake_http, responses):
 def test_http_embedding_provider_retries_a_503(fake_http, cache):
     calls = _patch_post(fake_http, [(503, {"error": "busy"}), (200, {"vectors": [[1.0, 2.0]]})])
     slept = []
-    with HttpTransport(1) as transport:
-        provider = HttpEmbeddingProvider("http://e", transport, cache, sleep=slept.append)
+    with closing(HttpTransport(1)) as transport:
+        endpoint = Endpoint("embedding", "http://e", transport, sleep=slept.append)
+        provider = HttpEmbeddingProvider(endpoint, cache)
         assert provider.embed_many(["a"])[0].tolist() == [1.0, 2.0]
     assert len(calls) == 2
     assert slept == [1.0]
@@ -695,8 +699,8 @@ def test_http_embedding_provider_retries_a_503(fake_http, cache):
 
 def test_http_embedding_provider_does_not_retry_a_400(fake_http, cache):
     calls = _patch_post(fake_http, [(400, {"error": "bad request"})])
-    with HttpTransport(1) as transport:
-        provider = HttpEmbeddingProvider("http://e", transport, cache, sleep=lambda s: None)
+    with closing(HttpTransport(1)) as transport:
+        provider = _http_embedder(transport, cache)
         with pytest.raises(PermanentHttpError) as exc:
             provider.embed_many(["a"])
     assert exc.value.status == 400

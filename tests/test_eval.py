@@ -40,6 +40,7 @@ from termbench.providers import (
     prompt_hash,
     request_body,
 )
+from termbench.remote import Endpoint
 from termbench.sampling import SampledPair, Split, pair_id
 
 
@@ -466,13 +467,18 @@ def _chat_body(text):
     return json.dumps({"choices": [{"message": {"content": text}}]})
 
 
+def _http_provider(transport, transcript, url="http://example", credential=None):
+    """An `HttpCompletionProvider` whose endpoint retries without waiting."""
+    endpoint = Endpoint("completion", url, transport, credential=credential,
+                        sleep=lambda s: None)
+    return HttpCompletionProvider(endpoint, transcript)
+
+
 def test_http_provider_parses_and_records(tmp_path):
     transport = ScriptedHttp([(200, _chat_body("HP:0001337"))])
     with closing(TranscriptWriter(tmp_path / "t.jsonl")) as transcript:
-        provider = HttpCompletionProvider(
-            "http://example/v1/chat", api_key="k", transcript=transcript,
-            transport=transport, sleep=lambda s: None,
-        )
+        provider = _http_provider(transport, transcript, "http://example/v1/chat",
+                                  {"headers": {"Authorization": "Bearer k"}})
         out = provider.complete("prompt text", "model-a", DecodingParams())
         # each row is flushed as it is recorded
         row = json.loads((tmp_path / "t.jsonl").read_text().splitlines()[0])
@@ -500,8 +506,7 @@ def test_http_provider_sends_only_what_its_transcript_lacks(tmp_path):
     before = path.read_bytes()
     transport = ScriptedHttp([(200, _chat_body("B"))])
     with closing(TranscriptWriter(path)) as transcript:
-        provider = HttpCompletionProvider("http://example", transport, transcript,
-                                          sleep=lambda s: None)
+        provider = _http_provider(transport, transcript)
         assert provider.complete("p", "model-a", DecodingParams()) == "A"
         assert provider.complete("q", "model-b", DecodingParams()) == "Q"
         assert transport.calls == 0
@@ -516,24 +521,21 @@ def test_http_provider_sends_only_what_its_transcript_lacks(tmp_path):
 
 def test_http_provider_retries_then_succeeds(transcript):
     transport = ScriptedHttp([(429, ""), (503, ""), (200, _chat_body("x"))])
-    provider = HttpCompletionProvider("http://example", transport, transcript,
-                                      sleep=lambda s: None)
+    provider = _http_provider(transport, transcript)
     assert provider.complete("p", "m", DecodingParams()) == "x"
     assert transport.calls == 3
 
 
 def test_http_provider_permanent_error(transcript):
     transport = ScriptedHttp([(401, "no auth")])
-    provider = HttpCompletionProvider("http://example", transport, transcript,
-                                      sleep=lambda s: None)
+    provider = _http_provider(transport, transcript)
     with pytest.raises(PermanentHttpError):
         provider.complete("p", "m", DecodingParams())
 
 
 def test_http_provider_exhausts_retries(transcript):
     transport = ScriptedHttp([(500, "boom")])
-    provider = HttpCompletionProvider("http://example", transport, transcript,
-                                      sleep=lambda s: None)
+    provider = _http_provider(transport, transcript)
     with pytest.raises(TransportError):
         provider.complete("p", "m", DecodingParams())
     assert transport.calls == 5
@@ -543,7 +545,7 @@ def test_http_provider_failures_leave_no_reference_cycle(transcript):
     def down(method, url, **request):
         raise TransportError("connection refused")
 
-    provider = HttpCompletionProvider("http://example", down, transcript, sleep=lambda s: None)
+    provider = _http_provider(down, transcript)
     gc.collect()
     gc.disable()
     try:
@@ -562,8 +564,7 @@ def test_http_provider_fails_an_item_whose_content_is_not_a_string(tmp_path):
     transport = ScriptedHttp([(200, null), (200, _chat_body("HP:0000001"))])
     prompts = [_prompt(_pair(term=f"t{i}", identifier=f"HP:{i:07d}")) for i in range(2)]
     with closing(TranscriptWriter(tmp_path / "t.jsonl")) as transcript:
-        provider = HttpCompletionProvider("http://example", transcript=transcript,
-                                          transport=transport, sleep=lambda s: None)
+        provider = _http_provider(transport, transcript)
         run = _run_eval(provider, prompts, "m", Phase.BASELINE)
     assert [i.error is not None for i in run.items] == [True, False]
     assert "completion content is not a string" in run.items[0].error
@@ -571,5 +572,5 @@ def test_http_provider_fails_an_item_whose_content_is_not_a_string(tmp_path):
     rows = (tmp_path / "t.jsonl").read_text().splitlines()
     assert [json.loads(r)["response"]["text"] for r in rows] == ["HP:0000001"]
     with pytest.raises(ProtocolError):
-        HttpCompletionProvider("http://example", ScriptedHttp([(200, null)]), transcript,
-                               sleep=lambda s: None).complete("p", "m", DecodingParams())
+        _http_provider(ScriptedHttp([(200, null)]), transcript).complete(
+            "p", "m", DecodingParams())

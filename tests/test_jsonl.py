@@ -70,7 +70,7 @@ def test_prompts_round_trip_separator(tmp_path, sep):
     prompts = expand_prompts(pair, Direction.TERM_TO_ID) + expand_prompts(
         pair, Direction.ID_TO_TERM)
     back = _round_trip(lambda fh: write_prompts_jsonl(prompts, fh),
-                       lambda fh: read_prompts_jsonl(fh, {pair_id(pair): pair}))
+                       lambda fh: read_prompts_jsonl(fh, [pair]))
     assert back == prompts
 
 
@@ -144,9 +144,8 @@ def test_split_file_round_trips(pairs):
 def test_prompts_file_round_trips(data, pairs):
     prompts = data.draw(st.lists(st.builds(PromptInstance, st.sampled_from(pairs), _DIRECTION,
                                            _BIG, _TEXT, _TEXT), max_size=4))
-    by_id = {pair_id(p): p for p in pairs}
     assert _round_trip(lambda fh: write_prompts_jsonl(prompts, fh),
-                       lambda fh: read_prompts_jsonl(fh, by_id)) == prompts
+                       lambda fh: read_prompts_jsonl(fh, pairs)) == prompts
 
 
 @settings(max_examples=50, deadline=None)
@@ -377,7 +376,7 @@ def test_pmc_cache_torn_last_line_is_parse_error(tmp_path):
                         "bin_index": 0, "split": "train"}, "terminology", "Terminology"),
     (read_split_jsonl, {"terminology": "HPO", "term": "t", "identifier": "HP:0000001",
                         "bin_index": 0, "split": "train"}, "split", "Split"),
-    (lambda fh: read_prompts_jsonl(fh, {"HPO:HP:0000001": _pair("")}),
+    (lambda fh: read_prompts_jsonl(fh, [_pair("")]),
      {"pair_id": "HPO:HP:0000001", "direction": "term_to_id", "template_id": 1,
       "prompt_text": "p", "expected_answer": "HP:0000001"}, "direction", "Direction"),
     (read_results_jsonl, {"pair_id": "HPO:HP:0000001", "direction": "term_to_id",

@@ -25,7 +25,13 @@ import pytest
 import termbench.manifest
 import termbench.pipeline
 from termbench.cli import main
-from termbench.config import TERMINOLOGY_KEYS, load_config
+from termbench.config import (
+    COMPLETION_KEY_ENV,
+    EMBEDDING_KEY_ENV,
+    EUTILS_KEY_ENV,
+    TERMINOLOGY_KEYS,
+    load_config,
+)
 from termbench.embeddings import FileEmbeddingStore
 from termbench.errors import PermanentHttpError, ValidationError
 from termbench.evaluate import EvalItem, EvalRun, RunFailedError
@@ -302,6 +308,39 @@ def test_a_stage_reaches_its_run_only_through_stage_files():
     assert {node.id for node in named} == stores
     assert [f"line {node.lineno} {node.id}" for node in named
             if not any(node is arg for arg in opened)] == []
+    # and it reaches a remote service only through `StageFiles.endpoint`: the
+    # transport, the token buckets, the endpoints and the reads of the key
+    # variables are made only inside `StageFiles`
+    stage_files = next(node for node in tree.body
+                       if isinstance(node, ast.ClassDef) and node.name == "StageFiles")
+    inside = {id(node) for node in ast.walk(stage_files)}
+    made = {"HttpTransport", "TokenBucket", "Endpoint"}
+    keys = {"EUTILS_KEY_ENV", "COMPLETION_KEY_ENV", "EMBEDDING_KEY_ENV"}
+    remote = [node for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in made
+              or isinstance(node, ast.Name) and node.id in keys]
+    assert {getattr(node, "id", None) or node.func.id for node in remote} == made | keys
+    assert [f"line {node.lineno}" for node in remote if id(node) not in inside] == []
+    environ = [node for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+               and node.attr == "environ" and isinstance(node.value, ast.Name)
+               and node.value.id == "os"]
+    run_stage_func = next(node for node in tree.body
+                          if isinstance(node, ast.FunctionDef) and node.name == "run_stage")
+    # outside `StageFiles`, only `run_stage` reads the environment: the BLAS thread settings
+    allowed = inside | {id(node) for node in ast.walk(run_stage_func)}
+    assert [f"line {node.lineno}" for node in environ if id(node) not in allowed] == []
+
+
+def test_an_offline_run_opens_no_transport(tmp_path, monkeypatch):
+    # the fixture's config is offline and names its transcripts and embedding store
+    def refuse(*args):
+        raise AssertionError("a stage opened a transport")
+
+    monkeypatch.setattr(termbench.pipeline, "HttpTransport", refuse)
+    cfg = load_config(CONFIG, run_dir=tmp_path / "run")
+    for stage in termbench.pipeline.STAGES:
+        run_stage(cfg, stage)
 
 
 def test_a_copied_run_directory_keeps_its_names(full_run, tmp_path):
@@ -739,6 +778,15 @@ def test_rows_are_held_only_for_the_next_stage_that_reads_them(tmp_path):
     assert list(termbench.pipeline._HELD) == [SPLIT, "prompts/prompts.jsonl"]
     run_stage(cfg, "lexicalize")
     assert termbench.pipeline._HELD == {}
+
+
+def test_eval_builds_no_pair_map_for_the_prompts_it_is_handed(tmp_path, monkeypatch):
+    cfg = load_config(CONFIG, run_dir=tmp_path / "run")
+    for stage in ("ingest", "popularity", "sample", "prompts"):
+        run_stage(cfg, stage)
+    calls = _count_calls(monkeypatch, ["pair_id", "read_prompts_jsonl"])
+    run_stage(cfg, "eval")
+    assert calls == {"pair_id": 0, "read_prompts_jsonl": 0}
 
 
 @pytest.fixture(scope="module")
@@ -1216,6 +1264,93 @@ def test_a_failed_completion_is_not_recorded_and_a_rerun_sends_it_again(full_run
     assert sorted(sent) == sorted(("completion", (cfg.baseline_model, p)) for p in refused)
     for path in sorted((full_run / "eval").iterdir()):
         assert (run_dir / "eval" / path.name).read_bytes() == path.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# the bytes each live stage sends
+
+
+def _drop_rows(source, target, keep):
+    """Copy the JSONL file `source` to `target` without the rows that `keep` refuses."""
+    target.parent.mkdir(parents=True, exist_ok=True)
+    target.write_text("".join(json.dumps(row) + "\n" for row in _rows(source) if keep(row)),
+                      encoding="utf-8")
+
+
+def _one_esearch_request(full_run, run_dir):
+    """A live popularity run whose cache lacks one query; (config, stage, reply, expected)."""
+    query = '"HP:0000001"[All Fields]'
+    shutil.copytree(full_run / "ingest", run_dir / "ingest")
+    cfg = load_config(CONFIG, run_dir=run_dir)
+    cfg.pmc_cache = run_dir / "pmc_cache.jsonl"
+    _drop_rows(FIXTURE / "pmc_cache.jsonl", cfg.pmc_cache, lambda row: row["query"] != query)
+    cfg.offline = False
+    url = ("https://eutils.ncbi.nlm.nih.gov/entrez/eutils/esearch.fcgi"
+           "?db=pmc&term=%22HP%3A0000001%22%5BAll+Fields%5D&retmode=json&rettype=count")
+    return cfg, "popularity", _count_reply(400), ("GET", url, None, None)
+
+
+def _one_completion_request(full_run, run_dir):
+    """A live baseline eval whose transcript lacks one prompt; (config, stage, reply, expected)."""
+    prompt = "What is the HPO identifier for the HPO term mild rigidity?"
+    for stage in ("sample", "prompts"):
+        shutil.copytree(full_run / stage, run_dir / stage)
+    cfg = load_config(CONFIG, run_dir=run_dir)
+    _drop_rows(FIXTURE / "transcripts" / "baseline.jsonl",
+               run_dir / "eval" / "transcript_baseline.jsonl",
+               lambda row: row["request"]["messages"][0]["content"] != prompt)
+    del cfg.transcripts["baseline"]
+    cfg.completion_url = "http://completions.test/v1/chat/completions"
+    body = (b'{"model": "mock-base-1", "messages": [{"role": "user", "content": '
+            b'"What is the HPO identifier for the HPO term mild rigidity?"}], '
+            b'"temperature": 0.0, "max_tokens": 32}')
+    reply = 200, json.dumps({"choices": [{"message": {"content": "HP:0000003"}}]})
+    return cfg, "eval", reply, ("POST", cfg.completion_url, "application/json", body)
+
+
+def _one_embedding_request(full_run, run_dir):
+    """A live lexicalize run whose store lacks one text; (config, stage, reply, expected)."""
+    shutil.copytree(full_run / "sample", run_dir / "sample")
+    cfg = load_config(CONFIG, run_dir=run_dir)
+    _drop_rows(FIXTURE / "embeddings.jsonl", run_dir / "lexicalize" / "embeddings.jsonl",
+               lambda row: row["text"] != "mild rigidity")
+    vector = next(row["vector"] for row in _rows(FIXTURE / "embeddings.jsonl")
+                  if row["text"] == "mild rigidity")
+    cfg.embedding_store = None
+    cfg.embedding_url = "http://embeddings.test/v1/embed"
+    reply = 200, json.dumps({"vectors": [vector]})
+    return cfg, "lexicalize", reply, (
+        "POST", cfg.embedding_url, "application/json", b'{"texts": ["mild rigidity"]}')
+
+
+@pytest.mark.parametrize("key", [None, "k-123"], ids=["no-key", "key"])
+@pytest.mark.parametrize("setup, key_env", [
+    (_one_esearch_request, EUTILS_KEY_ENV),
+    (_one_completion_request, COMPLETION_KEY_ENV),
+    (_one_embedding_request, EMBEDDING_KEY_ENV),
+], ids=["esearch", "completion", "embedding"])
+def test_each_live_stage_sends_the_same_request_bytes(full_run, tmp_path, fake_http,
+                                                      monkeypatch, setup, key_env, key):
+    # Pins the method, the full URL with its query order, the credential and
+    # content-type headers and the body of one request to each remote service.
+    for name in (EUTILS_KEY_ENV, COMPLETION_KEY_ENV, EMBEDDING_KEY_ENV):
+        monkeypatch.delenv(name, raising=False)
+    if key is not None:
+        monkeypatch.setenv(key_env, key)
+    cfg, stage, reply, (method, url, content_type, body) = setup(full_run, tmp_path / "run")
+    sent = []
+
+    def answer(request, **kwargs):
+        sent.append((request.method, request.url, request.headers.get("Authorization"),
+                     request.headers.get("Content-Type"), request.body))
+        return reply
+
+    fake_http(answer)
+    run_stage(cfg, stage)
+    if key is not None and key_env == EUTILS_KEY_ENV:
+        url += "&api_key=k-123"
+    authorization = None if key is None or key_env == EUTILS_KEY_ENV else "Bearer k-123"
+    assert sent == [(method, url, authorization, content_type, body)]
 
 
 def test_pca_variance_matches_svd_reference(full_run):

@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 import termbench.remote
 from termbench.errors import DomainError, ParseError, ProtocolError, TransportError, PermanentHttpError
 from termbench.ontology import Terminology
-from termbench.pmc import PmcClient, QueryCache, identifier_query, term_query
+from termbench.pmc import ESEARCH_URL, PmcClient, QueryCache, identifier_query, term_query
 from termbench.popularity import (
     POPULARITY_CSV_COLUMNS,
     PopularityRecord,
@@ -22,6 +22,7 @@ from termbench.popularity import (
     write_popularity_csv,
 )
 from termbench.ratelimit import TokenBucket
+from termbench.remote import Endpoint
 
 
 def _pop(identifier, count, label=None):
@@ -167,8 +168,8 @@ def _client(open_cache, script):
     transport = MockTransport(script)
     cache = open_cache()
     limiter = TokenBucket(1000.0, clock=lambda: 0.0, sleep=lambda s: None)
-    client = PmcClient(cache=cache, transport=transport, api_key=None,
-                       rate_limiter=limiter, sleep=lambda s: None)
+    client = PmcClient(cache, Endpoint("esearch", ESEARCH_URL, transport, limiter,
+                                       sleep=lambda s: None))
     return client, transport
 
 
@@ -233,13 +234,13 @@ def test_cache_write_through_one_network_call(open_cache):
     assert client.fetch_count(q) == 55
     assert client.fetch_count(q) == 55
     assert transport.calls == 1
-    # a fresh client over the same cache file needs no transport at all
-    offline = PmcClient(cache=open_cache(), transport=None)
+    # a fresh client over the same cache file needs no endpoint at all
+    offline = PmcClient(open_cache(), None)
     assert offline.fetch_count(q) == 55
 
 
 def test_offline_without_cache_entry_fails(open_cache):
-    offline = PmcClient(cache=open_cache(), transport=None)
+    offline = PmcClient(open_cache(), None)
     with pytest.raises(TransportError):
         offline.fetch_count(identifier_query("HP:0001337"))
 
@@ -249,7 +250,7 @@ def test_cache_last_entry_wins(tmp_path):
     with open(path, "w") as fh:
         fh.write(json.dumps({"query": "q", "db": "pmc", "count": 1, "retrieved_at": "t1"}) + "\n")
         fh.write(json.dumps({"query": "q", "db": "pmc", "count": 2, "retrieved_at": "t2"}) + "\n")
-    client = PmcClient(cache=QueryCache(path), transport=None)
+    client = PmcClient(QueryCache(path), None)
     assert client.fetch_count("q") == 2
 
 
@@ -278,7 +279,7 @@ def test_cache_rejects_a_cached_count_as_a_live_one(tmp_path, count, message):
 def test_cache_serves_an_int_or_ascii_digits(tmp_path, count, expected):
     path = tmp_path / "cache.jsonl"
     _cache_with_count(path, count)
-    assert PmcClient(cache=QueryCache(path), transport=None).fetch_count("r") == expected
+    assert PmcClient(QueryCache(path), None).fetch_count("r") == expected
 
 
 class CountsByQuery:
@@ -311,8 +312,8 @@ class CountsByQuery:
 
 def _counts_client(open_cache, transport):
     limiter = TokenBucket(1e6, clock=lambda: 0.0, sleep=lambda s: None)
-    return PmcClient(cache=open_cache(), transport=transport,
-                     api_key=None, rate_limiter=limiter, sleep=lambda s: None)
+    return PmcClient(open_cache(), Endpoint("esearch", ESEARCH_URL, transport, limiter,
+                                            sleep=lambda s: None))
 
 
 def test_fetch_counts_overlaps_requests(open_cache):
@@ -372,7 +373,7 @@ def test_fetch_counts_offline_uncached_raises_as_fetch_count(tmp_path):
     path = tmp_path / "cache.jsonl"
     with closing(QueryCache(path)) as cache:
         cache.put("a", "pmc", 1, "t")
-    offline = PmcClient(cache=QueryCache(path), transport=None)
+    offline = PmcClient(QueryCache(path), None)
     with pytest.raises(TransportError) as single:
         offline.fetch_count("b")
     with pytest.raises(TransportError) as many:

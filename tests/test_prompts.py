@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from termbench.errors import DomainError
+from termbench.errors import DomainError, ParseError
 from termbench.ontology import Terminology, TermRecord
 from termbench.prompts import (
     FINETUNE_HYPERPARAMETERS,
@@ -18,7 +18,7 @@ from termbench.prompts import (
     read_prompts_jsonl,
     write_prompts_jsonl,
 )
-from termbench.sampling import SampledPair, Split, pair_id
+from termbench.sampling import SampledPair, Split
 
 
 def expand_all(pairs, directions):
@@ -104,7 +104,7 @@ def test_a_label_holding_a_placeholder_renders_verbatim_and_round_trips(label):
     assert prompts[5].expected_answer == label
     buf = io.StringIO()
     write_prompts_jsonl(prompts, buf)
-    assert read_prompts_jsonl(io.StringIO(buf.getvalue()), {pair_id(pair): pair}) == prompts
+    assert read_prompts_jsonl(io.StringIO(buf.getvalue()), [pair]) == prompts
 
 
 def test_gene_wording_uses_hgnc_and_protein_name():
@@ -145,8 +145,16 @@ def test_prompts_jsonl_round_trip():
     prompts = expand_all(pairs, [Direction.TERM_TO_ID])
     buf = io.StringIO()
     write_prompts_jsonl(prompts, buf)
-    back = read_prompts_jsonl(io.StringIO(buf.getvalue()), {pair_id(p): p for p in pairs})
+    back = read_prompts_jsonl(io.StringIO(buf.getvalue()), pairs)
     assert back == prompts
+
+
+def test_prompts_jsonl_names_a_pair_it_was_not_given():
+    pairs = [_pair(), _pair(term="ataxia", identifier="HP:0001251")]
+    buf = io.StringIO()
+    write_prompts_jsonl(expand_all(pairs, [Direction.TERM_TO_ID]), buf)
+    with pytest.raises(ParseError, match="line 6: unknown pair_id 'HPO:HP:0001251'"):
+        read_prompts_jsonl(io.StringIO(buf.getvalue()), pairs[:1])
 
 
 def test_emit_finetune_file_chat_rows():

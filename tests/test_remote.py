@@ -3,6 +3,7 @@ import sys
 import threading
 import time
 import warnings
+from contextlib import closing
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -10,7 +11,7 @@ import requests
 
 import termbench.remote
 from termbench.errors import ProtocolError, TransportError
-from termbench.remote import HttpTransport, bounded_map, call_json
+from termbench.remote import Endpoint, HttpTransport, bounded_map
 
 
 class Script:
@@ -37,11 +38,11 @@ class CountingLimiter:
 
 
 def _call(transport, sleep=None, limiter=None):
-    return call_json("svc", "GET", "http://x", transport=transport, limiter=limiter,
-                     sleep=sleep or (lambda s: None), params={"q": 1})
+    endpoint = Endpoint("svc", "http://x", transport, limiter, sleep=sleep or (lambda s: None))
+    return endpoint.call("GET", params={"q": 1})
 
 
-def test_call_json_retries_failures_and_429_5xx_on_a_doubling_schedule():
+def test_endpoint_call_retries_failures_and_429_5xx_on_a_doubling_schedule():
     transport = Script(TransportError("down"), (429, ""), (502, ""), (500, ""), (200, '{"a": 1}'))
     slept, limiter = [], CountingLimiter()
     assert _call(transport, slept.append, limiter) == {"a": 1}
@@ -54,17 +55,33 @@ def test_call_json_retries_failures_and_429_5xx_on_a_doubling_schedule():
     (TransportError("down"), "down"),
     ((503, ""), "HTTP 503 from svc"),
 ])
-def test_call_json_names_the_last_failure_when_it_gives_up(step, last):
+def test_endpoint_call_names_the_last_failure_when_it_gives_up(step, last):
     with pytest.raises(TransportError) as info:
         _call(Script(step))
     assert str(info.value) == f"svc failed after 5 attempts: {last}"
 
 
-def test_call_json_rejects_a_body_that_is_not_json():
+def test_endpoint_call_rejects_a_body_that_is_not_json():
     transport = Script((200, "<html>"))
     with pytest.raises(ProtocolError, match="svc response is not JSON"):
         _call(transport)
     assert len(transport.requests) == 1
+
+
+def test_endpoint_call_merges_its_credential_after_the_requests_own_fields():
+    transport = Script((200, "{}"))
+    params = {"q": 1}
+    endpoint = Endpoint("svc", "http://x", transport,
+                        credential={"params": {"key": "k"}, "headers": {"Authorization": "a"}})
+    endpoint.call("GET", params=params)
+    endpoint.call("POST", json={}, headers={"Content-Type": "t"})
+    assert transport.requests == [
+        ("GET", "http://x", {"params": {"q": 1, "key": "k"}, "headers": {"Authorization": "a"}}),
+        ("POST", "http://x", {"json": {}, "params": {"key": "k"},
+                              "headers": {"Content-Type": "t", "Authorization": "a"}}),
+    ]
+    assert list(transport.requests[0][2]["params"]) == ["q", "key"]
+    assert params == {"q": 1}  # the caller's own fields are left as they were
 
 
 def test_http_transport_turns_a_failed_request_into_a_transport_error(fake_http):
@@ -73,7 +90,7 @@ def test_http_transport_turns_a_failed_request_into_a_transport_error(fake_http)
         raise requests.ConnectionError("refused")
 
     fake_http(refuse)
-    with HttpTransport(1) as transport:
+    with closing(HttpTransport(1)) as transport:
         with pytest.raises(TransportError, match="request failed: refused"):
             transport("GET", "http://x", params={})
 
@@ -109,7 +126,7 @@ def test_http_transport_sends_what_requests_request_sends(fake_http, monkeypatch
     url = f"https://{host}{path}"
 
     requests.request(method, url, **request_args, timeout=termbench.remote._TIMEOUTS[method])
-    with HttpTransport(2) as transport:
+    with closing(HttpTransport(2)) as transport:
         for _ in range(2):  # the second request takes the settings the first looked up
             assert transport(method, url, **request_args) == (200, "{}")
 
@@ -149,7 +166,7 @@ def test_http_transport_makes_one_session_under_concurrent_first_requests(fake_h
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with HttpTransport(8) as transport:
+        with closing(HttpTransport(8)) as transport:
             assert bounded_map(first_request, range(8), 8) == [(200, "{}")] * 8
     finally:
         sys.setswitchinterval(switch)
@@ -185,7 +202,7 @@ def test_http_transport_keeps_its_connections_alive_on_loopback(monkeypatch):
         url = f"http://127.0.0.1:{server.server_address[1]}/count"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            with HttpTransport(2) as transport:
+            with closing(HttpTransport(2)) as transport:
                 replies = bounded_map(lambda i: transport("GET", url, params={"i": i}),
                                       range(50), 2)
             gc.collect()
