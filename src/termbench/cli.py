@@ -6,9 +6,10 @@
 The CLI parses its arguments, loads the config with the override flags
 (`load_config` checks them by their keys' rules) and runs the stages.
 Exit codes: 0 success; otherwise the failing error's `exit_code` (1 for a
-domain or validation error, 2 for a transport error, see `errors`), and 2
-for an `OSError`. Credentials come from the environment only (completion
-key, embedding key, E-utilities key); the config file never holds secrets.
+domain or validation error, 2 for a transport error, see `errors`), 2 for
+an `OSError` and 130 for an interrupt (Ctrl-C). Credentials come from the
+environment only (completion key, embedding key, E-utilities key); the
+config file never holds secrets.
 """
 
 from __future__ import annotations
@@ -76,6 +77,10 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        print("interrupted: the stores keep every row fetched, so a re-run resumes from them",
+              file=sys.stderr)
+        return 130
     return 0
 
 

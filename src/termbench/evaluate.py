@@ -6,6 +6,9 @@ hits@1 by byte equality. Strict mode keeps whatever the model said;
 extract mode pulls the first substring matching the terminology's
 identifier syntax before comparing, which isolates formatting failures
 from knowledge failures.
+
+`run_eval` returns a run's items, sorted; `run_summary` takes them with
+the model, terminology, direction and phase its caller holds.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import re
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import IO, Sequence
+from typing import IO, Iterable, Sequence
 
 from .errors import DomainError, HarnessError, TransportError
 from .jsonl import iter_rows, write_rows
@@ -76,21 +79,6 @@ class EvalItem:
     normalized_output: str
     correct: bool
     error: str | None = None
-
-
-@dataclass(frozen=True)
-class EvalRun:
-    model_id: str
-    terminology: Terminology
-    direction: Direction
-    phase: Phase
-    items: tuple[EvalItem, ...]
-
-    @property
-    def accuracy(self) -> float:
-        """Share of pairs that `pair_correctness` counts as correct."""
-        flags = pair_correctness(self.items).values()
-        return sum(flags) / len(flags)
 
 
 def pair_correctness(items: Sequence[EvalItem]) -> dict[str, bool]:
@@ -165,10 +153,9 @@ def run_eval(
     prompts: Sequence[PromptInstance],
     expected: Sequence[str],
     model_id: str,
-    phase: Phase,
     concurrency_limit: int,
     extract: bool,
-) -> EvalRun:
+) -> list[EvalItem]:
     """Evaluate prompts against one model and score hits@1.
 
     Provider failures count as incorrect (with the error recorded on the
@@ -194,14 +181,7 @@ def run_eval(
     items.sort(key=lambda i: (i.pair_id, i.template_id))
     if all(i.error is not None for i in items):
         raise RunFailedError(f"all {len(items)} items failed; first: {items[0].error}")
-
-    return EvalRun(
-        model_id=model_id,
-        terminology=terminology,
-        direction=direction,
-        phase=phase,
-        items=tuple(items),
-    )
+    return items
 
 
 # ---------------------------------------------------------------------------
@@ -232,22 +212,25 @@ def _result_from_row(row: dict) -> EvalItem:
     )
 
 
-def write_results_jsonl(run: EvalRun, sink: IO) -> int:
-    return write_rows(map(_result_row, run.items), sink)
+def write_results_jsonl(items: Iterable[EvalItem], sink: IO) -> int:
+    return write_rows(map(_result_row, items), sink)
 
 
 def read_results_jsonl(stream: IO) -> list[EvalItem]:
     return list(iter_rows(stream, _result_from_row))
 
 
-def run_summary(run: EvalRun) -> dict:
+def run_summary(items: Sequence[EvalItem], model_id: str, terminology: Terminology,
+                direction: Direction, phase: Phase) -> dict:
+    """One run's counts, and its accuracy: the share of pairs `pair_correctness` counts."""
+    flags = pair_correctness(items).values()
     return {
-        "model_id": run.model_id,
-        "terminology": run.terminology.value,
-        "direction": run.direction.value,
-        "phase": run.phase.value,
-        "n_items": len(run.items),
-        "n_correct": sum(i.correct for i in run.items),
-        "n_errors": sum(i.error is not None for i in run.items),
-        "accuracy": run.accuracy,
+        "model_id": model_id,
+        "terminology": terminology.value,
+        "direction": direction.value,
+        "phase": phase.value,
+        "n_items": len(items),
+        "n_correct": sum(i.correct for i in items),
+        "n_errors": sum(i.error is not None for i in items),
+        "accuracy": sum(flags) / len(flags),
     }

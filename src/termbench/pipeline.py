@@ -8,7 +8,8 @@ run only through `files`, a `StageFiles`, which refuses an undeclared name,
 opens the stores and hashes each file once as it records it. `run_stage`
 checks every declared input before the stage writes anything, and alone
 writes the manifest. Outputs are deterministic given the config and seeds;
-only the manifest carries timestamps.
+only the manifest carries timestamps. Every file is opened with
+`newline=""`, so its reader sees each "\r" and lines end at "\n" only.
 
     ingest      parse terminologies into canonical record files
     popularity  popularity proxies per identifier + rank-frequency points
@@ -116,6 +117,7 @@ from .popularity import (
     PopularityRecord,
     laplace_log,
     load_annotation_counts,
+    log_log_points,
     rank_frequency,
     read_popularity_csv,
     write_popularity_csv,
@@ -154,11 +156,6 @@ from .tables import write_table
 
 TERMINOLOGIES = tuple(Terminology)
 DIRECTIONS = (Direction.TERM_TO_ID, Direction.ID_TO_TERM)
-
-
-def _newline(name: str) -> str | None:
-    """CSV files are opened with newline="", as the csv module requires."""
-    return "" if name.endswith(".csv") else None
 
 
 class StageFiles:
@@ -238,7 +235,7 @@ class StageFiles:
         digest = self.inputs[name]
         held_digest, rows = _HELD.pop(name, (None, None))
         if held_digest != digest:
-            with open(path, encoding="utf-8", newline=_newline(name)) as fh:
+            with open(path, encoding="utf-8", newline="") as fh:
                 rows = reader(fh, *args)
         if name not in self.next_reads:
             return rows
@@ -256,7 +253,7 @@ class StageFiles:
             raise KeyError(f"stage {self.stage!r} does not declare the output {name!r}")
         path = self.out_dir / name
         path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", encoding="utf-8", newline=_newline(name)) as fh:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
             writer(*args, fh)
         self._record(path, output=True)
         artifact = f"{self.stage}/{name}"
@@ -328,8 +325,8 @@ def _run_stem(phase: Phase, t: Terminology, d: Direction) -> str:
     return f"{phase.value}_{_tkey(t)}_{d.value}"
 
 
-def _write_rank_points(dist, sink) -> None:
-    points = zip(dist.entries, dist.log_log_points())
+def _write_rank_points(ranked, sink) -> None:
+    points = zip(ranked, log_log_points(ranked))
     write_table(["identifier", "count", "rank", "log10_rank", "log10_count_plus1"],
                 ((*entry, lx, ly) for entry, (lx, ly) in points), sink)
 
@@ -343,12 +340,12 @@ def stage_ingest(cfg: RunConfig, files: StageFiles) -> dict:
     go_path = files.source(cfg.go_obo, "paths.go_obo")
     gene_path = files.source(cfg.gene_map, "paths.gene_map")
 
-    with open(hpo_path, encoding="utf-8") as fh:
+    with open(hpo_path, encoding="utf-8", newline="") as fh:
         hpo_doc = parse_obo_document(fh, Terminology.HPO)
-    with open(go_path, encoding="utf-8") as fh:
+    with open(go_path, encoding="utf-8", newline="") as fh:
         go_doc = parse_obo_document(fh, Terminology.GO_CC)
     go_records = filter_namespace(go_doc.records, GO_CC_NAMESPACE)
-    with open(gene_path, encoding="utf-8") as fh:
+    with open(gene_path, encoding="utf-8", newline="") as fh:
         gene_records = parse_gene_map(fh)
 
     for t, records in (
@@ -369,7 +366,7 @@ def stage_popularity(cfg: RunConfig, files: StageFiles) -> None:
     annotations_by_t: dict[Terminology, dict[str, int]] = {t: {} for t in TERMINOLOGIES}
     for t, ann_path in cfg.annotations.items():
         with open(files.source(ann_path, f"paths.annotations_{_tkey(t)}"),
-                  encoding="utf-8") as fh:
+                  encoding="utf-8", newline="") as fh:
             annotations_by_t[t] = load_annotation_counts(fh, t)
 
     queries = [
@@ -489,17 +486,18 @@ def stage_eval(cfg: RunConfig, files: StageFiles) -> None:
                             (Phase.FINETUNED, cfg.finetuned_model)):
         with _completion_provider(cfg, phase, files) as provider:
             for t, d, group, expected in groups:
-                run = run_eval(
-                    provider, group, expected, model_id, phase,
+                items = run_eval(
+                    provider, group, expected, model_id,
                     concurrency_limit=cfg.concurrency,
                     extract=cfg.extract_mode,
                 )
                 stem = _run_stem(phase, t, d)
-                files.write(f"results_{stem}.jsonl", write_results_jsonl, run, rows=run.items)
-                files.write(f"summary_{stem}.json", write_document, run_summary(run))
-        # drop the provider, with its transcript, and the last run, so the
-        # next phase's transcript loads with no other one in memory
-        provider = run = None
+                files.write(f"results_{stem}.jsonl", write_results_jsonl, items, rows=items)
+                files.write(f"summary_{stem}.json", write_document,
+                            run_summary(items, model_id, t, d, phase))
+        # drop the provider, with its transcript, and the last run's items, so
+        # the next phase's transcript loads with no other one in memory
+        provider = items = None
 
 
 def stage_classify(cfg: RunConfig, files: StageFiles) -> None:

@@ -90,9 +90,8 @@ class PmcClient:
         if cached is not None:
             return cached
         if self.endpoint is None:
-            raise TransportError(
-                f"no transport configured and query not cached: {query!r} (db={db})"
-            )
+            raise TransportError(f"query not cached in the PMC cache {self.cache.path} and "
+                                 f"flags.offline is set: {query!r} (db={db})")
         count = self._fetch_remote(query, db)
         retrieved_at = datetime.now(timezone.utc).isoformat()
         self.cache.put(query, db, count, retrieved_at)

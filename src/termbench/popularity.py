@@ -3,7 +3,9 @@
 Three proxies approximate how often a model saw a pair during pretraining:
 PMC full-text hits for the identifier string, PMC hits for the term string,
 and annotation counts from curated resources. Counts are Laplace-smoothed
-(add one) and log10-transformed before any statistics.
+(add one) and log10-transformed before any statistics. `rank_frequency`
+returns a tuple of (identifier, count, rank) triples, and `log_log_points`
+maps it to the points of a rank-frequency plot.
 """
 
 from __future__ import annotations
@@ -39,17 +41,6 @@ class PopularityRecord:
         return getattr(self, name)
 
 
-@dataclass(frozen=True)
-class RankedDistribution:
-    """Identifiers ranked 1..N by descending count, ties broken by identifier."""
-
-    entries: tuple[tuple[str, int, int], ...]  # (identifier, count, rank)
-
-    def log_log_points(self) -> list[tuple[float, float]]:
-        """(log10 rank, log10(count+1)) points for rank-frequency plots."""
-        return [(math.log10(rank), laplace_log(count)) for _, count, rank in self.entries]
-
-
 def laplace_log(count: int) -> float:
     """log10(count + 1); maps 0 to 0.0 and is strictly monotone."""
     if count < 0:
@@ -57,8 +48,10 @@ def laplace_log(count: int) -> float:
     return math.log10(count + 1)
 
 
-def rank_frequency(records: Iterable[PopularityRecord], proxy: str) -> RankedDistribution:
-    """Rank records by a proxy, descending; ties broken by identifier."""
+def rank_frequency(records: Iterable[PopularityRecord],
+                   proxy: str) -> tuple[tuple[str, int, int], ...]:
+    """(identifier, count, rank) for each record, ranked 1..N by the proxy's
+    count, descending; ties broken by identifier."""
     records = list(records)
     if not records:
         raise DomainError("cannot rank an empty record set")
@@ -67,11 +60,13 @@ def rank_frequency(records: Iterable[PopularityRecord], proxy: str) -> RankedDis
         raise DomainError(f"records span multiple terminologies: {terminologies}")
     keyed = sorted(((r.proxy(proxy), r.identifier) for r in records),
                    key=lambda kv: (-kv[0], kv[1]))
-    entries = tuple(
-        (identifier, count, rank)
-        for rank, (count, identifier) in enumerate(keyed, start=1)
-    )
-    return RankedDistribution(entries=entries)
+    return tuple((identifier, count, rank)
+                 for rank, (count, identifier) in enumerate(keyed, start=1))
+
+
+def log_log_points(ranked: Iterable[tuple[str, int, int]]) -> list[tuple[float, float]]:
+    """(log10 rank, log10(count+1)) points of `rank_frequency`'s triples."""
+    return [(math.log10(rank), laplace_log(count)) for _, count, rank in ranked]
 
 
 def load_annotation_counts(stream: IO, terminology: Terminology) -> dict[str, int]:

@@ -63,8 +63,10 @@ class ReplayProvider:
 
 
 def request_key(model_id, temperature, max_tokens, prompt_text: str) -> bytes:
-    """The SHA-256 digest of a request's model, decoding settings and prompt."""
-    settings = f"{model_id!r} {temperature!r} {max_tokens!r} {prompt_text}"
+    """The SHA-256 digest of a request's model, decoding settings and prompt.
+
+    Equal settings give one key: `+ 0.0` turns -0.0 into 0.0 and 1 into 1.0."""
+    settings = f"{model_id!r} {temperature + 0.0!r} {max_tokens!r} {prompt_text}"
     return hashlib.sha256(settings.encode("utf-8")).digest()
 
 

@@ -2,9 +2,11 @@
 
 Identifiers ranked by popularity are partitioned into equal-sized bins
 (head first), a fixed number of pairs is drawn from each bin without
-replacement, and everything not drawn becomes the validation split. All
-randomness flows through the documented splitmix64 streams so a (bins,
-per_bin, seed) triple reproduces byte-identical output anywhere.
+replacement, and everything not drawn becomes the validation split. A bin
+is a tuple of identifiers in rank order, and its index is its position in
+`stratify`'s list. All randomness flows through the documented splitmix64
+streams so a (bins, per_bin, seed) triple reproduces byte-identical output
+anywhere.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import IO, Iterable
 from .errors import DomainError
 from .jsonl import enum_lookup, iter_rows, write_rows
 from .ontology import Terminology, TermRecord, terminology_member
-from .popularity import PopularityRecord, RankedDistribution
+from .popularity import PopularityRecord
 from .rng import SplitMix64, substream
 
 
@@ -28,14 +30,6 @@ class Split(Enum):
 split_member = enum_lookup(Split)
 
 
-@dataclass(frozen=True)
-class FrequencyBin:
-    """One rank slice; index 0 holds the most frequent identifiers."""
-
-    index: int
-    members: tuple[str, ...]  # rank order
-
-
 @dataclass(frozen=True, slots=True)
 class SampledPair:
     terminology: Terminology
@@ -45,28 +39,24 @@ class SampledPair:
     split: Split
 
 
-def stratify(dist: RankedDistribution, n_bins: int) -> list[FrequencyBin]:
+def stratify(ranked: tuple[tuple[str, int, int], ...], n_bins: int) -> list[tuple[str, ...]]:
     """Partition the ranked identifiers into n_bins contiguous rank slices.
 
-    The first (N mod n_bins) bins take the extra member, so sizes differ by
-    at most one and every identifier lands in exactly one bin.
+    `ranked` is `rank_frequency`'s tuple; bin 0 holds the most frequent. The
+    first (N mod n_bins) bins take the extra member, so sizes differ by at
+    most one and every identifier lands in exactly one bin.
     """
-    identifiers = [identifier for identifier, _, _ in dist.entries]
+    identifiers = [identifier for identifier, _, _ in ranked]
     n = len(identifiers)
     if n < n_bins:
         raise DomainError(f"cannot split {n} identifiers into {n_bins} bins")
     base, extra = divmod(n, n_bins)
-    bins: list[FrequencyBin] = []
-    start = 0
-    for i in range(n_bins):
-        size = base + (1 if i < extra else 0)
-        bins.append(FrequencyBin(index=i, members=tuple(identifiers[start:start + size])))
-        start += size
-    return bins
+    starts = [i * base + min(i, extra) for i in range(n_bins + 1)]
+    return [tuple(identifiers[start:end]) for start, end in zip(starts, starts[1:])]
 
 
 def sample_bins(
-    bins: list[FrequencyBin],
+    bins: list[tuple[str, ...]],
     index: dict[str, TermRecord | PopularityRecord],
     seed: int,
     per_bin: int,
@@ -78,13 +68,11 @@ def sample_bins(
     is ordered by bin then identifier.
     """
     pairs: list[SampledPair] = []
-    for fbin in bins:
-        if len(fbin.members) < per_bin:
-            raise DomainError(
-                f"bin {fbin.index} has {len(fbin.members)} members, need {per_bin}"
-            )
-        pool = list(fbin.members)
-        rng: SplitMix64 = substream(seed, fbin.index)
+    for bin_index, members in enumerate(bins):
+        if len(members) < per_bin:
+            raise DomainError(f"bin {bin_index} has {len(members)} members, need {per_bin}")
+        pool = list(members)
+        rng: SplitMix64 = substream(seed, bin_index)
         rng.shuffle_prefix(pool, per_bin)
         for identifier in sorted(pool[:per_bin]):
             record = index[identifier]
@@ -93,7 +81,7 @@ def sample_bins(
                     terminology=record.terminology,
                     term=record.label,
                     identifier=identifier,
-                    bin_index=fbin.index,
+                    bin_index=bin_index,
                     split=Split.TRAIN,
                 )
             )
@@ -103,7 +91,7 @@ def sample_bins(
 def make_split(
     index: dict[str, TermRecord | PopularityRecord],
     sampled: list[SampledPair],
-    bins: list[FrequencyBin],
+    bins: list[tuple[str, ...]],
     validation_cap: int | None = None,
     cap_seed: int = 0,
 ) -> list[SampledPair]:
@@ -121,10 +109,10 @@ def make_split(
             terminology=index[identifier].terminology,
             term=index[identifier].label,
             identifier=identifier,
-            bin_index=fbin.index,
+            bin_index=bin_index,
             split=Split.VALIDATION,
         )
-        for fbin in bins for identifier in sorted(fbin.members)
+        for bin_index, members in enumerate(bins) for identifier in sorted(members)
         if identifier not in sampled_ids
     ]
 

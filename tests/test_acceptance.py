@@ -18,7 +18,13 @@ import numpy as np
 
 from termbench.alignment import pca_project, rowwise_alignment
 from termbench.cli import main as cli_main
-from termbench.evaluate import Phase, expected_answers, run_eval, write_results_jsonl
+from termbench.evaluate import (
+    Phase,
+    expected_answers,
+    run_eval,
+    run_summary,
+    write_results_jsonl,
+)
 from termbench.ontology import TermRecord, Terminology, build_index
 from termbench.outcomes import (
     CategoryPercentages,
@@ -172,7 +178,7 @@ def test_criterion_03_sampler():
         for p in pairs:
             per_bin.setdefault(p.bin_index, []).append(p)
         assert all(len(v) == 10 for v in per_bin.values())
-        ranks = {identifier: rank for identifier, _, rank in dist.entries}
+        ranks = {identifier: rank for identifier, _, rank in dist}
         for i in range(19):
             assert max(ranks[p.identifier] for p in per_bin[i]) < min(
                 ranks[p.identifier] for p in per_bin[i + 1]
@@ -228,12 +234,13 @@ def test_criterion_05_eval_determinism():
     )
     blobs = []
     for _ in range(2):
-        run = run_eval(provider, prompts, expected_answers(prompts, False), "m",
-                       Phase.BASELINE, 1, False)
-        assert run.accuracy == 0.75
+        items = run_eval(provider, prompts, expected_answers(prompts, False), "m", 1, False)
+        accuracy = run_summary(items, "m", Terminology.HPO, Direction.TERM_TO_ID,
+                               Phase.BASELINE)["accuracy"]
+        assert accuracy == 0.75
         buf = io.StringIO()
-        write_results_jsonl(run, buf)
-        blobs.append((buf.getvalue().encode(), run.accuracy))
+        write_results_jsonl(items, buf)
+        blobs.append((buf.getvalue().encode(), accuracy))
     assert blobs[0] == blobs[1]
 
 

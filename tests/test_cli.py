@@ -641,6 +641,22 @@ def test_each_error_class_exits_with_its_documented_status(tmp_path, monkeypatch
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_an_interrupt_exits_130_with_one_line_and_no_traceback(tmp_path, monkeypatch, capsys):
+    def interrupt(cfg, stage, dry_run=False):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("termbench.cli.run_stage", interrupt)
+    try:
+        code = main(["--config", str(CONFIG), "--run-dir", str(tmp_path / "r"),
+                     "--stage", "all"])
+    except KeyboardInterrupt:
+        pytest.fail("the interrupt escaped main")
+    assert code == 130
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "re-run resumes" in err
+
+
 def _fixture_copy(dest: Path, key: str, value: str) -> Path:
     """The mini fixture's files under `dest`, with `key = value` set in its config."""
     dest.mkdir()

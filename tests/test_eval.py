@@ -163,10 +163,16 @@ def test_score_item_exact():
 # replay provider + run_eval
 
 
-def _run_eval(provider, prompts, model_id, phase, concurrency_limit=1, extract=False):
+def _run_eval(provider, prompts, model_id, concurrency_limit=1, extract=False):
     """`run_eval` scored against `expected_answers` of the prompts."""
     expected = expected_answers(prompts, extract)
-    return run_eval(provider, prompts, expected, model_id, phase, concurrency_limit, extract)
+    return run_eval(provider, prompts, expected, model_id, concurrency_limit, extract)
+
+
+def _accuracy(items):
+    """A run's accuracy as its summary reports it."""
+    return run_summary(items, "m", Terminology.HPO, Direction.TERM_TO_ID,
+                       Phase.BASELINE)["accuracy"]
 
 
 def _make_replay(prompts, answers):
@@ -177,9 +183,9 @@ def test_run_eval_all_correct():
     pairs = [_pair(term=f"t{i}", identifier=f"HP:{i:07d}") for i in range(4)]
     prompts = [_prompt(p) for p in pairs]
     provider = _make_replay(prompts, [p.expected_answer for p in prompts])
-    run = _run_eval(provider, prompts, "m", Phase.BASELINE)
-    assert run.accuracy == 1.0
-    assert all(i.correct for i in run.items)
+    items = _run_eval(provider, prompts, "m")
+    assert _accuracy(items) == 1.0
+    assert all(i.correct for i in items)
 
 
 def test_run_eval_three_of_four():
@@ -188,36 +194,36 @@ def test_run_eval_three_of_four():
     answers = [p.expected_answer for p in prompts]
     answers[2] = "HP:9999999"
     provider = _make_replay(prompts, answers)
-    run = _run_eval(provider, prompts, "m", Phase.BASELINE)
-    assert run.accuracy == 0.75
+    items = _run_eval(provider, prompts, "m")
+    assert _accuracy(items) == 0.75
 
 
 def test_run_eval_provider_failure_counts_incorrect():
     pairs = [_pair(term=f"t{i}", identifier=f"HP:{i:07d}") for i in range(4)]
     prompts = [_prompt(p) for p in pairs]
     provider = _make_replay(prompts[:3], [p.expected_answer for p in prompts[:3]])
-    run = _run_eval(provider, prompts, "m", Phase.BASELINE)
-    failed = [i for i in run.items if i.error is not None]
+    items = _run_eval(provider, prompts, "m")
+    failed = [i for i in items if i.error is not None]
     assert len(failed) == 1
     assert not failed[0].correct
-    assert run.accuracy == 0.75
+    assert _accuracy(items) == 0.75
 
 
 def test_run_eval_all_failed_raises():
     prompts = [_prompt(_pair())]
     provider = ReplayProvider({})
     with pytest.raises(RunFailedError):
-        _run_eval(provider, prompts, "m", Phase.BASELINE)
+        _run_eval(provider, prompts, "m")
 
 
 def test_run_eval_order_stable_under_concurrency():
     pairs = [_pair(term=f"t{i}", identifier=f"HP:{i:07d}") for i in range(40)]
     prompts = [_prompt(p) for p in pairs]
     provider = _make_replay(prompts, [p.expected_answer for p in prompts])
-    sequential = _run_eval(provider, prompts, "m", Phase.BASELINE, concurrency_limit=1)
-    threaded = _run_eval(provider, list(reversed(prompts)), "m", Phase.BASELINE,
+    sequential = _run_eval(provider, prompts, "m", concurrency_limit=1)
+    threaded = _run_eval(provider, list(reversed(prompts)), "m",
                          concurrency_limit=8)
-    assert sequential.items == threaded.items
+    assert sequential == threaded
 
 
 def test_run_eval_keeps_few_submissions_outstanding(monkeypatch):
@@ -252,10 +258,10 @@ def test_run_eval_keeps_few_submissions_outstanding(monkeypatch):
     timer = threading.Timer(0.2, release.set)
     timer.start()
     try:
-        run = _run_eval(BlockingProvider(), prompts, "m", Phase.BASELINE, concurrency_limit=2)
+        items = _run_eval(BlockingProvider(), prompts, "m", concurrency_limit=2)
     finally:
         timer.join()
-    assert len(run.items) == 200 and run.accuracy == 1.0
+    assert len(items) == 200 and _accuracy(items) == 1.0
     assert 2 <= counts["peak"] <= 4
 
 
@@ -265,10 +271,10 @@ def test_run_eval_scores_against_expected_answers_given_once():
     provider = _make_replay(prompts, ["t 0", "T  1.", "t 9", '"t 3"'])
     expected = expected_answers(prompts, False)
     assert expected == ["t 0", "t 1", "t 2", "t 3"]
-    given = run_eval(provider, prompts, expected, "m", Phase.BASELINE, 1, False)
-    assert [i.correct for i in given.items] == [True, True, False, True]
+    given = run_eval(provider, prompts, expected, "m", 1, False)
+    assert [i.correct for i in given] == [True, True, False, True]
     with pytest.raises(DomainError, match="3 expected answers for 4 prompts"):
-        run_eval(provider, prompts, expected[:3], "m", Phase.BASELINE, 1, False)
+        run_eval(provider, prompts, expected[:3], "m", 1, False)
 
 
 def test_run_eval_items_share_equal_strings():
@@ -277,8 +283,8 @@ def test_run_eval_items_share_equal_strings():
     prompts = [_prompt(p, Direction.ID_TO_TERM) for p in pairs]
     provider = _make_replay(prompts, ["T  0.", "t 1", "other"])
     expected = expected_answers(prompts, False)
-    baseline, finetuned = (run_eval(provider, prompts, expected, "m", phase, 1, False).items
-                           for phase in Phase)
+    baseline, finetuned = (run_eval(provider, prompts, expected, "m", 1, False)
+                           for _ in Phase)
     assert all(b.pair_id is f.pair_id for b, f in zip(baseline, finetuned))
     assert [item.normalized_output for item in baseline] == ["t 0", "t 1", "other"]
     assert baseline[0].normalized_output is expected[0]
@@ -291,12 +297,12 @@ def test_run_eval_rejects_mixed_sets():
     p2 = _prompt(_pair(terminology=Terminology.GENE, term="tumor protein p53",
                        identifier="TP53"))
     with pytest.raises(DomainError):
-        _run_eval(ReplayProvider({}), [p1, p2], "m", Phase.BASELINE)
+        _run_eval(ReplayProvider({}), [p1, p2], "m")
 
 
 def test_run_eval_empty_prompts():
     with pytest.raises(DomainError):
-        _run_eval(ReplayProvider({}), [], "m", Phase.BASELINE)
+        _run_eval(ReplayProvider({}), [], "m")
 
 
 def test_run_eval_majority_vote():
@@ -304,12 +310,12 @@ def test_run_eval_majority_vote():
     prompts = expand_prompts(pair, Direction.TERM_TO_ID)
     answers = ["HP:0001337", "HP:0001337", "HP:0001337", "HP:0000000", "HP:0000000"]
     provider = _make_replay(prompts, answers)
-    run = _run_eval(provider, prompts, "m", Phase.BASELINE)
-    assert run.accuracy == 1.0
+    items = _run_eval(provider, prompts, "m")
+    assert _accuracy(items) == 1.0
     minority = _make_replay(prompts, ["HP:0000000", "HP:0000000", "HP:0000000",
                                       "HP:0001337", "HP:0001337"])
-    run2 = _run_eval(minority, prompts, "m", Phase.BASELINE)
-    assert run2.accuracy == 0.0
+    run2 = _run_eval(minority, prompts, "m")
+    assert _accuracy(run2) == 0.0
 
 
 def test_failed_templates_count_against_the_pair():
@@ -318,10 +324,10 @@ def test_failed_templates_count_against_the_pair():
     pair = _pair()
     prompts = expand_prompts(pair, Direction.TERM_TO_ID)
     provider = _make_replay(prompts[:3], ["HP:0001337", "HP:0001337", "HP:0000000"])
-    run = _run_eval(provider, prompts, "m", Phase.BASELINE)
-    assert [i.error is not None for i in run.items] == [False, False, False, True, True]
-    assert pair_correctness(run.items) == {pair_id(pair): False}
-    assert run.accuracy == 0.0
+    items = _run_eval(provider, prompts, "m")
+    assert [i.error is not None for i in items] == [False, False, False, True, True]
+    assert pair_correctness(items) == {pair_id(pair): False}
+    assert _accuracy(items) == 0.0
 
 
 def test_accuracy_of_concatenated_runs_is_weighted_mean():
@@ -334,21 +340,21 @@ def test_accuracy_of_concatenated_runs_is_weighted_mean():
     answers_b = [p.expected_answer for p in prompts_b]
     answers_b[0] = answers_b[1] = "HP:9999999"
     provider = _make_replay(prompts_a + prompts_b, answers_a + answers_b)
-    run_a = _run_eval(provider, prompts_a, "m", Phase.BASELINE)
-    run_b = _run_eval(provider, prompts_b, "m", Phase.BASELINE)
-    run_ab = _run_eval(provider, prompts_a + prompts_b, "m", Phase.BASELINE)
-    expected = (run_a.accuracy * 4 + run_b.accuracy * 6) / 10
-    assert run_ab.accuracy == pytest.approx(expected)
+    run_a = _run_eval(provider, prompts_a, "m")
+    run_b = _run_eval(provider, prompts_b, "m")
+    run_ab = _run_eval(provider, prompts_a + prompts_b, "m")
+    expected = (_accuracy(run_a) * 4 + _accuracy(run_b) * 6) / 10
+    assert _accuracy(run_ab) == pytest.approx(expected)
 
 
 def test_results_jsonl_round_trip():
     pairs = [_pair(term=f"t{i}", identifier=f"HP:{i:07d}") for i in range(4)]
     prompts = [_prompt(p) for p in pairs]
     provider = _make_replay(prompts, [p.expected_answer for p in prompts])
-    run = _run_eval(provider, prompts, "m", Phase.BASELINE)
+    items = _run_eval(provider, prompts, "m")
     buf = io.StringIO()
-    write_results_jsonl(run, buf)
-    assert tuple(read_results_jsonl(io.StringIO(buf.getvalue()))) == run.items
+    write_results_jsonl(items, buf)
+    assert read_results_jsonl(io.StringIO(buf.getvalue())) == items
 
 
 def test_replay_determinism_byte_for_byte():
@@ -359,18 +365,19 @@ def test_replay_determinism_byte_for_byte():
     provider = _make_replay(prompts, answers)
     blobs = []
     for _ in range(2):
-        run = _run_eval(provider, prompts, "m", Phase.BASELINE)
+        items = _run_eval(provider, prompts, "m")
         buf = io.StringIO()
-        write_results_jsonl(run, buf)
-        blobs.append((buf.getvalue().encode(), run.accuracy))
+        write_results_jsonl(items, buf)
+        blobs.append((buf.getvalue().encode(), _accuracy(items)))
     assert blobs[0] == blobs[1]
 
 
 def test_run_summary_fields():
     prompts = [_prompt(_pair())]
     provider = _make_replay(prompts, [prompts[0].expected_answer])
-    run = _run_eval(provider, prompts, "model-x", Phase.FINETUNED)
-    summary = run_summary(run)
+    items = _run_eval(provider, prompts, "model-x")
+    summary = run_summary(items, "model-x", Terminology.HPO, Direction.TERM_TO_ID,
+                          Phase.FINETUNED)
     assert summary == {
         "model_id": "model-x",
         "terminology": "HPO",
@@ -565,10 +572,10 @@ def test_http_provider_fails_an_item_whose_content_is_not_a_string(tmp_path):
     prompts = [_prompt(_pair(term=f"t{i}", identifier=f"HP:{i:07d}")) for i in range(2)]
     with closing(TranscriptWriter(tmp_path / "t.jsonl")) as transcript:
         provider = _http_provider(transport, transcript)
-        run = _run_eval(provider, prompts, "m", Phase.BASELINE)
-    assert [i.error is not None for i in run.items] == [True, False]
-    assert "completion content is not a string" in run.items[0].error
-    assert run.items[1].correct
+        items = _run_eval(provider, prompts, "m")
+    assert [i.error is not None for i in items] == [True, False]
+    assert "completion content is not a string" in items[0].error
+    assert items[1].correct
     rows = (tmp_path / "t.jsonl").read_text().splitlines()
     assert [json.loads(r)["response"]["text"] for r in rows] == ["HP:0000001"]
     with pytest.raises(ProtocolError):

@@ -9,11 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from termbench.embeddings import EmbeddingCache, FileEmbeddingStore
 from termbench.errors import ParseError
-from termbench.evaluate import EvalItem, EvalRun, Phase, read_results_jsonl, write_results_jsonl
+from termbench.evaluate import EvalItem, read_results_jsonl, write_results_jsonl
 from termbench.jsonl import KeyedStore, iter_rows, write_rows
 from termbench.ontology import Terminology, TermRecord, read_records_jsonl, write_records_jsonl
 from termbench.outcomes import PairOutcome, read_outcomes_jsonl, write_outcomes_jsonl
@@ -78,8 +78,7 @@ def test_prompts_round_trip_separator(tmp_path, sep):
 def test_results_round_trip_separator(tmp_path, sep):
     items = (EvalItem("HPO:HP:0000001", Direction.ID_TO_TERM, 1, f"x{sep}y", f"x{sep}y",
                       False, f"error{sep}text"),)
-    run = EvalRun("m", Terminology.HPO, Direction.ID_TO_TERM, Phase.BASELINE, items)
-    back = _round_trip(lambda fh: write_results_jsonl(run, fh), read_results_jsonl)
+    back = _round_trip(lambda fh: write_results_jsonl(items, fh), read_results_jsonl)
     assert tuple(back) == items
 
 
@@ -152,8 +151,7 @@ def test_prompts_file_round_trips(data, pairs):
 @given(items=st.lists(st.builds(EvalItem, _TEXT, _DIRECTION, _BIG, _TEXT, _TEXT, st.booleans(),
                                 st.none() | _TEXT), max_size=4))
 def test_results_file_round_trips(items):
-    run = EvalRun("m", Terminology.HPO, Direction.TERM_TO_ID, Phase.BASELINE, tuple(items))
-    assert _round_trip(lambda fh: write_results_jsonl(run, fh), read_results_jsonl) == items
+    assert _round_trip(lambda fh: write_results_jsonl(items, fh), read_results_jsonl) == items
 
 
 @settings(max_examples=50, deadline=None)
@@ -292,6 +290,8 @@ def test_pmc_cache_round_trips(items, cut):
                                           st.integers(0, 2**40)), _TEXT),
                       min_size=1, max_size=5),
        cut=st.booleans())
+# 0.0 == -0.0, so the two requests are one key
+@example(items=[(("", "m", 0.0, 0), ""), (("", "m", -0.0, 0), "0")], cut=False)
 def test_transcript_round_trips(items, cut):
     def record(transcript, key, text):
         prompt, model, temperature, max_tokens = key

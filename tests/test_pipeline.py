@@ -34,7 +34,7 @@ from termbench.config import (
 )
 from termbench.embeddings import FileEmbeddingStore
 from termbench.errors import PermanentHttpError, ValidationError
-from termbench.evaluate import EvalItem, EvalRun, RunFailedError
+from termbench.evaluate import EvalItem, RunFailedError
 from termbench.ontology import TermRecord, Terminology
 from termbench.outcomes import PairOutcome, read_outcomes_jsonl, round1
 from termbench.pipeline import run_stage
@@ -332,6 +332,39 @@ def test_a_stage_reaches_its_run_only_through_stage_files():
     assert [f"line {node.lineno}" for node in environ if id(node) not in allowed] == []
 
 
+def test_every_file_the_pipeline_opens_ends_its_lines_at_newline_only():
+    # newline="" hands the readers every "\r", so a lone one stays inside its line
+    tree = ast.parse(Path(termbench.pipeline.__file__).read_text(encoding="utf-8"))
+    opens = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id == "open"]
+    assert len(opens) >= 6  # the OBO files, the gene map, the annotations, the artifacts
+    assert [f"line {node.lineno}" for node in opens
+            if not any(kw.arg == "newline" and isinstance(kw.value, ast.Constant)
+                       and kw.value.value == "" for kw in node.keywords)] == []
+
+
+def test_a_lone_carriage_return_stays_inside_a_source_line(tmp_path):
+    hpo = (FIXTURE / "hpo.obo").read_bytes()
+    assert hpo.count(b"\nname: mild tremor\n") == 1
+    (tmp_path / "hpo.obo").write_bytes(
+        hpo.replace(b"\nname: mild tremor\n", b"\nname: mild tremor\rextra\n"))
+    genes = (FIXTURE / "gene_map.tsv").read_bytes()
+    assert genes.count(b"\tfusion factor 1\n") == 1
+    (tmp_path / "gene_map.tsv").write_bytes(
+        genes.replace(b"\tfusion factor 1\n", b"\tfusion\rfactor 1\n"))
+    config = tmp_path / "run.cfg"
+    config.write_text(f"[paths]\nhpo_obo = hpo.obo\ngo_obo = {FIXTURE / 'go.obo'}\n"
+                      "gene_map = gene_map.tsv\n", encoding="utf-8")
+    run_dir = tmp_path / "run"
+    assert main(["--config", str(config), "--run-dir", str(run_dir), "--stage", "ingest"]) == 0
+    labels = {row["identifier"]: row["label"] for t in ("hpo", "gene")
+              for row in _rows(run_dir / "ingest" / f"records_{t}.jsonl")}
+    assert labels["HP:0000001"] == "mild tremor\rextra"
+    assert labels["HP:0000002"] == "mild ataxia"
+    assert labels["FUF1"] == "fusion\rfactor 1"
+    assert labels["FUF2"] == "fusion factor 2"
+
+
 def test_an_offline_run_opens_no_transport(tmp_path, monkeypatch):
     # the fixture's config is offline and names its transcripts and embedding store
     def refuse(*args):
@@ -511,7 +544,7 @@ def test_row_classes_are_slotted_and_frozen(row):
 
 
 def test_no_row_is_part_of_a_reference_cycle(tmp_path):
-    row_classes = tuple(type(row) for row in ROWS) + (EvalRun,)
+    row_classes = tuple(type(row) for row in ROWS)
     gc.collect()
     flags = gc.get_debug()
     gc.set_debug(gc.DEBUG_SAVEALL)

@@ -17,6 +17,7 @@ from termbench.popularity import (
     PopularityRecord,
     laplace_log,
     load_annotation_counts,
+    log_log_points,
     rank_frequency,
     read_popularity_csv,
     write_popularity_csv,
@@ -55,7 +56,7 @@ def test_rank_frequency_tie_break():
         [_pop("HP:0000001", 5, "a"), _pop("HP:0000002", 9, "b"), _pop("HP:0000003", 5, "c")],
         "id_count_pmc",
     )
-    assert dist.entries == (
+    assert dist == (
         ("HP:0000002", 9, 1),
         ("HP:0000001", 5, 2),
         ("HP:0000003", 5, 3),
@@ -65,7 +66,7 @@ def test_rank_frequency_tie_break():
 def test_rank_frequency_all_equal_is_lexicographic():
     records = [_pop(f"HP:{i:07d}", 7, f"t{i}") for i in (3, 1, 2)]
     dist = rank_frequency(records, "id_count_pmc")
-    assert [e[0] for e in dist.entries] == ["HP:0000001", "HP:0000002", "HP:0000003"]
+    assert [e[0] for e in dist] == ["HP:0000001", "HP:0000002", "HP:0000003"]
 
 
 def test_rank_frequency_empty_raises():
@@ -76,17 +77,16 @@ def test_rank_frequency_empty_raises():
 def test_rank_frequency_preserves_multiset():
     records = [_pop(f"HP:{i:07d}", i % 5, f"t{i}") for i in range(1, 40)]
     dist = rank_frequency(records, "id_count_pmc")
-    assert sorted((e[0], e[1]) for e in dist.entries) == sorted(
+    assert sorted((e[0], e[1]) for e in dist) == sorted(
         (r.identifier, r.id_count_pmc) for r in records
     )
-    assert [e[2] for e in dist.entries] == list(range(1, 40))
+    assert [e[2] for e in dist] == list(range(1, 40))
 
 
 def test_rank_frequency_zipf_slope_near_minus_one():
     # Zipf-synthetic counts; slope of the log-log points fit by least squares.
     records = [_pop(f"HP:{i:07d}", 1000 // i, f"t{i}") for i in range(1, 101)]
-    dist = rank_frequency(records, "id_count_pmc")
-    points = dist.log_log_points()
+    points = log_log_points(rank_frequency(records, "id_count_pmc"))
     x = np.array([p[0] for p in points])
     y = np.array([p[1] for p in points])
     slope = np.polyfit(x, y, 1)[0]
@@ -241,7 +241,9 @@ def test_cache_write_through_one_network_call(open_cache):
 
 def test_offline_without_cache_entry_fails(open_cache):
     offline = PmcClient(open_cache(), None)
-    with pytest.raises(TransportError):
+    message = (r"not cached in the PMC cache .*cache\.jsonl and flags\.offline is set: "
+               r"'\"HP:0001337\"\[All Fields\]'")
+    with pytest.raises(TransportError, match=message):
         offline.fetch_count(identifier_query("HP:0001337"))
 
 

@@ -43,13 +43,13 @@ def test_stratify_exact_division():
     dist, _ = zipf_distribution(4000)
     bins = stratify(dist, 20)
     assert len(bins) == 20
-    assert all(len(b.members) == 200 for b in bins)
+    assert all(len(b) == 200 for b in bins)
 
 
 def test_stratify_remainder_goes_to_head_bins():
     dist, _ = zipf_distribution(4010)
     bins = stratify(dist, 20)
-    sizes = [len(b.members) for b in bins]
+    sizes = [len(b) for b in bins]
     assert sizes[:10] == [201] * 10
     assert sizes[10:] == [200] * 10
 
@@ -63,13 +63,13 @@ def test_stratify_too_few_identifiers():
 def test_stratify_partition_and_rank_order():
     dist, _ = zipf_distribution(403)
     bins = stratify(dist, 7)
-    ranks = {identifier: rank for identifier, _, rank in dist.entries}
+    ranks = {identifier: rank for identifier, _, rank in dist}
     seen = []
     for a, b in zip(bins, bins[1:]):
-        assert max(ranks[m] for m in a.members) < min(ranks[m] for m in b.members)
+        assert max(ranks[m] for m in a) < min(ranks[m] for m in b)
     for b in bins:
-        seen.extend(b.members)
-    assert sorted(seen) == sorted(identifier for identifier, _, _ in dist.entries)
+        seen.extend(b)
+    assert sorted(seen) == sorted(identifier for identifier, _, _ in dist)
     assert len(set(seen)) == len(seen)
 
 
@@ -80,7 +80,7 @@ def test_stratify_sizes_property(n, n_bins):
         return
     dist, _ = zipf_distribution(n)
     bins = stratify(dist, n_bins)
-    sizes = [len(b.members) for b in bins]
+    sizes = [len(b) for b in bins]
     assert sum(sizes) == n
     assert max(sizes) - min(sizes) <= 1
     assert sizes == sorted(sizes, reverse=True)
@@ -96,7 +96,7 @@ def test_sample_bins_counts_and_bin_ranges():
         per_bin.setdefault(p.bin_index, []).append(p)
     assert set(per_bin) == set(range(20))
     assert all(len(v) == 10 for v in per_bin.values())
-    ranks = {identifier: rank for identifier, _, rank in dist.entries}
+    ranks = {identifier: rank for identifier, _, rank in dist}
     for i in range(19):
         assert max(ranks[p.identifier] for p in per_bin[i]) < min(
             ranks[p.identifier] for p in per_bin[i + 1]
@@ -132,7 +132,7 @@ def test_sample_bins_exhaustive_bin_sorted():
     for i in range(4):
         chunk = [p.identifier for p in pairs if p.bin_index == i]
         assert chunk == sorted(chunk)
-        assert set(chunk) == set(bins[i].members)
+        assert set(chunk) == set(bins[i])
 
 
 def test_sample_bins_undersized_bin_fails():
@@ -169,7 +169,7 @@ def test_make_split_validation_carries_bin_index():
     index = build_index(_records_for(pop_records))
     sampled = sample_bins(bins, index, seed=5, per_bin=3)
     split = make_split(index, sampled, bins)
-    bin_of = {m: b.index for b in bins for m in b.members}
+    bin_of = {m: i for i, b in enumerate(bins) for m in b}
     for p in split:
         assert p.bin_index == bin_of[p.identifier]
 
