@@ -10,7 +10,7 @@ pairs in the projected plane.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import IO, Sequence
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
@@ -211,13 +211,11 @@ def write_alignment_json(results: dict[str, AlignmentResult], sink: IO) -> None:
     write_document({name: asdict(r) for name, r in results.items()}, sink)
 
 
-def write_pca_points_csv(
-    meta: Sequence[tuple[str, str, str]], scores: np.ndarray, sink: IO
-) -> int:
-    """One row per projected vector: its (label, class, terminology) and x, y."""
+def write_pca_points_csv(points: Iterable[tuple[tuple[str, str, str], list[float]]],
+                         sink: IO) -> int:
+    """One row per projected vector: its (label, class, terminology) and its (x, y)."""
     return write_table(["label", "class", "terminology", "x", "y"],
-                       ((*m, x, y) for m, (x, y) in zip(meta, scores.tolist(), strict=True)),
-                       sink)
+                       ((*m, x, y) for m, (x, y) in points), sink)
 
 
 def write_pca_variance_csv(shares: Sequence[float], sink: IO) -> None:

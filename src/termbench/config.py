@@ -88,12 +88,6 @@ def _parse_value(raw: str, lineno: int) -> object:
     return raw
 
 
-TERMINOLOGY_KEYS = {
-    Terminology.HPO: "hpo",
-    Terminology.GO_CC: "go_cc",
-    Terminology.GENE: "gene",
-}
-
 GO_CC_NAMESPACE = "cellular_component"
 
 
@@ -168,8 +162,7 @@ def load_config(path: str | Path, run_dir: str | Path | None = None,
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise ParseError(f"invalid UTF-8 byte {data[exc.start]:#04x} ({exc.reason})",
-                         data.count(b"\n", 0, exc.start) + 1) from exc
+        raise ParseError.not_utf8(data, exc) from exc
     values, lines = parse_flat_config(text)
     base_dir = path.parent.resolve()
     names = {key: f"{key} (line {n})" for key, n in lines.items()}
@@ -246,8 +239,8 @@ def _checked_config(values: dict[str, object], base_dir: Path,
         hpo_obo=get_path("paths.hpo_obo"),
         go_obo=get_path("paths.go_obo"),
         gene_map=get_path("paths.gene_map"),
-        annotations={t: p for t, key in TERMINOLOGY_KEYS.items()
-                     if (p := get_path(f"paths.annotations_{key}")) is not None},
+        annotations={t: p for t in Terminology
+                     if (p := get_path(f"paths.annotations_{t.key}")) is not None},
         pmc_cache=get_path("paths.pmc_cache"),
         embedding_store=get_path("paths.embedding_store"),
         transcripts={phase: p for phase in ("baseline", "finetuned")

@@ -3,9 +3,14 @@
 Each class carries the exit status the CLI returns for it (`exit_code`):
 domain and validation problems exit 1, transport and numerical problems
 exit 2. The CLI reads it and decides nothing else; an `OSError` exits 2.
+A file that is not UTF-8 is a ParseError naming the line of its first bad
+byte (`ParseError.not_utf8`, `utf8_named`), so it exits 1.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
+from pathlib import Path
 
 
 class HarnessError(Exception):
@@ -22,6 +27,33 @@ class ParseError(HarnessError):
         if line_number is not None:
             message = f"line {line_number}: {message}"
         super().__init__(message)
+
+    @classmethod
+    def not_utf8(cls, data: bytes, exc: UnicodeDecodeError, line_number: int = 1) -> ParseError:
+        """The error for `data`, which `exc` found not to be UTF-8; `data` starts on
+        line `line_number`, and the error names the line of its first bad byte."""
+        return cls(f"invalid UTF-8 byte {data[exc.start]:#04x} ({exc.reason})",
+                   line_number + data.count(b"\n", 0, exc.start))
+
+
+@contextmanager
+def utf8_named(path: Path):
+    """Re-raise a byte of the file `path` that is not UTF-8, met in the block, as a
+    ParseError naming the file and the line.
+
+    The file is read again, a line at a time, to find that line: a "\n" byte
+    is never part of a multi-byte character, so each line decodes alone.
+    """
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        with open(path, "rb") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError as bad:
+                    raise ParseError(f"{path}: {ParseError.not_utf8(line, bad, lineno)}") from exc
+        raise
 
 
 class ValidationError(HarnessError):

@@ -3,6 +3,8 @@
 Every JSONL artifact, cache and transcript is read by `iter_rows` and
 written by `write_rows`; the PMC cache, the transcripts and the JSONL
 embedding store are `KeyedStore`s, loaded whole and grown a row at a time.
+A store's last row, torn by a process that died as it appended it, is
+dropped as the store loads, and cut from the file before the next row.
 Every JSON document (eval summaries, metrics, fine-tune manifests,
 alignment results, the run manifest) is written by `write_document`,
 indented by two, with sorted keys and, unlike a row, with every non-ASCII
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import threading
 from enum import Enum
 from pathlib import Path
@@ -99,9 +102,13 @@ class KeyedStore:
     """An append-only JSONL file, loaded through `iter_rows` as `{key: value}`.
 
     A subclass's `entry(row)` gives a row's (key, value); the last row for a
-    key wins, and a row `entry` rejects, or a torn last row, is a ParseError
-    naming the file and the line. `put` appends a row through one handle shared by
-    threads, opened at the first row (a last row that lacks its "\\n" then
+    key wins. The file is read a line at a time. A torn last row, one that
+    lacks its "\\n" and does not decode or parse, is dropped with one stderr
+    line naming the file and the row's byte offset; any other row that is
+    not UTF-8 or JSON, or that `entry` rejects, is a ParseError naming the
+    file and the line. `put` appends a row through one handle shared by
+    threads, opened at the first row (the file is cut to its last "\\n"
+    first when a torn row was dropped, and a last row that lacks its "\\n"
     gets one), and flushes it, so a killed process keeps every row put
     before it died. Close the store before anything hashes the file.
     """
@@ -111,13 +118,39 @@ class KeyedStore:
         self._lock = threading.Lock()
         self._fh: IO | None = None
         self._values: dict = {}
+        self._torn_at: int | None = None  # the byte offset of a dropped torn last row
         if self.path.exists():
             try:
-                with open(self.path, encoding="utf-8") as fh:
-                    self._values.update(iter_rows(fh, self.entry))
+                self._load()
             except ParseError as exc:  # a stage may hold three stores: name the file
                 exc.args = (f"{self.path}: {exc}",)
                 raise
+
+    def _load(self) -> None:
+        try:
+            with open(self.path, encoding="utf-8") as fh:
+                self._values.update(iter_rows(fh, self.entry))
+        except (ParseError, UnicodeDecodeError):
+            # read it again as bytes, decoding each line alone, to drop a torn
+            # last row or to name the line that is not UTF-8
+            self._values.clear()
+            with open(self.path, "rb") as fh:
+                self._values.update(iter_rows(self._lines(fh), self.entry))
+
+    def _lines(self, stream: IO[bytes]) -> Iterator[str]:
+        """The lines of the binary `stream`, decoded, but for a torn last row."""
+        for lineno, line in enumerate(stream, start=1):
+            if not (line.endswith(b"\n") or _parses(line)):  # only the last line lacks it
+                self._torn_at = stream.tell() - len(line)
+                print(f"warning: {self.path}: dropped the torn last row at byte "
+                      f"{self._torn_at}; it is cut off before the next row is added",
+                      file=sys.stderr)
+                return
+            try:
+                text = line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ParseError.not_utf8(line, exc, lineno) from exc
+            yield text
 
     def get(self, key):
         return self._values.get(key)
@@ -127,6 +160,8 @@ class KeyedStore:
         with self._lock:
             if self._fh is None:
                 self.path.parent.mkdir(parents=True, exist_ok=True)
+                if self._torn_at is not None:
+                    os.truncate(self.path, self._torn_at)
                 self._fh = open(self.path, "a", encoding="utf-8")
                 if self._fh.tell():
                     with open(self.path, "rb") as fh:
@@ -141,6 +176,17 @@ class KeyedStore:
             if self._fh is not None:
                 self._fh.close()
                 self._fh = None
+
+
+def _parses(line: bytes) -> bool:
+    """Whether a line decodes and holds one JSON value, or only whitespace."""
+    try:
+        text = line.decode("utf-8").lstrip("\ufeff")
+        if text.strip(_JSON_WS):
+            json.loads(text)
+    except ValueError:  # UnicodeDecodeError, json.JSONDecodeError
+        return False
+    return True
 
 
 def write_document(payload: dict, sink: IO) -> None:

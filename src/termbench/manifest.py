@@ -1,9 +1,11 @@
 """Run manifest: provenance for every stage of a run directory.
 
 The manifest is the only place timestamps and timings live; stage outputs
-themselves are deterministic. It is rewritten atomically (temp file +
-rename) after each stage completes, storing the SHA-256 digests that the
-stage took of its inputs and outputs (`pipeline.StageFiles`), keyed by
+themselves are deterministic. It is loaded, and checked, before a stage
+runs, and rewritten atomically (temp file + rename) by one `record_stage`
+call after the stage completes. That call stores the run's config, seeds
+and BLAS thread settings, and the stage's entry: the SHA-256 digests that
+the stage took of its inputs and outputs (`pipeline.StageFiles`), keyed by
 their names under the run directory (the absolute path for a file outside
 it), its wall time and the process's memory high-water mark after it.
 Every output lies under the run directory, so a manifest that names one by
@@ -66,36 +68,33 @@ class RunManifest:
                 "stages": {},
             }
 
-    def set_config(self, raw_config: dict, seeds: dict, blas_threads: dict) -> None:
-        """Record the config, the seeds and the BLAS thread settings (None: unset).
+    def record_stage(self, stage: str, config: dict, seeds: dict, blas_threads: dict,
+                     inputs: dict[str, str], outputs: dict[str, str],
+                     metrics: dict[str, float], facts: dict[str, dict] | None = None) -> None:
+        """Record a stage that completed, and write the manifest.
 
-        Once the sample stage has recorded the seeds that drew the split,
-        they stand in for the config's, whatever seeds a later stage's
-        config names.
+        The run's `config`, `seeds` and `blas_threads` (None: unset) are
+        those the stage ran with; once the sample stage has recorded the
+        seeds that drew the split, they stand in for the config's. The
+        entry holds the stage's files by name, each with the SHA-256 the
+        stage took of it, and `metrics`: its wall time and the process's
+        memory high-water mark after it. Each of `facts` (`seeds` from
+        sample, `release_tags` from ingest) is kept in the entry and merged
+        into the run's field of the same name, so the sample stage's seeds
+        replace the run's.
         """
-        self.data["config"] = {k: raw_config[k] for k in sorted(raw_config)}
+        self.data["config"] = {k: config[k] for k in sorted(config)}
         self.data["seeds"] = {**seeds, **self.data["stages"].get("sample", {}).get("seeds", {})}
         self.data["blas_threads"] = dict(blas_threads)
-
-    def record_stage(self, stage: str, inputs: dict[str, str], outputs: dict[str, str],
-                     metrics: dict[str, float], facts: dict[str, dict] | None = None) -> None:
-        """Record the stage's files by name, each with the SHA-256 the stage took of it.
-
-        `metrics` are the stage's wall time and the process's memory high-water
-        mark after it. Each of `facts` (`seeds` from sample, `release_tags`
-        from ingest) is kept in the entry and merged into the run's field of
-        the same name, so the sample stage's seeds replace the run's.
-        """
-        entry = {
+        for key, value in (facts or {}).items():
+            self.data[key].update(value)
+        self.data["stages"][stage] = {
             "completed_at": datetime.now(timezone.utc).isoformat(),
             "inputs": inputs,
             "outputs": outputs,
             "metrics": metrics,
             **(facts or {}),
         }
-        for key, value in (facts or {}).items():
-            self.data[key].update(value)
-        self.data["stages"][stage] = entry
         self.write()
 
     def write(self) -> None:

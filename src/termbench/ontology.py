@@ -34,6 +34,11 @@ class Terminology(Enum):
         """Short name used in prompts, reports and statistics tables."""
         return "GO" if self is Terminology.GO_CC else self.value
 
+    @property
+    def key(self) -> str:
+        """Name used in config keys and run file names (`paths.annotations_go_cc`)."""
+        return self.value.lower()
+
     def valid_identifier(self, identifier: str) -> bool:
         return bool(_ID_PATTERNS[self].fullmatch(identifier))
 

@@ -7,7 +7,8 @@ config. A stage is called as `stage(cfg, files)` and reaches its
 run only through `files`, a `StageFiles`, which refuses an undeclared name,
 opens the stores and hashes each file once as it records it. `run_stage`
 checks every declared input before the stage writes anything, and alone
-writes the manifest. Outputs are deterministic given the config and seeds;
+writes the manifest, in one `RunManifest.record_stage` call once the stage
+has returned. Outputs are deterministic given the config and seeds;
 only the manifest carries timestamps. Every file is opened with
 `newline=""`, so its reader sees each "\r" and lines end at "\n" only.
 
@@ -23,15 +24,17 @@ only the manifest carries timestamps. Every file is opened with
 
 Within one process, a stage hands the rows of a file it wrote or read to
 the stage right after it in `STAGES`, when that stage reads the file too:
-`StageFiles.write` takes the rows the file's reader would return, and
-`StageFiles.read` returns them in place of decoding the file while its
-SHA-256 is the one recorded with them. `_HELD` keeps them between
+`StageFiles.write` hands on the data it writes, which for such a file are
+the list of rows its reader would return, and `StageFiles.read` returns
+them in place of decoding the file while its SHA-256 is the one recorded
+with them. `_HELD` keeps them between
 `run_stage` calls; before a stage starts, `run_stage` drops every held file
 that the stage does not read, and a stage that raises leaves nothing held.
 
-A stage reaches a remote service only through `StageFiles.endpoint`, built
-from `StageFiles.ENDPOINTS` (esearch and completions are rate-limited at
-`limits.rate_per_second`; embeddings are not) over the one
+A stage reaches a remote service only through `StageFiles.endpoint`, one
+per service and stage, built from `StageFiles.ENDPOINTS` (esearch and
+completions are rate-limited at `limits.rate_per_second`, so both eval
+phases share one bucket; embeddings are not) over the one
 `remote.HttpTransport` the stage opens at its first endpoint, which
 `run_stage` closes when the stage returns or raises. The live stages send
 only what their stores lack. `StageFiles.store` records each store once it
@@ -58,7 +61,6 @@ from contextlib import closing, contextmanager
 from dataclasses import asdict
 from pathlib import Path
 
-from . import GENERATOR_NAME
 from . import manifest as run_manifest
 from .alignment import (
     paired_distance_analysis,
@@ -75,11 +77,10 @@ from .config import (
     EMBEDDING_KEY_ENV,
     EUTILS_KEY_ENV,
     GO_CC_NAMESPACE,
-    TERMINOLOGY_KEYS,
     RunConfig,
 )
 from .embeddings import EmbeddingCache, FileEmbeddingStore, HttpEmbeddingProvider
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, utf8_named
 from .evaluate import (
     Phase,
     expected_answers,
@@ -154,10 +155,6 @@ from .stats import (
 )
 from .tables import write_table
 
-TERMINOLOGIES = tuple(Terminology)
-DIRECTIONS = (Direction.TERM_TO_ID, Direction.ID_TO_TERM)
-
-
 class StageFiles:
     """A stage's one way into its run: every file it reads, writes or appends.
 
@@ -195,6 +192,7 @@ class StageFiles:
         self.inputs: dict[str, str] = {}
         self.outputs: dict[str, str] = {}
         self._transport: HttpTransport | None = None
+        self._endpoints: dict[str, Endpoint] = {}
 
     def _record(self, path: Path, output: bool = False) -> None:
         name = (path.relative_to(self.run_dir).as_posix() if path.is_relative_to(self.run_dir)
@@ -235,30 +233,30 @@ class StageFiles:
         digest = self.inputs[name]
         held_digest, rows = _HELD.pop(name, (None, None))
         if held_digest != digest:
-            with open(path, encoding="utf-8", newline="") as fh:
+            with open(path, encoding="utf-8", newline="") as fh, utf8_named(path):
                 rows = reader(fh, *args)
         if name not in self.next_reads:
             return rows
         _HELD[name] = (digest, rows)
         return list(rows)
 
-    def write(self, name: str, writer, *args, rows=None) -> None:
-        """`writer(*args, stream)` into this stage's declared file `<run>/<stage>/<name>`.
+    def write(self, name: str, writer, data) -> None:
+        """`writer(data, stream)` into this stage's declared file `<run>/<stage>/<name>`.
 
-        `rows` are what the file's reader would return. When the next stage
-        in `STAGES` reads this file, a list of them is held in `_HELD` under
-        the file's digest, for `read` to hand over.
+        When the next stage in `STAGES` reads this file, `list(data)` is
+        held in `_HELD` under the file's digest, for `read` to hand over:
+        the data of such a file are a list of the rows its reader returns.
         """
         if name not in self.writes:
             raise KeyError(f"stage {self.stage!r} does not declare the output {name!r}")
         path = self.out_dir / name
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer(*args, fh)
+            writer(data, fh)
         self._record(path, output=True)
         artifact = f"{self.stage}/{name}"
-        if rows is not None and artifact in self.next_reads:
-            _HELD[artifact] = (self.outputs[artifact], list(rows))
+        if artifact in self.next_reads:
+            _HELD[artifact] = (self.outputs[artifact], list(data))
 
     @contextmanager
     def store(self, store_type, name: str):
@@ -276,18 +274,22 @@ class StageFiles:
             self._record(store.path, output=store.path.is_relative_to(self.out_dir))
 
     def endpoint(self, name: str) -> Endpoint:
-        """A new `remote.Endpoint` for the service `name`, with a new token bucket if limited.
+        """The stage's one `remote.Endpoint` for the service `name`, with its token bucket
+        if limited, built at the first call for that name.
 
-        The first call opens the `HttpTransport`, pooling `concurrency`
+        The first call of all opens the `HttpTransport`, pooling `concurrency`
         connections, that every endpoint of the stage sends through.
         """
-        url, key_env, (field, entry, form), limited = self.ENDPOINTS[name]
-        if self._transport is None:
-            self._transport = HttpTransport(self.cfg.concurrency)
-        key = os.environ.get(key_env)
-        return Endpoint(name, url(self.cfg), self._transport,
-                        TokenBucket(self.cfg.rate_per_second) if limited else None,
-                        {field: {entry: form.format(key)}} if key else None)
+        if name not in self._endpoints:
+            url, key_env, (field, entry, form), limited = self.ENDPOINTS[name]
+            if self._transport is None:
+                self._transport = HttpTransport(self.cfg.concurrency)
+            key = os.environ.get(key_env)
+            self._endpoints[name] = Endpoint(
+                name, url(self.cfg), self._transport,
+                TokenBucket(self.cfg.rate_per_second) if limited else None,
+                {field: {entry: form.format(key)}} if key else None)
+        return self._endpoints[name]
 
     def close(self) -> None:
         """Close the transport, if an endpoint opened one."""
@@ -311,18 +313,14 @@ def _store_files(cfg: RunConfig, stage: str) -> dict[str, Path]:
     if stage == "eval" and cfg.completion_url:
         names = [f"transcript_{phase.value}.jsonl" for phase in Phase
                  if phase.value not in cfg.transcripts]
-    elif stage == "lexicalize" and cfg.embedding_url and cfg.embedding_store is None:
+    elif stage == "lexicalize" and cfg.embedding_url:
         names = ["embeddings.jsonl"]
     return {name: out_dir / name for name in names}
 
 
-def _tkey(t: Terminology) -> str:
-    return TERMINOLOGY_KEYS[t]
-
-
 def _run_stem(phase: Phase, t: Terminology, d: Direction) -> str:
     """Names one eval run's files: eval/results_<stem>.jsonl, eval/summary_<stem>.json."""
-    return f"{phase.value}_{_tkey(t)}_{d.value}"
+    return f"{phase.value}_{t.key}_{d.value}"
 
 
 def _write_rank_points(ranked, sink) -> None:
@@ -340,12 +338,12 @@ def stage_ingest(cfg: RunConfig, files: StageFiles) -> dict:
     go_path = files.source(cfg.go_obo, "paths.go_obo")
     gene_path = files.source(cfg.gene_map, "paths.gene_map")
 
-    with open(hpo_path, encoding="utf-8", newline="") as fh:
+    with open(hpo_path, encoding="utf-8", newline="") as fh, utf8_named(hpo_path):
         hpo_doc = parse_obo_document(fh, Terminology.HPO)
-    with open(go_path, encoding="utf-8", newline="") as fh:
+    with open(go_path, encoding="utf-8", newline="") as fh, utf8_named(go_path):
         go_doc = parse_obo_document(fh, Terminology.GO_CC)
     go_records = filter_namespace(go_doc.records, GO_CC_NAMESPACE)
-    with open(gene_path, encoding="utf-8", newline="") as fh:
+    with open(gene_path, encoding="utf-8", newline="") as fh, utf8_named(gene_path):
         gene_records = parse_gene_map(fh)
 
     for t, records in (
@@ -354,24 +352,24 @@ def stage_ingest(cfg: RunConfig, files: StageFiles) -> dict:
         (Terminology.GENE, gene_records),
     ):
         build_index(records)  # fail loudly on duplicate identifiers or labels
-        files.write(f"records_{_tkey(t)}.jsonl", write_records_jsonl, records, rows=records)
+        files.write(f"records_{t.key}.jsonl", write_records_jsonl, records)
     return {"release_tags": {"HPO": hpo_doc.header.get("data-version"),
                              "GO_CC": go_doc.header.get("data-version")}}
 
 
 def stage_popularity(cfg: RunConfig, files: StageFiles) -> None:
-    records_by_t = {t: files.read(f"ingest/records_{_tkey(t)}.jsonl", read_records_jsonl)
-                    for t in TERMINOLOGIES}
+    records_by_t = {t: files.read(f"ingest/records_{t.key}.jsonl", read_records_jsonl)
+                    for t in Terminology}
 
-    annotations_by_t: dict[Terminology, dict[str, int]] = {t: {} for t in TERMINOLOGIES}
+    annotations_by_t: dict[Terminology, dict[str, int]] = {t: {} for t in Terminology}
     for t, ann_path in cfg.annotations.items():
-        with open(files.source(ann_path, f"paths.annotations_{_tkey(t)}"),
-                  encoding="utf-8", newline="") as fh:
+        files.source(ann_path, f"paths.annotations_{t.key}")
+        with open(ann_path, encoding="utf-8", newline="") as fh, utf8_named(ann_path):
             annotations_by_t[t] = load_annotation_counts(fh, t)
 
     queries = [
         query
-        for t in TERMINOLOGIES for record in records_by_t[t]
+        for t in Terminology for record in records_by_t[t]
         for query in (identifier_query(record.identifier), term_query(record.label))
     ]
     with files.store(QueryCache, "pmc_cache.jsonl") as cache:
@@ -380,7 +378,7 @@ def stage_popularity(cfg: RunConfig, files: StageFiles) -> None:
 
     all_records: list[PopularityRecord] = []
     per_terminology: dict[Terminology, list[PopularityRecord]] = {}
-    for t in TERMINOLOGIES:
+    for t in Terminology:
         per_terminology[t] = [
             PopularityRecord(
                 terminology=t,
@@ -394,22 +392,22 @@ def stage_popularity(cfg: RunConfig, files: StageFiles) -> None:
         ]
         all_records.extend(per_terminology[t])
 
-    files.write("popularity.csv", write_popularity_csv, all_records, rows=all_records)
-    for t in TERMINOLOGIES:
-        files.write(f"rank_points_{_tkey(t)}.csv", _write_rank_points,
+    files.write("popularity.csv", write_popularity_csv, all_records)
+    for t in Terminology:
+        files.write(f"rank_points_{t.key}.csv", _write_rank_points,
                     rank_frequency(per_terminology[t], cfg.ranking_proxy))
 
 
 def stage_sample(cfg: RunConfig, files: StageFiles) -> dict:
     pop_records = files.read("popularity/popularity.csv", read_popularity_csv)
     pairs: list[SampledPair] = []
-    for t in TERMINOLOGIES:
+    for t in Terminology:
         records = [r for r in pop_records if r.terminology is t]
         index = build_index(records)
         bins = stratify(rank_frequency(records, cfg.ranking_proxy), cfg.n_bins)
         sampled = sample_bins(bins, index, cfg.sampling_seed, cfg.per_bin)
         pairs.extend(make_split(index, sampled, bins, cfg.validation_cap, cfg.cap_seed))
-    files.write("split.jsonl", write_split_jsonl, pairs, rows=pairs)
+    files.write("split.jsonl", write_split_jsonl, pairs)
     return {"seeds": {"sampling": cfg.sampling_seed, "validation_cap": cfg.cap_seed}}
 
 
@@ -424,33 +422,32 @@ def _split_seed(cfg: RunConfig, files: StageFiles) -> int:
 
 
 def stage_prompts(cfg: RunConfig, files: StageFiles) -> None:
-    pairs = files.read("sample/split.jsonl", read_split_jsonl)
+    pairs = files.read(_SPLIT, read_split_jsonl)
     seed = _split_seed(cfg, files)
 
     eval_templates = TEMPLATE_IDS if cfg.all_templates else (1,)
     eval_prompts = []
-    for direction in DIRECTIONS:
+    for direction in Direction:
         for pair in pairs:
             eval_prompts.extend(expand_prompts(pair, direction, eval_templates))
-    files.write("prompts.jsonl", write_prompts_jsonl, eval_prompts, rows=eval_prompts)
+    files.write("prompts.jsonl", write_prompts_jsonl, eval_prompts)
 
     train_by_terminology: dict[Terminology, list[SampledPair]] = {}
     for pair in pairs:
         if pair.split is Split.TRAIN:
             train_by_terminology.setdefault(pair.terminology, []).append(pair)
-    for t in TERMINOLOGIES:
+    for t in Terminology:
         train_pairs = train_by_terminology.get(t, [])
         if not train_pairs:
             continue
-        for direction in DIRECTIONS:
+        for direction in Direction:
             ft_prompts = []
             for pair in train_pairs:
                 ft_prompts.extend(expand_prompts(pair, direction))
-            base = f"finetune_{_tkey(t)}_{direction.value}"
+            base = f"finetune_{t.key}_{direction.value}"
             files.write(f"{base}.jsonl", emit_finetune_file, ft_prompts)
             files.write(f"{base}.manifest.json", write_document,
-                        finetune_manifest(t, direction, seed,
-                                          len(train_pairs), len(ft_prompts), GENERATOR_NAME))
+                        finetune_manifest(t, direction, seed, len(train_pairs), len(ft_prompts)))
 
 
 @contextmanager
@@ -472,7 +469,7 @@ def _completion_provider(cfg: RunConfig, phase: Phase, files: StageFiles):
 
 
 def stage_eval(cfg: RunConfig, files: StageFiles) -> None:
-    pairs = files.read("sample/split.jsonl", read_split_jsonl)
+    pairs = files.read(_SPLIT, read_split_jsonl)
     prompts = files.read("prompts/prompts.jsonl", read_prompts_jsonl, pairs)
 
     grouped: dict[tuple[Terminology, Direction], list] = {}
@@ -480,7 +477,7 @@ def stage_eval(cfg: RunConfig, files: StageFiles) -> None:
         grouped.setdefault((p.pair.terminology, p.direction), []).append(p)
     # (terminology, direction, prompts, normalized expected answers): both phases score these
     groups = [(t, d, grouped[(t, d)], expected_answers(grouped[(t, d)], cfg.extract_mode))
-              for t in TERMINOLOGIES for d in DIRECTIONS if grouped.get((t, d))]
+              for t in Terminology for d in Direction if grouped.get((t, d))]
 
     for phase, model_id in ((Phase.BASELINE, cfg.baseline_model),
                             (Phase.FINETUNED, cfg.finetuned_model)):
@@ -492,7 +489,7 @@ def stage_eval(cfg: RunConfig, files: StageFiles) -> None:
                     extract=cfg.extract_mode,
                 )
                 stem = _run_stem(phase, t, d)
-                files.write(f"results_{stem}.jsonl", write_results_jsonl, items, rows=items)
+                files.write(f"results_{stem}.jsonl", write_results_jsonl, items)
                 files.write(f"summary_{stem}.json", write_document,
                             run_summary(items, model_id, t, d, phase))
         # drop the provider, with its transcript, and the last run's items, so
@@ -502,12 +499,12 @@ def stage_eval(cfg: RunConfig, files: StageFiles) -> None:
 
 def stage_classify(cfg: RunConfig, files: StageFiles) -> None:
     split_by_pair = {pair_id(p): p.split
-                     for p in files.read("sample/split.jsonl", read_split_jsonl)}
+                     for p in files.read(_SPLIT, read_split_jsonl)}
 
     all_outcomes: list[PairOutcome] = []
     metrics_payload = {}
-    for t in TERMINOLOGIES:
-        for d in DIRECTIONS:
+    for t in Terminology:
+        for d in Direction:
             baseline, finetuned = (
                 files.read(f"eval/results_{_run_stem(phase, t, d)}.jsonl", read_results_jsonl)
                 for phase in (Phase.BASELINE, Phase.FINETUNED))
@@ -515,7 +512,7 @@ def stage_classify(cfg: RunConfig, files: StageFiles) -> None:
             all_outcomes.extend(outcomes)
             metrics_payload[f"{t.value}:{d.value}"] = asdict(derive_metrics(outcomes))
             for split in (Split.TRAIN, Split.VALIDATION):
-                files.write(f"sankey_{_tkey(t)}_{d.value}_{split.value}.csv", write_sankey_csv,
+                files.write(f"sankey_{t.key}_{d.value}_{split.value}.csv", write_sankey_csv,
                             sankey_edges([o for o in outcomes if o.split is split]))
 
     files.write("outcomes.jsonl", write_outcomes_jsonl, all_outcomes)
@@ -537,7 +534,7 @@ def _embedding_provider(cfg: RunConfig, files: StageFiles):
 
 
 def stage_lexicalize(cfg: RunConfig, files: StageFiles) -> None:
-    pairs = [p for p in files.read("sample/split.jsonl", read_split_jsonl)
+    pairs = [p for p in files.read(_SPLIT, read_split_jsonl)
              if p.split is Split.TRAIN]
     if not pairs:
         raise DomainError("no training pairs in the split")
@@ -548,7 +545,7 @@ def stage_lexicalize(cfg: RunConfig, files: StageFiles) -> None:
         # terminology -> (first row, pairs): its terms, then its identifiers in pair order
         rows = {}
         alignment_results = {}
-        for t in TERMINOLOGIES:
+        for t in Terminology:
             t_pairs = [p for p in pairs if p.terminology is t]
             if not t_pairs:
                 continue
@@ -569,7 +566,8 @@ def stage_lexicalize(cfg: RunConfig, files: StageFiles) -> None:
     })
 
     files.write("alignment.json", write_alignment_json, alignment_results)
-    files.write("pca_points.csv", write_pca_points_csv, meta, scores)
+    files.write("pca_points.csv", write_pca_points_csv,
+                zip(meta, scores.tolist(), strict=True))
     files.write("pca_variance.csv", write_pca_variance_csv, projection.explained_variance)
     files.write("distance_summary.csv", write_distance_summary_csv, summary)
 
@@ -619,9 +617,9 @@ def stage_report(cfg: RunConfig, files: StageFiles) -> None:
     files.write("derived_metrics.csv", write_derived_csv, derived)
 
 
-_MAPPINGS = [f"{_tkey(t)}_{d.value}" for t in TERMINOLOGIES for d in DIRECTIONS]
+_MAPPINGS = [f"{t.key}_{d.value}" for t in Terminology for d in Direction]
 _RUN_STEMS = [_run_stem(phase, t, d)
-              for t in TERMINOLOGIES for d in DIRECTIONS for phase in Phase]
+              for t in Terminology for d in Direction for phase in Phase]
 _SPLIT = "sample/split.jsonl"
 # stage name -> (function, artifacts it reads, files it may write), in run order. Reads
 # are checked in this order; config-named sources are recorded as the stage reaches
@@ -630,9 +628,9 @@ _SPLIT = "sample/split.jsonl"
 # function takes (cfg, files) and returns None, or the facts its manifest entry
 # records: `ingest`'s release tags, the seeds that drew `sample`'s split.
 _STAGE_TABLE = {
-    "ingest": (stage_ingest, [], [f"records_{_tkey(t)}.jsonl" for t in TERMINOLOGIES]),
-    "popularity": (stage_popularity, [f"ingest/records_{_tkey(t)}.jsonl" for t in TERMINOLOGIES],
-                   ["popularity.csv", *(f"rank_points_{_tkey(t)}.csv" for t in TERMINOLOGIES)]),
+    "ingest": (stage_ingest, [], [f"records_{t.key}.jsonl" for t in Terminology]),
+    "popularity": (stage_popularity, [f"ingest/records_{t.key}.jsonl" for t in Terminology],
+                   ["popularity.csv", *(f"rank_points_{t.key}.csv" for t in Terminology)]),
     "sample": (stage_sample, ["popularity/popularity.csv"], ["split.jsonl"]),
     "prompts": (stage_prompts, [_SPLIT], ["prompts.jsonl", *(
         f"finetune_{td}{ext}" for td in _MAPPINGS for ext in (".jsonl", ".manifest.json"))]),
@@ -681,11 +679,6 @@ def run_stage(cfg: RunConfig, stage: str, dry_run: bool = False) -> None:
     was_enabled = gc.isenabled()
     try:
         files = StageFiles(cfg, stage)
-        files.manifest.set_config(
-            cfg.raw,
-            {"sampling": cfg.sampling_seed, "validation_cap": cfg.cap_seed},
-            {name: os.environ.get(name) for name in BLAS_THREADS_ENV},
-        )
         for name in reads:  # every input, before the stage writes anything
             files.artifact(name)
         gc.disable()
@@ -703,6 +696,9 @@ def run_stage(cfg: RunConfig, stage: str, dry_run: bool = False) -> None:
         # ru_maxrss is in KiB on Linux
         "rss_high_water_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
-    files.manifest.record_stage(stage, files.inputs, files.outputs, metrics, facts)
+    files.manifest.record_stage(
+        stage, cfg.raw, {"sampling": cfg.sampling_seed, "validation_cap": cfg.cap_seed},
+        {name: os.environ.get(name) for name in BLAS_THREADS_ENV},
+        files.inputs, files.outputs, metrics, facts)
     print(f"[{stage}] wrote {len(files.outputs)} file(s) under {files.out_dir}",
           file=sys.stderr)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import IO, Iterable, Sequence
 
+from . import GENERATOR_NAME
 from .errors import DomainError, ParseError
 from .jsonl import enum_lookup, iter_rows, write_rows
 from .ontology import Terminology
@@ -199,13 +200,12 @@ def finetune_manifest(
     seed: int,
     n_pairs: int,
     n_prompts: int,
-    generator: str,
 ) -> dict:
     return {
         "terminology": terminology.value,
         "direction": direction.value,
         "seed": seed,
-        "generator": generator,
+        "generator": GENERATOR_NAME,
         "n_pairs": n_pairs,
         "n_prompts": n_prompts,
         "template_table_version": TEMPLATE_TABLE_VERSION,

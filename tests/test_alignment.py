@@ -724,7 +724,7 @@ def test_alignment_json_and_csv_writers():
     meta = ([(f"t{i}", "term", "HPO") for i in range(10)]
             + [(f"i{i}", "identifier", "HPO") for i in range(10)])
     buf = io.StringIO()
-    assert write_pca_points_csv(meta, proj.scores, buf) == 20
+    assert write_pca_points_csv(zip(meta, proj.scores.tolist()), buf) == 20
     lines = buf.getvalue().splitlines()
     assert lines[0] == "label,class,terminology,x,y"
     assert len(lines) == 21

@@ -1,6 +1,7 @@
 import inspect
 import json
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -655,6 +656,30 @@ def test_an_interrupt_exits_130_with_one_line_and_no_traceback(tmp_path, monkeyp
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert "re-run resumes" in err
+
+
+@pytest.mark.parametrize("name, line, stage", [
+    ("hpo.obo", 5, "ingest"),
+    ("annotations_hpo.tsv", 3, "all"),
+    ("transcripts/baseline.jsonl", 7, "all"),
+    ("run/classify/outcomes.jsonl", 4, "stats"),
+], ids=["obo-source", "annotation-tsv", "replay-transcript", "run-artifact"])
+def test_a_file_that_is_not_utf8_exits_1_naming_its_line(tmp_path, capsys, name, line, stage):
+    fixture = tmp_path.resolve() / "fixture"
+    shutil.copytree(FIXTURE, fixture)
+    args = ["--config", str(fixture / "run.cfg"), "--run-dir", str(fixture / "run")]
+    if stage == "stats":
+        assert main([*args, "--stage", "all"]) == 0
+    path = fixture / name
+    lines = path.read_bytes().split(b"\n")
+    lines[line - 1] = b"\xff" + lines[line - 1]
+    path.write_bytes(b"\n".join(lines))
+    capsys.readouterr()
+    assert main([*args, "--stage", stage]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.endswith(
+        f"error: {path}: line {line}: invalid UTF-8 byte 0xff (invalid start byte)\n")
 
 
 def _fixture_copy(dest: Path, key: str, value: str) -> Path:

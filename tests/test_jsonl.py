@@ -4,12 +4,12 @@ import math
 import sys
 import tempfile
 import threading
-from contextlib import closing
+from contextlib import closing, redirect_stderr
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from termbench.embeddings import EmbeddingCache, FileEmbeddingStore
 from termbench.errors import ParseError
@@ -359,14 +359,71 @@ def test_unknown_enum_value_is_parse_error():
         read_split_jsonl(io.StringIO(json.dumps(row) + "\n"))
 
 
-def test_pmc_cache_torn_last_line_is_parse_error(tmp_path):
+def test_pmc_cache_bad_last_line_is_parse_error(tmp_path):
+    # a bad last row that ends in "\n" is no torn row: it fails with its line
     path = tmp_path / "cache.jsonl"
     path.write_text(
         json.dumps({"query": "q", "db": "pmc", "count": 1, "retrieved_at": "t"})
-        + '\n{"query": "r", "db": "pm', encoding="utf-8")
+        + '\n{"query": "r", "db": "pm\n', encoding="utf-8")
     with pytest.raises(ParseError, match="line 2: bad JSON") as exc:
         QueryCache(path)
     assert not isinstance(exc.value, json.JSONDecodeError)
+
+
+def _pmc_row(query: str) -> dict:
+    return {"query": query, "db": "pmc", "count": len(query), "retrieved_at": "t"}
+
+
+def _transcript_row(prompt: str) -> dict:
+    return {"prompt_hash": "h", "request": request_body(prompt, "m", DecodingParams()),
+            "response": {"text": prompt.upper()}, "timestamp": "t"}
+
+
+def _store_lines(store_type, make_row, texts) -> list[bytes]:
+    """The file lines of a store that put one row for each text."""
+    with tempfile.TemporaryDirectory() as tmp, closing(store_type(Path(tmp) / "s.jsonl")) as s:
+        for text in texts:
+            KeyedStore.put(s, make_row(text))
+        s.close()
+        return s.path.read_bytes().splitlines(keepends=True)
+
+
+@settings(max_examples=15, deadline=None)
+@given(texts=st.lists(st.text(alphabet='ab"\\ \u2028', max_size=6), min_size=1, max_size=3,
+                      unique=True),
+       store=st.sampled_from([(QueryCache, _pmc_row), (TranscriptWriter, _transcript_row)]))
+def test_a_torn_last_row_is_dropped_and_cut_off_before_the_next_row(texts, store):
+    # A process killed as it appended a row leaves it torn. Cut the last row at
+    # every byte inside it, one inside a two-byte "\u00fc" among them: the store
+    # loads every whole row, says once where it dropped the torn one, and the
+    # next row starts where the torn one did.
+    store_type, make_row = store
+    texts = [*texts[:-1], texts[-1] + "\u00fc"]
+    assume(len(set(texts)) == len(texts))
+
+    def has(s, text):
+        return KeyedStore.get(s, store_type.entry(make_row(text))[0]) is not None
+
+    *whole, last = _store_lines(store_type, make_row, texts)
+    head = b"".join(whole)
+    expected = _store_lines(store_type, make_row, [*texts[:-1], "new"])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s.jsonl"
+        for cut in range(1, len(last)):
+            path.write_bytes(head + last[:cut])
+            err = io.StringIO()
+            with redirect_stderr(err), closing(store_type(path)) as s:
+                keeps_last = cut == len(last) - 1  # only its "\n" is gone: a whole row
+                assert [has(s, text) for text in texts] == [*(True for _ in whole), keeps_last]
+                KeyedStore.put(s, make_row("new"))
+            lines = path.read_bytes().splitlines(keepends=True)
+            assert lines == (expected if not keeps_last else [*whole, last, expected[-1]])
+            assert err.getvalue() == ("" if keeps_last else
+                                      f"warning: {path}: dropped the torn last row at byte "
+                                      f"{len(head)}; it is cut off before the next row is added\n")
+            with closing(store_type(path)) as s:  # it reloads whole
+                assert [has(s, text) for text in texts] == [*(True for _ in whole), keeps_last]
+                assert has(s, "new")
 
 
 @pytest.mark.parametrize("reader,row,field,enum_name", [

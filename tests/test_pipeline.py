@@ -8,6 +8,7 @@ import io
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import threading
@@ -29,7 +30,6 @@ from termbench.config import (
     COMPLETION_KEY_ENV,
     EMBEDDING_KEY_ENV,
     EUTILS_KEY_ENV,
-    TERMINOLOGY_KEYS,
     load_config,
 )
 from termbench.embeddings import FileEmbeddingStore
@@ -47,6 +47,7 @@ from termbench.providers import (
     prompt_hash,
     request_body,
 )
+from termbench.ratelimit import TokenBucket
 from termbench.sampling import SampledPair, Split, read_split_jsonl
 
 FIXTURE = Path(__file__).parent / "fixtures" / "mini"
@@ -289,7 +290,7 @@ def test_a_stage_refuses_a_name_it_does_not_declare(full_run, tmp_path):
     with pytest.raises(KeyError, match="'report'.*'sample/split.jsonl'"):
         files.read("sample/split.jsonl", read_split_jsonl)
     with pytest.raises(KeyError, match="'report'.*'x.csv'"):
-        files.write("x.csv", termbench.pipeline.write_table, ["a"], [])
+        files.write("x.csv", termbench.pipeline.write_document, {})
     assert files.inputs == files.outputs == {}
     assert not (run_dir / "report").exists()
 
@@ -462,7 +463,7 @@ def test_all_templates_summary_outcomes_and_report_agree(full_run, tmp_path):
     with open(run_dir / "report" / "performance_summary.csv", encoding="utf-8") as fh:
         performance = {row["mapping"]: row for row in csv.DictReader(fh)}
     assert len(performance) == 6
-    for t, key in TERMINOLOGY_KEYS.items():
+    for t in Terminology:
         for d in Direction:
             combo = [o for o in outcomes if (o.terminology, o.direction) == (t, d)]
             assert len(combo) == 60
@@ -474,7 +475,7 @@ def test_all_templates_summary_outcomes_and_report_agree(full_run, tmp_path):
                     o.pair_id in tuned for o in combo]
                 assert flags == expected
                 summary = json.loads(
-                    (run_dir / "eval" / f"summary_{phase}_{key}_{d.value}.json").read_text())
+                    (run_dir / "eval" / f"summary_{phase}_{t.key}_{d.value}.json").read_text())
                 assert summary["n_items"] == 300
                 assert summary["accuracy"] == sum(flags) / len(flags)
                 assert row[f"{phase}_pct"] == f"{round1(Fraction(sum(flags) * 100, 60)):.1f}"
@@ -813,6 +814,36 @@ def test_rows_are_held_only_for_the_next_stage_that_reads_them(tmp_path):
     assert termbench.pipeline._HELD == {}
 
 
+def test_held_rows_equal_what_the_reader_returns(tmp_path):
+    # A stage that reads a held artifact gets the rows in place of the reader's
+    # decode of the file, so the two must be equal, whichever stage held them.
+    run_dir = tmp_path / "run"
+    cfg = load_config(CONFIG, run_dir=run_dir)
+    pipeline = termbench.pipeline
+
+    def decode(name):
+        with open(run_dir / name, encoding="utf-8", newline="") as fh:
+            if name == "prompts/prompts.jsonl":
+                return pipeline.read_prompts_jsonl(fh, decode(SPLIT))
+            return {"ingest": pipeline.read_records_jsonl,
+                    "popularity": pipeline.read_popularity_csv,
+                    "sample": pipeline.read_split_jsonl,
+                    "eval": pipeline.read_results_jsonl,
+                    "classify": pipeline.read_outcomes_jsonl}[name.split("/")[0]](fh)
+
+    checked = set()
+    for stage in pipeline.STAGES:
+        run_stage(cfg, stage)
+        for name, (_, rows) in pipeline._HELD.items():
+            assert type(rows) is list and rows == decode(name), (stage, name)
+            checked.add(name)
+    assert checked == {*(f"ingest/records_{t.key}.jsonl" for t in Terminology),
+                       "popularity/popularity.csv", SPLIT, "prompts/prompts.jsonl",
+                       *(f"eval/{p.name}" for p in (run_dir / "eval").glob("results_*.jsonl")),
+                       "classify/outcomes.jsonl"}
+    assert len(checked) == 19
+
+
 def test_eval_builds_no_pair_map_for_the_prompts_it_is_handed(tmp_path, monkeypatch):
     cfg = load_config(CONFIG, run_dir=tmp_path / "run")
     for stage in ("ingest", "popularity", "sample", "prompts"):
@@ -885,7 +916,7 @@ def test_changing_a_returned_list_does_not_change_the_next_read(full_run, tmp_pa
     pairs = read_split_jsonl(io.StringIO((run_dir / SPLIT).read_text(encoding="utf-8")))
     expected = list(pairs)
     termbench.pipeline.StageFiles(cfg, "sample").write(
-        "split.jsonl", termbench.pipeline.write_split_jsonl, pairs, rows=pairs)
+        "split.jsonl", termbench.pipeline.write_split_jsonl, pairs)
     pairs.clear()  # the writer's list
 
     def read(stage):
@@ -959,18 +990,30 @@ def test_replay_eval_records_no_stale_transcript(full_run, tmp_path):
     assert not [name for name in outputs if name.startswith("transcript_")]
 
 
-def _fake_completions(fake_http, cfg, refuse=()):
-    """Answer completions from the fixture transcripts; a model in `refuse` gets HTTP 401."""
+def _fake_completions(fake_http, cfg, refuse=(), sent=None, interrupt_after=None):
+    """Answer completions from the fixture transcripts; a model in `refuse` gets HTTP 401.
+
+    Each (model, prompt) answered is noted in `sent`, when given, and the
+    reply to request number `interrupt_after` first raises SIGINT, as Ctrl-C
+    would, which Python turns into a KeyboardInterrupt in the main thread.
+    """
     answers = {}
     for phase, model in (("baseline", cfg.baseline_model), ("finetuned", cfg.finetuned_model)):
         answers[model] = {row["prompt_hash"]: row["response"]["text"]
                           for row in _rows(FIXTURE / "transcripts" / f"{phase}.jsonl")}
+    lock = threading.Lock()
 
     def post(request, timeout, **kwargs):
         body = json.loads(request.body)
         if body["model"] in refuse:
             return 401, json.dumps({"error": "unauthorized"})
-        text = answers[body["model"]][prompt_hash(body["messages"][0]["content"])]
+        prompt = body["messages"][0]["content"]
+        if sent is not None:
+            with lock:
+                sent.append((body["model"], prompt))
+                if len(sent) == interrupt_after:
+                    signal.raise_signal(signal.SIGINT)
+        text = answers[body["model"]][prompt_hash(prompt)]
         return 200, json.dumps({"choices": [{"message": {"content": text}}]})
 
     fake_http(post)
@@ -1005,13 +1048,76 @@ def test_live_eval_records_the_transcripts_it_wrote(full_run, tmp_path, fake_htt
         assert (cfg.run_dir / "eval" / path.name).read_bytes() == path.read_bytes()
 
 
+def test_a_live_eval_builds_one_token_bucket_for_both_phases(full_run, tmp_path, fake_http,
+                                                             monkeypatch):
+    made = []
+
+    class CountedBucket(TokenBucket):
+        def __init__(self, *args, **kwargs):
+            made.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(termbench.pipeline, "TokenBucket", CountedBucket)
+    _live_eval(full_run, tmp_path / "run", fake_http)
+    assert len(made) == 1
+
+
+def test_an_interrupted_live_eval_resumes_from_its_transcripts(full_run, tmp_path, fake_http,
+                                                               capsys):
+    previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+    try:
+        live = tmp_path / "live.cfg"
+        live.write_text("[endpoints]\ncompletion_url = http://completions.test/v1/chat/completions\n"
+                        "[models]\nbaseline = mock-base-1\nfinetuned = mock-base-1-ft\n"
+                        "[limits]\nconcurrency = 2\nrate_per_second = 1000000\n",
+                        encoding="utf-8")
+        cfg = load_config(live, run_dir=tmp_path)
+        runs = {}
+        for name in ("unbroken", "resumed"):
+            runs[name] = tmp_path / name
+            for stage in ("sample", "prompts"):
+                shutil.copytree(full_run / stage, runs[name] / stage)
+
+        def launch(name, stage):
+            return main(["--config", str(live), "--run-dir", str(runs[name]), "--stage", stage])
+
+        unbroken = []
+        _fake_completions(fake_http, cfg, sent=unbroken)
+        assert [launch("unbroken", stage) for stage in ("eval", "classify", "report")] == [0] * 3
+        assert len(unbroken) == len(set(unbroken)) == 720
+
+        interrupted = []
+        _fake_completions(fake_http, cfg, sent=interrupted, interrupt_after=100)
+        capsys.readouterr()
+        assert launch("resumed", "eval") == 130
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        kept = {(row["request"]["model"], row["request"]["messages"][0]["content"])
+                for path in (runs["resumed"] / "eval").glob("transcript_*.jsonl")
+                for row in _rows(path)}
+        assert 100 <= len(kept) <= len(interrupted)
+
+        rerun = []
+        _fake_completions(fake_http, cfg, sent=rerun)
+        assert [launch("resumed", stage) for stage in ("eval", "classify", "report")] == [0] * 3
+        assert len(rerun) == 720 - len(kept)  # only what the transcripts lack
+        assert kept.isdisjoint(rerun) and kept | set(rerun) == set(unbroken)
+    finally:
+        signal.signal(signal.SIGINT, previous)
+    for stage in ("eval", "classify", "report"):  # transcripts hold timestamps
+        outputs = [{path.name: path.read_bytes() for path in (run / stage).iterdir()
+                    if not path.name.startswith("transcript_")} for run in runs.values()]
+        assert outputs[0] == outputs[1], stage
+
+
 def test_a_store_that_fails_to_load_names_its_file_and_line(full_run, tmp_path, fake_http,
                                                             capsys):
     run_dir = tmp_path / "run"
     _live_eval(full_run, run_dir, fake_http)
     transcript = run_dir / "eval" / "transcript_baseline.jsonl"
     data = transcript.read_bytes()
-    transcript.write_bytes(data[:-20])  # the last row torn, as by a killed process
+    # the last row cut short but ended, so it is not dropped as a torn row would be
+    transcript.write_bytes(data[:-20] + b"\n")
     last = len(data.splitlines())
     live = tmp_path / "live.cfg"
     live.write_text("[endpoints]\ncompletion_url = http://completions.test/v1/chat/completions\n"

@@ -177,8 +177,8 @@ def test_emit_finetune_file_empty_raises():
 
 
 def test_finetune_manifest_records_hyperparameters():
-    meta = finetune_manifest(Terminology.GO_CC, Direction.TERM_TO_ID, 42, 200, 1000,
-                             "splitmix64")
+    meta = finetune_manifest(Terminology.GO_CC, Direction.TERM_TO_ID, 42, 200, 1000)
+    assert meta["generator"] == "splitmix64"
     assert meta["hyperparameters"]["epochs"] == 20
     assert meta["hyperparameters"]["lora_rank"] == 64
     assert meta["hyperparameters"]["lora_alpha"] == 128
