@@ -33,8 +33,8 @@ class AlignmentResult:
     p_value: float
     # Diagnostics over the raw n*(n-1) non-matching similarities, alongside
     # the per-term means used for the test.
-    nonrow_pooled_mean: float = float("nan")
-    nonrow_pooled_sd: float = float("nan")
+    nonrow_pooled_mean: float
+    nonrow_pooled_sd: float
 
 
 def _unit_rows(vectors: list[np.ndarray], what: str) -> np.ndarray:

@@ -63,26 +63,35 @@ class FileEmbeddingStore:
         try:
             (count,) = struct.unpack_from("<I", data, 4)
             offset = 8
-            for _ in range(count):
+            for index in range(count):
                 (text_len,) = struct.unpack_from("<I", data, offset)
                 offset += 4
-                text = data[offset:offset + text_len].decode("utf-8")
+                text = data[offset:offset + text_len]
                 offset += text_len
-                (dim,) = struct.unpack_from("<I", data, offset)
+                (dim,) = struct.unpack_from("<I", data, offset)  # raises on a cut text first
                 offset += 4
                 vec = np.frombuffer(data, dtype="<f4", count=dim, offset=offset).astype(float)
                 offset += 4 * dim
-                vectors[text] = vec
+                try:
+                    vectors[text.decode("utf-8")] = vec
+                except UnicodeDecodeError as exc:
+                    raise ParseError(f"the text of record {index} is not UTF-8: byte "
+                                     f"{text[exc.start]:#04x} ({exc.reason})") from exc
         except (struct.error, ValueError) as exc:  # a cut file, or a count above its records
             raise ParseError(f"truncated EMB1 store: {exc}") from exc
         return cls(vectors)
 
     @classmethod
     def from_path(cls, path: str | Path) -> "FileEmbeddingStore":
+        """The store in the file `path`, sniffed by its magic bytes; a
+        binary store that does not parse is a ParseError naming the file."""
         with open(path, "rb") as fh:
             if fh.read(4) == MAGIC:
                 fh.seek(0)
-                return cls.from_binary(fh)
+                try:
+                    return cls.from_binary(fh)
+                except ParseError as exc:
+                    raise ParseError(f"{path}: {exc}") from exc
         return cls(EmbeddingCache(path))
 
 

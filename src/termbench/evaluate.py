@@ -42,7 +42,7 @@ def normalize_answer(
     raw: str,
     terminology: Terminology,
     direction: Direction,
-    extract: bool = False,
+    extract: bool,
 ) -> str:
     """Canonical form of a model answer (and of the expected answer)."""
     text = raw.strip()

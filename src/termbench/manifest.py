@@ -43,9 +43,13 @@ class RunManifest:
         self.run_dir = Path(run_dir)
         self.path = self.run_dir / MANIFEST_NAME
         if self.path.exists():
+            data = self.path.read_bytes()
             try:
-                self.data = json.loads(self.path.read_text(encoding="utf-8"))
-            except ValueError as exc:  # not UTF-8, or not JSON
+                self.data = json.loads(data.decode("utf-8"))
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"unreadable run manifest {self.path}: "
+                                 f"{ParseError.not_utf8(data, exc)}") from exc
+            except ValueError as exc:  # not JSON
                 raise ParseError(f"unreadable run manifest {self.path}: {exc}") from exc
             if not (isinstance(self.data, dict) and all(
                     isinstance(self.data.get(key), dict) for key in ("stages", "release_tags"))):

@@ -8,9 +8,15 @@ fine-tuned correctness:
     (True, True)   -> Correct    knowledge preserved
     (False, False) -> Incorrect  never known
 
+Each (terminology, direction) outcome set is counted once, as one
+category count per split (`split_counts`), and every output is read off
+those two counts: the performance, category and derived-metric tables, the
+Sankey edges and the stage's `metrics.json`.
+
 Derived metrics: memorization is the Gainer share of the training split,
 generalization the Gainer share of the validation split, degradation the
-sum of the two per-split Loser shares, and accuracy (training terms) is
+sum of the two per-split Loser shares (pooled: the Loser share of both
+splits' pairs together), and accuracy (training terms) is
 Correct + Gainer - Loser on the training split. All percentages are
 computed in exact rational arithmetic and rounded half-up to one decimal
 exactly once.
@@ -93,7 +99,7 @@ def build_outcomes(
 
 
 # ---------------------------------------------------------------------------
-# Percentages and derived metrics (exact rational arithmetic)
+# Counts, percentages and derived metrics (exact rational arithmetic)
 
 
 def round1(value: Fraction) -> float:
@@ -106,123 +112,73 @@ def round1(value: Fraction) -> float:
     return float(dec.quantize(Decimal("0.1"), rounding=ROUND_HALF_UP))
 
 
-@dataclass(frozen=True)
-class CategoryPercentages:
-    """Category shares of one split, as exact fractions of 100."""
-
-    gainer: Fraction
-    loser: Fraction
-    correct: Fraction
-    incorrect: Fraction
-    n: int | None = None
-
-    @classmethod
-    def from_counts(cls, counts: dict[OutcomeCategory, int]) -> "CategoryPercentages":
-        total = sum(counts.values())
-        if total == 0:
-            raise DomainError("empty split")
-        def pct(cat):
-            return Fraction(counts.get(cat, 0) * 100, total)
-        return cls(
-            gainer=pct(OutcomeCategory.GAINER),
-            loser=pct(OutcomeCategory.LOSER),
-            correct=pct(OutcomeCategory.CORRECT),
-            incorrect=pct(OutcomeCategory.INCORRECT),
-            n=total,
-        )
-
-    def get(self, cat: OutcomeCategory) -> Fraction:
-        return getattr(self, cat.value.lower())
-
-
-@dataclass(frozen=True)
-class DerivedMetrics:
-    memorized_pct: float
-    generalized_pct: float
-    degraded_pct: float
-    accuracy_pct: float
-    degraded_pooled_pct: float | None = None
-
-
-def split_counts(outcomes: Iterable[PairOutcome]) -> dict[Split, dict[OutcomeCategory, int]]:
-    """Outcomes per category within each split.
+def split_counts(
+    outcomes: Iterable[PairOutcome], where: str = ""
+) -> tuple[Counter[OutcomeCategory], Counter[OutcomeCategory]]:
+    """Outcomes per category in the train and in the validation split.
 
     Each (baseline, fine-tuned) flag pair is one category, so the flags are
-    tallied and each distinct pair is classified once.
+    tallied and each distinct pair is classified once. `where` says whose
+    split is missing.
     """
     tally = Counter((o.split, o.baseline_correct, o.finetuned_correct) for o in outcomes)
-    counts: dict[Split, dict[OutcomeCategory, int]] = {}
+    counts: dict[Split, Counter[OutcomeCategory]] = {split: Counter() for split in Split}
     for (split, base, tuned), n in tally.items():
-        counts.setdefault(split, {})[classify(base, tuned)] = n
-    return counts
-
-
-def metrics_from_split_percentages(
-    train: CategoryPercentages, validation: CategoryPercentages
-) -> DerivedMetrics:
-    """Derived metrics from per-split category percentages.
-
-    Degradation sums the two per-split Loser percentages. The pooled
-    alternative needs raw counts, so it is only present when both splits
-    carry them.
-    """
-    memorized = train.gainer
-    generalized = validation.gainer
-    degraded = train.loser + validation.loser
-    accuracy = train.correct + train.gainer - train.loser
-    pooled = None
-    if train.n and validation.n:
-        weighted = (train.loser * train.n + validation.loser * validation.n)
-        pooled = round1(weighted / (train.n + validation.n))
-    return DerivedMetrics(
-        memorized_pct=round1(memorized),
-        generalized_pct=round1(generalized),
-        degraded_pct=round1(degraded),
-        accuracy_pct=round1(accuracy),
-        degraded_pooled_pct=pooled,
-    )
-
-
-def split_percentages(
-    outcomes: Sequence[PairOutcome], where: str = ""
-) -> tuple[CategoryPercentages, CategoryPercentages]:
-    """Train and validation category percentages; `where` says whose split is missing."""
-    counts = split_counts(outcomes)
-    missing = [s.value for s in (Split.TRAIN, Split.VALIDATION) if s not in counts]
+        counts[split][classify(base, tuned)] = n
+    missing = [split.value for split in Split if not counts[split]]
     if missing:
         raise DomainError(f"missing split(s){where}: {', '.join(missing)}")
-    return (CategoryPercentages.from_counts(counts[Split.TRAIN]),
-            CategoryPercentages.from_counts(counts[Split.VALIDATION]))
+    return counts[Split.TRAIN], counts[Split.VALIDATION]
 
 
-def derive_metrics(outcomes: Sequence[PairOutcome]) -> DerivedMetrics:
-    """Derived metrics for one (terminology, direction) outcome set."""
-    return metrics_from_split_percentages(*split_percentages(outcomes))
+def _percentages(counts: Counter[OutcomeCategory]) -> dict[OutcomeCategory, Fraction]:
+    return {cat: Fraction(counts[cat] * 100, counts.total()) for cat in OutcomeCategory}
+
+
+def derived_metrics(
+    train: dict[OutcomeCategory, Fraction], validation: dict[OutcomeCategory, Fraction]
+) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    """Memorized, generalized, degraded and accuracy percentages, unrounded,
+    from per-split category percentages."""
+    gainer, loser, correct = (OutcomeCategory.GAINER, OutcomeCategory.LOSER,
+                              OutcomeCategory.CORRECT)
+    return (train[gainer], validation[gainer], train[loser] + validation[loser],
+            train[correct] + train[gainer] - train[loser])
+
+
+DERIVED_COLUMNS = ("memorized_pct", "generalized_pct", "degraded_pct",
+                   "degraded_pooled_pct", "accuracy_pct")
+
+
+def derived_row(
+    train: Counter[OutcomeCategory], validation: Counter[OutcomeCategory]
+) -> tuple[float, ...]:
+    """The `DERIVED_COLUMNS` of one (terminology, direction) from its split counts.
+
+    Pooled degradation is the Loser share of both splits' pairs together.
+    """
+    memorized, generalized, degraded, accuracy = derived_metrics(
+        _percentages(train), _percentages(validation))
+    losers = train[OutcomeCategory.LOSER] + validation[OutcomeCategory.LOSER]
+    pooled = Fraction(losers * 100, train.total() + validation.total())
+    return tuple(map(round1, (memorized, generalized, degraded, pooled, accuracy)))
 
 
 # ---------------------------------------------------------------------------
 # Sankey flow edges
 
-BASELINE_CORRECT = "baseline-correct"
-BASELINE_INCORRECT = "baseline-incorrect"
-
 _EDGE_ORDER = (
-    (BASELINE_CORRECT, OutcomeCategory.CORRECT),
-    (BASELINE_CORRECT, OutcomeCategory.LOSER),
-    (BASELINE_INCORRECT, OutcomeCategory.GAINER),
-    (BASELINE_INCORRECT, OutcomeCategory.INCORRECT),
+    ("baseline-correct", OutcomeCategory.CORRECT),
+    ("baseline-correct", OutcomeCategory.LOSER),
+    ("baseline-incorrect", OutcomeCategory.GAINER),
+    ("baseline-incorrect", OutcomeCategory.INCORRECT),
 )
 
 
-def sankey_edges(outcomes: Sequence[PairOutcome]) -> list[tuple[str, str, int]]:
-    """Flow edges from baseline state to outcome category, zero edges omitted."""
-    tally = Counter((o.baseline_correct, o.finetuned_correct) for o in outcomes)
-    counts = {classify(base, tuned): n for (base, tuned), n in tally.items()}
-    return [
-        (source, category.value, counts[category])
-        for source, category in _EDGE_ORDER
-        if counts.get(category, 0) > 0
-    ]
+def sankey_edges(counts: Counter[OutcomeCategory]) -> list[tuple[str, str, int]]:
+    """Flow edges from baseline state to outcome category in one split, zero edges omitted."""
+    return [(source, category.value, counts[category])
+            for source, category in _EDGE_ORDER if counts[category] > 0]
 
 
 # ---------------------------------------------------------------------------
@@ -235,10 +191,9 @@ DIRECTION_ORDER = (Direction.ID_TO_TERM, Direction.TERM_TO_ID)
 def table_report(outcomes: Sequence[PairOutcome]) -> tuple[list[tuple], list[tuple], list[tuple]]:
     """The performance, category and derived-metric tables of a complete outcome set.
 
-    Each table is a list of rows in its writer's column order. A run's
-    accuracy is the share of its pairs whose outcome flag is set, so the
-    performance table and the category shares rest on the same per-pair
-    correctness.
+    Each table is a list of rows in its writer's column order, read off one
+    count per split of each (terminology, direction): a run's baseline-correct
+    pairs are its Correct and Loser ones, its fine-tuned-correct ones Correct and Gainer.
     """
     outcome_map: dict[tuple[Terminology, Direction], list[PairOutcome]] = {}
     for o in outcomes:
@@ -252,19 +207,17 @@ def table_report(outcomes: Sequence[PairOutcome]) -> tuple[list[tuple], list[tup
     derived: list[tuple] = []
     for t, d in combos:
         label = direction_label(t, d)
-        combo_outcomes = outcome_map[(t, d)]
-        n = len(combo_outcomes)
-        base_pct = Fraction(sum(o.baseline_correct for o in combo_outcomes) * 100, n)
-        tuned_pct = Fraction(sum(o.finetuned_correct for o in combo_outcomes) * 100, n)
+        train, val = split_counts(outcome_map[(t, d)], f" in outcomes for {label}")
+        both = _percentages(train + val)
+        base_pct = both[OutcomeCategory.CORRECT] + both[OutcomeCategory.LOSER]
+        tuned_pct = both[OutcomeCategory.CORRECT] + both[OutcomeCategory.GAINER]
         performance.append(
             (label, round1(base_pct), round1(tuned_pct), round1(tuned_pct - base_pct)))
-        train, val = split_percentages(combo_outcomes, f" in outcomes for {label}")
+        train_pct, val_pct = _percentages(train), _percentages(val)
         for cat in OutcomeCategory:
             categories.append(
-                (t.display, label, cat.value, round1(val.get(cat)), round1(train.get(cat))))
-        m = metrics_from_split_percentages(train, val)
-        derived.append((label, m.memorized_pct, m.generalized_pct, m.degraded_pct,
-                        m.degraded_pooled_pct, m.accuracy_pct))
+                (t.display, label, cat.value, round1(val_pct[cat]), round1(train_pct[cat])))
+        derived.append((label, *derived_row(train, val)))
     return performance, categories, derived
 
 
@@ -278,8 +231,7 @@ def write_categories_csv(rows: Iterable[tuple], sink: IO) -> None:
 
 
 def write_derived_csv(rows: Iterable[tuple], sink: IO) -> None:
-    write_table(["task", "memorized_pct", "generalized_pct", "degraded_pct",
-                 "degraded_pooled_pct", "accuracy_pct"], rows, sink)
+    write_table(["task", *DERIVED_COLUMNS], rows, sink)
 
 
 def write_sankey_csv(edges: Sequence[tuple[str, str, int]], sink: IO) -> None:

@@ -58,7 +58,6 @@ import resource
 import sys
 import time
 from contextlib import closing, contextmanager
-from dataclasses import asdict
 from pathlib import Path
 
 from . import manifest as run_manifest
@@ -100,11 +99,13 @@ from .ontology import (
     write_records_jsonl,
 )
 from .outcomes import (
+    DERIVED_COLUMNS,
     PairOutcome,
     build_outcomes,
-    derive_metrics,
+    derived_row,
     read_outcomes_jsonl,
     sankey_edges,
+    split_counts,
     table_report,
     write_categories_csv,
     write_derived_csv,
@@ -510,10 +511,12 @@ def stage_classify(cfg: RunConfig, files: StageFiles) -> None:
                 for phase in (Phase.BASELINE, Phase.FINETUNED))
             outcomes = build_outcomes(baseline, finetuned, t, d, split_by_pair)
             all_outcomes.extend(outcomes)
-            metrics_payload[f"{t.value}:{d.value}"] = asdict(derive_metrics(outcomes))
-            for split in (Split.TRAIN, Split.VALIDATION):
+            counts = split_counts(outcomes)
+            metrics_payload[f"{t.value}:{d.value}"] = dict(zip(DERIVED_COLUMNS,
+                                                               derived_row(*counts)))
+            for split, split_count in zip(Split, counts):
                 files.write(f"sankey_{t.key}_{d.value}_{split.value}.csv", write_sankey_csv,
-                            sankey_edges([o for o in outcomes if o.split is split]))
+                            sankey_edges(split_count))
 
     files.write("outcomes.jsonl", write_outcomes_jsonl, all_outcomes)
     files.write("metrics.json", write_document, metrics_payload)

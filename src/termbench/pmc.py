@@ -97,7 +97,7 @@ class PmcClient:
         self.cache.put(query, db, count, retrieved_at)
         return count
 
-    def fetch_counts(self, queries: Sequence[str], concurrency: int = 1,
+    def fetch_counts(self, queries: Sequence[str], concurrency: int,
                      db: str = "pmc") -> list[int]:
         """Hit counts for `queries`, in order; each distinct query is fetched once.
 

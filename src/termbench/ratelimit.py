@@ -12,19 +12,18 @@ from typing import Callable
 
 
 class TokenBucket:
-    """Allow `rate` acquisitions per second with burst capacity `burst`."""
+    """Allow `rate` acquisitions per second, in bursts of up to `max(1, int(rate))`."""
 
     def __init__(
         self,
         rate: float,
-        burst: int | None = None,
         clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], None] = time.sleep,
     ):
         if rate <= 0:
             raise ValueError("rate must be positive")
         self.rate = float(rate)
-        self.capacity = float(burst if burst is not None else max(1, int(rate)))
+        self.capacity = float(max(1, int(rate)))
         self._tokens = self.capacity
         self._clock = clock
         self._sleep = sleep

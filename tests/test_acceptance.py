@@ -26,12 +26,7 @@ from termbench.evaluate import (
     write_results_jsonl,
 )
 from termbench.ontology import TermRecord, Terminology, build_index
-from termbench.outcomes import (
-    CategoryPercentages,
-    OutcomeCategory,
-    classify,
-    metrics_from_split_percentages,
-)
+from termbench.outcomes import OutcomeCategory, classify, derived_metrics, round1
 from termbench.popularity import PopularityRecord, laplace_log, rank_frequency
 from termbench.prompts import Direction, expand_prompts
 from termbench.providers import ReplayProvider, prompt_hash
@@ -95,31 +90,32 @@ REFERENCE_ROWS = [
 ]
 
 
-def _percentages(*values) -> CategoryPercentages:
+def _percentages(*values) -> dict:
     """Category shares (G, L, C, I) taken exactly from their decimal form."""
-    return CategoryPercentages(*(Fraction(str(v)) for v in values))
+    return dict(zip(OutcomeCategory, (Fraction(str(v)) for v in values)))
 
 
 @_criterion(1, "outcome algebra reproduces the six derived-metric rows", 1.0)
 def test_criterion_01_outcome_algebra():
     flagged = []
     for label, train, val, expected, reference_acc, should_match in REFERENCE_ROWS:
-        metrics = metrics_from_split_percentages(_percentages(*train), _percentages(*val))
+        memorized, generalized, degraded, accuracy = map(
+            round1, derived_metrics(_percentages(*train), _percentages(*val)))
         mem, gen, deg = expected
-        assert abs(metrics.memorized_pct - mem) <= 0.05, label
-        assert abs(metrics.generalized_pct - gen) <= 0.05, label
-        assert abs(metrics.degraded_pct - deg) <= 0.05, label
-        matches = abs(metrics.accuracy_pct - reference_acc) <= 0.05
-        assert matches is should_match, (label, metrics.accuracy_pct, reference_acc)
+        assert abs(memorized - mem) <= 0.05, label
+        assert abs(generalized - gen) <= 0.05, label
+        assert abs(degraded - deg) <= 0.05, label
+        matches = abs(accuracy - reference_acc) <= 0.05
+        assert matches is should_match, (label, accuracy, reference_acc)
         if not matches:
             flagged.append(label)
     assert flagged == ["gene -> protein", "protein -> gene"]
     # the flagged rows keep the formula's value rather than the reference one
-    gene_fwd = metrics_from_split_percentages(
+    *_, gene_fwd_accuracy = derived_metrics(
         _percentages(48.0, 3.5, 22.5, 26.0),
         _percentages(13.9, 6.0, 16.7, 63.4),
     )
-    assert gene_fwd.accuracy_pct == 67.0
+    assert round1(gene_fwd_accuracy) == 67.0
 
 
 # ---------------------------------------------------------------------------

@@ -454,23 +454,53 @@ def test_a_manifest_that_names_outputs_by_absolute_path_exits_1(tmp_path, capsys
     assert not (run_dir / "prompts").exists()
 
 
-def test_truncated_binary_embedding_store_exits_1(tmp_path, capsys):
+def test_a_manifest_that_is_not_utf8_exits_1_naming_the_line(tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    assert main(["--config", str(CONFIG), "--run-dir", str(run_dir),
+                 "--stage", "ingest"]) == 0
+    manifest = run_dir / "manifest.json"
+    lines = manifest.read_bytes().split(b"\n")
+    lines[2] = lines[2].replace(b'"', b'"\xff', 1)
+    manifest.write_bytes(b"\n".join(lines))
+    capsys.readouterr()
+    assert main(["--config", str(CONFIG), "--run-dir", str(run_dir),
+                 "--stage", "popularity"]) == 1
+    assert capsys.readouterr().err == (f"error: unreadable run manifest {manifest}: "
+                                       "line 3: invalid UTF-8 byte 0xff (invalid start byte)\n")
+    assert not (run_dir / "popularity").exists()
+
+
+def _lexicalize_with_binary_store(tmp_path, capsys, records, cut=0):
+    """Run lexicalize over an EMB1 store of `records` (text bytes, dim) with its last
+    `cut` bytes dropped; return the store's path, the exit status and stderr."""
     store = tmp_path / "store.emb"
     with open(store, "wb") as fh:
-        fh.write(MAGIC + struct.pack("<I", 2))
-        for text in ("a", "b"):
-            fh.write(struct.pack("<I", 1) + text.encode() + struct.pack("<I", 4) + bytes(16))
-    store.write_bytes(store.read_bytes()[:-10])
+        fh.write(MAGIC + struct.pack("<I", len(records)))
+        for text, dim in records:
+            fh.write(struct.pack("<I", len(text)) + text + struct.pack("<I", dim) + bytes(4 * dim))
+    store.write_bytes(store.read_bytes()[:len(store.read_bytes()) - cut])
     config = _fixture_copy(tmp_path / "fixture", "paths.embedding_store", str(store))
     run_dir = tmp_path / "run"
     for stage in ("ingest", "popularity", "sample"):
         assert main(["--config", str(config), "--run-dir", str(run_dir), "--stage", stage]) == 0
     capsys.readouterr()
-    assert main(["--config", str(config), "--run-dir", str(run_dir),
-                 "--stage", "lexicalize"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: truncated EMB1 store: ")
+    code = main(["--config", str(config), "--run-dir", str(run_dir), "--stage", "lexicalize"])
+    return store, code, capsys.readouterr().err
+
+
+def test_truncated_binary_embedding_store_exits_1(tmp_path, capsys):
+    store, code, err = _lexicalize_with_binary_store(
+        tmp_path, capsys, [(b"a", 4), (b"b", 4)], cut=10)
+    assert code == 1
+    assert err.startswith(f"error: {store}: truncated EMB1 store: ")
     assert "Traceback" not in err
+
+
+def test_a_binary_embedding_store_text_that_is_not_utf8_exits_1(tmp_path, capsys):
+    store, code, err = _lexicalize_with_binary_store(tmp_path, capsys, [(b"a", 2), (b"ab\xff", 2)])
+    assert code == 1
+    assert err == (f"error: {store}: the text of record 1 is not UTF-8: "
+                   "byte 0xff (invalid start byte)\n")
 
 
 def test_seed_override_changes_split(tmp_path):

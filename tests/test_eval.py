@@ -58,13 +58,14 @@ def _prompt(pair, direction=Direction.TERM_TO_ID):
 
 
 def test_normalize_strips_quotes_and_trailing_period():
-    out = normalize_answer('"HP:0001337."', Terminology.HPO, Direction.TERM_TO_ID)
+    out = normalize_answer('"HP:0001337."', Terminology.HPO, Direction.TERM_TO_ID,
+                           extract=False)
     assert out == "HP:0001337"
 
 
 def test_normalize_strict_keeps_full_string():
     out = normalize_answer("The answer is HP:0001337", Terminology.HPO,
-                           Direction.TERM_TO_ID)
+                           Direction.TERM_TO_ID, extract=False)
     assert out == "THE ANSWER IS HP:0001337"
 
 
@@ -93,20 +94,23 @@ def test_normalize_extract_gene_ignores_capitalized_words():
 
 
 def test_normalize_id_to_term_lowercases_and_trims():
-    assert normalize_answer("  Tremor ", Terminology.HPO, Direction.ID_TO_TERM) == "tremor"
+    out = normalize_answer("  Tremor ", Terminology.HPO, Direction.ID_TO_TERM, extract=False)
+    assert out == "tremor"
 
 
 def test_normalize_collapses_internal_whitespace():
-    out = normalize_answer("tumor  protein\tp53", Terminology.GENE, Direction.ID_TO_TERM)
+    out = normalize_answer("tumor  protein\tp53", Terminology.GENE, Direction.ID_TO_TERM,
+                           extract=False)
     assert out == "tumor protein p53"
 
 
 def test_normalize_empty_string():
-    assert normalize_answer("", Terminology.HPO, Direction.TERM_TO_ID) == ""
+    assert normalize_answer("", Terminology.HPO, Direction.TERM_TO_ID, extract=False) == ""
 
 
 def test_normalize_single_trailing_punctuation_only():
-    assert normalize_answer("HP:0001337;;", Terminology.HPO, Direction.TERM_TO_ID) == "HP:0001337;"
+    assert normalize_answer("HP:0001337;;", Terminology.HPO, Direction.TERM_TO_ID,
+                            extract=False) == "HP:0001337;"
 
 
 _REFERENCE_EXTRACT = {

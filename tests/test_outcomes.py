@@ -1,19 +1,21 @@
 import io
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from termbench.errors import DomainError
 from termbench.evaluate import EvalItem
 from termbench.ontology import Terminology
 from termbench.outcomes import (
-    CategoryPercentages,
+    DERIVED_COLUMNS,
     OutcomeCategory,
     PairOutcome,
     build_outcomes,
     classify,
-    derive_metrics,
-    metrics_from_split_percentages,
+    derived_metrics,
+    derived_row,
     read_outcomes_jsonl,
     round1,
     sankey_edges,
@@ -108,9 +110,18 @@ def test_category_counts_partition_split():
          OutcomeCategory.CORRECT: 4, OutcomeCategory.INCORRECT: 1},
         {OutcomeCategory.INCORRECT: 5},
     )
-    counts = split_counts(outcomes)
-    assert sum(counts[Split.TRAIN].values()) == 10
-    assert sum(counts[Split.VALIDATION].values()) == 5
+    train, validation = split_counts(outcomes)
+    assert sum(train.values()) == 10
+    assert sum(validation.values()) == 5
+
+
+def _derived(outcomes) -> dict:
+    return dict(zip(DERIVED_COLUMNS, derived_row(*split_counts(outcomes))))
+
+
+def _count_percentages(counts) -> dict:
+    """Category shares of one split's counts, as exact fractions of 100."""
+    return {cat: Fraction(counts[cat] * 100, sum(counts.values())) for cat in OutcomeCategory}
 
 
 def test_derive_metrics_formand_values():
@@ -120,18 +131,18 @@ def test_derive_metrics_formand_values():
         {OutcomeCategory.GAINER: 1, OutcomeCategory.LOSER: 2,
          OutcomeCategory.INCORRECT: 97},
     )
-    m = derive_metrics(outcomes)
-    assert m.memorized_pct == 77.0
-    assert m.generalized_pct == 1.0
-    assert m.degraded_pct == 2.0
-    assert m.accuracy_pct == 80.0
-    assert m.degraded_pooled_pct == 1.0  # 2 losers / 200 pairs
+    m = _derived(outcomes)
+    assert m["memorized_pct"] == 77.0
+    assert m["generalized_pct"] == 1.0
+    assert m["degraded_pct"] == 2.0
+    assert m["accuracy_pct"] == 80.0
+    assert m["degraded_pooled_pct"] == 1.0  # 2 losers / 200 pairs
 
 
 def test_derive_metrics_all_correct():
     outcomes = _outcome_set({OutcomeCategory.CORRECT: 10}, {OutcomeCategory.CORRECT: 10})
-    m = derive_metrics(outcomes)
-    assert (m.memorized_pct, m.generalized_pct, m.degraded_pct, m.accuracy_pct) == (
+    m = _derived(outcomes)
+    assert (m["memorized_pct"], m["generalized_pct"], m["degraded_pct"], m["accuracy_pct"]) == (
         0.0, 0.0, 0.0, 100.0,
     )
 
@@ -139,7 +150,7 @@ def test_derive_metrics_all_correct():
 def test_derive_metrics_missing_split_raises():
     outcomes = _outcome_set({OutcomeCategory.CORRECT: 10}, {})
     with pytest.raises(DomainError, match="validation"):
-        derive_metrics(outcomes)
+        split_counts(outcomes)
 
 
 def test_memorized_identity_with_partition():
@@ -148,11 +159,11 @@ def test_memorized_identity_with_partition():
          OutcomeCategory.CORRECT: 5, OutcomeCategory.INCORRECT: 30},
         {OutcomeCategory.INCORRECT: 10},
     )
-    counts = split_counts(outcomes)[Split.TRAIN]
-    train = CategoryPercentages.from_counts(counts)
-    m = derive_metrics(outcomes)
-    assert m.memorized_pct == round1(
-        Fraction(100) - train.incorrect - train.correct - train.loser
+    train = _count_percentages(split_counts(outcomes)[0])
+    m = _derived(outcomes)
+    assert m["memorized_pct"] == round1(
+        Fraction(100) - train[OutcomeCategory.INCORRECT] - train[OutcomeCategory.CORRECT]
+        - train[OutcomeCategory.LOSER]
     )
 
 
@@ -165,9 +176,9 @@ def test_finetuned_train_accuracy_identity():
     )
     train = [o for o in outcomes if o.split is Split.TRAIN]
     ft_correct = sum(o.finetuned_correct for o in train)
-    counts = split_counts(outcomes)[Split.TRAIN]
-    pct = CategoryPercentages.from_counts(counts)
-    assert Fraction(ft_correct * 100, len(train)) == pct.correct + pct.gainer
+    pct = _count_percentages(split_counts(outcomes)[0])
+    assert Fraction(ft_correct * 100, len(train)) == (
+        pct[OutcomeCategory.CORRECT] + pct[OutcomeCategory.GAINER])
 
 
 # Reference rows (category percentages and derived values) used to pin the
@@ -190,33 +201,34 @@ REFERENCE_ROWS = [
 ]
 
 
-def _percentages(*values) -> CategoryPercentages:
+def _percentages(*values) -> dict:
     """Category shares (G, L, C, I) taken exactly from their decimal form."""
-    return CategoryPercentages(*(Fraction(str(v)) for v in values))
+    return dict(zip(OutcomeCategory, (Fraction(str(v)) for v in values)))
 
 
 @pytest.mark.parametrize("row", REFERENCE_ROWS, ids=[r[0] for r in REFERENCE_ROWS])
 def test_reference_row_algebra(row):
     task, train, val, expected, reference_acc, acc_should_match = row
-    metrics = metrics_from_split_percentages(_percentages(*train), _percentages(*val))
+    memorized, generalized, degraded, accuracy = map(
+        round1, derived_metrics(_percentages(*train), _percentages(*val)))
     mem, gen, deg = expected
-    assert abs(metrics.memorized_pct - mem) <= 0.05
-    assert abs(metrics.generalized_pct - gen) <= 0.05
-    assert abs(metrics.degraded_pct - deg) <= 0.05
-    assert (abs(metrics.accuracy_pct - reference_acc) <= 0.05) is acc_should_match
+    assert abs(memorized - mem) <= 0.05
+    assert abs(generalized - gen) <= 0.05
+    assert abs(degraded - deg) <= 0.05
+    assert (abs(accuracy - reference_acc) <= 0.05) is acc_should_match
 
 
 def test_gene_rows_formula_values_are_flagged_not_matched():
-    gene_fwd = metrics_from_split_percentages(
+    *_, gene_fwd_accuracy = derived_metrics(
         _percentages(48.0, 3.5, 22.5, 26.0),
         _percentages(13.9, 6.0, 16.7, 63.4),
     )
-    assert gene_fwd.accuracy_pct == 67.0
-    gene_rev = metrics_from_split_percentages(
+    assert round1(gene_fwd_accuracy) == 67.0
+    *_, gene_rev_accuracy = derived_metrics(
         _percentages(24.0, 1.5, 69.5, 5.0),
         _percentages(7.0, 4.6, 69.2, 19.2),
     )
-    assert gene_rev.accuracy_pct == 92.0
+    assert round1(gene_rev_accuracy) == 92.0
 
 
 def test_round1_half_up():
@@ -239,7 +251,8 @@ def test_round1_is_written_with_its_one_decimal():
 
 def test_sankey_single_edge():
     outcomes = [_outcome(False, True, pid=f"HPO:HP:{i:07d}") for i in range(10)]
-    assert sankey_edges(outcomes) == [("baseline-incorrect", "Gainer", 10)]
+    assert sankey_edges(Counter(o.category for o in outcomes)) == [
+        ("baseline-incorrect", "Gainer", 10)]
 
 
 def test_sankey_mixed_truth_table():
@@ -248,7 +261,7 @@ def test_sankey_mixed_truth_table():
          OutcomeCategory.CORRECT: 4, OutcomeCategory.INCORRECT: 1},
         {},
     )
-    edges = sankey_edges(outcomes)
+    edges = sankey_edges(Counter(o.category for o in outcomes))
     assert set(edges) == {
         ("baseline-correct", "Correct", 4),
         ("baseline-correct", "Loser", 3),
@@ -259,7 +272,7 @@ def test_sankey_mixed_truth_table():
 
 
 def test_sankey_empty():
-    assert sankey_edges([]) == []
+    assert sankey_edges(Counter()) == []
 
 
 def test_outcomes_jsonl_round_trip():
@@ -316,3 +329,79 @@ def test_table_csv_shapes():
     assert derived.getvalue().splitlines()[0] == (
         "task,memorized_pct,generalized_pct,degraded_pct,degraded_pooled_pct,accuracy_pct"
     )
+
+
+# (terminology, direction, row label) in report order
+_REPORT_ROWS = [
+    (Terminology.HPO, Direction.ID_TO_TERM, "HPO identifier -> term"),
+    (Terminology.HPO, Direction.TERM_TO_ID, "HPO term -> identifier"),
+    (Terminology.GO_CC, Direction.ID_TO_TERM, "GO identifier -> term"),
+    (Terminology.GO_CC, Direction.TERM_TO_ID, "GO term -> identifier"),
+    (Terminology.GENE, Direction.ID_TO_TERM, "gene -> protein"),
+    (Terminology.GENE, Direction.TERM_TO_ID, "protein -> gene"),
+]
+_FLAGS = {
+    (False, True): OutcomeCategory.GAINER,
+    (True, False): OutcomeCategory.LOSER,
+    (True, True): OutcomeCategory.CORRECT,
+    (False, False): OutcomeCategory.INCORRECT,
+}
+
+
+@st.composite
+def _complete_outcome_sets(draw):
+    """Outcomes for every mapping and both splits, each split drawing its flags
+    from a nonempty subset of the four categories, so some are absent."""
+    outcomes = []
+    for t, d, _ in _REPORT_ROWS:
+        for split in Split:
+            present = draw(st.lists(st.sampled_from(sorted(_FLAGS)), min_size=1, unique=True))
+            for base, tuned in draw(st.lists(st.sampled_from(present), min_size=1, max_size=40)):
+                outcomes.append(PairOutcome(f"{t.value}:{len(outcomes):07d}", t, d, split,
+                                            base, tuned))
+    return draw(st.permutations(outcomes))
+
+
+def _tables_by_loops(outcomes):
+    """The three report tables, counted with plain loops and Fraction arithmetic."""
+    performance, categories, derived = [], [], []
+    for t, d, label in _REPORT_ROWS:
+        rows = [o for o in outcomes if o.terminology is t and o.direction is d]
+        n = len(rows)
+        base = Fraction(sum(o.baseline_correct for o in rows) * 100, n)
+        tuned = Fraction(sum(o.finetuned_correct for o in rows) * 100, n)
+        performance.append((label, round1(base), round1(tuned), round1(tuned - base)))
+        counts = {split: {cat: 0 for cat in OutcomeCategory} for split in Split}
+        for o in rows:
+            counts[o.split][_FLAGS[(o.baseline_correct, o.finetuned_correct)]] += 1
+        train, val = counts[Split.TRAIN], counts[Split.VALIDATION]
+        n_train, n_val = sum(train.values()), sum(val.values())
+
+        def pct(count, total):
+            return Fraction(count * 100, total)
+
+        for cat in OutcomeCategory:
+            categories.append((t.display, label, cat.value,
+                               round1(pct(val[cat], n_val)), round1(pct(train[cat], n_train))))
+        gainer, loser, correct = (OutcomeCategory.GAINER, OutcomeCategory.LOSER,
+                                  OutcomeCategory.CORRECT)
+        derived.append((
+            label,
+            round1(pct(train[gainer], n_train)),
+            round1(pct(val[gainer], n_val)),
+            round1(pct(train[loser], n_train) + pct(val[loser], n_val)),
+            round1(pct(train[loser] + val[loser], n_train + n_val)),
+            round1(pct(train[correct], n_train) + pct(train[gainer], n_train)
+                   - pct(train[loser], n_train)),
+        ))
+    return performance, categories, derived
+
+
+@settings(max_examples=60, deadline=None)
+@given(_complete_outcome_sets())
+def test_table_report_equals_a_plain_loop_count(outcomes):
+    tables = table_report(outcomes)
+    assert tables == _tables_by_loops(outcomes)
+    for (t, d, _), derived in zip(_REPORT_ROWS, tables[2], strict=True):
+        rows = [o for o in outcomes if o.terminology is t and o.direction is d]
+        assert derived_row(*split_counts(rows)) == derived[1:]

@@ -572,6 +572,23 @@ def test_bench_trace_hooks_exist():
     for targets in tracing.METHODS.values():
         for cls, attr in targets:
             assert attr in cls.__dict__, (cls.__name__, attr)
+    # every name a bench script imports from termbench, or reads as
+    # termbench.<module>.<name>, resolves
+    for script in sorted(path.parent.glob("*.py")):
+        for node in ast.walk(ast.parse(script.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("termbench"):
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    assert hasattr(module, alias.name), (script.name, node.module, alias.name)
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.startswith("termbench"):
+                        importlib.import_module(alias.name)
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
+                  and isinstance(node.value.value, ast.Name)
+                  and node.value.value.id == "termbench"):
+                module = importlib.import_module(f"termbench.{node.value.attr}")
+                assert hasattr(module, node.attr), (script.name, node.value.attr, node.attr)
 
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"

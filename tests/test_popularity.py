@@ -399,11 +399,11 @@ def test_token_bucket_spaces_requests():
         slept.append(s)
         now[0] += s
 
-    bucket = TokenBucket(2.0, burst=1, clock=clock, sleep=sleep)
+    bucket = TokenBucket(1.0, clock=clock, sleep=sleep)
     for _ in range(3):
         bucket.acquire()
     assert len(slept) == 2
-    assert all(abs(s - 0.5) < 1e-9 for s in slept)
+    assert all(abs(s - 1.0) < 1e-9 for s in slept)
 
 
 @pytest.mark.parametrize("row,message", [
