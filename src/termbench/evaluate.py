@@ -8,15 +8,19 @@ identifier syntax before comparing, which isolates formatting failures
 from knowledge failures.
 
 `run_eval` returns a run's items, sorted; `run_summary` takes them with
-the model, terminology, direction and phase its caller holds.
+the model, terminology, direction and phase its caller holds. Each item
+pays only its own costs: its pair id is the one its pair carries, a
+provider answers it by one lookup (a replay provider reads its transcript
+once per phase, joined to the phase's prompts), and its row is built by
+position. A pair's vote is its one item's flag when no pair has more.
 """
 
 from __future__ import annotations
 
 import re
-import sys
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from typing import IO, Iterable, Sequence
 
 from .errors import DomainError, HarnessError, TransportError
@@ -50,7 +54,10 @@ def normalize_answer(
         text = text[1:-1].strip()
     if text and text[-1] in ".,;":
         text = text[:-1].rstrip()
-    text = _WHITESPACE_RUN.sub(" ", text)
+    # Only a run of two or more, or a whitespace character other than " ",
+    # changes; every such character is unprintable, so most texts skip the regex.
+    if "  " in text or not text.isprintable():
+        text = _WHITESPACE_RUN.sub(" ", text)
     if direction is Direction.ID_TO_TERM:
         return text.lower()
     if extract:
@@ -88,6 +95,9 @@ def pair_correctness(items: Sequence[EvalItem]) -> dict[str, bool]:
     correct; a failed item counts as wrong, and a tie loses. With one
     template per pair this is the item's flag.
     """
+    flags = {item.pair_id: item.correct for item in items}
+    if len(flags) == len(items):  # one item per pair: its flag is the vote
+        return flags
     votes: dict[str, list[bool]] = {}
     for item in items:
         votes.setdefault(item.pair_id, []).append(item.correct)
@@ -116,36 +126,26 @@ def _evaluate_one(
     extract: bool,
 ) -> EvalItem:
     # Equal strings are one object, so a run's items stay small while they are
-    # held for the next stage: one pair id per pair across templates,
-    # directions and phases, and a normalized answer equal to the expected
-    # answer or to the raw output is that object.
-    pid = sys.intern(prompt.pair_id)
+    # held for the next stage: the pair's own id across templates, directions
+    # and phases, and a normalized answer equal to the expected answer or to
+    # the raw output is that object.
+    pair = prompt.pair
     try:
         raw = provider.complete(prompt.prompt_text, model_id, DECODING)
     except HarnessError as exc:
-        return EvalItem(
-            pair_id=pid,
-            direction=prompt.direction,
-            template_id=prompt.template_id,
-            raw_output="",
-            normalized_output="",
-            correct=False,
-            error=str(exc),
-        )
-    normalized = normalize_answer(raw, prompt.pair.terminology, prompt.direction, extract)
-    if normalized == expected:
+        return EvalItem(pair.pair_id, prompt.direction, prompt.template_id, "", "", False,
+                        str(exc))
+    normalized = normalize_answer(raw, pair.terminology, prompt.direction, extract)
+    correct = score_item(normalized, expected)
+    if correct:
         normalized = expected
     elif normalized == raw:
         normalized = raw
-    return EvalItem(
-        pair_id=pid,
-        direction=prompt.direction,
-        template_id=prompt.template_id,
-        raw_output=raw,
-        normalized_output=normalized,
-        correct=score_item(normalized, expected),
-        error=None,
-    )
+    return EvalItem(pair.pair_id, prompt.direction, prompt.template_id, raw, normalized, correct,
+                    None)
+
+
+_ITEM_ORDER = attrgetter("pair_id", "template_id")
 
 
 def run_eval(
@@ -178,7 +178,7 @@ def run_eval(
     items = bounded_map(
         lambda job: _evaluate_one(provider, *job, model_id, extract),
         zip(prompts, expected), concurrency_limit)
-    items.sort(key=lambda i: (i.pair_id, i.template_id))
+    items.sort(key=_ITEM_ORDER)
     if all(i.error is not None for i in items):
         raise RunFailedError(f"all {len(items)} items failed; first: {items[0].error}")
     return items
@@ -191,7 +191,7 @@ def run_eval(
 def _result_row(item: EvalItem) -> dict:
     return {
         "pair_id": item.pair_id,
-        "direction": item.direction.value,
+        "direction": item.direction._value_,
         "template_id": item.template_id,
         "raw_output": item.raw_output,
         "normalized_output": item.normalized_output,
@@ -201,15 +201,9 @@ def _result_row(item: EvalItem) -> dict:
 
 
 def _result_from_row(row: dict) -> EvalItem:
-    return EvalItem(
-        pair_id=row["pair_id"],
-        direction=direction_member(row["direction"]),
-        template_id=row["template_id"],
-        raw_output=row["raw_output"],
-        normalized_output=row["normalized_output"],
-        correct=row["correct"],
-        error=row.get("error"),
-    )
+    return EvalItem(row["pair_id"], direction_member(row["direction"]), row["template_id"],
+                    row["raw_output"], row["normalized_output"], row["correct"],
+                    row.get("error"))
 
 
 def write_results_jsonl(items: Iterable[EvalItem], sink: IO) -> int:

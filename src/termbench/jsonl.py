@@ -194,6 +194,19 @@ def write_document(payload: dict, sink: IO) -> None:
     sink.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+class RowEnum(Enum):
+    """An `Enum` whose members are fields of rows: they hash by identity.
+
+    A member equals only itself, so its identity is a sound hash, and
+    `object.__hash__` runs in C where `Enum.__hash__` is Python code, paid
+    by every row that keys a dict by its members. For the same reason a row
+    writer reads a member's value as `member._value_`, the plain attribute
+    that the Python-level `value` descriptor returns.
+    """
+
+    __hash__ = object.__hash__
+
+
 def enum_lookup(enum: type[E]) -> Callable[[object], E]:
     """`enum(value)` for a row builder, through a value -> member dict built once.
 

@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from enum import Enum
 from typing import IO, Iterable, Iterator, TypeVar
 
 from .errors import ParseError, ValidationError
-from .jsonl import enum_lookup, iter_rows, write_rows
+from .jsonl import RowEnum, enum_lookup, iter_rows, write_rows
 
 
-class Terminology(Enum):
+class Terminology(RowEnum):
     """Declared in the order stages and report tables take them."""
 
     HPO = "HPO"
@@ -220,7 +219,7 @@ def build_index(records: Iterable[R]) -> dict[str, R]:
 
 def _record_row(r: TermRecord) -> dict:
     return {
-        "terminology": r.terminology.value,
+        "terminology": r.terminology._value_,
         "identifier": r.identifier,
         "label": r.label,
         "synonyms": list(r.synonyms),

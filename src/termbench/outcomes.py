@@ -27,20 +27,19 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
-from enum import Enum
 from fractions import Fraction
 from typing import IO, Iterable, Sequence
 
 from .errors import DomainError
 from .evaluate import EvalItem, pair_correctness
-from .jsonl import iter_rows, write_rows
+from .jsonl import RowEnum, iter_rows, write_rows
 from .ontology import Terminology, terminology_member
 from .prompts import Direction, direction_label, direction_member
 from .sampling import Split, split_member
 from .tables import write_table
 
 
-class OutcomeCategory(Enum):
+class OutcomeCategory(RowEnum):
     """Declared in report-table order."""
 
     GAINER = "Gainer"
@@ -79,22 +78,14 @@ def build_outcomes(
     """Join both phases' items for one (terminology, direction) into per-pair outcomes."""
     base = pair_correctness(baseline_items)
     tuned = pair_correctness(finetuned_items)
-    if set(base) != set(tuned):
+    if base.keys() != tuned.keys():
         raise DomainError("baseline and fine-tuned runs scored different pairs")
     outcomes = []
     for pid in sorted(base):
         if pid not in split_by_pair:
             raise DomainError(f"pair {pid!r} has no split assignment")
-        outcomes.append(
-            PairOutcome(
-                pair_id=pid,
-                terminology=terminology,
-                direction=direction,
-                split=split_by_pair[pid],
-                baseline_correct=base[pid],
-                finetuned_correct=tuned[pid],
-            )
-        )
+        outcomes.append(PairOutcome(pid, terminology, direction, split_by_pair[pid], base[pid],
+                                    tuned[pid]))
     return outcomes
 
 
@@ -241,24 +232,19 @@ def write_sankey_csv(edges: Sequence[tuple[str, str, int]], sink: IO) -> None:
 def _outcome_row(o: PairOutcome) -> dict:
     return {
         "pair_id": o.pair_id,
-        "terminology": o.terminology.value,
-        "direction": o.direction.value,
-        "split": o.split.value,
+        "terminology": o.terminology._value_,
+        "direction": o.direction._value_,
+        "split": o.split._value_,
         "baseline_correct": o.baseline_correct,
         "finetuned_correct": o.finetuned_correct,
-        "category": o.category.value,
+        "category": o.category._value_,
     }
 
 
 def _outcome_from_row(row: dict) -> PairOutcome:
-    return PairOutcome(
-        pair_id=row["pair_id"],
-        terminology=terminology_member(row["terminology"]),
-        direction=direction_member(row["direction"]),
-        split=split_member(row["split"]),
-        baseline_correct=row["baseline_correct"],
-        finetuned_correct=row["finetuned_correct"],
-    )
+    return PairOutcome(row["pair_id"], terminology_member(row["terminology"]),
+                       direction_member(row["direction"]), split_member(row["split"]),
+                       row["baseline_correct"], row["finetuned_correct"])
 
 
 def write_outcomes_jsonl(outcomes: Sequence[PairOutcome], sink: IO) -> int:

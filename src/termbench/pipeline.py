@@ -47,7 +47,10 @@ reference counting frees each as soon as it is dropped; at release size the
 collector would otherwise rescan some 200k live rows thousands of times and
 find no garbage among them. The caller's collector setting is restored when
 the stage returns or raises, so between stages, and around the input checks
-and the manifest write, the collector runs under its usual thresholds.
+and the manifest write, the collector runs under its usual thresholds. A
+stage that returns leaves every object in the collector's oldest
+generation, so the rows held for the next stage are not rescanned by the
+young collections that follow; a full collection still sees them.
 """
 
 from __future__ import annotations
@@ -81,6 +84,7 @@ from .config import (
 from .embeddings import EmbeddingCache, FileEmbeddingStore, HttpEmbeddingProvider
 from .errors import DomainError, ValidationError, utf8_named
 from .evaluate import (
+    DECODING,
     Phase,
     expected_answers,
     read_results_jsonl,
@@ -452,13 +456,16 @@ def stage_prompts(cfg: RunConfig, files: StageFiles) -> None:
 
 
 @contextmanager
-def _completion_provider(cfg: RunConfig, phase: Phase, files: StageFiles):
-    """The phase's provider, for the block; a live one's transcript is a store."""
+def _completion_provider(cfg: RunConfig, phase: Phase, model_id: str, prompts: list,
+                         files: StageFiles):
+    """The phase's provider of `prompts` for `model_id`, for the block; a live one's
+    transcript is a store, and a replay one reads its file joined to the prompts."""
     transcript_path = cfg.transcripts.get(phase.value)
     name = f"transcript_{phase.value}.jsonl"
     if transcript_path is not None:
         yield ReplayProvider.from_transcript(
-            files.source(transcript_path, f"paths.transcript_{phase.value}"))
+            files.source(transcript_path, f"paths.transcript_{phase.value}"),
+            model_id, DECODING, (p.prompt_text for p in prompts))
     elif name in files.stores:
         with files.store(TranscriptWriter, name) as transcript:
             yield HttpCompletionProvider(files.endpoint("completion"), transcript)
@@ -482,7 +489,7 @@ def stage_eval(cfg: RunConfig, files: StageFiles) -> None:
 
     for phase, model_id in ((Phase.BASELINE, cfg.baseline_model),
                             (Phase.FINETUNED, cfg.finetuned_model)):
-        with _completion_provider(cfg, phase, files) as provider:
+        with _completion_provider(cfg, phase, model_id, prompts, files) as provider:
             for t, d, group, expected in groups:
                 items = run_eval(
                     provider, group, expected, model_id,
@@ -499,8 +506,7 @@ def stage_eval(cfg: RunConfig, files: StageFiles) -> None:
 
 
 def stage_classify(cfg: RunConfig, files: StageFiles) -> None:
-    split_by_pair = {pair_id(p): p.split
-                     for p in files.read(_SPLIT, read_split_jsonl)}
+    split_by_pair = {p.pair_id: p.split for p in files.read(_SPLIT, read_split_jsonl)}
 
     all_outcomes: list[PairOutcome] = []
     metrics_payload = {}
@@ -688,6 +694,11 @@ def run_stage(cfg: RunConfig, stage: str, dry_run: bool = False) -> None:
         start = time.perf_counter()
         with closing(files):  # the transport, if the stage reached an endpoint
             facts = stage_func(cfg, files)
+        # The stage's rows all sit in the youngest generation. Freezing every
+        # tracked object and thawing it again moves them all, unscanned, into
+        # the oldest, so no young collection rescans the rows held on.
+        gc.freeze()
+        gc.unfreeze()
     except BaseException:
         _HELD.clear()  # nothing is handed on past a stage that failed
         raise

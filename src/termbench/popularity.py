@@ -98,7 +98,7 @@ POPULARITY_CSV_COLUMNS = [
 
 def write_popularity_csv(records: Iterable[PopularityRecord], sink: IO) -> int:
     return write_table(POPULARITY_CSV_COLUMNS, (
-        (r.terminology.value, r.identifier, r.label,
+        (r.terminology._value_, r.identifier, r.label,
          r.id_count_pmc, r.term_count_pmc, r.annotation_count)
         for r in records), sink)
 

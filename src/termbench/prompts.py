@@ -13,21 +13,20 @@ the prompt wordings; change TEMPLATE_TABLE_VERSION when editing it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import IO, Iterable, Sequence
 
 from . import GENERATOR_NAME
 from .errors import DomainError, ParseError
-from .jsonl import enum_lookup, iter_rows, write_rows
+from .jsonl import RowEnum, enum_lookup, iter_rows, write_rows
 from .ontology import Terminology
-from .sampling import SampledPair, pair_id
+from .sampling import SampledPair
 
 TEMPLATE_TABLE_VERSION = 1
 
 TEMPLATE_IDS = (1, 2, 3, 4, 5)
 
 
-class Direction(Enum):
+class Direction(RowEnum):
     TERM_TO_ID = "term_to_id"
     ID_TO_TERM = "id_to_term"
 
@@ -89,10 +88,6 @@ class PromptInstance:
     prompt_text: str
     expected_answer: str
 
-    @property
-    def pair_id(self) -> str:
-        return pair_id(self.pair)
-
 
 def direction_label(terminology: Terminology, direction: Direction) -> str:
     """Human-readable mapping name used in report rows."""
@@ -119,22 +114,16 @@ def expand_prompts(
     for template_id in template_ids:
         if template_id not in TEMPLATE_IDS:
             raise DomainError(f"unknown template id {template_id}")
-        instances.append(
-            PromptInstance(
-                pair=pair,
-                direction=direction,
-                template_id=template_id,
-                prompt_text=templates[template_id - 1].replace(slot, fill),
-                expected_answer=expected,
-            )
-        )
+        instances.append(PromptInstance(
+            pair, direction, template_id, templates[template_id - 1].replace(slot, fill),
+            expected))
     return instances
 
 
 def _prompt_row(p: PromptInstance) -> dict:
     return {
-        "pair_id": p.pair_id,
-        "direction": p.direction.value,
+        "pair_id": p.pair.pair_id,
+        "direction": p.direction._value_,
         "template_id": p.template_id,
         "prompt_text": p.prompt_text,
         "expected_answer": p.expected_answer,
@@ -147,19 +136,14 @@ def write_prompts_jsonl(prompts: Iterable[PromptInstance], sink: IO) -> int:
 
 def read_prompts_jsonl(stream: IO, pairs: Iterable[SampledPair]) -> list[PromptInstance]:
     """Load prompts, rebinding each row to its pair among `pairs`."""
-    pairs_by_id = {pair_id(p): p for p in pairs}
+    pairs_by_id = {p.pair_id: p for p in pairs}
 
     def from_row(row: dict) -> PromptInstance:
         pair = pairs_by_id.get(row["pair_id"])
         if pair is None:
             raise ParseError(f"unknown pair_id {row['pair_id']!r}")
-        return PromptInstance(
-            pair=pair,
-            direction=direction_member(row["direction"]),
-            template_id=row["template_id"],
-            prompt_text=row["prompt_text"],
-            expected_answer=row["expected_answer"],
-        )
+        return PromptInstance(pair, direction_member(row["direction"]), row["template_id"],
+                              row["prompt_text"], row["expected_answer"])
     return list(iter_rows(stream, from_row))
 
 

@@ -11,18 +11,17 @@ anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
+from dataclasses import dataclass, field
 from typing import IO, Iterable
 
 from .errors import DomainError
-from .jsonl import enum_lookup, iter_rows, write_rows
+from .jsonl import RowEnum, enum_lookup, iter_rows, write_rows
 from .ontology import Terminology, TermRecord, terminology_member
 from .popularity import PopularityRecord
 from .rng import SplitMix64, substream
 
 
-class Split(Enum):
+class Split(RowEnum):
     TRAIN = "train"
     VALIDATION = "validation"
 
@@ -37,6 +36,11 @@ class SampledPair:
     identifier: str
     bin_index: int
     split: Split
+    # `pair_id(self)`, made once: prompts, eval items and outcomes share it
+    pair_id: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "pair_id", pair_id(self))
 
 
 def stratify(ranked: tuple[tuple[str, int, int], ...], n_bins: int) -> list[tuple[str, ...]]:
@@ -76,15 +80,8 @@ def sample_bins(
         rng.shuffle_prefix(pool, per_bin)
         for identifier in sorted(pool[:per_bin]):
             record = index[identifier]
-            pairs.append(
-                SampledPair(
-                    terminology=record.terminology,
-                    term=record.label,
-                    identifier=identifier,
-                    bin_index=bin_index,
-                    split=Split.TRAIN,
-                )
-            )
+            pairs.append(SampledPair(record.terminology, record.label, identifier, bin_index,
+                                     Split.TRAIN))
     return pairs
 
 
@@ -105,13 +102,8 @@ def make_split(
     """
     sampled_ids = {p.identifier for p in sampled}
     validation = [
-        SampledPair(
-            terminology=index[identifier].terminology,
-            term=index[identifier].label,
-            identifier=identifier,
-            bin_index=bin_index,
-            split=Split.VALIDATION,
-        )
+        SampledPair(index[identifier].terminology, index[identifier].label, identifier,
+                    bin_index, Split.VALIDATION)
         for bin_index, members in enumerate(bins) for identifier in sorted(members)
         if identifier not in sampled_ids
     ]
@@ -126,27 +118,22 @@ def make_split(
 
 def pair_id(pair: SampledPair | PopularityRecord) -> str:
     """Stable pair key used to join prompts, results and outcomes."""
-    return f"{pair.terminology.value}:{pair.identifier}"
+    return f"{pair.terminology._value_}:{pair.identifier}"
 
 
 def _split_row(p: SampledPair) -> dict:
     return {
-        "terminology": p.terminology.value,
+        "terminology": p.terminology._value_,
         "term": p.term,
         "identifier": p.identifier,
         "bin_index": p.bin_index,
-        "split": p.split.value,
+        "split": p.split._value_,
     }
 
 
 def _split_from_row(row: dict) -> SampledPair:
-    return SampledPair(
-        terminology=terminology_member(row["terminology"]),
-        term=row["term"],
-        identifier=row["identifier"],
-        bin_index=row["bin_index"],
-        split=split_member(row["split"]),
-    )
+    return SampledPair(terminology_member(row["terminology"]), row["term"], row["identifier"],
+                       row["bin_index"], split_member(row["split"]))
 
 
 def write_split_jsonl(pairs: Iterable[SampledPair], sink: IO) -> int:

@@ -1,13 +1,16 @@
 import gc
+import hashlib
 import io
 import json
 import re
+import tempfile
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import closing
+from contextlib import closing, redirect_stderr
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from termbench.errors import (
     ConsistencyError,
@@ -40,6 +43,7 @@ from termbench.providers import (
     prompt_hash,
     request_body,
 )
+from termbench.jsonl import KeyedStore
 from termbench.remote import Endpoint
 from termbench.sampling import SampledPair, Split, pair_id
 
@@ -150,11 +154,20 @@ _ANSWER_PARTS = st.sampled_from(
 @given(parts=st.lists(_ANSWER_PARTS | st.text(max_size=3), max_size=12),
        terminology=st.sampled_from(list(Terminology)),
        direction=st.sampled_from(list(Direction)), extract=st.booleans())
+# one space then another whitespace character: a run, though no "  " appears
+@example(parts=["a", " ", "\t", "b"], terminology=Terminology.HPO,
+         direction=Direction.ID_TO_TERM, extract=False)
 def test_normalize_answer_matches_the_re_sub_reference(parts, terminology, direction,
                                                        extract):
     raw = "".join(parts)
     assert (normalize_answer(raw, terminology, direction, extract)
             == reference_normalize(raw, terminology, direction, extract))
+
+
+def test_the_space_is_the_one_printable_whitespace_character():
+    # normalize_answer skips its whitespace regex for a printable text with no "  "
+    every = "".join(map(chr, range(0x110000)))
+    assert [c for c in re.findall(r"\s", every) if c.isprintable()] == [" "]
 
 
 def test_score_item_exact():
@@ -404,7 +417,8 @@ def test_replay_from_transcript_file(tmp_path):
         writer.record(prompts[0].prompt_text,
                       request_body(prompts[0].prompt_text, "m", DecodingParams()),
                       "HP:0001337")
-    provider = ReplayProvider.from_transcript(tmp_path / "t.jsonl")
+    provider = ReplayProvider.from_transcript(tmp_path / "t.jsonl", "m", DecodingParams(),
+                                              [prompts[0].prompt_text])
     assert provider.complete(prompts[0].prompt_text, "m", DecodingParams()) == "HP:0001337"
 
 
@@ -413,8 +427,8 @@ def test_replay_rejects_a_transcript_text_that_is_not_a_string(tmp_path):
     rows = [{"prompt_hash": "a", "response": {"text": "HP:0001337"}},
             {"prompt_hash": "b", "response": {"text": None}}]
     path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
-    with pytest.raises(ParseError) as exc:
-        ReplayProvider.from_transcript(path)
+    with pytest.raises(ParseError) as exc:  # a row for no wanted prompt is checked too
+        ReplayProvider.from_transcript(path, "m", DecodingParams(), [])
     assert exc.value.line_number == 2
     assert "response.text is not a string" in str(exc.value)
 
@@ -432,6 +446,12 @@ def _record(path, rows):
                               else request_body(prompt, model, params), text)
 
 
+def _replay(path, prompt, model, params):
+    """`prompt` sent to `model` with `params`, replayed from the transcript `path`."""
+    return ReplayProvider.from_transcript(path, model, params, [prompt]).complete(
+        prompt, model, params)
+
+
 @pytest.mark.parametrize("model,params", [
     ("model-b", DecodingParams()),
     ("model-a", DecodingParams(temperature=0.7)),
@@ -439,26 +459,165 @@ def _record(path, rows):
 ], ids=["model", "temperature", "max-tokens"])
 def test_replay_answers_only_the_model_and_settings_it_recorded(tmp_path, model, params):
     _record(tmp_path / "t.jsonl", [("p", "model-a", DecodingParams(), "A")])
-    replay = ReplayProvider.from_transcript(tmp_path / "t.jsonl")
+    replay = ReplayProvider.from_transcript(tmp_path / "t.jsonl", "model-a", DecodingParams(),
+                                            ["p"])
     assert replay.complete("p", "model-a", DecodingParams()) == "A"
     with pytest.raises(ConsistencyError, match=repr(model)):
         replay.complete("p", model, params)
+    with pytest.raises(ConsistencyError, match=repr(model)):
+        _replay(tmp_path / "t.jsonl", "p", model, params)
 
 
 def test_replay_keeps_rows_for_two_models_of_one_prompt_apart(tmp_path):
     _record(tmp_path / "t.jsonl", [("p", "model-a", DecodingParams(), "A"),
                                    ("p", "model-b", DecodingParams(), "B")])
-    replay = ReplayProvider.from_transcript(tmp_path / "t.jsonl")
-    assert [replay.complete("p", m, DecodingParams()) for m in ("model-a", "model-b")] == [
-        "A", "B"]
+    assert [_replay(tmp_path / "t.jsonl", "p", m, DecodingParams())
+            for m in ("model-a", "model-b")] == ["A", "B"]
 
 
 def test_a_row_without_a_request_answers_its_prompt_for_any_model(tmp_path):
     _record(tmp_path / "t.jsonl", [("p", None, None, "any"),
                                    ("p", "model-a", DecodingParams(), "A")])
-    replay = ReplayProvider.from_transcript(tmp_path / "t.jsonl")
-    assert replay.complete("p", "model-a", DecodingParams()) == "A"
-    assert replay.complete("p", "model-b", DecodingParams(temperature=1.0)) == "any"
+    assert _replay(tmp_path / "t.jsonl", "p", "model-a", DecodingParams()) == "A"
+    assert _replay(tmp_path / "t.jsonl", "p", "model-b", DecodingParams(temperature=1.0)) == "any"
+
+
+# ---------------------------------------------------------------------------
+# the replay join, against the keyed lookup it replaced
+
+
+def _keyed_request_key(model_id, temperature, max_tokens, prompt_text):
+    """A request's transcript key as replay made it before the join (copied)."""
+    settings = f"{model_id!r} {temperature + 0.0!r} {max_tokens!r} {prompt_text}"
+    return hashlib.sha256(settings.encode("utf-8")).digest()
+
+
+class _KeyedTranscript(KeyedStore):
+    """A transcript keyed as replay keyed it before the join (copied)."""
+
+    @staticmethod
+    def entry(row):
+        text = row["response"]["text"]
+        if not isinstance(text, str):
+            raise ParseError(f"response.text is not a string: {text!r}")
+        request = row.get("request")
+        if request is None:
+            return row["prompt_hash"], text
+        return _keyed_request_key(request["model"], request["temperature"],
+                                  request["max_tokens"],
+                                  request["messages"][0]["content"]), text
+
+
+def _keyed_answer(transcript, prompt, model, params):
+    """The text replay answered before the join: by request, else by prompt (copied)."""
+    text = transcript.get(_keyed_request_key(model, params.temperature, params.max_tokens,
+                                             prompt))
+    return transcript.get(prompt_hash(prompt)) if text is None else text
+
+
+def _outcome(call):
+    """`call()`'s result, or the type and message of the exception it raised."""
+    try:
+        return call()
+    except Exception as exc:  # compared, not swallowed
+        return type(exc), str(exc)
+
+
+_JOIN_PROMPTS = ["p", "q", "5", "", "p\u2028q", "\u00fc"]
+
+
+def _request(row):
+    """The row's request; a row with none gets one."""
+    return row.setdefault("request", request_body("p", "m", DecodingParams()))
+
+
+# a fault a row may carry, and how it is planted
+_ROW_FAULTS = {
+    "no model": lambda row, draw: _request(row).pop("model"),
+    "no prompt_hash": lambda row, draw: row.pop("prompt_hash"),
+    "text": lambda row, draw: row["response"].update(
+        text=draw(st.sampled_from([None, 7, ["x"]]))),
+    "temperature": lambda row, draw: _request(row).update(
+        temperature=draw(st.sampled_from([None, "0.0", [0], 10**400]))),
+    "no messages": lambda row, draw: _request(row).update(messages=[]),
+    "prompt not a string": lambda row, draw: _request(row).update(
+        messages=[{"role": "user", "content": draw(st.sampled_from([5, None, ["p"]]))}]),
+    "lone surrogate": lambda row, draw: _request(row).update(
+        messages=[{"role": "user", "content": "p\ud800"}]),
+}
+
+
+@st.composite
+def _transcript_row(draw):
+    """A transcript row for a prompt of `_JOIN_PROMPTS`, with or without a request."""
+    prompt = draw(st.sampled_from(_JOIN_PROMPTS))
+    row = {"prompt_hash": prompt_hash(prompt), "response": {"text": draw(st.text(max_size=3))}}
+    if draw(st.integers(0, 3)):
+        row["request"] = {
+            "model": draw(st.sampled_from(["m", "m-ft", ""])),
+            "messages": [{"role": "user", "content": prompt}],
+            "temperature": draw(st.sampled_from([0.0, -0.0, 0.7, 1, True])),
+            "max_tokens": draw(st.sampled_from([32, 32.0, 64, True])),
+        }
+    return row
+
+
+@st.composite
+def _transcript_rows(draw):
+    """Transcript rows, one of them carrying a fault of `_ROW_FAULTS`, or none."""
+    rows = draw(st.lists(_transcript_row(), max_size=12))
+    fault = draw(st.none() | st.sampled_from(sorted(_ROW_FAULTS)))
+    if rows and fault is not None:
+        _ROW_FAULTS[fault](rows[draw(st.integers(0, len(rows) - 1))], draw)
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=_transcript_rows(),
+       wanted=st.lists(st.sampled_from([*_JOIN_PROMPTS, "absent"]), unique=True),
+       model=st.sampled_from(["m", "m-ft"]),
+       params=st.sampled_from([DecodingParams(), DecodingParams(-0.0, 32),
+                               DecodingParams(1, 32.0)]),
+       cut=st.integers(0, 3))
+def test_the_replay_join_answers_as_the_keyed_lookup_did(rows, wanted, model, params, cut):
+    # Each wanted prompt gets the text, or the ConsistencyError, that the keyed
+    # lookup gave; a transcript that failed to load fails with the same error
+    # and message, and a torn last row (`cut` bytes short) gets the same warning.
+    data = "".join(json.dumps(row) + "\n" for row in rows).encode("utf-8")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.jsonl"
+        path.write_bytes(data[:len(data) - cut] if rows else data)
+        keyed_err, joined_err = io.StringIO(), io.StringIO()
+        with redirect_stderr(keyed_err):
+            keyed = _outcome(lambda: _KeyedTranscript(path))
+        with redirect_stderr(joined_err):
+            joined = _outcome(lambda: ReplayProvider.from_transcript(path, model, params, wanted))
+    assert joined_err.getvalue() == keyed_err.getvalue()
+    if isinstance(keyed, tuple):
+        assert joined == keyed
+        return
+    for prompt in wanted:
+        text = _keyed_answer(keyed, prompt, model, params)
+        answer = _outcome(lambda: joined.complete(prompt, model, params))
+        assert answer == (text if text is not None else (
+            ConsistencyError, f"no transcript entry for {model!r} and {prompt!r}")), prompt
+
+
+def test_the_join_drops_a_torn_last_row_with_the_store_warning(tmp_path, capsys):
+    path = tmp_path / "t.jsonl"
+    _record(path, [("p", "m", DecodingParams(), "A"), ("q", "m", DecodingParams(), "B")])
+    data = path.read_bytes()
+    torn_at = data.index(b"\n") + 1
+    path.write_bytes(data[:-10])
+    with closing(TranscriptWriter(path)):
+        warning = capsys.readouterr().err
+    assert warning == (f"warning: {path}: dropped the torn last row at byte {torn_at}; "
+                       "it is cut off before the next row is added\n")
+    replay = ReplayProvider.from_transcript(path, "m", DecodingParams(), ["p", "q"])
+    assert capsys.readouterr().err == warning
+    assert replay.complete("p", "m", DecodingParams()) == "A"
+    with pytest.raises(ConsistencyError):
+        replay.complete("q", "m", DecodingParams())
 
 
 class ScriptedHttp:
@@ -500,8 +659,7 @@ def test_http_provider_parses_and_records(tmp_path):
     assert row["prompt_hash"] == prompt_hash("prompt text")
     assert row["response"]["text"] == "HP:0001337"
     # the recorded transcript replays to the same output
-    replay = ReplayProvider.from_transcript(tmp_path / "t.jsonl")
-    assert replay.complete("prompt text", "model-a", DecodingParams()) == out
+    assert _replay(tmp_path / "t.jsonl", "prompt text", "model-a", DecodingParams()) == out
 
 
 @pytest.fixture
@@ -526,8 +684,7 @@ def test_http_provider_sends_only_what_its_transcript_lacks(tmp_path):
         assert provider.complete("p", "model-b", DecodingParams()) == "B"
     assert [body["model"] for body in transport.bodies] == ["model-b"]
     assert path.read_bytes().startswith(before)
-    replay = ReplayProvider.from_transcript(path)
-    assert replay.complete("p", "model-b", DecodingParams()) == "B"
+    assert _replay(path, "p", "model-b", DecodingParams()) == "B"
 
 
 def test_http_provider_retries_then_succeeds(transcript):

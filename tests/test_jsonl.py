@@ -180,7 +180,7 @@ def test_transcript_round_trip_separator(tmp_path, sep):
     prompt = f"What is{sep}this?"
     with closing(TranscriptWriter(path)) as writer:
         writer.record(prompt, request_body(prompt, "m", DecodingParams()), f"answer{sep}text")
-    provider = ReplayProvider.from_transcript(path)
+    provider = ReplayProvider.from_transcript(path, "m", DecodingParams(), [prompt])
     assert provider.complete(prompt, "m", DecodingParams()) == f"answer{sep}text"
 
 

@@ -25,6 +25,8 @@ import pytest
 
 import termbench.manifest
 import termbench.pipeline
+import termbench.providers
+import termbench.sampling
 from termbench.cli import main
 from termbench.config import (
     COMPLETION_KEY_ENV,
@@ -870,6 +872,35 @@ def test_eval_builds_no_pair_map_for_the_prompts_it_is_handed(tmp_path, monkeypa
     assert calls == {"pair_id": 0, "read_prompts_jsonl": 0}
 
 
+def test_replay_hashes_no_transcript_row_and_ids_each_pair_once(tmp_path):
+    # Replay joins each transcript to the prompts it answers, with no digest per
+    # row or lookup, and prompts, eval items and outcomes read their pair's id
+    # off the pair. The calls are counted by code object, whoever makes them.
+    counted = {termbench.providers.request_key.__code__: "request_key",
+               termbench.sampling.pair_id.__code__: "pair_id"}
+    calls = []
+    stage = None
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in counted:
+            calls.append((stage, counted[frame.f_code]))  # atomic, from any thread
+
+    cfg = load_config(CONFIG, run_dir=tmp_path / "run")
+    for stage in termbench.pipeline.STAGES:
+        threading.setprofile(profile)
+        sys.setprofile(profile)
+        try:
+            run_stage(cfg, stage)
+        finally:
+            sys.setprofile(None)
+            threading.setprofile(None)
+    with open(cfg.run_dir / SPLIT, encoding="utf-8") as fh:
+        n_pairs = len(read_split_jsonl(fh))
+    assert [call for call in calls if call[1] == "request_key"] == []
+    ids = [stage for stage, name in calls if name == "pair_id"]
+    assert len([stage for stage in ids if stage in ("prompts", "eval", "classify")]) <= n_pairs
+
+
 @pytest.fixture(scope="module")
 def fresh_seed1_run(tmp_path_factory):
     """`--stage all --seed 1` in a process of its own."""
@@ -982,9 +1013,9 @@ def test_eval_frees_a_phase_transcript_before_the_next_one_loads(full_run, tmp_p
     live_at_load = []
     load = ReplayProvider.from_transcript.__func__
 
-    def tracked(cls, path):
+    def tracked(cls, path, *join):
         live_at_load.append([ref() is not None for ref in providers])
-        provider = load(cls, path)
+        provider = load(cls, path, *join)
         providers.append(weakref.ref(provider))
         return provider
 
@@ -1144,6 +1175,38 @@ def test_a_store_that_fails_to_load_names_its_file_and_line(full_run, tmp_path, 
     assert main(["--config", str(live), "--run-dir", str(run_dir), "--stage", "eval"]) == 1
     assert capsys.readouterr().err.startswith(
         f"error: {transcript}: line {last}: bad JSON: ")
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("model", "missing key 'model'"),
+    ("text", "response.text is not a string: 7"),
+])
+def test_a_replay_row_that_no_prompt_wants_is_still_checked(full_run, tmp_path, capsys,
+                                                           fault, message):
+    # The join keeps only the rows of the phase's model and prompts, but it
+    # checks every row as the transcript store does: exit 1, naming the line.
+    rows = _rows(FIXTURE / "transcripts" / "baseline.jsonl")
+    bad = json.loads(json.dumps(rows[0]))
+    bad["request"]["model"] = "another-model"
+    bad["request"]["messages"][0]["content"] = "a prompt that no pair has"
+    if fault == "model":
+        del bad["request"]["model"]
+    else:
+        bad["response"]["text"] = 7
+    transcript = tmp_path / "baseline.jsonl"
+    transcript.write_text("".join(json.dumps(row) + "\n" for row in [*rows[:4], bad, *rows[4:]]),
+                          encoding="utf-8")
+    run_dir = tmp_path / "run"
+    for stage in ("sample", "prompts"):
+        shutil.copytree(full_run / stage, run_dir / stage)
+    replay = tmp_path / "replay.cfg"
+    replay.write_text(f"[paths]\ntranscript_baseline = {transcript}\n"
+                      f"transcript_finetuned = {FIXTURE / 'transcripts' / 'finetuned.jsonl'}\n"
+                      "[models]\nbaseline = mock-base-1\nfinetuned = mock-base-1-ft\n",
+                      encoding="utf-8")
+    capsys.readouterr()
+    assert main(["--config", str(replay), "--run-dir", str(run_dir), "--stage", "eval"]) == 1
+    assert capsys.readouterr().err == f"error: {transcript}: line 5: {message}\n"
 
 
 def _assert_manifest_digests_match_files(run_dir):
@@ -1374,7 +1437,7 @@ def test_a_live_rerun_sends_only_what_its_stores_lack(full_run, tmp_path, fake_h
 
 @pytest.mark.parametrize("crash_after", [100, 500], ids=["in-baseline", "in-finetuned"])
 def test_an_eval_that_dies_part_way_resumes_from_its_transcripts(full_run, tmp_path, fake_http,
-                                                                 crash_after):
+                                                                 capsys, crash_after):
     run_dir = tmp_path / "run"
     cfg = _live_eval_config(full_run, run_dir)
     sent = []
@@ -1387,10 +1450,21 @@ def test_an_eval_that_dies_part_way_resumes_from_its_transcripts(full_run, tmp_p
                    for phase in ("baseline", "finetuned")]
     assert sum(len(_rows(p)) for p in transcripts if p.exists()) == crash_after  # all kept
 
+    # the process died in the middle of its last row: cut that row short
+    torn = [p for p in transcripts if p.exists()][-1]
+    data = torn.read_bytes()
+    last = data.splitlines(keepends=True)[-1]
+    request = json.loads(last)["request"]
+    torn.write_bytes(data[:-(len(last) // 2)])
+    first.remove(("completion", (request["model"], request["messages"][0]["content"])))
+
     sent.clear()
     _fake_endpoints(fake_http, cfg, sent)
+    capsys.readouterr()
     for stage in ("eval", "classify", "report"):
         run_stage(cfg, stage)
+    assert (f"warning: {torn}: dropped the torn last row at byte {len(data) - len(last)}; "
+            "it is cut off before the next row is added\n") in capsys.readouterr().err
     prompts = [row["prompt_text"] for row in _rows(run_dir / "prompts" / "prompts.jsonl")]
     expected = [("completion", (model, prompt))
                 for model in (cfg.baseline_model, cfg.finetuned_model) for prompt in prompts]

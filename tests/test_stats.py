@@ -1,5 +1,7 @@
 import csv
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -192,13 +194,40 @@ def reference_studentized_range_cdf(q: float, k: int, df: float) -> float:
     return min(1.0, max(0.0, value))
 
 
-@pytest.mark.parametrize("df", [1, 2, 3.7, 10, 57.3, 1e3, 1e5, 1e7])
+ORACLE_FILE = Path(__file__).parent / "fixtures" / "studentized_range_oracle.json"
+ORACLE_DFS = [1, 2, 3.7, 10, 57.3, 1e3, 1e5, 1e7]
+ORACLE_POINTS = [(k, q) for k in (2, 3, 4, 6, 10) for q in (0.05, 0.5, 1, 2, 3.3, 5, 8, 15)]
+
+
+def oracle_values(df: float) -> list[list]:
+    """[k, q, P(Q <= q)] at every oracle point for `df`, by the adaptive quadrature."""
+    return [[k, q, reference_studentized_range_cdf(q, k, df)] for k, q in ORACLE_POINTS]
+
+
+def _cached_oracle(df: float) -> list[list]:
+    """`oracle_values(df)` as `ORACLE_FILE` holds them (`python tests/test_stats.py`
+    writes the file again)."""
+    return json.loads(ORACLE_FILE.read_text(encoding="utf-8"))[repr(df)]
+
+
+@pytest.mark.parametrize("df", ORACLE_DFS)
 def test_studentized_range_matches_adaptive_quadrature(df):
+    # against the quadrature's values, cached; the slow test below recomputes them
     tolerance = 1e-9 if df >= 2 else 1e-7
-    for k in (2, 3, 4, 6, 10):
-        for q in (0.05, 0.5, 1, 2, 3.3, 5, 8, 15):
-            ref = reference_studentized_range_cdf(q, k, df)
-            assert studentized_range_cdf(q, k, df) == pytest.approx(ref, abs=tolerance), (q, k)
+    cached = _cached_oracle(df)
+    assert [(k, q) for k, q, _ in cached] == ORACLE_POINTS
+    for k, q, ref in cached:
+        assert studentized_range_cdf(q, k, df) == pytest.approx(ref, abs=tolerance), (q, k)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("df", ORACLE_DFS)
+def test_the_cached_oracle_values_are_the_quadratures(df):
+    cached = _cached_oracle(df)
+    computed = oracle_values(df)
+    assert [point[:2] for point in cached] == [point[:2] for point in computed]
+    assert [value for _, _, value in cached] == pytest.approx(
+        [value for _, _, value in computed], abs=1e-12)
 
 
 def test_studentized_range_raises_when_rules_disagree(monkeypatch):
@@ -526,3 +555,9 @@ def test_observation_csv_rejects_bad_correctness():
 
     with pytest.raises(ValidationError):
         read_observations_csv(_io.StringIO("terminology,correctness,value\nHPO,2,1.0\n"))
+
+
+if __name__ == "__main__":  # write the cached oracle values again, one df a line
+    ORACLE_FILE.write_text("{\n" + ",\n".join(
+        f"{json.dumps(repr(df))}: {json.dumps(oracle_values(df))}" for df in ORACLE_DFS)
+        + "\n}\n", encoding="utf-8")
