@@ -57,7 +57,8 @@ def iter_rows(stream: IO, build: Callable[[dict], T]) -> Iterator[T]:
     """Yield `build(row)` for every non-blank line of a JSONL text stream.
 
     A line that is not JSON, or whose row `build` rejects with KeyError,
-    ValueError, TypeError or ParseError, raises ParseError naming the line.
+    IndexError, ValueError, TypeError or ParseError, raises ParseError
+    naming the line.
     A line the scanner does not take whole goes to `json.loads`, which
     skips it when blank or raises its own error for it.
     """
@@ -79,7 +80,7 @@ def iter_rows(stream: IO, build: Callable[[dict], T]) -> Iterator[T]:
             raise ParseError(f"bad JSON: {exc}", lineno) from exc
         except KeyError as exc:
             raise ParseError(f"missing key {exc}", lineno) from exc
-        except (ValueError, TypeError, ParseError) as exc:
+        except (IndexError, ValueError, TypeError, ParseError) as exc:
             raise ParseError(str(exc), lineno) from exc
         yield item
 
@@ -105,12 +106,13 @@ class KeyedStore:
     key wins. The file is read a line at a time. A torn last row, one that
     lacks its "\\n" and does not decode or parse, is dropped with one stderr
     line naming the file and the row's byte offset; any other row that is
-    not UTF-8 or JSON, or that `entry` rejects, is a ParseError naming the
-    file and the line. `put` appends a row through one handle shared by
-    threads, opened at the first row (the file is cut to its last "\\n"
-    first when a torn row was dropped, and a last row that lacks its "\\n"
-    gets one), and flushes it, so a killed process keeps every row put
-    before it died. Close the store before anything hashes the file.
+    not UTF-8 or JSON, that `entry` rejects (with an error `iter_rows`
+    maps), or whose key cannot be hashed (a TypeError), is a ParseError
+    naming the file and the line. `put` appends a row through one handle
+    shared by threads, opened at the first row (the file is cut to its last
+    "\\n" first when a torn row was dropped, and a last row that lacks its
+    "\\n" gets one), and flushes it, so a killed process keeps every row
+    put before it died. Close the store before anything hashes the file.
     """
 
     def __init__(self, path: str | Path):
@@ -129,13 +131,24 @@ class KeyedStore:
     def _load(self) -> None:
         try:
             with open(self.path, encoding="utf-8") as fh:
-                self._values.update(iter_rows(fh, self.entry))
+                self._insert(fh)
         except (ParseError, UnicodeDecodeError):
             # read it again as bytes, decoding each line alone, to drop a torn
             # last row or to name the line that is not UTF-8
             self._values.clear()
             with open(self.path, "rb") as fh:
-                self._values.update(iter_rows(self._lines(fh), self.entry))
+                self._insert(self._lines(fh))
+
+    def _insert(self, lines: Iterable[str]) -> None:
+        """Put each row's (key, value) in the store, hashing the key inside
+        `iter_rows`' build step, so that an unhashable key names its line."""
+        values = self._values
+
+        def insert(row: dict) -> None:
+            key, value = self.entry(row)
+            values[key] = value
+        for _ in iter_rows(lines, insert):
+            pass
 
     def _lines(self, stream: IO[bytes]) -> Iterator[str]:
         """The lines of the binary `stream`, decoded, but for a torn last row."""

@@ -264,13 +264,14 @@ class StageFiles:
             _HELD[artifact] = (self.outputs[artifact], list(data))
 
     @contextmanager
-    def store(self, store_type, name: str):
-        """The `jsonl.KeyedStore` `store_type` over the file of the store `name`.
+    def store(self, store_type, name: str, *args):
+        """`store_type(path, *args)`, the `jsonl.KeyedStore` over the file of the store
+        `name`.
 
         It is closed as the block exits and, if the block ends, recorded: an
         output under `<run>/<stage>/`, else an input.
         """
-        store = store_type(self.stores[name])
+        store = store_type(self.stores[name], *args)
         try:
             yield store
         finally:
@@ -458,16 +459,18 @@ def stage_prompts(cfg: RunConfig, files: StageFiles) -> None:
 @contextmanager
 def _completion_provider(cfg: RunConfig, phase: Phase, model_id: str, prompts: list,
                          files: StageFiles):
-    """The phase's provider of `prompts` for `model_id`, for the block; a live one's
-    transcript is a store, and a replay one reads its file joined to the prompts."""
+    """The phase's provider of `prompts` for `model_id`, for the block. Either reads
+    its transcript joined to the phase's model, settings and prompts; a live one's
+    transcript is a store."""
     transcript_path = cfg.transcripts.get(phase.value)
     name = f"transcript_{phase.value}.jsonl"
+    texts = (p.prompt_text for p in prompts)
     if transcript_path is not None:
         yield ReplayProvider.from_transcript(
             files.source(transcript_path, f"paths.transcript_{phase.value}"),
-            model_id, DECODING, (p.prompt_text for p in prompts))
+            model_id, DECODING, texts)
     elif name in files.stores:
-        with files.store(TranscriptWriter, name) as transcript:
+        with files.store(TranscriptWriter, name, model_id, DECODING, texts) as transcript:
             yield HttpCompletionProvider(files.endpoint("completion"), transcript)
     else:
         raise ValidationError(

@@ -29,7 +29,7 @@ from termbench.ontology import TermRecord, Terminology, build_index
 from termbench.outcomes import OutcomeCategory, classify, derived_metrics, round1
 from termbench.popularity import PopularityRecord, laplace_log, rank_frequency
 from termbench.prompts import Direction, expand_prompts
-from termbench.providers import ReplayProvider, prompt_hash
+from termbench.providers import DecodingParams, ReplayProvider
 from termbench.rng import SplitMix64
 from termbench.sampling import SampledPair, Split, sample_bins, stratify, write_split_jsonl
 from termbench.stats import (
@@ -225,9 +225,8 @@ def test_criterion_05_eval_determinism():
     prompts = [expand_prompts(p, Direction.TERM_TO_ID)[0] for p in pairs]
     answers = [p.expected_answer for p in prompts]
     answers[3] = "HP:9999999"
-    provider = ReplayProvider(
-        {prompt_hash(p.prompt_text): a for p, a in zip(prompts, answers)}
-    )
+    provider = ReplayProvider({p.prompt_text: a for p, a in zip(prompts, answers)},
+                              ("m", DecodingParams()))
     blobs = []
     for _ in range(2):
         items = run_eval(provider, prompts, expected_answers(prompts, False), "m", 1, False)

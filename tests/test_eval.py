@@ -1,3 +1,4 @@
+import ast
 import gc
 import hashlib
 import io
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import termbench.providers
 from termbench.errors import (
     ConsistencyError,
     DomainError,
@@ -192,8 +194,12 @@ def _accuracy(items):
                        Phase.BASELINE)["accuracy"]
 
 
-def _make_replay(prompts, answers):
-    return ReplayProvider({prompt_hash(p.prompt_text): a for p, a in zip(prompts, answers)})
+_M = ("m", DecodingParams())  # the model and settings `_run_eval` asks for
+
+
+def _make_replay(prompts, answers, model="m"):
+    return ReplayProvider({p.prompt_text: a for p, a in zip(prompts, answers)},
+                          (model, DecodingParams()))
 
 
 def test_run_eval_all_correct():
@@ -228,7 +234,7 @@ def test_run_eval_provider_failure_counts_incorrect():
 
 def test_run_eval_all_failed_raises():
     prompts = [_prompt(_pair())]
-    provider = ReplayProvider({})
+    provider = ReplayProvider({}, _M)
     with pytest.raises(RunFailedError):
         _run_eval(provider, prompts, "m")
 
@@ -314,12 +320,12 @@ def test_run_eval_rejects_mixed_sets():
     p2 = _prompt(_pair(terminology=Terminology.GENE, term="tumor protein p53",
                        identifier="TP53"))
     with pytest.raises(DomainError):
-        _run_eval(ReplayProvider({}), [p1, p2], "m")
+        _run_eval(ReplayProvider({}, _M), [p1, p2], "m")
 
 
 def test_run_eval_empty_prompts():
     with pytest.raises(DomainError):
-        _run_eval(ReplayProvider({}), [], "m")
+        _run_eval(ReplayProvider({}, _M), [], "m")
 
 
 def test_run_eval_majority_vote():
@@ -391,7 +397,7 @@ def test_replay_determinism_byte_for_byte():
 
 def test_run_summary_fields():
     prompts = [_prompt(_pair())]
-    provider = _make_replay(prompts, [prompts[0].expected_answer])
+    provider = _make_replay(prompts, [prompts[0].expected_answer], "model-x")
     items = _run_eval(provider, prompts, "model-x")
     summary = run_summary(items, "model-x", Terminology.HPO, Direction.TERM_TO_ID,
                           Phase.FINETUNED)
@@ -413,7 +419,7 @@ def test_run_summary_fields():
 
 def test_replay_from_transcript_file(tmp_path):
     prompts = [_prompt(_pair())]
-    with closing(TranscriptWriter(tmp_path / "t.jsonl")) as writer:
+    with closing(TranscriptWriter(tmp_path / "t.jsonl", "m", DecodingParams(), ())) as writer:
         writer.record(prompts[0].prompt_text,
                       request_body(prompts[0].prompt_text, "m", DecodingParams()),
                       "HP:0001337")
@@ -435,12 +441,12 @@ def test_replay_rejects_a_transcript_text_that_is_not_a_string(tmp_path):
 
 def test_replay_missing_hash_raises():
     with pytest.raises(ConsistencyError):
-        ReplayProvider({}).complete("anything", "m", DecodingParams())
+        ReplayProvider({}, _M).complete("anything", "m", DecodingParams())
 
 
 def _record(path, rows):
     """A transcript of (prompt, model, params, text) rows; params None writes no request."""
-    with closing(TranscriptWriter(path)) as transcript:
+    with closing(TranscriptWriter(path, "m", DecodingParams(), ())) as transcript:
         for prompt, model, params, text in rows:
             transcript.record(prompt, None if params is None
                               else request_body(prompt, model, params), text)
@@ -466,6 +472,15 @@ def test_replay_answers_only_the_model_and_settings_it_recorded(tmp_path, model,
         replay.complete("p", model, params)
     with pytest.raises(ConsistencyError, match=repr(model)):
         _replay(tmp_path / "t.jsonl", "p", model, params)
+    # a live provider answers its phase's model and settings alone, too
+    transport = ScriptedHttp([(200, _chat_body("B"))])
+    with closing(TranscriptWriter(tmp_path / "t.jsonl", "model-a", DecodingParams(),
+                                  ["p"])) as transcript:
+        live = _http_provider(transport, transcript)
+        assert live.complete("p", "model-a", DecodingParams()) == "A"
+        with pytest.raises(ConsistencyError, match=re.escape(repr((model, params)))):
+            live.complete("p", model, params)
+    assert transport.calls == 0
 
 
 def test_replay_keeps_rows_for_two_models_of_one_prompt_apart(tmp_path):
@@ -609,7 +624,7 @@ def test_the_join_drops_a_torn_last_row_with_the_store_warning(tmp_path, capsys)
     data = path.read_bytes()
     torn_at = data.index(b"\n") + 1
     path.write_bytes(data[:-10])
-    with closing(TranscriptWriter(path)):
+    with closing(TranscriptWriter(path, "m", DecodingParams(), ["p", "q"])):
         warning = capsys.readouterr().err
     assert warning == (f"warning: {path}: dropped the torn last row at byte {torn_at}; "
                        "it is cut off before the next row is added\n")
@@ -646,7 +661,8 @@ def _http_provider(transport, transcript, url="http://example", credential=None)
 
 def test_http_provider_parses_and_records(tmp_path):
     transport = ScriptedHttp([(200, _chat_body("HP:0001337"))])
-    with closing(TranscriptWriter(tmp_path / "t.jsonl")) as transcript:
+    with closing(TranscriptWriter(tmp_path / "t.jsonl", "model-a", DecodingParams(),
+                                  ["prompt text"])) as transcript:
         provider = _http_provider(transport, transcript, "http://example/v1/chat",
                                   {"headers": {"Authorization": "Bearer k"}})
         out = provider.complete("prompt text", "model-a", DecodingParams())
@@ -664,8 +680,9 @@ def test_http_provider_parses_and_records(tmp_path):
 
 @pytest.fixture
 def transcript(tmp_path):
-    """A `TranscriptWriter` on the test's `t.jsonl`, closed when the test ends."""
-    with closing(TranscriptWriter(tmp_path / "t.jsonl")) as transcript:
+    """A `TranscriptWriter` on the test's `t.jsonl` for "p" sent to "m", closed when
+    the test ends."""
+    with closing(TranscriptWriter(tmp_path / "t.jsonl", *_M, ["p"])) as transcript:
         yield transcript
 
 
@@ -674,9 +691,12 @@ def test_http_provider_sends_only_what_its_transcript_lacks(tmp_path):
     _record(path, [("p", "model-a", DecodingParams(), "A"), ("q", None, None, "Q")])
     before = path.read_bytes()
     transport = ScriptedHttp([(200, _chat_body("B"))])
-    with closing(TranscriptWriter(path)) as transcript:
+    with closing(TranscriptWriter(path, "model-a", DecodingParams(), ["p", "q"])) as transcript:
+        assert _http_provider(transport, transcript).complete(
+            "p", "model-a", DecodingParams()) == "A"
+    # one join per model
+    with closing(TranscriptWriter(path, "model-b", DecodingParams(), ["p", "q"])) as transcript:
         provider = _http_provider(transport, transcript)
-        assert provider.complete("p", "model-a", DecodingParams()) == "A"
         assert provider.complete("q", "model-b", DecodingParams()) == "Q"
         assert transport.calls == 0
         # a row for model A does not answer model B: that request is sent, and recorded
@@ -731,7 +751,8 @@ def test_http_provider_fails_an_item_whose_content_is_not_a_string(tmp_path):
     null = json.dumps({"choices": [{"message": {"content": None}}]})
     transport = ScriptedHttp([(200, null), (200, _chat_body("HP:0000001"))])
     prompts = [_prompt(_pair(term=f"t{i}", identifier=f"HP:{i:07d}")) for i in range(2)]
-    with closing(TranscriptWriter(tmp_path / "t.jsonl")) as transcript:
+    with closing(TranscriptWriter(tmp_path / "t.jsonl", "m", DecodingParams(),
+                                  [p.prompt_text for p in prompts])) as transcript:
         provider = _http_provider(transport, transcript)
         items = _run_eval(provider, prompts, "m")
     assert [i.error is not None for i in items] == [True, False]
@@ -742,3 +763,22 @@ def test_http_provider_fails_an_item_whose_content_is_not_a_string(tmp_path):
     with pytest.raises(ProtocolError):
         _http_provider(ScriptedHttp([(200, null)]), transcript).complete(
             "p", "m", DecodingParams())
+
+
+def test_every_top_level_name_in_providers_is_reached_outside_the_tests():
+    # A function or class of providers.py that only tests reach is test code:
+    # each must be named in providers.py itself, or imported from it (or read
+    # as `providers.<name>`) in src/, bench/ or tools/.
+    tree = ast.parse(Path(termbench.providers.__file__).read_text(encoding="utf-8"))
+    defined = {node.name for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    reached = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    root = Path(__file__).resolve().parent.parent
+    for path in (path for top in ("src", "bench", "tools") for path in (root / top).rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("providers"):
+                reached.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Attribute) and "providers" in (
+                    getattr(node.value, "id", None), getattr(node.value, "attr", None)):
+                reached.add(node.attr)
+    assert defined and sorted(defined - reached) == []

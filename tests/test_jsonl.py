@@ -23,7 +23,6 @@ from termbench.providers import (
     DecodingParams,
     ReplayProvider,
     TranscriptWriter,
-    recorded,
     request_body,
 )
 from termbench.popularity import PopularityRecord, read_popularity_csv, write_popularity_csv
@@ -178,7 +177,7 @@ def test_embedding_store_round_trip_separator(tmp_path, sep):
 def test_transcript_round_trip_separator(tmp_path, sep):
     path = tmp_path / "t.jsonl"
     prompt = f"What is{sep}this?"
-    with closing(TranscriptWriter(path)) as writer:
+    with closing(TranscriptWriter(path, "m", DecodingParams(), ())) as writer:
         writer.record(prompt, request_body(prompt, "m", DecodingParams()), f"answer{sep}text")
     provider = ReplayProvider.from_transcript(path, "m", DecodingParams(), [prompt])
     assert provider.complete(prompt, "m", DecodingParams()) == f"answer{sep}text"
@@ -298,11 +297,13 @@ def test_transcript_round_trips(items, cut):
         transcript.record(prompt, request_body(prompt, model,
                                                DecodingParams(temperature, max_tokens)), text)
 
-    def replay(transcript, key):
+    def replay(transcript, key):  # one join per request
         prompt, model, temperature, max_tokens = key
-        return recorded(transcript, prompt, model, DecodingParams(temperature, max_tokens))
+        return TranscriptWriter(transcript.path, model, DecodingParams(temperature, max_tokens),
+                                [prompt]).get(prompt)
 
-    _check_round_trip(TranscriptWriter, record, replay, items, cut)
+    _check_round_trip(lambda path: TranscriptWriter(path, "m", DecodingParams(), ()),
+                      record, replay, items, cut)
 
 
 @settings(max_examples=60, deadline=None)
@@ -370,6 +371,30 @@ def test_pmc_cache_bad_last_line_is_parse_error(tmp_path):
     assert not isinstance(exc.value, json.JSONDecodeError)
 
 
+def _transcript_join(path):
+    return TranscriptWriter(path, "m", DecodingParams(), ["p"])
+
+
+@pytest.mark.parametrize("open_store,good,bad,kind", [
+    (QueryCache, {"query": "q", "db": "pmc", "count": 1},
+     {"query": ["q"], "db": "pmc", "count": 1}, "list"),
+    (_transcript_join, {"prompt_hash": "h", "response": {"text": "x"}},
+     {"prompt_hash": ["h"], "response": {"text": "x"}}, "list"),
+    (_transcript_join, {"prompt_hash": "h", "response": {"text": "x"}},
+     {"prompt_hash": {"h": 1}, "response": {"text": "x"}}, "dict"),
+    (EmbeddingCache, {"text": "t", "dim": 1, "vector": [1.0]},
+     {"text": ["t"], "dim": 1, "vector": [1.0]}, "list"),
+], ids=["pmc-query", "transcript-prompt-hash-list", "transcript-prompt-hash-object",
+        "embedding-text"])
+def test_a_store_row_whose_key_cannot_be_hashed_names_its_file_and_line(tmp_path, open_store,
+                                                                        good, bad, kind):
+    path = tmp_path / "s.jsonl"
+    path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n", encoding="utf-8")
+    with pytest.raises(ParseError) as exc:
+        open_store(path)
+    assert str(exc.value) == f"{path}: line 2: unhashable type: '{kind}'"
+
+
 def _pmc_row(query: str) -> dict:
     return {"query": query, "db": "pmc", "count": len(query), "retrieved_at": "t"}
 
@@ -391,18 +416,23 @@ def _store_lines(store_type, make_row, texts) -> list[bytes]:
 @settings(max_examples=15, deadline=None)
 @given(texts=st.lists(st.text(alphabet='ab"\\ \u2028', max_size=6), min_size=1, max_size=3,
                       unique=True),
-       store=st.sampled_from([(QueryCache, _pmc_row), (TranscriptWriter, _transcript_row)]))
+       store=st.sampled_from(["pmc", "transcript"]))
 def test_a_torn_last_row_is_dropped_and_cut_off_before_the_next_row(texts, store):
     # A process killed as it appended a row leaves it torn. Cut the last row at
     # every byte inside it, one inside a two-byte "\u00fc" among them: the store
     # loads every whole row, says once where it dropped the torn one, and the
     # next row starts where the torn one did.
-    store_type, make_row = store
     texts = [*texts[:-1], texts[-1] + "\u00fc"]
     assume(len(set(texts)) == len(texts))
+    if store == "pmc":
+        store_type, make_row, key = QueryCache, _pmc_row, lambda text: (text, "pmc")
+    else:  # a join over every text the test puts
+        def store_type(path):
+            return TranscriptWriter(path, "m", DecodingParams(), [*texts, "new"])
+        make_row, key = _transcript_row, lambda text: text
 
     def has(s, text):
-        return KeyedStore.get(s, store_type.entry(make_row(text))[0]) is not None
+        return KeyedStore.get(s, key(text)) is not None
 
     *whole, last = _store_lines(store_type, make_row, texts)
     head = b"".join(whole)

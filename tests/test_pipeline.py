@@ -12,6 +12,7 @@ import signal
 import subprocess
 import sys
 import threading
+import types
 import warnings
 import weakref
 from contextlib import closing, contextmanager
@@ -428,7 +429,7 @@ def _write_transcript(path, model, prompt_rows, correct_templates):
     after every right answer, so a plurality vote that breaks ties toward the
     smaller answer would call an [A, A, B, B, C] pair correct.
     """
-    with closing(TranscriptWriter(path)) as writer:
+    with closing(TranscriptWriter(path, model, DecodingParams(), ())) as writer:
         for row in prompt_rows:
             if row["template_id"] in correct_templates(row["pair_id"]):
                 answer = row["expected_answer"]
@@ -872,12 +873,26 @@ def test_eval_builds_no_pair_map_for_the_prompts_it_is_handed(tmp_path, monkeypa
     assert calls == {"pair_id": 0, "read_prompts_jsonl": 0}
 
 
-def test_replay_hashes_no_transcript_row_and_ids_each_pair_once(tmp_path):
+def _providers_sha256(monkeypatch):
+    """The list of the SHA-256 objects that `providers` makes from now on, as their
+    arguments."""
+    made = []
+
+    def sha256(*args):
+        made.append(args)
+        return hashlib.sha256(*args)
+
+    monkeypatch.setattr(termbench.providers, "hashlib", types.SimpleNamespace(sha256=sha256))
+    return made
+
+
+def test_replay_hashes_no_transcript_row_and_ids_each_pair_once(tmp_path, monkeypatch):
     # Replay joins each transcript to the prompts it answers, with no digest per
     # row or lookup, and prompts, eval items and outcomes read their pair's id
-    # off the pair. The calls are counted by code object, whoever makes them.
-    counted = {termbench.providers.request_key.__code__: "request_key",
-               termbench.sampling.pair_id.__code__: "pair_id"}
+    # off the pair. `pair_id` calls are counted by code object, whoever makes
+    # them, and digests as `providers` makes them.
+    hashed = _providers_sha256(monkeypatch)
+    counted = {termbench.sampling.pair_id.__code__: "pair_id"}
     calls = []
     stage = None
 
@@ -896,7 +911,7 @@ def test_replay_hashes_no_transcript_row_and_ids_each_pair_once(tmp_path):
             threading.setprofile(None)
     with open(cfg.run_dir / SPLIT, encoding="utf-8") as fh:
         n_pairs = len(read_split_jsonl(fh))
-    assert [call for call in calls if call[1] == "request_key"] == []
+    assert hashed == []
     ids = [stage for stage, name in calls if name == "pair_id"]
     assert len([stage for stage in ids if stage in ("prompts", "eval", "classify")]) <= n_pairs
 
@@ -1158,6 +1173,23 @@ def test_an_interrupted_live_eval_resumes_from_its_transcripts(full_run, tmp_pat
         assert outputs[0] == outputs[1], stage
 
 
+def test_a_live_rerun_over_full_transcripts_hashes_nothing_and_sends_nothing(
+        full_run, tmp_path, fake_http, monkeypatch):
+    # A live phase reads its transcript as replay does, joined to its prompts,
+    # with no digest per row or lookup.
+    cfg = _live_eval(full_run, tmp_path / "run", fake_http)
+    transcripts = sorted((cfg.run_dir / "eval").glob("transcript_*.jsonl"))
+    before = [path.read_bytes() for path in transcripts]
+    sent = []
+    _fake_completions(fake_http, cfg, sent=sent)
+    hashed = _providers_sha256(monkeypatch)
+    run_stage(cfg, "eval")
+    assert len(transcripts) == 2 and sent == [] and hashed == []
+    assert [path.read_bytes() for path in transcripts] == before
+    for path in sorted((full_run / "eval").glob("results_*.jsonl")):
+        assert (cfg.run_dir / "eval" / path.name).read_bytes() == path.read_bytes()
+
+
 def test_a_store_that_fails_to_load_names_its_file_and_line(full_run, tmp_path, fake_http,
                                                             capsys):
     run_dir = tmp_path / "run"
@@ -1207,6 +1239,31 @@ def test_a_replay_row_that_no_prompt_wants_is_still_checked(full_run, tmp_path, 
     capsys.readouterr()
     assert main(["--config", str(replay), "--run-dir", str(run_dir), "--stage", "eval"]) == 1
     assert capsys.readouterr().err == f"error: {transcript}: line 5: {message}\n"
+
+
+@pytest.mark.parametrize("mode", ["replay", "live"])
+def test_a_transcript_row_with_no_messages_names_its_file_and_line(full_run, tmp_path, capsys,
+                                                                  mode):
+    rows = _rows(FIXTURE / "transcripts" / "baseline.jsonl")
+    rows[4]["request"]["messages"] = []
+    run_dir = tmp_path / "run"
+    for stage in ("sample", "prompts"):
+        shutil.copytree(full_run / stage, run_dir / stage)
+    if mode == "replay":
+        transcript = tmp_path / "baseline.jsonl"
+        source = (f"[paths]\ntranscript_baseline = {transcript}\n"
+                  f"transcript_finetuned = {FIXTURE / 'transcripts' / 'finetuned.jsonl'}\n")
+    else:  # the live store, left by an earlier run
+        transcript = run_dir / "eval" / "transcript_baseline.jsonl"
+        transcript.parent.mkdir()
+        source = "[endpoints]\ncompletion_url = http://completions.test/v1/chat/completions\n"
+    transcript.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    config = tmp_path / f"{mode}.cfg"
+    config.write_text(source + "[models]\nbaseline = mock-base-1\nfinetuned = mock-base-1-ft\n",
+                      encoding="utf-8")
+    capsys.readouterr()
+    assert main(["--config", str(config), "--run-dir", str(run_dir), "--stage", "eval"]) == 1
+    assert capsys.readouterr().err == f"error: {transcript}: line 5: list index out of range\n"
 
 
 def _assert_manifest_digests_match_files(run_dir):
